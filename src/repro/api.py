@@ -304,7 +304,7 @@ class ML4all:
     # ------------------------------------------------------------------
     # concurrent serving
     # ------------------------------------------------------------------
-    def service(self, cache_size=None, speculation_workers=None):
+    def service(self, cache_size=None):
         """The shared :class:`~repro.service.OptimizerService` facade.
 
         Created lazily with this system's cluster spec, seed, speculation
@@ -325,10 +325,6 @@ class ML4all:
                     speculation=self.speculation,
                     algorithms=self.algorithms,
                     cache_size=256 if cache_size is None else cache_size,
-                    speculation_workers=(
-                        "auto" if speculation_workers is None
-                        else speculation_workers
-                    ),
                     # The facade and its service learn from the same
                     # traces and serve the same corrected estimates.
                     calibration=self.calibration,
@@ -342,14 +338,6 @@ class ML4all:
             warnings.warn(
                 "service() already created with cache_size="
                 f"{service.cache.maxsize}; ignoring {cache_size}",
-                stacklevel=2,
-            )
-        if (speculation_workers is not None
-                and speculation_workers != service.speculation_workers):
-            warnings.warn(
-                "service() already created with speculation_workers="
-                f"{service.speculation_workers}; ignoring "
-                f"{speculation_workers}",
                 stacklevel=2,
             )
         return service

@@ -18,19 +18,30 @@ BGD runs over the entire D'."
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
-import os
+import math
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro.core.curve_fit import FittedCurve, fit_error_sequence
-from repro.errors import EstimationError, ReproError
+from repro.errors import EstimationError
 from repro.gd import registry as gd_registry
 from repro.obs import span
+
+#: The speculation lane: one :meth:`SpeculativeEstimator.estimate_all`
+#: pass at a time, process-wide (the scope is the process because the
+#: GIL is).  A trial is thousands of microsecond-sized numpy calls, each
+#: of which drops and re-takes the GIL, so concurrent passes do not run
+#: in parallel -- they stretch each other 2-3x bouncing it across cores.
+#: Queueing them is faster for every caller.
+_LANE = threading.Lock()
+
+#: A trial whose error exceeds its running minimum by this factor (or
+#: stops being finite) is diverging and will never yield a fit; stop it
+#: instead of burning the whole iteration cap.
+_DIVERGENCE_FACTOR = 1e12
 
 
 @dataclasses.dataclass
@@ -71,35 +82,26 @@ class SpeculationSettings:
 class SpeculativeEstimator:
     """Runs Algorithm 1 for each GD algorithm on a shared sample D'.
 
-    ``max_workers`` controls how many per-algorithm speculative trials
-    run concurrently in :meth:`estimate_all`.  The trials are
-    independent -- each draws its own RNG from the fixed seed and shares
-    the same pre-drawn D' -- so results match the sequential order
-    *provided every trial terminates by tolerance or iteration cap*;
-    when the wall-clock ``time_budget_s`` is what stops a trial, thread
-    contention can shave iterations off it relative to a sequential run.
-    The default (``1``) therefore keeps the legacy sequential,
-    fully-reproducible behavior; pass ``"auto"`` for one thread per
-    algorithm up to the CPU count (what the serving layer uses), an
-    explicit thread count, or ``"process"`` for a process pool.
-
-    ``"process"`` sidesteps the GIL entirely (the thread pool only helps
-    while numpy's BLAS work releases it), at the price of pickling the
-    sample and the gradient to the workers.  When anything in the
-    payload cannot be pickled (e.g. a closure-based custom gradient),
-    :meth:`estimate_all` transparently falls back to the thread pool.
+    :meth:`estimate_all` is one sequential pass: it draws D' once, runs
+    the trials in order while holding the process-wide speculation lane,
+    and runs trials that are the *same computation* (see
+    :func:`repro.gd.registry.trial_key`) once.  Every trial seeds its
+    own RNG from ``seed``, so an estimate depends neither on the order
+    of the algorithms nor on which other algorithms share the pass.
     """
 
-    def __init__(self, settings=None, seed=0, max_workers=1,
-                 model_overrides=None):
+    def __init__(self, settings=None, seed=0, model_overrides=None,
+                 metrics=None):
         self.settings = settings or SpeculationSettings()
         self.seed = seed
-        self.max_workers = max_workers
         #: Per-algorithm error-curve family overrides ({algorithm:
         #: model name}), e.g. fed back from the learned model's
         #: curve-family votes.  Applied after any registry-level
         #: speculation overrides, before fitting.
         self.model_overrides = dict(model_overrides or {})
+        #: Optional :class:`~repro.service.metrics.MetricsRegistry`;
+        #: receives the ``speculation.lane_wait_s`` histogram.
+        self.metrics = metrics
 
     # ------------------------------------------------------------------
     def take_sample(self, X, y, rng=None):
@@ -109,6 +111,21 @@ class SpeculativeEstimator:
         size = min(self.settings.sample_size, n)
         idx = rng.choice(n, size=size, replace=False)
         return X[idx], y[idx]
+
+    def _settings_for(self, algorithm) -> SpeculationSettings:
+        """Algorithm 1's knobs as one algorithm sees them."""
+        cfg = self.settings
+        overrides = gd_registry.speculation_overrides(algorithm)
+        if overrides:
+            # A spec may tune Algorithm 1's knobs for its own convergence
+            # profile (e.g. a longer budget for slow-start algorithms).
+            cfg = dataclasses.replace(cfg, **overrides)
+        family = self.model_overrides.get(algorithm)
+        if family:
+            # Learned per-algorithm curve family (adaptive refits that
+            # kept preferring a different family voted it in).
+            cfg = dataclasses.replace(cfg, model=family)
+        return cfg
 
     def estimate(
         self,
@@ -129,23 +146,22 @@ class SpeculativeEstimator:
         """
         if target_tolerance <= 0:
             raise EstimationError("target tolerance must be positive")
-        cfg = self.settings
-        overrides = gd_registry.speculation_overrides(algorithm)
-        if overrides:
-            # A spec may tune Algorithm 1's knobs for its own convergence
-            # profile (e.g. a longer budget for slow-start algorithms).
-            cfg = dataclasses.replace(cfg, **overrides)
-        family = self.model_overrides.get(algorithm)
-        if family:
-            # Learned per-algorithm curve family (adaptive refits that
-            # kept preferring a different family voted it in).
-            cfg = dataclasses.replace(cfg, model=family)
+        cfg = self._settings_for(algorithm)
         rng = np.random.default_rng(self.seed)
         Xs, ys = sample if sample is not None else self.take_sample(X, y, rng)
 
         errors = []
+        lowest = math.inf
 
         def collect(i, w, delta):
+            nonlocal lowest
+            if not math.isfinite(delta) or \
+                    delta > lowest * _DIVERGENCE_FACTOR:
+                raise EstimationError(
+                    f"speculation for {algorithm} diverged at iteration "
+                    f"{i} (error {delta:.3g})"
+                )
+            lowest = min(lowest, delta)
             errors.append(delta)
             return delta <= cfg.speculation_tolerance
 
@@ -168,22 +184,31 @@ class SpeculativeEstimator:
         observations = np.column_stack(
             [np.arange(1, len(errors) + 1), np.asarray(errors)]
         )
+        return self._fit(
+            algorithm, target_tolerance, cfg, observations,
+            result.iterations, wall,
+        )
 
+    def _fit(self, algorithm, target_tolerance, cfg, observations,
+             iterations, wall_s) -> IterationsEstimate:
+        """Lines 9-10: turn one trial's error sequence into T(e_d)."""
+        errors = observations[:, 1]
+        common = dict(
+            algorithm=algorithm,
+            target_tolerance=target_tolerance,
+            speculation_errors=observations,
+            speculation_iterations=iterations,
+            speculation_wall_s=wall_s,
+        )
         # If speculation itself got to the target, report what we saw.
-        reached = [i for i, e in enumerate(errors, start=1) if e < target_tolerance]
-        if reached:
-            curve = self._safe_fit(errors)
+        reached = np.flatnonzero(errors < target_tolerance)
+        if len(reached):
             return IterationsEstimate(
-                algorithm=algorithm,
-                target_tolerance=target_tolerance,
-                estimated_iterations=reached[0],
-                curve=curve,
-                speculation_errors=observations,
-                speculation_iterations=result.iterations,
-                speculation_wall_s=wall,
+                estimated_iterations=int(reached[0]) + 1,
+                curve=self._safe_fit(errors),
                 observed_directly=True,
+                **common,
             )
-
         if len(errors) < cfg.min_points_for_fit:
             raise EstimationError(
                 f"speculation for {algorithm} produced only {len(errors)} "
@@ -192,13 +217,9 @@ class SpeculativeEstimator:
             )
         curve = fit_error_sequence(errors, model=cfg.model)
         return IterationsEstimate(
-            algorithm=algorithm,
-            target_tolerance=target_tolerance,
             estimated_iterations=curve.iterations_for(target_tolerance),
             curve=curve,
-            speculation_errors=observations,
-            speculation_iterations=result.iterations,
-            speculation_wall_s=wall,
+            **common,
         )
 
     def _safe_fit(self, errors):
@@ -222,16 +243,19 @@ class SpeculativeEstimator:
         step_size=1.0,
         batch_sizes=None,
         convergence="l1",
-        max_workers=None,
         on_error="raise",
     ) -> dict:
         """Run Algorithm 1 for every algorithm on one shared sample D'.
 
-        Trials run concurrently in a thread pool (numpy releases the GIL
-        for the underlying BLAS work); each algorithm seeds its own RNG
-        from ``self.seed`` inside :meth:`estimate`, so the estimates do
-        not depend on scheduling order (see the class docstring for the
-        wall-budget caveat).
+        One sequential pass under the process-wide speculation lane:
+        concurrent callers queue (the wait is the ``speculation_wait``
+        span and the ``speculation.lane_wait_s`` histogram) and a
+        trial's wall budget only starts once the lane is held.
+        Algorithms whose trial is the same computation on D' -- MGD at
+        a batch covering the whole sample *is* BGD -- share one GD run;
+        each still gets its own fit and its own ``speculation`` span
+        (``shared_with`` names the algorithm that ran the trial, and the
+        sharer's ``speculation_wall_s`` is 0).
 
         ``on_error="skip"`` drops algorithms whose speculative trial
         cannot be fitted (a registered plugin may simply not converge on
@@ -240,141 +264,67 @@ class SpeculativeEstimator:
         *every* algorithm fails, the first failure is raised regardless
         -- an empty estimate dict would just defer the error.
         """
-        algorithms = tuple(algorithms)
         batch_sizes = batch_sizes or {}
-        rng = np.random.default_rng(self.seed)
-        sample = self.take_sample(X, y, rng)
-        failures = {}
+        results, failures, ran = {}, {}, {}
+        queued = time.perf_counter()
+        with span("speculation_wait"):
+            _LANE.acquire()
+        try:
+            if self.metrics is not None:
+                self.metrics.histogram(
+                    "speculation.lane_wait_s", time.perf_counter() - queued
+                )
+            sample = self.take_sample(X, y)
+            for algorithm in algorithms:
+                batch_size = batch_sizes.get(algorithm)
+                key = gd_registry.trial_key(
+                    algorithm, sample[0].shape[0], batch_size
+                )
+                try:
+                    results[algorithm] = self._speculate(
+                        X, y, gradient, algorithm, target_tolerance,
+                        step_size, batch_size, convergence, sample,
+                        shared=ran.get(key),
+                    )
+                except EstimationError as exc:
+                    if on_error != "skip":
+                        raise
+                    failures[algorithm] = exc
+                    continue
+                if key is not None:
+                    ran.setdefault(key, results[algorithm])
+        finally:
+            _LANE.release()
+        if failures and not results:
+            raise next(iter(failures.values()))
+        return results
 
-        def speculate(algorithm):
-            with span("speculation", algorithm=algorithm) as trial_span:
+    def _speculate(self, X, y, gradient, algorithm, target_tolerance,
+                   step_size, batch_size, convergence, sample, shared):
+        """One algorithm's traced trial; ``shared`` is the estimate of
+        an algorithm that already ran the identical trial (or None)."""
+        attributes = {"algorithm": algorithm}
+        if shared is not None:
+            attributes["shared_with"] = shared.algorithm
+        with span("speculation", **attributes) as trial_span:
+            if shared is None:
                 estimate = self.estimate(
-                    X,
-                    y,
-                    gradient,
-                    algorithm,
-                    target_tolerance,
-                    step_size=step_size,
-                    batch_size=batch_sizes.get(algorithm),
-                    convergence=convergence,
-                    sample=sample,
+                    X, y, gradient, algorithm, target_tolerance,
+                    step_size=step_size, batch_size=batch_size,
+                    convergence=convergence, sample=sample,
                 )
-                trial_span.set(
-                    "estimated_iterations", estimate.estimated_iterations
+            else:
+                estimate = self._fit(
+                    algorithm, target_tolerance,
+                    self._settings_for(algorithm),
+                    shared.speculation_errors,
+                    shared.speculation_iterations, 0.0,
                 )
-                trial_span.set(
-                    "speculation_iterations", estimate.speculation_iterations
-                )
-                trial_span.set(
-                    "observed_directly", estimate.observed_directly
-                )
-                return estimate
-
-        def speculate_tolerant(algorithm):
-            try:
-                return speculate(algorithm)
-            except EstimationError as exc:
-                if on_error != "skip":
-                    raise
-                failures[algorithm] = exc
-                return None
-
-        def finish(results) -> dict:
-            results = {alg: est for alg, est in results.items()
-                       if est is not None}
-            if failures and not results:
-                raise next(iter(failures.values()))
-            return results
-
-        workers = max_workers if max_workers is not None else self.max_workers
-        use_processes = workers == "process"
-        if workers in ("auto", "process"):
-            workers = min(len(algorithms), os.cpu_count() or 1)
-        workers = max(1, min(int(workers), len(algorithms) or 1))
-        if use_processes and len(algorithms) > 1:
-            try:
-                return finish(self._estimate_all_processes(
-                    workers, algorithms, sample, gradient, target_tolerance,
-                    step_size, batch_sizes, convergence, failures,
-                    tolerant=on_error == "skip",
-                ))
-            except ReproError:
-                raise
-            except Exception:
-                # Unpicklable payload (closure gradients, exotic step
-                # schedules) or a broken pool: threads still work.
-                pass
-        if workers == 1 or len(algorithms) <= 1:
-            return finish(
-                {alg: speculate_tolerant(alg) for alg in algorithms}
+            trial_span.set(
+                "estimated_iterations", estimate.estimated_iterations
             )
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="speculate"
-        ) as pool:
-            # copy_context() carries the ambient trace context onto the
-            # pool threads, so per-trial spans land in the request trace.
-            futures = {
-                alg: pool.submit(
-                    contextvars.copy_context().run, speculate_tolerant, alg
-                )
-                for alg in algorithms
-            }
-            return finish(
-                {alg: futures[alg].result() for alg in algorithms}
+            trial_span.set(
+                "speculation_iterations", estimate.speculation_iterations
             )
-
-    def _estimate_all_processes(
-        self, workers, algorithms, sample, gradient, target_tolerance,
-        step_size, batch_sizes, convergence, failures=None, tolerant=False,
-    ) -> dict:
-        """Fan the speculative trials over a process pool."""
-        payloads = [
-            (
-                self.settings, self.seed, sample, gradient, alg,
-                target_tolerance, step_size, batch_sizes.get(alg),
-                convergence, self.model_overrides,
-            )
-            for alg in algorithms
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_speculate_in_process, payload)
-                for payload in payloads
-            ]
-            results = []
-            try:
-                for alg, future in zip(algorithms, futures):
-                    try:
-                        results.append(future.result())
-                    except EstimationError as exc:
-                        if not tolerant:
-                            raise
-                        if failures is not None:
-                            failures[alg] = exc
-                        results.append(None)
-            except BrokenProcessPool:
-                for future in futures:
-                    future.cancel()
-                raise
-        return dict(zip(algorithms, results))
-
-
-def _speculate_in_process(payload) -> IterationsEstimate:
-    """Process-pool worker: one speculative trial, fully reconstructed.
-
-    Module-level (picklable) on purpose.  The estimator is rebuilt from
-    its settings/seed; the pre-drawn sample D' travels with the payload
-    so every worker speculates on the same data, exactly like the
-    thread/sequential paths.
-    """
-    (settings, seed, sample, gradient, algorithm, target_tolerance,
-     step_size, batch_size, convergence, model_overrides) = payload
-    estimator = SpeculativeEstimator(
-        settings, seed=seed, model_overrides=model_overrides
-    )
-    Xs, ys = sample
-    return estimator.estimate(
-        Xs, ys, gradient, algorithm, target_tolerance,
-        step_size=step_size, batch_size=batch_size,
-        convergence=convergence, sample=sample,
-    )
+            trial_span.set("observed_directly", estimate.observed_directly)
+            return estimate

@@ -168,15 +168,21 @@ def full_batch_selector(i, rng):
 
 
 def make_minibatch_selector(n, batch_size):
-    """Uniform mini-batch selector of ``batch_size`` rows (SGD: size 1)."""
+    """Uniform mini-batch selector of ``batch_size`` rows (SGD: size 1).
+
+    A batch covering all ``n`` rows is :func:`full_batch_selector`:
+    drawing n of n without replacement is the whole set, so there is no
+    permutation to draw (no RNG consumed) and no rows to gather.
+    """
     if batch_size < 1:
         raise PlanError("batch size must be >= 1")
-    size = min(batch_size, n)
+    if batch_size >= n:
+        return full_batch_selector
 
     def select(i, rng):
-        if size == 1:
+        if batch_size == 1:
             return np.array([rng.integers(0, n)])
-        return rng.choice(n, size=size, replace=False)
+        return rng.choice(n, size=batch_size, replace=False)
 
     return select
 
@@ -262,9 +268,16 @@ def run_loop(
     start = time.perf_counter()
     iterations = 0
 
+    # Full-batch runs read X, y in place: X[slice(None)] would build a
+    # fresh view (a whole new matrix, for CSR) every iteration.
+    in_place = batch_selector is full_batch_selector
+    Xb, yb = X, y
+
     for i in range(1, max_iter + 1):
-        batch = batch_selector(offset + i, rng)
-        grad = gradient.gradient(w, X[batch], y[batch])
+        if not in_place:
+            batch = batch_selector(offset + i, rng)
+            Xb, yb = X[batch], y[batch]
+        grad = gradient.gradient(w, Xb, yb)
         w_new = w - step.step(i) * updater.direction(grad, offset + i)
         delta = criterion.delta(w, w_new)
         w = w_new

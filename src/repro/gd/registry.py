@@ -179,15 +179,42 @@ def speculation_overrides(name) -> dict:
     return info(name).speculation_overrides
 
 
+def _batch_rows(spec, n, batch_size):
+    """Rows one iteration of a generic algorithm reads out of ``n``."""
+    if spec.default_batch_size is None:
+        return n
+    if spec.batch_size_fixed or batch_size is None:
+        return spec.default_batch_size
+    return batch_size
+
+
 def selector_for(name, n, batch_size=None):
     """The :func:`run_loop` batch selector a generic algorithm uses."""
     spec = info(name)
     if spec.default_batch_size is None:
         return full_batch_selector
-    if spec.batch_size_fixed:
-        return make_minibatch_selector(n, spec.default_batch_size)
-    size = batch_size if batch_size is not None else spec.default_batch_size
-    return make_minibatch_selector(n, size)
+    return make_minibatch_selector(n, _batch_rows(spec, n, batch_size))
+
+
+def trial_key(name, n, batch_size=None):
+    """Identity of the computation :func:`run` performs on ``n`` rows.
+
+    Two algorithms with equal keys run the same GD loop -- same rows
+    per iteration, same updater factory, same kwarg surface, same
+    speculation overrides -- so under one seed they produce the same
+    error sequence and the estimator runs that trial once.  Derived
+    from spec fields only.  None (never shared) for custom drivers:
+    what they compute is their own business.
+    """
+    spec = info(name)
+    if spec.driver is not None:
+        return None
+    return (
+        min(_batch_rows(spec, n, batch_size), n),
+        spec.make_updater,
+        spec.accepted_kwargs,
+        tuple(sorted(spec.speculation_overrides.items())),
+    )
 
 
 def batch_overrides(batch) -> dict:

@@ -8,9 +8,10 @@ nothing, which is what keeps tracing free for direct library callers.
 
 Because the context rides a contextvar, it follows the call stack
 naturally and crosses thread-pool boundaries only when copied
-explicitly (``contextvars.copy_context().run(...)``) -- the speculation
-thread pool does exactly that, so per-algorithm trial spans land in the
-request's trace even though they run on worker threads.
+explicitly (``contextvars.copy_context().run(...)``) -- the
+``optimize_many`` / ``train_many`` pools do exactly that, so each
+request's spans land in its trace even though it runs on a worker
+thread.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ cheap:
   re-costing entirely;
 * **request coalescing** -- concurrent requests for the same fingerprint
   share one computation instead of racing to duplicate it;
-* the **vectorized cost model** and **parallel speculation** underneath
+* the **vectorized cost model** and **one-pass speculation** underneath
   (:meth:`CostModel.estimate_batch`,
-  :meth:`SpeculativeEstimator.estimate_all` with
-  ``speculation_workers="auto"``; plain ``SpeculativeEstimator`` use
-  elsewhere stays sequential and fully reproducible).
+  :meth:`SpeculativeEstimator.estimate_all`: cold requests take turns
+  on one process-wide speculation lane instead of contending for the
+  GIL; hits, store I/O and training never take it).
 
 Each computed request runs on a fresh :class:`SimulatedCluster` so the
 simulated clock of one caller never leaks into another -- the service
@@ -160,7 +160,6 @@ class OptimizerService(TrainingJobs):
         algorithms=CORE_ALGORITHMS,
         batch_sizes=None,
         cache_size=256,
-        speculation_workers="auto",
         cache_ttl_s=None,
         cache_max_bytes=None,
         calibration=None,
@@ -182,7 +181,6 @@ class OptimizerService(TrainingJobs):
         self.speculation = speculation or SpeculationSettings()
         self.algorithms = tuple(algorithms)
         self.batch_sizes = dict(batch_sizes or {})
-        self.speculation_workers = speculation_workers
         self.cache = PlanCache(
             cache_size, max_bytes=cache_max_bytes, ttl_s=cache_ttl_s
         )
@@ -442,7 +440,6 @@ class OptimizerService(TrainingJobs):
             ),
             fixed_iterations=fixed_iterations,
             speculation=self.speculation,
-            speculation_workers=self.speculation_workers,
             seed=self.seed,
         )
 
@@ -455,13 +452,13 @@ class OptimizerService(TrainingJobs):
         estimator = SpeculativeEstimator(
             self.speculation,
             seed=self.seed,
-            max_workers=self.speculation_workers,
             # Settled curve-family votes steer each algorithm's error
             # curve fits (SpeculationSettings.model, per algorithm).
             model_overrides=(
                 self.learned.curve_families()
                 if self.learned is not None else None
             ),
+            metrics=self.metrics,
         )
         return GDOptimizer(
             engine,

@@ -50,61 +50,6 @@ class TestSample:
         assert len(rows) == Xs.shape[0]
 
 
-class TestParallelSpeculation:
-    def test_thread_pool_matches_sequential(self, estimator, dataset):
-        """Thread-pool speculation is deterministic under a fixed seed."""
-        gradient = task_gradient("logreg")
-        sequential = estimator.estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-3,
-            max_workers=1,
-        )
-        parallel = estimator.estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-3,
-            max_workers=3,
-        )
-        assert set(sequential) == set(parallel)
-        for algorithm, seq_est in sequential.items():
-            par_est = parallel[algorithm]
-            assert par_est.estimated_iterations == seq_est.estimated_iterations
-            assert par_est.observed_directly == seq_est.observed_directly
-            np.testing.assert_array_equal(
-                par_est.speculation_errors, seq_est.speculation_errors
-            )
-
-    def test_auto_workers_repeatable(self, estimator, dataset):
-        gradient = task_gradient("logreg")
-        first = estimator.estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-3,
-            max_workers="auto",
-        )
-        second = estimator.estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-3,
-            max_workers="auto",
-        )
-        for algorithm in first:
-            assert (
-                first[algorithm].estimated_iterations
-                == second[algorithm].estimated_iterations
-            )
-
-    def test_default_is_sequential(self, estimator):
-        """Plain estimators keep the legacy fully-reproducible path."""
-        assert estimator.max_workers == 1
-
-    def test_constructor_worker_override(self, dataset):
-        gradient = task_gradient("logreg")
-        pinned = SpeculativeEstimator(
-            SpeculationSettings(sample_size=500, time_budget_s=1.0,
-                                max_speculation_iters=1500),
-            seed=11,
-            max_workers=2,
-        )
-        estimates = pinned.estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-3
-        )
-        assert set(estimates) == {"bgd", "mgd", "sgd"}
-
-
 class TestEstimate:
     def test_estimates_for_core_algorithms(self, estimator, dataset):
         gradient = task_gradient("logreg")

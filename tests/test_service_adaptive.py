@@ -140,7 +140,7 @@ class TestCalibratedRecost:
             direct_report.chosen_plan, training,
         )
 
-        service = make_service(spec, speculation_workers=1)
+        service = make_service(spec)
         served = service.train(dataset, training)
         assert served.report.chosen_plan == direct_report.chosen_plan
         assert np.array_equal(served.weights, direct.weights)
@@ -257,60 +257,3 @@ class TestCacheEviction:
         assert service.cache.ttl_s == 5.0
         assert service.cache.max_bytes == 1 << 20
         assert "ttl" in service.cache.stats().summary()
-
-
-class TestProcessPoolSpeculation:
-    def test_process_pool_matches_sequential(self, spec, dataset, training):
-        from repro.gd.gradients import task_gradient
-
-        settings = SpeculationSettings(
-            sample_size=400, time_budget_s=5.0, max_speculation_iters=400
-        )
-        gradient = task_gradient("logreg")
-        sequential = SpeculativeEstimator(settings, seed=5).estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-2
-        )
-        pooled = SpeculativeEstimator(
-            settings, seed=5, max_workers="process"
-        ).estimate_all(
-            dataset.X, dataset.y, gradient, target_tolerance=1e-2
-        )
-        assert set(pooled) == set(sequential)
-        for algorithm in sequential:
-            assert pooled[algorithm].estimated_iterations == \
-                sequential[algorithm].estimated_iterations
-
-    def test_unpicklable_gradient_falls_back_to_threads(
-        self, spec, dataset
-    ):
-        from repro.gd.gradients import task_gradient
-
-        base = task_gradient("logreg")
-
-        class ClosureGradient:
-            """Holds a lambda: unpicklable, so processes cannot be used."""
-
-            def __init__(self):
-                self.fn = lambda w: w
-
-            def gradient(self, w, X, y):
-                return base.gradient(w, X, y)
-
-            def predict(self, w, X):
-                return base.predict(w, X)
-
-        settings = SpeculationSettings(
-            sample_size=400, time_budget_s=5.0, max_speculation_iters=400
-        )
-        estimates = SpeculativeEstimator(
-            settings, seed=5, max_workers="process"
-        ).estimate_all(
-            dataset.X, dataset.y, ClosureGradient(), target_tolerance=1e-2
-        )
-        assert set(estimates) == {"bgd", "mgd", "sgd"}
-        assert all(e.estimated_iterations >= 1 for e in estimates.values())
-
-    def test_service_accepts_process_workers(self, spec, dataset, training):
-        service = make_service(spec, speculation_workers="process")
-        result = service.optimize(dataset, training)
-        assert result.report.chosen_plan is not None
