@@ -637,11 +637,23 @@ class TestServiceJobs:
             run_job(spec, dataset, other, path, "bound")
 
     def test_concurrent_leases_of_one_job_do_not_double_run(
-        self, spec, dataset, training, tmp_path
+        self, spec, dataset, training, tmp_path, monkeypatch
     ):
         path = str(tmp_path / "jobs.db")
         barrier = threading.Barrier(2)
         outcomes = []
+        refused = threading.Event()
+        real_acquire = CheckpointStore.acquire
+
+        def acquire_and_hold(store, job_id, owner):
+            # The winner keeps its lease until the sibling has been
+            # refused: a 40-iteration lease can otherwise end before the
+            # other thread even asks, and both would run in turn.
+            checkpoint = real_acquire(store, job_id, owner)
+            assert refused.wait(timeout=30)
+            return checkpoint
+
+        monkeypatch.setattr(CheckpointStore, "acquire", acquire_and_hold)
 
         def lease():
             barrier.wait()
@@ -651,6 +663,7 @@ class TestServiceJobs:
                 outcomes.append(("ran", outcome.job.done_iterations))
             except JobLeaseError:
                 outcomes.append(("blocked", None))
+                refused.set()
 
         threads = [threading.Thread(target=lease) for _ in range(2)]
         for t in threads:
