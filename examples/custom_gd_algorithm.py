@@ -4,8 +4,9 @@ The paper's Section 4 / Appendix C point: the Transform / Stage / Sample /
 Compute / Update / Converge / Loop operators are UDFs, so new algorithms
 plug in without touching the system.  This example
 
-1. runs SVRG (Appendix C, Algorithm 2) through the executor via the
-   provided ``svrg_operators`` bundle, and
+1. runs SVRG (Appendix C, Algorithm 2) through the executor -- the
+   reference operators driving the registered ``SVRGUpdater`` kernel --
+   and
 2. defines a *custom* Update operator implementing gradient clipping and
    runs a plan with it -- an algorithm the paper never shipped, expressed
    purely as a UDF override.
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.api import ML4all
 from repro.core import GDPlan, TrainingSpec, execute_plan
-from repro.core.reference_ops import WeightUpdate, default_operators, svrg_operators
+from repro.core.reference_ops import WeightUpdate, default_operators
 from repro.gd.gradients import task_gradient
 
 

@@ -1,12 +1,20 @@
 #!/usr/bin/env python
-"""Fail when library code branches on GD algorithm *names*.
+"""Fail when library code branches on GD algorithm *names*, or grows a
+second pure-math GD loop.
 
 The AlgorithmSpec plugin layer (``repro/gd/spec.py``) made the
-algorithm seam declarative: drivers, operator factories, cost terms,
-state namespaces and plan variants all hang off the registered spec.
+algorithm seam declarative: step kernels, cost terms, state namespaces
+and plan variants all hang off the registered spec.
 Code like ``if plan.algorithm == "svrg":`` re-opens that seam -- a new
 plugin would silently miss the branch -- so this lint greps the library
 for literal name comparisons and membership tests and fails on any hit.
+
+An algorithm is a step kernel (``repro.gd.base.Updater``) driven by
+``run_loop``; a module under ``repro/gd/`` with its own ``for ... in
+range(1, max_iter + 1)`` loop is a forked copy of the loop tail
+(convergence-wins ordering, wall budget, snapshot cadence).  Only
+``gd/base.py`` (``run_loop``) and ``gd/line_search.py`` (backtracking
+has no operator expression) may hold one.
 
 Allowed:
 
@@ -46,6 +54,31 @@ PATTERNS = (
 )
 
 
+#: The pure-math loop header, and the only gd/ modules that may have it.
+GD_ROOT = os.path.join(LIBRARY_ROOT, "gd")
+LOOP_PATTERN = re.compile(
+    r"for\s+\w+\s+in\s+range\(\s*1\s*,\s*max_iter\s*\+\s*1\s*\)"
+)
+LOOP_MODULES = ("base.py", "line_search.py")
+
+
+def scan_loops(root=GD_ROOT) -> list:
+    """Return (relpath, lineno, line) GD loops outside ``LOOP_MODULES``."""
+    offenders = []
+    for filename in sorted(os.listdir(root)):
+        if not filename.endswith(".py") or filename in LOOP_MODULES:
+            continue
+        path = os.path.join(root, filename)
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if LOOP_PATTERN.search(line.split("#", 1)[0]):
+                    offenders.append(
+                        (os.path.relpath(path, REPO_ROOT), lineno,
+                         line.rstrip())
+                    )
+    return offenders
+
+
 def scan(root=LIBRARY_ROOT) -> list:
     """Return (relpath, lineno, line) offenders under ``root``."""
     offenders = []
@@ -66,14 +99,22 @@ def scan(root=LIBRARY_ROOT) -> list:
 
 
 def main() -> int:
-    offenders = scan()
-    if offenders:
-        print("GD algorithm name-branching found (route through the "
-              "AlgorithmSpec registry instead):", file=sys.stderr)
-        for rel, lineno, line in offenders:
-            print(f"  {rel}:{lineno}: {line.strip()}", file=sys.stderr)
+    failed = False
+    for offenders, message in (
+        (scan(), "GD algorithm name-branching found (route through the "
+                 "AlgorithmSpec registry instead):"),
+        (scan_loops(), "pure-math GD loop outside gd/base.py (write a "
+                       "step kernel and let run_loop drive it):"),
+    ):
+        if offenders:
+            failed = True
+            print(message, file=sys.stderr)
+            for rel, lineno, line in offenders:
+                print(f"  {rel}:{lineno}: {line.strip()}", file=sys.stderr)
+    if failed:
         return 1
-    print("no algorithm name-branching outside the registry seam")
+    print("no algorithm name-branching outside the registry seam; "
+          "run_loop is the only kernel loop")
     return 0
 
 

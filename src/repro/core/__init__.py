@@ -47,12 +47,9 @@ from repro.core.reference_ops import (
     GradientCompute,
     L1Converge,
     ParseTransform,
-    SVRGCompute,
-    SVRGUpdate,
     ToleranceLoop,
     WeightUpdate,
     default_operators,
-    svrg_operators,
 )
 from repro.core.result import OptimizationReport, PlanCostEstimate, TrainResult
 from repro.core.tuning import CostBasedTuner, TuningCandidate, TuningReport
@@ -93,12 +90,9 @@ __all__ = [
     "GradientCompute",
     "L1Converge",
     "ParseTransform",
-    "SVRGCompute",
-    "SVRGUpdate",
     "ToleranceLoop",
     "WeightUpdate",
     "default_operators",
-    "svrg_operators",
     "OptimizationReport",
     "PlanCostEstimate",
     "TrainResult",

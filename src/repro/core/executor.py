@@ -31,11 +31,17 @@ from repro.core.cost_model import (
     transform_cpu_per_unit,
     update_cpu,
 )
-from repro.core.reference_ops import svrg_is_anchor
 from repro.core.result import TrainResult
 from repro.errors import PlanError
 from repro.gd import registry as gd_registry
-from repro.gd.state import OptimizerState, capture_rng, restore_rng
+from repro.gd.base import Updater
+from repro.gd.state import (
+    OptimizerState,
+    capture_rng,
+    kernel_fields,
+    load_kernel,
+    restore_rng,
+)
 
 
 class PlanExecutor:
@@ -54,8 +60,9 @@ class PlanExecutor:
     follow-up plan can resume from where a stopped one left off.
 
     ``initial_state`` additionally resumes the *rest* of the optimizer
-    state -- the step-schedule position (global iteration offset),
-    updater buffers, SVRG anchor cadence, convergence-criterion memory
+    state -- the step-schedule position (global iteration offset), the
+    step kernel's state (direction buffers, SVRG anchor, Arc phase),
+    convergence-criterion memory
     and the sampling RNG stream -- from an
     :class:`~repro.gd.state.OptimizerState` a previous run exported
     (every :class:`~repro.core.result.TrainResult` carries one).  With
@@ -99,13 +106,19 @@ class PlanExecutor:
         self._iteration_offset = offset
         d = dataset.stats.d
         if operators is None:
-            # The algorithm's registered spec decides the operator
-            # bundle: its own make_operators factory when it has one,
-            # the reference bundle (with the spec's updater) otherwise.
+            # The reference bundle, driving the step kernel of the
+            # algorithm's registered spec.
             operators = gd_registry.make_operators(
                 plan, d=d, training=training, iteration_offset=offset,
             )
         self.ops = operators
+        #: The step kernel, found on the Update operator: reset after
+        #: Stage, it owns the full-pass cadence and the algorithm's
+        #: carry-over state.  A user Update without one counts as
+        #: vanilla GD: every iteration on the plan's sample, and a
+        #: weights-only resume.
+        self._kernel = getattr(operators.update, "updater", None) \
+            or Updater()
         self._rng = np.random.default_rng(training.seed)
         if self.initial_state is not None:
             restore_rng(self._rng, self.initial_state.rng_state)
@@ -122,6 +135,8 @@ class PlanExecutor:
         # Stage: driver-local initialisation (Listing 4).
         self.ops.stage.stage(context)
         engine.local_op("stage")
+        kernel = self._kernel
+        kernel.reset(ds.stats.d)
         if self.initial_weights is not None:
             staged = context.require("weights")
             if staged.shape != self.initial_weights.shape:
@@ -172,17 +187,6 @@ class PlanExecutor:
             # compares Update's output against w0.
             self.ops.converge.converge(context.require("weights"), context)
 
-        # A stochastic bundle may declare a ``full_batch_when(i, context)``
-        # hook marking iterations that must run as full-batch passes
-        # (SVRG anchors, Arc GD's gradient probes).  ``anchor_every`` is
-        # the legacy duck-typed spelling of the SVRG cadence, honoured
-        # for bundles that only set the attribute.
-        full_batch_when = getattr(self.ops, "full_batch_when", None)
-        if full_batch_when is None:
-            anchor_every = getattr(self.ops, "anchor_every", None)
-            if anchor_every is not None:
-                def full_batch_when(i, context, _m=int(anchor_every)):
-                    return svrg_is_anchor(i, context, _m)
         deltas = []
         converged = False
         timed_out = False
@@ -191,11 +195,10 @@ class PlanExecutor:
 
         for i in range(1, training.max_iter + 1):
             context.put("iter", i)
-            is_anchor = (
-                full_batch_when is not None
-                and full_batch_when(i, context)
-            )
-            if plan.is_stochastic and not is_anchor:
+            # Full passes of a stochastic plan (SVRG anchors, Arc GD's
+            # gradient probes) run, and are charged, as BGD iterations.
+            if plan.is_stochastic and not kernel.full_pass(
+                    self._iteration_offset + i):
                 aggregated = self._stochastic_iteration(
                     context, sampler, loop_ds, loop_layout, X_full, y_full,
                     weight_bytes, distributed,
@@ -286,19 +289,7 @@ class PlanExecutor:
         if state is None:
             return False
         context.put("iteration_offset", self._iteration_offset)
-        if state.updater_buffers and hasattr(self.ops.update,
-                                             "load_updater_state"):
-            if state.updater == getattr(self.ops.update, "updater_name",
-                                        None):
-                self.ops.update.load_updater_state(
-                    state.updater_buffers, self.dataset.stats.d
-                )
-        namespace = getattr(self.ops, "state_namespace", None)
-        import_hook = getattr(self.ops, "import_algorithm_state", None)
-        if namespace is not None and import_hook is not None:
-            payload = state.algorithm_state.get(namespace)
-            if payload is not None:
-                import_hook(context, payload)
+        load_kernel(self._kernel, state)
         if sampler is not None and state.sampler is not None \
                 and hasattr(sampler, "load_state"):
             sampler.load_state(state.sampler)
@@ -311,30 +302,18 @@ class PlanExecutor:
     def _export_state(self, context, sampler, iterations) -> OptimizerState:
         """Snapshot the run's carry-over state at exit (duck-typed;
         custom operator bundles export whatever hooks they provide)."""
-        algorithm_state = {}
-        namespace = getattr(self.ops, "state_namespace", None)
-        export_hook = getattr(self.ops, "export_algorithm_state", None)
-        if namespace is not None and export_hook is not None:
-            payload = export_hook(context)
-            if payload is not None:
-                algorithm_state[namespace] = payload
         sampler_state = None
         if sampler is not None and hasattr(sampler, "state_dict"):
             sampler_state = sampler.state_dict() or None
-        buffers = {}
-        if hasattr(self.ops.update, "export_updater_state"):
-            buffers = self.ops.update.export_updater_state()
         convergence = None
         if hasattr(self.ops.converge, "export_state"):
             convergence = self.ops.converge.export_state()
         return OptimizerState(
             iteration_offset=self._iteration_offset + iterations,
-            updater=getattr(self.ops.update, "updater_name", "vanilla"),
-            updater_buffers=buffers,
-            algorithm_state=algorithm_state,
             convergence=convergence,
             rng_state=capture_rng(self._rng),
             sampler=sampler_state,
+            **kernel_fields(self._kernel),
         )
 
     # ------------------------------------------------------------------

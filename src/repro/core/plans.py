@@ -76,7 +76,7 @@ class GDPlan:
             raise PlanError("batch_size must be >= 1")
 
     @property
-    def info(self) -> gd_registry.AlgorithmInfo:
+    def info(self) -> gd_registry.AlgorithmSpec:
         return gd_registry.info(self.algorithm)
 
     @property

@@ -1,7 +1,11 @@
 """Reference implementations of the seven GD operators.
 
-These mirror the paper's Java listings (Listings 1-7 plus the SVRG
-variants of Appendix C) as vectorised Python.  "While we provide reference
+These mirror the paper's Java listings (Listings 1-7) as vectorised
+Python.  Compute and Update drive one step kernel
+(:class:`~repro.gd.base.Updater`) -- the same object
+:func:`~repro.gd.base.run_loop` drives -- so Listing 8's if-else for
+SVRG, like every other algorithm's mathematics, lives in the kernel and
+this bundle is the only one the registry builds.  "While we provide reference
 implementations for all the common use cases, expert users could readily
 customize or override them if necessary" (Section 4) -- the executor
 accepts any :class:`~repro.core.operators.GDOperators` bundle, and
@@ -77,64 +81,58 @@ class DefaultStage(Stage):
         return data_sample
 
 
-class GradientCompute(Compute):
-    """Listing 2: the task gradient of a batch of data units.
+def _global_iteration(context) -> int:
+    return context.require("iter") + context.get("iteration_offset", 0)
 
-    Emits ``(gradient_sum, count)`` partials so distributed partitions can
-    be combined by addition before Update normalises to the mean.
+
+class GradientCompute(Compute):
+    """Listing 2: the task gradient of a batch of data units, at each of
+    the kernel's points (one, ``w``, for all but SVRG between anchors).
+
+    Emits ``(gradient_sum, ..., count)`` partials so distributed
+    partitions can be combined by addition before Update normalises to
+    the means.
     """
 
-    def __init__(self, gradient):
+    def __init__(self, gradient, updater=None):
         self.gradient = gradient
+        self.updater = updater or Updater()
 
     def compute(self, X, y, context):
         w = context.require("weights")
         n = X.shape[0]
+        points = self.updater.points(w, _global_iteration(context))
         # gradient() returns the mean; re-scale to a sum-partial so that
         # combining partitions of different sizes stays exact.
-        return self.gradient.gradient(w, X, y) * n, n
+        return (*(self.gradient.gradient(p, X, y) * n for p in points), n)
 
 
 class WeightUpdate(Update):
-    """Listing 3: w <- w - alpha_i * direction(mean gradient).
+    """Listing 3: w <- kernel.apply(w, alpha_i, mean gradients, i).
 
-    Both the step schedule and the updater see the **global** iteration
-    ``iter + iteration_offset`` -- the schedule position and Adam's bias
-    correction are optimizer state that survives a plan switch.
+    Both the step schedule and the kernel see the **global** iteration
+    ``iter + iteration_offset`` -- the schedule position, Adam's bias
+    correction and SVRG's anchor cadence are optimizer state that
+    survives a plan switch.  ``updater`` is where the plan executor
+    finds the kernel (reset after Stage, full-pass cadence, carry-over
+    state); whoever drives the operators by hand resets a stateful
+    kernel first, as :func:`~repro.gd.base.run_loop` does.
     """
 
     def __init__(self, updater=None):
         self.updater = updater or Updater()
-        self._initialised_for = None
 
     def update(self, aggregated, context):
-        grad_sum, count = aggregated
+        *grad_sums, count = aggregated
         if count <= 0:
             raise PlanError("Update received an empty aggregate")
         w = context.require("weights")
-        if self._initialised_for != w.shape[0]:
-            self.updater.reset(w.shape[0])
-            self._initialised_for = w.shape[0]
-        i = context.require("iter") + context.get("iteration_offset", 0)
+        i = _global_iteration(context)
         step = context.require("step")
-        mean_grad = grad_sum / count
-        w_new = w - step(i) * self.updater.direction(mean_grad, i)
+        means = [grad_sum / count for grad_sum in grad_sums]
+        w_new = self.updater.apply(w, step(i), means, i)
         context.put("weights", w_new)
         return w_new
-
-    # -- carry-over hooks (duck-typed by PlanExecutor) -------------------
-    @property
-    def updater_name(self) -> str:
-        return self.updater.name
-
-    def export_updater_state(self) -> dict:
-        return self.updater.state_dict()
-
-    def load_updater_state(self, buffers, d) -> None:
-        """Seed the updater's buffers for a d-dimensional resume."""
-        self.updater.reset(int(d))
-        self._initialised_for = int(d)
-        self.updater.load_state(buffers)
 
 
 class FixedSizeSample(Sample):
@@ -205,179 +203,26 @@ def default_operators(
     feature_scale=1.0,
     iteration_offset=0,
 ) -> GDOperators:
-    """The reference operator bundle for BGD/MGD/SGD plans.
+    """The reference operator bundle, driving one step kernel.
 
     ``batch_size=None`` omits the Sample operator (a BGD plan, Figure
     3(b)); any positive value yields the stochastic plan of Figure 3(a).
-    ``iteration_offset`` resumes the step schedule / updater at that
+    ``updater`` is the algorithm's kernel (vanilla GD by default):
+    Compute and Update share the one instance, and ``step_size`` means
+    what the kernel reads it as (a number is a constant step to SVRG,
+    ``beta/sqrt(i)`` to most).
+    ``iteration_offset`` resumes the step schedule / kernel at that
     many completed global iterations (see :class:`DefaultStage`).
     """
+    updater = updater or Updater()
     sample = FixedSizeSample(batch_size) if batch_size else None
     return GDOperators(
         transform=ParseTransform(feature_scale),
-        stage=DefaultStage(d, step_size, tolerance, max_iter,
-                           iteration_offset=iteration_offset),
-        compute=GradientCompute(gradient),
+        stage=DefaultStage(d, updater.schedule(step_size), tolerance,
+                           max_iter, iteration_offset=iteration_offset),
+        compute=GradientCompute(gradient, updater),
         update=WeightUpdate(updater),
         sample=sample,
         converge=L1Converge(convergence),
         loop=ToleranceLoop(),
     )
-
-
-# ---------------------------------------------------------------------------
-# SVRG expressed in the abstraction (Appendix C, Listing 8)
-# ---------------------------------------------------------------------------
-
-def svrg_is_anchor(i, context, m) -> bool:
-    """Whether local iteration ``i`` is an SVRG anchor pass.
-
-    Cadence is tracked by ``svrg_last_anchor`` -- the *global* iteration
-    of the most recent anchor -- so it survives segment boundaries: a
-    resumed same-algorithm segment anchors every ``m`` global iterations
-    as if never interrupted, while a segment entered without SVRG state
-    (``svrg_last_anchor`` is None, e.g. after a cross-algorithm plan
-    switch) recomputes its anchor immediately on entry.  For fresh runs
-    this reproduces the paper's ``(i % m) - 1 == 0`` schedule exactly;
-    bundles whose context predates the tracking key (no
-    ``svrg_last_anchor`` staged) fall back to that modulo rule.
-    """
-    if "svrg_last_anchor" not in context:
-        return (i % m) - 1 == 0
-    last = context.get("svrg_last_anchor")
-    gi = i + context.get("iteration_offset", 0)
-    return last is None or gi - last >= m
-
-
-class SVRGCompute(Compute):
-    """Listing 8: if-else on the iteration flattens SVRG's nested loops.
-
-    Anchor iterations emit the plain gradient partial; other iterations
-    emit the pair (grad at w, grad at w_bar) so Update can form the
-    variance-reduced direction.  Anchor cadence: :func:`svrg_is_anchor`.
-    """
-
-    def __init__(self, gradient, update_frequency):
-        if update_frequency < 2:
-            raise PlanError("SVRG update_frequency must be >= 2")
-        self.gradient = gradient
-        self.m = int(update_frequency)
-
-    def compute(self, X, y, context):
-        w = context.require("weights")
-        i = context.require("iter")
-        n = X.shape[0]
-        if svrg_is_anchor(i, context, self.m):
-            grad = self.gradient.gradient(w, X, y)
-            return grad * n, np.zeros_like(grad), n, True
-        w_bar = context.require("weights_bar")
-        grad = self.gradient.gradient(w, X, y)
-        grad_bar = self.gradient.gradient(w_bar, X, y)
-        return grad * n, grad_bar * n, n, False
-
-    def combine(self, a, b):
-        return a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] and b[3]
-
-
-class SVRGUpdate(Update):
-    """The Appendix C update rule with anchor bookkeeping.
-
-    An anchor pass re-anchors at the *current* weights (``weights_bar``
-    <- w) and records the global anchor iteration, so resumed segments
-    -- which always enter on carried weights -- anchor correctly instead
-    of at the staged zero vector.
-    """
-
-    def update(self, aggregated, context):
-        grad_sum, grad_bar_sum, count, is_anchor = aggregated
-        if count <= 0:
-            raise PlanError("Update received an empty aggregate")
-        w = context.require("weights")
-        i = context.require("iter") + context.get("iteration_offset", 0)
-        step = context.require("step")
-        alpha = step(i)
-        if is_anchor:
-            context.put("weights_bar", w.copy())
-            context.put("svrg_last_anchor", i)
-            mu = grad_sum / count
-            context.put("mu", mu)
-            w_new = w - alpha * mu
-        else:
-            mu = context.require("mu")
-            direction = (grad_sum - grad_bar_sum) / count + mu
-            w_new = w - alpha * direction
-        context.put("weights", w_new)
-        return w_new
-
-
-class SVRGStage(DefaultStage):
-    """Stage for SVRG: also initialises the anchor point and mu."""
-
-    def stage(self, context, data_sample=None):
-        out = super().stage(context, data_sample)
-        context.put("weights_bar", np.zeros(self.d))
-        context.put("mu", np.zeros(self.d))
-        context.put("svrg_last_anchor", None)
-        return out
-
-
-def svrg_operators(
-    d,
-    gradient,
-    update_frequency=50,
-    step_size="constant:0.05",
-    tolerance=1e-3,
-    max_iter=1000,
-    convergence="l1",
-    iteration_offset=0,
-) -> GDOperators:
-    """SVRG as a GDOperators bundle (same plan shape as SGD, Figure 3(a)).
-
-    Note: the executor runs anchor iterations over the full dataset and
-    stochastic iterations over the Sample draw, recognising them through
-    the duck-typed ``full_batch_when`` hook below (``anchor_every`` is
-    the same cadence as a plain attribute, kept for older callers).  The
-    ``state_namespace`` + ``export_algorithm_state`` /
-    ``import_algorithm_state`` hooks carry the anchor point, ``mu`` and
-    the anchor cadence through :class:`~repro.gd.state.OptimizerState`
-    snapshots.
-    """
-    ops = GDOperators(
-        transform=ParseTransform(),
-        stage=SVRGStage(d, step_size, tolerance, max_iter,
-                        iteration_offset=iteration_offset),
-        compute=SVRGCompute(gradient, update_frequency),
-        update=SVRGUpdate(),
-        sample=FixedSizeSample(1),
-        converge=L1Converge(convergence),
-        loop=ToleranceLoop(),
-    )
-    m = int(update_frequency)
-    ops.anchor_every = m
-    ops.state_namespace = "svrg"
-
-    def full_batch_when(i, context):
-        return svrg_is_anchor(i, context, m)
-
-    def export_algorithm_state(context):
-        if "weights_bar" not in context:
-            return None
-        return {
-            "w_bar": np.asarray(
-                context.require("weights_bar"), dtype=float
-            ).tolist(),
-            "mu": np.asarray(context.require("mu"), dtype=float).tolist(),
-            "last_anchor": context.get("svrg_last_anchor"),
-        }
-
-    def import_algorithm_state(context, payload):
-        if "weights_bar" not in context:
-            return
-        context.put("weights_bar", np.asarray(payload["w_bar"], dtype=float))
-        context.put("mu", np.asarray(payload["mu"], dtype=float))
-        context.put("svrg_last_anchor", payload.get("last_anchor"))
-
-    ops.full_batch_when = full_batch_when
-    ops.export_algorithm_state = export_algorithm_state
-    ops.import_algorithm_state = import_algorithm_state
-    return ops

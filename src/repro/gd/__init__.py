@@ -28,7 +28,7 @@ from repro.gd.gradients import (
 )
 from repro.gd.line_search import backtracking_bgd
 from repro.gd.mgd import mgd
-from repro.gd.registry import ALGORITHMS, CORE_ALGORITHMS, AlgorithmInfo, info, run
+from repro.gd.registry import ALGORITHMS, CORE_ALGORITHMS, info, run
 from repro.gd.sgd import sgd
 from repro.gd.state import STATE_FORMAT, OptimizerState, capture_rng, restore_rng
 from repro.gd.step_size import (
@@ -42,13 +42,11 @@ from repro.gd.step_size import (
     with_offset,
 )
 from repro.gd.spec import AlgorithmSpec, CostTerms
-from repro.gd.svrg import svrg
+from repro.gd.svrg import SVRGUpdater
 
 # Plugin algorithms: importing the module is the registration (each ends
 # in a register() call against the spec seams above).
-from repro.gd import arc as _arc_plugin  # noqa: F401
-from repro.gd import grad_avg as _grad_avg_plugin  # noqa: F401
-from repro.gd.arc import arc
+from repro.gd.arc import ArcUpdater
 from repro.gd.grad_avg import GradientAveragingUpdater
 
 __all__ = [
@@ -76,7 +74,6 @@ __all__ = [
     "mgd",
     "ALGORITHMS",
     "CORE_ALGORITHMS",
-    "AlgorithmInfo",
     "info",
     "run",
     "sgd",
@@ -92,9 +89,9 @@ __all__ = [
     "StepSize",
     "make_step_size",
     "with_offset",
-    "svrg",
+    "SVRGUpdater",
     "AlgorithmSpec",
     "CostTerms",
-    "arc",
+    "ArcUpdater",
     "GradientAveragingUpdater",
 ]

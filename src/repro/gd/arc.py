@@ -11,310 +11,87 @@ productive -- they step along the full gradient, like SVRG's anchor
 passes -- so the probes buy both the phase signal and a variance-free
 step.
 
-The module registers the algorithm end-to-end through the
-:class:`~repro.gd.spec.AlgorithmSpec` seams and nothing else:
-
-* a pure-math ``driver`` for :func:`repro.gd.registry.run` (used by
-  speculation and the baselines),
-* a ``make_operators`` factory so the plan executor runs it with real
-  cluster accounting (probes priced as full-batch passes via the
-  ``full_batch_when`` hook),
-* a ``state_namespace`` + export/import hooks + ``transfer_state``
-  policy, making stop/resume bit-identical and plan switches honest,
-* ``CostTerms(full_pass_fraction=1/probe_every)`` so the optimizer
-  prices the periodic full passes.
+The module is the whole plugin: :class:`ArcUpdater`, the step kernel
+both drivers run (speculation and the baselines through
+:func:`~repro.gd.base.run_loop`, real training through the reference
+operators of the plan executor, which prices the probes as full-batch
+passes), and one :func:`~repro.gd.registry.register` call whose spec
+adds the cross-plan ``transfer_state`` policy and
+``CostTerms(full_pass_fraction=1/probe_every)`` so the optimizer prices
+the periodic full passes.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.errors import PlanError
-from repro.gd.base import GDRunResult
-from repro.gd.convergence import make_convergence
+from repro.gd.base import Updater
 from repro.gd.registry import register
 from repro.gd.spec import AlgorithmSpec, CostTerms
-from repro.gd.state import OptimizerState, capture_rng, restore_rng
 
 #: Default cadence of full-batch gradient probes.
 DEFAULT_PROBE_EVERY = 20
-#: Default phase-switch threshold on the probed gradient norm.
-DEFAULT_SWITCH_THRESHOLD = 0.5
 
 
-def arc_is_probe(i, last_probe, m):
-    """Whether global iteration ``i`` is a full-batch probe.
+class ArcUpdater(Updater):
+    """Probe cadence, phase bookkeeping and the two-phase step rule.
 
-    Mirrors SVRG's anchor cadence: the *global* iteration of the last
-    probe is the cursor, so resumed segments keep the probe schedule,
-    and a segment entered without Arc state probes immediately.
+    The cadence cursor is the *global* iteration of the last probe, like
+    SVRG's anchor: resumed runs keep the probe schedule, the phase, the
+    gradient-norm baseline and the switch iteration, and a kernel
+    entered without Arc state (after a cross-algorithm switch) re-probes
+    and re-baselines on its first iteration.  The run's step ``alpha_i``
+    is the phase-1 step and the phase-2 numerator; a *number* means a
+    constant, as for SVRG.
     """
-    return last_probe is None or i - last_probe >= m
 
+    state_namespace = "arc"
+    constant_step = 0.05
 
-def _step(base, phase, gi, switched_at) -> float:
-    if phase == 1:
-        return base
-    return base / np.sqrt(gi - switched_at + 1)
+    def __init__(self, probe_every=DEFAULT_PROBE_EVERY, switch_threshold=0.5):
+        if probe_every < 2:
+            raise PlanError("probe_every must be >= 2")
+        if not 0.0 < switch_threshold < 1.0:
+            raise PlanError("switch_threshold must be in (0, 1)")
+        self.m = int(probe_every)
+        self.threshold = float(switch_threshold)
+        self.reset(None)
 
+    def reset(self, d):
+        self._phase = 1
+        self._norm0 = self._switched_at = self._last_probe = None
 
-def arc(
-    X,
-    y,
-    gradient,
-    probe_every=DEFAULT_PROBE_EVERY,
-    step_size=0.05,
-    switch_threshold=DEFAULT_SWITCH_THRESHOLD,
-    tolerance=1e-3,
-    max_iter=1000,
-    convergence="l1",
-    w0=None,
-    rng=None,
-    time_budget_s=None,
-    iteration_callback=None,
-    state=None,
-    state_every=None,
-    state_callback=None,
-):
-    """Run Arc GD; returns :class:`~repro.gd.base.GDRunResult`.
+    def full_pass(self, i):
+        return self._last_probe is None or i - self._last_probe >= self.m
 
-    ``step_size`` is the phase-1 constant (and the phase-2 numerator);
-    like SVRG, a number means a *constant* step here.  Resume semantics
-    match :func:`~repro.gd.svrg.svrg`: the exported
-    :class:`~repro.gd.state.OptimizerState` carries the phase, the
-    gradient-norm baseline, the switch iteration and the probe cursor
-    under the ``"arc"`` namespace, so ``run(N) == run(k) -> snapshot ->
-    resume(N - k)`` bit-identically; a resume without Arc state (after a
-    cross-algorithm switch) re-probes and re-baselines immediately.
-    Convergence always wins over ``iteration_callback`` stops.
-    """
-    n, d = X.shape
-    if n == 0:
-        raise PlanError("cannot train on an empty dataset")
-    if probe_every < 2:
-        raise PlanError("probe_every must be >= 2")
-    if not 0.0 < switch_threshold < 1.0:
-        raise PlanError("switch_threshold must be in (0, 1)")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    base = float(step_size)
-    criterion = make_convergence(convergence)
-
-    w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float).copy()
-    phase = 1
-    norm0 = None
-    switched_at = None
-    last_probe = None
-    offset = 0
-    if state is not None:
-        offset = int(state.iteration_offset)
-        restore_rng(rng, state.rng_state)
-        payload = state.algorithm_state.get("arc")
-        if payload is not None:
-            phase = int(payload["phase"])
-            norm0 = payload.get("norm0")
-            switched_at = payload.get("switched_at")
-            last_probe = payload.get("last_probe")
-
-    def snapshot(completed) -> OptimizerState:
-        return OptimizerState(
-            iteration_offset=offset + completed,
-            algorithm_state={"arc": {
-                "phase": phase,
-                "norm0": norm0,
-                "switched_at": switched_at,
-                "last_probe": last_probe,
-            }},
-            rng_state=capture_rng(rng),
-        )
-
-    deltas = []
-    converged = False
-    start = time.perf_counter()
-    iterations = 0
-
-    for t in range(1, max_iter + 1):
-        gt = offset + t
-        if arc_is_probe(gt, last_probe, probe_every):
-            g = gradient.gradient(w, X, y)
-            last_probe = gt
+    def apply(self, w, alpha, grads, i):
+        g = grads[0]
+        if self.full_pass(i):
+            self._last_probe = i
             norm = float(np.linalg.norm(g))
-            if norm0 is None:
-                norm0 = norm
-            elif phase == 1 and norm <= switch_threshold * norm0:
-                phase = 2
-                switched_at = gt
-        else:
-            i = int(rng.integers(0, n))
-            g = gradient.gradient(w, X[i:i + 1], y[i:i + 1])
-        w_new = w - _step(base, phase, gt, switched_at) * g
+            if self._norm0 is None:
+                self._norm0 = norm
+            elif self._phase == 1 and norm <= self.threshold * self._norm0:
+                self._phase = 2
+                self._switched_at = i
+        if self._phase == 2:
+            alpha = alpha / np.sqrt(i - self._switched_at + 1)
+        return w - alpha * g
 
-        delta = criterion.delta(w, w_new)
-        w = w_new
-        deltas.append(delta)
-        iterations = t
-        stop_requested = (
-            iteration_callback is not None
-            and iteration_callback(t, w, delta)
-        )
-        if delta < tolerance:
-            converged = True
-            break
-        if stop_requested:
-            break
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
-        if (state_every is not None and state_callback is not None
-                and t < max_iter
-                and (offset + t) % state_every == 0):
-            state_callback(offset + t, w.copy(), snapshot(t))
+    def state_dict(self):
+        return {
+            "phase": self._phase,
+            "norm0": self._norm0,
+            "switched_at": self._switched_at,
+            "last_probe": self._last_probe,
+        }
 
-    return GDRunResult(
-        weights=w,
-        iterations=iterations,
-        converged=converged,
-        deltas=np.asarray(deltas),
-        elapsed_s=time.perf_counter() - start,
-        state=snapshot(iterations),
-    )
-
-
-# ---------------------------------------------------------------------------
-# executor operator bundle
-# ---------------------------------------------------------------------------
-
-_OPERATOR_CLASSES = None
-
-
-def _operator_classes():
-    """Build the Arc operator classes on first use.
-
-    Deferred so importing :mod:`repro.gd` (which registers this plugin)
-    never pulls :mod:`repro.core` in -- the same acyclic-import rule the
-    registry's own SVRG factory follows.
-    """
-    global _OPERATOR_CLASSES
-    if _OPERATOR_CLASSES is not None:
-        return _OPERATOR_CLASSES
-
-    from repro.core.operators import Compute, Update
-    from repro.core.reference_ops import DefaultStage
-
-    class ArcStage(DefaultStage):
-        """Stage: also initialise the phase machinery in the context."""
-
-        def stage(self, context, data_sample=None):
-            out = super().stage(context, data_sample)
-            context.put("arc_phase", 1)
-            context.put("arc_norm0", None)
-            context.put("arc_switched_at", None)
-            context.put("arc_last_probe", None)
-            return out
-
-    class ArcCompute(Compute):
-        """Sum-partials gradient; probes tagged like SVRG anchors."""
-
-        def __init__(self, gradient, probe_every):
-            self.gradient = gradient
-            self.m = int(probe_every)
-
-        def _is_probe(self, context):
-            gi = context.require("iter") + context.get("iteration_offset", 0)
-            return arc_is_probe(
-                gi, context.get("arc_last_probe"), self.m
-            )
-
-        def compute(self, X, y, context):
-            w = context.require("weights")
-            n = X.shape[0]
-            grad = self.gradient.gradient(w, X, y)
-            return grad * n, n, self._is_probe(context)
-
-        def combine(self, a, b):
-            return a[0] + b[0], a[1] + b[1], a[2] and b[2]
-
-    class ArcUpdate(Update):
-        """Phase bookkeeping + the two-phase step rule."""
-
-        def __init__(self, base_step, switch_threshold):
-            self.base = float(base_step)
-            self.threshold = float(switch_threshold)
-
-        def update(self, aggregated, context):
-            grad_sum, count, is_probe = aggregated
-            if count <= 0:
-                raise PlanError("Update received an empty aggregate")
-            w = context.require("weights")
-            gi = context.require("iter") + context.get("iteration_offset", 0)
-            g = grad_sum / count
-            if is_probe:
-                context.put("arc_last_probe", gi)
-                norm = float(np.linalg.norm(g))
-                if context.get("arc_norm0") is None:
-                    context.put("arc_norm0", norm)
-                elif (context.get("arc_phase") == 1
-                        and norm <= self.threshold * context.get("arc_norm0")):
-                    context.put("arc_phase", 2)
-                    context.put("arc_switched_at", gi)
-            alpha = _step(
-                self.base, context.get("arc_phase"), gi,
-                context.get("arc_switched_at"),
-            )
-            w_new = w - alpha * g
-            context.put("weights", w_new)
-            return w_new
-
-    _OPERATOR_CLASSES = (ArcStage, ArcCompute, ArcUpdate)
-    return _OPERATOR_CLASSES
-
-
-_STATE_KEYS = ("phase", "norm0", "switched_at", "last_probe")
-
-
-def make_arc_operators(d, training, plan, iteration_offset=0):
-    """Arc GD as a GDOperators bundle (plan shape of SGD, probes aside)."""
-    from repro.core.operators import GDOperators
-    from repro.core.reference_ops import (
-        FixedSizeSample,
-        L1Converge,
-        ParseTransform,
-        ToleranceLoop,
-    )
-
-    ArcStage, ArcCompute, ArcUpdate = _operator_classes()
-    m = DEFAULT_PROBE_EVERY
-    ops = GDOperators(
-        transform=ParseTransform(),
-        stage=ArcStage(d, training.step_size, training.tolerance,
-                       training.max_iter, iteration_offset=iteration_offset),
-        compute=ArcCompute(training.gradient(), m),
-        update=ArcUpdate(0.05, DEFAULT_SWITCH_THRESHOLD),
-        sample=FixedSizeSample(1),
-        converge=L1Converge(training.convergence),
-        loop=ToleranceLoop(),
-    )
-    ops.state_namespace = "arc"
-
-    def full_batch_when(i, context):
-        gi = i + context.get("iteration_offset", 0)
-        return arc_is_probe(gi, context.get("arc_last_probe"), m)
-
-    def export_algorithm_state(context):
-        if "arc_phase" not in context:
-            return None
-        return {key: context.get(f"arc_{key}") for key in _STATE_KEYS}
-
-    def import_algorithm_state(context, payload):
-        if "arc_phase" not in context:
-            return
-        for key in _STATE_KEYS:
-            context.put(f"arc_{key}", payload.get(key))
-
-    ops.full_batch_when = full_batch_when
-    ops.export_algorithm_state = export_algorithm_state
-    ops.import_algorithm_state = import_algorithm_state
-    return ops
+    def load_state(self, buffers):
+        self._phase = int(buffers["phase"])
+        self._norm0 = buffers.get("norm0")
+        self._switched_at = buffers.get("switched_at")
+        self._last_probe = buffers.get("last_probe")
 
 
 def _arc_transfer(payload, target_algorithm, notes):
@@ -327,15 +104,9 @@ def _arc_transfer(payload, target_algorithm, notes):
 register(AlgorithmSpec(
     "arc", 1, True,
     "phase-aware Arc GD with full-batch gradient probes (arXiv 2512.06737)",
-    driver=arc,
-    accepted_kwargs=frozenset({
-        "probe_every", "step_size", "switch_threshold", "tolerance",
-        "max_iter", "convergence", "w0", "rng", "time_budget_s",
-        "iteration_callback", "state", "state_every", "state_callback",
-    }),
     batch_size_fixed=True,
-    make_operators=make_arc_operators,
-    state_namespace="arc",
+    make_updater=ArcUpdater,
+    state_namespace=ArcUpdater.state_namespace,
     transfer_state=_arc_transfer,
     cost=CostTerms(full_pass_fraction=1.0 / DEFAULT_PROBE_EVERY),
 ))

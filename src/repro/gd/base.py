@@ -1,18 +1,23 @@
-"""The canonical gradient-descent loop shared by all GD variants.
+"""The step kernel every GD algorithm is, and the loop that drives it.
 
-This is the *mathematical* reference implementation: pure numpy, no
-simulated cluster.  It is used (a) by the speculation-based iterations
+An :class:`Updater` is one algorithm's whole mathematics: which
+iterations are full passes, where the gradient is evaluated, how the
+mean gradients become the next weights, and the private state that has
+to survive a stop.  :func:`run_loop` drives a kernel as pure numpy --
+no simulated cluster -- for (a) the speculation-based iterations
 estimator, which runs GD on a small sample under a wall-clock budget
-(Algorithm 1), (b) as ground truth in tests, and (c) by the plan executor,
-which performs the same per-iteration math while charging the simulated
-clock through engine primitives.
+(Algorithm 1), (b) the baselines, and (c) ground truth in tests; the
+plan executor drives the *same* kernel through the reference Compute /
+Update operators while charging the simulated clock.
 
 The loop follows the paper's operator semantics:
 
     Stage    -> w0 = 0, iteration counter, step size state
     Sample   -> ``batch_selector(i, rng)`` picks the data units
-    Compute  -> mean task gradient over the batch
-    Update   -> w <- w - alpha_i * direction(grad)
+                (skipped on the kernel's full passes)
+    Compute  -> mean task gradient over the batch, at each of the
+                kernel's points
+    Update   -> w <- kernel.apply(w, alpha_i, gradients, i)
     Converge -> delta = criterion(w_old, w_new)   (L1 by default)
     Loop     -> stop when delta < tolerance or i = max_iter
 """
@@ -26,8 +31,14 @@ import numpy as np
 
 from repro.errors import PlanError
 from repro.gd.convergence import make_convergence
-from repro.gd.state import OptimizerState, capture_rng, restore_rng
-from repro.gd.step_size import make_step_size, with_offset
+from repro.gd.state import (
+    OptimizerState,
+    capture_rng,
+    kernel_fields,
+    load_kernel,
+    restore_rng,
+)
+from repro.gd.step_size import ConstantStep, make_step_size, with_offset
 
 
 @dataclasses.dataclass
@@ -52,34 +63,71 @@ class GDRunResult:
 
 
 class Updater:
-    """Direction strategy: maps the raw gradient to an update direction.
+    """One GD algorithm's step kernel: the whole per-algorithm contract.
 
-    Vanilla GD uses the gradient itself.  Adaptive variants (momentum,
-    AdaGrad, Adam) keep internal state -- the paper's abstraction supports
-    them because Update is a UDF ("Our abstraction allows the
-    implementation of any GD algorithm regardless of the step size and
-    other hyperparameters", Section 4.4).
+    The defaults are vanilla GD -- every iteration reads the sampled
+    batch, takes the gradient at ``w`` and steps along it.  Direction
+    variants (momentum, AdaGrad, Adam) override :meth:`direction` only;
+    algorithms with a cadence of full passes or a second evaluation
+    point (SVRG, Arc GD) override :meth:`full_pass`, :meth:`points` and
+    :meth:`apply`.  The paper's abstraction supports all of them because
+    Update is a UDF ("Our abstraction allows the implementation of any
+    GD algorithm regardless of the step size and other hyperparameters",
+    Section 4.4).
+
+    Both drivers -- :func:`run_loop` and the reference Compute/Update
+    operators inside the plan executor -- hold one kernel instance per
+    run and call, for each *global* iteration ``i`` (1-based; resumed
+    segments pass ``offset + local_i``): :meth:`full_pass`, then
+    :meth:`points`, then :meth:`apply`.  Only :meth:`apply` may change
+    the kernel's state.
     """
 
     name = "vanilla"
+    #: Key under ``OptimizerState.algorithm_state`` that holds this
+    #: kernel's :meth:`state_dict` (the owning spec's
+    #: ``state_namespace``); None stores it as ``updater_buffers``,
+    #: restored only into a kernel of the same ``name``.
+    state_namespace = None
+    #: Set by constant-step algorithms (SVRG's analysis assumes one,
+    #: matching [15]'s usage): a *number* as ``step_size`` then means a
+    #: constant, not the MLlib ``beta/sqrt(i)`` default, and the plan
+    #: executor trains at this constant instead of the run's step.
+    constant_step = None
 
     def reset(self, d) -> None:
         """Prepare state for a d-dimensional problem."""
 
-    def direction(self, grad, i) -> np.ndarray:
-        """Update direction for *global* iteration ``i`` (1-based).
+    def schedule(self, step_size):
+        """The step schedule a run's ``step_size`` means to this kernel."""
+        if self.constant_step is not None \
+                and isinstance(step_size, (int, float)):
+            return ConstantStep(step_size)
+        return make_step_size(step_size)
 
-        Resumed segments pass ``offset + local_i`` so stateful variants
-        (notably Adam's bias correction) continue where they left off.
-        """
+    def full_pass(self, i) -> bool:
+        """Whether iteration ``i`` reads the whole dataset, not a sample."""
+        return False
+
+    def points(self, w, i) -> tuple:
+        """Where iteration ``i`` needs the batch's mean gradient."""
+        return (w,)
+
+    def apply(self, w, alpha, grads, i) -> np.ndarray:
+        """New weights from the mean gradients at :meth:`points`."""
+        return w - alpha * self.direction(grads[0], i)
+
+    def direction(self, grad, i) -> np.ndarray:
+        """Update direction for iteration ``i`` (Adam's bias correction
+        is why it sees the global count)."""
         return grad
 
     def state_dict(self) -> dict:
-        """JSON-ready snapshot of the internal buffers ({} if none)."""
+        """JSON-ready snapshot of the internal state ({} if none)."""
         return {}
 
     def load_state(self, buffers) -> None:
-        """Restore buffers captured by :meth:`state_dict` (after reset)."""
+        """Restore state captured by :meth:`state_dict` (after reset)."""
 
 
 class MomentumUpdater(Updater):
@@ -172,17 +220,22 @@ def make_minibatch_selector(n, batch_size):
 
     A batch covering all ``n`` rows is :func:`full_batch_selector`:
     drawing n of n without replacement is the whole set, so there is no
-    permutation to draw (no RNG consumed) and no rows to gather.
+    permutation to draw (no RNG consumed) and no rows to gather.  A
+    single row is a slice, not an index array: ``X[j:j + 1]`` is a view
+    (dense) or a row slice (CSR) where ``X[[j]]`` is a fancy-index
+    gather.
     """
     if batch_size < 1:
         raise PlanError("batch size must be >= 1")
     if batch_size >= n:
         return full_batch_selector
-
-    def select(i, rng):
-        if batch_size == 1:
-            return np.array([rng.integers(0, n)])
-        return rng.choice(n, size=batch_size, replace=False)
+    if batch_size == 1:
+        def select(i, rng):
+            j = rng.integers(0, n)
+            return slice(j, j + 1)
+    else:
+        def select(i, rng):
+            return rng.choice(n, size=batch_size, replace=False)
 
     return select
 
@@ -206,7 +259,12 @@ def run_loop(
     state_every=None,
     state_callback=None,
 ):
-    """Run the canonical GD loop; returns :class:`GDRunResult`.
+    """Drive one step kernel (``updater``; vanilla GD by default) over
+    in-memory data; returns :class:`GDRunResult`.
+
+    ``step_size`` is read through the kernel's
+    :meth:`~Updater.schedule`.  On the kernel's full passes the selector
+    is not consulted (no RNG consumed) and ``X, y`` are read in place.
 
     ``time_budget_s`` stops the loop once the *wall-clock* budget is
     consumed (Algorithm 1 uses this during speculation).
@@ -218,12 +276,15 @@ def run_loop(
 
     ``state`` resumes a stopped run from its exported
     :class:`~repro.gd.state.OptimizerState`: the step schedule and the
-    updater continue at global iteration ``state.iteration_offset + 1``
-    (never back at 1), matching updater buffers are restored, and the
-    RNG stream picks up exactly where it left off -- together with
-    ``w0`` set to the stopped run's weights this makes stop-and-resume
-    bit-identical to an uninterrupted run.  Every run exports a fresh
-    snapshot in ``GDRunResult.state``.
+    kernel continue at global iteration ``state.iteration_offset + 1``
+    (never back at 1), the kernel's own state (direction buffers,
+    SVRG's anchor, Arc's phase) is restored when the snapshot holds it
+    -- a kernel entered without it starts fresh, so SVRG re-anchors and
+    Arc re-probes on its first iteration -- and the RNG stream picks up
+    exactly where it left off.  Together with ``w0`` set to the stopped
+    run's weights this makes stop-and-resume bit-identical to an
+    uninterrupted run.  Every run exports a fresh snapshot in
+    ``GDRunResult.state``.
 
     ``state_every``/``state_callback`` export snapshots *mid-run*, on a
     cadence of global iterations, without perturbing the run:
@@ -238,17 +299,15 @@ def run_loop(
     if n == 0:
         raise PlanError("cannot train on an empty dataset")
     rng = rng if rng is not None else np.random.default_rng(0)
+    updater = updater or Updater()
+    updater.reset(d)
     offset = 0
     if state is not None:
         offset = int(state.iteration_offset)
         restore_rng(rng, state.rng_state)
-    step = with_offset(step_size, offset)
+        load_kernel(updater, state)
+    step = with_offset(updater.schedule(step_size), offset)
     criterion = make_convergence(convergence)
-    updater = updater or Updater()
-    updater.reset(d)
-    if state is not None and state.updater_buffers \
-            and state.updater == updater.name:
-        updater.load_state(state.updater_buffers)
 
     w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float).copy()
     if w.shape != (d,):
@@ -257,9 +316,8 @@ def run_loop(
     def snapshot(completed) -> OptimizerState:
         return OptimizerState(
             iteration_offset=offset + completed,
-            updater=updater.name,
-            updater_buffers=updater.state_dict(),
             rng_state=capture_rng(rng),
+            **kernel_fields(updater),
         )
 
     deltas = []
@@ -271,14 +329,16 @@ def run_loop(
     # Full-batch runs read X, y in place: X[slice(None)] would build a
     # fresh view (a whole new matrix, for CSR) every iteration.
     in_place = batch_selector is full_batch_selector
-    Xb, yb = X, y
 
     for i in range(1, max_iter + 1):
-        if not in_place:
-            batch = batch_selector(offset + i, rng)
+        gi = offset + i
+        if in_place or updater.full_pass(gi):
+            Xb, yb = X, y
+        else:
+            batch = batch_selector(gi, rng)
             Xb, yb = X[batch], y[batch]
-        grad = gradient.gradient(w, Xb, yb)
-        w_new = w - step.step(i) * updater.direction(grad, offset + i)
+        grads = [gradient.gradient(p, Xb, yb) for p in updater.points(w, gi)]
+        w_new = updater.apply(w, step.step(i), grads, gi)
         delta = criterion.delta(w, w_new)
         w = w_new
         deltas.append(delta)

@@ -7,9 +7,9 @@ point: every algorithm -- the three fundamental variants the optimizer
 enumerates by default (BGD / MGD / SGD), the Appendix C accelerations
 (SVRG, line search), the adaptive-direction variants, and any plugin
 registered at runtime -- is one :class:`~repro.gd.spec.AlgorithmSpec`,
-and every layer of the system (driver dispatch, operator construction,
-state transfer, costing, speculation, plan enumeration) consults the
-spec instead of branching on the algorithm's name.
+and every layer of the system (kernel construction, state transfer,
+costing, speculation, plan enumeration) consults the spec instead of
+branching on the algorithm's name.
 
 :func:`register` is the plugin entry point; ``repro.gd.grad_avg`` and
 ``repro.gd.arc`` register themselves through it at import time.
@@ -24,37 +24,16 @@ from repro.gd.base import (
     AdaGradUpdater,
     AdamUpdater,
     MomentumUpdater,
+    Updater,
     make_minibatch_selector,
     full_batch_selector,
     run_loop,
 )
 from repro.gd.line_search import backtracking_bgd
 from repro.gd.spec import RUN_LOOP_KWARGS, AlgorithmSpec, CostTerms
-from repro.gd.svrg import svrg
-
-#: Legacy name of the descriptor type; the spec *is* the descriptor (its
-#: first four fields are the historical AlgorithmInfo, in order).
-AlgorithmInfo = AlgorithmSpec
+from repro.gd.svrg import SVRGUpdater
 
 log = logging.getLogger("repro.gd")
-
-
-# ---------------------------------------------------------------------------
-# built-in operator factories / transfer hooks
-# ---------------------------------------------------------------------------
-
-def _svrg_operator_factory(d, training, plan, iteration_offset=0):
-    """SVRG's executor bundle (lazy import keeps gd -> core acyclic)."""
-    from repro.core.reference_ops import svrg_operators
-
-    return svrg_operators(
-        d=d,
-        gradient=training.gradient(),
-        tolerance=training.tolerance,
-        max_iter=training.max_iter,
-        convergence=training.convergence,
-        iteration_offset=iteration_offset,
-    )
 
 
 def _svrg_transfer(payload, target_algorithm, notes):
@@ -112,15 +91,9 @@ register(AlgorithmSpec(
 ))
 register(AlgorithmSpec(
     "svrg", 1, True, "stochastic variance-reduced gradient (Appendix C)",
-    driver=svrg,
-    accepted_kwargs=frozenset({
-        "update_frequency", "step_size", "tolerance", "max_iter",
-        "convergence", "w0", "rng", "time_budget_s", "iteration_callback",
-        "state", "state_every", "state_callback",
-    }),
     batch_size_fixed=True,
-    make_operators=_svrg_operator_factory,
-    state_namespace="svrg",
+    make_updater=SVRGUpdater,
+    state_namespace=SVRGUpdater.state_namespace,
     transfer_state=_svrg_transfer,
 ))
 register(AlgorithmSpec(
@@ -162,7 +135,7 @@ def info(name) -> AlgorithmSpec:
 
 
 def updater_for(name):
-    """Direction updater for adaptive variants (None for vanilla GD)."""
+    """A fresh step kernel for the algorithm (None for vanilla GD)."""
     spec = ALGORITHMS.get(name)
     if spec is None or spec.make_updater is None:
         return None
@@ -200,7 +173,7 @@ def trial_key(name, n, batch_size=None):
     """Identity of the computation :func:`run` performs on ``n`` rows.
 
     Two algorithms with equal keys run the same GD loop -- same rows
-    per iteration, same updater factory, same kwarg surface, same
+    per iteration, same kernel factory, same kwarg surface, same
     speculation overrides -- so under one seed they produce the same
     error sequence and the estimator runs that trial once.  Derived
     from spec fields only.  None (never shared) for custom drivers:
@@ -236,36 +209,35 @@ def batch_overrides(batch) -> dict:
 
 
 def make_operators(plan, d, training, iteration_offset=0):
-    """Build the executor operator bundle for one plan via its spec."""
-    spec = info(plan.algorithm)
-    if spec.make_operators is not None:
-        return spec.make_operators(
-            d=d, training=training, plan=plan,
-            iteration_offset=iteration_offset,
-        )
+    """The executor's operator bundle for one plan: the reference
+    operators driving the algorithm's step kernel."""
     from repro.core.reference_ops import default_operators
 
+    kernel = updater_for(plan.algorithm) or Updater()
+    step_size = training.step_size
+    if kernel.constant_step is not None:
+        # Known gap (docs/ARCHITECTURE.md): SVRG and Arc train at their
+        # own constant step while speculation runs them at
+        # training.step_size (registry.run's step_size, read as a
+        # constant).
+        step_size = kernel.constant_step
     return default_operators(
         d=d,
         gradient=training.gradient(),
         batch_size=plan.effective_batch_size,
-        step_size=training.step_size,
+        step_size=step_size,
         tolerance=training.tolerance,
         max_iter=training.max_iter,
         convergence=training.convergence,
-        updater=updater_for(plan.algorithm),
+        updater=kernel,
         iteration_offset=iteration_offset,
     )
 
 
 def _filter_kwargs(spec, kwargs) -> dict:
-    """Drop kwargs the algorithm does not accept, loudly.
-
-    The registry used to strip unsupported kwargs silently (an
-    ``updater=`` handed to SVRG simply vanished); now every spec
-    declares its accepted set and anything outside it is dropped with a
-    structured ``repro.gd`` WARNING naming the casualties.
-    """
+    """Drop kwargs the algorithm does not accept, loudly: anything
+    outside the spec's accepted set is dropped with a structured
+    ``repro.gd`` WARNING naming the casualties."""
     accepted = spec.accepted_kwargs
     if accepted is None:
         accepted = RUN_LOOP_KWARGS
@@ -283,10 +255,11 @@ def _filter_kwargs(spec, kwargs) -> dict:
 def run(name, X, y, gradient, batch_size=None, **kwargs):
     """Run any registered algorithm on in-memory data (pure math).
 
-    ``kwargs`` are forwarded to the underlying driver (``step_size``,
-    ``tolerance``, ``max_iter``, ``rng``, ``time_budget_s``, ...) after
-    filtering against the spec's ``accepted_kwargs`` (dropped keys are
-    logged as a ``repro.gd`` WARNING).
+    ``kwargs`` are forwarded to :func:`~repro.gd.base.run_loop`
+    (``step_size``, ``tolerance``, ``max_iter``, ``rng``,
+    ``time_budget_s``, ...) -- or to the spec's custom ``driver`` --
+    after filtering against the accepted set (dropped keys are logged
+    as a ``repro.gd`` WARNING).
     """
     spec = info(name)
     kwargs = _filter_kwargs(spec, kwargs)

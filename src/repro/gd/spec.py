@@ -2,26 +2,27 @@
 
 The paper's search space "is fully parameterized based on the number of
 GD algorithms ... there could be tens of GD algorithms that the user
-might want to evaluate" (Section 6).  Historically that parameterization
-stopped at the registry's name table: adding an algorithm still meant
-editing the registry's ``run()`` branches, the executor's operator
-selection, the optimizer-state schema and the cost/speculation layers by
-hand.  An :class:`AlgorithmSpec` bundles *all* of those seams into one
-declarative object, so a new algorithm is its own module plus one
+might want to evaluate" (Section 6).  An :class:`AlgorithmSpec` bundles
+everything the system needs to know about one algorithm into one
+declarative object, so a new algorithm is one step-kernel class (a
+:class:`~repro.gd.base.Updater`) plus one
 :func:`~repro.gd.registry.register` call:
 
 ===========================  ============================================
 spec field                   consumed by
 ===========================  ============================================
-``driver``                   ``registry.run`` (speculation, baselines)
-``accepted_kwargs``          ``registry.run`` kwarg filtering + WARNING
-``make_updater``             ``registry.updater_for`` / reference Update
-``make_operators``           ``core.executor.PlanExecutor``
+``make_updater``             both drivers of the step kernel: ``run_loop``
+                             (``registry.run``: speculation, baselines)
+                             and the reference Compute/Update operators
+                             (``core.executor.PlanExecutor``)
 ``state_namespace``          ``OptimizerState.algorithm_state`` keying
 ``transfer_state``           ``OptimizerState.transfer_to`` (plan switch)
 ``cost``                     ``core.cost_model.CostModel`` (both paths)
 ``speculation_overrides``    ``core.iterations.SpeculativeEstimator``
 ``plan_variants``            ``core.plan_space.plans_for_algorithm``
+``driver``,                  ``registry.run`` only, for an algorithm with
+``accepted_kwargs``,         no operator expression (line search)
+``supports_executor``
 ===========================  ============================================
 
 See ``docs/ARCHITECTURE.md`` ("Adding a GD algorithm") for the
@@ -81,11 +82,9 @@ class CostTerms:
 class AlgorithmSpec:
     """Everything the system needs to know about one GD algorithm.
 
-    The first four fields are the legacy ``AlgorithmInfo`` descriptor
-    (same names, same order), so existing positional constructions and
-    attribute reads keep working; everything after them is the plugin
-    surface, each field defaulting to "behave exactly like a plain
-    registered algorithm always did".
+    The first four fields describe the algorithm; everything after them
+    is the plugin surface, each field defaulting to "vanilla GD on the
+    batch the first fields imply".
     """
 
     name: str
@@ -98,9 +97,10 @@ class AlgorithmSpec:
 
     # -- driver seam (registry.run: speculation, pure-math training) ----
     #: Custom pure-math driver ``driver(X, y, gradient, **kwargs) ->
-    #: GDRunResult``; None runs the canonical
+    #: GDRunResult`` for an algorithm that is not a step kernel (line
+    #: search's inner backtracking loop); None runs
     #: :func:`~repro.gd.base.run_loop` with the selector implied by
-    #: ``default_batch_size`` and the updater from ``make_updater``.
+    #: ``default_batch_size`` and the kernel from ``make_updater``.
     driver: object = None
     #: Keyword arguments the driver understands.  ``registry.run``
     #: filters its kwargs to this set and logs a ``repro.gd`` WARNING
@@ -112,20 +112,13 @@ class AlgorithmSpec:
     #: into MGD).
     batch_size_fixed: bool = False
 
-    # -- direction seam (reference Update operator / run_loop) ----------
-    #: Zero-arg factory for a fresh :class:`~repro.gd.base.Updater`
-    #: (None -> vanilla gradient direction).  A factory, not an
-    #: instance: updaters are stateful and never shared across runs.
+    # -- kernel seam (run_loop and the reference Compute/Update) --------
+    #: Zero-arg factory for a fresh :class:`~repro.gd.base.Updater`, the
+    #: algorithm's step kernel (None -> vanilla GD).  A factory, not an
+    #: instance: kernels are stateful and never shared across runs.
     make_updater: object = None
 
     # -- executor seam --------------------------------------------------
-    #: Operator-bundle factory ``make_operators(d, training, plan,
-    #: iteration_offset) -> GDOperators`` used by the plan executor;
-    #: None builds the reference bundle
-    #: (:func:`~repro.core.reference_ops.default_operators`) with this
-    #: spec's updater.  Factories should lazy-import ``repro.core``
-    #: modules to keep the gd -> core import direction acyclic.
-    make_operators: object = None
     #: Whether the plan executor can run this algorithm faithfully.
     #: Line search is the counter-example: its inner backtracking loop
     #: has no operator expression, so it is speculation/baseline-only.
@@ -133,9 +126,10 @@ class AlgorithmSpec:
 
     # -- state seam -----------------------------------------------------
     #: Key under :attr:`OptimizerState.algorithm_state` that this
-    #: algorithm's private state (anchors, phase markers, ...) lives in;
-    #: None for algorithms whose whole state is the generic snapshot
-    #: (offset, updater buffers, RNG, convergence memory).
+    #: algorithm's private state (anchors, phase markers, ...) lives in
+    #: -- the kernel class's own ``state_namespace``; None for
+    #: algorithms whose whole state is the generic snapshot (offset,
+    #: updater buffers, RNG, convergence memory).
     state_namespace: str | None = None
     #: Cross-plan transfer hook ``transfer_state(payload, target_algorithm,
     #: notes) -> payload | None``, consulted by

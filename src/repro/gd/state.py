@@ -12,9 +12,9 @@ can undo hundreds of iterations of progress and poisons the telemetry the
 calibration loop learns from.
 
 :class:`OptimizerState` is the JSON-round-trippable snapshot of all of
-it.  :func:`~repro.gd.base.run_loop`, :func:`~repro.gd.svrg.svrg` and
-:class:`~repro.core.executor.PlanExecutor` export one on every exit
-(graceful stops included) and import one on resume, so
+it.  Both drivers of a step kernel -- :func:`~repro.gd.base.run_loop`
+and :class:`~repro.core.executor.PlanExecutor` -- export one on every
+exit (graceful stops included) and import one on resume, so
 
     run(N iterations)  ==  run(k) -> snapshot -> resume(N - k)
 
@@ -50,10 +50,8 @@ from repro.errors import PlanError
 #: Format version of one serialized OptimizerState snapshot.  Bump when
 #: the payload shape changes incompatibly; readers refuse newer formats
 #: (resume from an unreadable snapshot would be silently wrong).
-#: Format history:
-#:   1 -- flat ``svrg`` field for SVRG anchor state.
-#:   2 -- namespaced ``algorithm_state`` dict keyed by each spec's
-#:        ``state_namespace`` (format-1 ``svrg`` payloads migrate on read).
+#: Format 2: namespaced ``algorithm_state`` dict keyed by each spec's
+#: ``state_namespace``.
 STATE_FORMAT = 2
 
 #: Canonical updater name of vanilla (buffer-free) gradient descent.
@@ -88,6 +86,31 @@ def restore_rng(rng, payload) -> None:
     """Put ``rng`` exactly where :func:`capture_rng` observed it."""
     if payload is not None:
         rng.bit_generator.state = payload
+
+
+def kernel_fields(kernel) -> dict:
+    """The :class:`OptimizerState` fields holding one step kernel's
+    state: under its ``state_namespace`` when it has one, as named
+    ``updater_buffers`` otherwise."""
+    payload = kernel.state_dict()
+    if kernel.state_namespace is None:
+        return {"updater": kernel.name, "updater_buffers": payload}
+    return {"updater": kernel.name,
+            "algorithm_state": {kernel.state_namespace: payload}
+            if payload else {}}
+
+
+def load_kernel(kernel, state) -> None:
+    """Restore into ``kernel`` what :func:`kernel_fields` stored for it
+    in ``state``; a snapshot holding nothing of its leaves it fresh."""
+    if kernel.state_namespace is not None:
+        payload = state.algorithm_state.get(kernel.state_namespace)
+    elif state.updater == kernel.name:
+        payload = state.updater_buffers
+    else:
+        payload = None
+    if payload:
+        kernel.load_state(payload)
 
 
 @dataclasses.dataclass
@@ -126,12 +149,6 @@ class OptimizerState:
     #: and what it dropped (human-readable, recorded into the trace).
     notes: list = dataclasses.field(default_factory=list)
 
-    #: Read-only view of the SVRG namespace, kept for callers written
-    #: against format 1 (``state.svrg["last_anchor"]`` still works).
-    @property
-    def svrg(self) -> dict | None:
-        return self.algorithm_state.get("svrg")
-
     # -- serialisation ---------------------------------------------------
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -141,19 +158,14 @@ class OptimizerState:
     @classmethod
     def from_dict(cls, payload) -> "OptimizerState":
         """Decode a snapshot; tolerant of unknown keys (newer writers may
-        add fields), strict about newer format versions.  Format-1
-        snapshots (flat ``svrg`` field) migrate into the namespaced
-        ``algorithm_state`` shape on read."""
+        add fields), strict about newer format versions."""
         fmt = payload.get("state_format", STATE_FORMAT)
         if fmt > STATE_FORMAT:
             raise PlanError(
                 f"optimizer-state format {fmt} is newer than supported "
                 f"{STATE_FORMAT}; refusing to resume from it"
             )
-        data = known_fields(cls, payload)
-        if "algorithm_state" not in payload and payload.get("svrg") is not None:
-            data["algorithm_state"] = {"svrg": payload["svrg"]}
-        return cls(**data)
+        return cls(**known_fields(cls, payload))
 
     # -- transfer policy -------------------------------------------------
     def transfer_to(self, algorithm) -> "OptimizerState":
@@ -165,7 +177,7 @@ class OptimizerState:
         continuations should pass the state through untouched instead --
         this method implements the *cross-plan* policy.
         """
-        # local imports: avoid a cycle (registry imports gd drivers)
+        # local import: registry imports gd.base, which imports this module
         from repro.gd.registry import spec_for_namespace, updater_for
 
         target = updater_for(algorithm)

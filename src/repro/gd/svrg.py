@@ -5,148 +5,68 @@ a full-batch gradient ``mu`` at an anchor point ``w_bar``, and in between
 it takes SGD steps whose variance is reduced by the control variate
 ``grad_i(w) - grad_i(w_bar) + mu``.  The paper expresses it in the
 seven-operator abstraction by "flattening" the nested loops with an
-if-else on the iteration counter (Listing 8); this module is the pure-math
-equivalent with exactly that flattened structure.
+if-else on the iteration counter (Listing 8); :class:`SVRGUpdater` is
+exactly that if-else, as a step kernel both drivers run.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import time
-
 import numpy as np
 
 from repro.errors import PlanError
-from repro.gd.base import GDRunResult
-from repro.gd.convergence import make_convergence
-from repro.gd.state import OptimizerState, capture_rng, restore_rng
-from repro.gd.step_size import make_step_size, with_offset
+from repro.gd.base import Updater
 
 
-def svrg(
-    X,
-    y,
-    gradient,
-    update_frequency=50,
-    step_size=0.05,
-    tolerance=1e-3,
-    max_iter=1000,
-    convergence="l1",
-    w0=None,
-    rng=None,
-    time_budget_s=None,
-    iteration_callback=None,
-    state=None,
-    state_every=None,
-    state_callback=None,
-):
-    """Run SVRG; returns :class:`~repro.gd.base.GDRunResult`.
+class SVRGUpdater(Updater):
+    """Anchor passes every ``update_frequency`` *global* iterations.
 
-    ``step_size`` defaults to a constant (SVRG's analysis assumes one);
-    any schedule accepted by :func:`~repro.gd.step_size.make_step_size`
-    works.  Note a *number* is interpreted as a constant step here, unlike
-    the MLlib-style default elsewhere, matching [15]'s usage.
-
-    Anchor cadence is tracked as the *global* iteration of the last
-    anchor pass (every ``update_frequency`` global iterations), so a run
-    resumed from an exported :class:`~repro.gd.state.OptimizerState`
-    (``state=``, with ``w0`` set to the stopped run's weights) keeps the
-    anchor schedule, ``w_bar``/``mu`` and the RNG stream -- bit-identical
-    to the uninterrupted run.  A resume *without* SVRG state (e.g. after
-    a cross-algorithm plan switch) recomputes the anchor immediately:
-    the first iteration is a full-batch anchor pass at the carried
-    weights.  Convergence always wins over ``iteration_callback`` stops,
-    matching :class:`~repro.core.executor.PlanExecutor`.
-
-    ``state_every``/``state_callback`` export mid-run snapshots on a
-    global-iteration cadence without perturbing the run (see
-    :func:`~repro.gd.base.run_loop`); the snapshots carry the anchor
-    state, so resuming from one *inside* an epoch keeps ``w_bar``,
-    ``mu`` and the anchor cadence -- no early re-anchor.
+    The cadence cursor is the global iteration of the last anchor, so a
+    resumed run keeps the anchor schedule, ``w_bar`` and ``mu`` -- no
+    early re-anchor inside an epoch -- while a kernel entered without
+    SVRG state (a fresh run, or a cross-algorithm plan switch) anchors
+    on its first iteration, at the carried weights.  For fresh runs this
+    is the paper's ``(i % m) - 1 == 0`` schedule.
     """
-    n, d = X.shape
-    if n == 0:
-        raise PlanError("cannot train on an empty dataset")
-    if update_frequency < 2:
-        raise PlanError("update_frequency must be >= 2")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    if isinstance(step_size, (int, float)):
-        step = make_step_size(f"constant:{step_size}")
-    else:
-        step = make_step_size(step_size)
-    criterion = make_convergence(convergence)
 
-    w = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float).copy()
-    w_bar = w.copy()
-    mu = np.zeros(d)
-    last_anchor = None
-    offset = 0
-    if state is not None:
-        offset = int(state.iteration_offset)
-        restore_rng(rng, state.rng_state)
-        if state.svrg is not None:
-            w_bar = np.asarray(state.svrg["w_bar"], dtype=float)
-            mu = np.asarray(state.svrg["mu"], dtype=float)
-            last_anchor = state.svrg.get("last_anchor")
-    step = with_offset(step, offset)
+    state_namespace = "svrg"
+    constant_step = 0.05
 
-    def snapshot(completed) -> OptimizerState:
-        return OptimizerState(
-            iteration_offset=offset + completed,
-            algorithm_state={"svrg": {
-                "w_bar": w_bar.tolist(),
-                "mu": mu.tolist(),
-                "last_anchor": last_anchor,
-            }},
-            rng_state=capture_rng(rng),
-        )
+    def __init__(self, update_frequency=50):
+        if update_frequency < 2:
+            raise PlanError("update_frequency must be >= 2")
+        self.m = int(update_frequency)
+        self._w_bar = self._mu = self._last_anchor = None
 
-    deltas = []
-    converged = False
-    start = time.perf_counter()
-    iterations = 0
+    def reset(self, d):
+        self._w_bar = np.zeros(d)
+        self._mu = np.zeros(d)
+        self._last_anchor = None
 
-    for t in range(1, max_iter + 1):
-        alpha = step.step(t)
-        gt = offset + t
-        if last_anchor is None or gt - last_anchor >= update_frequency:
-            # Anchor iteration: full-batch gradient at the new anchor.
-            w_bar = w.copy()
-            mu = gradient.gradient(w_bar, X, y)
-            last_anchor = gt
-            w_new = w - alpha * mu
-        else:
-            i = int(rng.integers(0, n))
-            Xi, yi = X[i:i + 1], y[i:i + 1]
-            g_w = gradient.gradient(w, Xi, yi)
-            g_bar = gradient.gradient(w_bar, Xi, yi)
-            w_new = w - alpha * (g_w - g_bar + mu)
+    def full_pass(self, i):
+        return self._last_anchor is None or i - self._last_anchor >= self.m
 
-        delta = criterion.delta(w, w_new)
-        w = w_new
-        deltas.append(delta)
-        iterations = t
-        stop_requested = (
-            iteration_callback is not None
-            and iteration_callback(t, w, delta)
-        )
-        if delta < tolerance:
-            converged = True
-            break
-        if stop_requested:
-            break
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
-        if (state_every is not None and state_callback is not None
-                and t < max_iter
-                and (offset + t) % state_every == 0):
-            state_callback(offset + t, w.copy(), snapshot(t))
+    def points(self, w, i):
+        return (w,) if self.full_pass(i) else (w, self._w_bar)
 
-    return GDRunResult(
-        weights=w,
-        iterations=iterations,
-        converged=converged,
-        deltas=np.asarray(deltas),
-        elapsed_s=time.perf_counter() - start,
-        state=snapshot(iterations),
-    )
+    def apply(self, w, alpha, grads, i):
+        if self.full_pass(i):
+            self._w_bar = w.copy()
+            self._mu = grads[0]
+            self._last_anchor = i
+            return w - alpha * self._mu
+        g_w, g_bar = grads
+        return w - alpha * (g_w - g_bar + self._mu)
+
+    def state_dict(self):
+        if self._w_bar is None:
+            return {}
+        return {
+            "w_bar": self._w_bar.tolist(),
+            "mu": self._mu.tolist(),
+            "last_anchor": self._last_anchor,
+        }
+
+    def load_state(self, buffers):
+        self._w_bar = np.asarray(buffers["w_bar"], dtype=float)
+        self._mu = np.asarray(buffers["mu"], dtype=float)
+        self._last_anchor = buffers.get("last_anchor")

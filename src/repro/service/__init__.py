@@ -26,9 +26,6 @@ across *many* processes, in explicit layers:
   lease-history exactly-once audit;
 * :mod:`repro.service.storetools` -- offline store inspection and
   compaction (``repro cache``).
-
-``repro.service.service`` remains as a compatibility shim for pre-split
-imports.
 """
 
 from repro.service.backends import (

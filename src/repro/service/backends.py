@@ -367,19 +367,6 @@ class JsonFileBackend(CacheBackend):
             self._write({})
 
 
-def __getattr__(name):
-    # inspect_store / compact_store moved to repro.service.storetools;
-    # resolve them lazily here so pre-split imports keep working
-    # without a circular backends <-> storetools import.
-    if name in ("inspect_store", "compact_store"):
-        from repro.service import storetools
-
-        return getattr(storetools, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
 class SqliteBackend(CacheBackend):
     """SQLite-backed store: one row per fingerprint.
 

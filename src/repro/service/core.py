@@ -625,10 +625,6 @@ class OptimizerService(TrainingJobs):
             ]
             return [f.result() for f in futures]
 
-    # Kept as a static method for pre-split callers; new code should use
-    # repro.service.requests.normalize_request directly.
-    _normalize = staticmethod(normalize_request)
-
     # ------------------------------------------------------------------
     def cache_stats(self):
         return self.cache.stats()

@@ -3,10 +3,8 @@
 These are the read-side/maintenance tools behind ``repro cache``: they
 open a plan-store or checkpoint-store file through the same
 :func:`~repro.service.backends.open_backend` machinery the service uses,
-but never run inside a serving process -- they moved out of
-:mod:`repro.service.backends` so the backend module stays about the
-storage engines themselves.  Both names remain importable from their
-old home (``from repro.service.backends import inspect_store``).
+but never run inside a serving process, so the backend module stays
+about the storage engines themselves.
 """
 
 from __future__ import annotations

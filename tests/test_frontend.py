@@ -39,34 +39,15 @@ def ask(handle, line):
 
 
 # ---------------------------------------------------------------------------
-# import compatibility of the split
+# layering of the split
 # ---------------------------------------------------------------------------
 
 class TestImportCompat:
-    def test_pre_split_service_module_paths_resolve(self):
-        from repro.service.service import (  # noqa: F401
-            JobProgress,
-            OptimizerService,
-            ServiceRequest,
-            ServiceResult,
-            TrainServiceResult,
-            _CachedPlan,
-        )
-        from repro.service import core, jobs
+    def test_service_is_the_core_plus_jobs_layers(self):
+        from repro.service import OptimizerService, core, jobs
 
         assert OptimizerService is core.OptimizerService
         assert issubclass(OptimizerService, jobs.TrainingJobs)
-
-    def test_store_tools_still_import_from_backends(self):
-        from repro.service import storetools
-        from repro.service.backends import compact_store, inspect_store
-
-        assert inspect_store is storetools.inspect_store
-        assert compact_store is storetools.compact_store
-        with pytest.raises(AttributeError):
-            from repro.service import backends
-
-            backends.no_such_attribute
 
     def test_request_line_parsing_still_importable_from_cli(self):
         from repro.__main__ import iter_request_lines  # noqa: F401

@@ -10,9 +10,9 @@ from repro.gd import (
     backtracking_bgd,
     bgd,
     mgd,
+    SVRGUpdater,
     run_loop,
     sgd,
-    svrg,
 )
 from repro.gd import registry as gd_registry
 from repro.gd.base import full_batch_selector, make_minibatch_selector
@@ -144,6 +144,14 @@ class TestVarianceBehaviour:
                  rng=np.random.default_rng(1))
         std_b, std_m, std_s = (np.std(r.deltas[50:]) for r in (rb, rm, rs))
         assert std_b <= std_m <= std_s
+
+
+def svrg(X, y, gradient, update_frequency, **kwargs):
+    """SVRG at a chosen anchor cadence: the kernel through run_loop."""
+    return run_loop(
+        X, y, gradient, make_minibatch_selector(X.shape[0], 1),
+        updater=SVRGUpdater(update_frequency), **kwargs,
+    )
 
 
 class TestSVRG:

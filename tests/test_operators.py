@@ -11,16 +11,13 @@ from repro.core.reference_ops import (
     GradientCompute,
     L1Converge,
     ParseTransform,
-    SVRGCompute,
-    SVRGStage,
-    SVRGUpdate,
     ToleranceLoop,
     WeightUpdate,
     default_operators,
-    svrg_operators,
 )
 from repro.errors import PlanError
 from repro.gd.gradients import LinearRegressionGradient, LogisticGradient
+from repro.gd.svrg import SVRGUpdater
 
 
 @pytest.fixture
@@ -173,59 +170,71 @@ class TestBundles:
 
 
 class TestSVRGOperators:
-    def test_anchor_iteration_emits_plain_gradient(self):
+    """Listing 8 through the reference Compute/Update and the SVRG
+    kernel they share."""
+
+    X = np.array([[1.0, 0.0]])
+    y = np.array([2.0])
+
+    @staticmethod
+    def staged(iteration, update_frequency=5):
         ctx = Context()
-        SVRGStage(d=2, step_size="constant:0.1").stage(ctx)
-        ctx.put("iter", 1)  # (1 % m) - 1 == 0 -> anchor
-        compute = SVRGCompute(LinearRegressionGradient(), update_frequency=5)
-        X = np.array([[1.0, 0.0]])
-        y = np.array([2.0])
-        grad_sum, grad_bar, count, is_anchor = compute.compute(X, y, ctx)
-        assert is_anchor
+        DefaultStage(d=2, step_size="constant:0.1").stage(ctx)
+        ctx.put("iter", iteration)
+        kernel = SVRGUpdater(update_frequency)
+        kernel.reset(2)
+        gradient = LinearRegressionGradient()
+        return ctx, kernel, GradientCompute(gradient, kernel), \
+            WeightUpdate(kernel)
+
+    def test_anchor_iteration_emits_plain_gradient(self):
+        ctx, kernel, compute, _ = self.staged(1)  # fresh run: 1 anchors
+        assert kernel.full_pass(1)
+        grad_sum, count = compute.compute(self.X, self.y, ctx)
         assert count == 1
-        np.testing.assert_array_equal(grad_bar, np.zeros(2))
+        assert grad_sum.shape == (2,)
 
     def test_stochastic_iteration_emits_pair(self):
-        ctx = Context()
-        SVRGStage(d=2, step_size="constant:0.1").stage(ctx)
-        # Iteration 1 anchored (SVRGUpdate records the global anchor
+        ctx, kernel, compute, update = self.staged(1)
+        # Iteration 1 anchors (Update records the global anchor
         # iteration); iteration 2 is within the same anchor window.
-        ctx.put("svrg_last_anchor", 1)
+        update.update(compute.compute(self.X, self.y, ctx), ctx)
         ctx.put("iter", 2)
-        compute = SVRGCompute(LinearRegressionGradient(), update_frequency=5)
-        X = np.array([[1.0, 0.0]])
-        y = np.array([2.0])
-        out = compute.compute(X, y, ctx)
-        assert not out[3]
+        assert not kernel.full_pass(2)
+        grad_sum, grad_bar_sum, count = compute.compute(self.X, self.y, ctx)
+        assert count == 1
+        # w_bar is the anchor point (zeros), w has moved off it.
+        assert not np.array_equal(grad_sum, grad_bar_sum)
 
     def test_unanchored_context_anchors_immediately(self):
         # A segment entered without SVRG state (e.g. after a plan
-        # switch) recomputes its anchor on entry, whatever the local
+        # switch) recomputes its anchor on entry, whatever the
         # iteration index.
-        ctx = Context()
-        SVRGStage(d=2, step_size="constant:0.1").stage(ctx)
-        ctx.put("iter", 2)
-        compute = SVRGCompute(LinearRegressionGradient(), update_frequency=5)
-        out = compute.compute(np.array([[1.0, 0.0]]), np.array([2.0]), ctx)
-        assert out[3]
+        ctx, kernel, compute, _ = self.staged(2)
+        assert kernel.full_pass(2)
+        assert len(compute.compute(self.X, self.y, ctx)) == 2
 
     def test_update_anchor_sets_mu(self):
-        ctx = Context()
-        SVRGStage(d=2, step_size="constant:0.1").stage(ctx)
-        ctx.put("iter", 1)
-        update = SVRGUpdate()
-        mu_partial = np.array([2.0, 0.0])
-        update.update((mu_partial, np.zeros(2), 1, True), ctx)
-        np.testing.assert_allclose(ctx.require("mu"), [2.0, 0.0])
+        ctx, kernel, _, update = self.staged(1)
+        update.update((np.array([2.0, 0.0]), 1), ctx)
+        np.testing.assert_allclose(kernel.state_dict()["mu"], [2.0, 0.0])
+        assert kernel.state_dict()["last_anchor"] == 1
 
-    def test_svrg_bundle_has_anchor_marker(self):
-        ops = svrg_operators(d=3, gradient=LinearRegressionGradient(),
-                             update_frequency=7)
-        assert ops.anchor_every == 7
+    def test_bundle_shares_one_kernel(self):
+        kernel = SVRGUpdater(update_frequency=7)
+        ops = default_operators(d=3, gradient=LinearRegressionGradient(),
+                                batch_size=1, step_size=0.05,
+                                updater=kernel)
+        assert ops.compute.updater is kernel
+        assert ops.update.updater is kernel
+        # The kernel reads a numeric step as a constant.
+        ctx = Context()
+        ops.stage.stage(ctx)
+        assert ctx.require("step")(100) == 0.05
 
     def test_bad_frequency(self):
         with pytest.raises(PlanError):
-            SVRGCompute(LinearRegressionGradient(), update_frequency=1)
+            SVRGUpdater(update_frequency=1)
 
 
 class TestEndToEndOperatorLoop:
@@ -251,3 +260,80 @@ class TestEndToEndOperatorLoop:
             if not ops.loop.should_continue(delta, ctx):
                 break
         np.testing.assert_allclose(ctx.require("weights"), w_star, atol=1e-3)
+
+
+def _kernel_algorithms():
+    from repro.gd import registry
+
+    return sorted(name for name, spec in registry.ALGORITHMS.items()
+                  if spec.supports_executor)
+
+
+class TestOneKernelTwoDrivers:
+    """The point of the kernel contract: run_loop and the reference
+    Compute -> Update operators drive the same class to the same model.
+
+    Both see identical batches.  The operators re-scale each mean
+    gradient to a sum-partial and back (``g * n / n``), which is exact
+    when ``n`` is 1 or a power of two; any other batch size agrees to
+    1e-12.
+    """
+
+    N, D, ITERATIONS = 128, 5, 60
+
+    @pytest.mark.parametrize("algorithm", _kernel_algorithms())
+    @pytest.mark.parametrize("batch_rows", (1, 32, 24))
+    def test_same_weights_and_state(self, algorithm, batch_rows):
+        from repro.gd import registry
+        from repro.gd.base import Updater, run_loop
+        from repro.gd.state import kernel_fields
+
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(self.N, self.D))
+        y = np.where(X @ rng.normal(size=self.D) > 0, 1.0, -1.0)
+        gradient = LogisticGradient()
+        batches = [
+            slice(j, j + 1) if batch_rows == 1
+            else rng.choice(self.N, size=batch_rows, replace=False)
+            for j in rng.integers(0, self.N, size=self.ITERATIONS)
+        ]
+
+        def kernel():
+            return registry.updater_for(algorithm) or Updater()
+
+        looped = kernel()
+        result = run_loop(
+            X, y, gradient, lambda i, rng: batches[i - 1],
+            step_size=0.5, tolerance=0.0, max_iter=self.ITERATIONS,
+            updater=looped,
+        )
+
+        operated = kernel()
+        ops = default_operators(
+            d=self.D, gradient=gradient, batch_size=batch_rows,
+            step_size=0.5, tolerance=0.0, max_iter=self.ITERATIONS,
+            updater=operated,
+        )
+        ctx = Context()
+        ops.stage.stage(ctx)
+        operated.reset(self.D)
+        full_passes = 0
+        for i in range(1, self.ITERATIONS + 1):
+            ctx.put("iter", i)
+            if operated.full_pass(i):
+                full_passes += 1
+                Xb, yb = X, y       # one partition holding every row
+            else:
+                Xb, yb = X[batches[i - 1]], y[batches[i - 1]]
+            ops.update.update(ops.compute.compute(Xb, yb, ctx), ctx)
+
+        weights = ctx.require("weights")
+        if batch_rows == 24:
+            np.testing.assert_allclose(weights, result.weights, rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(weights, result.weights)
+            assert kernel_fields(operated) == kernel_fields(looped)
+        assert kernel_fields(operated).keys() == kernel_fields(looped).keys()
+        if operated.state_namespace is not None:
+            # SVRG's anchors and Arc's probes were part of the run.
+            assert 1 < full_passes < self.ITERATIONS

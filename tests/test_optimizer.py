@@ -93,6 +93,21 @@ class TestOptimize:
         assert len(report.candidates) == 1
         assert str(report.chosen_plan) == "BGD"
 
+    def test_schedule_string_step_with_constant_step_kernels(
+            self, engine, estimator, dataset):
+        # Arc's driver used to float() the step and crash the whole
+        # optimization with a bare ValueError; as kernels SVRG and Arc
+        # take alpha_i from the run's schedule.
+        optimizer = GDOptimizer(engine, estimator=estimator,
+                                algorithms=("bgd", "sgd", "arc", "svrg"))
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1,
+                                step_size="constant:0.1")
+        report = optimizer.optimize(dataset, training)
+        # (SVRG may drop out as unfittable on this sample; that is
+        # on_error="skip" working, not a crash.)
+        assert {"bgd", "sgd", "arc"} <= set(report.iteration_estimates)
+        assert report.chosen is not None
+
     def test_report_summary_renders(self, optimizer, dataset):
         training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
         report = optimizer.optimize(dataset, training)

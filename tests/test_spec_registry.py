@@ -4,12 +4,15 @@ The registry is the paper's "fully parameterized" search-space entry
 point (Section 6): every layer consults one
 :class:`~repro.gd.spec.AlgorithmSpec` instead of branching on names.
 These tests pin the seam itself -- registration validation, the loud
-dropped-kwargs policy, the cost/speculation/plan-variant hooks, and the
-format-versioned ``OptimizerState`` migration.
+dropped-kwargs policy, the cost/speculation/plan-variant hooks, the
+format-versioned ``OptimizerState``, and the one-kernel-per-algorithm
+shape of the registry.
 """
 
 import dataclasses
 import logging
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.plan_space import plans_for_algorithm
 from repro.errors import PlanError
 from repro.gd import registry as gd_registry
+from repro.gd.base import Updater
 from repro.gd.gradients import LogisticGradient
 from repro.gd.registry import ALGORITHMS, info, register, run
 from repro.gd.spec import RUN_LOOP_KWARGS, AlgorithmSpec, CostTerms
@@ -113,14 +117,24 @@ class TestDroppedKwargs:
     def test_dropped_kwargs_warn_on_repro_gd(self, tiny, caplog):
         X, y, gradient = tiny
         with caplog.at_level(logging.WARNING, logger="repro.gd"):
-            run("svrg", X, y, gradient, max_iter=3, tolerance=0.0,
+            run("line_search", X, y, gradient, max_iter=3, tolerance=0.0,
                 updater=object(), record_loss=True)
         records = [r for r in caplog.records if r.name == "repro.gd"]
         assert len(records) == 1
         record = records[0]
-        assert record.algorithm == "svrg"
+        assert record.algorithm == "line_search"
         assert record.dropped_kwargs == ["record_loss", "updater"]
         assert "record_loss, updater" in record.getMessage()
+
+    def test_kernel_arguments_are_not_run_kwargs(self, tiny, caplog):
+        # Cadence knobs are constructor arguments of the kernels, not
+        # part of registry.run's surface.
+        X, y, gradient = tiny
+        with caplog.at_level(logging.WARNING, logger="repro.gd"):
+            run("svrg", X, y, gradient, max_iter=3, tolerance=0.0,
+                update_frequency=7, record_loss=True)
+        records = [r for r in caplog.records if r.name == "repro.gd"]
+        assert [r.dropped_kwargs for r in records] == [["update_frequency"]]
 
     def test_accepted_kwargs_pass_silently(self, tiny, caplog):
         X, y, gradient = tiny
@@ -256,23 +270,6 @@ class TestStateFormatMigration:
     def test_format_constant_is_two(self):
         assert STATE_FORMAT == 2
 
-    def test_format1_payload_migrates(self):
-        payload = {
-            "state_format": 1,
-            "iteration_offset": 40,
-            "svrg": {"w_bar": [0.1], "mu": [0.2], "last_anchor": 30},
-        }
-        state = OptimizerState.from_dict(payload)
-        assert state.algorithm_state == {
-            "svrg": {"w_bar": [0.1], "mu": [0.2], "last_anchor": 30}}
-        assert state.svrg == state.algorithm_state["svrg"]
-
-    def test_format1_none_svrg_migrates_to_empty(self):
-        state = OptimizerState.from_dict(
-            {"state_format": 1, "iteration_offset": 7, "svrg": None})
-        assert state.algorithm_state == {}
-        assert state.svrg is None
-
     def test_round_trip_is_format2(self):
         state = OptimizerState(iteration_offset=3,
                                algorithm_state={"arc": {"phase": 2}})
@@ -308,7 +305,50 @@ class TestRegistryShape:
 
     def test_selector_for_respects_fixed_batch(self):
         rng = np.random.default_rng(0)
+        X = np.arange(300.0).reshape(100, 3)
         fixed = gd_registry.selector_for("sgd", 100, batch_size=32)
-        assert len(fixed(1, rng)) == 1
+        assert X[fixed(1, rng)].shape == (1, 3)
         sized = gd_registry.selector_for("mgd", 100, batch_size=32)
-        assert len(sized(1, rng)) == 32
+        assert X[sized(1, rng)].shape == (32, 3)
+
+    def test_single_row_selector_keeps_the_rng_stream(self):
+        # One rng.integers(0, n) draw per iteration, returned as a
+        # slice: the same rows an index-array gather would read.
+        select = gd_registry.selector_for("sgd", 100)
+        drawn = np.random.default_rng(9)
+        reference = np.random.default_rng(9)
+        for i in range(1, 20):
+            j = int(reference.integers(0, 100))
+            assert select(i, drawn) == slice(j, j + 1)
+
+
+class TestOneKernelPerAlgorithm:
+    def test_only_line_search_has_a_driver(self):
+        assert [name for name, spec in ALGORITHMS.items()
+                if spec.driver is not None] == ["line_search"]
+        assert not info("line_search").supports_executor
+
+    def test_spec_has_no_operator_factory(self):
+        fields = {f.name for f in dataclasses.fields(AlgorithmSpec)}
+        assert "make_operators" not in fields
+
+    def test_executor_bundle_drives_the_registered_kernel(self):
+        from repro.core.plans import TrainingSpec
+
+        training = TrainingSpec(task="logreg")
+        for name, spec in ALGORITHMS.items():
+            if not spec.supports_executor:
+                continue
+            ops = gd_registry.make_operators(
+                plans_for_algorithm(name)[0], d=4, training=training)
+            kernel = ops.update.updater
+            assert ops.compute.updater is kernel, name
+            assert type(kernel) is type(
+                gd_registry.updater_for(name) or Updater()), name
+            assert kernel.state_namespace == spec.state_namespace, name
+
+    def test_importing_gd_does_not_import_core(self):
+        probe = ("import sys, repro.gd; "
+                 "sys.exit(any(m == 'repro.core' or "
+                 "m.startswith('repro.core.') for m in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", probe]).returncode == 0

@@ -2,8 +2,8 @@
 
 The contract under test: ``run(N)`` is bit-identical to ``run(k)`` ->
 export :class:`OptimizerState` -> ``resume(N - k)`` for same-algorithm
-segments, at both the pure-math level (``run_loop`` / ``svrg``) and the
-plan-executor level, across the algorithm x updater matrix; plus the
+segments, at both the pure-math level (``run_loop``) and the
+plan-executor level, across every registered step kernel; plus the
 JSON round trip of the snapshot and the cross-algorithm transfer policy.
 
 The randomized kill-point suites push the same contract through the
@@ -34,25 +34,22 @@ from repro.gd.base import (
 from repro.gd.gradients import LogisticGradient
 from repro.gd.state import OptimizerState
 from repro.gd.step_size import OffsetStep, make_step_size, with_offset
-from repro.gd.svrg import svrg
+from repro.gd.svrg import SVRGUpdater
 
 from support import make_dataset
 
 N_TOTAL = 60
-SPLITS = (1, 23, 59)
 
-#: The resume-equivalence matrices are *derived from the registry*, so
-#: every registered algorithm -- including plugins -- is automatically
-#: proven bit-identical on stop/resume.  Driver-less specs run through
-#: run_loop with the selector/updater their spec implies; driver-based
-#: specs that declare ``state`` support resume through registry.run.
+#: The resume-equivalence matrix is *derived from the registry*, so
+#: every registered step kernel -- including plugins -- is automatically
+#: proven bit-identical on stop/resume through run_loop, with the
+#: selector/kernel its spec implies.  (The one custom driver, line
+#: search, is stateless; tests/test_spec_registry.py pins that no other
+#: spec has a driver.)
 RUN_LOOP_ALGORITHMS = sorted(
     name for name, s in gd_registry.ALGORITHMS.items() if s.driver is None
 )
-DRIVER_ALGORITHMS = sorted(
-    name for name, s in gd_registry.ALGORITHMS.items()
-    if s.driver is not None and "state" in (s.accepted_kwargs or ())
-)
+SPLITS = (1, 5, 23, 50, 59)
 
 
 def registry_selector(algorithm, n):
@@ -141,16 +138,22 @@ class TestRunLoopResumeEquivalence:
         assert not np.array_equal(one_shot.weights, legacy.weights)
 
 
+def run_svrg(problem, update_frequency=7, **kwargs):
+    """SVRG at a short anchor cadence: the kernel through run_loop."""
+    X, y, gradient = problem
+    return run_loop(
+        X, y, gradient, registry_selector("svrg", X.shape[0]),
+        updater=SVRGUpdater(update_frequency), step_size=0.05, **kwargs,
+    )
+
+
 class TestSVRGResumeEquivalence:
     @pytest.mark.parametrize("k", (5, 23, 50))
     def test_anchor_cadence_and_control_variate_survive(self, problem, k):
-        X, y, gradient = problem
-
         def run(max_iter, w0=None, state=None, seed=5):
-            return svrg(
-                X, y, gradient, update_frequency=7, step_size=0.05,
-                tolerance=0.0, max_iter=max_iter, w0=w0, state=state,
-                rng=np.random.default_rng(seed),
+            return run_svrg(
+                problem, tolerance=0.0, max_iter=max_iter, w0=w0,
+                state=state, rng=np.random.default_rng(seed),
             )
 
         one_shot = run(N_TOTAL)
@@ -169,40 +172,13 @@ class TestSVRGResumeEquivalence:
         # an offset must anchor immediately at the carried weights.
         w0 = np.full(X.shape[1], 0.1)
         state = OptimizerState(iteration_offset=40)
-        result = svrg(X, y, gradient, update_frequency=7, step_size=0.05,
-                      tolerance=0.0, max_iter=3, w0=w0, state=state)
-        assert result.state.svrg["last_anchor"] == 41
+        result = run_svrg(problem, tolerance=0.0, max_iter=3, w0=w0,
+                          state=state)
+        svrg_state = result.state.algorithm_state["svrg"]
+        assert svrg_state["last_anchor"] == 41
         # The anchor was taken at the resumed weights, not at zero.
         np.testing.assert_allclose(
-            np.asarray(result.state.svrg["w_bar"]), w0, atol=0.05
-        )
-
-
-class TestDriverResumeEquivalence:
-    """Every driver-based registered algorithm that declares ``state``
-    support (svrg, arc, future plugins) resumes bit-identically through
-    registry.run."""
-
-    @pytest.mark.parametrize("algorithm", DRIVER_ALGORITHMS)
-    @pytest.mark.parametrize("k", (5, 23, 50))
-    def test_stop_and_resume_is_bit_identical(self, problem, algorithm, k):
-        X, y, gradient = problem
-
-        def run(max_iter, w0=None, state=None, seed=5):
-            return gd_registry.run(
-                algorithm, X, y, gradient, step_size=0.05,
-                tolerance=0.0, max_iter=max_iter, w0=w0, state=state,
-                rng=np.random.default_rng(seed),
-            )
-
-        one_shot = run(N_TOTAL)
-        first = run(k)
-        second = run(N_TOTAL - k, w0=first.weights,
-                     state=json_round_trip(first.state), seed=999)
-
-        assert np.array_equal(one_shot.weights, second.weights)
-        np.testing.assert_array_equal(
-            one_shot.deltas, np.concatenate([first.deltas, second.deltas])
+            np.asarray(svrg_state["w_bar"]), w0, atol=0.05
         )
 
 
@@ -339,7 +315,7 @@ class TestTransferPolicy:
             },
         )
         out = state.transfer_to("svrg")
-        assert out.svrg is None
+        assert "svrg" not in out.algorithm_state
         assert any("anchor" in n for n in out.notes)
 
     def test_plugin_namespaces_route_through_spec_hooks(self):
@@ -352,15 +328,6 @@ class TestTransferPolicy:
         assert out.algorithm_state == {}
         assert any("re-probed" in n for n in out.notes)
 
-    def test_format1_snapshot_migrates_and_transfers(self):
-        payload = {"state_format": 1, "iteration_offset": 12,
-                   "svrg": {"w_bar": [1.0], "mu": [0.5], "last_anchor": 8}}
-        state = OptimizerState.from_dict(payload)
-        assert state.algorithm_state == {"svrg": payload["svrg"]}
-        assert state.svrg == payload["svrg"]
-        out = state.transfer_to("mgd")
-        assert out.svrg is None
-
     def test_sampler_cursors_drop_on_plan_change(self):
         out = self.momentum_state().transfer_to("sgd")
         assert out.sampler is None
@@ -369,7 +336,7 @@ class TestTransferPolicy:
 
 class TestConvergenceWinsOrdering:
     """A run that converges on its stopping iteration reports converged
-    (run_loop / svrg / PlanExecutor agree; the executor documented this
+    (run_loop and PlanExecutor agree; the executor documented this
     first)."""
 
     def test_run_loop_convergence_beats_callback_stop(self, problem):
@@ -383,9 +350,8 @@ class TestConvergenceWinsOrdering:
         assert result.converged
 
     def test_svrg_convergence_beats_callback_stop(self, problem):
-        X, y, gradient = problem
-        result = svrg(
-            X, y, gradient, step_size=0.05, tolerance=1e50, max_iter=10,
+        result = run_svrg(
+            problem, update_frequency=50, tolerance=1e50, max_iter=10,
             iteration_callback=lambda t, w, delta: True,
         )
         assert result.iterations == 1
@@ -459,13 +425,12 @@ class TestStateExportCadence:
         )
 
     def test_svrg_kill_inside_an_epoch(self, problem):
-        X, y, gradient = problem
         m = 7
         snapshots = {}
 
         def run(max_iter, w0=None, state=None, seed=5, capture=False):
-            return svrg(
-                X, y, gradient, update_frequency=m, step_size=0.05,
+            return run_svrg(
+                problem, m,
                 tolerance=0.0, max_iter=max_iter, w0=w0, state=state,
                 rng=np.random.default_rng(seed),
                 state_every=1 if capture else None,
@@ -482,13 +447,14 @@ class TestStateExportCadence:
         k = kill_point("svrg/epoch", low=2,
                        forbid=lambda i: (i - 1) % m == 0)
         w_k, state_k = snapshots[k]
-        assert state_k.svrg["last_anchor"] < k  # genuinely mid-epoch
+        # genuinely mid-epoch
+        assert state_k.algorithm_state["svrg"]["last_anchor"] < k
         resumed = run(N_TOTAL - k, w0=w_k,
                       state=json_round_trip(state_k), seed=999)
         assert np.array_equal(plain.weights, resumed.weights)
         # The resumed run must not have re-anchored early.
-        assert resumed.state.svrg["last_anchor"] == \
-            plain.state.svrg["last_anchor"]
+        assert resumed.state.algorithm_state["svrg"]["last_anchor"] == \
+            plain.state.algorithm_state["svrg"]["last_anchor"]
 
     def test_snapshot_cadence_is_global_on_resume(self, problem):
         X, y, gradient = problem
