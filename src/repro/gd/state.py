@@ -71,6 +71,20 @@ def known_fields(cls, payload) -> dict:
     return {k: v for k, v in payload.items() if k in known}
 
 
+def field_dict(obj) -> dict:
+    """``obj``'s dataclass fields as ``{name: value}`` in declaration
+    order, values shared, not copied.
+
+    The ``to_dict`` of every dataclass on the checkpoint path: their
+    values are already plain JSON data and the dict is encoded to text a
+    moment later, so ``dataclasses.asdict`` -- which deep-copies every
+    float of every nested list on the way -- did the encoder's walk
+    twice.  The result shares its leaves with ``obj``; whoever keeps it
+    past the next mutation of ``obj`` copies what it needs.
+    """
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def capture_rng(rng) -> dict | None:
     """JSON-serializable snapshot of a numpy Generator's stream position.
 
@@ -118,7 +132,13 @@ class OptimizerState:
     """JSON-round-trippable snapshot of a GD run's non-weight state.
 
     All array-valued fields hold plain lists (not numpy arrays), so
-    ``to_dict`` is a shallow affair and ``json.dumps`` works directly.
+    ``to_dict`` is a shallow affair -- one new dict over the same field
+    values (:func:`field_dict`), nothing copied -- and ``json.dumps``
+    works on it directly.  That is safe because a snapshot's leaves are
+    never written to after it is built: exporters fill it with fresh
+    ``tolist()`` output, importers copy into their own arrays, and
+    :meth:`transfer_to` builds new containers around the values it
+    carries.
     """
 
     #: Global iterations already completed: a resumed segment's local
@@ -151,7 +171,7 @@ class OptimizerState:
 
     # -- serialisation ---------------------------------------------------
     def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
+        payload = field_dict(self)
         payload["state_format"] = STATE_FORMAT
         return payload
 

@@ -111,12 +111,15 @@ class TrainerCheckpoint:
     persists it as a :class:`~repro.service.checkpoint.JobCheckpoint`.
     ``status`` is ``"running"`` (more work to do), ``"preempted"`` (the
     lease budget stopped the run) or ``"done"`` (converged or out of
-    iteration budget).
+    iteration budget).  ``state`` is the *exported*
+    :class:`~repro.gd.state.OptimizerState` (its ``to_dict()``, or
+    None): the trainer exports once per snapshot, and the same dict
+    sits in the trace's last segment and in the checkpoint.
     """
 
     status: str
     weights: object
-    state: object
+    state: dict | None
     chosen: PlanCostEstimate
     trace: ExecutionTrace
     done_iterations: int
@@ -405,17 +408,18 @@ class AdaptiveTrainer:
                 # runs out exactly on the job's last iteration has
                 # *finished* the job, and stamping it "preempted" would
                 # make the next lease run past max_iter.
-                self._emit(on_checkpoint, "done", result, chosen, trace,
-                           done_iterations, switches_left)
+                self._emit(on_checkpoint, "done", result, segment.state,
+                           chosen, trace, done_iterations, switches_left)
                 break
             if getattr(monitor, "preempted", False):
                 preempted = True
-                self._emit(on_checkpoint, "preempted", result, chosen,
-                           trace, done_iterations, switches_left)
+                self._emit(on_checkpoint, "preempted", result,
+                           segment.state, chosen, trace, done_iterations,
+                           switches_left)
                 break
             if switches_left < 1:
-                self._emit(on_checkpoint, "done", result, chosen, trace,
-                           done_iterations, switches_left)
+                self._emit(on_checkpoint, "done", result, segment.state,
+                           chosen, trace, done_iterations, switches_left)
                 break
             weights = result.weights
             carried_state = result.state if self.carry_state else None
@@ -446,9 +450,9 @@ class AdaptiveTrainer:
                 )
                 if new_chosen is not None:
                     chosen = new_chosen
-                self._emit(on_checkpoint, "running", result, chosen, trace,
-                           done_iterations, switches_left,
-                           state=carried_state)
+                self._emit(on_checkpoint, "running", result,
+                           segment.state if self.carry_state else None,
+                           chosen, trace, done_iterations, switches_left)
                 continue
             switches_left -= 1
             if carried_state is not None:
@@ -472,8 +476,10 @@ class AdaptiveTrainer:
             # Switch-boundary checkpoint: the state to persist is the
             # *transferred* one the next segment will import, under the
             # *new* plan -- exactly what a resume must replay.
-            self._emit(on_checkpoint, "running", result, chosen, trace,
-                       done_iterations, switches_left, state=carried_state)
+            self._emit(on_checkpoint, "running", result,
+                       carried_state.to_dict()
+                       if carried_state is not None else None,
+                       chosen, trace, done_iterations, switches_left)
 
         return AdaptiveResult(
             report=report,
@@ -484,17 +490,17 @@ class AdaptiveTrainer:
         )
 
     # ------------------------------------------------------------------
-    _UNSET = object()
-
-    def _emit(self, on_checkpoint, status, result, chosen, trace,
-              done_iterations, switches_left, state=_UNSET) -> None:
-        """Hand one segment-boundary checkpoint to ``on_checkpoint``."""
+    @staticmethod
+    def _emit(on_checkpoint, status, result, state, chosen, trace,
+              done_iterations, switches_left) -> None:
+        """Hand one segment-boundary checkpoint to ``on_checkpoint``;
+        ``state`` is the exported state dict a resume would import."""
         if on_checkpoint is None:
             return
         on_checkpoint(TrainerCheckpoint(
             status=status,
             weights=result.weights,
-            state=result.state if state is self._UNSET else state,
+            state=state,
             chosen=chosen,
             trace=trace,
             done_iterations=int(done_iterations),
@@ -517,6 +523,7 @@ class AdaptiveTrainer:
         breakdown = chosen.breakdown or {}
 
         def callback(global_iteration, weights, state):
+            exported = state.to_dict()
             partial = PlanSegment(
                 plan=str(chosen.plan),
                 algorithm=chosen.plan.algorithm,
@@ -537,14 +544,14 @@ class AdaptiveTrainer:
                     monitor.observed_per_iteration_s() or 0.0
                 ),
                 deltas=[float(d) for d in monitor.deltas],
-                state=state.to_dict(),
+                state=exported,
                 state_transfer=list(entry_notes),
                 partial=True,
             )
             on_checkpoint(TrainerCheckpoint(
                 status="running",
                 weights=weights,
-                state=state,
+                state=exported,
                 chosen=chosen,
                 trace=trace.with_partial(partial),
                 done_iterations=int(global_iteration),

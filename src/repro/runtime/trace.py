@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from repro.gd.state import known_fields
+from repro.gd.state import field_dict, known_fields
 
 #: Format version of one serialized ExecutionTrace.  Version 2 added
 #: optimizer-state carry-over: segments record the OptimizerState
@@ -112,7 +112,7 @@ class PlanSegment:
         return self.effective_per_iteration_s / self.predicted_per_iteration_s
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, payload) -> "PlanSegment":
@@ -133,7 +133,7 @@ class SwitchEvent:
     clock: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return field_dict(self)
 
     @classmethod
     def from_dict(cls, payload) -> "SwitchEvent":

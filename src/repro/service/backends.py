@@ -102,7 +102,10 @@ class CacheBackend:
 
         ``fn`` receives the current entry (or None) and returns the new
         one (None deletes); the returned entry is also this method's
-        return value.  Raising out of ``fn`` aborts the mutation.  This
+        return value.  Raising out of ``fn`` aborts the mutation, and
+        returning *the very object it was handed* means "no change":
+        nothing is written (so ``fn`` must build a new dict rather than
+        edit the one it received in place).  This
         is the check-and-set primitive job leases are built on
         (:class:`~repro.service.checkpoint.CheckpointStore`), so
         implementations must hold their cross-process exclusion --
@@ -111,10 +114,11 @@ class CacheBackend:
         implementation composes :meth:`get`/:meth:`store` and is only
         atomic against writers sharing this object.
         """
-        entry = fn(self.get(key))
+        current = self.get(key)
+        entry = fn(current)
         if entry is None:
             self.delete(key)
-        else:
+        elif entry is not current:
             self.store(key, entry)
         return entry
 
@@ -155,7 +159,14 @@ class CacheBackend:
 class MemoryBackend(CacheBackend):
     """Dict-backed backend: survives nothing, but exercises the full
     write-through path (tests swap it in to observe what would be
-    persisted)."""
+    persisted).
+
+    Entries are held as their encoded JSON text -- encoded on write,
+    decoded on read, exactly like a row of :class:`SqliteBackend` -- so
+    what a test reads back is what a file would hold: a payload JSON
+    cannot carry fails here, not first in production, and no caller can
+    reach into a stored entry through a reference it kept.
+    """
 
     name = "memory"
 
@@ -163,35 +174,46 @@ class MemoryBackend(CacheBackend):
         self._data = {}
         self._lock = threading.Lock()
 
+    def _decoded(self) -> dict:
+        return {key: json.loads(text) for key, text in self._data.items()}
+
     def load(self) -> dict:
         with self._lock:
-            return dict(self._data)
+            return self._decoded()
 
     def get(self, key):
         with self._lock:
-            return self._data.get(key)
+            text = self._data.get(key)
+        return None if text is None else json.loads(text)
 
     def store(self, key, entry) -> None:
+        text = json.dumps(entry)
         with self._lock:
-            self._data[key] = entry
+            self._data[key] = text
 
     def update(self, key, fn):
         with self._lock:
-            entry = fn(self._data.get(key))
+            text = self._data.get(key)
+            current = None if text is None else json.loads(text)
+            entry = fn(current)
             if entry is None:
                 self._data.pop(key, None)
-            else:
-                self._data[key] = entry
+            elif entry is not current:
+                self._data[key] = json.dumps(entry)
             return entry
 
     def replace(self, entries) -> None:
+        encoded = {key: json.dumps(entry) for key, entry in entries.items()}
         with self._lock:
-            self._data = dict(entries)
+            self._data = encoded
 
     def mutate_all(self, fn) -> dict:
         with self._lock:
-            self._data = dict(fn(dict(self._data)))
-            return dict(self._data)
+            entries = dict(fn(self._decoded()))
+            self._data = {
+                key: json.dumps(entry) for key, entry in entries.items()
+            }
+            return entries
 
     def delete(self, key) -> None:
         with self._lock:
@@ -200,6 +222,10 @@ class MemoryBackend(CacheBackend):
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._data)
 
 
 class JsonFileBackend(CacheBackend):
@@ -326,10 +352,18 @@ class JsonFileBackend(CacheBackend):
         with self._lock:
             return self._read_cached().get(key)
 
+    @staticmethod
+    def _own(entry):
+        """A private copy of a caller's entry, made through its JSON
+        text.  The parsed snapshot outlives the call, so it must not
+        alias objects the caller may go on mutating -- and an entry JSON
+        cannot carry fails here, before the file is touched."""
+        return json.loads(json.dumps(entry))
+
     def store(self, key, entry) -> None:
         with self._lock, self._file_lock():
             entries = dict(self._read_cached(warn=False))
-            entries[key] = entry
+            entries[key] = self._own(entry)
             self._write(entries)
 
     def update(self, key, fn):
@@ -338,22 +372,25 @@ class JsonFileBackend(CacheBackend):
         # loser reads the winner's completed write, never a stale copy.
         with self._lock, self._file_lock():
             entries = dict(self._read_cached(warn=False))
-            entry = fn(entries.get(key))
+            current = entries.get(key)
+            entry = fn(current)
+            if entry is current:
+                return entry
             if entry is None:
                 entries.pop(key, None)
             else:
-                entries[key] = entry
+                entries[key] = self._own(entry)
             self._write(entries)
             return entry
 
     def replace(self, entries) -> None:
         with self._lock, self._file_lock():
-            self._write(dict(entries))
+            self._write(self._own(dict(entries)))
 
     def mutate_all(self, fn) -> dict:
         with self._lock, self._file_lock():
             entries = dict(fn(dict(self._read_cached(warn=False))))
-            self._write(entries)
+            self._write(self._own(entries))
             return entries
 
     def delete(self, key) -> None:
@@ -373,18 +410,35 @@ class SqliteBackend(CacheBackend):
     Entries are stored as JSON text in a ``plan_store`` table; the
     container format version lives in a ``meta`` table and is checked on
     open -- a mismatch empties the store (cold start) rather than
-    risking a misread.  A fresh connection per operation keeps the
-    backend trivially thread-safe; SQLite's own locking arbitrates
-    concurrent processes.
+    risking a misread.
+
+    The backend keeps **one connection per process**, opened on first
+    use and closed by :meth:`close`; every operation runs on it under
+    the object's lock, so threads sharing the backend take turns and
+    SQLite's own file locking arbitrates between processes.  The file is
+    in ``journal_mode=WAL`` with ``synchronous=FULL``: a mutation that
+    has returned is on disk (one fsync of the write-ahead log per
+    commit), and a process killed mid-transaction leaves the last
+    committed state.  A live store therefore has ``-wal`` and ``-shm``
+    siblings; they are folded back into the main file when the last
+    connection closes.  A connection must not cross a ``fork``: a
+    backend used in a child process opens its own.
     """
 
     name = "sqlite"
 
+    _UPSERT = (
+        "INSERT INTO plan_store (fingerprint, payload) VALUES (?, ?) "
+        "ON CONFLICT (fingerprint) DO UPDATE SET payload = excluded.payload"
+    )
+
     def __init__(self, path):
         self.path = str(path)
         self._lock = threading.Lock()
+        self._conn = None
+        self._conn_pid = None
         try:
-            with self._connection() as conn:
+            with self._transaction() as conn:
                 conn.execute(
                     "CREATE TABLE IF NOT EXISTS meta "
                     "(key TEXT PRIMARY KEY, value TEXT)"
@@ -420,32 +474,56 @@ class SqliteBackend(CacheBackend):
             )
             self._broken = True
 
-    @contextlib.contextmanager
     def _connection(self):
-        """A connection that commits on success AND closes on exit (the
-        bare sqlite3 context manager only transacts; without the close,
-        every operation would leak a file handle until GC)."""
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        try:
-            with conn:
-                yield conn
-        finally:
-            conn.close()
-
-    def load(self) -> dict:
-        if self._broken:
-            return {}
-        try:
-            with self._lock, self._connection() as conn:
-                rows = conn.execute(
-                    "SELECT fingerprint, payload FROM plan_store"
-                ).fetchall()
-        except sqlite3.Error as exc:
-            warnings.warn(
-                f"plan store {self.path!r} is unreadable ({exc}); "
-                "starting cold", stacklevel=3,
+        """This process's connection, opened on first use (callers hold
+        the lock).  Transactions are explicit (``isolation_level=None``:
+        a lone statement commits itself)."""
+        self._park_inherited()
+        if self._conn is None:
+            conn = sqlite3.connect(
+                self.path, timeout=30.0, isolation_level=None,
+                check_same_thread=False,
             )
-            return {}
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                conn.execute("PRAGMA synchronous=FULL")
+            except sqlite3.Error:
+                conn.close()
+                raise
+            self._conn, self._conn_pid = conn, os.getpid()
+        return self._conn
+
+    def _park_inherited(self) -> None:
+        """Forget a connection that came through a ``fork``.  It is the
+        parent's: the child may neither use it nor close it (closing
+        runs SQLite's last-connection cleanup under the parent), so it
+        is parked where no finalizer reaches it while the child runs."""
+        if self._conn is not None and self._conn_pid != os.getpid():
+            _INHERITED.append(self._conn)
+            self._conn = None
+
+    @contextlib.contextmanager
+    def _transaction(self):
+        """The connection inside ``BEGIN IMMEDIATE`` -- the write lock
+        is taken *before* any read, so two processes check-and-setting
+        one key serialize instead of both reading the old value.
+        Commits on success, rolls back when the body raises."""
+        with self._lock:
+            conn = self._connection()
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield conn
+                conn.execute("COMMIT")
+            except BaseException:
+                # The connection outlives this call: never leave it
+                # inside a transaction (a failed COMMIT may or may not
+                # have rolled back by itself).
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                raise
+
+    @staticmethod
+    def _decode_rows(rows) -> dict:
         entries = {}
         for key, text in rows:
             try:
@@ -454,12 +532,28 @@ class SqliteBackend(CacheBackend):
                 continue  # one bad row must not poison the rest
         return entries
 
+    def load(self) -> dict:
+        if self._broken:
+            return {}
+        try:
+            with self._lock:
+                rows = self._connection().execute(
+                    "SELECT fingerprint, payload FROM plan_store"
+                ).fetchall()
+        except sqlite3.Error as exc:
+            warnings.warn(
+                f"plan store {self.path!r} is unreadable ({exc}); "
+                "starting cold", stacklevel=3,
+            )
+            return {}
+        return self._decode_rows(rows)
+
     def get(self, key):
         if self._broken:
             return None
         try:
-            with self._lock, self._connection() as conn:
-                row = conn.execute(
+            with self._lock:
+                row = self._connection().execute(
                     "SELECT payload FROM plan_store WHERE fingerprint = ?",
                     (key,),
                 ).fetchone()
@@ -475,69 +569,51 @@ class SqliteBackend(CacheBackend):
     def store(self, key, entry) -> None:
         if self._broken:
             return
-        with self._lock, self._connection() as conn:
-            conn.execute(
-                "INSERT INTO plan_store (fingerprint, payload) "
-                "VALUES (?, ?) ON CONFLICT (fingerprint) "
-                "DO UPDATE SET payload = excluded.payload",
-                (key, json.dumps(entry)),
-            )
+        text = json.dumps(entry)
+        with self._lock:
+            self._connection().execute(self._UPSERT, (key, text))
 
     def update(self, key, fn):
-        """Check-and-set under ``BEGIN IMMEDIATE``: the write lock is
-        taken *before* the read, so two processes CAS-ing the same key
-        (job leases) serialize instead of both reading the old value.
-        A broken store degrades to calling ``fn(None)`` without
+        """Check-and-set in one ``BEGIN IMMEDIATE`` transaction.  A
+        broken store degrades to calling ``fn(None)`` without
         persistence -- callers get an answer, not a crash."""
         if self._broken:
             return fn(None)
-        with self._lock:
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            try:
-                conn.isolation_level = None  # explicit transactions
-                conn.execute("BEGIN IMMEDIATE")
+        with self._transaction() as conn:
+            row = conn.execute(
+                "SELECT payload FROM plan_store WHERE fingerprint = ?",
+                (key,),
+            ).fetchone()
+            current = None
+            if row is not None:
                 try:
-                    row = conn.execute(
-                        "SELECT payload FROM plan_store "
-                        "WHERE fingerprint = ?", (key,),
-                    ).fetchone()
-                    current = None
-                    if row is not None:
-                        try:
-                            current = json.loads(row[0])
-                        except ValueError:
-                            current = None
-                    entry = fn(current)
-                    if entry is None:
-                        conn.execute(
-                            "DELETE FROM plan_store WHERE fingerprint = ?",
-                            (key,),
-                        )
-                    else:
-                        conn.execute(
-                            "INSERT INTO plan_store (fingerprint, payload) "
-                            "VALUES (?, ?) ON CONFLICT (fingerprint) "
-                            "DO UPDATE SET payload = excluded.payload",
-                            (key, json.dumps(entry)),
-                        )
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
-                conn.execute("COMMIT")
-            finally:
-                conn.close()
-            return entry
+                    current = json.loads(row[0])
+                except ValueError:
+                    pass  # a corrupt row reads as absent
+            entry = fn(current)
+            if entry is None:
+                if row is not None:
+                    conn.execute(
+                        "DELETE FROM plan_store WHERE fingerprint = ?",
+                        (key,),
+                    )
+            elif entry is not current:
+                conn.execute(self._UPSERT, (key, json.dumps(entry)))
+        return entry
+
+    @staticmethod
+    def _rewrite(conn, entries) -> None:
+        conn.execute("DELETE FROM plan_store")
+        conn.executemany(
+            "INSERT INTO plan_store (fingerprint, payload) VALUES (?, ?)",
+            [(key, json.dumps(entry)) for key, entry in entries.items()],
+        )
 
     def replace(self, entries) -> None:
         if self._broken:
             return
-        with self._lock, self._connection() as conn:
-            conn.execute("DELETE FROM plan_store")
-            conn.executemany(
-                "INSERT INTO plan_store (fingerprint, payload) "
-                "VALUES (?, ?)",
-                [(key, json.dumps(entry)) for key, entry in entries.items()],
-            )
+        with self._transaction() as conn:
+            self._rewrite(conn, entries)
 
     def mutate_all(self, fn) -> dict:
         """Whole-store RMW in one ``BEGIN IMMEDIATE`` transaction, so a
@@ -545,46 +621,48 @@ class SqliteBackend(CacheBackend):
         read and the rewrite and be silently discarded."""
         if self._broken:
             return dict(fn({}))
-        with self._lock:
-            conn = sqlite3.connect(self.path, timeout=30.0)
-            try:
-                conn.isolation_level = None
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    entries = {}
-                    for key, text in conn.execute(
-                        "SELECT fingerprint, payload FROM plan_store"
-                    ).fetchall():
-                        try:
-                            entries[key] = json.loads(text)
-                        except ValueError:
-                            continue
-                    entries = dict(fn(entries))
-                    conn.execute("DELETE FROM plan_store")
-                    conn.executemany(
-                        "INSERT INTO plan_store (fingerprint, payload) "
-                        "VALUES (?, ?)",
-                        [(key, json.dumps(entry))
-                         for key, entry in entries.items()],
-                    )
-                except BaseException:
-                    conn.execute("ROLLBACK")
-                    raise
-                conn.execute("COMMIT")
-            finally:
-                conn.close()
-            return entries
+        with self._transaction() as conn:
+            entries = dict(fn(self._decode_rows(conn.execute(
+                "SELECT fingerprint, payload FROM plan_store"
+            ).fetchall())))
+            self._rewrite(conn, entries)
+        return entries
 
     def delete(self, key) -> None:
         if self._broken:
             return
-        with self._lock, self._connection() as conn:
-            conn.execute(
+        with self._lock:
+            self._connection().execute(
                 "DELETE FROM plan_store WHERE fingerprint = ?", (key,)
             )
 
     def clear(self) -> None:
         if self._broken:
             return
-        with self._lock, self._connection() as conn:
-            conn.execute("DELETE FROM plan_store")
+        with self._lock:
+            self._connection().execute("DELETE FROM plan_store")
+
+    def close(self) -> None:
+        """Close this process's connection (the next operation, if any,
+        opens a new one)."""
+        with self._lock:
+            self._park_inherited()
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+    def __len__(self) -> int:
+        if self._broken:
+            return 0
+        try:
+            with self._lock:
+                return self._connection().execute(
+                    "SELECT COUNT(*) FROM plan_store"
+                ).fetchone()[0]
+        except sqlite3.Error:
+            return 0
+
+
+#: Connections a forked child found open on a backend it inherited;
+#: referenced forever so they are never closed from the child.
+_INHERITED = []

@@ -31,13 +31,20 @@ Two store-level mechanisms make jobs safe to share:
 The service layer (:meth:`OptimizerService.train` with ``job_id=``)
 drives this store; nothing here knows about datasets or engines.
 
-**Write cost.**  A checkpoint serializes the job's accumulated
-trajectory (the execution trace grows with every iteration), and the
-JSON backend additionally rewrites its whole file per write -- so
-checkpoint cost grows with run length.  For long runs, pick a cadence
-proportional to the work you can afford to replay (``checkpoint_every``
-is iterations *between* durability points, not a free knob) and prefer
-the SQLite backend, whose writes are per-entry.
+**Write cost.**  A durability point costs one encode and one commit.
+The trainer exports the optimizer state once per snapshot, ``to_dict``
+assembles the payload from those already-plain lists and dicts without
+copying them, and the backend walks it exactly once, in
+``json.dumps``; on SQLite the text then goes to one row in one
+``BEGIN IMMEDIATE`` transaction on the store's persistent WAL
+connection -- one fsync, after which :meth:`CheckpointStore.save`
+returns.  What still grows is the payload: it carries the job's whole
+accumulated trajectory (the execution trace gains a delta per
+iteration), and the JSON backend additionally rewrites its whole file
+per write.  For long runs, pick a cadence proportional to the work you
+can afford to replay (``checkpoint_every`` is iterations *between*
+durability points, not a free knob) and prefer the SQLite backend,
+whose writes are per-entry.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ import time
 import uuid
 import warnings
 
+from repro.gd.state import field_dict
 from repro.obs import span
 from repro.service.backends import open_backend
 from repro.service.serialize import PlanStoreError
@@ -152,7 +160,10 @@ class JobCheckpoint:
 
     # -- serialisation ---------------------------------------------------
     def to_dict(self) -> dict:
-        payload = dataclasses.asdict(self)
+        """The stored form: one new dict over the field values, which
+        it shares (see :func:`~repro.gd.state.field_dict`) -- backends
+        encode it to text before ``save()`` returns."""
+        payload = field_dict(self)
         payload["checkpoint_format"] = CHECKPOINT_FORMAT
         return payload
 

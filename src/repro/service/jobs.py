@@ -392,9 +392,8 @@ class TrainingJobs:
                 ),
                 "status": "running",
             }
-            history = list(checkpoint.history) if checkpoint is not None \
-                else []
-            history.append(lease_record)
+            earlier_leases = list(checkpoint.history) \
+                if checkpoint is not None else []
 
             def persist(snapshot):
                 # NOT best-effort: a job that cannot checkpoint has lost
@@ -409,10 +408,7 @@ class TrainingJobs:
                     weights=np.asarray(
                         snapshot.weights, dtype=float
                     ).tolist(),
-                    state=(
-                        snapshot.state.to_dict()
-                        if snapshot.state is not None else None
-                    ),
+                    state=snapshot.state,
                     chosen=candidate_to_dict(snapshot.chosen),
                     trace=snapshot.trace.to_dict(),
                     done_iterations=snapshot.done_iterations,
@@ -420,7 +416,10 @@ class TrainingJobs:
                     adaptive=adaptive,
                     plan_entry=plan_entry,
                     request=job_request,
-                    history=history,
+                    # The one thing in this payload that changes after
+                    # the save: each checkpoint gets its own copy of
+                    # this lease's record.
+                    history=earlier_leases + [dict(lease_record)],
                 ), owner=owner)
 
             adaptive_result = trainer.train(

@@ -721,6 +721,8 @@ class RemoteBackend(CacheBackend):
         for _ in range(MAX_CAS_ATTEMPTS):
             value, version = self.get_versioned(key)
             entry = fn(value)
+            if entry is value:
+                return entry  # unchanged: nothing to put to the vote
             response = self._call({
                 "op": "cas", "key": key, "value": entry,
                 "expect": version, "txn": uuid.uuid4().hex,

@@ -42,6 +42,7 @@ from repro.service import (
     job_progress,
     read_heartbeats,
 )
+from repro.service.worker import heartbeat_key
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ENV = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
@@ -388,6 +389,11 @@ class TestChaosFleet:
             }
             kill_thresholds = [3, 9]  # done-counts that trigger chaos
             killed = []
+            # The controller leases the last job itself until both kills
+            # have landed: however fast the fleet drains, it cannot
+            # finish before the chaos happened.
+            gate, gatekeeper = ids[-1], "chaos-controller"
+            store.acquire(gate, gatekeeper)
             deadline = time.time() + 480
             done = 0
             while time.time() < deadline:
@@ -397,9 +403,14 @@ class TestChaosFleet:
                            and jobs[job_id].status == "done")
                 if done == CHAOS_JOBS:
                     break
-                if kill_thresholds and done >= kill_thresholds[0]:
+                victim = len(killed) % CHAOS_WORKERS
+                # A victim dies only once it is up (its first heartbeat
+                # is in the store): the survivors' roll call below
+                # includes the killed workers' last beats.
+                if kill_thresholds and done >= kill_thresholds[0] \
+                        and store.backend.get(
+                            heartbeat_key(f"w{victim}")) is not None:
                     kill_thresholds.pop(0)
-                    victim = len(killed) % CHAOS_WORKERS
                     proc = fleet[victim]
                     if proc.poll() is None:
                         proc.send_signal(signal.SIGKILL)
@@ -409,7 +420,9 @@ class TestChaosFleet:
                     fleet[victim] = spawn_worker(
                         checkpoint_ref, f"w{victim}r", log
                     )
-                time.sleep(0.25)
+                    if not kill_thresholds:
+                        store.release(gate, gatekeeper)
+                time.sleep(0.02)
 
             # Drain-mode workers exit on their own once the store is
             # empty of work.
