@@ -10,8 +10,10 @@ a one-off table.
 Scenarios (mirroring ``benchmarks/bench_ext_service_throughput.py`` and
 ``benchmarks/bench_ext_adaptive.py``):
 
-* ``service_cold_optimize``   -- speculation + costing on a fresh
-  fingerprint;
+* ``service_cold_optimize``   -- first touch: speculation + costing on
+  a fresh service;
+* ``service_recold_optimize`` -- new tolerances on the same data and
+  service: trial-memo hits (fit + costing, no GD run);
 * ``service_warm_optimize``   -- plan-cache hits;
 * ``service_warm_restart``    -- a fresh service warm-loading a
   disk-backed plan store;
@@ -64,7 +66,7 @@ def git_hash() -> str:
 
 
 def scenario_service_throughput() -> list:
-    """Cold / warm / warm-restart optimize() rates (plan-cache story)."""
+    """First-touch / re-cold / warm / warm-restart optimize() rates."""
     from repro.api import ML4all
     from repro.cluster import ClusterSpec
     from repro.core.iterations import SpeculationSettings
@@ -79,22 +81,37 @@ def scenario_service_throughput() -> list:
     dataset = system.load_dataset("adult")
     training = TrainingSpec(task="logreg", tolerance=0.01, seed=7)
 
+    # The three in-memory tiers on a service without a store (a JSON
+    # store rewrites its file on every new plan, which would be most of
+    # a re-cold request).
+    service = OptimizerService(spec=spec, seed=7, speculation=speculation)
+    t0 = time.perf_counter()
+    cold = service.optimize(dataset, training)
+    cold_s = time.perf_counter() - t0
+    assert not cold.cache_hit
+
+    warm_runs = 50
+    t0 = time.perf_counter()
+    for _ in range(warm_runs):
+        assert service.optimize(dataset, training).cache_hit
+    warm_s = (time.perf_counter() - t0) / warm_runs
+
+    recold_runs = 10
+    t0 = time.perf_counter()
+    for i in range(recold_runs):
+        assert not service.optimize(dataset, TrainingSpec(
+            task="logreg", tolerance=0.009 - 0.0001 * i, seed=7,
+        )).cache_hit
+    recold_s = (time.perf_counter() - t0) / recold_runs
+    trials_run = service.metrics.value("speculation.memo.misses")
+
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "plans.json")
-        service = OptimizerService(
+        first = OptimizerService(
             spec=spec, seed=7, speculation=speculation, cache_path=store
         )
-        t0 = time.perf_counter()
-        cold = service.optimize(dataset, training)
-        cold_s = time.perf_counter() - t0
-        assert not cold.cache_hit
-
-        warm_runs = 50
-        t0 = time.perf_counter()
-        for _ in range(warm_runs):
-            assert service.optimize(dataset, training).cache_hit
-        warm_s = (time.perf_counter() - t0) / warm_runs
-        service.close()
+        first.optimize(dataset, training)
+        first.close()
 
         restarted = OptimizerService(
             spec=spec, seed=7, speculation=speculation, cache_path=store
@@ -109,6 +126,9 @@ def scenario_service_throughput() -> list:
     return [
         {"scenario": "service_cold_optimize", "ops_per_s": 1.0 / cold_s,
          "cold_ms": cold_s * 1e3},
+        {"scenario": "service_recold_optimize", "ops_per_s": 1.0 / recold_s,
+         "recold_ms": recold_s * 1e3, "speedup_vs_cold": cold_s / recold_s,
+         "trials_run": trials_run},
         {"scenario": "service_warm_optimize", "ops_per_s": 1.0 / warm_s,
          "warm_ms": warm_s * 1e3, "speedup_vs_cold": cold_s / warm_s},
         {"scenario": "service_warm_restart", "ops_per_s": 1.0 / restart_s,

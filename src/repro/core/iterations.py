@@ -14,10 +14,24 @@ sample (the experiments use 1,000 data units and a 10 s budget; this
 laptop-scale reproduction defaults to a 2 s wall budget).  "MGD and SGD
 take their data samples from sample D' and not from the input dataset D.
 BGD runs over the entire D'."
+
+Lines 1-2 -- the *trial* -- never read e_d: the trial is a function of
+D', the task gradient, the algorithm, the step, the convergence
+criterion, e_s, B, the iteration cap and the seed.  Only line 3
+evaluates anything at e_d.  The code keeps the two apart: a trial runs
+with no target at all and leaves a :class:`_Trial` behind, the
+per-request fit reads it, and a :class:`TrialMemo` keeps trials so that
+asking again about the same data with another tolerance, iteration cap
+or time budget runs no GD.  A memo hit is bit-identical to a re-run
+because only trials whose stop was deterministic are kept: one that
+ended on its wall-clock budget (machine speed) or behind a custom
+driver (its own business) is run again every time.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import math
 import threading
@@ -31,17 +45,24 @@ from repro.gd import registry as gd_registry
 from repro.obs import span
 
 #: The speculation lane: one :meth:`SpeculativeEstimator.estimate_all`
-#: pass at a time, process-wide (the scope is the process because the
-#: GIL is).  A trial is thousands of microsecond-sized numpy calls, each
-#: of which drops and re-takes the GIL, so concurrent passes do not run
-#: in parallel -- they stretch each other 2-3x bouncing it across cores.
-#: Queueing them is faster for every caller.
+#: pass that has trials to run at a time, process-wide (the scope is
+#: the process because the GIL is).  A trial is thousands of
+#: microsecond-sized numpy calls, each of which drops and re-takes the
+#: GIL, so concurrent passes do not run in parallel -- they stretch each
+#: other 2-3x bouncing it across cores.  Queueing them is faster for
+#: every caller.  A pass whose trials are all memoised never takes it.
 _LANE = threading.Lock()
 
 #: A trial whose error exceeds its running minimum by this factor (or
 #: stops being finite) is diverging and will never yield a fit; stop it
 #: instead of burning the whole iteration cap.
 _DIVERGENCE_FACTOR = 1e12
+
+#: What a :class:`TrialMemo` may hold: the bytes of its error arrays
+#: plus a flat charge per entry (a diverged trial has no array), about
+#: 200 worst-case 5000-point traces.  Least recently used go first.
+_MEMO_MAX_BYTES = 8 << 20
+_MEMO_ENTRY_BYTES = 256
 
 
 @dataclasses.dataclass
@@ -79,19 +100,131 @@ class SpeculationSettings:
     min_points_for_fit: int = 5
 
 
+@dataclasses.dataclass(eq=False)
+class _Trial:
+    """What one speculative GD run on D' left behind (lines 1-8)."""
+
+    #: The algorithm whose request ran the trial (a span's
+    #: ``shared_with`` when another algorithm reads it).
+    ran_by: str
+    #: error_i of every completed iteration, read-only: estimates of
+    #: many requests are cut from the one array.
+    errors: np.ndarray
+    iterations: int
+    #: ``(iteration, error)`` that tripped the divergence guard, or None.
+    diverged: tuple | None = None
+    #: {curve family: FittedCurve, or the EstimationError its fit
+    #: raised}; a fit reads nothing but ``errors`` and the family.
+    curves: dict = dataclasses.field(default_factory=dict)
+
+    def repeats(self, cfg) -> bool:
+        """Whether any machine would have stopped this trial here:
+        true of divergence, the iteration cap and reaching e_s, not of
+        the wall-clock budget."""
+        return (
+            self.diverged is not None
+            or len(self.errors) >= cfg.max_speculation_iters
+            or (len(self.errors) > 0
+                and self.errors[-1] <= cfg.speculation_tolerance)
+        )
+
+    def curve(self, family) -> FittedCurve:
+        """This trace's fit of one curve family, fitted once."""
+        fitted = self.curves.get(family)
+        if fitted is None:
+            try:
+                fitted = fit_error_sequence(self.errors, model=family)
+            except EstimationError as exc:
+                fitted = exc
+            self.curves[family] = fitted
+        if isinstance(fitted, EstimationError):
+            raise EstimationError(*fitted.args)
+        return fitted
+
+
+class TrialMemo:
+    """Trials already run, by ``(context, trial_key)`` (thread-safe LRU).
+
+    ``context`` digests everything a trial reads apart from the
+    algorithm (data, gradient, step, convergence criterion, seed,
+    settings; see
+    :func:`repro.service.fingerprint.trial_context_digest`) and
+    :func:`repro.gd.registry.trial_key` says which algorithms run the
+    same loop, so two requests with equal keys would run the very same
+    computation.  A key of None is a trial nobody else can share (a
+    custom driver): never kept.  ``metrics`` receives the
+    ``speculation.memo.evictions`` counter and the ``.entries`` /
+    ``.bytes`` gauges.
+    """
+
+    def __init__(self, metrics=None):
+        self.metrics = metrics
+        self._lock = threading.Lock()
+        self._trials = collections.OrderedDict()
+        self._nbytes = 0
+
+    @staticmethod
+    def _cost(trial) -> int:
+        return trial.errors.nbytes + _MEMO_ENTRY_BYTES
+
+    def get(self, key):
+        """The trial stored under ``key`` (now most recently used)."""
+        if key is None:
+            return None
+        with self._lock:
+            trial = self._trials.get(key)
+            if trial is not None:
+                self._trials.move_to_end(key)
+            return trial
+
+    def put(self, key, trial) -> None:
+        if key is None:
+            return
+        evicted = 0
+        with self._lock:
+            previous = self._trials.pop(key, None)
+            if previous is not None:
+                self._nbytes -= self._cost(previous)
+            self._trials[key] = trial
+            self._nbytes += self._cost(trial)
+            while self._nbytes > _MEMO_MAX_BYTES and len(self._trials) > 1:
+                _, oldest = self._trials.popitem(last=False)
+                self._nbytes -= self._cost(oldest)
+                evicted += 1
+            entries, nbytes = len(self._trials), self._nbytes
+        if self.metrics is not None:
+            if evicted:
+                self.metrics.inc("speculation.memo.evictions", evicted)
+            self.metrics.gauge("speculation.memo.entries", entries)
+            self.metrics.gauge("speculation.memo.bytes", nbytes)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._trials)
+
+
 class SpeculativeEstimator:
     """Runs Algorithm 1 for each GD algorithm on a shared sample D'.
 
-    :meth:`estimate_all` is one sequential pass: it draws D' once, runs
-    the trials in order while holding the process-wide speculation lane,
-    and runs trials that are the *same computation* (see
-    :func:`repro.gd.registry.trial_key`) once.  Every trial seeds its
-    own RNG from ``seed``, so an estimate depends neither on the order
-    of the algorithms nor on which other algorithms share the pass.
+    :meth:`estimate_all` is one sequential pass: it runs the trials no
+    :class:`TrialMemo` entry answers, in order, on one D', while holding
+    the process-wide speculation lane.  Every trial seeds its own RNG
+    from ``seed``, so an estimate depends neither on the order of the
+    algorithms nor on which other algorithms share the pass -- nor on
+    whether its trial ran in this pass or an earlier one.
+
+    ``memo`` with ``context`` (both or neither) is a service's memo and
+    the digest of what this request's trials read; without them every
+    pass shares trials within itself only.
     """
 
     def __init__(self, settings=None, seed=0, model_overrides=None,
-                 metrics=None):
+                 metrics=None, memo=None, context=None):
+        if (memo is None) != (context is None):
+            raise ValueError(
+                "a trial memo is only sound with the context its keys "
+                "are scoped by: pass both or neither"
+            )
         self.settings = settings or SpeculationSettings()
         self.seed = seed
         #: Per-algorithm error-curve family overrides ({algorithm:
@@ -100,8 +233,11 @@ class SpeculativeEstimator:
         #: speculation overrides, before fitting.
         self.model_overrides = dict(model_overrides or {})
         #: Optional :class:`~repro.service.metrics.MetricsRegistry`;
-        #: receives the ``speculation.lane_wait_s`` histogram.
+        #: receives the ``speculation.lane_wait_s`` histogram and the
+        #: ``speculation.memo.hits`` / ``.misses`` counters.
         self.metrics = metrics
+        self.memo = memo
+        self.context = context
 
     # ------------------------------------------------------------------
     def take_sample(self, X, y, rng=None):
@@ -127,6 +263,12 @@ class SpeculativeEstimator:
             cfg = dataclasses.replace(cfg, model=family)
         return cfg
 
+    def _memo_key(self, algorithm, rows, batch_size):
+        """Where a trial of ``algorithm`` on a ``rows``-row D' lives in
+        a memo; None when it may not be kept."""
+        key = gd_registry.trial_key(algorithm, rows, batch_size)
+        return None if key is None else (self.context, key)
+
     def estimate(
         self,
         X,
@@ -138,34 +280,49 @@ class SpeculativeEstimator:
         batch_size=None,
         convergence="l1",
         sample=None,
+        memo=None,
     ) -> IterationsEstimate:
-        """Estimate T(target_tolerance) for one algorithm.
+        """Run one algorithm's trial and estimate T(target_tolerance).
 
         ``sample`` may carry a pre-drawn (X', y') so that all algorithms
-        speculate on the same D' (as Algorithm 1 prescribes).
+        speculate on the same D' (as Algorithm 1 prescribes).  The trial
+        always runs; ``memo`` (a :class:`TrialMemo`) is where its
+        outcome is left for later requests.
         """
         if target_tolerance <= 0:
             raise EstimationError("target tolerance must be positive")
         cfg = self._settings_for(algorithm)
         rng = np.random.default_rng(self.seed)
         Xs, ys = sample if sample is not None else self.take_sample(X, y, rng)
+        start = time.perf_counter()
+        trial = self._run_trial(
+            Xs, ys, gradient, algorithm, cfg, step_size, batch_size,
+            convergence, rng,
+        )
+        wall = time.perf_counter() - start
+        if memo is not None and trial.repeats(cfg):
+            memo.put(self._memo_key(algorithm, Xs.shape[0], batch_size),
+                     trial)
+        return self._fit(algorithm, target_tolerance, cfg, trial, wall)
 
+    def _run_trial(self, Xs, ys, gradient, algorithm, cfg, step_size,
+                   batch_size, convergence, rng) -> _Trial:
+        """Lines 2-8: GD on D' until e_s, the cap, the budget or the
+        divergence guard stops it.  No target tolerance goes in."""
         errors = []
         lowest = math.inf
+        diverged = None
 
         def collect(i, w, delta):
-            nonlocal lowest
+            nonlocal lowest, diverged
             if not math.isfinite(delta) or \
                     delta > lowest * _DIVERGENCE_FACTOR:
-                raise EstimationError(
-                    f"speculation for {algorithm} diverged at iteration "
-                    f"{i} (error {delta:.3g})"
-                )
+                diverged = (i, delta)
+                return True
             lowest = min(lowest, delta)
             errors.append(delta)
             return delta <= cfg.speculation_tolerance
 
-        start = time.perf_counter()
         result = gd_registry.run(
             algorithm,
             Xs,
@@ -173,39 +330,52 @@ class SpeculativeEstimator:
             gradient,
             batch_size=batch_size,
             step_size=step_size,
-            tolerance=min(target_tolerance, cfg.speculation_tolerance) / 10,
+            # The callback decides the stop; a delta is never negative.
+            tolerance=0.0,
             max_iter=cfg.max_speculation_iters,
             convergence=convergence,
             rng=rng,
             time_budget_s=cfg.time_budget_s,
             iteration_callback=collect,
         )
-        wall = time.perf_counter() - start
-        observations = np.column_stack(
-            [np.arange(1, len(errors) + 1), np.asarray(errors)]
-        )
-        return self._fit(
-            algorithm, target_tolerance, cfg, observations,
-            result.iterations, wall,
-        )
+        errors = np.asarray(errors, dtype=float)
+        errors.flags.writeable = False
+        return _Trial(algorithm, errors, result.iterations, diverged)
 
-    def _fit(self, algorithm, target_tolerance, cfg, observations,
-             iterations, wall_s) -> IterationsEstimate:
+    def _fit(self, algorithm, target_tolerance, cfg, trial,
+             wall_s) -> IterationsEstimate:
         """Lines 9-10: turn one trial's error sequence into T(e_d)."""
-        errors = observations[:, 1]
+        if trial.diverged is not None:
+            i, delta = trial.diverged
+            raise EstimationError(
+                f"speculation for {algorithm} diverged at iteration "
+                f"{i} (error {delta:.3g})"
+            )
+        errors = trial.errors
         common = dict(
             algorithm=algorithm,
             target_tolerance=target_tolerance,
-            speculation_errors=observations,
-            speculation_iterations=iterations,
+            speculation_errors=np.column_stack(
+                [np.arange(1, len(errors) + 1), errors]
+            ),
+            speculation_iterations=trial.iterations,
             speculation_wall_s=wall_s,
         )
         # If speculation itself got to the target, report what we saw.
         reached = np.flatnonzero(errors < target_tolerance)
         if len(reached):
+            try:
+                curve = trial.curve(cfg.model)
+            except EstimationError:
+                # Degenerate sequences (e.g. one hinge step to zero
+                # delta) still need a placeholder curve for the report.
+                first = next((e for e in errors if e > 0), 1.0)
+                curve = FittedCurve(
+                    "inverse", (float(first),), 0.0, len(errors)
+                )
             return IterationsEstimate(
                 estimated_iterations=int(reached[0]) + 1,
-                curve=self._safe_fit(errors),
+                curve=curve,
                 observed_directly=True,
                 **common,
             )
@@ -215,22 +385,12 @@ class SpeculativeEstimator:
                 f"observations (need {cfg.min_points_for_fit}); increase the "
                 "time budget or the speculation tolerance"
             )
-        curve = fit_error_sequence(errors, model=cfg.model)
+        curve = trial.curve(cfg.model)
         return IterationsEstimate(
             estimated_iterations=curve.iterations_for(target_tolerance),
             curve=curve,
             **common,
         )
-
-    def _safe_fit(self, errors):
-        """Best-effort curve for reporting when we converged directly."""
-        try:
-            return fit_error_sequence(errors, model=self.settings.model)
-        except EstimationError:
-            # Degenerate sequences (e.g. one hinge step to zero delta)
-            # still need a placeholder curve for the report.
-            first = next((e for e in errors if e > 0), 1.0)
-            return FittedCurve("inverse", (float(first),), 0.0, len(errors))
 
     # ------------------------------------------------------------------
     def estimate_all(
@@ -247,15 +407,19 @@ class SpeculativeEstimator:
     ) -> dict:
         """Run Algorithm 1 for every algorithm on one shared sample D'.
 
-        One sequential pass under the process-wide speculation lane:
-        concurrent callers queue (the wait is the ``speculation_wait``
-        span and the ``speculation.lane_wait_s`` histogram) and a
-        trial's wall budget only starts once the lane is held.
+        Every algorithm is looked up in the memo first.  If all of them
+        hit, the pass fits and returns: no lane, no D'.  Otherwise it
+        queues for the process-wide speculation lane (the wait is the
+        ``speculation_wait`` span and the ``speculation.lane_wait_s``
+        histogram; a trial's wall budget only starts once the lane is
+        held), looks again -- a pass queued ahead may have run the same
+        trial -- draws D' once and runs what is still missing.
         Algorithms whose trial is the same computation on D' -- MGD at
-        a batch covering the whole sample *is* BGD -- share one GD run;
-        each still gets its own fit and its own ``speculation`` span
-        (``shared_with`` names the algorithm that ran the trial, and the
-        sharer's ``speculation_wall_s`` is 0).
+        a batch covering the whole sample *is* BGD -- hit each other's
+        entry.  Each algorithm gets its own fit and its own
+        ``speculation`` span (``memo`` says hit or miss, ``shared_with``
+        names another algorithm that ran the trial); an estimate served
+        from the memo has a ``speculation_wall_s`` of 0.
 
         ``on_error="skip"`` drops algorithms whose speculative trial
         cannot be fitted (a registered plugin may simply not converge on
@@ -264,8 +428,43 @@ class SpeculativeEstimator:
         *every* algorithm fails, the first failure is raised regardless
         -- an empty estimate dict would just defer the error.
         """
+        if target_tolerance <= 0:
+            raise EstimationError("target tolerance must be positive")
         batch_sizes = batch_sizes or {}
-        results, failures, ran = {}, {}, {}
+        memo = self.memo if self.memo is not None else TrialMemo()
+        rows = min(self.settings.sample_size, X.shape[0])
+        keys = {
+            algorithm: self._memo_key(
+                algorithm, rows, batch_sizes.get(algorithm)
+            )
+            for algorithm in algorithms
+        }
+        found = {algorithm: memo.get(key) for algorithm, key in keys.items()}
+        results, failures = {}, {}
+        missing = any(trial is None for trial in found.values())
+        with self._lane_held() if missing else contextlib.nullcontext():
+            sample = None
+            for algorithm in algorithms:
+                trial = found[algorithm] or memo.get(keys[algorithm])
+                if trial is None and sample is None:
+                    sample = self.take_sample(X, y)
+                try:
+                    results[algorithm] = self._speculate(
+                        X, y, gradient, algorithm, target_tolerance,
+                        step_size, batch_sizes.get(algorithm), convergence,
+                        sample, memo, trial,
+                    )
+                except EstimationError as exc:
+                    if on_error != "skip":
+                        raise
+                    failures[algorithm] = exc
+        if failures and not results:
+            raise next(iter(failures.values()))
+        return results
+
+    @contextlib.contextmanager
+    def _lane_held(self):
+        """Queue for the speculation lane, then hold it."""
         queued = time.perf_counter()
         with span("speculation_wait"):
             _LANE.acquire()
@@ -274,51 +473,34 @@ class SpeculativeEstimator:
                 self.metrics.histogram(
                     "speculation.lane_wait_s", time.perf_counter() - queued
                 )
-            sample = self.take_sample(X, y)
-            for algorithm in algorithms:
-                batch_size = batch_sizes.get(algorithm)
-                key = gd_registry.trial_key(
-                    algorithm, sample[0].shape[0], batch_size
-                )
-                try:
-                    results[algorithm] = self._speculate(
-                        X, y, gradient, algorithm, target_tolerance,
-                        step_size, batch_size, convergence, sample,
-                        shared=ran.get(key),
-                    )
-                except EstimationError as exc:
-                    if on_error != "skip":
-                        raise
-                    failures[algorithm] = exc
-                    continue
-                if key is not None:
-                    ran.setdefault(key, results[algorithm])
+            yield
         finally:
             _LANE.release()
-        if failures and not results:
-            raise next(iter(failures.values()))
-        return results
 
     def _speculate(self, X, y, gradient, algorithm, target_tolerance,
-                   step_size, batch_size, convergence, sample, shared):
-        """One algorithm's traced trial; ``shared`` is the estimate of
-        an algorithm that already ran the identical trial (or None)."""
-        attributes = {"algorithm": algorithm}
-        if shared is not None:
-            attributes["shared_with"] = shared.algorithm
+                   step_size, batch_size, convergence, sample, memo, trial):
+        """One algorithm's traced estimate, from the memo's ``trial`` or
+        (None) from a trial run here on ``sample``."""
+        hit = trial is not None
+        if self.metrics is not None:
+            self.metrics.inc(
+                "speculation.memo.hits" if hit else "speculation.memo.misses"
+            )
+        attributes = {"algorithm": algorithm,
+                      "memo": "hit" if hit else "miss"}
+        if hit and trial.ran_by != algorithm:
+            attributes["shared_with"] = trial.ran_by
         with span("speculation", **attributes) as trial_span:
-            if shared is None:
+            if hit:
+                estimate = self._fit(
+                    algorithm, target_tolerance,
+                    self._settings_for(algorithm), trial, 0.0,
+                )
+            else:
                 estimate = self.estimate(
                     X, y, gradient, algorithm, target_tolerance,
                     step_size=step_size, batch_size=batch_size,
-                    convergence=convergence, sample=sample,
-                )
-            else:
-                estimate = self._fit(
-                    algorithm, target_tolerance,
-                    self._settings_for(algorithm),
-                    shared.speculation_errors,
-                    shared.speculation_iterations, 0.0,
+                    convergence=convergence, sample=sample, memo=memo,
                 )
             trial_span.set(
                 "estimated_iterations", estimate.estimated_iterations

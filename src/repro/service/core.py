@@ -2,13 +2,19 @@
 
 :class:`OptimizerService` sits above :class:`~repro.core.optimizer.GDOptimizer`
 and turns the one-shot optimizer into a serving component: many callers,
-many workloads, repeated queries.  Three mechanisms make the hot path
+many workloads, repeated queries.  Four mechanisms make the hot path
 cheap:
 
 * a **plan cache** (:mod:`repro.service.cache`) keyed by a fingerprint of
   ``(DatasetStats, TrainingSpec, ClusterSpec)`` plus the service's own
   configuration, so a repeated workload skips re-speculation and
   re-costing entirely;
+* under it a **trial memo**
+  (:class:`~repro.core.iterations.TrialMemo`) keyed by what a
+  speculative trial reads (:meth:`OptimizerService.trial_context`), so a
+  *new* fingerprint over data already speculated on -- another
+  tolerance, iteration cap, time budget or algorithm subset -- is
+  fitted and costed without running GD;
 * **request coalescing** -- concurrent requests for the same fingerprint
   share one computation instead of racing to duplicate it;
 * the **vectorized cost model** and **one-pass speculation** underneath
@@ -59,7 +65,11 @@ import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.cluster import ClusterSpec, SimulatedCluster
-from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
+from repro.core.iterations import (
+    SpeculationSettings,
+    SpeculativeEstimator,
+    TrialMemo,
+)
 from repro.core.optimizer import GDOptimizer
 from repro.gd.registry import CORE_ALGORITHMS
 from repro.learned import MixedCostModel, ResidualModel
@@ -68,7 +78,10 @@ from repro.runtime import CalibrationStore
 from repro.service.backends import open_backend
 from repro.service.cache import PlanCache
 from repro.service.checkpoint import CheckpointStore
-from repro.service.fingerprint import workload_fingerprint
+from repro.service.fingerprint import (
+    trial_context_digest,
+    workload_fingerprint,
+)
 from repro.service.jobs import TrainingJobs
 from repro.service.metrics import MetricsRegistry
 from repro.service.requests import ServiceResult, normalize_request
@@ -189,6 +202,11 @@ class OptimizerService(TrainingJobs):
         #: to share a registry with a front-end, or read it back through
         #: the legacy counter attributes (``service.computed`` ...).
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Speculative trials this process already ran, under the plan
+        #: cache: a new fingerprint over data, gradient, step and
+        #: settings seen before (another tolerance, iteration cap, time
+        #: budget or algorithm subset) is fitted from them, no GD run.
+        self.trials = TrialMemo(metrics=self.metrics)
         #: Learned cost/iteration corrections; loaded from
         #: ``calibration_path`` when it exists, so a restarted service
         #: starts calibrated.  Adaptive train() traces feed it.
@@ -443,10 +461,25 @@ class OptimizerService(TrainingJobs):
             seed=self.seed,
         )
 
+    def trial_context(self, dataset, training) -> str:
+        """Trial-memo scope of one workload under this service's
+        configuration: what its speculative trials read, and nothing
+        that only re-prices or re-fits them."""
+        return trial_context_digest(
+            dataset.content_digest(),
+            training.gradient(),
+            training.step_size,
+            training.convergence,
+            self.seed,
+            self.speculation,
+        )
+
     def _make_optimizer(self, algorithms=None, batch_sizes=None,
-                        engine=None) -> GDOptimizer:
+                        engine=None, context=None) -> GDOptimizer:
         """A fresh optimizer for one computation (on a fresh simulated
-        cluster unless the caller supplies its own engine clone)."""
+        cluster unless the caller supplies its own engine clone).  With
+        a ``context`` (:meth:`trial_context`) its estimator reads and
+        fills the service's trial memo."""
         if engine is None:
             engine = SimulatedCluster(self.spec, seed=self.seed)
         estimator = SpeculativeEstimator(
@@ -459,6 +492,8 @@ class OptimizerService(TrainingJobs):
                 if self.learned is not None else None
             ),
             metrics=self.metrics,
+            memo=self.trials if context is not None else None,
+            context=context,
         )
         return GDOptimizer(
             engine,
@@ -547,7 +582,12 @@ class OptimizerService(TrainingJobs):
             recalibrated = entry is not None
             with span("recost" if recalibrated else "compute_plan"):
                 report = self._make_optimizer(
-                    algorithms, batch_sizes
+                    algorithms, batch_sizes,
+                    context=(
+                        self.trial_context(dataset, training)
+                        if fixed_iterations is None and not recalibrated
+                        else None
+                    ),
                 ).optimize(
                     dataset,
                     training,

@@ -80,3 +80,33 @@ def workload_fingerprint(stats, training, spec, **extra) -> str:
         tuple(sorted((k, freeze(v)) for k, v in extra.items())),
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+def trial_context_digest(data_digest, gradient, step_size, convergence,
+                         seed, speculation) -> str:
+    """Digest of what a speculative trial reads besides its algorithm.
+
+    Algorithm 1 runs GD on a sample of the data until the *speculation*
+    tolerance, the iteration cap or the budget; the desired tolerance
+    only enters when the fitted curve is evaluated.  So a trial is
+    determined by the data (``data_digest``: D' is a seeded draw from
+    it), the task gradient, the step, the convergence criterion, the
+    estimator ``seed`` and the ``speculation`` settings apart from the
+    curve family -- and by nothing else a request carries: not its
+    tolerance, ``max_iter``, time budget or algorithm set, not the
+    cluster, the ``DatasetStats`` or the pricing state.  Together with
+    :func:`repro.gd.registry.trial_key` (which algorithms run the same
+    loop, under which per-algorithm setting overrides) it keys the
+    service's :class:`~repro.core.iterations.TrialMemo`.
+    """
+    settings = dataclasses.asdict(speculation)
+    del settings["model"]
+    payload = (
+        data_digest,
+        freeze(gradient),
+        freeze(step_size),
+        convergence,
+        seed,
+        freeze(settings),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()

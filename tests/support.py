@@ -10,12 +10,14 @@ module name either.
 """
 
 import random
+import threading
 
 import numpy as np
 
 from repro.cluster import ClusterSpec, PartitionedDataset
 from repro.cluster.storage import DatasetStats
 from repro.data import make_classification, make_regression
+from repro.gd.gradients import task_gradient
 from repro.service.backends import CacheBackend
 
 
@@ -167,3 +169,44 @@ class FaultyBackend(CacheBackend):
 
     def __len__(self):
         return len(self.inner)
+
+
+class BlockingGradient:
+    """Counts concurrent ``gradient`` entries; the first one blocks."""
+
+    def __init__(self, task):
+        self._inner = task_gradient(task)
+        self._lock = threading.Lock()
+        self.active = 0
+        self.max_active = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def gradient(self, w, X, y):
+        with self._lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+            first = not self.entered.is_set()
+            self.entered.set()
+        try:
+            if first:
+                assert self.release.wait(60)
+            return self._inner.gradient(w, X, y)
+        finally:
+            with self._lock:
+                self.active -= 1
+
+
+class SpyLane:
+    """The speculation lane, announcing every acquire attempt."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.attempts = threading.Semaphore(0)
+
+    def acquire(self):
+        self.attempts.release()
+        return self._lock.acquire()
+
+    def release(self):
+        self._lock.release()

@@ -6,8 +6,9 @@
   arithmetic is unchanged, to 1e-12 where a full-batch mini-batch trial
   now reads D' in place instead of gathering a permutation of it;
 * the speculation lane admits one pass at a time, process-wide;
-* full-batch selectors consume no RNG, resume bit-identically, and a
-  spec with a custom driver never shares a trial;
+* full-batch selectors consume no RNG and resume bit-identically
+  (which trials are the same computation, and what sharing one means,
+  is ``test_speculation_memo.py``);
 * a diverging trial stops early instead of burning the iteration cap.
 
 The golden file pins the behaviour of the commit *before* the one-pass
@@ -29,17 +30,12 @@ from repro.core import iterations
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.errors import EstimationError
 from repro.gd import registry as gd_registry
-from repro.gd.base import (
-    full_batch_selector,
-    make_minibatch_selector,
-    run_loop,
-)
+from repro.gd.base import full_batch_selector, make_minibatch_selector
 from repro.gd.gradients import task_gradient
-from repro.gd.spec import RUN_LOOP_KWARGS, AlgorithmSpec
 from repro.obs import TraceRecorder
 from repro.service.metrics import MetricsRegistry
 
-from support import make_dataset
+from support import BlockingGradient, SpyLane, make_dataset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "speculation_errors.json"
 
@@ -160,41 +156,7 @@ class TestEquivalence:
                 assert record["errors"] == pinned["errors"], name
 
 
-@pytest.fixture
-def ran(monkeypatch):
-    """Names of the algorithms whose GD trial actually ran, in order."""
-    names = []
-    real_run = gd_registry.run
-    monkeypatch.setattr(
-        gd_registry, "run",
-        lambda name, *a, **k: names.append(name) or real_run(name, *a, **k),
-    )
-    return names
-
-
 class TestSharedTrials:
-    def test_identical_trials_run_once(self, ran):
-        X, y, gradient = workload("logreg", sparse=False)
-        recorder = TraceRecorder()
-        with recorder.trace("request") as root:
-            estimates = make_estimator().estimate_all(
-                X, y, gradient, TARGET, algorithms=("bgd", "mgd", "sgd"),
-            )
-        # MGD's default batch covers all of D', so its trial *is* BGD's.
-        assert ran == ["bgd", "sgd"]
-        assert estimates["mgd"].algorithm == "mgd"
-        assert estimates["mgd"].speculation_wall_s == 0.0
-        assert estimates["mgd"].estimated_iterations == \
-            estimates["bgd"].estimated_iterations
-        trials = {
-            s["attributes"]["algorithm"]: s["attributes"]
-            for s in recorder.spans(root.trace_id)
-            if s["name"] == "speculation"
-        }
-        assert trials["mgd"]["shared_with"] == "bgd"
-        assert "shared_with" not in trials["bgd"]
-        assert "shared_with" not in trials["sgd"]
-
     def test_genuine_minibatches_are_not_shared_with_full_batch(self):
         n = SAMPLE
         assert gd_registry.trial_key("mgd", n) == \
@@ -207,78 +169,6 @@ class TestSharedTrials:
         # Fixed-batch SGD ignores the override, so it keeps its key.
         assert gd_registry.trial_key("sgd", n, 32) == \
             gd_registry.trial_key("sgd", n)
-
-    def test_own_curve_family_per_sharer(self):
-        X, y, gradient = workload("logreg", sparse=False)
-        estimates = make_estimator(
-            model_overrides={"mgd": "inverse"}
-        ).estimate_all(X, y, gradient, TARGET, algorithms=("bgd", "mgd"))
-        assert estimates["bgd"].curve.model == "power"
-        assert estimates["mgd"].curve.model == "inverse"
-        np.testing.assert_array_equal(
-            estimates["bgd"].speculation_errors,
-            estimates["mgd"].speculation_errors,
-        )
-
-    def test_custom_driver_is_never_merged(self, monkeypatch, ran):
-        def toy_driver(X, y, gradient, **kwargs):
-            return run_loop(X, y, gradient, full_batch_selector, **kwargs)
-
-        monkeypatch.setitem(gd_registry.ALGORITHMS, "toy_bgd", AlgorithmSpec(
-            "toy_bgd", None, False, "BGD behind a custom driver",
-            driver=toy_driver, accepted_kwargs=RUN_LOOP_KWARGS,
-        ))
-        assert gd_registry.trial_key("toy_bgd", SAMPLE) is None
-        X, y, gradient = workload("logreg", sparse=False)
-        estimates = make_estimator().estimate_all(
-            X, y, gradient, TARGET, algorithms=("toy_bgd", "bgd", "toy_bgd"),
-        )
-        assert ran == ["toy_bgd", "bgd", "toy_bgd"]
-        np.testing.assert_array_equal(
-            estimates["toy_bgd"].speculation_errors,
-            estimates["bgd"].speculation_errors,
-        )
-
-
-class BlockingGradient:
-    """Counts concurrent ``gradient`` entries; the first one blocks."""
-
-    def __init__(self, task):
-        self._inner = task_gradient(task)
-        self._lock = threading.Lock()
-        self.active = 0
-        self.max_active = 0
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def gradient(self, w, X, y):
-        with self._lock:
-            self.active += 1
-            self.max_active = max(self.max_active, self.active)
-            first = not self.entered.is_set()
-            self.entered.set()
-        try:
-            if first:
-                assert self.release.wait(60)
-            return self._inner.gradient(w, X, y)
-        finally:
-            with self._lock:
-                self.active -= 1
-
-
-class SpyLane:
-    """The speculation lane, announcing every acquire attempt."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.attempts = threading.Semaphore(0)
-
-    def acquire(self):
-        self.attempts.release()
-        return self._lock.acquire()
-
-    def release(self):
-        self._lock.release()
 
 
 class TestLane:
