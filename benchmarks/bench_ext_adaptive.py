@@ -41,10 +41,10 @@ def test_adaptive_vs_one_shot(benchmark, ctx, emit):
 
 
 def test_switch_heavy_state_carryover(benchmark, ctx, emit):
-    """Switch-heavy momentum/adam scenario: carrying the full optimizer
-    state across mid-flight switches beats the legacy weights-only reset
-    (which restarts the MLlib beta/sqrt(i) schedule at 1 and zeroes the
-    updater buffers on every switch)."""
+    """Switch-heavy momentum/adam scenario: the full optimizer state is
+    carried across mid-flight switches, so the run converges instead of
+    paying a beta/sqrt(1) schedule restart (and zeroed updater buffers)
+    on every switch."""
     tables = run_once(
         benchmark, lambda: run_experiment("ext_adaptive_switch", ctx)
     )
@@ -52,13 +52,11 @@ def test_switch_heavy_state_carryover(benchmark, ctx, emit):
     table = tables[0]
 
     carried = table.row_for(mode="state carried")
-    reset = table.row_for(mode="state reset (legacy)")
 
-    # The mis-pick must actually be noticed: both runs switch.
+    # The mis-pick must actually be noticed: the run switches, and still
+    # reaches the target (a restarted schedule rides the iteration cap).
     assert carried["switches"] >= 1
-    assert reset["switches"] >= 1
-    # The fix: a switched run no longer pays the step-size restart.
-    assert carried["sim_s"] < reset["sim_s"]
+    assert carried["converged"]
     # The resumed segment's first step size is continuous -- it picks up
     # the beta/sqrt(i) schedule at global k+1, not beta/sqrt(1).
     continuity = next(

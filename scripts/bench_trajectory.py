@@ -22,10 +22,6 @@ Scenarios (mirroring ``benchmarks/bench_ext_service_throughput.py`` and
 * ``extended_space_cold`` / ``extended_space_warm`` -- optimize() over
   the *full* registered plan space (every executor-capable algorithm,
   plugins included), cold and through the plan cache;
-* ``learned_vs_analytic``     -- plan-choice regret of the mixed
-  (analytic x learned-residual) ranking vs analytic+EWMA alone under a
-  perturbed cost model, plus the warm optimize() rate with the learned
-  digest in the cache stamp;
 * ``adaptive_train``          -- adaptive runtime vs one-shot under a
   perturbed cost model (``--skip-adaptive`` to omit; it is the slow
   one).
@@ -243,103 +239,6 @@ def scenario_extended_space() -> list:
     ]
 
 
-def scenario_learned_vs_analytic() -> list:
-    """Plan-choice regret with the mixed (learned) ranking vs analytic.
-
-    A perturbed cost model mis-prices ``bgd`` on a simulated 2M-row
-    workload; the analytic+EWMA ranking falls for the mis-price while a
-    residual model fitted from traces recovers the truly cheapest plan.
-    Records the regret of both rankings against the unperturbed truth
-    plus the warm optimize() rate of a learned-model service, so both
-    the quality win and the serving-path overhead are tracked.
-    """
-    import numpy as np
-
-    from repro.cluster import ClusterSpec, PartitionedDataset, SimulatedCluster
-    from repro.cluster.storage import DatasetStats
-    from repro.core.iterations import SpeculationSettings
-    from repro.core.optimizer import GDOptimizer
-    from repro.core.plans import TrainingSpec
-    from repro.data import make_classification
-    from repro.learned import MixedCostModel, ResidualModel, TraceDataset
-    from repro.runtime import CalibrationStore, PerturbedCostModel
-    from repro.runtime.trace import PlanSegment
-    from repro.service import OptimizerService
-
-    spec = ClusterSpec(jitter_sigma=0.0)
-    X, y, _ = make_classification(400, 10, rng=np.random.default_rng(3))
-    stats = DatasetStats(name="bench-learned", task="logreg",
-                         n=2_000_000, d=10, density=1.0, is_sparse=False)
-    dataset = PartitionedDataset(X, y, stats, spec, representation="text")
-    training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
-    engine = SimulatedCluster(spec, seed=0)
-
-    truth = GDOptimizer(engine).optimize(
-        dataset, training, fixed_iterations=60
-    )
-    victim, factor = "bgd", 0.05
-    assert truth.chosen_plan.algorithm != victim
-    perturbed = PerturbedCostModel(spec, {victim: factor})
-
-    analytic = GDOptimizer(
-        engine, cost_model=perturbed, calibration=CalibrationStore()
-    ).optimize(dataset, training, fixed_iterations=60)
-
-    # Traces taught the residual model the victim's true price
-    # (observed/predicted = 1/factor under the perturbed model).
-    traces = TraceDataset()
-    for _ in range(8):
-        traces.add_segment(
-            PlanSegment(
-                plan=victim.upper(), algorithm=victim,
-                predicted_iterations=20, predicted_per_iteration_s=1.0,
-                predicted_total_s=20.0, iterations=20,
-                sim_seconds=20.0 / factor, converged=True,
-            ),
-            stats, spec, epsilon=training.tolerance,
-        )
-    model = ResidualModel().fit(traces)
-    mixed = GDOptimizer(
-        engine, cost_model=perturbed, calibration=CalibrationStore(),
-        learned=MixedCostModel(model),
-    ).optimize(dataset, training, fixed_iterations=60)
-
-    true_total = {str(c.plan): c.total_s for c in truth.candidates}
-    best_total = min(true_total.values())
-    regret_analytic = true_total[str(analytic.chosen_plan)] - best_total
-    regret_mixed = true_total[str(mixed.chosen_plan)] - best_total
-
-    # Warm serving rate with the learned digest in the cache stamp.
-    service = OptimizerService(
-        spec=spec, seed=7, cost_model=perturbed,
-        learned=MixedCostModel(model),
-        speculation=SpeculationSettings(
-            sample_size=500, time_budget_s=1.0, max_speculation_iters=1000
-        ),
-    )
-    cold = service.optimize(dataset, training, fixed_iterations=60)
-    assert not cold.cache_hit
-    warm_runs = 50
-    t0 = time.perf_counter()
-    for _ in range(warm_runs):
-        assert service.optimize(
-            dataset, training, fixed_iterations=60
-        ).cache_hit
-    warm_s = (time.perf_counter() - t0) / warm_runs
-    service.close()
-
-    return [{
-        "scenario": "learned_vs_analytic",
-        "ops_per_s": 1.0 / warm_s,
-        "warm_ms": warm_s * 1e3,
-        "regret_analytic_s": regret_analytic,
-        "regret_mixed_s": regret_mixed,
-        "analytic_chose": analytic.chosen_plan.algorithm,
-        "mixed_chose": mixed.chosen_plan.algorithm,
-        "truth_chose": truth.chosen_plan.algorithm,
-    }]
-
-
 def scenario_adaptive_train() -> list:
     """Adaptive runtime vs one-shot mis-pick (perturbed cost model)."""
     from repro.experiments import ExperimentContext
@@ -380,7 +279,6 @@ def main(argv=None) -> int:
     records += scenario_service_throughput()
     records += scenario_frontend_socket(threads=args.threads)
     records += scenario_extended_space()
-    records += scenario_learned_vs_analytic()
     if not args.skip_adaptive:
         records += scenario_adaptive_train()
     records = [{**stamp, **record} for record in records]

@@ -69,11 +69,13 @@ Batch and serve also take ``--log-level``/``--log-json`` (structured
 logging on stderr), and serve adds ``--trace-dir`` plus
 ``--slow-request-s`` (slow-request log threshold).
 
-All optimizing modes (one-shot queries, batch, serve) accept
-``--algorithms NAME,NAME,...`` to widen (or narrow) the plan space the
-cost-based optimizer enumerates to any registered GD algorithms --
-e.g. ``--algorithms bgd,mgd,sgd,grad_avg,arc`` adds the two plugin
-algorithms to the paper's core three.
+All optimizing modes (one-shot queries, batch, serve, train, worker)
+accept ``--algorithms NAME,NAME,...`` to widen (or narrow) the plan
+space the cost-based optimizer enumerates to any registered GD
+algorithms -- e.g. ``--algorithms bgd,mgd,sgd,grad_avg,arc`` adds the
+two plugin algorithms to the paper's core three.  The algorithm set is
+part of a durable job's workload fingerprint: ``train`` and ``worker``
+must be given the set the job was started with to resume it.
 
 Request lines are ``<dataset> [key=value ...]`` with the keys of
 :meth:`ML4all.optimize` (``task``, ``epsilon``, ``max_iter``,
@@ -114,6 +116,72 @@ from repro.service.frontend import (  # noqa: F401  (re-exports)
 )
 
 
+#: Flags several subcommands take, declared once: dest spelling ->
+#: ``add_argument`` keywords.  :func:`_add_flags` attaches them by name,
+#: so a flag's type, default and metavar cannot drift between
+#: subcommands (``train`` and ``worker`` once lacked ``--algorithms``,
+#: and a job a 9-algorithm server started could not be resumed by the
+#: fleet).
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=7, help="RNG seed (default 7)"),
+    "algorithms": dict(
+        metavar="NAMES",
+        help="comma-separated GD algorithms the optimizer enumerates (any "
+             "registered name, e.g. bgd,mgd,sgd,grad_avg,arc; default: the "
+             "paper's core bgd,mgd,sgd)",
+    ),
+    "calibration": dict(
+        metavar="PATH",
+        help="load/persist the calibration store at PATH (a restarted "
+             "server starts calibrated)",
+    ),
+    "cache": dict(
+        metavar="PATH",
+        help="persist the plan store at PATH (.db/.sqlite -> SQLite, else "
+             "JSON); a restarted server answers previously seen workloads "
+             "without re-speculating",
+    ),
+    "checkpoint": dict(
+        metavar="PATH",
+        help="persist training-job checkpoints at PATH (same extension "
+             "rules as --cache); request lines with job_id= become durable "
+             "jobs, and a restarted server finishes the store's in-flight "
+             "jobs on startup",
+    ),
+    "log_level": dict(
+        default="info", metavar="LEVEL",
+        help="logging level for the repro logger tree "
+             "(debug/info/warning/error; default info)",
+    ),
+    "log_json": dict(
+        action="store_true",
+        help="emit log records as JSON lines on stderr instead of "
+             "human-readable text",
+    ),
+    "trace_dir": dict(
+        metavar="DIR",
+        help="persist request traces as JSON-lines files under DIR (one "
+             "<trace_id>.jsonl per trace, plus slow_requests.jsonl); read "
+             "them back with 'repro trace'",
+    ),
+}
+
+
+def _add_flags(parser, *names, **reworded):
+    """Attach shared flags to ``parser`` by name, in the order given.
+
+    A keyword argument names a flag too and carries the
+    ``add_argument`` keywords this subcommand words for its own context
+    (its help line, ``required=True``); everything else comes from
+    :data:`_SHARED_FLAGS`.
+    """
+    for name in (*names, *reworded):
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            **{**_SHARED_FLAGS[name], **reworded.get(name, {})},
+        )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -127,30 +195,8 @@ def build_parser():
         help="query text, or '-' to read from stdin",
     )
     parser.add_argument("--file", help="read queries from a file")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="RNG seed (default 7)")
-    _add_algorithms_flag(parser)
-    _add_learned_flag(parser)
+    _add_flags(parser, "seed", "algorithms")
     return parser
-
-
-def _add_algorithms_flag(parser):
-    parser.add_argument(
-        "--algorithms", metavar="NAMES", default=None,
-        help="comma-separated GD algorithms the optimizer enumerates "
-             "(any registered name, e.g. bgd,mgd,sgd,grad_avg,arc; "
-             "default: the paper's core bgd,mgd,sgd)",
-    )
-
-
-def _add_learned_flag(parser):
-    parser.add_argument(
-        "--learned", metavar="PATH", default=None,
-        help="blend the learned residual cost model at PATH (fitted "
-             "with 'repro calibrate --fit-learned') into plan ranking; "
-             "algorithms below its training-data gate rank exactly as "
-             "without it",
-    )
 
 
 def _parse_algorithms(text):
@@ -172,21 +218,21 @@ def _parse_algorithms(text):
 
 
 def _ml4all_kwargs(args) -> dict:
-    """ML4all() keyword arguments shared by every subcommand."""
+    """ML4all() keyword arguments from the shared flags a subcommand
+    declared (every subcommand builds its system through this)."""
     kwargs = {"seed": args.seed}
     algorithms = _parse_algorithms(getattr(args, "algorithms", None))
     if algorithms is not None:
         kwargs["algorithms"] = algorithms
-    if getattr(args, "learned", None):
-        kwargs["learned_path"] = args.learned
+    for flag in ("calibration", "cache", "checkpoint"):
+        if hasattr(args, flag):
+            kwargs[f"{flag}_path"] = getattr(args, flag)
     return kwargs
 
 
 def _service_parser(prog, description):
     parser = argparse.ArgumentParser(prog=prog, description=description)
-    parser.add_argument("--seed", type=int, default=7,
-                        help="RNG seed (default 7)")
-    _add_algorithms_flag(parser)
+    _add_flags(parser, "seed", "algorithms")
     parser.add_argument("--workers", type=int, default=None,
                         help="max concurrent optimize() computations")
     parser.add_argument("--cache-size", type=int, default=256,
@@ -198,28 +244,8 @@ def _service_parser(prog, description):
                         help="train under the adaptive runtime: telemetry, "
                              "mid-flight re-optimization, calibration "
                              "(implies --train)")
-    parser.add_argument("--calibration", metavar="PATH", default=None,
-                        help="load/persist the calibration store at PATH "
-                             "(a restarted server starts calibrated)")
-    _add_learned_flag(parser)
-    parser.add_argument("--cache", metavar="PATH", default=None,
-                        help="persist the plan store at PATH (.db/.sqlite "
-                             "-> SQLite, else JSON); a restarted server "
-                             "answers previously seen workloads without "
-                             "re-speculating")
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="persist training-job checkpoints at PATH "
-                             "(same extension rules as --cache); request "
-                             "lines with job_id= become durable jobs, and "
-                             "a restarted server finishes the store's "
-                             "in-flight jobs on startup")
-    parser.add_argument("--log-level", default="info",
-                        metavar="LEVEL",
-                        help="logging level for the repro logger tree "
-                             "(debug/info/warning/error; default info)")
-    parser.add_argument("--log-json", action="store_true",
-                        help="emit log records as JSON lines on stderr "
-                             "instead of human-readable text")
+    _add_flags(parser, "calibration", "cache", "checkpoint", "log_level",
+               "log_json")
     return parser
 
 
@@ -288,10 +314,7 @@ def batch_main(argv) -> int:
     requests = requests * max(1, args.repeat)
 
     try:
-        system = ML4all(calibration_path=args.calibration,
-                        cache_path=args.cache,
-                        checkpoint_path=args.checkpoint,
-                        **_ml4all_kwargs(args))
+        system = ML4all(**_ml4all_kwargs(args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -404,11 +427,7 @@ def serve_main(argv) -> int:
                         help="per-tenant inflight quota; over-quota "
                              "requests get a structured 'quota_exceeded' "
                              "response (default: no quota)")
-    parser.add_argument("--trace-dir", metavar="DIR", default=None,
-                        help="persist request traces as JSON-lines files "
-                             "under DIR (one <trace_id>.jsonl per trace, "
-                             "plus slow_requests.jsonl); read them back "
-                             "with 'repro trace'")
+    _add_flags(parser, "trace_dir")
     parser.add_argument("--slow-request-s", type=float, default=None,
                         metavar="SECONDS",
                         help="log a WARNING (and count obs.slow_requests) "
@@ -419,10 +438,7 @@ def serve_main(argv) -> int:
     from repro.obs import TraceRecorder, get_logger
 
     try:
-        system = ML4all(calibration_path=args.calibration,
-                        cache_path=args.cache,
-                        checkpoint_path=args.checkpoint,
-                        **_ml4all_kwargs(args))
+        system = ML4all(**_ml4all_kwargs(args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -503,9 +519,10 @@ def train_main(argv) -> int:
                              "batch/serve request lines)")
     parser.add_argument("--job-id", required=True,
                         help="durable job identity within the store")
-    parser.add_argument("--checkpoint", metavar="PATH", required=True,
-                        help="checkpoint store (.db/.sqlite -> SQLite, "
-                             "else JSON)")
+    _add_flags(parser, checkpoint=dict(
+        required=True,
+        help="checkpoint store (.db/.sqlite -> SQLite, else JSON)",
+    ))
     parser.add_argument("--checkpoint-every", type=int, default=25,
                         help="persist every N training iterations "
                              "(default 25)")
@@ -519,13 +536,13 @@ def train_main(argv) -> int:
                         help="train under the adaptive runtime")
     parser.add_argument("--workers", type=int, default=1,
                         help=argparse.SUPPRESS)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--calibration", metavar="PATH", default=None)
-    parser.add_argument("--cache", metavar="PATH", default=None)
+    _add_flags(parser, "algorithms", seed=dict(help=None),
+               calibration=dict(help=None), cache=dict(help=None))
     args = parser.parse_args(argv)
 
     try:
         request = parse_request_line(" ".join(args.request))
+        system = ML4all(**_ml4all_kwargs(args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -536,8 +553,6 @@ def train_main(argv) -> int:
     if args.max_seconds is not None:
         request["lease_seconds"] = args.max_seconds
 
-    system = ML4all(seed=args.seed, calibration_path=args.calibration,
-                    cache_path=args.cache, checkpoint_path=args.checkpoint)
     try:
         _, groups = _train_and_report(system, [request], args)
     except ReproError as exc:
@@ -565,9 +580,11 @@ def trace_main(argv) -> int:
     parser.add_argument("trace",
                         help="a trace id (resolved under --trace-dir) or "
                              "a path to a .jsonl trace file")
-    parser.add_argument("--trace-dir", metavar="DIR", default=".",
-                        help="directory holding <trace_id>.jsonl files "
-                             "(default: current directory)")
+    _add_flags(parser, trace_dir=dict(
+        default=".",
+        help="directory holding <trace_id>.jsonl files "
+             "(default: current directory)",
+    ))
     parser.add_argument("--json", action="store_true",
                         help="print the nested span tree as JSON instead "
                              "of text lines")
@@ -694,8 +711,7 @@ def store_main(argv) -> int:
                              "split (0-based); keys owned by a sibling "
                              "shard are refused, clients route via "
                              "tcp://h0:p0,h1:p1,.../ns")
-    parser.add_argument("--log-level", default="info", metavar="LEVEL")
-    parser.add_argument("--log-json", action="store_true")
+    _add_flags(parser, log_level=dict(help=None), log_json=dict(help=None))
     args = parser.parse_args(argv)
 
     _configure_obs(args)
@@ -743,10 +759,11 @@ def worker_main(argv) -> int:
                     "file) and they coordinate through the leases "
                     "alone.",
     )
-    parser.add_argument("--checkpoint", metavar="PATH", required=True,
-                        help="the shared checkpoint store: tcp://HOST:"
-                             "PORT/NAMESPACE of a 'repro store', or a "
-                             "local/shared file path")
+    _add_flags(parser, checkpoint=dict(
+        required=True,
+        help="the shared checkpoint store: tcp://HOST:PORT/NAMESPACE of a "
+             "'repro store', or a local/shared file path",
+    ))
     parser.add_argument("--drain", action="store_true",
                         help="exit once no claimable jobs remain "
                              "(default: keep polling for new work)")
@@ -764,27 +781,31 @@ def worker_main(argv) -> int:
     parser.add_argument("--max-seconds", type=float, default=None,
                         metavar="S",
                         help="exit after S seconds even without --drain")
-    parser.add_argument("--trace-dir", metavar="DIR", default=None,
-                        help="persist job traces as JSON-lines files "
-                             "under DIR; jobs enqueued through a traced "
-                             "server join their submitting request's "
-                             "trace id")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="RNG seed; must match the submitting "
-                             "server's for bit-identical plans "
-                             "(default 7)")
-    parser.add_argument("--cache", metavar="PATH", default=None)
-    parser.add_argument("--calibration", metavar="PATH", default=None)
-    parser.add_argument("--log-level", default="info", metavar="LEVEL")
-    parser.add_argument("--log-json", action="store_true")
+    _add_flags(
+        parser, "algorithms",
+        trace_dir=dict(
+            help="persist job traces as JSON-lines files under DIR; jobs "
+                 "enqueued through a traced server join their submitting "
+                 "request's trace id",
+        ),
+        seed=dict(
+            help="RNG seed; must match the submitting server's for "
+                 "bit-identical plans (default 7)",
+        ),
+        cache=dict(help=None), calibration=dict(help=None),
+        log_level=dict(help=None), log_json=dict(help=None),
+    )
     args = parser.parse_args(argv)
 
     _configure_obs(args)
     from repro.obs import TraceRecorder
     from repro.service.worker import FleetWorker
 
-    system = ML4all(seed=args.seed, calibration_path=args.calibration,
-                    cache_path=args.cache, checkpoint_path=args.checkpoint)
+    try:
+        system = ML4all(**_ml4all_kwargs(args))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     service = system.service()
     if args.lease_ttl is not None:
         service.checkpoints.lease_ttl_s = float(args.lease_ttl)
@@ -823,7 +844,7 @@ def calibrate_main(argv) -> int:
     parser.add_argument("--max-iter", type=int, default=1000)
     parser.add_argument("--runs", type=int, default=3,
                         help="adaptive training runs (default 3)")
-    parser.add_argument("--seed", type=int, default=7)
+    _add_flags(parser, seed=dict(help=None))
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="calibration store JSON: loaded when present, "
                              "saved afterwards")
@@ -832,12 +853,6 @@ def calibrate_main(argv) -> int:
                         help="deliberately mis-scale the cost model for one "
                              "algorithm (repeatable; shows calibration "
                              "correcting a known fault)")
-    parser.add_argument("--fit-learned", metavar="PATH", default=None,
-                        help="harvest every run's execution trace into the "
-                             "learned residual model at PATH (loaded when "
-                             "present, refitted and saved afterwards); "
-                             "serve it back with --learned on "
-                             "optimize/batch/serve")
     args = parser.parse_args(argv)
 
     from repro.gd.registry import ALGORITHMS
@@ -864,19 +879,13 @@ def calibrate_main(argv) -> int:
     from repro.core.optimizer import GDOptimizer
     from repro.runtime import AdaptiveTrainer, PerturbedCostModel
 
-    system = ML4all(seed=args.seed, calibration_path=args.store)
+    system = ML4all(calibration_path=args.store, **_ml4all_kwargs(args))
     try:
         dataset = system.load_dataset(args.dataset, task=args.task)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print("before:", system.calibration.summary())
-
-    learned = None
-    if args.fit_learned:
-        from repro.learned import ResidualModel
-
-        learned = ResidualModel.open(args.fit_learned)
 
     for run in range(max(1, args.runs)):
         engine = SimulatedCluster(system.spec, seed=args.seed + run)
@@ -904,17 +913,8 @@ def calibrate_main(argv) -> int:
         for switch in outcome.trace.switches:
             print(f"  switched {switch.from_plan} -> {switch.to_plan} "
                   f"at iteration {switch.iteration}: {switch.reason}")
-        if learned is not None:
-            added = learned.observe_trace(
-                outcome.trace, dataset.stats, system.spec
-            )
-            print(f"  learned: {added} example(s) harvested")
 
     print("after:", system.calibration.summary())
-    if learned is not None:
-        learned.save(args.fit_learned)
-        print("after:", learned.summary())
-        print(f"learned model saved to {args.fit_learned}")
     if args.store:
         system.save_calibration(args.store)
         print(f"calibration store saved to {args.store}")
@@ -953,24 +953,22 @@ def query_main(args) -> int:
     return 0
 
 
+_SUBCOMMANDS = {
+    "batch": batch_main,
+    "serve": serve_main,
+    "calibrate": calibrate_main,
+    "train": train_main,
+    "cache": cache_main,
+    "trace": trace_main,
+    "store": store_main,
+    "worker": worker_main,
+}
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "batch":
-        return batch_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "calibrate":
-        return calibrate_main(argv[1:])
-    if argv and argv[0] == "train":
-        return train_main(argv[1:])
-    if argv and argv[0] == "cache":
-        return cache_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "store":
-        return store_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return worker_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     return query_main(build_parser().parse_args(argv))
 
 

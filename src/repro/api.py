@@ -127,7 +127,6 @@ class ML4all:
         calibration_path=None,
         cache_path=None,
         checkpoint_path=None,
-        learned_path=None,
     ):
         self.spec = cluster_spec or ClusterSpec()
         self.seed = seed
@@ -144,15 +143,8 @@ class ML4all:
         #: restarted process resumes them (see
         #: :mod:`repro.service.checkpoint`).
         self.checkpoint_path = checkpoint_path
-        #: Optional learned-residual-model path: when given, the model
-        #: at that path (fitted via ``repro calibrate --fit-learned`` or
-        #: :meth:`ResidualModel.fit <repro.learned.ResidualModel.fit>`)
-        #: is blended into every plan ranking this system computes.
-        self.learned_path = learned_path
         self._calibration = None
         self._calibration_lock = threading.Lock()
-        self._learned = None
-        self._learned_lock = threading.Lock()
         self._service = None
         self._service_lock = threading.Lock()
         #: (name, task) -> PartitionedDataset, so batch/serve request
@@ -247,44 +239,16 @@ class ML4all:
         """Persist the calibration store (to ``path`` or its own path)."""
         return self.calibration.save(path)
 
-    @property
-    def learned(self):
-        """This system's mixed learned cost model, or None.
-
-        Created lazily from ``learned_path`` (a persisted
-        :class:`~repro.learned.ResidualModel`, wrapped in a
-        :class:`~repro.learned.MixedCostModel` with default gating).
-        Systems without a ``learned_path`` rank purely analytic+EWMA.
-        """
-        if self.learned_path is None:
-            return None
-        with self._learned_lock:
-            if self._learned is None:
-                from repro.learned import MixedCostModel, ResidualModel
-
-                self._learned = MixedCostModel(
-                    ResidualModel.open(self.learned_path)
-                )
-            return self._learned
-
     def _optimizer(self, algorithms=None, batch=None):
         # The registry decides which algorithms a batch= request applies
         # to (every tunable mini-batch spec, plugins included).
         batch_sizes = gd_registry.batch_overrides(batch)
-        learned = self.learned
         return GDOptimizer(
             self.engine,
-            estimator=SpeculativeEstimator(
-                self.speculation, seed=self.seed,
-                model_overrides=(
-                    learned.curve_families() if learned is not None
-                    else None
-                ),
-            ),
+            estimator=SpeculativeEstimator(self.speculation, seed=self.seed),
             algorithms=algorithms or self.algorithms,
             batch_sizes=batch_sizes,
             calibration=self.calibration,
-            learned=learned,
         )
 
     def optimize(self, dataset, task=None, epsilon=None, max_iter=None,
@@ -328,7 +292,6 @@ class ML4all:
                     # The facade and its service learn from the same
                     # traces and serve the same corrected estimates.
                     calibration=self.calibration,
-                    learned=self.learned,
                     cache_path=self.cache_path,
                     checkpoint_path=self.checkpoint_path,
                 )
@@ -540,7 +503,6 @@ class ML4all:
                 self._optimizer(algorithms, batch),
                 settings=adaptive_settings,
                 calibration=self.calibration,
-                learned=self.learned,
             )
             adaptive_result = trainer.train(
                 dataset, training, fixed_iterations=fixed_iterations

@@ -228,9 +228,8 @@ class SpeculativeEstimator:
         self.settings = settings or SpeculationSettings()
         self.seed = seed
         #: Per-algorithm error-curve family overrides ({algorithm:
-        #: model name}), e.g. fed back from the learned model's
-        #: curve-family votes.  Applied after any registry-level
-        #: speculation overrides, before fitting.
+        #: model name}).  Applied after any registry-level speculation
+        #: overrides, before fitting.
         self.model_overrides = dict(model_overrides or {})
         #: Optional :class:`~repro.service.metrics.MetricsRegistry`;
         #: receives the ``speculation.lane_wait_s`` histogram and the
@@ -258,8 +257,6 @@ class SpeculativeEstimator:
             cfg = dataclasses.replace(cfg, **overrides)
         family = self.model_overrides.get(algorithm)
         if family:
-            # Learned per-algorithm curve family (adaptive refits that
-            # kept preferring a different family voted it in).
             cfg = dataclasses.replace(cfg, model=family)
         return cfg
 

@@ -11,6 +11,11 @@ Given a dataset and a training spec, the optimizer
    raising :class:`~repro.errors.ConstraintError` naming the constraint
    to revisit when none does (Appendix A semantics).
 
+Steps 2-4 go through :meth:`GDOptimizer.price` -- the analytic model
+times one learned cost factor per algorithm -- which is also what a
+stale cache entry is re-costed with and what the adaptive runtime ranks
+mid-flight: every :class:`PlanCostEstimate` is built there.
+
 Like database optimizers, "the main goal of our optimizer is to avoid the
 worst execution plans" (Section 3) -- correctness of the *ranking* matters
 more than absolute accuracy.
@@ -30,6 +35,7 @@ from repro.core.result import OptimizationReport, PlanCostEstimate
 from repro.errors import ConstraintError
 from repro.gd.registry import CORE_ALGORITHMS
 from repro.obs import span
+from repro.runtime.calibration import workload_signature
 
 
 class GDOptimizer:
@@ -43,7 +49,6 @@ class GDOptimizer:
         batch_sizes=None,
         cost_model=None,
         calibration=None,
-        learned=None,
     ):
         self.engine = engine
         self.estimator = estimator or SpeculativeEstimator()
@@ -55,11 +60,6 @@ class GDOptimizer:
         #: scale the cost model's per-iteration estimates and the
         #: speculative iteration counts; an empty store is the identity.
         self.calibration = calibration
-        #: Optional :class:`~repro.learned.mixed.MixedCostModel`.  For
-        #: algorithms it gates in (enough training data), its blended
-        #: factor replaces the EWMA one; for everything else the ranking
-        #: is bit-identical to the calibration-only path.
-        self.learned = learned
 
     # ------------------------------------------------------------------
     def optimize(self, dataset, training, fixed_iterations=None,
@@ -139,79 +139,31 @@ class GDOptimizer:
                 for alg, est in iteration_estimates.items()
             }
 
-        corrections = self._corrections(dataset)
-        mixed = self._mixed_factors(dataset, training, corrections)
-
-        def iterations_factor(alg) -> float:
-            if alg in mixed:
-                return mixed[alg].iterations_factor
-            return corrections[alg].iterations_factor if corrections else 1.0
-
-        if (corrections or mixed) and speculated:
+        corrections = self.corrections(dataset)
+        iterations_factors = None
+        if corrections and speculated:
             # Learned iteration corrections apply only to speculative
             # estimates; a user-fixed count is a constraint, not a guess.
+            iterations_factors = {
+                alg: corrections[alg].iterations_factor for alg in iters_for
+            }
             iters_for = {
                 alg: min(
-                    max(1, int(round(count * iterations_factor(alg)))),
+                    max(1, int(round(count * iterations_factors[alg]))),
                     training.max_iter,
                 )
                 for alg, count in iters_for.items()
             }
 
-        # Cost the whole plan space in one vectorized pass (the batch
-        # path ranks identically to per-plan estimate() calls).  Only
-        # algorithms with an iteration estimate are enumerated (ones
+        # Only algorithms with an iteration estimate are priced (ones
         # whose speculation was skipped have no T(epsilon) to cost).
-        algorithms = tuple(a for a in self.algorithms if a in iters_for)
-        plans = enumerate_plans(algorithms, self.batch_sizes)
-        iterations = [iters_for[plan.algorithm] for plan in plans]
-        batch = self.cost_model.estimate_batch(
-            plans, dataset.stats, iterations
+        candidates = self.price(
+            dataset.stats,
+            iters_for,
+            {alg: c.cost_factor for alg, c in corrections.items()},
+            iterations_factors,
+            training.time_budget_s,
         )
-        cost_factors = np.ones(len(plans))
-        if corrections:
-            cost_factors = np.array([
-                corrections[plan.algorithm].cost_factor for plan in plans
-            ])
-        if mixed:
-            for i, plan in enumerate(plans):
-                if plan.algorithm in mixed:
-                    cost_factors[i] = mixed[plan.algorithm].cost_factor
-        per_iteration_s = batch.per_iteration_s * cost_factors
-        total_s = batch.one_time_s + batch.iterations * per_iteration_s
-        if training.time_budget_s is None:
-            feasible_mask = [True] * len(plans)
-        else:
-            feasible_mask = (total_s <= training.time_budget_s).tolist()
-        candidates = []
-        for i, plan in enumerate(plans):
-            breakdown = batch.breakdown(i)
-            if cost_factors[i] != 1.0:
-                # The *applied* factor, whichever source produced it:
-                # the feedback loop composes observed ratios with this
-                # slot, so the store keeps learning absolute ratios
-                # whether the factor was EWMA-only or blended.
-                breakdown["calibration:cost_factor"] = float(cost_factors[i])
-            if (corrections or mixed) and speculated:
-                iter_factor = iterations_factor(plan.algorithm)
-                if iter_factor != 1.0:
-                    breakdown["calibration:iterations_factor"] = float(
-                        iter_factor
-                    )
-            if plan.algorithm in mixed:
-                breakdown["learned:blend_weight"] = float(
-                    mixed[plan.algorithm].blend_weight
-                )
-            candidates.append(PlanCostEstimate(
-                plan=plan,
-                estimated_iterations=iterations[i],
-                one_time_s=float(batch.one_time_s[i]),
-                per_iteration_s=float(per_iteration_s[i]),
-                total_s=float(total_s[i]),
-                breakdown=breakdown,
-                feasible=feasible_mask[i],
-            ))
-
         feasible = [c for c in candidates if c.feasible]
         if not feasible:
             best_total = min(c.total_s for c in candidates)
@@ -231,42 +183,82 @@ class GDOptimizer:
             corrections=corrections or None,
         )
 
-    def _corrections(self, dataset=None) -> dict:
+    def price(self, stats, iterations, cost_factors,
+              iterations_factors=None, time_budget_s=None) -> list:
+        """Price the plan space: the one place a
+        :class:`PlanCostEstimate` is built.
+
+        Cold optimization, the fixed-iterations path, stale-stamp
+        re-costs and the adaptive runtime's mid-flight re-optimization
+        all rank the candidates this returns (in enumeration order), so
+        "how is a plan priced" has one answer: the analytic cost model
+        times one cost factor per algorithm.
+
+        ``iterations`` maps algorithm -> iteration count; only the
+        algorithms it names are enumerated.  ``cost_factors`` maps
+        algorithm -> multiplier on the model's per-iteration seconds
+        (absent = 1.0).  ``iterations_factors`` maps algorithm -> the
+        correction the caller already folded into ``iterations``; it is
+        only recorded.  Non-identity factors land in the breakdown's
+        ``calibration:*`` slots: the feedback loop composes observed
+        ratios with them, so the store keeps learning absolute
+        observed/base ratios.  ``time_budget_s`` decides ``feasible``.
+        """
+        algorithms = tuple(a for a in self.algorithms if a in iterations)
+        plans = enumerate_plans(algorithms, self.batch_sizes)
+        counts = [iterations[plan.algorithm] for plan in plans]
+        # One vectorized pass over the whole space (the batch path
+        # ranks identically to per-plan estimate() calls).
+        batch = self.cost_model.estimate_batch(plans, stats, counts)
+        factors = np.array(
+            [cost_factors.get(plan.algorithm, 1.0) for plan in plans],
+            dtype=float,
+        )
+        per_iteration_s = batch.per_iteration_s * factors
+        total_s = batch.one_time_s + batch.iterations * per_iteration_s
+        if time_budget_s is None:
+            feasible = [True] * len(plans)
+        else:
+            feasible = (total_s <= time_budget_s).tolist()
+        candidates = []
+        for i, plan in enumerate(plans):
+            breakdown = batch.breakdown(i)
+            if factors[i] != 1.0:
+                breakdown["calibration:cost_factor"] = float(factors[i])
+            if iterations_factors is not None:
+                iterations_factor = iterations_factors[plan.algorithm]
+                if iterations_factor != 1.0:
+                    breakdown["calibration:iterations_factor"] = float(
+                        iterations_factor
+                    )
+            candidates.append(PlanCostEstimate(
+                plan=plan,
+                estimated_iterations=counts[i],
+                one_time_s=float(batch.one_time_s[i]),
+                per_iteration_s=float(per_iteration_s[i]),
+                total_s=float(total_s[i]),
+                breakdown=breakdown,
+                feasible=feasible[i],
+            ))
+        return candidates
+
+    def corrections(self, dataset, store=None) -> dict:
         """Learned corrections per algorithm ({} without a store).
 
-        When ``dataset`` is given its workload signature selects the
-        store's workload-specific corrections (with the algorithm-level
+        The dataset's workload signature selects the store's
+        workload-specific corrections (with the algorithm-level
         aggregate as fallback -- see
         :meth:`~repro.runtime.calibration.CalibrationStore.correction`).
+        ``store`` defaults to this optimizer's own.
         """
-        if self.calibration is None:
+        store = store or self.calibration
+        if store is None:
             return {}
-        workload = None
-        if dataset is not None:
-            from repro.runtime.calibration import workload_signature
-
-            workload = workload_signature(dataset.stats)
+        workload = workload_signature(dataset.stats)
         return {
-            alg: self.calibration.correction(
-                alg, self.engine.spec, workload=workload
-            )
+            alg: store.correction(alg, self.engine.spec, workload=workload)
             for alg in self.algorithms
         }
-
-    def _mixed_factors(self, dataset, training, corrections) -> dict:
-        """Learned blended factors per gated-in algorithm ({} without a
-        mixed model -- and for every algorithm short of training data,
-        which keeps the fallback ranking bit-identical)."""
-        if self.learned is None:
-            return {}
-        return self.learned.factors(
-            self.algorithms,
-            dataset.stats,
-            self.engine.spec,
-            epsilon=training.tolerance,
-            batch_sizes=self.batch_sizes,
-            corrections=corrections,
-        )
 
     def _charge_speculation(self, dataset) -> float:
         """Charge the simulated cost of collecting the speculation sample."""

@@ -89,7 +89,3 @@ class SimulatedTimeout(SimulatedPlatformError):
 
 class DataFormatError(ReproError):
     """An input file (e.g. LIBSVM text) could not be parsed."""
-
-
-class LearnedModelError(ReproError):
-    """A learned-model file is unreadable (wrong format or corrupt)."""

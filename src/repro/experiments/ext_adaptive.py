@@ -205,18 +205,16 @@ def run(ctx=None) -> Table:
 
 
 def run_switch(ctx=None) -> Table:
-    """Switch-heavy scenario: optimizer-state carry-over vs legacy reset.
+    """Switch-heavy scenario: optimizer state carried across switches.
 
     A perturbed cost model forces a mis-pick between momentum and Adam;
     the convergence/cost monitor notices and switches mid-flight (twice,
-    with the default switch budget).  The same switched run is executed
-    twice: with full :class:`~repro.gd.state.OptimizerState` carry-over
-    (the fix) and with the legacy weights-only behaviour where every
-    post-switch segment restarts the MLlib ``beta/sqrt(i)`` schedule at
-    iteration 1 and zeroes the updater buffers.  The carried run resumes
-    the schedule at global ``k + 1`` -- its first post-switch step is
-    *continuous* -- while the reset run's ``beta/sqrt(1)`` restart
-    undoes banked progress and rides the iteration cap.
+    with the default switch budget).  Every post-switch segment imports
+    the transferred :class:`~repro.gd.state.OptimizerState`, so the
+    MLlib ``beta/sqrt(i)`` schedule resumes at global ``k + 1`` -- the
+    first post-switch step is *continuous* -- where a weights-only
+    hand-over would restart it at ``beta/sqrt(1)``, undo banked
+    progress and ride the iteration cap.
     """
     ctx = ctx or ExperimentContext.from_env()
     dataset = ctx.dataset(DATASET)
@@ -269,25 +267,17 @@ def run_switch(ctx=None) -> Table:
             f"the optimizer away from {honest.chosen_plan}"
         )
 
-    rows = []
-    results = {}
-    for mode, carry in (("state carried", True), ("state reset (legacy)",
-                                                  False)):
-        trainer = AdaptiveTrainer(
-            optimizer(3, cost_model=perturbed_model), carry_state=carry
-        )
-        outcome = trainer.train(dataset, training, report=report)
-        results[mode] = outcome
-        rows.append({
-            "mode": mode,
-            "plan": " -> ".join(s.plan for s in outcome.trace.segments),
-            "iterations": outcome.iterations,
-            "sim_s": round(outcome.sim_seconds, 2),
-            "switches": len(outcome.trace.switches),
-            "converged": outcome.converged,
-        })
-
-    carried = results["state carried"]
+    carried = AdaptiveTrainer(
+        optimizer(3, cost_model=perturbed_model)
+    ).train(dataset, training, report=report)
+    rows = [{
+        "mode": "state carried",
+        "plan": " -> ".join(s.plan for s in carried.trace.segments),
+        "iterations": carried.iterations,
+        "sim_s": round(carried.sim_seconds, 2),
+        "switches": len(carried.trace.switches),
+        "converged": carried.converged,
+    }]
     notes = [
         f"fault injection: cost model x{factor:g} on {victim}; honest "
         f"choice was {honest.chosen_plan}",
@@ -312,8 +302,7 @@ def run_switch(ctx=None) -> Table:
             notes.append(f"state transfer: {note}")
     return Table(
         experiment="Extension D (switch-heavy)",
-        title="Mid-flight switches with optimizer-state carry-over vs "
-              "legacy weights-only reset",
+        title="Mid-flight switches with optimizer-state carry-over",
         columns=["mode", "plan", "iterations", "sim_s", "switches",
                  "converged"],
         rows=rows,

@@ -7,8 +7,7 @@ four ways, each optional:
 * an in-memory ring of the most recent ``max_traces`` traces (what the
   ``trace <id>`` wire verb answers from);
 * a JSON-lines file ``<trace_dir>/<trace_id>.jsonl`` when a trace
-  directory is configured (what ``repro trace`` reads back, and the
-  future training data for a learned cost model);
+  directory is configured (what ``repro trace`` reads back);
 * a ``span.<name>`` histogram in the shared
   :class:`~repro.service.metrics.MetricsRegistry`;
 * the ``repro.trace`` DEBUG log, plus -- for root spans over the

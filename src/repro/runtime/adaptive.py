@@ -12,7 +12,9 @@ static cost model, then pays for any mis-estimate until convergence.
 3. on divergence the executor stops gracefully (model state intact),
    the trainer re-runs plan selection over the *remaining* error budget
    -- remaining iterations per algorithm from the curves, observed
-   per-iteration cost folded in for the running algorithm -- and resumes
+   per-iteration cost folded in for the running algorithm, priced by
+   the optimizer's own :meth:`~repro.core.optimizer.GDOptimizer.price`
+   -- and resumes
    training under the winning plan from the current weights **and the
    current optimizer state**: the exported
    :class:`~repro.gd.state.OptimizerState` (step-schedule position,
@@ -36,7 +38,6 @@ import time
 import numpy as np
 
 from repro.core.executor import execute_plan
-from repro.core.plan_space import enumerate_plans
 from repro.core.result import PlanCostEstimate
 from repro.errors import EstimationError, PlanError
 from repro.gd.state import OptimizerState
@@ -226,30 +227,16 @@ class AdaptiveTrainer:
     (its engine carries the simulated clock across segments).
     ``calibration`` optionally receives the run's execution trace.
 
-    ``learned`` optionally receives the same per-segment observations
-    as a :class:`~repro.learned.mixed.MixedCostModel` (or bare
-    :class:`~repro.learned.model.ResidualModel`): each executed segment
-    becomes a training example (an online refit), and every convergence
-    refit that fitted a *different* error-curve family than configured
-    casts a curve-family vote -- the feedback that eventually flips
-    ``SpeculationSettings.model`` for that algorithm.
-
-    ``carry_state`` (default True) carries the full
-    :class:`~repro.gd.state.OptimizerState` across segments -- schedule
-    position, updater buffers, RNG stream -- applying the cross-plan
-    transfer policy on every switch.  ``carry_state=False`` reproduces
-    the legacy weights-only behaviour (every segment restarts the step
-    schedule at iteration 1 and zeroes its buffers); it exists for A/B
-    measurement of the carry-over fix, not for production use.
+    Every segment carries the full
+    :class:`~repro.gd.state.OptimizerState` into the next -- schedule
+    position, updater buffers, RNG stream -- with the cross-plan
+    transfer policy applied on every switch.
     """
 
-    def __init__(self, optimizer, settings=None, calibration=None,
-                 carry_state=True, learned=None):
+    def __init__(self, optimizer, settings=None, calibration=None):
         self.optimizer = optimizer
         self.settings = settings or AdaptiveSettings()
         self.calibration = calibration
-        self.carry_state = bool(carry_state)
-        self.learned = learned
 
     # ------------------------------------------------------------------
     def train(self, dataset, training, fixed_iterations=None,
@@ -378,27 +365,6 @@ class AdaptiveTrainer:
                     segment, engine.spec,
                     workload=workload_signature(dataset.stats),
                 )
-            if self.learned is not None:
-                # The same observation, as a learned-model training
-                # example: an online refit, so the *next* optimize call
-                # already ranks with what this segment taught.
-                self.learned.observe_segment(
-                    segment, dataset.stats, engine.spec,
-                    epsilon=training.tolerance,
-                    batch_size=self.optimizer.batch_sizes.get(
-                        segment.algorithm
-                    ),
-                )
-                refit = monitor.refit_curve
-                if refit is not None and refit.model != (
-                    self.settings.curve_model
-                ):
-                    # The configured family keeps losing to another on
-                    # live error sequences; vote it in so speculation
-                    # eventually fits that family for this algorithm.
-                    self.learned.vote_curve_family(
-                        segment.algorithm, refit.model
-                    )
 
             remaining = iteration_budget - done_iterations
             if not result.stopped_by_monitor or remaining < 1:
@@ -422,7 +388,7 @@ class AdaptiveTrainer:
                            chosen, trace, done_iterations, switches_left)
                 break
             weights = result.weights
-            carried_state = result.state if self.carry_state else None
+            carried_state = result.state
             with span(
                 "reoptimize", from_plan=str(chosen.plan)
             ) as reopt_span:
@@ -450,8 +416,7 @@ class AdaptiveTrainer:
                 )
                 if new_chosen is not None:
                     chosen = new_chosen
-                self._emit(on_checkpoint, "running", result,
-                           segment.state if self.carry_state else None,
+                self._emit(on_checkpoint, "running", result, segment.state,
                            chosen, trace, done_iterations, switches_left)
                 continue
             switches_left -= 1
@@ -606,22 +571,6 @@ class AdaptiveTrainer:
             time_budget_s=time_budget,
         )
 
-    def _corrections(self, dataset=None) -> dict:
-        """Corrections from the trainer's store (optimizer's otherwise),
-        preferring the dataset's workload-specific key when given."""
-        store = self.calibration or self.optimizer.calibration
-        if store is None:
-            return {}
-        workload = (
-            workload_signature(dataset.stats) if dataset is not None else None
-        )
-        return {
-            alg: store.correction(
-                alg, self.optimizer.engine.spec, workload=workload
-            )
-            for alg in self.optimizer.algorithms
-        }
-
     # ------------------------------------------------------------------
     def _reoptimize(self, dataset, training, estimates, current, monitor,
                     result, remaining_budget, run_start):
@@ -629,75 +578,48 @@ class AdaptiveTrainer:
 
         Returns the winning :class:`PlanCostEstimate` (plan == current's
         means "stay the course"), or None when selection is impossible.
+        Pricing is :meth:`GDOptimizer.price`, the function the initial
+        ranking used; what is specific to mid-flight is its inputs.
         """
         optimizer = self.optimizer
-        plans = enumerate_plans(optimizer.algorithms, optimizer.batch_sizes)
-        if not plans:
-            return None
-        current_delta = result.final_delta
-        corrections = self._corrections(dataset)
+        # The trainer's store already holds this run's earlier segments.
+        corrections = optimizer.corrections(dataset, self.calibration)
 
         iters_for = {}
         iter_factors = {}
         for alg in optimizer.algorithms:
             iters_for[alg], iter_factors[alg] = self._remaining_for(
-                alg, estimates, current, monitor, current_delta,
+                alg, estimates, current, monitor, result.final_delta,
                 training, remaining_budget, corrections,
             )
-
-        iterations = [iters_for[plan.algorithm] for plan in plans]
-        batch = optimizer.cost_model.estimate_batch(
-            plans, dataset.stats, iterations
-        )
-        factors = np.array([
-            corrections[p.algorithm].cost_factor if corrections else 1.0
-            for p in plans
-        ])
+        cost_factors = {alg: c.cost_factor for alg, c in corrections.items()}
         # Fold the live observation in: we *know* what the running
         # algorithm's iterations cost on this cluster, so its plans are
-        # re-priced by observed/base rather than by any model guess.
+        # re-priced by observed/base rather than by any model guess
+        # (base = the running plan's price without the factor it was
+        # priced under).
         observed = monitor.observed_per_iteration_s()
-        if observed is not None and observed > 0:
-            try:
-                idx = list(batch.plans).index(current.plan)
-            except ValueError:  # pragma: no cover - plan space is stable
-                idx = -1
-            if idx >= 0 and batch.per_iteration_s[idx] > 0:
-                live = observed / float(batch.per_iteration_s[idx])
-                for i, plan in enumerate(batch.plans):
-                    if plan.algorithm == current.plan.algorithm:
-                        factors[i] = live
+        if observed is not None and observed > 0 \
+                and current.per_iteration_s > 0:
+            applied = (current.breakdown or {}).get(
+                "calibration:cost_factor", 1.0
+            )
+            cost_factors[current.plan.algorithm] = observed / (
+                current.per_iteration_s / applied
+            )
 
-        per_iteration_s = batch.per_iteration_s * factors
-        total_s = batch.one_time_s + batch.iterations * per_iteration_s
-
-        feasible = np.ones(len(plans), dtype=bool)
+        time_left = None
         if training.time_budget_s is not None:
             elapsed = optimizer.engine.clock - run_start
             time_left = training.time_budget_s - elapsed
-            feasible = total_s <= time_left
-            if not feasible.any():
-                # Nothing fits anyway; stay on the current plan rather
-                # than raising mid-training.
-                return None
-        order = np.argsort(total_s)
-        best = next(int(i) for i in order if feasible[i])
-        breakdown = batch.breakdown(best)
-        if factors[best] != 1.0:
-            breakdown["calibration:cost_factor"] = float(factors[best])
-        best_iter_factor = iter_factors[plans[best].algorithm]
-        if best_iter_factor != 1.0:
-            breakdown["calibration:iterations_factor"] = float(
-                best_iter_factor
-            )
-        return PlanCostEstimate(
-            plan=plans[best],
-            estimated_iterations=int(iterations[best]),
-            one_time_s=float(batch.one_time_s[best]),
-            per_iteration_s=float(per_iteration_s[best]),
-            total_s=float(total_s[best]),
-            breakdown=breakdown,
-            feasible=True,
+        candidates = optimizer.price(
+            dataset.stats, iters_for, cost_factors, iter_factors, time_left
+        )
+        # When nothing fits anyway, stay on the current plan rather
+        # than raising mid-training.
+        return min(
+            (c for c in candidates if c.feasible),
+            key=lambda c: c.total_s, default=None,
         )
 
     @staticmethod

@@ -72,7 +72,6 @@ from repro.core.iterations import (
 )
 from repro.core.optimizer import GDOptimizer
 from repro.gd.registry import CORE_ALGORITHMS
-from repro.learned import MixedCostModel, ResidualModel
 from repro.obs import span
 from repro.runtime import CalibrationStore
 from repro.service.backends import open_backend
@@ -112,17 +111,6 @@ class _CachedPlan:
     report: object
     calibration_version: int
     calibration_digest: str
-
-
-def _as_mixed_model(learned):
-    """Normalise the ``learned`` constructor argument.
-
-    Accepts None, a ready :class:`MixedCostModel`, or a bare
-    :class:`ResidualModel` (wrapped with default gating).
-    """
-    if learned is None or isinstance(learned, MixedCostModel):
-        return learned
-    return MixedCostModel(learned)
 
 
 def _counter(metric, doc):
@@ -177,8 +165,6 @@ class OptimizerService(TrainingJobs):
         cache_max_bytes=None,
         calibration=None,
         calibration_path=None,
-        learned=None,
-        learned_path=None,
         adaptive_settings=None,
         cost_model=None,
         cache_path=None,
@@ -214,19 +200,6 @@ class OptimizerService(TrainingJobs):
             calibration
             if calibration is not None
             else CalibrationStore.open(calibration_path)
-        )
-        #: Optional :class:`~repro.learned.mixed.MixedCostModel` (or a
-        #: bare :class:`~repro.learned.model.ResidualModel`, wrapped
-        #: with default gating): blends learned residual predictions
-        #: into every plan ranking this service computes.  Its state
-        #: digest joins the calibration digest in cache-entry stamps,
-        #: so stale learned predictions trigger a recost, not a blind
-        #: reuse.  ``learned_path`` is the convenience form (loads a
-        #: persisted ResidualModel when the file exists).
-        self.learned = _as_mixed_model(
-            learned if learned is not None
-            else ResidualModel.open(learned_path) if learned_path
-            else None
         )
         self.adaptive_settings = adaptive_settings
         #: Optional CostModel shared by every optimizer this service
@@ -346,21 +319,6 @@ class OptimizerService(TrainingJobs):
                 "expired entry left behind", stacklevel=2,
             )
 
-    def _pricing_digest(self) -> str:
-        """Digest of the full pricing state entries are stamped with.
-
-        The calibration digest alone for a plain service; with a
-        learned model its state digest joins it, so refits/votes that
-        would change the blended ranking invalidate stamps exactly like
-        calibration drift does (recost, never blind reuse).  Services
-        without a learned model keep the plain calibration digest, so
-        their persisted stamps stay interchangeable with older builds.
-        """
-        digest = self.calibration.state_digest()
-        if self.learned is not None:
-            digest = f"{digest}+{self.learned.state_digest()}"
-        return digest
-
     def _stamp_current(self, entry) -> bool:
         """True when the entry was priced against the correction state
         the live store serves right now.  Content comparison, not
@@ -368,7 +326,7 @@ class OptimizerService(TrainingJobs):
         (which is what lets a calibration-free restart serve warm-loaded
         entries as plain hits), and two stores that evolved different
         histories never collide."""
-        return entry.calibration_digest == self._pricing_digest()
+        return entry.calibration_digest == self.calibration.state_digest()
 
     def _lookup(self, key):
         """Cache lookup with backend read-through.
@@ -485,12 +443,6 @@ class OptimizerService(TrainingJobs):
         estimator = SpeculativeEstimator(
             self.speculation,
             seed=self.seed,
-            # Settled curve-family votes steer each algorithm's error
-            # curve fits (SpeculationSettings.model, per algorithm).
-            model_overrides=(
-                self.learned.curve_families()
-                if self.learned is not None else None
-            ),
             metrics=self.metrics,
             memo=self.trials if context is not None else None,
             context=context,
@@ -504,7 +456,6 @@ class OptimizerService(TrainingJobs):
             ),
             cost_model=self.cost_model,
             calibration=self.calibration,
-            learned=self.learned,
         )
 
     # ------------------------------------------------------------------
@@ -575,7 +526,7 @@ class OptimizerService(TrainingJobs):
             # the entry stale (the next request must re-cost again, not
             # serve part-stale numbers).
             version = self.calibration.version
-            digest = self._pricing_digest()
+            digest = self.calibration.state_digest()
             # A stale entry is re-costed from its cached speculation
             # results -- calibrated estimates with no re-speculation; a
             # plain miss speculates from scratch.

@@ -44,6 +44,7 @@ from repro.errors import ReproError
 from repro.obs import TraceRecorder, emit_span, render_tree
 from repro.obs.recorder import valid_trace_id
 from repro.service.metrics import MetricsRegistry
+from repro.service.remote import MAX_FRAME_BYTES
 
 #: Request-line keys coerced to int / float; the rest stay strings.
 _INT_KEYS = {"max_iter", "batch", "fixed_iterations", "seed",
@@ -674,10 +675,29 @@ class SocketFrontend:
     def _serve_connection(self, client) -> None:
         write_lock = threading.Lock()
         try:
-            reader = client.makefile("r", encoding="utf-8", newline="\n")
+            reader = client.makefile("rb")
             writer = client.makefile("w", encoding="utf-8", newline="\n")
-            for line in reader:
-                line = line.strip()
+            while True:
+                # Framed like StoreServer: a chunk that fills the cap
+                # without a newline is an oversized frame, and past the
+                # cap the next line boundary is unknowable -- reject and
+                # close instead of buffering without bound.
+                raw = reader.readline(MAX_FRAME_BYTES + 1)
+                if not raw:
+                    break  # clean EOF
+                if len(raw) > MAX_FRAME_BYTES and not raw.endswith(b"\n"):
+                    self.metrics.inc("frontend.bad_requests")
+                    self._write(writer, write_lock, {
+                        "ok": False, "error": "frame_too_large",
+                        "detail": (
+                            f"frame exceeds {MAX_FRAME_BYTES} bytes; "
+                            "closing connection"
+                        ),
+                    })
+                    break
+                # Undecodable bytes reach the parser as U+FFFD and come
+                # back as a structured bad_request, not a dropped socket.
+                line = raw.decode("utf-8", errors="replace").strip()
                 if not line:
                     continue
                 if line in ("quit", "exit"):

@@ -136,7 +136,6 @@ class TrainingJobs:
                     else AdaptiveSettings(max_switches=0)
                 ),
                 calibration=self.calibration if adaptive else None,
-                learned=self.learned if adaptive else None,
             )
             adaptive_result = trainer.train(
                 dataset, training, fixed_iterations=fixed_iterations,
@@ -358,7 +357,7 @@ class TrainingJobs:
             else:
                 plan_entry = entry_to_dict(
                     report, self.calibration.version,
-                    self._pricing_digest(),
+                    self.calibration.state_digest(),
                 )
 
             trainer = AdaptiveTrainer(
@@ -372,7 +371,6 @@ class TrainingJobs:
                     else AdaptiveSettings(max_switches=0)
                 ),
                 calibration=self.calibration if adaptive else None,
-                learned=self.learned if adaptive else None,
             )
 
             # This lease's entry in the job's audit trail: carried

@@ -60,7 +60,8 @@ from repro.service.backends import STORE_FORMAT, CacheBackend, open_backend
 #: check it via ``ping``.  Bump on incompatible frame changes.
 WIRE_FORMAT = 1
 
-#: Default cap on one protocol frame (request or response line).  A
+#: Cap on one protocol frame (request or response line), shared by the
+#: store server, its clients and the request front-end.  A
 #: frame over the limit gets a structured ``frame_too_large`` error and
 #: the connection is closed -- past the cap the line boundary cannot be
 #: trusted, so resynchronizing would risk misreading the next frame.

@@ -380,15 +380,19 @@ class FleetWorker:
         ``drain=True`` exits once no claimable jobs remain (jobs a live
         peer is running still count as claimable until they finish, so
         a draining fleet's workers all stay up until the store is
-        actually empty of work).  ``max_seconds`` bounds the loop by
-        the injected clock.  Returns the totals this worker banked.
+        actually empty of work) -- or after a pass in which *every*
+        claimable job failed on this worker: nothing completed, no peer
+        holds a lease, so no event is left that could change the
+        outcome and re-claiming would only re-fail forever (the totals
+        keep ``failed``).  ``max_seconds`` bounds the loop by the
+        injected clock.  Returns the totals this worker banked.
         """
         started = self._clock()
         self.heartbeat(status="starting")
         while not self._stop.is_set():
             stats = self.run_once()
-            if drain and stats["pending"] == 0:
-                break
+            if drain and stats["failed"] == stats["pending"]:
+                break  # nothing left, or nothing left that can succeed
             if max_seconds is not None \
                     and self._clock() - started >= max_seconds:
                 break

@@ -1,5 +1,7 @@
 """AdaptiveTrainer: mid-flight re-optimization and trace structure."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.curve_fit import FittedCurve
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.optimizer import GDOptimizer
 from repro.core.plans import TrainingSpec
+from repro.data import datasets as dataset_registry
 from repro.runtime import (
     AdaptiveSettings,
     AdaptiveTrainer,
@@ -260,6 +263,125 @@ class TestTimeBudgetAcrossSegments:
         training = TrainingSpec(task="logreg", tolerance=1e-2, seed=0)
         segment = trainer._segment_training(training, 50, run_start=0.0)
         assert segment.time_budget_s is None
+
+
+class TestOnePricingPath:
+    """Mid-flight re-optimization ranks what GDOptimizer.price() builds
+    -- the candidates the initial ranking lists, not a second copy."""
+
+    @staticmethod
+    def stopped(observed=None):
+        """A monitor/result pair as _reoptimize sees them after a stop
+        with no usable curve (every algorithm prices at the remaining
+        budget, like a fixed_iterations request)."""
+        monitor = types.SimpleNamespace(
+            observed_per_iteration_s=lambda: observed,
+            refit_curve=None, curve_diverged=True,
+        )
+        return monitor, types.SimpleNamespace(final_delta=0.5)
+
+    @pytest.mark.parametrize("time_budget_s", [None, 1e4])
+    def test_reoptimization_returns_the_candidate_optimize_lists(
+        self, spec, dataset, time_budget_s
+    ):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1,
+                                time_budget_s=time_budget_s)
+        store = CalibrationStore()
+        store.observe("mgd", spec, cost_ratio=0.5, iterations_ratio=3.0)
+        store.observe("sgd", spec, cost_ratio=40.0)
+        optimizer = optimizer_for(spec, calibration=store)
+        report = optimizer.optimize(dataset, training, fixed_iterations=120)
+        assert "calibration:cost_factor" in report.chosen.breakdown
+
+        monitor, result = self.stopped()
+        again = AdaptiveTrainer(optimizer)._reoptimize(
+            dataset, training, None, report.chosen, monitor, result,
+            remaining_budget=120, run_start=optimizer.engine.clock,
+        )
+        # Dataclass equality: plan, iterations, one-time, per-iteration,
+        # total, breakdown (calibration slots included), feasibility.
+        assert again == report.chosen
+        assert again in report.candidates
+
+    def test_live_observation_reprices_the_running_algorithm(
+        self, spec, dataset, training
+    ):
+        optimizer = optimizer_for(spec)
+        report = optimizer.optimize(dataset, training, fixed_iterations=120)
+        current = report.chosen
+        monitor, result = self.stopped(observed=current.per_iteration_s * 7)
+        again = AdaptiveTrainer(optimizer)._reoptimize(
+            dataset, training, None, current, monitor, result,
+            remaining_budget=120, run_start=optimizer.engine.clock,
+        )
+        # 7x the model's price: some other algorithm wins now, priced
+        # exactly as optimize() priced it.
+        assert again.plan.algorithm != current.plan.algorithm
+        assert again in report.candidates
+        # Nothing else is cheaper, so staying means the 7x price.
+        only = GDOptimizer(optimizer.engine,
+                           algorithms=(current.plan.algorithm,))
+        stay = AdaptiveTrainer(only)._reoptimize(
+            dataset, training, None, current, monitor, result,
+            remaining_budget=120, run_start=optimizer.engine.clock,
+        )
+        assert stay.plan == current.plan
+        assert stay.breakdown["calibration:cost_factor"] == \
+            pytest.approx(7.0)
+        assert stay.per_iteration_s == pytest.approx(
+            7 * current.per_iteration_s
+        )
+
+    def test_nothing_feasible_means_stay_the_course(self, spec, dataset):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1,
+                                time_budget_s=1e-6)
+        optimizer = optimizer_for(spec)
+        current = optimizer.price(dataset.stats, {"sgd": 10}, {})[0]
+        monitor, result = self.stopped()
+        assert AdaptiveTrainer(optimizer)._reoptimize(
+            dataset, training, None, current, monitor, result,
+            remaining_budget=10, run_start=optimizer.engine.clock,
+        ) is None
+
+    def test_seeded_switch_heavy_run_is_unchanged(self, spec):
+        """Momentum vs Adam on adult, momentum under-priced 4x: the
+        switch iterations, target plans and simulated seconds are the
+        values the pre-price() trainer produced for this seed."""
+        dataset = dataset_registry.load("adult", spec, seed=7)
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=7)
+        store = CalibrationStore()
+        optimizer = GDOptimizer(
+            SimulatedCluster(spec, seed=7),
+            estimator=SpeculativeEstimator(SpeculationSettings(
+                time_budget_s=1.0, max_speculation_iters=1500,
+            ), seed=7),
+            algorithms=("momentum", "adam"),
+            cost_model=PerturbedCostModel(spec, {"momentum": 0.25}),
+            calibration=store,
+        )
+        report = optimizer.optimize(dataset, training)
+        outcome = AdaptiveTrainer(optimizer, calibration=store).train(
+            dataset, training, report=report
+        )
+        assert [(s.iteration, s.to_plan) for s in outcome.trace.switches] \
+            == [(25, "ADAM-eager-shuffle"), (50, "MOMENTUM-eager-shuffle")]
+        assert [(s.plan, s.iterations) for s in outcome.trace.segments] == [
+            ("MOMENTUM-eager-shuffle", 25),
+            ("ADAM-eager-shuffle", 25),
+            ("MOMENTUM-eager-shuffle", 1),
+        ]
+        assert outcome.converged
+        assert outcome.sim_seconds == pytest.approx(
+            1.6932210356934831, rel=1e-12
+        )
+        # The way back was priced through the store's fresh correction.
+        last = outcome.trace.segments[-1]
+        assert last.applied_cost_factor == pytest.approx(
+            3.973831700821752, rel=1e-9
+        )
+        assert last.predicted_per_iteration_s == pytest.approx(
+            0.020232351796875072, rel=1e-9
+        )
 
 
 class TestRemainingIterations:

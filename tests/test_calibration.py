@@ -4,7 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.api import ML4all
 from repro.cluster import ClusterSpec, SimulatedCluster
+from repro.core.cost_model import CostModel
 from repro.core.optimizer import GDOptimizer
 from repro.core.plans import TrainingSpec
 from repro.runtime import (
@@ -14,8 +16,10 @@ from repro.runtime import (
     PerturbedCostModel,
     PlanSegment,
     cluster_signature,
+    workload_signature,
 )
 from repro.runtime.calibration import MAX_FACTOR
+from repro.service import OptimizerService
 
 from support import make_dataset
 
@@ -385,6 +389,140 @@ class TestCalibrationRoundTrip:
         ).optimize(dataset, training, fixed_iterations=60)
         assert report.calibrated
         assert report.corrections["bgd"].cost_factor == pytest.approx(2.5)
+
+
+ALL_ALGORITHMS = ("bgd", "mgd", "sgd", "svrg", "momentum", "adagrad", "adam",
+                  "grad_avg", "arc")
+
+
+class TestRegretUnderMisPricing:
+    """The one correction layer earns its place: fed what a mis-priced
+    model's own choices would observe, the calibrated ranking recovers
+    (these are the EWMA arm of the 512-case protocol recorded in
+    ARCHITECTURE "Cost corrections: one layer")."""
+
+    def test_calibrated_ranking_recovers_the_truly_cheapest_plan(self, spec):
+        # A simulated 2M-row workload: per-iteration costs actually
+        # separate the algorithms (a tiny physical sample would be
+        # iteration-overhead-dominated and nothing could recover it).
+        dataset = make_dataset(n_phys=400, d=10, sim_n=2_000_000,
+                               task="logreg", spec=spec, seed=3)
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
+        engine = SimulatedCluster(spec, seed=0)
+        truth = GDOptimizer(engine).optimize(
+            dataset, training, fixed_iterations=60
+        )
+        victim, factor = "bgd", 0.05
+        assert truth.chosen_plan.algorithm != victim
+        perturbed = PerturbedCostModel(spec, {victim: factor})
+
+        def ranked(store):
+            return GDOptimizer(
+                engine, cost_model=perturbed, calibration=store
+            ).optimize(dataset, training, fixed_iterations=60)
+
+        empty = ranked(CalibrationStore())
+        assert empty.chosen_plan.algorithm == victim
+
+        # Eight traces of the victim's true price (observed/predicted =
+        # 1/factor under the perturbed model).
+        store = CalibrationStore()
+        for _ in range(8):
+            store.record_segment(
+                segment(algorithm=victim, observed_per_iter=1.0 / factor),
+                spec,
+            )
+        calibrated = ranked(store)
+        assert calibrated.chosen_plan == truth.chosen_plan
+        assert calibrated.corrections[victim].cost_factor == \
+            pytest.approx(1.0 / factor)
+
+        true_total = {str(c.plan): c.total_s for c in truth.candidates}
+        best_total = min(true_total.values())
+        assert true_total[str(calibrated.chosen_plan)] == best_total
+        assert true_total[str(empty.chosen_plan)] > best_total
+
+    def test_learning_from_its_own_choices_never_loses_to_analytic(self):
+        """Every speculated algorithm as victim x {0.05, 0.2, 5, 20} on
+        the four fast Table-2 datasets, 8 rounds of rank -> observe the
+        chosen plan under the true model -> rank again.  Estimates are
+        speculated once per dataset; no GD runs in the loop."""
+        spec = ClusterSpec(jitter_sigma=0.0)
+        system = ML4all(cluster_spec=spec, seed=7, algorithms=ALL_ALGORITHMS)
+        counts = {}
+        for name in ("adult", "covtype", "yearpred", "higgs"):
+            dataset = system.load_dataset(name)
+            training = TrainingSpec(task=dataset.stats.task, tolerance=1e-3,
+                                    max_iter=100_000, seed=7)
+            estimates = system.optimize(
+                dataset, epsilon=1e-3, max_iter=100_000
+            ).iteration_estimates
+
+            def ranked(model, store):
+                return GDOptimizer(
+                    SimulatedCluster(spec, seed=7),
+                    algorithms=ALL_ALGORITHMS, cost_model=model,
+                    calibration=store,
+                ).optimize(dataset, training, iteration_estimates=estimates)
+
+            true = {str(c.plan): c
+                    for c in ranked(CostModel(spec), None).candidates}
+            best = min(c.total_s for c in true.values())
+            cases = analytic_misses = calibrated_misses = 0
+            for victim in estimates:
+                for factor in (0.05, 0.2, 5.0, 20.0):
+                    model = PerturbedCostModel(spec, {victim: factor})
+                    analytic = true[str(ranked(model, None).chosen_plan)]
+                    store = CalibrationStore()
+                    for _ in range(8):
+                        chosen = ranked(model, store).chosen
+                        actual = true[str(chosen.plan)]
+                        store.record_segment(PlanSegment(
+                            plan=str(chosen.plan),
+                            algorithm=chosen.plan.algorithm,
+                            predicted_iterations=chosen.estimated_iterations,
+                            predicted_per_iteration_s=chosen.per_iteration_s,
+                            predicted_total_s=chosen.total_s,
+                            applied_cost_factor=chosen.breakdown.get(
+                                "calibration:cost_factor", 1.0),
+                            iterations=actual.estimated_iterations,
+                            sim_seconds=actual.total_s,
+                            converged=True,
+                            observed_per_iteration_s=actual.per_iteration_s,
+                        ), spec, workload=workload_signature(dataset.stats))
+                    calibrated = true[str(ranked(model, store).chosen_plan)]
+                    assert calibrated.total_s <= analytic.total_s, \
+                        (name, victim, factor)
+                    cases += 1
+                    analytic_misses += analytic.total_s > best
+                    calibrated_misses += calibrated.total_s > best
+            counts[name] = (cases, analytic_misses, calibrated_misses)
+        # (cases, analytic picks a non-optimal plan, calibrated does).
+        # What stays wrong is an over-priced true optimum: never chosen,
+        # so never observed.
+        assert counts == {
+            "adult": (36, 0, 0),
+            "covtype": (36, 5, 1),
+            "yearpred": (28, 2, 0),
+            "higgs": (36, 4, 2),
+        }
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argument", [
+        "learned", "learned_path", "carry_state",
+    ])
+    def test_second_layer_options_are_type_errors_not_ignored(
+        self, engine, argument
+    ):
+        for build in (
+            lambda **kw: GDOptimizer(engine, **kw),
+            lambda **kw: AdaptiveTrainer(GDOptimizer(engine), **kw),
+            OptimizerService,
+            ML4all,
+        ):
+            with pytest.raises(TypeError):
+                build(**{argument: None})
 
 
 class TestSerialization:

@@ -300,6 +300,60 @@ class TestCLIBatchJobs:
         assert "already done" in out
 
 
+class TestCLIFleetAlgorithms:
+    """A durable job's algorithm set is part of its workload
+    fingerprint, so every subcommand that can resume one takes
+    --algorithms (train and worker once did not)."""
+
+    ALGORITHMS = "bgd,mgd,sgd,svrg,momentum,adagrad,adam,grad_avg"
+
+    def start_job(self, tmp_path, capsys):
+        path = tmp_path / "requests.txt"
+        path.write_text("adult epsilon=0.0001 max_iter=250 job_id=j1 "
+                        "lease_iterations=100\n")
+        store = str(tmp_path / "jobs.json")
+        assert main(["batch", str(path), "--workers", "1", "--algorithms",
+                     self.ALGORITHMS, "--checkpoint", store]) == 0
+        assert "job j1: preempted at iteration 100" in \
+            capsys.readouterr().out
+        return store
+
+    def test_worker_resumes_a_job_an_extended_space_server_started(
+        self, tmp_path, capsys
+    ):
+        store = self.start_job(tmp_path, capsys)
+        # Without the set the request fingerprints as another workload:
+        # the job fails on this worker, and the drain gives up (exit 1)
+        # instead of re-claiming it forever.
+        with pytest.warns(UserWarning, match="bound to workload"):
+            assert main(["worker", "--checkpoint", store, "--drain",
+                         "--poll", "0"]) == 1
+        assert "0 job(s) done, 0 stolen, 1 failed" in \
+            capsys.readouterr().out
+        assert main(["worker", "--checkpoint", store, "--drain",
+                     "--algorithms", self.ALGORITHMS]) == 0
+        assert "1 job(s) done, 0 stolen, 0 failed" in \
+            capsys.readouterr().out
+
+    def test_train_resumes_it_too(self, tmp_path, capsys):
+        store = self.start_job(tmp_path, capsys)
+        assert main(["train", "adult", "epsilon=0.0001", "max_iter=250",
+                     "--job-id", "j1", "--checkpoint", store,
+                     "--algorithms", self.ALGORITHMS]) == 0
+        out = capsys.readouterr().out
+        assert "job j1: done" in out and "(resumed)" in out
+
+    @pytest.mark.parametrize("subcommand", [
+        ["train", "adult", "--job-id", "j"], ["worker"],
+    ])
+    def test_unknown_algorithm_is_a_usage_error(self, tmp_path, capsys,
+                                                subcommand):
+        code = main([*subcommand, "--checkpoint",
+                     str(tmp_path / "jobs.json"), "--algorithms", "nope"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+
 class TestCLIServeJobs:
     def test_restarted_serve_finishes_in_flight_jobs(
         self, tmp_path, monkeypatch, capsys

@@ -18,6 +18,7 @@ Layers covered here:
   chaos controller SIGKILLs and replaces workers mid-drain.
 """
 
+import itertools
 import signal
 import subprocess
 import sys
@@ -31,6 +32,7 @@ import pytest
 from repro.api import ML4all
 from repro.runtime import ExecutionTrace
 from repro.service import (
+    CheckpointError,
     CheckpointStore,
     FleetWorker,
     JobCheckpoint,
@@ -222,6 +224,31 @@ class TestFleetWorker:
         assert [(b["worker"], b["status"], b["jobs_done"])
                 for b in beats] == [("w-a", "stopped", 3)]
         assert set(store.jobs()) == set(ids)
+
+    def test_drain_exits_after_a_pass_in_which_every_job_failed(
+        self, tmp_path, dataset_file, monkeypatch
+    ):
+        """Nothing completed, no peer holds a lease: no event is left
+        that could change the outcome, so re-claiming would only
+        re-fail forever.  The totals keep ``failed``."""
+        system = self.make_system(tmp_path)
+        store = system.service().checkpoints
+        ids = submit_jobs(store, dataset_file, 2, iterations=25)
+        claimed = []
+
+        def refusing(requests, **kwargs):
+            claimed.append(requests[0]["job_id"])
+            raise CheckpointError("bound to another workload")
+
+        monkeypatch.setattr(system, "train_many", refusing)
+        ticks = itertools.count()
+        worker = FleetWorker(system, worker_id="w-a", poll_s=0,
+                             clock=lambda: float(next(ticks)))
+        with pytest.warns(UserWarning, match="leaving its checkpoint"):
+            totals = worker.run(drain=True, max_seconds=10_000)
+        assert totals == {"done": 0, "failed": 2, "steals": 0}
+        assert claimed == ids  # one pass, nothing re-claimed
+        assert set(store.pending()) == set(ids)  # left for a retry
 
     def test_worker_steals_an_expired_lease_and_resumes(
         self, tmp_path, dataset_file

@@ -16,7 +16,7 @@ import pytest
 
 from repro.api import ML4all
 from repro.errors import ReproError
-from repro.service import MetricsRegistry
+from repro.service import MetricsRegistry, frontend as frontend_module
 from repro.service.frontend import (
     Dispatcher,
     SocketFrontend,
@@ -414,3 +414,67 @@ class TestAdmissionControl:
                 assert good["ok"] is True
             finally:
                 sock.close()
+
+
+# ---------------------------------------------------------------------------
+# framing (malformed input at the wire boundary degrades, never hangs)
+# ---------------------------------------------------------------------------
+
+class TestFraming:
+    @pytest.fixture(scope="class")
+    def frontend(self):
+        patch = pytest.MonkeyPatch()
+        patch.setattr(frontend_module, "MAX_FRAME_BYTES", 1024)
+        stub = _BlockingDispatcher()
+        stub.release.set()
+        with SocketFrontend(stub, port=0, max_workers=2) as frontend:
+            yield frontend
+        patch.undo()
+
+    def test_oversized_frame_gets_structured_error_then_close(
+        self, frontend
+    ):
+        """Bytes streamed without a newline are not buffered without
+        bound: past the cap the client gets frame_too_large and the
+        connection closes; the server keeps serving others."""
+        sock, handle = connect(frontend)
+        try:
+            sock.sendall(b"x" * 4096)
+            reply = json.loads(handle.readline())
+            assert reply["ok"] is False
+            assert reply["error"] == "frame_too_large"
+            assert handle.readline() == ""  # server hung up
+        finally:
+            sock.close()
+        other, other_handle = connect(frontend)
+        try:
+            assert ask(other_handle, "adult id=after")["ok"] is True
+        finally:
+            other.close()
+
+    def test_frame_at_the_cap_is_served(self, frontend):
+        sock, handle = connect(frontend)
+        try:
+            line = "adult id=" + "a" * (1024 - len("adult id=") - 1)
+            assert len(line) + 1 == 1024
+            assert ask(handle, line)["ok"] is True
+        finally:
+            sock.close()
+
+    def test_undecodable_bytes_get_bad_request_and_connection_lives(
+        self, frontend
+    ):
+        sock, handle = connect(frontend)
+        try:
+            sock.sendall(b"\xff\xfe adult epsilon=0.1\n")
+            bad = json.loads(handle.readline())
+            assert bad["ok"] is False
+            assert bad["error"] == "bad_request"
+            assert ask(handle, "adult id=after")["ok"] is True
+        finally:
+            sock.close()
+        other, other_handle = connect(frontend)
+        try:
+            assert ask(other_handle, "adult id=second")["ok"] is True
+        finally:
+            other.close()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.plans import TrainingSpec
+from repro.gd import registry as gd_registry
 from repro.service import (
     JsonFileBackend,
     MemoryBackend,
@@ -496,6 +497,43 @@ class TestWarmRestart:
         first.close()
         restarted = make_service(spec, cache_path=plans)
         assert restarted.optimize(dataset, training).cache_hit
+
+    def test_foreign_stamp_suffix_recosts_once_without_gd(
+        self, spec, dataset, training, tmp_path, monkeypatch
+    ):
+        """A ``<calibration>+<learned>`` stamp -- what a server of the
+        deleted learned-model layer wrote -- is simply stale: one
+        re-cost from the persisted iteration estimates, then hits."""
+        plans = str(tmp_path / "plans.json")
+        first = make_service(spec, cache_path=plans)
+        cold = first.optimize(dataset, training)
+        first.close()
+        backend = open_backend(plans)
+        for key, payload in backend.load().items():
+            payload["calibration_digest"] += "+3f2a9c0d1e4b5a67"
+            backend.store(key, payload)
+        backend.close()
+
+        gd_runs = []
+        original = gd_registry.run
+
+        def counting(name, *args, **kwargs):
+            gd_runs.append(name)
+            return original(name, *args, **kwargs)
+
+        monkeypatch.setattr(gd_registry, "run", counting)
+        restarted = make_service(spec, cache_path=plans)
+        assert restarted.warm_loaded == 1
+        result = restarted.optimize(dataset, training)
+        assert result.recalibrated and not result.cache_hit
+        assert gd_runs == []
+        assert result.report.chosen == cold.report.chosen
+        assert restarted.optimize(dataset, training).cache_hit
+        restarted.close()
+        # Re-stamped on disk too: the next restart is a plain hit.
+        third = make_service(spec, cache_path=plans)
+        assert third.optimize(dataset, training).cache_hit
+        third.close()
 
     def test_evicted_entry_read_through_from_backend(
         self, spec, dataset, training, tmp_path, monkeypatch
