@@ -234,7 +234,9 @@ def _service_parser(prog, description):
     parser = argparse.ArgumentParser(prog=prog, description=description)
     _add_flags(parser, "seed", "algorithms")
     parser.add_argument("--workers", type=int, default=None,
-                        help="max concurrent optimize() computations")
+                        help="max concurrent optimize() computations "
+                             "(serve --listen: threads for what is not "
+                             "a cache hit, default 8)")
     parser.add_argument("--cache-size", type=int, default=256,
                         help="plan cache capacity (default 256)")
     parser.add_argument("--train", action="store_true",
@@ -449,7 +451,7 @@ def serve_main(argv) -> int:
         slow_threshold_s=args.slow_request_s,
     )
     dispatcher = Dispatcher(system, train=args.train, adaptive=args.adaptive,
-                            workers=args.workers, tracer=tracer)
+                            tracer=tracer)
     log = get_logger("serve")
     served = failed = 0
     served += _finish_pending_jobs(system, service, args)

@@ -327,6 +327,17 @@ class ML4all:
             max_workers=max_workers,
         )
 
+    def resolve(self, request):
+        """One optimize request dict fingerprinted and looked up in the
+        service's in-memory cache
+        (:meth:`~repro.service.OptimizerService.resolve`) -- or None
+        when its dataset is not loaded yet: resolving must stay cheap
+        enough for an event loop, and loading is not."""
+        if (request["dataset"], request.get("task")) not in self._dataset_memo:
+            return None
+        (normalized,) = self._normalize_requests([request], {})
+        return self.service().resolve(normalized)
+
     def _normalize_requests(self, requests, shared) -> list:
         """Request dicts / dataset refs -> ServiceRequest instances.
 

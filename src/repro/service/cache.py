@@ -134,6 +134,9 @@ class PlanCache:
         self._misses = 0
         self._evictions = 0
         self._expirations = 0
+        #: put() calls so far.  While it stands still, a lookup that
+        #: missed (or found a stale value) would do so again.
+        self.version = 0
 
     # -- internals (lock held) ------------------------------------------
     def _drop(self, key) -> None:
@@ -200,6 +203,7 @@ class PlanCache:
         else:
             size = 0
         with self._lock:
+            self.version += 1
             if key in self._data:
                 self._drop(key)
             if self.max_bytes is not None and size > self.max_bytes:

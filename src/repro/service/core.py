@@ -57,12 +57,12 @@ previously seen workloads warm.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
+import itertools
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 
 from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.core.iterations import (
@@ -72,23 +72,28 @@ from repro.core.iterations import (
 )
 from repro.core.optimizer import GDOptimizer
 from repro.gd.registry import CORE_ALGORITHMS
-from repro.obs import span
+from repro.obs import emit_span, span
 from repro.runtime import CalibrationStore
 from repro.service.backends import open_backend
 from repro.service.cache import PlanCache
 from repro.service.checkpoint import CheckpointStore
 from repro.service.fingerprint import (
+    memo_key,
     trial_context_digest,
     workload_fingerprint,
 )
 from repro.service.jobs import TrainingJobs
 from repro.service.metrics import MetricsRegistry
-from repro.service.requests import ServiceResult, normalize_request
+from repro.service.requests import Resolved, ServiceRequest, ServiceResult
 from repro.service.serialize import (
     PlanStoreError,
     entry_from_dict,
     entry_to_dict,
 )
+
+
+#: Request -> key pairs :meth:`OptimizerService.fingerprint` remembers.
+_FINGERPRINT_MEMO_SIZE = 1024
 
 
 @dataclasses.dataclass
@@ -238,6 +243,10 @@ class OptimizerService(TrainingJobs):
         self.worker_id = None
         self._inflight = {}
         self._inflight_lock = threading.Lock()
+        #: What :meth:`fingerprint` digested before -> the key it got
+        #: (oldest dropped first; reads take no lock).
+        self._fingerprints = {}
+        self._fingerprints_lock = threading.Lock()
         #: Entries restored from the persistent backend at startup.
         self.warm_loaded = self._load_persisted()
 
@@ -284,19 +293,25 @@ class OptimizerService(TrainingJobs):
         loaded = 0
         for key, payload in self.backend.load().items():
             try:
-                report, version, digest, written_at = entry_from_dict(payload)
+                loaded += self._restore(key, payload) is not None
             except PlanStoreError as exc:
                 warnings.warn(
                     f"skipping persisted plan {key[:12]}...: {exc}",
                     stacklevel=2,
                 )
-                continue
-            if self._store_expired(written_at):
-                self._expire_persisted(key)
-                continue
-            self.cache.put(key, _CachedPlan(report, version, digest))
-            loaded += 1
         return loaded
+
+    def _restore(self, key, payload):
+        """Decode one persisted entry into the in-memory cache and
+        return it -- or, past ``store_ttl_s``, delete it and return
+        None.  Raises PlanStoreError for an incompatible payload."""
+        report, version, digest, written_at = entry_from_dict(payload)
+        if self._store_expired(written_at):
+            self._expire_persisted(key)
+            return None
+        entry = _CachedPlan(report, version, digest)
+        self.cache.put(key, entry)
+        return entry
 
     def _store_expired(self, written_at) -> bool:
         """True when a persisted entry has outlived ``store_ttl_s``
@@ -328,21 +343,15 @@ class OptimizerService(TrainingJobs):
         histories never collide."""
         return entry.calibration_digest == self.calibration.state_digest()
 
-    def _lookup(self, key):
-        """Cache lookup with backend read-through.
+    def _read_through(self, key):
+        """Fetch and promote an entry the in-memory cache does not hold.
 
-        An entry the in-memory cache evicted (size/TTL bounds) or never
-        loaded still exists in the persistent store; fetch and promote
-        it rather than re-speculating a workload that is sitting on
-        disk."""
-        entry = self.cache.get(key)
-        if entry is not None or self.backend is None:
-            return entry
+        An entry the cache evicted (size/TTL bounds) or never loaded
+        still exists in the persistent store; serve it rather than
+        re-speculating a workload that is sitting on disk."""
         try:
             payload = self.backend.get(key)
-            if payload is None:
-                return None
-            report, version, digest, written_at = entry_from_dict(payload)
+            return None if payload is None else self._restore(key, payload)
         except PlanStoreError:
             return None  # incompatible entry: compute cold
         except Exception as exc:
@@ -351,16 +360,10 @@ class OptimizerService(TrainingJobs):
                 stacklevel=2,
             )
             return None
-        if self._store_expired(written_at):
-            self._expire_persisted(key)
-            return None
-        entry = _CachedPlan(report, version, digest)
-        self.cache.put(key, entry)
-        return entry
 
     def _cache_restored(self, key, report, version, digest) -> None:
         """Re-seed the in-memory cache with an entry restored from a
-        job checkpoint (the job layer's half of :meth:`_lookup`)."""
+        job checkpoint (the job layer's half of :meth:`_read_through`)."""
         self.cache.put(key, _CachedPlan(report, version, digest))
 
     def _persist(self, key, cached) -> None:
@@ -399,25 +402,47 @@ class OptimizerService(TrainingJobs):
         content digest joins the key -- two datasets with coinciding
         statistics but different data must not share a report.
         """
-        return workload_fingerprint(
-            dataset.stats,
-            training,
-            self.spec,
-            data_digest=(
-                None if fixed_iterations is not None
-                else dataset.content_digest()
-            ),
-            representation=dataset.representation,
-            algorithms=(
-                self.algorithms if algorithms is None else tuple(algorithms)
-            ),
-            batch_sizes=(
-                self.batch_sizes if batch_sizes is None else dict(batch_sizes)
-            ),
-            fixed_iterations=fixed_iterations,
-            speculation=self.speculation,
-            seed=self.seed,
+        data_digest = (
+            None if fixed_iterations is not None
+            else dataset.content_digest()
         )
+        algorithms = (
+            self.algorithms if algorithms is None else tuple(algorithms)
+        )
+        batch_sizes = (
+            self.batch_sizes if batch_sizes is None else dict(batch_sizes)
+        )
+        # Freezing four dataclasses costs ~60x the cache lookup the key
+        # is for, and a server sees the same few hundred requests over
+        # and over: remember the key per *value* of everything it
+        # digests (``speculation`` is mutable, hence its fields).
+        memo = memo_key(
+            dataset.stats, training, self.spec, self.speculation,
+            (data_digest, dataset.representation, fixed_iterations,
+             self.seed),
+            algorithms,
+            tuple(itertools.chain.from_iterable(batch_sizes.items())),
+        )
+        key = self._fingerprints.get(memo) if memo is not None else None
+        if key is None:
+            key = workload_fingerprint(
+                dataset.stats,
+                training,
+                self.spec,
+                data_digest=data_digest,
+                representation=dataset.representation,
+                algorithms=algorithms,
+                batch_sizes=batch_sizes,
+                fixed_iterations=fixed_iterations,
+                speculation=self.speculation,
+                seed=self.seed,
+            )
+            if memo is not None:
+                with self._fingerprints_lock:
+                    if len(self._fingerprints) >= _FINGERPRINT_MEMO_SIZE:
+                        del self._fingerprints[next(iter(self._fingerprints))]
+                    self._fingerprints[memo] = key
+        return key
 
     def trial_context(self, dataset, training) -> str:
         """Trial-memo scope of one workload under this service's
@@ -461,63 +486,88 @@ class OptimizerService(TrainingJobs):
     # ------------------------------------------------------------------
     def optimize(self, dataset, training, fixed_iterations=None,
                  algorithms=None, batch_sizes=None) -> ServiceResult:
-        """Answer one optimize() request, from cache when possible.
+        """Answer one optimize() request, from cache when possible:
+        :meth:`resolve`, then :meth:`answer`."""
+        return self.answer(self.resolve(ServiceRequest(
+            dataset, training, fixed_iterations, algorithms, batch_sizes
+        )))
+
+    def resolve(self, request) -> Resolved:
+        """Fingerprint one :class:`ServiceRequest` and look it up in
+        the in-memory cache.  No store I/O, no GD, no waiting: cheap
+        enough for a front-end's event loop, which answers a ``hit``
+        itself and leaves everything else to a worker."""
+        start = time.perf_counter()
+        key = self.fingerprint(
+            request.dataset, request.training, request.fixed_iterations,
+            request.algorithms, request.batch_sizes,
+        )
+        looked = time.perf_counter()
+        version = self.cache.version
+        entry = self.cache.get(key)
+        hit = entry is not None and self._stamp_current(entry)
+        return Resolved(request, key, entry, hit, version, looked - start,
+                        time.perf_counter() - looked)
+
+    def answer(self, resolved) -> ServiceResult:
+        """Serve a resolved request: the cached report on a hit, else
+        read through to the backend, re-cost a stale entry or compute.
 
         Identical concurrent requests coalesce onto a single computation
         -- for cold computes *and* for recalibration re-costs: a stale
         cache entry is re-priced exactly once however many callers see
         it go stale together; everyone gets the same report object.
         """
-        start = time.perf_counter()
+        # wall_s counts the resolve steps too, wherever they ran.
+        start = (time.perf_counter()
+                 - resolved.fingerprint_s - resolved.lookup_s)
         self.metrics.inc("service.requests")
-        with span("fingerprint"):
-            key = self.fingerprint(
-                dataset, training, fixed_iterations, algorithms, batch_sizes
-            )
-
-        with span("cache_lookup") as lookup_span:
-            entry = self._lookup(key)
-            hit = entry is not None and self._stamp_current(entry)
-            lookup_span.set("hit", hit)
-            lookup_span.set("stale", entry is not None and not hit)
+        request, key = resolved.request, resolved.fingerprint
+        entry, hit, lookup_s = resolved.entry, resolved.hit, resolved.lookup_s
+        seen, future, owner = resolved.cache_version, None, False
+        on_disk = self.backend is not None
+        # A miss, or a stale entry (the calibration store learned
+        # something since it was priced), goes through the in-flight
+        # table, so concurrent identical requests share one computation
+        # instead of duplicating it.  The owner caches its plan before
+        # it leaves the table; so under the table's lock, no entry for
+        # the key and no put() since this request looked means nobody
+        # has computed it.  Otherwise look again: plans were cached
+        # while it waited for a worker -- maybe its own, by a twin.
+        while not hit and future is None:
+            reading = time.perf_counter()
+            if seen != self.cache.version:
+                seen = self.cache.version
+                entry = self.cache.get(key)
+            if entry is None and on_disk:
+                on_disk = False  # asked once
+                entry = self._read_through(key)
+                seen += entry is not None  # promoting it was a put()
+            if entry is not resolved.entry:
+                hit = entry is not None and self._stamp_current(entry)
+            lookup_s += time.perf_counter() - reading
+            if not hit:
+                with self._inflight_lock:
+                    future = self._inflight.get(key)
+                    owner = future is None and seen == self.cache.version
+                    if owner:
+                        future = self._inflight[key] = Future()
+        # Measured in resolve(), possibly on another thread before this
+        # request's trace began: emitted, like the admission wait.
+        emit_span("fingerprint", resolved.fingerprint_s)
+        emit_span("cache_lookup", lookup_s, hit=hit,
+                  stale=entry is not None and not hit)
         if hit:
             self.metrics.inc("service.hits")
-            wall_s = time.perf_counter() - start
-            self.metrics.observe("service.optimize_s", wall_s)
-            return ServiceResult(
-                report=entry.report,
-                fingerprint=key,
-                cache_hit=True,
-                coalesced=False,
-                wall_s=wall_s,
-            )
+            return self._result(start, entry.report, key, cache_hit=True)
 
-        # A miss, or a stale entry (the calibration store learned
-        # something since it was priced).  Both routes go through the
-        # in-flight table, so concurrent identical requests share one
-        # computation instead of duplicating it.
         self.metrics.inc("service.misses")
-        with self._inflight_lock:
-            future = self._inflight.get(key)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._inflight[key] = future
-
         if not owner:
             with span("coalesced_wait"):
                 report, recalibrated = future.result()
             self.metrics.inc("service.coalesced")
-            wall_s = time.perf_counter() - start
-            self.metrics.observe("service.optimize_s", wall_s)
-            return ServiceResult(
-                report=report,
-                fingerprint=key,
-                cache_hit=False,
-                coalesced=True,
-                wall_s=wall_s,
-                recalibrated=recalibrated,
-            )
+            return self._result(start, report, key, coalesced=True,
+                                recalibrated=recalibrated)
 
         try:
             # Stamp with the calibration state the report is priced
@@ -533,16 +583,17 @@ class OptimizerService(TrainingJobs):
             recalibrated = entry is not None
             with span("recost" if recalibrated else "compute_plan"):
                 report = self._make_optimizer(
-                    algorithms, batch_sizes,
+                    request.algorithms, request.batch_sizes,
                     context=(
-                        self.trial_context(dataset, training)
-                        if fixed_iterations is None and not recalibrated
+                        self.trial_context(request.dataset, request.training)
+                        if request.fixed_iterations is None
+                        and not recalibrated
                         else None
                     ),
                 ).optimize(
-                    dataset,
-                    training,
-                    fixed_iterations=fixed_iterations,
+                    request.dataset,
+                    request.training,
+                    fixed_iterations=request.fixed_iterations,
                     iteration_estimates=(
                         entry.report.iteration_estimates
                         if recalibrated else None
@@ -565,16 +616,14 @@ class OptimizerService(TrainingJobs):
         self.metrics.inc(
             "service.recalibrated" if recalibrated else "service.computed"
         )
+        return self._result(start, report, key, recalibrated=recalibrated)
+
+    def _result(self, start, report, key, cache_hit=False, coalesced=False,
+                recalibrated=False) -> ServiceResult:
         wall_s = time.perf_counter() - start
         self.metrics.observe("service.optimize_s", wall_s)
-        return ServiceResult(
-            report=report,
-            fingerprint=key,
-            cache_hit=False,
-            coalesced=False,
-            wall_s=wall_s,
-            recalibrated=recalibrated,
-        )
+        return ServiceResult(report, key, cache_hit, coalesced, wall_s,
+                             recalibrated)
 
     def save_calibration(self, path=None) -> str | None:
         """Persist the calibration store (no-op without a path)."""
@@ -590,31 +639,10 @@ class OptimizerService(TrainingJobs):
         ``(dataset, training)`` pairs, or
         ``(dataset, training, fixed_iterations)`` triples.
         """
-        normalized = [normalize_request(r) for r in requests]
-        if not normalized:
-            return []
-        if max_workers is None:
-            max_workers = min(8, len(normalized))
-        max_workers = max(1, min(max_workers, len(normalized)))
-        if max_workers == 1 or len(normalized) == 1:
-            return [
-                self.optimize(r.dataset, r.training, r.fixed_iterations,
-                              r.algorithms, r.batch_sizes)
-                for r in normalized
-            ]
-        with ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="optimize"
-        ) as pool:
-            # copy_context() keeps an ambient trace on the pool threads.
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    self.optimize, r.dataset, r.training, r.fixed_iterations,
-                    r.algorithms, r.batch_sizes,
-                )
-                for r in normalized
-            ]
-            return [f.result() for f in futures]
+        return self._serve_many(
+            requests, max_workers,
+            lambda request: self.answer(self.resolve(request)), "optimize",
+        )
 
     # ------------------------------------------------------------------
     def cache_stats(self):

@@ -65,6 +65,38 @@ def freeze(value):
     return repr(value)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def memo_key(*parts):
+    """Hashable stand-in for config values, equal only when their
+    :func:`freeze` forms print alike; None when that cannot be told
+    without freezing them.
+
+    A dataclass contributes its class and instance state, a tuple its
+    items, anything else itself -- and every leaf must be a plain
+    scalar, kept beside its type: ``1``, ``1.0`` and ``True`` compare
+    and hash alike but freeze (so fingerprint) differently.  A leaf of
+    any other type -- a step-size schedule object hashes by identity,
+    which is no identity across requests -- yields None.  (``0.0`` and
+    ``-0.0`` do share a slot: one workload, whichever spelling came
+    first.)
+    """
+    key = []
+    for part in parts:
+        if type(part) is tuple:
+            values = part
+        elif hasattr(part, "__dataclass_fields__"):
+            values = tuple(vars(part).values())
+        else:
+            values = (part,)
+        types = tuple(map(type, values))
+        if not _SCALARS.issuperset(types):
+            return None
+        key.append((type(part), values, types))
+    return tuple(key)
+
+
 def workload_fingerprint(stats, training, spec, **extra) -> str:
     """Digest of one optimization workload.
 

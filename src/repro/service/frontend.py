@@ -17,13 +17,15 @@ server -- decide *whether to accept it at all*.  Three pieces:
   ``{"ok": false, "error": ...}`` instead of letting them kill a serve
   loop.  The stdin loop (``repro serve``) and the socket server share
   this path, so a malformed line behaves identically on both.
-* **Admission control** (:class:`SocketFrontend`) -- a thread-pool TCP
-  server speaking JSON lines, with a bounded admission count
-  (load-shedding above ``shed_after``), per-tenant max-inflight quotas,
-  and per-request deadlines that map into
-  :class:`~repro.runtime.JobBudget` ``max_seconds`` so a deadline does
-  not just reject queued work -- it preempts running work gracefully,
-  checkpoint included.
+* **Admission control** (:class:`SocketFrontend`) -- a TCP server
+  speaking JSON lines off one event-loop thread
+  (:class:`~repro.service.remote.LineServer`), which answers plan-cache
+  hits itself and hands everything that computes or does I/O to a
+  worker pool; with a bounded admission count (load-shedding above
+  ``shed_after``), per-tenant max-inflight quotas, and per-request
+  deadlines that map into :class:`~repro.runtime.JobBudget`
+  ``max_seconds`` so a deadline does not just reject queued work -- it
+  preempts running work gracefully, checkpoint included.
 
 Rejections are cheap and structured (``overloaded`` /
 ``quota_exceeded`` / ``deadline_exceeded``), which is the point of
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -43,8 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import ReproError
 from repro.obs import TraceRecorder, emit_span, render_tree
 from repro.obs.recorder import valid_trace_id
-from repro.service.metrics import MetricsRegistry
-from repro.service.remote import MAX_FRAME_BYTES
+from repro.service.remote import MAX_FRAME_BYTES, LineServer
 
 #: Request-line keys coerced to int / float; the rest stay strings.
 _INT_KEYS = {"max_iter", "batch", "fixed_iterations", "seed",
@@ -64,6 +64,17 @@ _NO_REQUEST_VERBS = {"metrics", "trace", "jobs"}
 
 #: Tenant used when a request does not name one.
 DEFAULT_TENANT = "default"
+
+_NO_CHECKPOINT_STORE = ("this server has no checkpoint store "
+                        "(start it with --checkpoint)")
+
+
+def _failure(error, detail, wire=None) -> dict:
+    """A structured failure reply, echoing the request's ``id``."""
+    response = {"ok": False, "error": error, "detail": detail}
+    if wire is not None and wire.id is not None:
+        response["id"] = wire.id
+    return response
 
 
 def _coerce(key, value):
@@ -256,40 +267,56 @@ class Dispatcher:
     recorded trace back out of the shared :class:`TraceRecorder`.
     """
 
-    def __init__(self, system, train=False, adaptive=False, workers=None,
-                 metrics=None, tracer=None):
+    def __init__(self, system, train=False, adaptive=False, tracer=None):
         self.system = system
         self.adaptive = adaptive
         self.train_mode = train or adaptive
-        self.workers = workers
-        self.metrics = (
-            metrics if metrics is not None else system.service().metrics
-        )
+        self.metrics = system.service().metrics
         self.tracer = (
             tracer if tracer is not None
             else TraceRecorder(metrics=self.metrics)
         )
 
     # ------------------------------------------------------------------
-    def handle_line(self, line, tenant=None) -> dict:
+    def handle_line(self, line) -> dict:
         """Parse and dispatch one protocol line; never raises for
         request-level failures."""
         try:
             wire = parse_wire_line(line)
         except ReproError as exc:
             self.metrics.inc("frontend.bad_requests")
-            return {"ok": False, "error": "bad_request", "detail": str(exc)}
-        if tenant is not None and wire.tenant == DEFAULT_TENANT:
-            wire = dataclasses.replace(wire, tenant=tenant)
+            return _failure("bad_request", str(exc))
         return self.handle(wire)
 
-    def handle(self, wire, remaining_s=None, queue_wait_s=None) -> dict:
+    def _trains(self, wire) -> bool:
+        return wire.verb == "train" or (
+            wire.verb is None
+            and (self.train_mode or "job_id" in wire.request)
+        )
+
+    def resolve(self, wire):
+        """Fingerprint and look up an optimize request without loading
+        data, touching a store or running GD, so a front-end can tell a
+        plain hit (``.hit``) from work before it picks a thread; pass
+        the result to :meth:`handle`.  None for any other verb, for a
+        dataset not loaded yet and for a request that does not resolve
+        (:meth:`handle` reports what is wrong with it)."""
+        if wire.verb not in (None, "optimize") or self._trains(wire):
+            return None
+        try:
+            return self.system.resolve(wire.request)
+        except Exception:  # noqa: BLE001 - handle() reports it
+            return None
+
+    def handle(self, wire, remaining_s=None, queue_wait_s=None,
+               resolved=None) -> dict:
         """Dispatch one :class:`WireRequest` (already admitted).
 
         ``remaining_s`` is the deadline budget left *after* queueing;
         it defaults to the request's full ``deadline_s``.
         ``queue_wait_s`` (when the caller measured one) becomes the
-        request trace's ``admission`` span.
+        request trace's ``admission`` span.  ``resolved`` is what
+        :meth:`resolve` returned for this request, if it was asked.
         """
         self.metrics.inc("frontend.requests")
         if wire.verb == "metrics":
@@ -305,40 +332,38 @@ class Dispatcher:
         if wire.verb == "jobs":
             return self._jobs_body(wire)
         request = dict(wire.request)
-        if wire.verb == "enqueue":
-            return self._enqueue(wire, request)
-        trains = (
-            wire.verb == "train"
-            or (wire.verb is None
-                and (self.train_mode or "job_id" in request))
-        )
+        verb = ("enqueue" if wire.verb == "enqueue"
+                else "train" if self._trains(wire) else "optimize")
         with self.tracer.trace(
             "request",
             trace_id=wire.trace_id,
-            verb="train" if trains else "optimize",
+            verb=verb,
             dataset=request.get("dataset"),
             tenant=wire.tenant,
         ) as root:
             if queue_wait_s is not None:
                 emit_span("admission", queue_wait_s)
-            if trains and "job_id" in request:
+            trace_id = getattr(root, "trace_id", None)
+            if (trace_id is not None and verb != "optimize"
+                    and "job_id" in request):
                 # Stamp the request trace's id into the job request:
                 # it rides into the checkpointed descriptor, so a fleet
-                # worker resuming this job on another machine joins the
-                # submitting request's trace.
-                root_trace_id = getattr(root, "trace_id", None)
-                if root_trace_id is not None:
-                    request.setdefault("trace_id", root_trace_id)
-            response = self._execute(wire, request, trains, remaining_s)
+                # worker running or resuming this job on another
+                # machine joins the submitting request's trace.
+                request.setdefault("trace_id", trace_id)
+            if verb == "enqueue":
+                response = self._enqueue(wire, request)
+            else:
+                response = self._execute(wire, request, verb == "train",
+                                         remaining_s, resolved)
             root.set("ok", bool(response.get("ok")))
             if not response.get("ok"):
                 root.set("error", response.get("error"))
-        trace_id = getattr(root, "trace_id", None)
         if trace_id is not None:
             response.setdefault("trace_id", trace_id)
         return response
 
-    def _execute(self, wire, request, trains, remaining_s) -> dict:
+    def _execute(self, wire, request, trains, remaining_s, resolved) -> dict:
         """Run one optimize/train request inside its root span."""
         start = time.perf_counter()
         if remaining_s is None:
@@ -360,26 +385,19 @@ class Dispatcher:
                 )
                 body = self._train_body(request, result)
             else:
-                (result,) = self.system.optimize_many(
-                    [request], max_workers=1,
-                )
+                if resolved is not None:
+                    result = self.system.service().answer(resolved)
+                else:
+                    (result,) = self.system.optimize_many(
+                        [request], max_workers=1,
+                    )
                 body = self._optimize_body(request, result)
         except ReproError as exc:
             self.metrics.inc("frontend.request_failed")
-            return {
-                "ok": False,
-                "error": "request_failed",
-                "detail": str(exc),
-                **({"id": wire.id} if wire.id is not None else {}),
-            }
+            return _failure("request_failed", str(exc), wire)
         except Exception as exc:  # noqa: BLE001 - serve loops must live
             self.metrics.inc("frontend.internal_errors")
-            return {
-                "ok": False,
-                "error": "internal",
-                "detail": f"{type(exc).__name__}: {exc}",
-                **({"id": wire.id} if wire.id is not None else {}),
-            }
+            return _failure("internal", f"{type(exc).__name__}: {exc}", wire)
         finally:
             self.metrics.observe(
                 "frontend.latency_s", time.perf_counter() - start
@@ -391,12 +409,9 @@ class Dispatcher:
         """Answer one ``trace <id>`` lookup from the recorder."""
         spans = self.tracer.spans(wire.trace_id)
         if spans is None:
-            return {
-                "ok": False,
-                "error": "not_found",
-                "detail": f"no recorded trace {wire.trace_id!r}",
-                **({"id": wire.id} if wire.id is not None else {}),
-            }
+            return _failure(
+                "not_found", f"no recorded trace {wire.trace_id!r}", wire
+            )
         return self._respond(wire, {
             "verb": "trace",
             "trace_id": wire.trace_id,
@@ -410,17 +425,11 @@ class Dispatcher:
         :func:`repro.service.worker.job_progress_records`)."""
         from repro.service.worker import job_progress_records
 
-        service = self.system.service()
-        if service.checkpoints is None:
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "detail": "this server has no checkpoint store "
-                          "(start it with --checkpoint)",
-                **({"id": wire.id} if wire.id is not None else {}),
-            }
+        checkpoints = self.system.service().checkpoints
+        if checkpoints is None:
+            return _failure("bad_request", _NO_CHECKPOINT_STORE, wire)
         jobs, workers = job_progress_records(
-            service.checkpoints.backend.load(), now=time.time()
+            checkpoints.backend.load(), now=time.time()
         )
         lines = []
         for job in jobs:
@@ -444,64 +453,32 @@ class Dispatcher:
 
     def _enqueue(self, wire, request) -> dict:
         """Park a durable job in the shared checkpoint store without
-        executing it -- fleet workers pointed at the store claim it.
-        The submitting request's trace id travels in the descriptor, so
-        the worker that eventually runs the job joins this trace."""
+        executing it -- fleet workers pointed at the store claim it
+        (and, through the descriptor's ``trace_id``, join this
+        request's trace)."""
         from repro.service.checkpoint import CheckpointError
 
         job_id = request.get("job_id")
         if not job_id:
             self.metrics.inc("frontend.bad_requests")
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "detail": "the 'enqueue' verb needs a job_id",
-                **({"id": wire.id} if wire.id is not None else {}),
-            }
-        service = self.system.service()
-        if service.checkpoints is None:
-            return {
-                "ok": False,
-                "error": "bad_request",
-                "detail": "this server has no checkpoint store "
-                          "(start it with --checkpoint)",
-                **({"id": wire.id} if wire.id is not None else {}),
-            }
-        with self.tracer.trace(
-            "request",
-            trace_id=wire.trace_id,
-            verb="enqueue",
-            dataset=request.get("dataset"),
-            tenant=wire.tenant,
-        ) as root:
-            descriptor = dict(request)
-            root_trace_id = getattr(root, "trace_id", None)
-            if root_trace_id is not None:
-                descriptor.setdefault("trace_id", root_trace_id)
-            try:
-                checkpoint = service.checkpoints.submit(job_id, descriptor)
-            except CheckpointError as exc:
-                self.metrics.inc("frontend.request_failed")
-                root.set("ok", False)
-                response = {
-                    "ok": False,
-                    "error": "request_failed",
-                    "detail": str(exc),
-                    **({"id": wire.id} if wire.id is not None else {}),
-                }
-            else:
-                self.metrics.inc("frontend.enqueued")
-                root.set("ok", True)
-                response = self._respond(wire, {
-                    "verb": "enqueue",
-                    "job_id": job_id,
-                    "status": checkpoint.status,
-                    "lines": [f"{job_id}: {checkpoint.status}"],
-                })
-        trace_id = getattr(root, "trace_id", None)
-        if trace_id is not None:
-            response.setdefault("trace_id", trace_id)
-        return response
+            return _failure(
+                "bad_request", "the 'enqueue' verb needs a job_id", wire
+            )
+        checkpoints = self.system.service().checkpoints
+        if checkpoints is None:
+            return _failure("bad_request", _NO_CHECKPOINT_STORE, wire)
+        try:
+            checkpoint = checkpoints.submit(job_id, request)
+        except CheckpointError as exc:
+            self.metrics.inc("frontend.request_failed")
+            return _failure("request_failed", str(exc), wire)
+        self.metrics.inc("frontend.enqueued")
+        return self._respond(wire, {
+            "verb": "enqueue",
+            "job_id": job_id,
+            "status": checkpoint.status,
+            "lines": [f"{job_id}: {checkpoint.status}"],
+        })
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -565,11 +542,20 @@ class Dispatcher:
         return body
 
 
-class SocketFrontend:
+class SocketFrontend(LineServer):
     """Concurrent TCP front-end with admission control.
 
     One line in, one JSON object out (pipelined responses carry the
     request's ``id`` for correlation; they may complete out of order).
+    The :class:`~repro.service.remote.LineServer` loop thread frames and
+    parses lines, runs admission, and answers inline what needs no I/O
+    and no GD -- ``metrics``, ``trace``, and an optimize request that
+    :meth:`Dispatcher.resolve` finds current in the in-memory plan
+    cache.  Everything else (a miss, a stale or persisted-only entry,
+    ``train``, ``enqueue``, ``jobs``) runs on ``max_workers`` pool
+    threads, which send their reply themselves.  So a hit never queues
+    behind a miss, and no thread blocks on a client that does not read.
+
     Admission happens *at receipt*, before any optimizer work:
 
     * more than ``shed_after`` requests admitted (queued or running) ->
@@ -581,239 +567,149 @@ class SocketFrontend:
       within its deadline instead gets the remainder as its
       execution budget -- see :meth:`Dispatcher.handle`).
 
-    ``metrics`` requests bypass admission entirely: observability must
-    keep answering precisely when the server is saturated.
+    ``metrics``, ``trace`` and ``jobs`` bypass admission entirely:
+    observability must keep answering precisely when the server is
+    saturated.  What a disconnected slow client
+    (``frontend.slow_client_closed``) still has queued is dropped
+    unexecuted.
     """
+
+    #: Read at use: tests shrink the module constant.
+    max_frame_bytes = property(lambda self: MAX_FRAME_BYTES)
 
     def __init__(self, dispatcher, host="127.0.0.1", port=0,
                  max_workers=8, shed_after=64, max_inflight=None):
+        super().__init__(host, port)
         self.dispatcher = dispatcher
         self.metrics = dispatcher.metrics
-        self.host = host
-        self.port = port
         self.max_workers = max(1, int(max_workers))
         self.shed_after = max(1, int(shed_after))
         #: Per-tenant inflight cap; None disables the quota.
         self.max_inflight = max_inflight
+        #: A dispatcher that cannot resolve (a test stub) gets nothing
+        #: but metrics/trace answered inline.
+        self._resolve = getattr(dispatcher, "resolve", lambda wire: None)
         self._admitted = 0
         self._per_tenant = {}
         self._admission_lock = threading.Lock()
-        self._pool = None
-        self._listener = None
-        self._accept_thread = None
-        self._stop = threading.Event()
-        self._clients = set()
-        self._clients_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
     def start(self) -> int:
-        """Bind, listen and serve in background threads; returns the
-        bound port (useful with ``port=0``)."""
-        self._listener = socket.create_server(
-            (self.host, self.port), reuse_port=False
-        )
-        self.port = self._listener.getsockname()[1]
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="frontend"
         )
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="frontend-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self.port
+        return super().start()
 
     def stop(self) -> None:
         """Stop accepting, close every connection, drain the pool."""
-        self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._clients_lock:
-            clients = list(self._clients)
-        for client in clients:
-            try:
-                client.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                client.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        if self._pool is not None:
+        super().stop()
+        if self._thread is not None:
+            # Queued requests find their connection closed and return.
             self._pool.shutdown(wait=True)
 
-    def wait(self) -> None:
-        """Block until the server is stopped."""
-        while not self._stop.wait(timeout=0.5):
-            pass
+    def count(self, event) -> None:
+        self.metrics.inc(f"frontend.{event}")
 
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
+    def encode(self, response) -> bytes:
+        # Through this module's ``json``: bench/tracing.py times reply
+        # encoding by wrapping ``repro.service.frontend:json!dumps``.
+        return json.dumps(response, default=str).encode() + b"\n"
 
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._clients_lock:
-                self._clients.add(client)
-            threading.Thread(
-                target=self._serve_connection, args=(client,),
-                name="frontend-conn", daemon=True,
-            ).start()
-
-    def _serve_connection(self, client) -> None:
-        write_lock = threading.Lock()
-        try:
-            reader = client.makefile("rb")
-            writer = client.makefile("w", encoding="utf-8", newline="\n")
-            while True:
-                # Framed like StoreServer: a chunk that fills the cap
-                # without a newline is an oversized frame, and past the
-                # cap the next line boundary is unknowable -- reject and
-                # close instead of buffering without bound.
-                raw = reader.readline(MAX_FRAME_BYTES + 1)
-                if not raw:
-                    break  # clean EOF
-                if len(raw) > MAX_FRAME_BYTES and not raw.endswith(b"\n"):
-                    self.metrics.inc("frontend.bad_requests")
-                    self._write(writer, write_lock, {
-                        "ok": False, "error": "frame_too_large",
-                        "detail": (
-                            f"frame exceeds {MAX_FRAME_BYTES} bytes; "
-                            "closing connection"
-                        ),
-                    })
-                    break
-                # Undecodable bytes reach the parser as U+FFFD and come
-                # back as a structured bad_request, not a dropped socket.
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                if line in ("quit", "exit"):
-                    break
-                self._handle_line(line, writer, write_lock)
-        except (OSError, ValueError):
-            pass  # connection torn down mid-read
-        finally:
-            with self._clients_lock:
-                self._clients.discard(client)
-            try:
-                client.close()
-            except OSError:
-                pass
-
-    def _write(self, writer, write_lock, response) -> None:
-        payload = json.dumps(response, default=str)
-        try:
-            with write_lock:
-                writer.write(payload + "\n")
-                writer.flush()
-        except (OSError, ValueError):
-            pass  # client went away; nothing to tell it
-
-    # ------------------------------------------------------------------
-    def _handle_line(self, line, writer, write_lock) -> None:
-        """Parse, admit and enqueue one request (runs on the
-        connection's reader thread -- must stay O(1))."""
+    def handle_line(self, conn, line) -> None:
+        """Parse and admit one request, then answer it here or hand it
+        to the pool (runs on the loop thread -- must not block)."""
+        if line in ("quit", "exit"):
+            self.hang_up(conn)
+            return
         try:
             wire = parse_wire_line(line)
         except ReproError as exc:
             self.metrics.inc("frontend.bad_requests")
-            self._write(writer, write_lock, {
-                "ok": False, "error": "bad_request", "detail": str(exc),
-            })
+            self.send(conn, _failure("bad_request", str(exc)))
             return
         if wire.verb in _NO_REQUEST_VERBS:
             # Observability (metrics/trace/jobs) bypasses admission: it
             # must answer while the server sheds everything else.
-            self._write(writer, write_lock, self.dispatcher.handle(wire))
+            # ``jobs`` reads the checkpoint store, so not on this thread.
+            if wire.verb == "jobs":
+                self._pool.submit(self._serve, conn, wire)
+            else:
+                self._serve(conn, wire)
             return
 
         with self._admission_lock:
+            inflight = self._per_tenant.get(wire.tenant, 0)
             if self._admitted >= self.shed_after:
                 self.metrics.inc("frontend.shed")
-                rejection = {
-                    "ok": False,
-                    "error": "overloaded",
-                    "detail": (
-                        f"{self._admitted} requests already admitted "
-                        f"(shed_after={self.shed_after}); retry later"
-                    ),
-                }
-            elif (
-                self.max_inflight is not None
-                and self._per_tenant.get(wire.tenant, 0) >= self.max_inflight
-            ):
+                rejection = _failure(
+                    "overloaded",
+                    f"{self._admitted} requests already admitted "
+                    f"(shed_after={self.shed_after}); retry later",
+                    wire,
+                )
+            elif (self.max_inflight is not None
+                  and inflight >= self.max_inflight):
                 self.metrics.inc("frontend.quota_rejected")
-                rejection = {
-                    "ok": False,
-                    "error": "quota_exceeded",
-                    "detail": (
-                        f"tenant {wire.tenant!r} already has "
-                        f"{self._per_tenant[wire.tenant]} requests inflight "
-                        f"(max_inflight={self.max_inflight})"
-                    ),
-                }
+                rejection = _failure(
+                    "quota_exceeded",
+                    f"tenant {wire.tenant!r} already has {inflight} "
+                    f"requests inflight (max_inflight={self.max_inflight})",
+                    wire,
+                )
             else:
                 rejection = None
                 self._admitted += 1
-                self._per_tenant[wire.tenant] = (
-                    self._per_tenant.get(wire.tenant, 0) + 1
-                )
+                self._per_tenant[wire.tenant] = inflight + 1
                 self.metrics.gauge("frontend.queue_depth", self._admitted)
         if rejection is not None:
-            if wire.id is not None:
-                rejection["id"] = wire.id
-            self._write(writer, write_lock, rejection)
+            self.send(conn, rejection)
             return
 
         admitted_at = time.monotonic()
-        self._pool.submit(
-            self._run_admitted, wire, admitted_at, writer, write_lock
-        )
+        resolved = self._resolve(wire)
+        if resolved is not None and resolved.hit:
+            self._serve(conn, wire, admitted_at, resolved)
+        else:
+            self._pool.submit(self._serve, conn, wire, admitted_at, resolved)
 
-    def _run_admitted(self, wire, admitted_at, writer, write_lock) -> None:
-        """Execute one admitted request on a pool worker."""
+    def _serve(self, conn, wire, admitted_at=None, resolved=None) -> None:
+        """Answer one request and send the reply -- on the loop thread
+        for an inline answer, on a pool worker otherwise.  A request
+        that passed admission carries ``admitted_at`` and gives its
+        slot back here."""
         try:
-            waited = time.monotonic() - admitted_at
-            remaining = None
-            if wire.deadline_s is not None:
-                remaining = wire.deadline_s - waited
-                if remaining <= 0:
-                    self.metrics.inc("frontend.deadline_rejected")
-                    response = {
-                        "ok": False,
-                        "error": "deadline_exceeded",
-                        "detail": (
-                            f"deadline of {wire.deadline_s:g}s expired "
-                            "while queued"
-                        ),
-                    }
-                    if wire.id is not None:
-                        response["id"] = wire.id
-                    self._write(writer, write_lock, response)
-                    return
-            response = self.dispatcher.handle(
-                wire, remaining_s=remaining, queue_wait_s=waited
-            )
-            self._write(writer, write_lock, response)
+            if conn.closed:
+                return
+            admitted, remaining = {}, None
+            if admitted_at is not None:
+                waited = time.monotonic() - admitted_at
+                if wire.deadline_s is not None:
+                    remaining = wire.deadline_s - waited
+                admitted = {"remaining_s": remaining, "queue_wait_s": waited}
+                if resolved is not None:
+                    admitted["resolved"] = resolved
+            if remaining is not None and remaining <= 0:
+                self.metrics.inc("frontend.deadline_rejected")
+                response = _failure(
+                    "deadline_exceeded",
+                    f"deadline of {wire.deadline_s:g}s expired while queued",
+                    wire,
+                )
+            else:
+                response = self.dispatcher.handle(wire, **admitted)
+            self.send(conn, response)
+        except Exception as exc:  # noqa: BLE001 - the loop must live
+            self.metrics.inc("frontend.internal_errors")
+            self.send(conn, _failure(
+                "internal", f"{type(exc).__name__}: {exc}", wire
+            ))
         finally:
-            with self._admission_lock:
-                self._admitted -= 1
-                count = self._per_tenant.get(wire.tenant, 1) - 1
-                if count <= 0:
-                    self._per_tenant.pop(wire.tenant, None)
-                else:
-                    self._per_tenant[wire.tenant] = count
-                self.metrics.gauge("frontend.queue_depth", self._admitted)
+            if admitted_at is not None:
+                with self._admission_lock:
+                    self._admitted -= 1
+                    count = self._per_tenant.get(wire.tenant, 1) - 1
+                    if count <= 0:
+                        self._per_tenant.pop(wire.tenant, None)
+                    else:
+                        self._per_tenant[wire.tenant] = count
+                    self.metrics.gauge("frontend.queue_depth", self._admitted)

@@ -459,13 +459,6 @@ class TrainingJobs:
         executes on its own engine clone, so concurrent training runs
         stay isolated.
         """
-        normalized = [normalize_request(r) for r in requests]
-        if not normalized:
-            return []
-        if max_workers is None:
-            max_workers = min(8, len(normalized))
-        max_workers = max(1, min(max_workers, len(normalized)))
-
         def one(request):
             return self.train(
                 request.dataset, request.training, request.fixed_iterations,
@@ -477,10 +470,21 @@ class TrainingJobs:
                 job_request=request.job_request,
             )
 
-        if max_workers == 1 or len(normalized) == 1:
+        return self._serve_many(requests, max_workers, one, "train")
+
+    @staticmethod
+    def _serve_many(requests, max_workers, one, thread_name) -> list:
+        """``one(request)`` for every request (normalised), in order:
+        on up to ``max_workers`` threads (default ``min(8, n)``)."""
+        normalized = [normalize_request(r) for r in requests]
+        max_workers = min(
+            8 if max_workers is None else max(1, max_workers),
+            len(normalized),
+        )
+        if max_workers <= 1:
             return [one(r) for r in normalized]
         with ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="train"
+            max_workers=max_workers, thread_name_prefix=thread_name
         ) as pool:
             # copy_context() keeps an ambient trace on the pool threads.
             futures = [

@@ -62,6 +62,29 @@ def normalize_request(request) -> ServiceRequest:
     )
 
 
+@dataclasses.dataclass(slots=True)
+class Resolved:
+    """A request fingerprinted and looked up in the in-memory plan
+    cache -- the half of ``optimize()`` that needs no I/O and no GD
+    (:meth:`OptimizerService.resolve`).  A front-end reads ``hit`` to
+    pick a thread, then hands the same object to
+    :meth:`OptimizerService.answer`, so nothing is derived twice."""
+
+    request: ServiceRequest
+    fingerprint: str
+    #: The in-memory cache entry, or None (a persistent backend may
+    #: still hold one: ``answer`` reads through).
+    entry: object
+    #: True when ``entry`` was priced against the live calibration.
+    hit: bool
+    #: ``PlanCache.version`` just before the lookup: a miss is only
+    #: still a miss while the cache has not been written since.
+    cache_version: int
+    #: Seconds the two steps took, for the request trace's spans.
+    fingerprint_s: float
+    lookup_s: float
+
+
 @dataclasses.dataclass
 class ServiceResult:
     """Outcome of one service request."""

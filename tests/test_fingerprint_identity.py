@@ -1,0 +1,236 @@
+"""Workload fingerprints are persisted identities: plan stores, job
+checkpoints bound to a workload and the benchmark's golden table all
+key on them.  The service memoises request -> key; this file pins that
+the memo never changes a key, never conflates two workloads and never
+grows without bound.
+
+``GOLDEN`` holds literal digests captured at the commit *before* the
+memo existed (``python tests/test_fingerprint_identity.py`` prints the
+table for the current tree); ``golden/parent_plans.json`` is a plan
+store that commit wrote.
+"""
+
+import dataclasses
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.api import ML4all
+from repro.cluster.storage import DatasetStats, PartitionedDataset
+from repro.core.plans import TrainingSpec
+from repro.gd.step_size import InverseSqrtStep
+from repro.service import OptimizerService
+from repro.service import core as service_core
+
+DATASETS = ("adult", "covtype", "yearpred", "higgs")
+VARIANTS = {
+    "default": {},
+    "epsilon": {"epsilon": 0.01},
+    "fixed_iterations": {"fixed_iterations": 40},
+    "algorithm": {"algorithm": "sgd"},
+    "batch": {"batch": 500},
+    "step": {"step": 0.5},
+}
+
+GOLDEN = {
+    "adult/default":
+        "551ebf23674bf1563af3e8e86444851c9947f53d7450226981e7af911f359b16",
+    "adult/epsilon":
+        "c16c69672caed61865e0acc75162df214bd3c3827371c10ad7ef0fe7af9a0416",
+    "adult/fixed_iterations":
+        "998362bd7047733dd43cc1c157ca968943e2aab0e131d983d97bb09690568ab5",
+    "adult/algorithm":
+        "73dcddfc253b5248a6a6df016cd4ae5d5cac8d35c4f2a9b5f2e2e227f6558506",
+    "adult/batch":
+        "a0c0a8fbdaaf9a3ed845cac81e4ecbd33a3ddce2131501b91b48fe8fe981e9eb",
+    "adult/step":
+        "e52d110e071fb43a9024bcdfc4a613cc7cf90e7b139705a0fe41a39ec8d0462b",
+    "covtype/default":
+        "06c554333435f8660ebbbb0149a44c5ff9578f9d4f9affc1c198966eed26378b",
+    "covtype/epsilon":
+        "9779e388d051b8f610a0235dda80f2a459c284b7b46b77762a1fa65c050e96de",
+    "covtype/fixed_iterations":
+        "68b3c7e14779ea7c81256d346b00cf781a1e842e578cd771a043ae4180a422a1",
+    "covtype/algorithm":
+        "a0ba1fb8095326461996ccd9019ae38ba399767173df5c02b5ee1012bcc616a5",
+    "covtype/batch":
+        "048314959532651ebb17fcf43d4150153c074fcf71ffd21868de34e064b1f1b6",
+    "covtype/step":
+        "4728f5dd2a418adafa88fca90cc5deff648c10bde30c9a4c4b9c689c5e4ea496",
+    "yearpred/default":
+        "0baac10e601a7da517e5d8da5f78234360de1612ef443f8799dbe2e6f685055b",
+    "yearpred/epsilon":
+        "74ea5fa29b5f98f2d02a714b0b7f8bc9c3c56ef221cf778db469a808a5402db3",
+    "yearpred/fixed_iterations":
+        "3ea74e497d763bce697c2478e47f5449a78abde8f54bc909f2bbe62e20e9ace3",
+    "yearpred/algorithm":
+        "513e1847029f1be751c975bb5f50080f45fb04f45afa90c3c5f74b1a8d9e86a1",
+    "yearpred/batch":
+        "48fe13367fbdabebd04d191e47c562219496a1e2d70a08836a5f95f4161b39d4",
+    "yearpred/step":
+        "6870f63874c9122dc81b7351cd63a5b6b8c058a7ca2d2e85a42854dbdb374d97",
+    "higgs/default":
+        "09d1b34810f2f16cb8ef6137b678ff155a03e50e2973028bbecf3c60968acb08",
+    "higgs/epsilon":
+        "0fa56a1de97104abeb5c571584cf2c354b329997bd31308aa166a8c89373258a",
+    "higgs/fixed_iterations":
+        "28efeb9df5c23e0e652d6f551789c7353c8280352d5e08567b4dd30c59ad278d",
+    "higgs/algorithm":
+        "def97dc277ec6e72f6cfd06b20e6000f22219d9e74680740549deef55edf4da4",
+    "higgs/batch":
+        "903375301fa96db8cdc5ca58af29706fb5cd1c21e2d2a6abf8244aa264dad94f",
+    "higgs/step":
+        "94ec0256d7ee001130fa99b5f08ee956acc421ab09ccc1e4a7be5fb7f34c2bfc",
+}
+
+
+def fingerprint(system, request):
+    (r,) = system._normalize_requests([request], {})
+    return system.service().fingerprint(
+        r.dataset, r.training, r.fixed_iterations, r.algorithms,
+        r.batch_sizes,
+    )
+
+
+@pytest.fixture(scope="module")
+def system():
+    return ML4all(seed=7)
+
+
+class TestGoldenTable:
+    def test_the_table_covers_every_dataset_and_variant(self):
+        assert set(GOLDEN) == {
+            f"{d}/{v}" for d in DATASETS for v in VARIANTS}
+        assert len(set(GOLDEN.values())) == len(GOLDEN) >= 24
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_cold_and_memoised_keys_are_the_parents(self, system, name):
+        dataset, variant = name.split("/")
+        request = {"dataset": dataset, **VARIANTS[variant]}
+        service = system.service()
+        service._fingerprints.clear()
+        assert fingerprint(system, request) == GOLDEN[name]  # cold
+        assert len(service._fingerprints) == 1
+        assert fingerprint(system, request) == GOLDEN[name]  # from the memo
+        assert len(service._fingerprints) == 1
+
+    def test_a_plan_store_the_parent_wrote_is_served_warm(self, tmp_path):
+        store = tmp_path / "plans.json"
+        shutil.copy(Path(__file__).parent / "golden" / "parent_plans.json",
+                    store)
+        system = ML4all(seed=7, cache_path=str(store))
+        results = system.optimize_many([
+            {"dataset": "adult", "epsilon": 0.05, "fixed_iterations": 40},
+            {"dataset": "adult", "epsilon": 0.05, "max_iter": 200},
+        ], max_workers=1)
+        service = system.service()
+        assert service.warm_loaded == 2
+        assert [r.cache_hit for r in results] == [True, True]
+        assert service.computed == 0
+
+
+def tiny_dataset(seed, spec):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(40, 3))
+    y = np.sign(rng.normal(size=40))
+    stats = DatasetStats(name="tiny", task="logreg", n=40, d=3)
+    return PartitionedDataset(X, y, stats, spec, representation="text")
+
+
+class TestMemoNeverConflates:
+    @pytest.fixture()
+    def service(self):
+        return OptimizerService(seed=7)
+
+    def test_a_mutated_speculation_field_changes_the_key(self, service):
+        dataset = tiny_dataset(0, service.spec)
+        training = TrainingSpec(task="logreg")
+        before = service.fingerprint(dataset, training)
+        assert service.fingerprint(dataset, training) == before
+        service.speculation.sample_size += 1  # same object, new value
+        after = service.fingerprint(dataset, training)
+        assert after != before
+        # ...and it is the key a service that never saw the old value
+        # computes cold.
+        fresh = OptimizerService(
+            seed=7, speculation=dataclasses.replace(service.speculation))
+        assert fresh.fingerprint(dataset, training) == after
+
+    def test_seed_algorithms_and_content_each_change_the_key(self, service):
+        dataset = tiny_dataset(0, service.spec)
+        training = TrainingSpec(task="logreg")
+        keys = {
+            service.fingerprint(dataset, training),
+            OptimizerService(seed=8).fingerprint(dataset, training),
+            service.fingerprint(dataset, training, algorithms=("sgd",)),
+            service.fingerprint(dataset, training,
+                                algorithms=("sgd", "bgd")),
+            # equal DatasetStats, different arrays
+            service.fingerprint(tiny_dataset(1, service.spec), training),
+        }
+        assert len(keys) == 5
+
+    def test_fixed_iterations_requests_ignore_the_content_digest(
+        self, service
+    ):
+        training = TrainingSpec(task="logreg")
+        a, b = (tiny_dataset(s, service.spec) for s in (0, 1))
+        assert a.content_digest() != b.content_digest()
+        assert service.fingerprint(a, training, fixed_iterations=10) == \
+            service.fingerprint(b, training, fixed_iterations=10)
+        assert service.fingerprint(a, training) != \
+            service.fingerprint(b, training)
+
+    def test_equal_numbers_of_different_types_keep_their_own_keys(
+        self, service
+    ):
+        """1 == 1.0 == True and they hash alike, but they freeze (so
+        fingerprinted, at every earlier commit) differently."""
+        dataset = tiny_dataset(0, service.spec)
+        keys = [
+            service.fingerprint(dataset,
+                                TrainingSpec(task="logreg", step_size=step))
+            for step in (1, 1.0, True, 1, 1.0, True)
+        ]
+        assert len(set(keys[:3])) == 3
+        assert keys[:3] == keys[3:]
+
+    def test_an_unhashable_step_schedule_is_fingerprinted_not_memoised(
+        self, service
+    ):
+        dataset = tiny_dataset(0, service.spec)
+
+        def key(alpha):
+            return service.fingerprint(dataset, TrainingSpec(
+                task="logreg", step_size=InverseSqrtStep(alpha)))
+
+        assert key(0.5) == key(0.5)  # by value: two schedule objects
+        assert key(0.5) != key(0.25)
+        assert service._fingerprints == {}
+
+    def test_the_memo_is_bounded(self, service, monkeypatch):
+        monkeypatch.setattr(service_core, "_FINGERPRINT_MEMO_SIZE", 8)
+        dataset = tiny_dataset(0, service.spec)
+        keys = [
+            service.fingerprint(dataset, TrainingSpec(
+                task="logreg", tolerance=1e-3 * (i + 1)))
+            for i in range(80)
+        ]
+        assert len(set(keys)) == 80
+        assert len(service._fingerprints) == 8
+        # the survivors are the latest, and still right
+        assert service.fingerprint(dataset, TrainingSpec(
+            task="logreg", tolerance=1e-3 * 80)) == keys[-1]
+        assert len(service._fingerprints) == 8
+
+
+if __name__ == "__main__":
+    import json
+
+    live = ML4all(seed=7)
+    print(json.dumps({
+        f"{d}/{v}": fingerprint(live, {"dataset": d, **extra})
+        for d in DATASETS for v, extra in VARIANTS.items()
+    }, indent=1))

@@ -8,7 +8,10 @@ shedding, per-tenant quotas, deadlines that preempt (not just reject)
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -478,3 +481,264 @@ class TestFraming:
             assert ask(other_handle, "adult id=second")["ok"] is True
         finally:
             other.close()
+
+
+# ---------------------------------------------------------------------------
+# the event loop: what runs inline, what goes to the pool, who may stall it
+# ---------------------------------------------------------------------------
+
+LOOP_THREAD = "SocketFrontend-loop"
+
+
+class _RecordingDispatcher(Dispatcher):
+    """Real dispatcher that notes which thread handled each verb."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.threads = {}
+
+    def handle(self, wire, **kwargs):
+        self.threads.setdefault(wire.verb or "optimize", set()).add(
+            threading.current_thread().name
+        )
+        return super().handle(wire, **kwargs)
+
+
+def _gate_misses(service):
+    """Make every plan computation of ``service`` wait for the returned
+    event; ``started`` counts the computations that reached the gate."""
+    gate, started = threading.Event(), threading.Semaphore(0)
+    make = service._make_optimizer
+
+    def gated(*args, **kwargs):
+        optimizer = make(*args, **kwargs)
+        optimize = optimizer.optimize
+
+        def wait_then_optimize(*a, **k):
+            started.release()
+            assert gate.wait(timeout=30)
+            return optimize(*a, **k)
+
+        optimizer.optimize = wait_then_optimize
+        return optimizer
+
+    service._make_optimizer = gated
+    return gate, started
+
+
+class TestEventLoop:
+    def test_hit_is_answered_while_every_worker_is_held_by_a_miss(self):
+        system = ML4all(seed=7)
+        dispatcher = Dispatcher(system)
+        assert dispatcher.handle_line(FAST_LINE)["ok"]  # primed: a hit now
+        gate, started = _gate_misses(system.service())
+        with SocketFrontend(dispatcher, port=0, max_workers=2,
+                            shed_after=3) as frontend:
+            busy, busy_handle = connect(frontend)
+            other, other_handle = connect(frontend)
+            try:
+                for i in range(2):
+                    busy_handle.write(
+                        f"adult epsilon=0.05 fixed_iterations={50 + i} "
+                        f"id=miss{i}\n")
+                busy_handle.flush()
+                for _ in range(2):
+                    assert started.acquire(timeout=10)
+                # Both workers are stuck in a miss; the hit does not
+                # queue behind them.
+                other.settimeout(2)
+                hit = ask(other_handle, FAST_LINE + " id=hit")
+                assert hit["ok"] and hit["cache_hit"] and hit["id"] == "hit"
+                # A third miss fills the admission bound: now the same
+                # hit is shed, not answered.
+                busy_handle.write(
+                    "adult epsilon=0.05 fixed_iterations=52 id=miss2\n")
+                # (lines of one connection are handled in order: once
+                # metrics has answered, miss2 is admitted)
+                gauges = ask(busy_handle, "metrics")["metrics"]["gauges"]
+                assert gauges["frontend.queue_depth"] == 3
+                shed = ask(other_handle, FAST_LINE + " id=shed")
+                assert shed["error"] == "overloaded" and shed["id"] == "shed"
+                gate.set()
+                replies = [json.loads(busy_handle.readline())
+                           for _ in range(3)]
+                assert {r["id"] for r in replies} == {
+                    "miss0", "miss1", "miss2"}
+                assert all(r["ok"] and not r["cache_hit"] for r in replies)
+            finally:
+                gate.set()
+                busy.close()
+                other.close()
+
+    def test_many_lines_in_one_segment_and_one_line_in_three(self):
+        stub = _BlockingDispatcher()
+        stub.release.set()
+        with SocketFrontend(stub, port=0, max_workers=4,
+                            shed_after=256) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                sock.sendall(b"".join(
+                    f"adult id=burst{i}\n".encode() for i in range(100)
+                ))
+                replies = [json.loads(handle.readline()) for _ in range(100)]
+                assert all(r["ok"] for r in replies)
+                assert ({r["id"] for r in replies}
+                        == {f"burst{i}" for i in range(100)})
+                for part in (b"adu", b"lt id=sp", b"lit\n"):
+                    sock.sendall(part)
+                    time.sleep(0.05)
+                assert json.loads(handle.readline())["id"] == "split"
+                # ...and exactly one reply came of it.
+                assert ask(handle, "adult id=next")["id"] == "next"
+            finally:
+                sock.close()
+
+    def test_only_hits_metrics_and_trace_run_on_the_loop_thread(
+        self, tmp_path
+    ):
+        system = ML4all(seed=7, cache_path=str(tmp_path / "plans.db"),
+                        checkpoint_path=str(tmp_path / "jobs.db"))
+        service = system.service(cache_size=1)
+        dispatcher = _RecordingDispatcher(system)
+        store_threads = set()
+        store_get = service.backend.get
+
+        def recording_get(key):
+            store_threads.add(threading.current_thread().name)
+            return store_get(key)
+
+        service.backend.get = recording_get
+        evicted = "adult epsilon=0.05 fixed_iterations=41"
+        with SocketFrontend(dispatcher, port=0, max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                assert ask(handle, evicted)["ok"]
+                assert ask(handle, FAST_LINE)["ok"]  # evicts the first
+                computed = service.computed
+                dispatcher.threads.clear()
+                store_threads.clear()
+
+                hit = ask(handle, FAST_LINE)
+                assert hit["cache_hit"]
+                assert dispatcher.threads.pop("optimize") == {LOOP_THREAD}
+                assert ask(handle, "metrics")["ok"]
+                assert ask(handle, f"trace {hit['trace_id']}")["ok"]
+                assert dispatcher.threads.pop("metrics") == {LOOP_THREAD}
+                assert dispatcher.threads.pop("trace") == {LOOP_THREAD}
+
+                # In sqlite but not in memory: read through on a worker.
+                restored = ask(handle, evicted)
+                assert restored["cache_hit"] and service.computed == computed
+                assert store_threads and LOOP_THREAD not in store_threads
+                assert ask(handle, FAST_LINE + " verb=train")["ok"]
+                assert ask(handle, FAST_LINE + " verb=enqueue job_id=j1")["ok"]
+                assert ask(handle, "jobs")["jobs"][0]["job_id"] == "j1"
+                assert set(dispatcher.threads) == {
+                    "optimize", "train", "enqueue", "jobs"}
+                for verb, names in dispatcher.threads.items():
+                    assert all(n.startswith("frontend_") for n in names), verb
+            finally:
+                sock.close()
+                service.close()
+
+    def test_stop_with_requests_in_flight(self):
+        stub = _BlockingDispatcher()
+        frontend = SocketFrontend(stub, port=0, max_workers=2, shed_after=16)
+        frontend.start()
+        clients = [connect(frontend) for _ in range(3)]
+        try:
+            for n, (_, handle) in enumerate(clients):
+                for i in range(2):
+                    handle.write(f"adult id=c{n}-{i}\n")
+                handle.flush()
+            for _ in range(2):  # two running, four queued behind them
+                assert stub.started.acquire(timeout=10)
+            stopper = threading.Thread(target=frontend.stop)
+            stopper.start()
+            stub.release.set()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            for sock, _ in clients:
+                sock.settimeout(2)
+                try:
+                    while sock.recv(65536):
+                        pass  # replies that beat the close, then EOF
+                except ConnectionResetError:
+                    pass
+            assert stub.metrics.gauge_value("frontend.queue_depth") == 0
+            assert [t.name for t in threading.enumerate()
+                    if t.name == LOOP_THREAD
+                    or t.name.startswith("frontend_")] == []
+        finally:
+            stub.release.set()
+            for sock, _ in clients:
+                sock.close()
+
+    def test_one_loop_thread_whatever_the_number_of_connections(self):
+        stub = _BlockingDispatcher()
+        stub.release.set()
+        with SocketFrontend(stub, port=0, max_workers=2) as frontend:
+            clients = [connect(frontend) for _ in range(12)]
+            try:
+                for n, (_, handle) in enumerate(clients):
+                    assert ask(handle, f"adult id=c{n}")["ok"]
+                own = [t.name for t in threading.enumerate()
+                       if t.name == LOOP_THREAD
+                       or t.name.startswith("frontend")]
+                assert own.count(LOOP_THREAD) == 1
+                assert len(own) <= 1 + 2
+            finally:
+                for sock, _ in clients:
+                    sock.close()
+
+    def test_client_that_never_reads_is_dropped_not_waited_for(
+        self, monkeypatch
+    ):
+        """A client that pipelines requests and never reads used to
+        wedge the server for everyone: every pool worker ended up
+        blocked in flush() under that connection's write lock."""
+        monkeypatch.setattr(frontend_module, "MAX_FRAME_BYTES", 65536)
+        stub = _BlockingDispatcher()
+        stub.release.set()
+        with SocketFrontend(stub, port=0, max_workers=4,
+                            shed_after=64) as frontend:
+            flood = socket.socket()
+            flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            flood.connect(("127.0.0.1", frontend.port))
+            flood.settimeout(2)
+            line = ("adult id=" + "x" * 4000 + "\n").encode()
+            try:
+                for _ in range(60):  # ~12 MB of replies nobody reads
+                    flood.sendall(line * 50)
+            except OSError:
+                pass  # the server hung up on us (or stopped reading)
+            sock, handle = connect(frontend)
+            try:
+                sock.settimeout(1)
+                deadline = time.monotonic() + 10
+                reply = ask(handle, "adult id=bystander")
+                while not reply["ok"] and time.monotonic() < deadline:
+                    # still digesting the backlog: shed, but answering
+                    assert reply["error"] == "overloaded"
+                    time.sleep(0.05)
+                    reply = ask(handle, "adult id=bystander")
+                assert reply["ok"] and reply["id"] == "bystander"
+                counters = ask(handle, "metrics")["metrics"]["counters"]
+                assert counters["frontend.slow_client_closed"] == 1
+            finally:
+                sock.close()
+                flood.close()
+
+
+def test_serving_imports_no_asyncio():
+    """Server start-up time is a benchmark metric: the loop is built on
+    ``selectors``, which ``socket`` loads anyway."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import repro.__main__, sys; "
+         "print('asyncio' in sys.modules, 'selectors' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "src")},
+    )
+    assert out.stdout.split() == ["False", "True"]

@@ -239,6 +239,66 @@ class TestOptimizerService:
         assert second.report.speculation_sim_s == 0
 
 
+class TestResolveThenAnswer:
+    """optimize() in two steps, so a front-end can look before it picks
+    a thread -- and queue the second step behind other work."""
+
+    def test_resolved_requests_answer_like_optimize(
+        self, service, dataset, training
+    ):
+        request = ServiceRequest(dataset, training, fixed_iterations=50)
+        miss = service.resolve(request)
+        assert not miss.hit and miss.entry is None
+        computed = service.answer(miss)
+        assert not computed.cache_hit and service.computed == 1
+        hit = service.resolve(request)
+        assert hit.hit and hit.fingerprint == computed.fingerprint
+        answer = service.answer(hit)
+        assert answer.cache_hit and answer.report is computed.report
+        assert service.requests == 2 and service.hits == 1
+
+    def test_a_miss_resolved_before_its_twin_computed_is_a_hit(
+        self, service, dataset, training
+    ):
+        """Two identical requests both miss on the event loop; by the
+        time a worker reaches the second, the first has cached the
+        plan: it must be served, not computed again."""
+        request = ServiceRequest(dataset, training, fixed_iterations=50)
+        first, second = service.resolve(request), service.resolve(request)
+        assert not first.hit and not second.hit
+        report = service.answer(first).report
+        late = service.answer(second)
+        assert late.cache_hit and late.report is report
+        assert service.computed == 1
+
+    def test_a_queued_miss_still_reads_through_to_the_store(
+        self, spec, dataset, training, tmp_path
+    ):
+        service = OptimizerService(
+            spec=spec, seed=5, cache_size=1,
+            cache_path=str(tmp_path / "plans.json"),
+        )
+        requests = [ServiceRequest(dataset, training, fixed_iterations=n)
+                    for n in (50, 51, 52)]
+        service.answer(service.resolve(requests[0]))
+        service.answer(service.resolve(requests[1]))  # evicts the first
+        evicted = service.resolve(requests[0])
+        assert evicted.entry is None
+        service.answer(service.resolve(requests[2]))  # the cache moved on
+        restored = service.answer(evicted)
+        assert restored.cache_hit and service.computed == 3
+        service.close()
+
+    def test_an_unchanged_cache_is_not_looked_up_twice(
+        self, service, dataset, training
+    ):
+        miss = service.resolve(
+            ServiceRequest(dataset, training, fixed_iterations=50))
+        lookups = service.cache.stats().requests
+        service.answer(miss)
+        assert service.cache.stats().requests == lookups
+
+
 class TestOptimizeMany:
     def test_order_preserved(self, service, dataset, training):
         requests = [
