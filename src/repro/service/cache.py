@@ -134,9 +134,6 @@ class PlanCache:
         self._misses = 0
         self._evictions = 0
         self._expirations = 0
-        #: put() calls so far.  While it stands still, a lookup that
-        #: missed (or found a stale value) would do so again.
-        self.version = 0
 
     # -- internals (lock held) ------------------------------------------
     def _drop(self, key) -> None:
@@ -203,7 +200,6 @@ class PlanCache:
         else:
             size = 0
         with self._lock:
-            self.version += 1
             if key in self._data:
                 self._drop(key)
             if self.max_bytes is not None and size > self.max_bytes:
@@ -214,10 +210,17 @@ class PlanCache:
             self._purge_expired()
             self._evict_over_budget()
 
-    def __contains__(self, key) -> bool:
+    def peek(self, key):
+        """The live value under ``key`` or None, without counting a
+        hit/miss or refreshing the entry's recency."""
         with self._lock:
             entry = self._data.get(key)
-            return entry is not None and not self._expired(entry)
+            if entry is None or self._expired(entry):
+                return None
+            return entry.value
+
+    def __contains__(self, key) -> bool:
+        return self.peek(key) is not None
 
     def __len__(self) -> int:
         with self._lock:

@@ -503,10 +503,9 @@ class OptimizerService(TrainingJobs):
             request.algorithms, request.batch_sizes,
         )
         looked = time.perf_counter()
-        version = self.cache.version
         entry = self.cache.get(key)
         hit = entry is not None and self._stamp_current(entry)
-        return Resolved(request, key, entry, hit, version, looked - start,
+        return Resolved(request, key, entry, hit, looked - start,
                         time.perf_counter() - looked)
 
     def answer(self, resolved) -> ServiceResult:
@@ -524,34 +523,33 @@ class OptimizerService(TrainingJobs):
         self.metrics.inc("service.requests")
         request, key = resolved.request, resolved.fingerprint
         entry, hit, lookup_s = resolved.entry, resolved.hit, resolved.lookup_s
-        seen, future, owner = resolved.cache_version, None, False
-        on_disk = self.backend is not None
-        # A miss, or a stale entry (the calibration store learned
-        # something since it was priced), goes through the in-flight
-        # table, so concurrent identical requests share one computation
-        # instead of duplicating it.  The owner caches its plan before
-        # it leaves the table; so under the table's lock, no entry for
-        # the key and no put() since this request looked means nobody
-        # has computed it.  Otherwise look again: plans were cached
-        # while it waited for a worker -- maybe its own, by a twin.
-        while not hit and future is None:
+        future, owner = None, False
+        if not hit:
             reading = time.perf_counter()
-            if seen != self.cache.version:
-                seen = self.cache.version
-                entry = self.cache.get(key)
-            if entry is None and on_disk:
-                on_disk = False  # asked once
+            if (entry is None and self.backend is not None
+                    and key not in self.cache):
                 entry = self._read_through(key)
-                seen += entry is not None  # promoting it was a put()
-            if entry is not resolved.entry:
                 hit = entry is not None and self._stamp_current(entry)
-            lookup_s += time.perf_counter() - reading
             if not hit:
+                # A miss, or a stale entry (the calibration store
+                # learned something since it was priced), goes through
+                # the in-flight table, so concurrent identical requests
+                # share one computation instead of duplicating it.  The
+                # owner caches its plan before it leaves the table; so
+                # under the table's lock, nobody computing the key and
+                # no entry cached but the one this request saw means
+                # nobody computed it while the request waited for a
+                # worker.
                 with self._inflight_lock:
                     future = self._inflight.get(key)
-                    owner = future is None and seen == self.cache.version
-                    if owner:
-                        future = self._inflight[key] = Future()
+                    if future is None:
+                        cached = self.cache.peek(key)
+                        if cached is not None and cached is not entry:
+                            entry, hit = cached, self._stamp_current(cached)
+                        if not hit:
+                            owner = True
+                            future = self._inflight[key] = Future()
+            lookup_s += time.perf_counter() - reading
         # Measured in resolve(), possibly on another thread before this
         # request's trace began: emitted, like the admission wait.
         emit_span("fingerprint", resolved.fingerprint_s)

@@ -18,8 +18,7 @@ server -- decide *whether to accept it at all*.  Three pieces:
   loop.  The stdin loop (``repro serve``) and the socket server share
   this path, so a malformed line behaves identically on both.
 * **Admission control** (:class:`SocketFrontend`) -- a TCP server
-  speaking JSON lines off one event-loop thread
-  (:class:`~repro.service.remote.LineServer`), which answers plan-cache
+  speaking JSON lines off one event-loop thread, which answers plan-cache
   hits itself and hands everything that computes or does I/O to a
   worker pool; with a bounded admission count (load-shedding above
   ``shed_after``), per-tenant max-inflight quotas, and per-request
@@ -35,8 +34,11 @@ of queueing unboundedly and timing everyone out.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import selectors
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import ReproError
 from repro.obs import TraceRecorder, emit_span, render_tree
 from repro.obs.recorder import valid_trace_id
-from repro.service.remote import MAX_FRAME_BYTES, LineServer
+from repro.service.remote import MAX_FRAME_BYTES
 
 #: Request-line keys coerced to int / float; the rest stay strings.
 _INT_KEYS = {"max_iter", "batch", "fixed_iterations", "seed",
@@ -64,6 +66,9 @@ _NO_REQUEST_VERBS = {"metrics", "trace", "jobs"}
 
 #: Tenant used when a request does not name one.
 DEFAULT_TENANT = "default"
+
+#: Most bytes the loop takes from one socket per readiness event.
+_RECV_BYTES = 16384
 
 _NO_CHECKPOINT_STORE = ("this server has no checkpoint store "
                         "(start it with --checkpoint)")
@@ -199,7 +204,7 @@ def parse_wire_line(line) -> WireRequest:
     if text.startswith("{"):
         try:
             payload = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed / too deep
             raise ReproError(f"invalid JSON request: {exc}") from None
         if not isinstance(payload, dict):
             raise ReproError(
@@ -542,19 +547,53 @@ class Dispatcher:
         return body
 
 
-class SocketFrontend(LineServer):
+class _Connection:
+    """One client socket: the loop thread reads it, any thread may send
+    on it (under ``lock``), and only the loop thread closes it."""
+
+    __slots__ = ("sock", "inbuf", "outbuf", "lock", "events", "pending",
+                 "hangup", "closed")
+
+    def __init__(self, sock):
+        self.sock = sock
+        #: Received bytes after the last complete line (loop thread only).
+        self.inbuf = bytearray()
+        #: Reply bytes the socket would not take yet; the loop thread
+        #: sends them when it turns writable.
+        self.outbuf = bytearray()
+        self.lock = threading.Lock()
+        #: What the selector watches the socket for (0: unregistered).
+        self.events = 0
+        #: Requests handed to the pool and not finished yet.
+        self.pending = 0
+        #: Read no more (EOF, ``quit``, a frame over the cap); close
+        #: once ``pending`` is 0 and ``outbuf`` has drained.
+        self.hangup = False
+        #: Send no more (peer reset, slow client, server stopping): the
+        #: loop thread closes the socket, queued requests are dropped.
+        self.closed = False
+
+
+class SocketFrontend:
     """Concurrent TCP front-end with admission control.
 
     One line in, one JSON object out (pipelined responses carry the
     request's ``id`` for correlation; they may complete out of order).
-    The :class:`~repro.service.remote.LineServer` loop thread frames and
-    parses lines, runs admission, and answers inline what needs no I/O
-    and no GD -- ``metrics``, ``trace``, and an optimize request that
+    One event-loop thread owns the listener and every client socket
+    (non-blocking, ``selectors``): it frames and parses lines, runs
+    admission, and answers inline what needs no I/O and no GD --
+    ``metrics``, ``trace``, and an optimize request that
     :meth:`Dispatcher.resolve` finds current in the in-memory plan
     cache.  Everything else (a miss, a stale or persisted-only entry,
     ``train``, ``enqueue``, ``jobs``) runs on ``max_workers`` pool
     threads, which send their reply themselves.  So a hit never queues
-    behind a miss, and no thread blocks on a client that does not read.
+    behind a miss.  No thread ever blocks in ``send``: bytes a socket
+    does not take are buffered for the loop, which a worker interrupts
+    through a socketpair, and a client that lets more than
+    ``MAX_FRAME_BYTES`` of replies pile up unread is disconnected
+    (``frontend.slow_client_closed``; what it still has queued is
+    dropped unexecuted).  A client that half-closes or sends ``quit``
+    still gets every reply it is owed before the socket closes.
 
     Admission happens *at receipt*, before any optimizer work:
 
@@ -569,19 +608,17 @@ class SocketFrontend(LineServer):
 
     ``metrics``, ``trace`` and ``jobs`` bypass admission entirely:
     observability must keep answering precisely when the server is
-    saturated.  What a disconnected slow client
-    (``frontend.slow_client_closed``) still has queued is dropped
-    unexecuted.
+    saturated.
     """
 
-    #: Read at use: tests shrink the module constant.
-    max_frame_bytes = property(lambda self: MAX_FRAME_BYTES)
+    _thread = None
 
     def __init__(self, dispatcher, host="127.0.0.1", port=0,
                  max_workers=8, shed_after=64, max_inflight=None):
-        super().__init__(host, port)
         self.dispatcher = dispatcher
         self.metrics = dispatcher.metrics
+        self.host = host
+        self.port = port
         self.max_workers = max(1, int(max_workers))
         self.shed_after = max(1, int(shed_after))
         #: Per-tenant inflight cap; None disables the quota.
@@ -592,47 +629,246 @@ class SocketFrontend(LineServer):
         self._admitted = 0
         self._per_tenant = {}
         self._admission_lock = threading.Lock()
+        self._stop = threading.Event()
+        #: Open connections (loop thread only).
+        self._clients = set()
+        #: Connections a worker left something for the loop to do on
+        #: (unsent bytes, a close); a byte down the socketpair
+        #: interrupts ``select``.
+        self._attention = collections.deque()
 
+    # ------------------------------------------------------------------
     def start(self) -> int:
+        """Bind, listen and serve on the loop thread; returns the bound
+        port (useful with ``port=0``)."""
+        self._listener = socket.create_server(
+            (self.host, self.port), reuse_port=False
+        )
+        self.port = self._listener.getsockname()[1]
         self._pool = ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="frontend"
         )
-        return super().start()
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake_recv, self._wake_send):
+            sock.setblocking(False)
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_recv, selectors.EVENT_READ)
+        self._thread = threading.Thread(
+            target=self._loop, name="SocketFrontend-loop", daemon=True
+        )
+        self._thread.start()
+        return self.port
 
     def stop(self) -> None:
         """Stop accepting, close every connection, drain the pool."""
-        super().stop()
+        self._stop.set()
         if self._thread is not None:
+            self._wake()
+            self._thread.join(timeout=5.0)
             # Queued requests find their connection closed and return.
             self._pool.shutdown(wait=True)
 
-    def count(self, event) -> None:
-        self.metrics.inc(f"frontend.{event}")
+    def wait(self) -> None:
+        """Block until the server is stopped."""
+        while not self._stop.wait(timeout=0.5):
+            pass
 
-    def encode(self, response) -> bytes:
-        # Through this module's ``json``: bench/tracing.py times reply
-        # encoding by wrapping ``repro.service.frontend:json!dumps``.
-        return json.dumps(response, default=str).encode() + b"\n"
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop()
+
+    # -- the loop thread -------------------------------------------------
+    def _loop(self) -> None:
+        try:
+            while not self._stop.is_set():
+                for key, events in self._selector.select():
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                        else:
+                            self._attend()
+                        continue
+                    if events & selectors.EVENT_WRITE:
+                        self._settle(conn)
+                    if events & selectors.EVENT_READ and not conn.closed:
+                        self._read(conn)
+        finally:
+            for conn in list(self._clients):
+                conn.closed = True
+                self._settle(conn)
+            self._selector.close()
+            for sock in (self._listener, self._wake_recv, self._wake_send):
+                sock.close()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # BlockingIOError: the backlog is drained
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock)
+            self._clients.add(conn)
+            self._settle(conn)
+
+    def _attend(self) -> None:
+        """Settle the connections workers flagged since the last
+        wake-up."""
+        try:
+            self._wake_recv.recv(4096)
+        except OSError:
+            pass
+        while self._attention:
+            self._settle(self._attention.popleft())
+
+    def _settle(self, conn) -> None:
+        """Send what ``conn`` has buffered, then close it if it is
+        finished or else watch its socket for what it needs now: input
+        unless hung up, room for the rest of ``outbuf``."""
+        if conn not in self._clients:
+            return
+        with conn.lock:  # no worker is mid-send on a socket being closed
+            try:
+                if conn.outbuf and not conn.closed:
+                    del conn.outbuf[:conn.sock.send(conn.outbuf)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                conn.closed = True  # peer reset
+            if conn.hangup and not conn.outbuf and not conn.pending:
+                conn.closed = True  # every reply it was owed has left
+            events = 0 if conn.closed else (
+                (0 if conn.hangup else selectors.EVENT_READ)
+                | (selectors.EVENT_WRITE if conn.outbuf else 0)
+            )
+            if events != conn.events:
+                if conn.events:
+                    self._selector.unregister(conn.sock)
+                if events:
+                    self._selector.register(conn.sock, events, conn)
+                conn.events = events
+            if conn.closed:
+                conn.outbuf.clear()
+                self._clients.discard(conn)
+                conn.sock.close()
+
+    def _hang_up(self, conn) -> None:
+        """Read no more from ``conn``; close it once its replies left."""
+        conn.hangup = True
+        self._settle(conn)
+
+    def _read(self, conn) -> None:
+        try:
+            chunk = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""  # connection torn down mid-read
+        buffer = conn.inbuf
+        scanned = len(buffer)
+        buffer += chunk
+        if chunk and buffer.find(b"\n", scanned) < 0:
+            lines = []  # no line completed yet
+        else:
+            lines = bytes(buffer).split(b"\n")
+            # What follows the last newline waits for its own -- except
+            # at EOF, where it is served as readline() would serve it.
+            conn.inbuf = bytearray(lines.pop() if chunk else b"")
+        for raw in lines:
+            oversized = len(raw) > MAX_FRAME_BYTES
+            if oversized:
+                break
+            # Undecodable bytes reach the parser as U+FFFD and come
+            # back as a structured bad_request, not a dropped socket.
+            line = raw.decode("utf-8", errors="replace").strip()
+            try:
+                if line:
+                    self._handle_line(conn, line)
+            except Exception as exc:  # noqa: BLE001 - the loop must live
+                self.metrics.inc("frontend.internal_errors")
+                self._send(conn, _failure(
+                    "internal", f"{type(exc).__name__}: {exc}"
+                ))
+                self._hang_up(conn)
+            if conn.closed or conn.hangup:
+                return
+        else:
+            oversized = len(conn.inbuf) > MAX_FRAME_BYTES
+            if chunk and not oversized:
+                return  # the connection stays open for more
+        if oversized:
+            # Past the cap the next line boundary is unknowable: reject
+            # and close instead of buffering without bound.
+            self.metrics.inc("frontend.bad_requests")
+            self._send(conn, _failure(
+                "frame_too_large",
+                f"frame exceeds {MAX_FRAME_BYTES} bytes; closing connection",
+            ))
+        self._hang_up(conn)
+
+    # -- any thread ------------------------------------------------------
+    def _wake(self) -> None:
+        try:
+            self._wake_send.send(b"\0")
+        except OSError:
+            pass  # full: the loop has wake-ups pending already
+
+    def _flag(self, conn) -> None:
+        """Have the loop thread settle ``conn``."""
+        self._attention.append(conn)
+        self._wake()
+
+    def _send(self, conn, response) -> None:
+        """Encode ``response`` and send it without ever blocking: what
+        the socket does not take now is left to the loop thread."""
+        payload = json.dumps(response, default=str).encode() + b"\n"
+        with conn.lock:
+            if conn.closed:
+                return  # client went away; nothing to tell it
+            try:
+                if not conn.outbuf:
+                    payload = payload[conn.sock.send(payload):]
+            except BlockingIOError:
+                pass
+            except OSError:
+                conn.closed = True  # peer reset
+            if not payload:
+                return
+            if (conn.outbuf and len(conn.outbuf) + len(payload)
+                    > MAX_FRAME_BYTES and not conn.closed):
+                # The client is not reading its replies: holding more
+                # for it would grow without bound.
+                self.metrics.inc("frontend.slow_client_closed")
+                conn.closed = True
+            if not conn.closed:
+                conn.outbuf += payload
+        self._flag(conn)
 
     # ------------------------------------------------------------------
-    def handle_line(self, conn, line) -> None:
+    def _handle_line(self, conn, line) -> None:
         """Parse and admit one request, then answer it here or hand it
         to the pool (runs on the loop thread -- must not block)."""
         if line in ("quit", "exit"):
-            self.hang_up(conn)
+            self._hang_up(conn)
             return
         try:
             wire = parse_wire_line(line)
         except ReproError as exc:
             self.metrics.inc("frontend.bad_requests")
-            self.send(conn, _failure("bad_request", str(exc)))
+            self._send(conn, _failure("bad_request", str(exc)))
             return
         if wire.verb in _NO_REQUEST_VERBS:
             # Observability (metrics/trace/jobs) bypasses admission: it
             # must answer while the server sheds everything else.
             # ``jobs`` reads the checkpoint store, so not on this thread.
             if wire.verb == "jobs":
-                self._pool.submit(self._serve, conn, wire)
+                self._submit(conn, wire)
             else:
                 self._serve(conn, wire)
             return
@@ -662,7 +898,7 @@ class SocketFrontend(LineServer):
                 self._per_tenant[wire.tenant] = inflight + 1
                 self.metrics.gauge("frontend.queue_depth", self._admitted)
         if rejection is not None:
-            self.send(conn, rejection)
+            self._send(conn, rejection)
             return
 
         admitted_at = time.monotonic()
@@ -670,16 +906,25 @@ class SocketFrontend(LineServer):
         if resolved is not None and resolved.hit:
             self._serve(conn, wire, admitted_at, resolved)
         else:
-            self._pool.submit(self._serve, conn, wire, admitted_at, resolved)
+            self._submit(conn, wire, admitted_at, resolved)
 
-    def _serve(self, conn, wire, admitted_at=None, resolved=None) -> None:
+    def _submit(self, conn, wire, admitted_at=None, resolved=None) -> None:
+        """Hand one request to the pool; the connection stays open,
+        even past EOF, until it has been served."""
+        with conn.lock:
+            conn.pending += 1
+        self._pool.submit(self._serve, conn, wire, admitted_at, resolved,
+                          pooled=True)
+
+    def _serve(self, conn, wire, admitted_at=None, resolved=None,
+               pooled=False) -> None:
         """Answer one request and send the reply -- on the loop thread
-        for an inline answer, on a pool worker otherwise.  A request
-        that passed admission carries ``admitted_at`` and gives its
-        slot back here."""
+        for an inline answer, on a pool worker (``pooled``) otherwise.
+        A request that passed admission carries ``admitted_at`` and
+        gives its slot back here."""
         try:
             if conn.closed:
-                return
+                return  # reset, or too slow: nobody is left to answer
             admitted, remaining = {}, None
             if admitted_at is not None:
                 waited = time.monotonic() - admitted_at
@@ -697,10 +942,10 @@ class SocketFrontend(LineServer):
                 )
             else:
                 response = self.dispatcher.handle(wire, **admitted)
-            self.send(conn, response)
-        except Exception as exc:  # noqa: BLE001 - the loop must live
+            self._send(conn, response)
+        except Exception as exc:  # noqa: BLE001 - the client gets a reply
             self.metrics.inc("frontend.internal_errors")
-            self.send(conn, _failure(
+            self._send(conn, _failure(
                 "internal", f"{type(exc).__name__}: {exc}", wire
             ))
         finally:
@@ -713,3 +958,8 @@ class SocketFrontend(LineServer):
                     else:
                         self._per_tenant[wire.tenant] = count
                     self.metrics.gauge("frontend.queue_depth", self._admitted)
+            if pooled:
+                with conn.lock:
+                    conn.pending -= 1
+                if conn.hangup:
+                    self._flag(conn)  # maybe the last thing it waited for

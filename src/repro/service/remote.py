@@ -6,9 +6,8 @@ so the way to share state across machines is to put *that interface* on
 the wire, not to invent a new storage model.  Two halves:
 
 * :class:`StoreServer` -- the ``repro store`` process: a line-protocol
-  TCP server over any local backend (memory / JSON / SQLite), on the
-  :class:`LineServer` event loop it shares with the request front-end.
-  One JSON object per line in, one out.  Ops mirror the backend contract
+  TCP server over any local backend (memory / JSON / SQLite).  One JSON
+  object per line in, one out.  Ops mirror the backend contract
   (``get``/``put``/``delete``/``scan``/``replace``/``clear``) plus the
   two things a *network* RMW needs that a callback cannot provide:
   per-key **versions** and a ``cas`` op (put-if-version, with a client
@@ -46,11 +45,9 @@ durability guarantee.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
 import re
-import selectors
 import socket
 import threading
 import time
@@ -69,9 +66,6 @@ WIRE_FORMAT = 1
 #: the connection is closed -- past the cap the line boundary cannot be
 #: trusted, so resynchronizing would risk misreading the next frame.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
-
-#: Most bytes a server's loop takes from one socket per readiness event.
-_RECV_BYTES = 16384
 
 #: Namespace the URL form ``tcp://host:port`` (no path) maps to.
 DEFAULT_NAMESPACE = "default"
@@ -182,270 +176,10 @@ def open_remote_backend(url, **options) -> CacheBackend:
 
 
 # ----------------------------------------------------------------------
-# the servers' event loop
-# ----------------------------------------------------------------------
-class _Connection:
-    """One client socket: the loop thread reads it, any thread may send
-    on it (under ``lock``), and only the loop thread closes it."""
-
-    __slots__ = ("sock", "inbuf", "outbuf", "lock", "closed", "hangup")
-
-    def __init__(self, sock):
-        self.sock = sock
-        #: Received bytes after the last complete line (loop thread only).
-        self.inbuf = bytearray()
-        #: Reply bytes the socket would not take yet; the loop thread
-        #: sends them when it turns writable.
-        self.outbuf = bytearray()
-        self.lock = threading.Lock()
-        #: Nothing more is sent; the loop thread will close the socket.
-        self.closed = False
-        #: Read no more; close once ``outbuf`` has drained.
-        self.hangup = False
-
-
-class LineServer:
-    """One event-loop thread serving JSON lines over TCP.
-
-    The thread owns the listener and every client socket (non-blocking,
-    ``selectors``): it frames lines out of a per-connection buffer and
-    passes each to :meth:`handle_line`, which answers through
-    :meth:`send` -- there, or later from any other thread.  ``send``
-    never blocks: bytes a socket does not take are buffered and flushed
-    by the loop, which a worker thread interrupts through a socketpair.
-    A client that lets more than ``max_frame_bytes`` of replies pile up
-    unread is disconnected (:meth:`count` ``"slow_client_closed"``); a
-    frame longer than that gets ``frame_too_large`` and a hang-up.
-    """
-
-    max_frame_bytes = MAX_FRAME_BYTES
-    _thread = None
-
-    def __init__(self, host, port):
-        self.host = host
-        self.port = port
-        self._stop = threading.Event()
-        #: Open connections (loop thread only).
-        self._clients = set()
-        #: Connections another thread left unsent bytes on or marked
-        #: closed; a byte down the socketpair interrupts ``select``.
-        self._attention = collections.deque()
-
-    def handle_line(self, conn, line) -> None:
-        """Answer one non-empty line (loop thread: must not block)."""
-        raise NotImplementedError
-
-    def count(self, event) -> None:
-        """``bad_requests`` / ``slow_client_closed`` happened once."""
-
-    def encode(self, response) -> bytes:
-        """One reply as the bytes of one line."""
-        return json.dumps(response, default=str).encode() + b"\n"
-
-    # -- lifecycle -------------------------------------------------------
-    def start(self) -> int:
-        """Bind, listen and serve on the loop thread; returns the bound
-        port (useful with ``port=0``)."""
-        self._listener = socket.create_server(
-            (self.host, self.port), reuse_port=False
-        )
-        self.port = self._listener.getsockname()[1]
-        self._wake_recv, self._wake_send = socket.socketpair()
-        self._selector = selectors.DefaultSelector()
-        for sock in (self._listener, self._wake_recv, self._wake_send):
-            sock.setblocking(False)
-        self._selector.register(self._listener, selectors.EVENT_READ)
-        self._selector.register(self._wake_recv, selectors.EVENT_READ)
-        self._thread = threading.Thread(
-            target=self._loop, name=f"{type(self).__name__}-loop",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.port
-
-    def stop(self) -> None:
-        """Stop accepting and close every connection."""
-        self._stop.set()
-        if self._thread is not None:
-            self._wake()
-            self._thread.join(timeout=5.0)
-
-    def wait(self) -> None:
-        """Block until the server is stopped."""
-        while not self._stop.wait(timeout=0.5):
-            pass
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-
-    # -- the loop thread -------------------------------------------------
-    def _loop(self) -> None:
-        try:
-            while not self._stop.is_set():
-                for key, events in self._selector.select():
-                    conn = key.data
-                    if conn is None:
-                        if key.fileobj is self._listener:
-                            self._accept()
-                        else:
-                            self._attend()
-                        continue
-                    if events & selectors.EVENT_WRITE:
-                        self._settle(conn)
-                    if events & selectors.EVENT_READ and not conn.closed:
-                        self._read(conn)
-        finally:
-            for conn in list(self._clients):
-                conn.closed = True
-                self._settle(conn)
-            self._selector.close()
-            for sock in (self._listener, self._wake_recv, self._wake_send):
-                sock.close()
-
-    def _accept(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # BlockingIOError: the backlog is drained
-            sock.setblocking(False)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn = _Connection(sock)
-            self._clients.add(conn)
-            self._selector.register(sock, selectors.EVENT_READ, conn)
-
-    def _attend(self) -> None:
-        """Settle the connections other threads flagged since the last
-        wake-up."""
-        try:
-            self._wake_recv.recv(4096)
-        except OSError:
-            pass
-        while self._attention:
-            self._settle(self._attention.popleft())
-
-    def _settle(self, conn) -> None:
-        """Send what ``conn`` has buffered, then close it if it is
-        finished or else wait on its socket for what it needs now:
-        input unless hung up, room for the rest of ``outbuf``."""
-        if conn not in self._clients:
-            return
-        with conn.lock:  # no other thread is mid-send on a closed socket
-            try:
-                if conn.outbuf and not conn.closed:
-                    del conn.outbuf[:conn.sock.send(conn.outbuf)]
-            except BlockingIOError:
-                pass
-            except OSError:
-                conn.closed = True  # peer reset
-            unsent = bool(conn.outbuf)
-            if conn.closed or (conn.hangup and not unsent):
-                conn.closed = True
-                conn.outbuf.clear()
-                self._clients.discard(conn)
-                self._selector.unregister(conn.sock)
-                conn.sock.close()
-                return
-        self._selector.modify(
-            conn.sock,
-            (0 if conn.hangup else selectors.EVENT_READ)
-            | (selectors.EVENT_WRITE if unsent else 0),
-            conn,
-        )
-
-    def hang_up(self, conn) -> None:
-        """Read no more from ``conn``; close it once its replies left."""
-        conn.hangup = True
-        self._settle(conn)
-
-    def _read(self, conn) -> None:
-        try:
-            chunk = conn.sock.recv(_RECV_BYTES)
-        except BlockingIOError:
-            return
-        except OSError:
-            chunk = b""  # connection torn down mid-read
-        buffer = conn.inbuf
-        scanned = len(buffer)
-        buffer += chunk
-        if chunk and buffer.find(b"\n", scanned) < 0:
-            lines = []  # no line completed yet
-        else:
-            lines = bytes(buffer).split(b"\n")
-            # What follows the last newline waits for its own -- except
-            # at EOF, where it is served as readline() would serve it.
-            conn.inbuf = bytearray(lines.pop() if chunk else b"")
-        for raw in lines:
-            oversized = len(raw) > self.max_frame_bytes
-            if oversized:
-                break
-            # Undecodable bytes reach the handler as U+FFFD and come
-            # back as a structured error, not a dropped socket.
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                self.handle_line(conn, line)
-            if conn.closed or conn.hangup:
-                return
-        else:
-            oversized = len(conn.inbuf) > self.max_frame_bytes
-            if chunk and not oversized:
-                return  # the connection stays open for more
-        if oversized:
-            # Past the cap the next line boundary is unknowable: reject
-            # and close instead of buffering without bound.
-            self.count("bad_requests")
-            self.send(conn, {
-                "ok": False, "error": "frame_too_large",
-                "detail": (f"frame exceeds {self.max_frame_bytes} bytes; "
-                           "closing connection"),
-            })
-        self.hang_up(conn)
-
-    # -- any thread ------------------------------------------------------
-    def _wake(self) -> None:
-        try:
-            self._wake_send.send(b"\0")
-        except OSError:
-            pass  # full: the loop has wake-ups pending already
-
-    def send(self, conn, response) -> None:
-        """Encode ``response`` and send it without ever blocking: what
-        the socket does not take now is left to the loop thread."""
-        payload = self.encode(response)
-        with conn.lock:
-            if conn.closed:
-                return  # client went away; nothing to tell it
-            try:
-                if not conn.outbuf:
-                    payload = payload[conn.sock.send(payload):]
-            except BlockingIOError:
-                pass
-            except OSError:
-                conn.closed = True  # peer reset
-            if not payload:
-                return
-            if (conn.outbuf and len(conn.outbuf) + len(payload)
-                    > self.max_frame_bytes and not conn.closed):
-                # The client is not reading its replies: holding more
-                # for it would grow without bound.
-                self.count("slow_client_closed")
-                conn.closed = True
-            if not conn.closed:
-                conn.outbuf += payload
-        self._attention.append(conn)
-        self._wake()
-
-
-# ----------------------------------------------------------------------
 # the server
 # ----------------------------------------------------------------------
-class StoreServer(LineServer):
-    """``repro store``: a line-protocol TCP server over a local backend
-    (a :class:`LineServer`: every op runs on its one loop thread).
+class StoreServer:
+    """``repro store``: a line-protocol TCP server over a local backend.
 
     All mutations serialize under one lock, which is what makes the
     ``cas`` op an honest check-and-set: the version check and the write
@@ -470,8 +204,9 @@ class StoreServer(LineServer):
             from repro.service.backends import MemoryBackend
 
             backend = MemoryBackend()
-        super().__init__(host, port)
         self.backend = backend
+        self.host = host
+        self.port = port
         self.shard = None
         if shard is not None:
             index, count = int(shard[0]), int(shard[1])
@@ -491,14 +226,129 @@ class StoreServer(LineServer):
         #: Per namespace: whole-namespace mutation counter backing the
         #: optimistic ``replace`` (mutate_all) path.
         self._ns_versions = {}
+        self._listener = None
+        self._accept_thread = None
+        self._stop = threading.Event()
+        self._clients = set()
+        self._clients_lock = threading.Lock()
         self.frames_served = 0
 
+    # -- lifecycle -------------------------------------------------------
+    def start(self) -> int:
+        """Bind, listen and serve in background threads; returns the
+        bound port (useful with ``port=0``)."""
+        self._listener = socket.create_server(
+            (self.host, self.port), reuse_port=False
+        )
+        self.port = self._listener.getsockname()[1]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="store-accept", daemon=True
+        )
+        self._accept_thread.start()
+        return self.port
+
     def stop(self) -> None:
-        super().stop()
+        self._stop.set()
+        if self._listener is not None:
+            # Closing a listening socket does not interrupt a blocked
+            # accept() on every platform; a throwaway connection wakes
+            # it so the accept loop observes _stop and exits now
+            # instead of timing out the join below.
+            try:
+                host = self.host if self.host not in ("", "0.0.0.0") \
+                    else "127.0.0.1"
+                with socket.create_connection((host, self.port),
+                                              timeout=1.0):
+                    pass
+            except OSError:
+                pass
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+        with self._clients_lock:
+            clients = list(self._clients)
+        for client in clients:
+            try:
+                client.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                client.close()
+            except OSError:
+                pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
         self.backend.close()
 
-    def handle_line(self, conn, line) -> None:
-        self.send(conn, self._handle_frame(line))
+    def wait(self) -> None:
+        """Block until the server is stopped."""
+        while not self._stop.wait(timeout=0.5):
+            pass
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stop()
+
+    # -- connection handling ---------------------------------------------
+    def _accept_loop(self) -> None:
+        while not self._stop.is_set():
+            try:
+                client, _ = self._listener.accept()
+            except OSError:
+                return  # listener closed
+            with self._clients_lock:
+                self._clients.add(client)
+            threading.Thread(
+                target=self._serve_connection, args=(client,),
+                name="store-conn", daemon=True,
+            ).start()
+
+    def _serve_connection(self, client) -> None:
+        try:
+            reader = client.makefile("rb")
+            writer = client.makefile("wb")
+            while True:
+                # readline(limit) returns at most limit bytes; a chunk
+                # that fills the limit without a newline is an oversized
+                # frame -- reject it and drop the connection, because
+                # past the cap the next line boundary is unknowable.
+                raw = reader.readline(self.max_frame_bytes + 1)
+                if not raw:
+                    return  # clean EOF
+                if len(raw) > self.max_frame_bytes and not raw.endswith(b"\n"):
+                    self._send(writer, {
+                        "ok": False, "error": "frame_too_large",
+                        "detail": (
+                            f"frame exceeds {self.max_frame_bytes} bytes; "
+                            "closing connection"
+                        ),
+                    })
+                    return
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                self._send(writer, self._handle_frame(line))
+        except (OSError, ValueError):
+            pass  # connection torn down mid-frame
+        finally:
+            with self._clients_lock:
+                self._clients.discard(client)
+            try:
+                client.close()
+            except OSError:
+                pass
+
+    def _send(self, writer, response) -> None:
+        try:
+            writer.write(json.dumps(response, default=str).encode("utf-8"))
+            writer.write(b"\n")
+            writer.flush()
+        except (OSError, ValueError):
+            pass  # client went away; nothing to tell it
 
     # -- frame dispatch --------------------------------------------------
     def _handle_frame(self, line) -> dict:

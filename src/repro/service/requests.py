@@ -77,9 +77,6 @@ class Resolved:
     entry: object
     #: True when ``entry`` was priced against the live calibration.
     hit: bool
-    #: ``PlanCache.version`` just before the lookup: a miss is only
-    #: still a miss while the cache has not been written since.
-    cache_version: int
     #: Seconds the two steps took, for the request trace's spans.
     fingerprint_s: float
     lookup_s: float

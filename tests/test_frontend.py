@@ -641,6 +641,32 @@ class TestEventLoop:
                 sock.close()
                 service.close()
 
+    def test_the_loop_thread_never_hashes_a_dataset(self, monkeypatch):
+        """A dataset loaded for a request that needs no content digest
+        is hashed then and there, not by the loop when the first
+        speculating request for it is resolved."""
+        from repro.cluster.storage import PartitionedDataset
+
+        hashed_on = []
+        digest = PartitionedDataset.content_digest
+
+        def recording_digest(dataset):
+            if dataset._content_digest is None:
+                hashed_on.append(threading.current_thread().name)
+            return digest(dataset)
+
+        monkeypatch.setattr(PartitionedDataset, "content_digest",
+                            recording_digest)
+        with SocketFrontend(Dispatcher(ML4all(seed=7)), port=0,
+                            max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                assert ask(handle, FAST_LINE)["ok"]
+                assert ask(handle, "adult epsilon=0.05 max_iter=50")["ok"]
+            finally:
+                sock.close()
+        assert hashed_on and LOOP_THREAD not in hashed_on
+
     def test_stop_with_requests_in_flight(self):
         stub = _BlockingDispatcher()
         frontend = SocketFrontend(stub, port=0, max_workers=2, shed_after=16)
@@ -728,6 +754,87 @@ class TestEventLoop:
             finally:
                 sock.close()
                 flood.close()
+
+    def test_line_the_loop_cannot_handle_costs_one_connection_only(
+        self, monkeypatch
+    ):
+        """Whatever a line raises on the loop thread -- here a JSON
+        document nested past the recursion limit, then a parser bug --
+        the other connections keep being served."""
+        stub = _BlockingDispatcher()
+        stub.release.set()
+        parse = frontend_module.parse_wire_line
+
+        def buggy_parse(line):
+            if line.startswith("boom"):
+                raise RuntimeError("parser bug")
+            return parse(line)
+
+        monkeypatch.setattr(frontend_module, "parse_wire_line", buggy_parse)
+        with SocketFrontend(stub, port=0, max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            other, other_handle = connect(frontend)
+            try:
+                deep = ask(handle, '{"a":' + "[" * 100_000)
+                assert deep["error"] == "bad_request"
+                assert ask(handle, "adult id=same")["id"] == "same"
+                broken = ask(handle, "boom")
+                assert broken["error"] == "internal"
+                assert "parser bug" in broken["detail"]
+                assert handle.readline() == ""  # hung up on, after the reply
+                assert ask(other_handle, "adult id=other")["id"] == "other"
+                counters = ask(other_handle, "metrics")["metrics"]["counters"]
+                assert counters["frontend.internal_errors"] == 1
+                assert frontend._thread.is_alive()
+            finally:
+                sock.close()
+                other.close()
+
+    @pytest.mark.parametrize("goodbye", ["quit", "half-close"])
+    def test_replies_owed_at_quit_or_eof_are_still_sent(self, goodbye):
+        stub = _BlockingDispatcher()
+        with SocketFrontend(stub, port=0, max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                handle.write("adult id=queued0\nadult id=queued1\n")
+                if goodbye == "quit":
+                    handle.write("quit\nadult id=ignored\n")
+                handle.flush()
+                if goodbye == "half-close":
+                    sock.shutdown(socket.SHUT_WR)
+                for _ in range(2):
+                    assert stub.started.acquire(timeout=10)
+                time.sleep(0.1)  # the loop has seen the goodbye by now
+                stub.release.set()
+                replies = [json.loads(line) for line in handle]  # to EOF
+                assert sorted(r["id"] for r in replies) == [
+                    "queued0", "queued1"]
+            finally:
+                stub.release.set()
+                sock.close()
+
+    def test_enqueue_then_disconnect_still_stores_the_job(self, tmp_path):
+        """Fire-and-forget: the job a client enqueued (last line without
+        a newline) is stored although the client is gone before a
+        worker gets to it."""
+        system = ML4all(seed=7, checkpoint_path=str(tmp_path / "jobs.db"))
+        service = system.service()
+        with SocketFrontend(Dispatcher(system), port=0,
+                            max_workers=1) as frontend:
+            sock = socket.create_connection(("127.0.0.1", frontend.port))
+            sock.sendall((FAST_LINE + " verb=enqueue job_id=j1\n"
+                          + FAST_LINE + " verb=enqueue job_id=j2").encode())
+            sock.close()
+            deadline = time.monotonic() + 10
+            while (len(service.checkpoints.backend.load()) < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.02)
+            assert sorted(service.checkpoints.backend.load()) == ["j1", "j2"]
+            # ...and the loop closed its end once both were done.
+            while frontend._clients and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not frontend._clients
+        service.close()
 
 
 def test_serving_imports_no_asyncio():

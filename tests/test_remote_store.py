@@ -258,8 +258,10 @@ class TestRemoteBackendContract:
         backend.store("k", {"v": 1})
         # The server tears down every live connection (deploy restart,
         # idle reaper): the pooled client socket is now dead...
-        for casualty in list(server._clients):
-            casualty.sock.shutdown(socket.SHUT_RDWR)
+        with server._clients_lock:
+            casualties = list(server._clients)
+        for casualty in casualties:
+            casualty.shutdown(socket.SHUT_RDWR)
         # ...and the next call must retry on a fresh connection.
         assert backend.get("k") == {"v": 1}
 

@@ -1,6 +1,7 @@
 """Tests for the concurrent OptimizerService (plan cache + coalescing)."""
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -289,14 +290,23 @@ class TestResolveThenAnswer:
         assert restored.cache_hit and service.computed == 3
         service.close()
 
-    def test_an_unchanged_cache_is_not_looked_up_twice(
+    def test_one_counted_cache_lookup_per_request_whatever_its_twins_do(
         self, service, dataset, training
     ):
-        miss = service.resolve(
-            ServiceRequest(dataset, training, fixed_iterations=50))
-        lookups = service.cache.stats().requests
-        service.answer(miss)
-        assert service.cache.stats().requests == lookups
+        """32 misses (4 workloads x 8 twins) answered on 8 threads while
+        their twins cache plans: each made the one PlanCache.get its
+        resolve() made, and each workload was computed once."""
+        resolved = [
+            service.resolve(
+                ServiceRequest(dataset, training, fixed_iterations=50 + n % 4))
+            for n in range(32)
+        ]
+        assert not any(r.hit for r in resolved)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(service.answer, resolved))
+        assert service.cache.stats().requests == 32
+        assert service.computed == 4
+        assert sum(r.cache_hit or r.coalesced for r in results) == 28
 
 
 class TestOptimizeMany:
