@@ -13,8 +13,7 @@ An algorithm is a step kernel (``repro.gd.base.Updater``) driven by
 ``run_loop``; a module under ``repro/gd/`` with its own ``for ... in
 range(1, max_iter + 1)`` loop is a forked copy of the loop tail
 (convergence-wins ordering, wall budget, snapshot cadence).  Only
-``gd/base.py`` (``run_loop``) and ``gd/line_search.py`` (backtracking
-has no operator expression) may hold one.
+``gd/base.py`` (``run_loop``) may hold one.
 
 Allowed:
 
@@ -54,12 +53,12 @@ PATTERNS = (
 )
 
 
-#: The pure-math loop header, and the only gd/ modules that may have it.
+#: The pure-math loop header, and the one gd/ module that may have it.
 GD_ROOT = os.path.join(LIBRARY_ROOT, "gd")
 LOOP_PATTERN = re.compile(
     r"for\s+\w+\s+in\s+range\(\s*1\s*,\s*max_iter\s*\+\s*1\s*\)"
 )
-LOOP_MODULES = ("base.py", "line_search.py")
+LOOP_MODULES = ("base.py",)
 
 
 def scan_loops(root=GD_ROOT) -> list:

@@ -308,7 +308,7 @@ class ML4all:
     @property
     def metrics(self):
         """The service's :class:`~repro.service.MetricsRegistry`
-        (operational counters/gauges/timers across every layer);
+        (operational counters/gauges/histograms across every layer);
         creates the service if it does not exist yet."""
         return self.service().metrics
 

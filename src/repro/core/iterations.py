@@ -24,8 +24,7 @@ per-request fit reads it, and a :class:`TrialMemo` keeps trials so that
 asking again about the same data with another tolerance, iteration cap
 or time budget runs no GD.  A memo hit is bit-identical to a re-run
 because only trials whose stop was deterministic are kept: one that
-ended on its wall-clock budget (machine speed) or behind a custom
-driver (its own business) is run again every time.
+ended on its wall-clock budget (machine speed) is run again every time.
 """
 
 from __future__ import annotations
@@ -151,8 +150,7 @@ class TrialMemo:
     :func:`repro.service.fingerprint.trial_context_digest`) and
     :func:`repro.gd.registry.trial_key` says which algorithms run the
     same loop, so two requests with equal keys would run the very same
-    computation.  A key of None is a trial nobody else can share (a
-    custom driver): never kept.  ``metrics`` receives the
+    computation.  ``metrics`` receives the
     ``speculation.memo.evictions`` counter and the ``.entries`` /
     ``.bytes`` gauges.
     """
@@ -169,8 +167,6 @@ class TrialMemo:
 
     def get(self, key):
         """The trial stored under ``key`` (now most recently used)."""
-        if key is None:
-            return None
         with self._lock:
             trial = self._trials.get(key)
             if trial is not None:
@@ -178,8 +174,6 @@ class TrialMemo:
             return trial
 
     def put(self, key, trial) -> None:
-        if key is None:
-            return
         evicted = 0
         with self._lock:
             previous = self._trials.pop(key, None)
@@ -218,8 +212,8 @@ class SpeculativeEstimator:
     pass shares trials within itself only.
     """
 
-    def __init__(self, settings=None, seed=0, model_overrides=None,
-                 metrics=None, memo=None, context=None):
+    def __init__(self, settings=None, seed=0, metrics=None, memo=None,
+                 context=None):
         if (memo is None) != (context is None):
             raise ValueError(
                 "a trial memo is only sound with the context its keys "
@@ -227,10 +221,6 @@ class SpeculativeEstimator:
             )
         self.settings = settings or SpeculationSettings()
         self.seed = seed
-        #: Per-algorithm error-curve family overrides ({algorithm:
-        #: model name}).  Applied after any registry-level speculation
-        #: overrides, before fitting.
-        self.model_overrides = dict(model_overrides or {})
         #: Optional :class:`~repro.service.metrics.MetricsRegistry`;
         #: receives the ``speculation.lane_wait_s`` histogram and the
         #: ``speculation.memo.hits`` / ``.misses`` counters.
@@ -249,22 +239,18 @@ class SpeculativeEstimator:
 
     def _settings_for(self, algorithm) -> SpeculationSettings:
         """Algorithm 1's knobs as one algorithm sees them."""
-        cfg = self.settings
+        # A spec may tune Algorithm 1's knobs for its own convergence
+        # profile (e.g. a longer budget for slow-start algorithms).
         overrides = gd_registry.speculation_overrides(algorithm)
         if overrides:
-            # A spec may tune Algorithm 1's knobs for its own convergence
-            # profile (e.g. a longer budget for slow-start algorithms).
-            cfg = dataclasses.replace(cfg, **overrides)
-        family = self.model_overrides.get(algorithm)
-        if family:
-            cfg = dataclasses.replace(cfg, model=family)
-        return cfg
+            return dataclasses.replace(self.settings, **overrides)
+        return self.settings
 
     def _memo_key(self, algorithm, rows, batch_size):
         """Where a trial of ``algorithm`` on a ``rows``-row D' lives in
-        a memo; None when it may not be kept."""
-        key = gd_registry.trial_key(algorithm, rows, batch_size)
-        return None if key is None else (self.context, key)
+        a memo."""
+        return (self.context,
+                gd_registry.trial_key(algorithm, rows, batch_size))
 
     def estimate(
         self,

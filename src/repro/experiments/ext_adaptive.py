@@ -185,7 +185,8 @@ def run(ctx=None) -> Table:
     )
     notes.append(
         f"repeat request: {repeat_source}; service computed "
-        f"{service.computed} optimization(s) for {service.requests} requests"
+        f"{service.metrics.value('service.computed')} optimization(s) for "
+        f"{service.metrics.value('service.requests')} requests"
     )
     corrections = "; ".join(
         f"{alg}: cost x{c.cost_factor:.2f}"

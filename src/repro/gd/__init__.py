@@ -26,7 +26,6 @@ from repro.gd.gradients import (
     named_gradient,
     task_gradient,
 )
-from repro.gd.line_search import backtracking_bgd
 from repro.gd.mgd import mgd
 from repro.gd.registry import ALGORITHMS, CORE_ALGORITHMS, info, run
 from repro.gd.sgd import sgd
@@ -70,7 +69,6 @@ __all__ = [
     "LogisticGradient",
     "named_gradient",
     "task_gradient",
-    "backtracking_bgd",
     "mgd",
     "ALGORITHMS",
     "CORE_ALGORITHMS",

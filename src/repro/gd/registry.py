@@ -4,20 +4,19 @@ The paper's search space "is fully parameterized based on the number of GD
 algorithms ... there could be tens of GD algorithms that the user might
 want to evaluate" (Section 6).  This registry is that parameterization
 point: every algorithm -- the three fundamental variants the optimizer
-enumerates by default (BGD / MGD / SGD), the Appendix C accelerations
-(SVRG, line search), the adaptive-direction variants, and any plugin
-registered at runtime -- is one :class:`~repro.gd.spec.AlgorithmSpec`,
-and every layer of the system (kernel construction, state transfer,
-costing, speculation, plan enumeration) consults the spec instead of
-branching on the algorithm's name.
+enumerates by default (BGD / MGD / SGD), the Appendix C acceleration
+SVRG, the adaptive-direction variants, and any plugin registered at
+runtime -- is one step kernel behind one
+:class:`~repro.gd.spec.AlgorithmSpec`, and every layer of the system
+(kernel construction, state transfer, costing, speculation, plan
+enumeration) consults the spec instead of branching on the algorithm's
+name.
 
 :func:`register` is the plugin entry point; ``repro.gd.grad_avg`` and
 ``repro.gd.arc`` register themselves through it at import time.
 """
 
 from __future__ import annotations
-
-import logging
 
 from repro.errors import PlanError
 from repro.gd.base import (
@@ -29,11 +28,8 @@ from repro.gd.base import (
     full_batch_selector,
     run_loop,
 )
-from repro.gd.line_search import backtracking_bgd
-from repro.gd.spec import RUN_LOOP_KWARGS, AlgorithmSpec, CostTerms
+from repro.gd.spec import AlgorithmSpec, CostTerms
 from repro.gd.svrg import SVRGUpdater
-
-log = logging.getLogger("repro.gd")
 
 
 def _svrg_transfer(payload, target_algorithm, notes):
@@ -97,18 +93,6 @@ register(AlgorithmSpec(
     transfer_state=_svrg_transfer,
 ))
 register(AlgorithmSpec(
-    "line_search", None, False, "BGD with backtracking line search",
-    driver=backtracking_bgd,
-    # No ``iteration_callback`` / ``rng``: line search is deterministic
-    # full-batch and cannot stream per-iteration errors, which is why
-    # the speculation estimator refuses it (too few observations).
-    accepted_kwargs=frozenset({
-        "alpha0", "beta", "c", "max_backtracks", "tolerance", "max_iter",
-        "convergence", "w0", "time_budget_s",
-    }),
-    supports_executor=False,
-))
-register(AlgorithmSpec(
     "momentum", 1000, True, "MGD with Polyak momentum",
     make_updater=MomentumUpdater,
 ))
@@ -153,7 +137,7 @@ def speculation_overrides(name) -> dict:
 
 
 def _batch_rows(spec, n, batch_size):
-    """Rows one iteration of a generic algorithm reads out of ``n``."""
+    """Rows one iteration of the algorithm reads out of ``n``."""
     if spec.default_batch_size is None:
         return n
     if spec.batch_size_fixed or batch_size is None:
@@ -162,7 +146,7 @@ def _batch_rows(spec, n, batch_size):
 
 
 def selector_for(name, n, batch_size=None):
-    """The :func:`run_loop` batch selector a generic algorithm uses."""
+    """The :func:`run_loop` batch selector the algorithm uses."""
     spec = info(name)
     if spec.default_batch_size is None:
         return full_batch_selector
@@ -173,19 +157,14 @@ def trial_key(name, n, batch_size=None):
     """Identity of the computation :func:`run` performs on ``n`` rows.
 
     Two algorithms with equal keys run the same GD loop -- same rows
-    per iteration, same kernel factory, same kwarg surface, same
-    speculation overrides -- so under one seed they produce the same
-    error sequence and the estimator runs that trial once.  Derived
-    from spec fields only.  None (never shared) for custom drivers:
-    what they compute is their own business.
+    per iteration, same kernel factory, same speculation overrides --
+    so under one seed they produce the same error sequence and the
+    estimator runs that trial once.  Derived from spec fields only.
     """
     spec = info(name)
-    if spec.driver is not None:
-        return None
     return (
         min(_batch_rows(spec, n, batch_size), n),
         spec.make_updater,
-        spec.accepted_kwargs,
         tuple(sorted(spec.speculation_overrides.items())),
     )
 
@@ -234,41 +213,15 @@ def make_operators(plan, d, training, iteration_offset=0):
     )
 
 
-def _filter_kwargs(spec, kwargs) -> dict:
-    """Drop kwargs the algorithm does not accept, loudly: anything
-    outside the spec's accepted set is dropped with a structured
-    ``repro.gd`` WARNING naming the casualties."""
-    accepted = spec.accepted_kwargs
-    if accepted is None:
-        accepted = RUN_LOOP_KWARGS
-    dropped = sorted(set(kwargs) - accepted)
-    if not dropped:
-        return kwargs
-    log.warning(
-        "algorithm %s does not accept %s; dropping",
-        spec.name, ", ".join(dropped),
-        extra={"algorithm": spec.name, "dropped_kwargs": dropped},
-    )
-    return {k: v for k, v in kwargs.items() if k in accepted}
-
-
 def run(name, X, y, gradient, batch_size=None, **kwargs):
     """Run any registered algorithm on in-memory data (pure math).
 
-    ``kwargs`` are forwarded to :func:`~repro.gd.base.run_loop`
-    (``step_size``, ``tolerance``, ``max_iter``, ``rng``,
-    ``time_budget_s``, ...) -- or to the spec's custom ``driver`` --
-    after filtering against the accepted set (dropped keys are logged
-    as a ``repro.gd`` WARNING).
+    ``kwargs`` are :func:`~repro.gd.base.run_loop`'s (``step_size``,
+    ``tolerance``, ``max_iter``, ``rng``, ``time_budget_s``, ...); an
+    unknown one is ``run_loop``'s own ``TypeError``.
     """
-    spec = info(name)
-    kwargs = _filter_kwargs(spec, kwargs)
-    if spec.driver is not None:
-        return spec.driver(X, y, gradient, **kwargs)
-
     selector = selector_for(name, X.shape[0], batch_size)
     updater = updater_for(name)
     if updater is not None:
-        kwargs = dict(kwargs)
         kwargs["updater"] = updater
     return run_loop(X, y, gradient, selector, **kwargs)

@@ -20,9 +20,6 @@ spec field                   consumed by
 ``cost``                     ``core.cost_model.CostModel`` (both paths)
 ``speculation_overrides``    ``core.iterations.SpeculativeEstimator``
 ``plan_variants``            ``core.plan_space.plans_for_algorithm``
-``driver``,                  ``registry.run`` only, for an algorithm with
-``accepted_kwargs``,         no operator expression (line search)
-``supports_executor``
 ===========================  ============================================
 
 See ``docs/ARCHITECTURE.md`` ("Adding a GD algorithm") for the
@@ -33,6 +30,7 @@ algorithms expressed purely through this interface.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.errors import PlanError
 
@@ -95,18 +93,10 @@ class AlgorithmSpec:
     stochastic: bool
     description: str
 
-    # -- driver seam (registry.run: speculation, pure-math training) ----
-    #: Custom pure-math driver ``driver(X, y, gradient, **kwargs) ->
-    #: GDRunResult`` for an algorithm that is not a step kernel (line
-    #: search's inner backtracking loop); None runs
-    #: :func:`~repro.gd.base.run_loop` with the selector implied by
-    #: ``default_batch_size`` and the kernel from ``make_updater``.
-    driver: object = None
-    #: Keyword arguments the driver understands.  ``registry.run``
-    #: filters its kwargs to this set and logs a ``repro.gd`` WARNING
-    #: naming anything it dropped; None accepts the full
-    #: :func:`~repro.gd.base.run_loop` surface.
-    accepted_kwargs: frozenset | None = None
+    #: Every algorithm is a step kernel, so the plan executor runs all
+    #: of them.  A class constant, not a field: nothing can opt out.
+    supports_executor: typing.ClassVar[bool] = True
+
     #: When True, ``batch_size`` overrides are ignored (SGD is
     #: single-sample *by definition*; an override would silently turn it
     #: into MGD).
@@ -117,12 +107,6 @@ class AlgorithmSpec:
     #: algorithm's step kernel (None -> vanilla GD).  A factory, not an
     #: instance: kernels are stateful and never shared across runs.
     make_updater: object = None
-
-    # -- executor seam --------------------------------------------------
-    #: Whether the plan executor can run this algorithm faithfully.
-    #: Line search is the counter-example: its inner backtracking loop
-    #: has no operator expression, so it is speculation/baseline-only.
-    supports_executor: bool = True
 
     # -- state seam -----------------------------------------------------
     #: Key under :attr:`OptimizerState.algorithm_state` that this
@@ -156,23 +140,8 @@ class AlgorithmSpec:
     def __post_init__(self):
         if not self.name:
             raise PlanError("algorithm specs need a non-empty name")
-        if self.driver is not None and self.accepted_kwargs is None:
-            raise PlanError(
-                f"algorithm {self.name!r} has a custom driver but no "
-                "accepted_kwargs declaration; registry.run cannot filter "
-                "kwargs safely without one"
-            )
         if self.transfer_state is not None and self.state_namespace is None:
             raise PlanError(
                 f"algorithm {self.name!r} declares a transfer_state hook "
                 "without a state_namespace to apply it to"
             )
-
-
-#: Keyword surface of :func:`~repro.gd.base.run_loop`, the accepted set
-#: of every generic (driver-less) algorithm.
-RUN_LOOP_KWARGS = frozenset({
-    "step_size", "tolerance", "max_iter", "convergence", "w0", "updater",
-    "rng", "record_loss", "time_budget_s", "iteration_callback", "state",
-    "state_every", "state_callback",
-})

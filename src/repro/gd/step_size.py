@@ -4,8 +4,6 @@ The paper fixes the step size to MLlib's hard-coded schedule beta/sqrt(i)
 with beta = 1 across all systems and algorithms (Section 8.1), but the
 iterations estimator is explicitly demonstrated on other adaptive
 schedules as well (Appendix E, Figures 15-16: 1/sqrt(i), 1/i, 1/i^2).
-Backtracking line search is a *search*, not a schedule, and lives in
-``repro.gd.line_search``.
 """
 
 from __future__ import annotations

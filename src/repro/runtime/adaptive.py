@@ -127,50 +127,6 @@ class TrainerCheckpoint:
     switches_left: int
 
 
-class _LeaseMonitor:
-    """Wraps a segment monitor with the lease's preemption budget.
-
-    Delegates everything to the inner monitor (telemetry, divergence
-    verdicts, refits); additionally requests a graceful stop once this
-    lease has executed ``budget.max_iterations`` iterations or run for
-    ``budget.max_seconds`` wall seconds.  ``preempted`` distinguishes a
-    budget stop from a divergence stop -- the trainer checkpoints and
-    returns instead of re-optimizing.
-    """
-
-    def __init__(self, inner, budget, executed_before, lease_start):
-        self._inner = inner
-        self._budget = budget
-        self._executed_before = int(executed_before)
-        self._lease_start = lease_start
-        self.preempted = False
-        self.preempt_reason = None
-
-    def on_iteration(self, iteration, delta, clock) -> bool:
-        stop = bool(self._inner.on_iteration(iteration, delta, clock))
-        executed = self._executed_before + iteration
-        budget = self._budget
-        if (budget.max_iterations is not None
-                and executed >= budget.max_iterations):
-            self.preempted = True
-            self.preempt_reason = (
-                f"lease budget exhausted: {executed} iterations this lease "
-                f"(max {budget.max_iterations})"
-            )
-        elif (budget.max_seconds is not None
-                and time.perf_counter() - self._lease_start
-                >= budget.max_seconds):
-            self.preempted = True
-            self.preempt_reason = (
-                f"lease budget exhausted: {budget.max_seconds:g}s "
-                "wall clock"
-            )
-        return stop or self.preempted
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 @dataclasses.dataclass
 class AdaptiveResult:
     """Outcome of one adaptive training run."""
@@ -304,20 +260,27 @@ class AdaptiveTrainer:
             entry_notes = []
             switches_left = self.settings.max_switches
             done_iterations = 0
-        lease_start = time.perf_counter()
+        lease_deadline = (
+            time.perf_counter() + budget.max_seconds
+            if budget is not None and budget.max_seconds is not None
+            else None
+        )
         lease_executed = 0
         preempted = False
         result = None
 
         while True:
             remaining = iteration_budget - done_iterations
-            monitor = self._monitor(chosen, estimates, training,
-                                    monitoring=switches_left > 0,
-                                    iteration_offset=done_iterations)
-            if budget is not None:
-                monitor = _LeaseMonitor(
-                    monitor, budget, lease_executed, lease_start
-                )
+            monitor = self._monitor(
+                chosen, estimates, training, monitoring=switches_left > 0,
+                iteration_offset=done_iterations,
+                lease_iterations=(
+                    budget.max_iterations - lease_executed
+                    if budget is not None
+                    and budget.max_iterations is not None else None
+                ),
+                lease_deadline=lease_deadline,
+            )
             segment_training = self._segment_training(
                 training, remaining, run_start
             )
@@ -377,7 +340,7 @@ class AdaptiveTrainer:
                 self._emit(on_checkpoint, "done", result, segment.state,
                            chosen, trace, done_iterations, switches_left)
                 break
-            if getattr(monitor, "preempted", False):
+            if monitor.preempted:
                 preempted = True
                 self._emit(on_checkpoint, "preempted", result,
                            segment.state, chosen, trace, done_iterations,
@@ -527,31 +490,29 @@ class AdaptiveTrainer:
 
     # ------------------------------------------------------------------
     def _monitor(self, chosen, estimates, training, monitoring,
-                 iteration_offset=0):
+                 iteration_offset, lease_iterations, lease_deadline):
         """A ConvergenceMonitor for one segment (telemetry-only when
-        switching is exhausted).  ``iteration_offset`` -- global
-        iterations completed before the segment -- aligns the error-space
-        check with the from-scratch speculated curve."""
+        switching is exhausted) that also enforces the lease budget.
+        ``iteration_offset`` -- global iterations completed before the
+        segment -- aligns the error-space check with the from-scratch
+        speculated curve."""
+        common = dict(settings=self.settings,
+                      lease_iterations=lease_iterations,
+                      lease_deadline=lease_deadline)
+        if not monitoring:
+            # Record telemetry but never trip: thresholds unreachable.
+            return ConvergenceMonitor(training.tolerance, **common)
         curve = None
         if estimates is not None:
             estimate = estimates.get(chosen.plan.algorithm)
             curve = estimate.curve if estimate is not None else None
-        if not monitoring:
-            # Record telemetry but never trip: thresholds unreachable.
-            return ConvergenceMonitor(
-                target_tolerance=training.tolerance,
-                speculated_curve=None,
-                predicted_iterations=None,
-                predicted_per_iteration_s=None,
-                settings=self.settings,
-            )
         return ConvergenceMonitor(
             target_tolerance=training.tolerance,
             speculated_curve=curve,
             predicted_iterations=chosen.estimated_iterations,
             predicted_per_iteration_s=chosen.per_iteration_s,
-            settings=self.settings,
             iteration_offset=iteration_offset,
+            **common,
         )
 
     def _segment_training(self, training, remaining_budget, run_start):

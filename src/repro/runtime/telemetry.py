@@ -15,12 +15,14 @@ Two monitors live here:
   *convergence* trajectory and the *cost* trajectory against what the
   optimizer speculated.  When either diverges beyond its threshold it
   requests a stop so the adaptive trainer can re-run plan selection over
-  the remaining error budget.
+  the remaining error budget.  It also enforces a durable job lease's
+  :class:`~repro.runtime.JobBudget` (``preempted``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 
@@ -127,6 +129,13 @@ class ConvergenceMonitor(TelemetryRecorder):
         banked and fire spurious divergence verdicts.  (The overrun
         check stays segment-local: ``predicted_iterations`` for a
         post-switch segment is the re-optimizer's *remaining* count.)
+    lease_iterations, lease_deadline:
+        What is left of the lease's :class:`~repro.runtime.JobBudget`:
+        iterations this segment may run, and the ``time.perf_counter()``
+        instant the lease ends (None = unbounded).  Reaching either sets
+        ``preempted`` and requests a stop, checked on every iteration
+        after the divergence check; the trainer then checkpoints and
+        returns instead of re-optimizing.
     """
 
     def __init__(
@@ -137,6 +146,8 @@ class ConvergenceMonitor(TelemetryRecorder):
         predicted_per_iteration_s=None,
         settings=None,
         iteration_offset=0,
+        lease_iterations=None,
+        lease_deadline=None,
     ):
         super().__init__()
         self.target_tolerance = float(target_tolerance)
@@ -159,19 +170,26 @@ class ConvergenceMonitor(TelemetryRecorder):
         self.curve_diverged = False
         #: Latest acceptable online refit of the observed error curve.
         self.refit_curve = None
+        self.lease_iterations = lease_iterations
+        self.lease_deadline = lease_deadline
+        #: Set when the lease budget ran out (a stop, not a divergence).
+        self.preempted = False
 
     # -- executor hook ---------------------------------------------------
     def on_iteration(self, iteration, delta, clock) -> bool:
         super().on_iteration(iteration, delta, clock)
-        if self.diverged:
-            return True
         n = len(self.records)
-        if n < self.settings.min_points or n % self.settings.refit_every:
-            return False
-        self._check_cost()
-        if not self.diverged:
-            self._check_curve()
-        return self.diverged
+        if (not self.diverged and n >= self.settings.min_points
+                and not n % self.settings.refit_every):
+            self._check_cost()
+            if not self.diverged:
+                self._check_curve()
+        if ((self.lease_iterations is not None
+                and iteration >= self.lease_iterations)
+                or (self.lease_deadline is not None
+                    and time.perf_counter() >= self.lease_deadline)):
+            self.preempted = True
+        return self.diverged or self.preempted
 
     # -- divergence checks ----------------------------------------------
     def observed_cost_ratio(self) -> float | None:

@@ -16,7 +16,7 @@ across *many* processes, in explicit layers:
   parsing, the :class:`Dispatcher` shared by ``repro serve`` stdin and
   socket modes, and the admission-controlled :class:`SocketFrontend`;
 * :mod:`repro.service.metrics` -- the :class:`MetricsRegistry` counters
-  /gauges/timers threaded through all of the above;
+  /gauges/histograms threaded through all of the above;
 * :mod:`repro.service.remote` -- the fleet's network boundary: the
   ``repro store`` line-protocol server (:class:`StoreServer`) and the
   :class:`RemoteBackend`/:class:`ShardedBackend` clients behind

@@ -44,6 +44,7 @@ import json
 import os
 import sqlite3
 import threading
+import time
 import warnings
 
 #: Format version of the persisted store *container* (file / table
@@ -52,6 +53,8 @@ import warnings
 STORE_FORMAT = 1
 
 _SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
+#: How long a SQLite connection waits for another connection's lock.
+_BUSY_TIMEOUT_S = 30.0
 
 
 def open_backend(path):
@@ -122,31 +125,17 @@ class CacheBackend:
             self.store(key, entry)
         return entry
 
-    def replace(self, entries) -> None:
-        """Swap the whole store for ``entries`` (used by compaction)."""
-        self.clear()
-        for key, entry in entries.items():
-            self.store(key, entry)
-
     def mutate_all(self, fn) -> dict:
         """Atomic whole-store read-modify-write: replace the contents
-        with ``fn(entries)``.  Like :meth:`update` this must hold the
-        backend's cross-process exclusion around the whole
+        with ``fn(entries)`` and return them.  Like :meth:`update` this
+        must hold the backend's cross-process exclusion around the whole
         read+apply+write -- compacting a *live* store must not discard
-        checkpoints or leases a concurrent writer lands mid-way.  The
-        base implementation composes load/replace and is only atomic
-        against writers sharing this object.
+        checkpoints or leases a concurrent writer lands mid-way.
         """
-        entries = fn(self.load())
-        self.replace(entries)
-        return entries
+        raise NotImplementedError
 
     def delete(self, key) -> None:
         """Drop one entry (missing keys are a no-op)."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop every entry."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -202,11 +191,6 @@ class MemoryBackend(CacheBackend):
                 self._data[key] = json.dumps(entry)
             return entry
 
-    def replace(self, entries) -> None:
-        encoded = {key: json.dumps(entry) for key, entry in entries.items()}
-        with self._lock:
-            self._data = encoded
-
     def mutate_all(self, fn) -> dict:
         with self._lock:
             entries = dict(fn(self._decoded()))
@@ -218,10 +202,6 @@ class MemoryBackend(CacheBackend):
     def delete(self, key) -> None:
         with self._lock:
             self._data.pop(key, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -383,10 +363,6 @@ class JsonFileBackend(CacheBackend):
             self._write(entries)
             return entry
 
-    def replace(self, entries) -> None:
-        with self._lock, self._file_lock():
-            self._write(self._own(dict(entries)))
-
     def mutate_all(self, fn) -> dict:
         with self._lock, self._file_lock():
             entries = dict(fn(dict(self._read_cached(warn=False))))
@@ -398,10 +374,6 @@ class JsonFileBackend(CacheBackend):
             entries = dict(self._read_cached(warn=False))
             if entries.pop(key, None) is not None:
                 self._write(entries)
-
-    def clear(self) -> None:
-        with self._lock, self._file_lock():
-            self._write({})
 
 
 class SqliteBackend(CacheBackend):
@@ -481,17 +453,36 @@ class SqliteBackend(CacheBackend):
         self._park_inherited()
         if self._conn is None:
             conn = sqlite3.connect(
-                self.path, timeout=30.0, isolation_level=None,
+                self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None,
                 check_same_thread=False,
             )
             try:
-                conn.execute("PRAGMA journal_mode=WAL")
+                self._enable_wal(conn)
                 conn.execute("PRAGMA synchronous=FULL")
             except sqlite3.Error:
                 conn.close()
                 raise
             self._conn, self._conn_pid = conn, os.getpid()
         return self._conn
+
+    @staticmethod
+    def _enable_wal(conn) -> None:
+        """``PRAGMA journal_mode=WAL``, waiting out another connection.
+
+        The switch needs a lock SQLite does not wait for: while another
+        connection to a still rollback-journal file holds one (a second
+        process or thread opening the same new file), it fails at once
+        with "database is locked", busy timeout or not -- about 1 in 100
+        two-thread opens of a fresh file."""
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.001)
 
     def _park_inherited(self) -> None:
         """Forget a connection that came through a ``fork``.  It is the
@@ -601,20 +592,6 @@ class SqliteBackend(CacheBackend):
                 conn.execute(self._UPSERT, (key, json.dumps(entry)))
         return entry
 
-    @staticmethod
-    def _rewrite(conn, entries) -> None:
-        conn.execute("DELETE FROM plan_store")
-        conn.executemany(
-            "INSERT INTO plan_store (fingerprint, payload) VALUES (?, ?)",
-            [(key, json.dumps(entry)) for key, entry in entries.items()],
-        )
-
-    def replace(self, entries) -> None:
-        if self._broken:
-            return
-        with self._transaction() as conn:
-            self._rewrite(conn, entries)
-
     def mutate_all(self, fn) -> dict:
         """Whole-store RMW in one ``BEGIN IMMEDIATE`` transaction, so a
         concurrent writer's checkpoint/lease cannot land between the
@@ -625,7 +602,11 @@ class SqliteBackend(CacheBackend):
             entries = dict(fn(self._decode_rows(conn.execute(
                 "SELECT fingerprint, payload FROM plan_store"
             ).fetchall())))
-            self._rewrite(conn, entries)
+            conn.execute("DELETE FROM plan_store")
+            conn.executemany(
+                "INSERT INTO plan_store (fingerprint, payload) VALUES (?, ?)",
+                [(key, json.dumps(entry)) for key, entry in entries.items()],
+            )
         return entries
 
     def delete(self, key) -> None:
@@ -635,12 +616,6 @@ class SqliteBackend(CacheBackend):
             self._connection().execute(
                 "DELETE FROM plan_store WHERE fingerprint = ?", (key,)
             )
-
-    def clear(self) -> None:
-        if self._broken:
-            return
-        with self._lock:
-            self._connection().execute("DELETE FROM plan_store")
 
     def close(self) -> None:
         """Close this process's connection (the next operation, if any,

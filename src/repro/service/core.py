@@ -33,8 +33,7 @@ This module is the *lookup/pricing* layer of the service; execution
 request/result shapes in :mod:`repro.service.requests`, and the network
 protocol in :mod:`repro.service.frontend`.  Operational counters live in
 a :class:`~repro.service.metrics.MetricsRegistry` shared by all three
-layers; the legacy counter attributes (``service.computed`` etc.) are
-read-only views over it.
+layers (``service.metrics.value("service.computed")`` ...).
 
 The **adaptive runtime** (:mod:`repro.runtime`) plugs in here: every
 service owns a :class:`~repro.runtime.calibration.CalibrationStore`
@@ -118,14 +117,6 @@ class _CachedPlan:
     calibration_digest: str
 
 
-def _counter(metric, doc):
-    """A read-only attribute view over one metrics-registry counter."""
-    def get(self):
-        return self.metrics.value(metric)
-    get.__doc__ = doc
-    return property(get)
-
-
 class OptimizerService(TrainingJobs):
     """Concurrent, caching facade over the cost-based GD optimizer.
 
@@ -188,10 +179,9 @@ class OptimizerService(TrainingJobs):
         self.cache = PlanCache(
             cache_size, max_bytes=cache_max_bytes, ttl_s=cache_ttl_s
         )
-        #: Operational counters/gauges/timers for every service layer
-        #: (:class:`~repro.service.metrics.MetricsRegistry`); pass one in
-        #: to share a registry with a front-end, or read it back through
-        #: the legacy counter attributes (``service.computed`` ...).
+        #: Operational counters/gauges/histograms for every service
+        #: layer (:class:`~repro.service.metrics.MetricsRegistry`); pass
+        #: one in to share a registry with a front-end.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Speculative trials this process already ran, under the plan
         #: cache: a new fingerprint over data, gradient, step and
@@ -249,34 +239,6 @@ class OptimizerService(TrainingJobs):
         self._fingerprints_lock = threading.Lock()
         #: Entries restored from the persistent backend at startup.
         self.warm_loaded = self._load_persisted()
-
-    # Legacy counter attributes, now read-only views over the shared
-    # metrics registry (one writer path, one source of truth).
-    requests = _counter(
-        "service.requests", "optimize() requests answered (any source).")
-    computed = _counter(
-        "service.computed", "Requests that speculated from scratch.")
-    hits = _counter(
-        "service.hits", "Requests served straight from the plan cache.")
-    coalesced = _counter(
-        "service.coalesced",
-        "Requests that piggybacked on a concurrent identical one.")
-    recalibrated = _counter(
-        "service.recalibrated",
-        "Stale entries re-costed from cached speculation.")
-    trained = _counter(
-        "service.trained", "train() requests executed.")
-    jobs_started = _counter(
-        "service.jobs_started", "Durable job leases started cold.")
-    jobs_resumed = _counter(
-        "service.jobs_resumed", "Durable job leases resumed mid-plan.")
-    jobs_preempted = _counter(
-        "service.jobs_preempted", "Job leases stopped by their budget.")
-    jobs_completed = _counter(
-        "service.jobs_completed", "Job leases that ran to completion.")
-    expired_persisted = _counter(
-        "service.expired_persisted",
-        "Persisted plan entries aged out by store_ttl_s.")
 
     # ------------------------------------------------------------------
     def _load_persisted(self) -> int:
@@ -618,10 +580,8 @@ class OptimizerService(TrainingJobs):
 
     def _result(self, start, report, key, cache_hit=False, coalesced=False,
                 recalibrated=False) -> ServiceResult:
-        wall_s = time.perf_counter() - start
-        self.metrics.observe("service.optimize_s", wall_s)
-        return ServiceResult(report, key, cache_hit, coalesced, wall_s,
-                             recalibrated)
+        return ServiceResult(report, key, cache_hit, coalesced,
+                             time.perf_counter() - start, recalibrated)
 
     def save_calibration(self, path=None) -> str | None:
         """Persist the calibration store (no-op without a path)."""
@@ -647,30 +607,33 @@ class OptimizerService(TrainingJobs):
         return self.cache.stats()
 
     def stats_summary(self) -> str:
-        stats = self.cache.stats()
+        value = self.metrics.value
         text = (
-            f"{stats.summary()}; {self.requests} requests "
-            f"({self.computed} computed, {self.coalesced} coalesced, "
-            f"{self.recalibrated} recalibrated)"
+            f"{self.cache.stats().summary()}; "
+            f"{value('service.requests')} requests "
+            f"({value('service.computed')} computed, "
+            f"{value('service.coalesced')} coalesced, "
+            f"{value('service.recalibrated')} recalibrated)"
         )
-        if self.trained:
-            text += f"; {self.trained} trained"
+        if value("service.trained"):
+            text += f"; {value('service.trained')} trained"
         if self.calibration.observations:
             text += f"; calibration v{self.calibration.version}"
         if self.backend is not None:
             text += (
                 f"; plan store: {self.backend.name}"
                 f" ({self.warm_loaded} warm-loaded"
-                + (f", {self.expired_persisted} aged out"
-                   if self.expired_persisted else "")
+                + (f", {value('service.expired_persisted')} aged out"
+                   if value("service.expired_persisted") else "")
                 + ")"
             )
-        jobs = self.jobs_started + self.jobs_resumed
+        resumed = value("service.jobs_resumed")
+        jobs = value("service.jobs_started") + resumed
         if jobs:
             text += (
                 f"; {jobs} job lease(s) "
-                f"({self.jobs_resumed} resumed, "
-                f"{self.jobs_preempted} preempted, "
-                f"{self.jobs_completed} completed)"
+                f"({resumed} resumed, "
+                f"{value('service.jobs_preempted')} preempted, "
+                f"{value('service.jobs_completed')} completed)"
             )
         return text

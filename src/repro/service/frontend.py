@@ -370,7 +370,6 @@ class Dispatcher:
 
     def _execute(self, wire, request, trains, remaining_s, resolved) -> dict:
         """Run one optimize/train request inside its root span."""
-        start = time.perf_counter()
         if remaining_s is None:
             remaining_s = wire.deadline_s
         if remaining_s is not None and trains:
@@ -403,10 +402,6 @@ class Dispatcher:
         except Exception as exc:  # noqa: BLE001 - serve loops must live
             self.metrics.inc("frontend.internal_errors")
             return _failure("internal", f"{type(exc).__name__}: {exc}", wire)
-        finally:
-            self.metrics.observe(
-                "frontend.latency_s", time.perf_counter() - start
-            )
         self.metrics.inc("frontend.served")
         return self._respond(wire, body)
 

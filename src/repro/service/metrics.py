@@ -1,24 +1,21 @@
-"""A small counter/gauge/timer registry threaded through the service.
+"""A small counter/gauge/histogram registry threaded through the service.
 
 One :class:`MetricsRegistry` is shared by the optimizer core
 (:mod:`repro.service.core`: hits, misses, recosts, coalesced requests),
 the job layer (:mod:`repro.service.jobs`: leases started / resumed /
 preempted / completed) and the front-end (:mod:`repro.service.frontend`:
-served, shed, quota rejections, queue depth, request latency), so one
-``metrics`` request against a running server answers for every layer at
-once.
+served, shed, quota rejections, queue depth), so one ``metrics`` request
+against a running server answers for every layer at once.
 
-Four instrument kinds, all thread-safe behind one lock:
+Three instrument kinds, all thread-safe behind one lock:
 
 * **counters** -- monotonically increasing ints (:meth:`inc`);
 * **gauges** -- last-written values (:meth:`gauge`), for levels like the
   admission queue depth;
-* **timers** -- a bounded reservoir of recent observations
-  (:meth:`observe`), summarised as count / mean / p50 / p95 / max;
 * **histograms** -- cumulative-bucket duration counters
   (:meth:`histogram`), fed by the trace recorder with one series per
-  span name; unlike timers they never forget, so rates and totals are
-  exact over the process lifetime.
+  span name (request latency is ``span.request``); they never forget,
+  so rates and totals are exact over the process lifetime.
 
 The registry is deliberately dependency-free and samples nothing by
 itself; :meth:`snapshot` returns plain JSON-ready dicts, which is what
@@ -31,11 +28,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import deque
-
-#: Observations kept per timer; old ones fall off so percentiles track
-#: *recent* latency, not the whole process lifetime.
-TIMER_WINDOW = 2048
 
 #: Histogram bucket upper bounds in seconds (latency-shaped; the
 #: trailing implicit bucket is +Inf).
@@ -55,24 +47,14 @@ def _prom_name(name, prefix="repro") -> str:
     return flat
 
 
-def quantile(sorted_values, q):
-    """The ``q``-quantile of an ascending list (nearest-rank, ``0<=q<=1``)."""
-    if not sorted_values:
-        return None
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
-
-
 class MetricsRegistry:
-    """Thread-safe named counters, gauges and latency timers."""
+    """Thread-safe named counters, gauges and duration histograms."""
 
-    def __init__(self, timer_window=TIMER_WINDOW):
+    def __init__(self):
         self._lock = threading.Lock()
         self._counters = {}
         self._gauges = {}
-        self._timers = {}
         self._histograms = {}
-        self._timer_window = timer_window
 
     # -- counters --------------------------------------------------------
     def inc(self, name, value=1) -> int:
@@ -97,31 +79,6 @@ class MetricsRegistry:
     def gauge_value(self, name, default=None):
         with self._lock:
             return self._gauges.get(name, default)
-
-    # -- timers ----------------------------------------------------------
-    def observe(self, name, seconds) -> None:
-        """Record one duration into timer ``name``."""
-        with self._lock:
-            timer = self._timers.get(name)
-            if timer is None:
-                timer = self._timers[name] = deque(maxlen=self._timer_window)
-            timer.append(float(seconds))
-
-    def timer_stats(self, name) -> dict | None:
-        """count / mean / p50 / p95 / max of timer ``name`` (None when
-        it has no observations)."""
-        with self._lock:
-            timer = self._timers.get(name)
-            values = sorted(timer) if timer else None
-        if not values:
-            return None
-        return {
-            "count": len(values),
-            "mean_s": sum(values) / len(values),
-            "p50_s": quantile(values, 0.50),
-            "p95_s": quantile(values, 0.95),
-            "max_s": values[-1],
-        }
 
     # -- histograms ------------------------------------------------------
     def histogram(self, name, value, buckets=DEFAULT_BUCKETS) -> None:
@@ -162,18 +119,11 @@ class MetricsRegistry:
 
     # -- export ----------------------------------------------------------
     def snapshot(self) -> dict:
-        """Every instrument as one JSON-ready dict (counters sorted by
-        name; timers summarised, not dumped raw)."""
+        """Every instrument as one JSON-ready dict (sorted by name)."""
         with self._lock:
             counters = dict(sorted(self._counters.items()))
             gauges = dict(sorted(self._gauges.items()))
-            timer_names = list(self._timers)
             histogram_names = list(self._histograms)
-        timers = {}
-        for name in sorted(timer_names):
-            stats = self.timer_stats(name)
-            if stats is not None:
-                timers[name] = stats
         histograms = {}
         for name in sorted(histogram_names):
             stats = self.histogram_stats(name)
@@ -182,16 +132,13 @@ class MetricsRegistry:
         return {
             "counters": counters,
             "gauges": gauges,
-            "timers": timers,
             "histograms": histograms,
         }
 
     def prometheus_lines(self, prefix="repro") -> list:
         """Every instrument in the Prometheus text exposition format.
 
-        Counters render as ``<name>_total``, gauges as-is, timers as
-        summaries (windowed quantiles -- labelled from the recent
-        reservoir, so they track current latency), histograms as
+        Counters render as ``<name>_total``, gauges as-is, histograms as
         cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``.
         """
         snapshot = self.snapshot()
@@ -204,13 +151,6 @@ class MetricsRegistry:
             flat = _prom_name(name, prefix)
             lines.append(f"# TYPE {flat} gauge")
             lines.append(f"{flat} {value}")
-        for name, stats in snapshot["timers"].items():
-            flat = _prom_name(name, prefix)
-            lines.append(f"# TYPE {flat} summary")
-            lines.append(f'{flat}{{quantile="0.5"}} {stats["p50_s"]:g}')
-            lines.append(f'{flat}{{quantile="0.95"}} {stats["p95_s"]:g}')
-            lines.append(f"{flat}_sum {stats['mean_s'] * stats['count']:g}")
-            lines.append(f"{flat}_count {stats['count']}")
         for name, stats in snapshot["histograms"].items():
             flat = _prom_name(name, prefix) + "_seconds"
             lines.append(f"# TYPE {flat} histogram")
@@ -234,10 +174,9 @@ class MetricsRegistry:
             lines.append(f"{name} {value}")
         for name, value in snapshot["gauges"].items():
             lines.append(f"{name} {value}")
-        for name, stats in snapshot["timers"].items():
+        for name, stats in snapshot["histograms"].items():
             lines.append(
                 f"{name} count={stats['count']} "
-                f"p50={stats['p50_s'] * 1e3:.1f}ms "
-                f"p95={stats['p95_s'] * 1e3:.1f}ms"
+                f"mean={stats['sum_s'] / stats['count'] * 1e3:.1f}ms"
             )
         return lines

@@ -8,7 +8,7 @@ the wire, not to invent a new storage model.  Two halves:
 * :class:`StoreServer` -- the ``repro store`` process: a line-protocol
   TCP server over any local backend (memory / JSON / SQLite).  One JSON
   object per line in, one out.  Ops mirror the backend contract
-  (``get``/``put``/``delete``/``scan``/``replace``/``clear``) plus the
+  (``get``/``put``/``delete``/``scan``/``replace``) plus the
   two things a *network* RMW needs that a callback cannot provide:
   per-key **versions** and a ``cas`` op (put-if-version, with a client
   transaction id so a retried CAS whose first attempt actually landed is
@@ -355,7 +355,7 @@ class StoreServer:
         self.frames_served += 1
         try:
             frame = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # malformed / too deep
             return {"ok": False, "error": "bad_frame",
                     "detail": f"invalid JSON frame: {exc}"}
         if not isinstance(frame, dict):
@@ -555,16 +555,6 @@ class StoreServer:
             return {"ok": True,
                     "ns_version": self._ns_versions.get(namespace, 0)}
 
-    def _op_clear(self, frame) -> dict:
-        namespace = self._namespace(frame)
-        with self._lock:
-            for key in self._ns_entries(namespace):
-                ikey = self._ikey(namespace, key)
-                self._version(ikey)  # snapshot pre-delete history
-                self.backend.delete(ikey)
-                self._bump(namespace, ikey)
-            return {"ok": True}
-
     def _op_jobs(self, frame) -> dict:
         """Per-job progress/ETA and worker heartbeats for a namespace,
         decoded straight from the stored checkpoints -- the store is
@@ -738,9 +728,6 @@ class RemoteBackend(CacheBackend):
             f"{MAX_CAS_ATTEMPTS} consecutive CAS races; giving up"
         )
 
-    def replace(self, entries) -> None:
-        self._call({"op": "replace", "entries": dict(entries)})
-
     def mutate_all(self, fn) -> dict:
         for _ in range(MAX_CAS_ATTEMPTS):
             response = self._call({"op": "scan"})
@@ -760,9 +747,6 @@ class RemoteBackend(CacheBackend):
 
     def delete(self, key) -> None:
         self._call({"op": "delete", "key": key})
-
-    def clear(self) -> None:
-        self._call({"op": "clear"})
 
     def close(self) -> None:
         with self._lock:
@@ -786,8 +770,8 @@ class ShardedBackend(CacheBackend):
 
     Per-key ops (get/put/delete/update) go to the owning shard, so CAS
     atomicity is exactly the single-shard guarantee.  Whole-store reads
-    merge every shard's scan; ``replace``/``mutate_all`` partition the
-    entries back out.  The whole-store paths are atomic per shard, not
+    merge every shard's scan; ``mutate_all`` partitions the entries back
+    out.  The whole-store paths are atomic per shard, not
     across shards -- compaction over a live sharded store can interleave
     with writers on *other* shards, which is safe because entries never
     move between shards (the range map is a pure function of the key).
@@ -821,14 +805,6 @@ class ShardedBackend(CacheBackend):
     def update(self, key, fn):
         return self._shard(key).update(key, fn)
 
-    def replace(self, entries) -> None:
-        count = len(self.shards)
-        split = [{} for _ in range(count)]
-        for key, entry in entries.items():
-            split[shard_index(key, count)][key] = entry
-        for shard, part in zip(self.shards, split):
-            shard.replace(part)
-
     def mutate_all(self, fn) -> dict:
         # One optimistic RMW per shard: fn sees and returns the full
         # merged map, but each shard only swaps its own range, so a
@@ -849,10 +825,6 @@ class ShardedBackend(CacheBackend):
 
     def delete(self, key) -> None:
         self._shard(key).delete(key)
-
-    def clear(self) -> None:
-        for shard in self.shards:
-            shard.clear()
 
     def close(self) -> None:
         for shard in self.shards:

@@ -146,11 +146,6 @@ class FaultyBackend(CacheBackend):
             "update", lambda: self.inner.update(key, fn), mutates=True
         )
 
-    def replace(self, entries):
-        return self._call(
-            "replace", lambda: self.inner.replace(entries), mutates=True
-        )
-
     def mutate_all(self, fn):
         return self._call(
             "mutate_all", lambda: self.inner.mutate_all(fn), mutates=True
@@ -160,9 +155,6 @@ class FaultyBackend(CacheBackend):
         return self._call(
             "delete", lambda: self.inner.delete(key), mutates=True
         )
-
-    def clear(self):
-        return self._call("clear", self.inner.clear, mutates=True)
 
     def close(self):
         self.inner.close()

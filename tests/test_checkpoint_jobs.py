@@ -664,12 +664,21 @@ class TestServiceJobs:
             except JobLeaseError:
                 outcomes.append(("blocked", None))
                 refused.set()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                # Anything else fails the test now, with its traceback,
+                # instead of leaving the winner to wait out its 30 s.
+                outcomes.append(("raised", exc))
+                refused.set()
 
         threads = [threading.Thread(target=lease) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
+        for kind, exc in outcomes:
+            if kind == "raised":
+                raise exc
         kinds = sorted(kind for kind, _ in outcomes)
         assert kinds == ["blocked", "ran"]
         # The blocked caller retries once the lease is free and finishes
@@ -783,7 +792,7 @@ class TestPlanStoreAging:
 
         aged = self.make(spec, cache_path=path, store_ttl_s=3600)
         assert aged.warm_loaded == 0
-        assert aged.expired_persisted == 1
+        assert aged.metrics.value("service.expired_persisted") == 1
         # Aged out means *deleted*, not skipped: the disk tier no longer
         # holds the entry at all.
         assert JsonFileBackend(path).get(key) is None
@@ -821,4 +830,4 @@ class TestPlanStoreAging:
 
         service = self.make(spec, cache_path=path, store_ttl_s=1)
         assert service.warm_loaded == 1
-        assert service.expired_persisted == 0
+        assert service.metrics.value("service.expired_persisted") == 0

@@ -32,6 +32,8 @@ import sqlite3
 import subprocess
 import sys
 import textwrap
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -566,11 +568,38 @@ class TestSqliteDurability:
         with pytest.raises(TypeError):
             backend.update("k", lambda cur: {"n": object()})
         with pytest.raises(TypeError):
-            backend.replace({"k": {"n": 1}, "bad": object()})
+            backend.mutate_all(lambda entries: {**entries, "bad": object()})
         assert not backend._connection().in_transaction
         assert backend.load() == {"k": {"n": 1}}
         assert backend.update("k", lambda cur: {"n": 2}) == {"n": 2}
         backend.close()
+
+    def test_opening_a_file_another_connection_has_locked_waits(
+        self, tmp_path, monkeypatch
+    ):
+        # A second opener of a fresh file used to find the WAL switch
+        # "locked" and run with persistence disabled: two job leases
+        # then never saw each other.
+        path = str(tmp_path / "s.db")
+        holder = sqlite3.connect(path, isolation_level=None)
+        holder.execute("BEGIN IMMEDIATE")  # still a rollback journal
+        waits = []
+
+        def release(seconds):
+            waits.append(seconds)
+            holder.execute("COMMIT")
+
+        monkeypatch.setattr(time, "sleep", release)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            backend = SqliteBackend(path)
+        assert len(waits) == 1
+        backend.store("k", {"n": 1})
+        assert backend.get("k") == {"n": 1}
+        assert backend._connection().execute(
+            "PRAGMA journal_mode").fetchone()[0] == "wal"
+        backend.close()
+        holder.close()
 
 
 # ---------------------------------------------------------------------------

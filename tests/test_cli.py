@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,20 @@ class TestCLIServe:
         assert "adult:" in out
         assert "service.computed 1" in out
         assert "frontend.served 1" in out
+
+    def test_serve_metrics_verb_reports_request_latency(self, monkeypatch,
+                                                        capsys):
+        # Request latency is the root span's histogram: the stdin reply
+        # prints it beside the counters.
+        monkeypatch.setattr(
+            sys, "stdin",
+            io.StringIO("adult epsilon=0.05 fixed_iterations=50\n"
+                        "metrics\n"),
+        )
+        assert main(["serve"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^span\.request count=1 mean=\d+\.\dms$", out,
+                         re.MULTILINE), out
 
 
 class TestCLITrainJobs:

@@ -128,7 +128,7 @@ class TestGoldenTable:
         service = system.service()
         assert service.warm_loaded == 2
         assert [r.cache_hit for r in results] == [True, True]
-        assert service.computed == 0
+        assert service.metrics.value("service.computed") == 0
 
 
 def tiny_dataset(seed, spec):

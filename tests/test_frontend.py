@@ -58,14 +58,6 @@ class TestImportCompat:
 
         assert from_cli is parse_request_line
 
-    def test_legacy_counters_are_metrics_views(self):
-        from repro.service import OptimizerService
-
-        service = OptimizerService()
-        assert service.computed == 0
-        service.metrics.inc("service.computed")
-        assert service.computed == 1
-
 
 # ---------------------------------------------------------------------------
 # wire parsing
@@ -159,6 +151,10 @@ class TestDispatcher:
         assert counters["frontend.served"] >= 1
         assert any(line.startswith("service.requests ")
                    for line in response["lines"])
+        # Request latency is the root span's histogram.
+        assert any(line.startswith("span.request count=")
+                   for line in response["lines"])
+        assert "timers" not in response["metrics"]
 
     def test_verb_train_forces_training(self, dispatcher):
         response = dispatcher.handle_line(FAST_LINE + " verb=train")
@@ -614,7 +610,7 @@ class TestEventLoop:
             try:
                 assert ask(handle, evicted)["ok"]
                 assert ask(handle, FAST_LINE)["ok"]  # evicts the first
-                computed = service.computed
+                computed = service.metrics.value("service.computed")
                 dispatcher.threads.clear()
                 store_threads.clear()
 
@@ -628,7 +624,8 @@ class TestEventLoop:
 
                 # In sqlite but not in memory: read through on a worker.
                 restored = ask(handle, evicted)
-                assert restored["cache_hit"] and service.computed == computed
+                assert restored["cache_hit"]
+                assert service.metrics.value("service.computed") == computed
                 assert store_threads and LOOP_THREAD not in store_threads
                 assert ask(handle, FAST_LINE + " verb=train")["ok"]
                 assert ask(handle, FAST_LINE + " verb=enqueue job_id=j1")["ok"]

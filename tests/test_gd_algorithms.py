@@ -7,7 +7,6 @@ from repro.errors import PlanError
 from repro.gd import (
     ALGORITHMS,
     CORE_ALGORITHMS,
-    backtracking_bgd,
     bgd,
     mgd,
     SVRGUpdater,
@@ -180,38 +179,6 @@ class TestSVRG:
             rng=np.random.default_rng(3),
         )
         assert np.std(rv.deltas[100:]) < np.std(rs.deltas[100:])
-
-
-class TestLineSearch:
-    def test_converges_without_step_tuning(self):
-        X, y, w_star = quadratic_problem()
-        result = backtracking_bgd(X, y, LinearRegressionGradient(),
-                                  tolerance=1e-6, max_iter=500)
-        assert result.converged
-        np.testing.assert_allclose(result.weights, w_star, atol=1e-3)
-
-    def test_loss_monotonically_decreases(self):
-        X, y, _ = quadratic_problem()
-        result = backtracking_bgd(X, y, LinearRegressionGradient(),
-                                  tolerance=0, max_iter=50)
-        diffs = np.diff(result.losses)
-        assert np.all(diffs <= 1e-12)
-
-    def test_no_step_tuning_needed_when_scale_changes(self):
-        """Line search adapts to a rescaled problem (25x the Lipschitz
-        constant) where a fixed unit step would diverge."""
-        X, y, _ = quadratic_problem()
-        g = LinearRegressionGradient()
-        ls = backtracking_bgd(X * 5, y * 5, g, tolerance=1e-5, max_iter=2000)
-        assert ls.converged
-
-    def test_parameter_validation(self):
-        X, y, _ = quadratic_problem()
-        g = LinearRegressionGradient()
-        with pytest.raises(PlanError):
-            backtracking_bgd(X, y, g, beta=1.5)
-        with pytest.raises(PlanError):
-            backtracking_bgd(X, y, g, alpha0=-1)
 
 
 class TestAdaptiveVariants:

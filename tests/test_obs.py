@@ -490,19 +490,38 @@ class TestMetricsRegistry:
         metrics = MetricsRegistry()
         metrics.inc("frontend.requests", 3)
         metrics.gauge("frontend.queue_depth", 2)
-        for value in (0.01, 0.02, 0.03):
-            metrics.observe("frontend.latency_s", value)
         metrics.histogram("span.request", 0.004)
         text = metrics.render_prometheus()
         assert "# TYPE repro_frontend_requests_total counter" in text
         assert "repro_frontend_requests_total 3" in text
         assert "# TYPE repro_frontend_queue_depth gauge" in text
-        assert 'repro_frontend_latency_s{quantile="0.5"}' in text
-        assert "repro_frontend_latency_s_count 3" in text
+        assert "summary" not in text
         assert 'repro_span_request_seconds_bucket{le="0.005"} 1' in text
         assert 'repro_span_request_seconds_bucket{le="+Inf"} 1' in text
         assert "repro_span_request_seconds_count 1" in text
         assert text.endswith("\n")
+
+    def test_snapshot_holds_three_instrument_kinds(self):
+        metrics = MetricsRegistry()
+        metrics.inc("service.requests")
+        metrics.gauge("frontend.queue_depth", 1)
+        metrics.histogram("span.request", 0.002)
+        snapshot = metrics.snapshot()
+        assert list(snapshot) == ["counters", "gauges", "histograms"]
+        assert snapshot["histograms"]["span.request"]["count"] == 1
+        assert not hasattr(metrics, "observe")
+
+    def test_summary_lines_print_histogram_means(self):
+        metrics = MetricsRegistry()
+        metrics.inc("frontend.served", 2)
+        metrics.gauge("frontend.queue_depth", 0)
+        for value in (0.002, 0.004):
+            metrics.histogram("span.request", value)
+        assert metrics.summary_lines() == [
+            "frontend.served 2",
+            "frontend.queue_depth 0",
+            "span.request count=2 mean=3.0ms",
+        ]
 
     def test_prometheus_names_are_sanitised(self):
         metrics = MetricsRegistry()
@@ -511,8 +530,8 @@ class TestMetricsRegistry:
         assert "repro_service_cache_hits_total 1" in text
 
     def test_snapshot_under_concurrent_writers_hammer(self):
-        """Satellite 3: N writer threads inc/observe/histogram while the
-        main thread snapshots; no exceptions, counters monotone."""
+        """N writer threads inc/histogram/gauge while the main thread
+        snapshots; no exceptions, counters monotone."""
         metrics = MetricsRegistry()
         stop = threading.Event()
         errors = []
@@ -523,7 +542,6 @@ class TestMetricsRegistry:
             try:
                 for i in range(per_thread):
                     metrics.inc("hammer.counter")
-                    metrics.observe("hammer.timer", i * 1e-6)
                     metrics.histogram("hammer.hist", i * 1e-6)
                     metrics.gauge("hammer.gauge", i)
             except Exception as exc:  # pragma: no cover - the assertion

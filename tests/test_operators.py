@@ -265,8 +265,7 @@ class TestEndToEndOperatorLoop:
 def _kernel_algorithms():
     from repro.gd import registry
 
-    return sorted(name for name, spec in registry.ALGORITHMS.items()
-                  if spec.supports_executor)
+    return sorted(registry.ALGORITHMS)
 
 
 class TestOneKernelTwoDrivers:

@@ -69,9 +69,22 @@ class TestBackends:
         backend.delete("k1")
         backend.delete("missing")  # no-op
         assert backend.load() == {"k2": {"b": [1, 2]}}
-        backend.clear()
+        assert backend.mutate_all(lambda entries: {}) == {}
         assert backend.load() == {}
         backend.close()
+
+    def test_whole_store_writes_are_mutate_all_only(self):
+        # The contract is what the service calls: no swap or wipe beside
+        # mutate_all, and no non-atomic default for it in the base class.
+        from repro.service.backends import CacheBackend
+        from repro.service.remote import RemoteBackend, ShardedBackend
+
+        for cls in (CacheBackend, MemoryBackend, JsonFileBackend,
+                    SqliteBackend, RemoteBackend, ShardedBackend):
+            assert not hasattr(cls, "replace"), cls
+            assert not hasattr(cls, "clear"), cls
+        with pytest.raises(NotImplementedError):
+            CacheBackend().mutate_all(dict)
 
     def test_open_backend_picks_by_extension(self, tmp_path):
         assert isinstance(
@@ -666,8 +679,8 @@ class TestRecalibrationCoalescing:
 
         assert len(results) == 6
         # Exactly one caller re-priced the entry; everyone else shared it.
-        assert service.recalibrated == 1
-        assert service.coalesced == 5
+        assert service.metrics.value("service.recalibrated") == 1
+        assert service.metrics.value("service.coalesced") == 5
         assert all(r.recalibrated for r in results)
         reference = next(r for r in results if not r.coalesced).report
         assert all(r.report is reference for r in results)

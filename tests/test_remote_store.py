@@ -169,7 +169,7 @@ class TestRemoteBackendContract:
         backend.delete("k1")
         backend.delete("missing")  # no-op
         assert backend.load() == {"k2": {"b": [1, 2]}}
-        backend.clear()
+        assert backend.mutate_all(lambda entries: {}) == {}
         assert backend.load() == {}
 
     def test_update_is_the_cas_primitive(self, backend):
@@ -199,7 +199,7 @@ class TestRemoteBackendContract:
         )
         assert out == {"keep": {"n": 1}, "new": {"n": 3}}
         assert backend.load() == {"keep": {"n": 1}, "new": {"n": 3}}
-        backend.replace({"only": {"n": 4}})
+        backend.mutate_all(lambda entries: {"only": {"n": 4}})
         assert backend.load() == {"only": {"n": 4}}
 
     def test_namespaces_do_not_leak(self, server):
@@ -209,8 +209,8 @@ class TestRemoteBackendContract:
         jobs.store("k", {"tier": "job"})
         assert plans.load() == {"k": {"tier": "plan"}}
         assert jobs.load() == {"k": {"tier": "job"}}
-        jobs.clear()
-        assert plans.get("k") == {"tier": "plan"}  # clear() is ns-scoped
+        jobs.mutate_all(lambda entries: {})
+        assert plans.get("k") == {"tier": "plan"}  # replace is ns-scoped
         plans.close()
         jobs.close()
 
@@ -286,8 +286,22 @@ class TestWireProtocol:
             assert client.call(
                 op="replace", entries=[1, 2]
             )["error"] == "bad_request"
+            # A whole namespace is only rewritten by replace.
+            assert client.call(op="clear")["error"] == "bad_request"
             # The connection survived every malformed frame.
             assert client.call(op="ping")["ok"]
+        finally:
+            client.close()
+
+    def test_deeply_nested_frame_is_a_bad_frame(self, server):
+        # Far under the frame cap, far over the JSON decoder's depth.
+        client = RawClient(server.port)
+        try:
+            client.send_raw(b'{"op":"ping","x":' + b"[" * 100_000 + b"\n")
+            response = client.recv()
+            assert response["error"] == "bad_frame"
+            assert "invalid JSON frame" in response["detail"]
+            assert client.call(op="ping")["ok"]  # same connection
         finally:
             client.close()
 
@@ -557,7 +571,7 @@ class TestShardedBackend:
                 assert fleet.get("job-0")["touched"]
                 fleet.delete("job-1")
                 assert fleet.get("job-1") is None
-                fleet.replace({"job-2": {"kept": True}})
+                fleet.mutate_all(lambda entries: {"job-2": {"kept": True}})
                 assert fleet.load() == {"job-2": {"kept": True}}
             finally:
                 fleet.close()

@@ -233,6 +233,30 @@ class TestConvergenceMonitor:
         # Diverged cost, but fewer than min_points observations.
         assert feed(monitor, [0.5] * 40, per_iteration_s=10.0) is None
 
+    def test_lease_iterations_preempt_on_every_iteration(self):
+        monitor = ConvergenceMonitor(
+            target_tolerance=1e-3, settings=self.settings(min_points=50),
+            lease_iterations=3,
+        )
+        # No refit is due, yet the budget stops iteration 3.
+        assert feed(monitor, [0.5] * 40) == 3
+        assert monitor.preempted and not monitor.diverged
+
+    def test_lease_deadline_and_a_divergence_on_one_iteration(self):
+        monitor = ConvergenceMonitor(
+            target_tolerance=1e-3, predicted_per_iteration_s=1.0,
+            settings=self.settings(), lease_deadline=0.0,
+        )
+        assert feed(monitor, [0.5] * 40, per_iteration_s=10.0) == 1
+        assert monitor.preempted and not monitor.diverged
+        monitor = ConvergenceMonitor(
+            target_tolerance=1e-3, predicted_per_iteration_s=1.0,
+            settings=self.settings(), lease_iterations=5,
+        )
+        # Iteration 5 both diverges and spends the lease: both are said.
+        assert feed(monitor, [0.5] * 40, per_iteration_s=10.0) == 5
+        assert monitor.preempted and monitor.diverged
+
     def test_noisy_refit_is_discarded(self):
         curve = FittedCurve("inverse", (1.0,), 0.99, 50)
         monitor = ConvergenceMonitor(

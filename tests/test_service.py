@@ -160,7 +160,7 @@ class TestOptimizerService:
         assert not first.cache_hit
         assert second.cache_hit
         assert second.report is first.report
-        assert service.computed == 1
+        assert service.metrics.value("service.computed") == 1
         assert service.cache_stats().hits == 1
 
     def test_cached_report_matches_direct_optimizer(
@@ -187,7 +187,7 @@ class TestOptimizerService:
             dataset, dataclasses.replace(training, tolerance=5e-3)
         )
         assert not result.cache_hit
-        assert service.computed == 2
+        assert service.metrics.value("service.computed") == 2
 
     def test_fixed_iterations_requests_cache_separately(
         self, service, dataset, training
@@ -251,12 +251,14 @@ class TestResolveThenAnswer:
         miss = service.resolve(request)
         assert not miss.hit and miss.entry is None
         computed = service.answer(miss)
-        assert not computed.cache_hit and service.computed == 1
+        assert not computed.cache_hit
+        assert service.metrics.value("service.computed") == 1
         hit = service.resolve(request)
         assert hit.hit and hit.fingerprint == computed.fingerprint
         answer = service.answer(hit)
         assert answer.cache_hit and answer.report is computed.report
-        assert service.requests == 2 and service.hits == 1
+        assert service.metrics.value("service.requests") == 2
+        assert service.metrics.value("service.hits") == 1
 
     def test_a_miss_resolved_before_its_twin_computed_is_a_hit(
         self, service, dataset, training
@@ -270,7 +272,7 @@ class TestResolveThenAnswer:
         report = service.answer(first).report
         late = service.answer(second)
         assert late.cache_hit and late.report is report
-        assert service.computed == 1
+        assert service.metrics.value("service.computed") == 1
 
     def test_a_queued_miss_still_reads_through_to_the_store(
         self, spec, dataset, training, tmp_path
@@ -287,7 +289,8 @@ class TestResolveThenAnswer:
         assert evicted.entry is None
         service.answer(service.resolve(requests[2]))  # the cache moved on
         restored = service.answer(evicted)
-        assert restored.cache_hit and service.computed == 3
+        assert restored.cache_hit
+        assert service.metrics.value("service.computed") == 3
         service.close()
 
     def test_one_counted_cache_lookup_per_request_whatever_its_twins_do(
@@ -305,7 +308,7 @@ class TestResolveThenAnswer:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(service.answer, resolved))
         assert service.cache.stats().requests == 32
-        assert service.computed == 4
+        assert service.metrics.value("service.computed") == 4
         assert sum(r.cache_hit or r.coalesced for r in results) == 28
 
 
@@ -327,7 +330,7 @@ class TestOptimizeMany:
         requests = [(dataset, training)] * 12
         results = service.optimize_many(requests, max_workers=6)
         assert len(results) == 12
-        assert service.computed == 1
+        assert service.metrics.value("service.computed") == 1
         reference = results[0].report
         assert all(r.report is reference for r in results)
 
@@ -355,6 +358,18 @@ class TestOptimizeMany:
         text = service.stats_summary()
         assert "plan cache" in text
         assert "requests" in text
+
+    def test_stats_summary_reads_the_metrics(self, service, dataset,
+                                             training):
+        service.optimize_many([(dataset, training)] * 3, max_workers=1)
+        value = service.metrics.value
+        assert value("service.requests") == 3
+        assert value("service.computed") == 1
+        assert value("service.hits") == 2
+        assert "3 requests (1 computed, 0 coalesced, 0 recalibrated)" \
+            in service.stats_summary()
+        # The counters live in the registry only: no attribute views.
+        assert not hasattr(service, "computed")
 
 
 class TestML4allServiceAPI:

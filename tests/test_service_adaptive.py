@@ -47,7 +47,7 @@ class TestServiceTrain:
         assert outcome.result.iterations > 0
         assert outcome.weights.shape == (dataset.stats.d,)
         assert outcome.trace is None  # non-adaptive: no telemetry
-        assert service.trained == 1
+        assert service.metrics.value("service.trained") == 1
         assert "iterations" in outcome.summary()
 
     def test_per_caller_engine_isolation(self, spec, dataset, training):
@@ -200,7 +200,7 @@ class TestCacheEviction:
         clock[0] = 31.0
         after = service.optimize(dataset, training, fixed_iterations=50)
         assert not after.cache_hit
-        assert service.computed == 2
+        assert service.metrics.value("service.computed") == 2
         # The drifted dataset itself fingerprints differently anyway --
         # TTL covers callers still holding the old stats object.
         grown = make_dataset(n_phys=2000, sim_n=4000, d=20, task="logreg",

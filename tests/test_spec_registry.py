@@ -3,9 +3,9 @@
 The registry is the paper's "fully parameterized" search-space entry
 point (Section 6): every layer consults one
 :class:`~repro.gd.spec.AlgorithmSpec` instead of branching on names.
-These tests pin the seam itself -- registration validation, the loud
-dropped-kwargs policy, the cost/speculation/plan-variant hooks, the
-format-versioned ``OptimizerState``, and the one-kernel-per-algorithm
+These tests pin the seam itself -- registration validation, the
+``run_loop`` kwargs surface, the cost/speculation/plan-variant hooks,
+the format-versioned ``OptimizerState``, and the one-kernel-per-algorithm
 shape of the registry.
 """
 
@@ -27,11 +27,10 @@ from repro.gd import registry as gd_registry
 from repro.gd.base import Updater
 from repro.gd.gradients import LogisticGradient
 from repro.gd.registry import ALGORITHMS, info, register, run
-from repro.gd.spec import RUN_LOOP_KWARGS, AlgorithmSpec, CostTerms
+from repro.gd.spec import AlgorithmSpec, CostTerms
 from repro.gd.state import STATE_FORMAT, OptimizerState
 
-BUILTIN = ("bgd", "mgd", "sgd", "svrg", "line_search",
-           "momentum", "adagrad", "adam")
+BUILTIN = ("bgd", "mgd", "sgd", "svrg", "momentum", "adagrad", "adam")
 
 
 @pytest.fixture
@@ -90,17 +89,16 @@ class TestRegister:
             AlgorithmSpec("tmp_alg", 32, True, "policy sans namespace",
                           transfer_state=lambda p, t, notes: None)
 
-    def test_driver_requires_accepted_kwargs(self):
-        with pytest.raises(PlanError):
-            AlgorithmSpec("tmp_alg", 32, True, "driver sans contract",
-                          driver=lambda X, y, gradient: None)
-
     def test_unknown_algorithm_message_lists_registry(self):
         with pytest.raises(PlanError, match="unknown GD algorithm"):
             info("simulated_annealing")
 
 
 class TestDroppedKwargs:
+    """No kwarg is dropped: ``registry.run`` forwards everything to
+    ``run_loop``, so one outside its surface is ``run_loop``'s own
+    ``TypeError`` for every algorithm."""
+
     @pytest.fixture(autouse=True)
     def _propagate_repro_logs(self):
         # configure_logging() (exercised elsewhere in the suite) turns
@@ -114,44 +112,27 @@ class TestDroppedKwargs:
         finally:
             logger.propagate = saved
 
-    def test_dropped_kwargs_warn_on_repro_gd(self, tiny, caplog):
-        X, y, gradient = tiny
-        with caplog.at_level(logging.WARNING, logger="repro.gd"):
-            run("line_search", X, y, gradient, max_iter=3, tolerance=0.0,
-                updater=object(), record_loss=True)
-        records = [r for r in caplog.records if r.name == "repro.gd"]
-        assert len(records) == 1
-        record = records[0]
-        assert record.algorithm == "line_search"
-        assert record.dropped_kwargs == ["record_loss", "updater"]
-        assert "record_loss, updater" in record.getMessage()
-
-    def test_kernel_arguments_are_not_run_kwargs(self, tiny, caplog):
+    def test_kernel_arguments_are_not_run_kwargs(self, tiny):
         # Cadence knobs are constructor arguments of the kernels, not
         # part of registry.run's surface.
         X, y, gradient = tiny
-        with caplog.at_level(logging.WARNING, logger="repro.gd"):
+        with pytest.raises(TypeError, match="update_frequency"):
             run("svrg", X, y, gradient, max_iter=3, tolerance=0.0,
-                update_frequency=7, record_loss=True)
-        records = [r for r in caplog.records if r.name == "repro.gd"]
-        assert [r.dropped_kwargs for r in records] == [["update_frequency"]]
+                update_frequency=7)
 
     def test_accepted_kwargs_pass_silently(self, tiny, caplog):
         X, y, gradient = tiny
         with caplog.at_level(logging.WARNING, logger="repro.gd"):
-            run("mgd", X, y, gradient, max_iter=3, tolerance=0.0,
-                step_size=0.05)
+            result = run("mgd", X, y, gradient, max_iter=3, tolerance=0.0,
+                         step_size=0.05, record_loss=True)
         assert not [r for r in caplog.records if r.name == "repro.gd"]
+        assert result.iterations == 3 and len(result.losses) == 3
 
-    def test_run_loop_algorithms_default_to_loop_contract(self, tiny, caplog):
+    def test_run_loop_algorithms_default_to_loop_contract(self, tiny):
         X, y, gradient = tiny
-        with caplog.at_level(logging.WARNING, logger="repro.gd"):
+        with pytest.raises(TypeError, match="alpha0"):
             run("adam", X, y, gradient, max_iter=3, tolerance=0.0,
                 alpha0=0.5)
-        records = [r for r in caplog.records if r.name == "repro.gd"]
-        assert len(records) == 1
-        assert records[0].dropped_kwargs == ["alpha0"]
-        assert "alpha0" not in RUN_LOOP_KWARGS
 
 
 class TestCostTerms:
@@ -323,10 +304,11 @@ class TestRegistryShape:
 
 
 class TestOneKernelPerAlgorithm:
-    def test_only_line_search_has_a_driver(self):
-        assert [name for name, spec in ALGORITHMS.items()
-                if spec.driver is not None] == ["line_search"]
-        assert not info("line_search").supports_executor
+    def test_every_algorithm_is_a_step_kernel(self):
+        fields = {f.name for f in dataclasses.fields(AlgorithmSpec)}
+        assert not fields & {"driver", "accepted_kwargs",
+                             "supports_executor"}
+        assert all(spec.supports_executor for spec in ALGORITHMS.values())
 
     def test_spec_has_no_operator_factory(self):
         fields = {f.name for f in dataclasses.fields(AlgorithmSpec)}
@@ -337,8 +319,6 @@ class TestOneKernelPerAlgorithm:
 
         training = TrainingSpec(task="logreg")
         for name, spec in ALGORITHMS.items():
-            if not spec.supports_executor:
-                continue
             ops = gd_registry.make_operators(
                 plans_for_algorithm(name)[0], d=4, training=training)
             kernel = ops.update.updater

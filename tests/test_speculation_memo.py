@@ -4,8 +4,8 @@
   fresh trial gives, field by field, for every algorithm, layout, task,
   target tolerance and iteration cap;
 * keying: only what a trial reads separates two memo entries;
-* what is never kept (budget stops, custom drivers) and what is (a
-  divergence, a trace whose fit failed);
+* what is never kept (budget stops) and what is (a divergence, a trace
+  whose fit failed);
 * the lane: two passes missing the same trial run it once, a pass that
   hits everything does not queue;
 * the byte bound; and the sharing cases that used to be in-pass
@@ -33,9 +33,7 @@ from repro.core.optimizer import GDOptimizer
 from repro.core.plans import TrainingSpec
 from repro.errors import EstimationError
 from repro.gd import registry as gd_registry
-from repro.gd.base import full_batch_selector, run_loop
 from repro.gd.gradients import task_gradient
-from repro.gd.spec import RUN_LOOP_KWARGS, AlgorithmSpec
 from repro.obs import TraceRecorder
 from repro.service import OptimizerService
 from repro.service.frontend import Dispatcher
@@ -43,10 +41,7 @@ from repro.service.metrics import MetricsRegistry
 
 from support import BlockingGradient, SpyLane, make_dataset
 
-ALGORITHMS = tuple(
-    name for name, spec in gd_registry.ALGORITHMS.items()
-    if spec.supports_executor
-)
+ALGORITHMS = tuple(gd_registry.ALGORITHMS)
 TASKS = ("logreg", "linreg", "svm")
 LAYOUTS = pytest.mark.parametrize(
     "sparse", (False, True), ids=("dense", "csr")
@@ -56,6 +51,8 @@ MAX_ITERS = (500, 2000)
 #: Trials of 200 rows that end on e_s, on the cap or diverged, in ms.
 SETTINGS = SpeculationSettings(sample_size=200, time_budget_s=60.0,
                                max_speculation_iters=300)
+#: The same trials fitted with another curve family.
+INVERSE = dataclasses.replace(SETTINGS, model="inverse")
 SPEC = ClusterSpec(jitter_sigma=0.0)
 
 
@@ -229,7 +226,7 @@ class TestKeying:
                 algorithms=subset,
             )
         assert sorted(ran) == ["bgd", "sgd"]
-        assert service.computed == len(requests) + 2
+        assert service.metrics.value("service.computed") == len(requests) + 2
         assert service.metrics.value("speculation.memo.misses") == 2
         assert service.metrics.value("speculation.memo.hits") == \
             3 * len(requests) + 3 - 2
@@ -336,45 +333,6 @@ class TestWhatIsKept:
             assert 5 <= estimate.speculation_iterations < 200
         assert ran == ["bgd", "bgd"]
         assert len(memo) == 0
-
-    def test_custom_driver_runs_every_time(self, monkeypatch, ran):
-        def toy_driver(X, y, gradient, **kwargs):
-            return run_loop(X, y, gradient, full_batch_selector, **kwargs)
-
-        monkeypatch.setitem(gd_registry.ALGORITHMS, "toy_bgd", AlgorithmSpec(
-            "toy_bgd", None, False, "BGD behind a custom driver",
-            driver=toy_driver, accepted_kwargs=RUN_LOOP_KWARGS,
-        ))
-        X, y, gradient = workload()
-        memo = TrialMemo()
-        estimator = make_estimator(memo)
-        first = estimator.estimate_all(
-            X, y, gradient, 1e-3, algorithms=("toy_bgd", "bgd", "toy_bgd"),
-        )
-        estimator.estimate_all(X, y, gradient, 1e-2,
-                               algorithms=("toy_bgd", "bgd"))
-        assert ran == ["toy_bgd", "bgd", "toy_bgd", "toy_bgd"]
-        assert len(memo) == 1
-        np.testing.assert_array_equal(
-            first["toy_bgd"].speculation_errors,
-            first["bgd"].speculation_errors,
-        )
-
-    def test_driver_that_reports_nothing_is_an_estimation_error(
-        self, monkeypatch
-    ):
-        def mute_driver(X, y, gradient, iteration_callback=None, **kwargs):
-            return run_loop(X, y, gradient, full_batch_selector, **kwargs)
-
-        monkeypatch.setitem(gd_registry.ALGORITHMS, "mute", AlgorithmSpec(
-            "mute", None, False, "a driver that never calls back",
-            driver=mute_driver, accepted_kwargs=RUN_LOOP_KWARGS,
-        ))
-        X, y, gradient = workload()
-        with pytest.raises(EstimationError, match="only 0 observations"):
-            make_estimator(TrialMemo()).estimate(
-                X, y, gradient, "mute", 1e-3, memo=TrialMemo()
-            )
 
     def test_divergence_is_run_once_and_raised_again(self, ran):
         dataset = dataset_for("linreg")
@@ -616,19 +574,19 @@ class TestSharing:
         assert "shared_with" not in trials["bgd"]
         assert trials["mgd"]["shared_with"] == "bgd"
 
-    def test_sharer_gets_its_own_fit(self):
+    def test_sharer_gets_its_own_fit(self, ran):
         X, y, gradient = workload()
-        estimates = make_estimator(
-            model_overrides={"mgd": "inverse"}
-        ).estimate_all(X, y, gradient, 1e-3, algorithms=("bgd", "mgd"))
-        assert estimates["bgd"].curve.model == "power"
-        assert estimates["mgd"].curve.model == "inverse"
-        np.testing.assert_array_equal(
-            estimates["bgd"].speculation_errors,
-            estimates["mgd"].speculation_errors,
-        )
-        assert estimates["bgd"].speculation_errors is not \
-            estimates["mgd"].speculation_errors
+        memo = TrialMemo()
+        [bgd] = make_estimator(memo).estimate_all(
+            X, y, gradient, 1e-3, algorithms=("bgd",)).values()
+        [mgd] = make_estimator(memo, INVERSE).estimate_all(
+            X, y, gradient, 1e-3, algorithms=("mgd",)).values()
+        assert ran == ["bgd"]
+        assert bgd.curve.model == "power"
+        assert mgd.curve.model == "inverse"
+        np.testing.assert_array_equal(bgd.speculation_errors,
+                                      mgd.speculation_errors)
+        assert bgd.speculation_errors is not mgd.speculation_errors
 
     def test_first_algorithms_failed_fit_does_not_poison_the_sharer(
         self, monkeypatch, ran
@@ -642,12 +600,13 @@ class TestSharing:
             return real_fit(errors, model=model)
 
         monkeypatch.setattr(iterations, "fit_error_sequence", no_power_fit)
-        estimates = make_estimator(
-            model_overrides={"mgd": "inverse"}
-        ).estimate_all(X, y, gradient, 1e-3, algorithms=("bgd", "mgd"),
-                       on_error="skip")
+        memo = TrialMemo()
+        with pytest.raises(EstimationError, match="no power law"):
+            make_estimator(memo).estimate_all(X, y, gradient, 1e-3,
+                                              algorithms=("bgd",))
+        estimates = make_estimator(memo, INVERSE).estimate_all(
+            X, y, gradient, 1e-3, algorithms=("mgd",))
         assert ran == ["bgd"]
-        assert set(estimates) == {"mgd"}
         assert estimates["mgd"].curve.model == "inverse"
 
 
@@ -656,12 +615,13 @@ class TestSharing:
 # ----------------------------------------------------------------------
 def test_observed_directly_reports_the_algorithms_own_family():
     X, y, gradient = workload()
-    estimates = make_estimator(
-        model_overrides={"bgd": "exponential"}
-    ).estimate_all(X, y, gradient, 0.5, algorithms=("bgd", "sgd"))
-    assert estimates["bgd"].observed_directly
-    assert estimates["bgd"].curve.model == "exponential"
-    assert estimates["sgd"].curve.model == "power"
+    exponential = dataclasses.replace(SETTINGS, model="exponential")
+    for settings, family in ((SETTINGS, "power"),
+                             (exponential, "exponential")):
+        [estimate] = make_estimator(settings=settings).estimate_all(
+            X, y, gradient, 0.5, algorithms=("bgd",)).values()
+        assert estimate.observed_directly
+        assert estimate.curve.model == family
 
 
 class TestObservability:

@@ -39,10 +39,7 @@ from support import BlockingGradient, SpyLane, make_dataset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "speculation_errors.json"
 
-ALGORITHMS = tuple(
-    name for name, spec in gd_registry.ALGORITHMS.items()
-    if spec.supports_executor
-)
+ALGORITHMS = tuple(gd_registry.ALGORITHMS)
 TASKS = ("logreg", "linreg", "svm")
 SAMPLE = 200
 TARGET = 1e-3

@@ -43,12 +43,8 @@ N_TOTAL = 60
 #: The resume-equivalence matrix is *derived from the registry*, so
 #: every registered step kernel -- including plugins -- is automatically
 #: proven bit-identical on stop/resume through run_loop, with the
-#: selector/kernel its spec implies.  (The one custom driver, line
-#: search, is stateless; tests/test_spec_registry.py pins that no other
-#: spec has a driver.)
-RUN_LOOP_ALGORITHMS = sorted(
-    name for name, s in gd_registry.ALGORITHMS.items() if s.driver is None
-)
+#: selector/kernel its spec implies.
+RUN_LOOP_ALGORITHMS = sorted(gd_registry.ALGORITHMS)
 SPLITS = (1, 5, 23, 50, 59)
 
 
@@ -183,13 +179,10 @@ class TestSVRGResumeEquivalence:
 
 
 def _executor_plans():
-    """One representative plan per executor-capable registered algorithm,
+    """One representative plan per registered algorithm,
     rotating through the plan-space variants so every sampling strategy
     and both transform modes stay covered as the registry grows."""
-    names = sorted(
-        name for name, s in gd_registry.ALGORITHMS.items()
-        if s.supports_executor
-    )
+    names = sorted(gd_registry.ALGORITHMS)
     plans = []
     for idx, name in enumerate(names):
         entry = gd_registry.ALGORITHMS[name]
