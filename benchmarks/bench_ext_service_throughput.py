@@ -93,7 +93,7 @@ def _measure():
                  "warm_ms", "speedup", "warm_optimize_per_s"],
         rows=rows,
         notes=[
-            "cold = first touch: speculation + vectorized plan costing on "
+            "cold = first touch: speculation + plan costing on "
             "a fresh service; re-cold = a new tolerance on the same data "
             "and service (trial memo hit: fit + costing, no GD run); "
             "warm = plan-cache hit",

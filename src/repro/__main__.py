@@ -60,7 +60,8 @@ worker pool:
 
 ``repro store`` serves a local store file over a line protocol;
 ``tcp://host:port/namespace`` then works anywhere ``--cache`` /
-``--checkpoint`` / ``--calibration`` take a path.  A ``repro serve``
+``--checkpoint`` take a path (``--calibration`` is a local JSON file and
+refuses a ``tcp://`` URL).  A ``repro serve``
 request line with ``verb=enqueue`` parks a durable job in the shared
 store instead of running it, and any ``repro worker`` pointed at the
 same store claims it (the ``jobs`` verb reports fleet progress).
@@ -302,6 +303,12 @@ def batch_main(argv) -> int:
 
     _configure_obs(args)
     try:
+        system = ML4all(**_ml4all_kwargs(args))
+        system.service(cache_size=args.cache_size)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         if args.requests == "-":
             requests = list(iter_request_lines(sys.stdin))
         else:
@@ -314,13 +321,6 @@ def batch_main(argv) -> int:
         print("error: no requests found", file=sys.stderr)
         return 2
     requests = requests * max(1, args.repeat)
-
-    try:
-        system = ML4all(**_ml4all_kwargs(args))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    system.service(cache_size=args.cache_size)
     # Per line, like serve: --train/--adaptive train everything, and a
     # line naming a durable job always trains -- without dragging the
     # file's optimize-only lines into training with it.
@@ -441,10 +441,10 @@ def serve_main(argv) -> int:
 
     try:
         system = ML4all(**_ml4all_kwargs(args))
+        service = system.service(cache_size=args.cache_size)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    service = system.service(cache_size=args.cache_size)
     tracer = TraceRecorder(
         trace_dir=args.trace_dir,
         metrics=service.metrics,
@@ -695,10 +695,10 @@ def store_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro store",
         description="Serve a shared key-value store over TCP: the "
-                    "fleet's network boundary.  Point --cache/"
-                    "--checkpoint/calibration paths of servers and "
-                    "workers at tcp://HOST:PORT/NAMESPACE and they "
-                    "share state through this process.",
+                    "fleet's network boundary.  Point the --cache/"
+                    "--checkpoint paths of servers and workers at "
+                    "tcp://HOST:PORT/NAMESPACE and they share state "
+                    "through this process.",
     )
     parser.add_argument("--path", default=None, metavar="PATH",
                         help="backing store file (.db/.sqlite -> SQLite, "
@@ -805,10 +805,10 @@ def worker_main(argv) -> int:
 
     try:
         system = ML4all(**_ml4all_kwargs(args))
+        service = system.service()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    service = system.service()
     if args.lease_ttl is not None:
         service.checkpoints.lease_ttl_s = float(args.lease_ttl)
     tracer = TraceRecorder(trace_dir=args.trace_dir,
@@ -884,10 +884,11 @@ def calibrate_main(argv) -> int:
     system = ML4all(calibration_path=args.store, **_ml4all_kwargs(args))
     try:
         dataset = system.load_dataset(args.dataset, task=args.task)
+        before = system.calibration.summary()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("before:", system.calibration.summary())
+    print("before:", before)
 
     for run in range(max(1, args.runs)):
         engine = SimulatedCluster(system.spec, seed=args.seed + run)

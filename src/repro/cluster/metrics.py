@@ -63,10 +63,6 @@ class MetricsRecorder:
         return sum(p.sim_seconds for p in self._phases.values())
 
     @property
-    def total_pages(self) -> int:
-        return sum(p.pages_disk + p.pages_mem for p in self._phases.values())
-
-    @property
     def total_jobs(self) -> int:
         return sum(p.jobs for p in self._phases.values())
 

@@ -17,6 +17,11 @@ The model is deliberately *coarser* than the execution engine: it assumes
 the loop representation is fully cached iff it fits the cluster cache,
 ignores jitter/stragglers and cache dynamics.  The resulting estimation
 error against the engine is what Figure 7 measures (paper: <= 17%).
+
+The formulas are written once, per plan (``CostModel._plan_costs``).
+:meth:`CostModel.estimate_batch`, the call the optimizer prices a plan
+space with, computes the text and binary layouts once and runs every
+plan through them; :meth:`CostModel.estimate` prices a single plan.
 """
 
 from __future__ import annotations
@@ -141,27 +146,11 @@ class CostModel:
     def _weight_bytes(self, layout) -> int:
         return layout.d * 8
 
-    def one_time_cost(self, plan, stats) -> dict:
-        """Costs paid once, before the loop (Stage; eager Transform)."""
-        spec = self.spec
-        breakdown = {}
-        # Stage: driver-local parameter initialisation.
-        breakdown["stage"] = spec.local_overhead_s
+    def _layouts(self, stats) -> tuple:
+        """The (text, binary) layouts every formula reads."""
+        return (layout_for(self.spec, stats, "text"),
+                layout_for(self.spec, stats, "binary"))
 
-        if plan.transform_mode == "eager":
-            text = layout_for(spec, stats, "text")
-            binary = layout_for(spec, stats, "binary")
-            cost = io_cost(spec, text, in_memory=False)
-            cost += cpu_cost(spec, text, transform_cpu_per_unit(spec, text))
-            # Parsed units are written into executor cache memory.
-            cost += binary.bytes_total / spec.page_bytes * spec.page_io_mem_s \
-                / spec.cap
-            if text.p > 1:
-                cost += spec.job_overhead_s
-            breakdown["transform"] = cost
-        return breakdown
-
-    # -- per-iteration components ---------------------------------------
     @staticmethod
     def _algorithm_terms(algorithm):
         """The algorithm's CostTerms, or None when they are the identity
@@ -171,39 +160,56 @@ class CostModel:
             return None
         return spec.cost
 
-    def per_iteration_cost(self, plan, stats) -> dict:
-        """Per-iteration breakdown {phase: seconds} for a plan.
+    # -- the per-plan formulas ------------------------------------------
+    def _plan_costs(self, plan, text, binary) -> tuple:
+        """``(one_time, per_iteration)`` breakdowns {phase: seconds} of
+        one plan, priced on the dataset's text and binary layouts.
 
-        When the algorithm's registered spec declares non-identity
+        One-time costs are Stage and, for eager plans, Transform.  When
+        the algorithm's registered spec declares non-identity
         :class:`~repro.gd.spec.CostTerms`, their correction lands in an
-        extra ``"algorithm"`` phase: the per-iteration multiplier scales
-        the shape-derived base, ``extra_update_cost_factor`` adds
-        multiples of the Update CPU cost, and ``full_pass_fraction``
-        re-prices that fraction of a stochastic plan's iterations at the
-        full-batch per-iteration cost (SVRG-style anchor passes).
+        extra ``"algorithm"`` per-iteration phase: the per-iteration
+        multiplier scales the shape-derived base,
+        ``extra_update_cost_factor`` adds multiples of the Update CPU
+        cost, and ``full_pass_fraction`` re-prices that fraction of a
+        stochastic plan's iterations at the full-batch per-iteration cost
+        (SVRG-style anchor passes).
         """
-        if plan.is_stochastic:
-            breakdown = self._stochastic_iteration(plan, stats)
-        else:
-            breakdown = self._full_batch_iteration(plan, stats)
-        terms = self._algorithm_terms(plan.algorithm)
-        if terms is None:
-            return breakdown
         spec = self.spec
-        binary = layout_for(spec, stats, "binary")
-        base = sum(breakdown.values())
-        correction = base * (terms.per_iteration_multiplier - 1.0)
-        correction += terms.extra_update_cost_factor * update_cpu(spec, binary)
-        if terms.full_pass_fraction > 0.0 and plan.is_stochastic:
-            full = sum(self._full_batch_iteration(plan, stats).values())
-            correction += terms.full_pass_fraction * max(0.0, full - base)
-        breakdown["algorithm"] = correction
-        return breakdown
+        # Stage: driver-local parameter initialisation.
+        one_time = {"stage": spec.local_overhead_s}
+        if plan.transform_mode == "eager":
+            cost = io_cost(spec, text, in_memory=False)
+            cost += cpu_cost(spec, text, transform_cpu_per_unit(spec, text))
+            # Parsed units are written into executor cache memory.
+            cost += binary.bytes_total / spec.page_bytes * spec.page_io_mem_s \
+                / spec.cap
+            if text.p > 1:
+                cost += spec.job_overhead_s
+            one_time["transform"] = cost
 
-    def _full_batch_iteration(self, plan, stats) -> dict:
+        if plan.is_stochastic:
+            # The representation read inside the loop: lazy plans sample
+            # raw text units; eager plans sample parsed binary units.
+            per_iter = self._stochastic_iteration(
+                plan, text if plan.transform_mode == "lazy" else binary
+            )
+        else:
+            per_iter = self._full_batch_iteration(binary)
+        terms = self._algorithm_terms(plan.algorithm)
+        if terms is not None:
+            base = sum(per_iter.values())
+            correction = base * (terms.per_iteration_multiplier - 1.0)
+            correction += terms.extra_update_cost_factor * update_cpu(spec, binary)
+            if terms.full_pass_fraction > 0.0 and plan.is_stochastic:
+                full = sum(self._full_batch_iteration(binary).values())
+                correction += terms.full_pass_fraction * max(0.0, full - base)
+            per_iter["algorithm"] = correction
+        return one_time, per_iter
+
+    def _full_batch_iteration(self, binary) -> dict:
         """Formula 7's T-multiplied term: Compute + Update + Converge + Loop."""
         spec = self.spec
-        binary = layout_for(spec, stats, "binary")
         cached = self._fits_cache(binary.bytes_total)
         distributed = binary.p > 1
 
@@ -225,13 +231,9 @@ class CostModel:
         breakdown["loop"] = spec.loop_s + spec.iteration_overhead_s
         return breakdown
 
-    def _stochastic_iteration(self, plan, stats) -> dict:
+    def _stochastic_iteration(self, plan, loop_layout) -> dict:
         spec = self.spec
         m = plan.effective_batch_size
-        # The representation read inside the loop: lazy plans sample raw
-        # text units; eager plans sample parsed binary units.
-        loop_repr = "text" if plan.transform_mode == "lazy" else "binary"
-        loop_layout = layout_for(spec, stats, loop_repr)
         cached = (
             plan.transform_mode == "eager"
             and self._fits_cache(loop_layout.bytes_total)
@@ -313,253 +315,69 @@ class CostModel:
         return cost
 
     # -- totals (formulas 7-9) ------------------------------------------
+    def one_time_cost(self, plan, stats) -> dict:
+        """Costs paid once, before the loop (Stage; eager Transform)."""
+        return self._plan_costs(plan, *self._layouts(stats))[0]
+
+    def per_iteration_cost(self, plan, stats) -> dict:
+        """Per-iteration breakdown {phase: seconds} for a plan (see
+        :meth:`_plan_costs` for the ``"algorithm"`` phase)."""
+        return self._plan_costs(plan, *self._layouts(stats))[1]
+
     def estimate(self, plan, stats, iterations) -> tuple:
         """(one_time_s, per_iteration_s, total_s, breakdown).
 
         ``breakdown`` maps ``"one_time:<phase>"`` and ``"iter:<phase>"``
         to seconds.
         """
-        one_time = self.one_time_cost(plan, stats)
-        per_iter = self.per_iteration_cost(plan, stats)
-        one_time_s = sum(one_time.values())
-        per_iter_s = sum(per_iter.values())
-        total = one_time_s + iterations * per_iter_s
-        breakdown = {f"one_time:{k}": v for k, v in one_time.items()}
-        breakdown.update({f"iter:{k}": v for k, v in per_iter.items()})
-        return one_time_s, per_iter_s, total, breakdown
+        one_time, per_iter = self._plan_costs(plan, *self._layouts(stats))
+        one_time_s, per_iter_s, breakdown = _summed(one_time, per_iter)
+        return one_time_s, per_iter_s, one_time_s + iterations * per_iter_s, \
+            breakdown
 
-    # -- vectorized totals over a whole plan space ----------------------
     def estimate_batch(self, plans, stats, iterations) -> "BatchCostEstimate":
-        """Cost every plan in one NumPy pass over the plan space.
+        """:meth:`estimate` for every plan of a plan space.
 
         ``iterations`` is a per-plan sequence of iteration counts (the
-        T(epsilon) estimates).  The formulas are the same as
-        :meth:`estimate`; only the evaluation strategy changes: all
-        plan-dependent quantities become arrays indexed by plan, so the
-        optimizer costs an arbitrarily large search space without a
-        Python loop per plan.  Rankings are identical to the per-plan
-        path.
+        T(epsilon) estimates).  The text and binary layouts are computed
+        once per call; each plan then goes through the same per-plan
+        formulas as :meth:`estimate`, so prices and rankings are
+        identical to it.
         """
-        spec = self.spec
         plans = tuple(plans)
-        n = len(plans)
         iters = np.asarray(list(iterations), dtype=float)
-        if iters.shape != (n,):
+        if iters.shape != (len(plans),):
             raise PlanError(
                 f"estimate_batch needs one iteration count per plan "
-                f"({n} plans, iterations shape {iters.shape})"
+                f"({len(plans)} plans, iterations shape {iters.shape})"
             )
-        if n == 0:
-            empty = np.zeros(0)
-            return BatchCostEstimate(plans, iters, empty, empty, empty, {})
+        text, binary = self._layouts(stats)
+        one_time_s, per_iteration_s, breakdowns = [], [], []
+        for plan in plans:
+            one, per, breakdown = _summed(*self._plan_costs(plan, text, binary))
+            one_time_s.append(one)
+            per_iteration_s.append(per)
+            breakdowns.append(breakdown)
+        one_time_s = np.array(one_time_s, dtype=float)
+        per_iteration_s = np.array(per_iteration_s, dtype=float)
+        return BatchCostEstimate(plans, iters, one_time_s, per_iteration_s,
+                                 one_time_s + iters * per_iteration_s,
+                                 breakdowns)
 
-        text = layout_for(spec, stats, "text")
-        binary = layout_for(spec, stats, "binary")
 
-        # Per-plan masks and batch sizes.
-        stoch = np.fromiter((p.is_stochastic for p in plans), bool, n)
-        eager = np.fromiter(
-            (p.transform_mode == "eager" for p in plans), bool, n
-        )
-        lazy = ~eager
-        bern = np.fromiter((p.sampling == "bernoulli" for p in plans), bool, n)
-        rand = np.fromiter((p.sampling == "random" for p in plans), bool, n)
-        shuf = np.fromiter((p.sampling == "shuffle" for p in plans), bool, n)
-        if bool(np.any(stoch & ~(bern | rand | shuf))):  # pragma: no cover
-            raise PlanError("unknown sampling strategy in plan batch")
-        # Placeholder m=1 for full-batch plans keeps divisions finite;
-        # every use is masked by ``stoch``.
-        m = np.fromiter(
-            (float(p.effective_batch_size or 1) for p in plans), float, n
-        )
-
-        # Loop-representation context, selected per plan: eager plans
-        # read binary units inside the loop, lazy plans raw text units.
-        bin_cached = self._fits_cache(binary.bytes_total)
-        bin_dist = binary.p > 1
-        text_dist = text.p > 1
-
-        def pick(bin_val, text_val):
-            return np.where(eager, bin_val, text_val)
-
-        distributed = pick(bin_dist, text_dist)
-        local_par = pick(
-            spec.slots_per_node if bin_dist else 1,
-            spec.slots_per_node if text_dist else 1,
-        )
-        seek = pick(
-            spec.seek_mem_s if bin_cached else spec.seek_disk_s,
-            spec.seek_disk_s,
-        )
-        page_io = pick(
-            spec.page_io_mem_s if bin_cached else spec.page_io_disk_s,
-            spec.page_io_disk_s,
-        )
-        pages_each = pick(
-            spec.pages_in(int(math.ceil(binary.bytes_per_row))),
-            spec.pages_in(int(math.ceil(text.bytes_per_row))),
-        )
-        ccpu = pick(
-            compute_cpu_per_unit(spec, binary),
-            compute_cpu_per_unit(spec, text),
-        )
-        bytes_per_row = pick(binary.bytes_per_row, text.bytes_per_row)
-        part_bytes = pick(binary.partition_bytes, text.partition_bytes)
-        k = pick(binary.k, text.k)
-        job = np.where(distributed, spec.job_overhead_s, 0.0)
-
-        # Sample (stochastic plans only).
-        bern_base = io_cost(spec, binary, in_memory=bin_cached)
-        bern_base += cpu_cost(spec, binary, spec.sample_test_s)
-        if bin_dist:
-            bern_base += spec.job_overhead_s
-        retry = np.where(m < 50, 1.0 / (1.0 - np.exp(-m)), 1.0)
-        sample_bern = retry * bern_base
-        sample_rand = m * (seek + pages_each * page_io) + job
-        shuffle_once = (
-            seek
-            + part_bytes / spec.page_bytes * page_io
-            + k * spec.shuffle_per_row_s
-            + part_bytes / spec.page_bytes * spec.page_io_mem_s
-        )
-        served = np.maximum(1.0, k / m)
-        sample_shuf = (
-            shuffle_once / served
-            + (m * bytes_per_row) / spec.page_bytes * page_io
-            + job
-        )
-        sample = np.select(
-            [bern, rand, shuf], [sample_bern, sample_rand, sample_shuf], 0.0
-        )
-
-        # Lazy plans parse the sampled units inside the loop.
-        transform_iter = np.where(
-            lazy & stoch,
-            m * transform_cpu_per_unit(spec, text) / local_par,
-            0.0,
-        )
-
-        # Compute + Update (the two distribution-shape branches).
-        wb = self._weight_bytes(binary)
-        ucpu = update_cpu(spec, binary)
-        net_partials = network_cost(spec, binary.p * wb)
-        net_weights = network_cost(spec, wb)
-        bern_dist_mask = bern & bin_dist
-        compute_st = np.where(
-            bern_dist_mask,
-            m * compute_cpu_per_unit(spec, binary) / spec.cap,
-            m * ccpu / local_par,
-        )
-        update_st = np.where(
-            bern_dist_mask,
-            ucpu + net_partials + net_weights,
-            ucpu + np.where(distributed, 2 * net_weights, 0.0),
-        )
-        converge = converge_cpu(spec, binary) + spec.local_overhead_s
-        loop = spec.loop_s + spec.iteration_overhead_s
-
-        # Full-batch components (identical for every full-batch plan, so
-        # one scalar evaluation through the per-plan path suffices).
-        fb_compute = fb_update = fb_converge = fb_loop = 0.0
-        fb_indices = np.flatnonzero(~stoch)
-        if fb_indices.size:
-            # Shape-only base costs; algorithm CostTerms corrections are
-            # applied per plan below.
-            fb = self._full_batch_iteration(plans[fb_indices[0]], stats)
-            fb_compute = fb["compute"]
-            fb_update = fb["update"]
-            fb_converge = fb["converge"]
-            fb_loop = fb["loop"]
-
-        compute_all = np.where(stoch, compute_st, fb_compute)
-        update_all = np.where(stoch, update_st, fb_update)
-        converge_all = np.where(stoch, converge, fb_converge)
-        loop_all = np.where(stoch, loop, fb_loop)
-        sample = np.where(stoch, sample, 0.0)
-
-        per_iter = np.where(
-            stoch,
-            sample + transform_iter + compute_st + update_st
-            + converge + loop,
-            fb_compute + fb_update + fb_converge + fb_loop,
-        )
-
-        # Algorithm CostTerms corrections (identical math to the scalar
-        # path in per_iteration_cost; identity terms contribute nothing
-        # and skip the extra component entirely).
-        mult = np.ones(n)
-        extra = np.zeros(n)
-        fpf = np.zeros(n)
-        nonid = np.zeros(n, dtype=bool)
-        for idx, p in enumerate(plans):
-            terms = self._algorithm_terms(p.algorithm)
-            if terms is not None:
-                nonid[idx] = True
-                mult[idx] = terms.per_iteration_multiplier
-                extra[idx] = terms.extra_update_cost_factor
-                fpf[idx] = terms.full_pass_fraction
-        if bool(nonid.any()):
-            full_total = fb_compute + fb_update + fb_converge + fb_loop
-            if not fb_indices.size and bool((fpf > 0).any()):
-                # No full-batch plan in the batch: evaluate the scalar
-                # full-batch base once (it depends only on the dataset).
-                ref = plans[int(np.flatnonzero(fpf > 0)[0])]
-                full_total = sum(self._full_batch_iteration(ref, stats).values())
-            correction = per_iter * (mult - 1.0)
-            correction += extra * ucpu
-            correction += np.where(
-                stoch, fpf * np.maximum(0.0, full_total - per_iter), 0.0
-            )
-            correction = np.where(nonid, correction, 0.0)
-            per_iter = per_iter + correction
-
-        # One-time costs: Stage always; eager Transform (same scalar for
-        # every eager plan).
-        stage = spec.local_overhead_s
-        transform_once = 0.0
-        eager_indices = np.flatnonzero(eager)
-        if eager_indices.size:
-            transform_once = self.one_time_cost(
-                plans[eager_indices[0]], stats
-            ).get("transform", 0.0)
-        one_time = np.where(eager, stage + transform_once, stage)
-
-        total = one_time + iters * per_iter
-
-        everywhere = np.ones(n, dtype=bool)
-        components = {
-            "one_time:stage": (everywhere, np.full(n, stage)),
-            "one_time:transform": (
-                eager,
-                np.where(eager, transform_once, 0.0),
-            ),
-            "iter:sample": (stoch, sample),
-            "iter:transform": (lazy & stoch, transform_iter),
-            "iter:compute": (everywhere, compute_all),
-            "iter:update": (everywhere, update_all),
-            "iter:converge": (everywhere, converge_all),
-            "iter:loop": (everywhere, loop_all),
-        }
-        if bool(nonid.any()):
-            components["iter:algorithm"] = (nonid, correction)
-        return BatchCostEstimate(
-            plans=plans,
-            iterations=iters,
-            one_time_s=one_time,
-            per_iteration_s=per_iter,
-            total_s=total,
-            components=components,
-        )
+def _summed(one_time, per_iter) -> tuple:
+    """(one_time_s, per_iteration_s, breakdown) of one plan's phases."""
+    breakdown = {f"one_time:{k}": v for k, v in one_time.items()}
+    breakdown.update({f"iter:{k}": v for k, v in per_iter.items()})
+    return sum(one_time.values()), sum(per_iter.values()), breakdown
 
 
 @dataclasses.dataclass
 class BatchCostEstimate:
-    """Vectorized :meth:`CostModel.estimate` results for many plans.
+    """:meth:`CostModel.estimate` results for many plans.
 
-    Arrays are indexed by plan position.  ``components`` maps breakdown
-    keys (``"one_time:<phase>"`` / ``"iter:<phase>"``) to an
-    ``(applicability_mask, values)`` pair so per-plan breakdown dicts can
-    be reassembled without recomputing any cost.
+    Arrays are indexed by plan position; ``breakdowns`` holds each plan's
+    breakdown dict (``"one_time:<phase>"`` / ``"iter:<phase>"`` keys).
     """
 
     plans: tuple
@@ -567,18 +385,14 @@ class BatchCostEstimate:
     one_time_s: np.ndarray
     per_iteration_s: np.ndarray
     total_s: np.ndarray
-    components: dict
+    breakdowns: list
 
     def __len__(self) -> int:
         return len(self.plans)
 
     def breakdown(self, i) -> dict:
-        """The :meth:`CostModel.estimate` breakdown dict for plan ``i``."""
-        return {
-            name: float(values[i])
-            for name, (mask, values) in self.components.items()
-            if mask[i]
-        }
+        """Plan ``i``'s breakdown, as a new dict the caller may extend."""
+        return dict(self.breakdowns[i])
 
     def argmin(self) -> int:
         """Index of the cheapest plan."""

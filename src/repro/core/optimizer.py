@@ -207,8 +207,8 @@ class GDOptimizer:
         algorithms = tuple(a for a in self.algorithms if a in iterations)
         plans = enumerate_plans(algorithms, self.batch_sizes)
         counts = [iterations[plan.algorithm] for plan in plans]
-        # One vectorized pass over the whole space (the batch path
-        # ranks identically to per-plan estimate() calls).
+        # The whole space in one call: layouts computed once, then the
+        # same per-plan formulas estimate() uses.
         batch = self.cost_model.estimate_batch(plans, stats, counts)
         factors = np.array(
             [cost_factors.get(plan.algorithm, 1.0) for plan in plans],

@@ -32,6 +32,7 @@ import os
 import threading
 from collections import OrderedDict
 
+from repro.errors import ReproError
 from repro.gd.state import known_fields
 
 #: Per-observation EWMA weight: new_factor = (1-a)*old + a*observed.
@@ -83,6 +84,18 @@ def workload_signature(stats) -> str:
         return _cached_signature(stats)
     except TypeError:  # pragma: no cover - custom unhashable stats
         return _compute_signature(stats)
+
+
+def _local_file(path):
+    """``path``, unless it names a ``tcp://`` store: calibration state
+    is one local JSON file, never a remote backend."""
+    if path and str(path).startswith("tcp://"):
+        raise ReproError(
+            f"calibration store {path!r}: calibration persists to a local "
+            "JSON file; tcp://host:port/namespace works for --cache and "
+            "--checkpoint only"
+        )
+    return path
 
 
 def _clamp(value) -> float:
@@ -156,7 +169,8 @@ class CalibrationStore:
 
     ``path`` (optional) enables persistence: :meth:`save` writes the
     store as JSON and :meth:`open` restores it, so a restarted
-    ``repro serve`` starts calibrated.
+    ``repro serve`` starts calibrated.  It is a local file path; both
+    refuse a ``tcp://`` store URL with a :class:`~repro.errors.ReproError`.
     """
 
     def __init__(self, path=None, alpha=DEFAULT_ALPHA, max_clusters=None,
@@ -381,13 +395,6 @@ class CalibrationStore:
         )
         return True
 
-    def record_trace(self, trace, spec, workload=None) -> int:
-        """Learn from every segment of an execution trace."""
-        return sum(
-            self.record_segment(segment, spec, workload=workload)
-            for segment in trace.segments
-        )
-
     # -- persistence -----------------------------------------------------
     def to_dict(self) -> dict:
         with self._lock:
@@ -427,7 +434,7 @@ class CalibrationStore:
 
     def save(self, path=None) -> str:
         """Persist to ``path`` (default: the store's own path)."""
-        target = path or self.path
+        target = _local_file(path or self.path)
         if target is None:
             raise ValueError("no path to save the calibration store to")
         payload = self.to_dict()
@@ -453,7 +460,7 @@ class CalibrationStore:
         forward constructor configuration (``max_clusters``,
         ``min_workload_observations``).
         """
-        if path and os.path.exists(path):
+        if _local_file(path) and os.path.exists(path):
             with open(path) as handle:
                 return cls.from_dict(json.load(handle), path=path, **kwargs)
         return cls(path=path, alpha=alpha, **kwargs)

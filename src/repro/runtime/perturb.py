@@ -17,11 +17,14 @@ from repro.core.cost_model import CostModel
 
 
 class PerturbedCostModel(CostModel):
-    """CostModel whose per-iteration costs are scaled per algorithm.
+    """CostModel whose per-iteration prices are scaled per algorithm.
 
-    ``factors`` maps algorithm name -> multiplier applied to every
-    per-iteration cost component of that algorithm's plans (one-time
-    costs are untouched).  Unlisted algorithms are costed faithfully.
+    ``factors`` maps algorithm name -> multiplier applied to the
+    per-iteration cost, and to every ``iter:`` breakdown component, of
+    that algorithm's plans as :meth:`estimate_batch` (the optimizer's
+    pricing call) returns them.  One-time costs are untouched, unlisted
+    algorithms are costed faithfully, and the per-plan methods
+    (``estimate``, ``per_iteration_cost``) stay unperturbed.
     """
 
     def __init__(self, spec, factors):
@@ -30,35 +33,20 @@ class PerturbedCostModel(CostModel):
         if any(f <= 0 for f in self.factors.values()):
             raise ValueError("perturbation factors must be positive")
 
-    def _factor(self, plan) -> float:
-        return self.factors.get(plan.algorithm, 1.0)
-
-    def per_iteration_cost(self, plan, stats) -> dict:
-        base = super().per_iteration_cost(plan, stats)
-        factor = self._factor(plan)
-        if factor == 1.0:
-            return base
-        return {phase: seconds * factor for phase, seconds in base.items()}
-
     def estimate_batch(self, plans, stats, iterations):
-        # Build from an unperturbed base model: the batch path evaluates
-        # full-batch components through self.per_iteration_cost(), which
-        # this class already scales -- going through super() would apply
-        # the factor twice (and smear one full-batch algorithm's factor
-        # over all of them).
-        batch = CostModel(self.spec).estimate_batch(plans, stats, iterations)
-        if not len(batch):
-            return batch
-        factors = np.array([self._factor(plan) for plan in batch.plans])
-        if np.all(factors == 1.0):
-            return batch
-        batch.per_iteration_s = batch.per_iteration_s * factors
+        batch = super().estimate_batch(plans, stats, iterations)
+        factors = [self.factors.get(plan.algorithm, 1.0) for plan in batch.plans]
+        # The unperturbed sum times the factor (not the sum of the scaled
+        # components, which can differ in the last bit).
+        batch.per_iteration_s = batch.per_iteration_s * np.array(
+            factors, dtype=float
+        )
         batch.total_s = (
             batch.one_time_s + batch.iterations * batch.per_iteration_s
         )
-        batch.components = {
-            name: (mask, values * factors if name.startswith("iter:")
-                   else values)
-            for name, (mask, values) in batch.components.items()
-        }
+        batch.breakdowns = [
+            {name: seconds * factor if name.startswith("iter:") else seconds
+             for name, seconds in breakdown.items()}
+            for breakdown, factor in zip(batch.breakdowns, factors)
+        ]
         return batch

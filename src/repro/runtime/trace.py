@@ -167,10 +167,6 @@ class ExecutionTrace:
         return bool(self.switches)
 
     @property
-    def final_plan(self) -> str | None:
-        return self.segments[-1].plan if self.segments else None
-
-    @property
     def all_deltas(self) -> list:
         """The run's full error sequence: per-segment deltas
         concatenated in execution order (the trajectory resume-

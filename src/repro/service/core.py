@@ -17,7 +17,8 @@ cheap:
   fitted and costed without running GD;
 * **request coalescing** -- concurrent requests for the same fingerprint
   share one computation instead of racing to duplicate it;
-* the **vectorized cost model** and **one-pass speculation** underneath
+* the **cost model** (one per-plan implementation, its layouts computed
+  once per pricing) and **one-pass speculation** underneath
   (:meth:`CostModel.estimate_batch`,
   :meth:`SpeculativeEstimator.estimate_all`: cold requests take turns
   on one process-wide speculation lane instead of contending for the
@@ -124,8 +125,8 @@ class OptimizerService(TrainingJobs):
     :class:`~repro.runtime.calibration.CalibrationStore` version it was
     priced against.  A hit whose stamp equals the live version is served
     as-is; a hit whose stamp trails it is *re-costed* from the entry's
-    cached speculation artifacts (cheap vectorized costing, no
-    speculative GD runs) and re-stamped.  The stamp is read *before*
+    cached speculation artifacts (cheap costing, no speculative GD
+    runs) and re-stamped.  The stamp is read *before*
     pricing, so a calibration update racing a computation leaves the
     entry stale rather than silently current.
 

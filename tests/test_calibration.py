@@ -9,6 +9,7 @@ from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.core.cost_model import CostModel
 from repro.core.optimizer import GDOptimizer
 from repro.core.plans import TrainingSpec
+from repro.errors import ReproError
 from repro.runtime import (
     AdaptiveTrainer,
     CalibrationStore,
@@ -280,6 +281,12 @@ class TestPersistence:
     def test_save_without_path_raises(self):
         with pytest.raises(ValueError):
             CalibrationStore().save()
+
+    def test_tcp_url_is_refused_on_open_and_save(self):
+        with pytest.raises(ReproError, match="--checkpoint"):
+            CalibrationStore.open("tcp://127.0.0.1:7700/cal")
+        with pytest.raises(ReproError, match="local"):
+            CalibrationStore().save("tcp://127.0.0.1:7700/cal")
 
 
 class TestCalibrationRoundTrip:

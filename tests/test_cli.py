@@ -144,6 +144,25 @@ class TestCLIAdaptive:
         out = capsys.readouterr().out
         assert "before: calibration store: empty" not in out
 
+    @pytest.mark.parametrize("mode", ["serve", "batch"])
+    def test_tcp_calibration_is_refused_before_any_request(
+        self, mode, monkeypatch, capsys
+    ):
+        # The calibration store is a local file: a tcp:// URL used to be
+        # served uncalibrated and then crash the save at shutdown.
+        stdin = io.StringIO("adult epsilon=0.05 fixed_iterations=50\nquit\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        argv = ([mode] + (["-"] if mode == "batch" else [])
+                + ["--calibration", "tcp://127.0.0.1:7700/cal"])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "--cache" in errors[0] and "--checkpoint" in errors[0]
+        assert captured.out == ""
+        assert stdin.tell() == 0
+
     def test_calibrate_rejects_bad_perturb(self, capsys):
         assert main(["calibrate", "adult", "--perturb", "nonsense"]) == 2
         assert "ALG=FACTOR" in capsys.readouterr().err

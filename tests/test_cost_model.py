@@ -15,7 +15,13 @@ from repro.core.cost_model import (
     network_cost,
     transform_cpu_per_unit,
 )
+from repro.core.plan_space import enumerate_plans
 from repro.core.plans import GDPlan
+from repro.runtime import PerturbedCostModel
+
+#: The registered algorithms: the 41-plan space.
+REGISTERED = ("bgd", "mgd", "sgd", "svrg", "momentum", "adagrad", "adam",
+              "arc", "grad_avg")
 
 
 @pytest.fixture
@@ -203,27 +209,41 @@ class TestPlanCosts:
 
 
 class TestEstimateBatch:
-    """The vectorized path must rank exactly like per-plan estimate()."""
+    """The batch path must price and rank exactly like per-plan
+    estimate()."""
 
     def plans(self):
-        from repro.core.plan_space import enumerate_plans
-
         return enumerate_plans(batch_sizes={"mgd": 100})
 
-    def assert_parity(self, spec, stats, iterations=None):
+    def assert_parity(self, spec, stats, iterations=None, factors=None):
+        """Batch rows equal per-plan estimate() rows.  With ``factors``
+        the batch comes from a PerturbedCostModel over the 41-plan
+        registered space: a listed algorithm's per-iteration prices are
+        the unperturbed ones times its factor, every other row is the
+        unperturbed model's."""
         model = CostModel(spec)
-        plans = self.plans()
+        if factors is None:
+            batch_model, plans = model, self.plans()
+        else:
+            batch_model = PerturbedCostModel(spec, factors)
+            plans = enumerate_plans(REGISTERED)
         iters = iterations or [7 + 3 * i for i in range(len(plans))]
-        batch = model.estimate_batch(plans, stats, iters)
+        batch = batch_model.estimate_batch(plans, stats, iters)
+        totals = []
         for i, plan in enumerate(plans):
             one, per, total, breakdown = model.estimate(plan, stats, iters[i])
+            factor = (factors or {}).get(plan.algorithm)
+            if factor is not None:
+                per = per * factor
+                total = one + iters[i] * per
+                breakdown = {k: v * factor if k.startswith("iter:") else v
+                             for k, v in breakdown.items()}
             assert batch.one_time_s[i] == one
             assert batch.per_iteration_s[i] == per
             assert batch.total_s[i] == total
             assert batch.breakdown(i) == breakdown
-        loop_ranking = sorted(range(len(plans)),
-                              key=lambda i: model.estimate(
-                                  plans[i], stats, iters[i])[2])
+            totals.append(total)
+        loop_ranking = sorted(range(len(plans)), key=totals.__getitem__)
         batch_ranking = sorted(range(len(plans)),
                                key=lambda i: batch.total_s[i])
         assert loop_ranking == batch_ranking
@@ -258,6 +278,19 @@ class TestEstimateBatch:
             stats_for(n=100_000, d=50),
         )
 
+    @pytest.mark.parametrize("factors", [{"sgd": 0.25}, {"bgd": 4.0}],
+                             ids=["sgd", "bgd"])
+    @pytest.mark.parametrize("stats", [
+        stats_for(n=100_000, d=50),
+        stats_for(n=50_000_000, d=100),
+        stats_for(n=10_000_000, d=50_000, density=1e-3, sparse=True),
+    ], ids=["dense", "large_distributed", "sparse"])
+    def test_parity_perturbed(self, spec, stats, factors):
+        # momentum, adagrad and adam share SGD's plan shapes, and Arc's
+        # anchor passes are charged at BGD's full-batch price: neither
+        # factor may leak into another algorithm's rows.
+        self.assert_parity(spec, stats, factors=factors)
+
     @given(
         n=st.integers(min_value=1000, max_value=100_000_000),
         d=st.integers(min_value=1, max_value=10_000),
@@ -290,3 +323,12 @@ class TestEstimateBatch:
                                      [100] * len(plans))
         best = batch.argmin()
         assert batch.total_s[best] == min(batch.total_s)
+
+    def test_breakdown_is_a_new_dict_each_call(self, spec):
+        plans = self.plans()
+        batch = CostModel(spec).estimate_batch(plans, stats_for(),
+                                               [100] * len(plans))
+        first = batch.breakdown(0)
+        first["calibration:cost_factor"] = 2.0
+        assert "calibration:cost_factor" not in batch.breakdown(0)
+        assert batch.breakdown(0) is not batch.breakdown(0)
