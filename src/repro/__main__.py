@@ -16,15 +16,8 @@ request; repeated workloads hit the warm plan cache):
 
     printf 'adult epsilon=0.01\\nadult epsilon=0.01\\n' | python -m repro serve
 
-Both batch and serve accept ``--train`` (execute each chosen plan on a
-per-request engine clone), ``--adaptive`` (train under the adaptive
-runtime: telemetry, mid-flight re-optimization, calibration; implies
-``--train``), ``--calibration PATH`` (persist learned correction
-factors so a restarted server starts calibrated) and ``--cache PATH``
-(persist the plan store -- speculation artifacts included -- so a
-restarted server answers previously seen workloads without
-re-speculating; ``.db``/``.sqlite`` selects the SQLite backend, any
-other extension the JSON one).
+Both batch and serve accept ``--train``, ``--adaptive``,
+``--calibration PATH`` and ``--cache PATH`` (see their ``--help``).
 
 Calibrate mode -- run one workload repeatedly under the adaptive
 runtime and persist what the traces taught the calibration store:
@@ -66,17 +59,10 @@ request line with ``verb=enqueue`` parks a durable job in the shared
 store instead of running it, and any ``repro worker`` pointed at the
 same store claims it (the ``jobs`` verb reports fleet progress).
 
-Batch and serve also take ``--log-level``/``--log-json`` (structured
-logging on stderr), and serve adds ``--trace-dir`` plus
-``--slow-request-s`` (slow-request log threshold).
-
-All optimizing modes (one-shot queries, batch, serve, train, worker)
-accept ``--algorithms NAME,NAME,...`` to widen (or narrow) the plan
-space the cost-based optimizer enumerates to any registered GD
-algorithms -- e.g. ``--algorithms bgd,mgd,sgd,grad_avg,arc`` adds the
-two plugin algorithms to the paper's core three.  The algorithm set is
-part of a durable job's workload fingerprint: ``train`` and ``worker``
-must be given the set the job was started with to resume it.
+All optimizing modes accept ``--algorithms NAME,NAME,...`` (any
+registered GD algorithms); the set is part of a durable job's workload
+fingerprint, so ``train`` and ``worker`` must be given the set the job
+was started with to resume it.
 
 Request lines are ``<dataset> [key=value ...]`` with the keys of
 :meth:`ML4all.optimize` (``task``, ``epsilon``, ``max_iter``,
@@ -114,6 +100,7 @@ from repro.service.frontend import (  # noqa: F401  (re-exports)
     SocketFrontend,
     iter_request_lines,
     parse_request_line,
+    train_lines,
 )
 
 
@@ -272,17 +259,8 @@ def _train_and_report(system, requests, args, max_workers=None):
         max_workers=args.workers if max_workers is None else max_workers,
         adaptive=args.adaptive,
     )
-    groups = []
-    for request, result in zip(requests, results):
-        group = [f"{request['dataset']}: {result.summary()}"]
-        if result.trace is not None and result.trace.switches:
-            for switch in result.trace.switches:
-                group.append(
-                    f"  switched {switch.from_plan} -> {switch.to_plan} "
-                    f"at iteration {switch.iteration}: {switch.reason}"
-                )
-        groups.append(group)
-    return results, groups
+    return results, [train_lines(request, result)
+                     for request, result in zip(requests, results)]
 
 
 def _save_calibration(system, args):

@@ -64,6 +64,17 @@ _MEMO_MAX_BYTES = 8 << 20
 _MEMO_ENTRY_BYTES = 256
 
 
+def trial_keys(context, settings, n_rows, algorithms,
+               batch_sizes=None) -> dict:
+    """``{algorithm: key}`` of each trial on a D' of ``n_rows`` rows in a
+    :class:`TrialMemo` scoped by ``context``: what ``estimate_all`` uses
+    and a service checks to tell a re-cold from a first touch."""
+    rows, batch_sizes = min(settings.sample_size, n_rows), batch_sizes or {}
+    return {algorithm: (context, gd_registry.trial_key(
+        algorithm, rows, batch_sizes.get(algorithm)))
+        for algorithm in algorithms}
+
+
 @dataclasses.dataclass
 class IterationsEstimate:
     """Estimate of T(e_d) for one GD algorithm."""
@@ -209,7 +220,8 @@ class SpeculativeEstimator:
 
     ``memo`` with ``context`` (both or neither) is a service's memo and
     the digest of what this request's trials read; without them every
-    pass shares trials within itself only.
+    pass shares trials within itself only.  ``memo`` may also be a dict
+    of trials pinned out of one, by their :func:`trial_keys`.
     """
 
     def __init__(self, settings=None, seed=0, metrics=None, memo=None,
@@ -246,12 +258,6 @@ class SpeculativeEstimator:
             return dataclasses.replace(self.settings, **overrides)
         return self.settings
 
-    def _memo_key(self, algorithm, rows, batch_size):
-        """Where a trial of ``algorithm`` on a ``rows``-row D' lives in
-        a memo."""
-        return (self.context,
-                gd_registry.trial_key(algorithm, rows, batch_size))
-
     def estimate(
         self,
         X,
@@ -264,13 +270,15 @@ class SpeculativeEstimator:
         convergence="l1",
         sample=None,
         memo=None,
+        memo_key=None,
     ) -> IterationsEstimate:
         """Run one algorithm's trial and estimate T(target_tolerance).
 
         ``sample`` may carry a pre-drawn (X', y') so that all algorithms
         speculate on the same D' (as Algorithm 1 prescribes).  The trial
         always runs; ``memo`` (a :class:`TrialMemo`) is where its
-        outcome is left for later requests.
+        outcome is left for later requests, under ``memo_key`` (its
+        :func:`trial_keys` entry).
         """
         if target_tolerance <= 0:
             raise EstimationError("target tolerance must be positive")
@@ -284,8 +292,7 @@ class SpeculativeEstimator:
         )
         wall = time.perf_counter() - start
         if memo is not None and trial.repeats(cfg):
-            memo.put(self._memo_key(algorithm, Xs.shape[0], batch_size),
-                     trial)
+            memo.put(memo_key, trial)
         return self._fit(algorithm, target_tolerance, cfg, trial, wall)
 
     def _run_trial(self, Xs, ys, gradient, algorithm, cfg, step_size,
@@ -415,13 +422,8 @@ class SpeculativeEstimator:
             raise EstimationError("target tolerance must be positive")
         batch_sizes = batch_sizes or {}
         memo = self.memo if self.memo is not None else TrialMemo()
-        rows = min(self.settings.sample_size, X.shape[0])
-        keys = {
-            algorithm: self._memo_key(
-                algorithm, rows, batch_sizes.get(algorithm)
-            )
-            for algorithm in algorithms
-        }
+        keys = trial_keys(self.context, self.settings, X.shape[0],
+                          algorithms, batch_sizes)
         found = {algorithm: memo.get(key) for algorithm, key in keys.items()}
         results, failures = {}, {}
         missing = any(trial is None for trial in found.values())
@@ -435,7 +437,7 @@ class SpeculativeEstimator:
                     results[algorithm] = self._speculate(
                         X, y, gradient, algorithm, target_tolerance,
                         step_size, batch_sizes.get(algorithm), convergence,
-                        sample, memo, trial,
+                        sample, memo, keys[algorithm], trial,
                     )
                 except EstimationError as exc:
                     if on_error != "skip":
@@ -461,9 +463,10 @@ class SpeculativeEstimator:
             _LANE.release()
 
     def _speculate(self, X, y, gradient, algorithm, target_tolerance,
-                   step_size, batch_size, convergence, sample, memo, trial):
+                   step_size, batch_size, convergence, sample, memo, key,
+                   trial):
         """One algorithm's traced estimate, from the memo's ``trial`` or
-        (None) from a trial run here on ``sample``."""
+        (None) from a trial run here on ``sample`` and kept at ``key``."""
         hit = trial is not None
         if self.metrics is not None:
             self.metrics.inc(
@@ -484,6 +487,7 @@ class SpeculativeEstimator:
                     X, y, gradient, algorithm, target_tolerance,
                     step_size=step_size, batch_size=batch_size,
                     convergence=convergence, sample=sample, memo=memo,
+                    memo_key=key,
                 )
             trial_span.set(
                 "estimated_iterations", estimate.estimated_iterations

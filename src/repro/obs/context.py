@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import uuid
+import os
 
 _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
     "repro_trace_context", default=None
@@ -40,12 +40,12 @@ class TraceContext:
 
 def new_trace_id() -> str:
     """A fresh 16-hex-char trace id (64 random bits)."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def new_span_id() -> str:
     """A fresh 8-hex-char span id (32 random bits)."""
-    return uuid.uuid4().hex[:8]
+    return os.urandom(4).hex()
 
 
 def current_context() -> TraceContext | None:

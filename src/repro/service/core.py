@@ -24,28 +24,15 @@ cheap:
   on one process-wide speculation lane instead of contending for the
   GIL; hits, store I/O and training never take it).
 
-Each computed request runs on a fresh :class:`SimulatedCluster` so the
-simulated clock of one caller never leaks into another -- the service
-object itself holds no per-request mutable state outside the cache and
-the calibration store.
-
 This module is the *lookup/pricing* layer of the service; execution
 (train, durable jobs, budgets) lives in :mod:`repro.service.jobs`, the
 request/result shapes in :mod:`repro.service.requests`, and the network
 protocol in :mod:`repro.service.frontend`.  Operational counters live in
 a :class:`~repro.service.metrics.MetricsRegistry` shared by all three
-layers (``service.metrics.value("service.computed")`` ...).
-
-The **adaptive runtime** (:mod:`repro.runtime`) plugs in here: every
-service owns a :class:`~repro.runtime.calibration.CalibrationStore`
-(optionally disk-persisted), :meth:`OptimizerService.train` executes the
-chosen plan on a per-caller engine clone (adaptively, if asked) and
-folds the resulting execution trace back into the store, and cached
-plans remember which calibration version priced them -- a stale entry is
-*re-costed* from its cached speculation results instead of being thrown
-away, so repeated workloads get calibrated answers without ever
-re-speculating.  Re-costs go through the same coalescing table as cold
-computes, so concurrent callers never duplicate one.
+layers (``service.metrics.value("service.computed")`` ...).  Cached
+plans carry the calibration state that priced them: a stale entry is
+*re-costed* from its cached speculation results, never re-speculated
+(see :class:`OptimizerService`).
 
 A **persistent plan store** (:mod:`repro.service.backends`) extends all
 of this across process restarts: with ``cache_path`` (or an explicit
@@ -69,6 +56,7 @@ from repro.core.iterations import (
     SpeculationSettings,
     SpeculativeEstimator,
     TrialMemo,
+    trial_keys,
 )
 from repro.core.optimizer import GDOptimizer
 from repro.gd.registry import CORE_ALGORITHMS
@@ -121,14 +109,11 @@ class _CachedPlan:
 class OptimizerService(TrainingJobs):
     """Concurrent, caching facade over the cost-based GD optimizer.
 
-    **Cache stamping.**  Every cached decision is stored with the
-    :class:`~repro.runtime.calibration.CalibrationStore` version it was
-    priced against.  A hit whose stamp equals the live version is served
-    as-is; a hit whose stamp trails it is *re-costed* from the entry's
-    cached speculation artifacts (cheap costing, no speculative GD
-    runs) and re-stamped.  The stamp is read *before*
-    pricing, so a calibration update racing a computation leaves the
-    entry stale rather than silently current.
+    **Cache stamping.**  Every cached decision carries the calibration
+    state it was priced against (:class:`_CachedPlan`), read *before*
+    pricing: an entry whose stamp is not the live state is *re-costed*
+    from its cached speculation (no GD) and re-stamped, and a
+    calibration update racing a computation leaves the entry stale.
 
     **Eviction.**  The in-memory :class:`~repro.service.cache.PlanCache`
     composes LRU entry-count (``cache_size``), byte-budget
@@ -421,18 +406,21 @@ class OptimizerService(TrainingJobs):
         )
 
     def _make_optimizer(self, algorithms=None, batch_sizes=None,
-                        engine=None, context=None) -> GDOptimizer:
+                        engine=None, context=None,
+                        trials=None) -> GDOptimizer:
         """A fresh optimizer for one computation (on a fresh simulated
         cluster unless the caller supplies its own engine clone).  With
         a ``context`` (:meth:`trial_context`) its estimator reads and
-        fills the service's trial memo."""
+        fills the service's trial memo -- or reads only ``trials``, the
+        ones a :meth:`claim` took out of it."""
         if engine is None:
             engine = SimulatedCluster(self.spec, seed=self.seed)
         estimator = SpeculativeEstimator(
             self.speculation,
             seed=self.seed,
             metrics=self.metrics,
-            memo=self.trials if context is not None else None,
+            memo=(None if context is None
+                  else self.trials if trials is None else trials),
             context=context,
         )
         return GDOptimizer(
@@ -456,10 +444,10 @@ class OptimizerService(TrainingJobs):
         )))
 
     def resolve(self, request) -> Resolved:
-        """Fingerprint one :class:`ServiceRequest` and look it up in
-        the in-memory cache.  No store I/O, no GD, no waiting: cheap
-        enough for a front-end's event loop, which answers a ``hit``
-        itself and leaves everything else to a worker."""
+        """Fingerprint one :class:`ServiceRequest`, look it up in the
+        in-memory cache and decide (``inline``) whether :meth:`answer`
+        needs no store I/O, no GD and no wait -- with none of the three
+        here, so a front-end's event loop can ask."""
         start = time.perf_counter()
         key = self.fingerprint(
             request.dataset, request.training, request.fixed_iterations,
@@ -468,12 +456,81 @@ class OptimizerService(TrainingJobs):
         looked = time.perf_counter()
         entry = self.cache.get(key)
         hit = entry is not None and self._stamp_current(entry)
-        return Resolved(request, key, entry, hit, looked - start,
-                        time.perf_counter() - looked)
+        resolved = Resolved(request, key, entry, hit, looked - start, 0.0,
+                            inline=hit)
+        # Without a store a miss does no I/O; unowned, it waits for
+        # nobody; priced at a fixed count, re-costed from its entry or
+        # fitted from memoised trials, it runs no GD.
+        if not hit and self.backend is None and key not in self._inflight:
+            resolved.inline = True
+            if entry is None and request.fixed_iterations is None:
+                resolved.context = self.trial_context(
+                    request.dataset, request.training)
+                resolved.trial_keys = trial_keys(
+                    resolved.context, self.speculation,
+                    request.dataset.X.shape[0],
+                    self.algorithms if request.algorithms is None
+                    else request.algorithms,
+                    self.batch_sizes if request.batch_sizes is None
+                    else request.batch_sizes)
+                resolved.inline = all(
+                    self.trials.get(k) is not None
+                    for k in resolved.trial_keys.values())
+        resolved.lookup_s = time.perf_counter() - looked
+        return resolved
+
+    def claim(self, resolved, wait=True) -> bool:
+        """Finish a miss's lookup (:meth:`answer` does, if nobody did):
+        read through to the store, then find the key's computation or
+        own it.  ``wait=False`` is an event loop's claim of an
+        ``inline`` request: if another thread computes the key by now
+        or the memo dropped a trial since :meth:`resolve`, it clears
+        ``inline`` and returns False, changing nothing else; otherwise
+        it pins the trials, so no later eviction makes :meth:`answer`
+        run one."""
+        reading = time.perf_counter()
+        key, entry, hit = resolved.fingerprint, resolved.entry, False
+        trials = None
+        if not wait and resolved.trial_keys is not None:
+            trials = {k: self.trials.get(k)
+                      for k in resolved.trial_keys.values()}
+            if None in trials.values():
+                resolved.inline = False
+                return False
+        if (entry is None and self.backend is not None
+                and key not in self.cache):
+            entry = self._read_through(key)
+            hit = entry is not None and self._stamp_current(entry)
+        future, owner = None, False
+        if not hit:
+            # A miss, or a stale entry (the calibration store learned
+            # something since it was priced), goes through the in-flight
+            # table, so concurrent identical requests share one
+            # computation instead of duplicating it.  The owner caches
+            # its plan before it leaves the table; so under the table's
+            # lock, nobody computing the key and no entry cached but the
+            # one this request saw means nobody computed it while the
+            # request waited for a worker.
+            with self._inflight_lock:
+                future = self._inflight.get(key)
+                if future is None:
+                    cached = self.cache.peek(key)
+                    if cached is not None and cached is not entry:
+                        entry, hit = cached, self._stamp_current(cached)
+                    if not hit:
+                        owner = True
+                        future = self._inflight[key] = Future()
+                elif not wait:
+                    resolved.inline = False
+                    return False
+        resolved.entry, resolved.hit, resolved.trials = entry, hit, trials
+        resolved.future, resolved.owner = future, owner
+        resolved.lookup_s += time.perf_counter() - reading
+        return True
 
     def answer(self, resolved) -> ServiceResult:
         """Serve a resolved request: the cached report on a hit, else
-        read through to the backend, re-cost a stale entry or compute.
+        :meth:`claim` it, then re-cost a stale entry or compute.
 
         Identical concurrent requests coalesce onto a single computation
         -- for cold computes *and* for recalibration re-costs: a stale
@@ -484,46 +541,21 @@ class OptimizerService(TrainingJobs):
         start = (time.perf_counter()
                  - resolved.fingerprint_s - resolved.lookup_s)
         self.metrics.inc("service.requests")
+        if not resolved.hit and resolved.future is None:
+            self.claim(resolved)
         request, key = resolved.request, resolved.fingerprint
-        entry, hit, lookup_s = resolved.entry, resolved.hit, resolved.lookup_s
-        future, owner = None, False
-        if not hit:
-            reading = time.perf_counter()
-            if (entry is None and self.backend is not None
-                    and key not in self.cache):
-                entry = self._read_through(key)
-                hit = entry is not None and self._stamp_current(entry)
-            if not hit:
-                # A miss, or a stale entry (the calibration store
-                # learned something since it was priced), goes through
-                # the in-flight table, so concurrent identical requests
-                # share one computation instead of duplicating it.  The
-                # owner caches its plan before it leaves the table; so
-                # under the table's lock, nobody computing the key and
-                # no entry cached but the one this request saw means
-                # nobody computed it while the request waited for a
-                # worker.
-                with self._inflight_lock:
-                    future = self._inflight.get(key)
-                    if future is None:
-                        cached = self.cache.peek(key)
-                        if cached is not None and cached is not entry:
-                            entry, hit = cached, self._stamp_current(cached)
-                        if not hit:
-                            owner = True
-                            future = self._inflight[key] = Future()
-            lookup_s += time.perf_counter() - reading
+        entry, hit, future = resolved.entry, resolved.hit, resolved.future
         # Measured in resolve(), possibly on another thread before this
         # request's trace began: emitted, like the admission wait.
         emit_span("fingerprint", resolved.fingerprint_s)
-        emit_span("cache_lookup", lookup_s, hit=hit,
+        emit_span("cache_lookup", resolved.lookup_s, hit=hit,
                   stale=entry is not None and not hit)
         if hit:
             self.metrics.inc("service.hits")
             return self._result(start, entry.report, key, cache_hit=True)
 
         self.metrics.inc("service.misses")
-        if not owner:
+        if not resolved.owner:
             with span("coalesced_wait"):
                 report, recalibrated = future.result()
             self.metrics.inc("service.coalesced")
@@ -546,11 +578,13 @@ class OptimizerService(TrainingJobs):
                 report = self._make_optimizer(
                     request.algorithms, request.batch_sizes,
                     context=(
-                        self.trial_context(request.dataset, request.training)
+                        resolved.context or self.trial_context(
+                            request.dataset, request.training)
                         if request.fixed_iterations is None
                         and not recalibrated
                         else None
                     ),
+                    trials=resolved.trials,
                 ).optimize(
                     request.dataset,
                     request.training,

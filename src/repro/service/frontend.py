@@ -18,8 +18,8 @@ server -- decide *whether to accept it at all*.  Three pieces:
   loop.  The stdin loop (``repro serve``) and the socket server share
   this path, so a malformed line behaves identically on both.
 * **Admission control** (:class:`SocketFrontend`) -- a TCP server
-  speaking JSON lines off one event-loop thread, which answers plan-cache
-  hits itself and hands everything that computes or does I/O to a
+  speaking JSON lines off one event-loop thread, which answers what
+  needs no I/O, no GD and no wait itself and hands the rest to a
   worker pool; with a bounded admission count (load-shedding above
   ``shed_after``), per-tenant max-inflight quotas, and per-request
   deadlines that map into :class:`~repro.runtime.JobBudget`
@@ -113,6 +113,15 @@ def parse_request_line(line) -> dict:
             )
         request[key] = _coerce(key, value)
     return request
+
+
+def train_lines(request, result) -> list:
+    """What a train request prints: its summary, then one line per
+    mid-flight plan switch."""
+    switches = result.trace.switches if result.trace is not None else ()
+    return [f"{request['dataset']}: {result.summary()}"] + [
+        f"  switched {s.from_plan} -> {s.to_plan} at iteration "
+        f"{s.iteration}: {s.reason}" for s in switches]
 
 
 def iter_request_lines(handle):
@@ -216,24 +225,19 @@ def parse_wire_line(line) -> WireRequest:
     else:
         text = text.split("#", 1)[0].strip()
         tokens = text.split()
-        if len(tokens) == 1 and tokens[0] in _VERBS:
-            verb, request, tenant, deadline, rid, trace_id = tokens[0], {}, \
-                DEFAULT_TENANT, None, None, None
-        elif len(tokens) == 2 and tokens[0] == "trace":
+        if (len(tokens) == 1 and tokens[0] in _VERBS
+                or len(tokens) == 2 and tokens[0] == "trace"):
             verb, request, tenant, deadline, rid, trace_id = \
-                _split_envelope([("verb", "trace"),
-                                 ("trace_id", tokens[1])])
+                _split_envelope(zip(("verb", "trace_id"), tokens))
         else:
-            pairs = []
-            rest = []
-            for token in tokens[1:] if tokens else []:
+            pairs, rest = [], []
+            for token in tokens[1:]:
                 key, sep, value = token.partition("=")
                 if sep and key in _WIRE_KEYS:
                     pairs.append((key, value))
                 else:
                     rest.append(token)
-            request_line = " ".join(tokens[:1] + rest)
-            request = parse_request_line(request_line)
+            request = parse_request_line(" ".join(tokens[:1] + rest))
             verb, _, tenant, deadline, rid, trace_id = _split_envelope(pairs)
     if verb == "trace" and trace_id is None:
         raise ReproError("the 'trace' verb needs a trace_id")
@@ -301,11 +305,11 @@ class Dispatcher:
 
     def resolve(self, wire):
         """Fingerprint and look up an optimize request without loading
-        data, touching a store or running GD, so a front-end can tell a
-        plain hit (``.hit``) from work before it picks a thread; pass
-        the result to :meth:`handle`.  None for any other verb, for a
-        dataset not loaded yet and for a request that does not resolve
-        (:meth:`handle` reports what is wrong with it)."""
+        data, touching a store or running GD, so a front-end can tell
+        work that needs none of them (``.inline``) from the rest before
+        it picks a thread; pass the result to :meth:`handle`.  None for
+        any other verb, for a dataset not loaded yet and for a request
+        that does not resolve (:meth:`handle` reports what is wrong)."""
         if wire.verb not in (None, "optimize") or self._trains(wire):
             return None
         try:
@@ -321,8 +325,13 @@ class Dispatcher:
         it defaults to the request's full ``deadline_s``.
         ``queue_wait_s`` (when the caller measured one) becomes the
         request trace's ``admission`` span.  ``resolved`` is what
-        :meth:`resolve` returned for this request, if it was asked.
+        :meth:`resolve` returned for this request, if it was asked; None
+        (nothing done) when :meth:`OptimizerService.claim` finds that an
+        ``inline`` miss would wait or run GD after all.
         """
+        if (resolved is not None and resolved.inline and not resolved.hit
+                and not self.system.service().claim(resolved, wait=False)):
+            return None
         self.metrics.inc("frontend.requests")
         if wire.verb == "metrics":
             snapshot = self.metrics.snapshot()
@@ -506,19 +515,11 @@ class Dispatcher:
 
     @staticmethod
     def _train_body(request, result) -> dict:
-        summary = result.summary()
-        lines = [f"{request['dataset']}: {summary}"]
-        if result.trace is not None and result.trace.switches:
-            for switch in result.trace.switches:
-                lines.append(
-                    f"  switched {switch.from_plan} -> {switch.to_plan} "
-                    f"at iteration {switch.iteration}: {switch.reason}"
-                )
         body = {
             "verb": "train",
             "dataset": request["dataset"],
-            "summary": summary,
-            "lines": lines,
+            "summary": result.summary(),
+            "lines": train_lines(request, result),
             "plan": str(result.report.chosen_plan),
             "cache_hit": result.optimization.cache_hit,
             "coalesced": result.optimization.coalesced,
@@ -576,13 +577,15 @@ class SocketFrontend:
     request's ``id`` for correlation; they may complete out of order).
     One event-loop thread owns the listener and every client socket
     (non-blocking, ``selectors``): it frames and parses lines, runs
-    admission, and answers inline what needs no I/O and no GD --
-    ``metrics``, ``trace``, and an optimize request that
-    :meth:`Dispatcher.resolve` finds current in the in-memory plan
-    cache.  Everything else (a miss, a stale or persisted-only entry,
-    ``train``, ``enqueue``, ``jobs``) runs on ``max_workers`` pool
-    threads, which send their reply themselves.  So a hit never queues
-    behind a miss.  No thread ever blocks in ``send``: bytes a socket
+    admission, and answers inline what needs no I/O, no GD and no wait
+    -- ``metrics``, ``trace``, a current hit and, without a persistent
+    plan store, a miss nobody else computes that is a
+    ``fixed_iterations`` pricing, a re-cost or a re-cold (every trial
+    memoised; :meth:`Dispatcher.resolve` decides).  Everything else (a
+    first touch, a store's miss, a coalesced wait, ``train``,
+    ``enqueue``, ``jobs``) runs on ``max_workers`` pool threads, which
+    send their reply themselves.  So a hit never queues behind a first
+    touch.  No thread ever blocks in ``send``: bytes a socket
     does not take are buffered for the loop, which a worker interrupts
     through a socketpair, and a client that lets more than
     ``MAX_FRAME_BYTES`` of replies pile up unread is disconnected
@@ -862,10 +865,7 @@ class SocketFrontend:
             # Observability (metrics/trace/jobs) bypasses admission: it
             # must answer while the server sheds everything else.
             # ``jobs`` reads the checkpoint store, so not on this thread.
-            if wire.verb == "jobs":
-                self._submit(conn, wire)
-            else:
-                self._serve(conn, wire)
+            (self._submit if wire.verb == "jobs" else self._serve)(conn, wire)
             return
 
         with self._admission_lock:
@@ -898,7 +898,7 @@ class SocketFrontend:
 
         admitted_at = time.monotonic()
         resolved = self._resolve(wire)
-        if resolved is not None and resolved.hit:
+        if resolved is not None and resolved.inline:
             self._serve(conn, wire, admitted_at, resolved)
         else:
             self._submit(conn, wire, admitted_at, resolved)
@@ -937,6 +937,10 @@ class SocketFrontend:
                 )
             else:
                 response = self.dispatcher.handle(wire, **admitted)
+                if response is None:  # it would wait or run GD after all
+                    self._submit(conn, wire, admitted_at, resolved)
+                    admitted_at = None  # the worker gives the slot back
+                    return
             self._send(conn, response)
         except Exception as exc:  # noqa: BLE001 - the client gets a reply
             self.metrics.inc("frontend.internal_errors")

@@ -66,7 +66,7 @@ def normalize_request(request) -> ServiceRequest:
 class Resolved:
     """A request fingerprinted and looked up in the in-memory plan
     cache -- the half of ``optimize()`` that needs no I/O and no GD
-    (:meth:`OptimizerService.resolve`).  A front-end reads ``hit`` to
+    (:meth:`OptimizerService.resolve`).  A front-end reads ``inline`` to
     pick a thread, then hands the same object to
     :meth:`OptimizerService.answer`, so nothing is derived twice."""
 
@@ -80,6 +80,16 @@ class Resolved:
     #: Seconds the two steps took, for the request trace's spans.
     fingerprint_s: float
     lookup_s: float
+    #: The decision: ``answer`` needs no store I/O, no GD and no wait.
+    inline: bool = False
+    #: A speculating miss's trial-memo scope and keys (else None).
+    context: str | None = None
+    trial_keys: dict | None = None
+    #: Set by :meth:`OptimizerService.claim`: the key's in-flight
+    #: future, whether this request owns it, the trials it pinned.
+    future: object = None
+    owner: bool = False
+    trials: dict | None = None
 
 
 @dataclasses.dataclass

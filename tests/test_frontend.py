@@ -500,22 +500,23 @@ class _RecordingDispatcher(Dispatcher):
         return super().handle(wire, **kwargs)
 
 
-def _gate_misses(service):
+def _gate_misses(service, at="optimize"):
     """Make every plan computation of ``service`` wait for the returned
-    event; ``started`` counts the computations that reached the gate."""
+    event when it reaches its optimizer's method ``at`` (``price``: after
+    its trials ran); ``started`` counts the computations that did."""
     gate, started = threading.Event(), threading.Semaphore(0)
     make = service._make_optimizer
 
     def gated(*args, **kwargs):
         optimizer = make(*args, **kwargs)
-        optimize = optimizer.optimize
+        step = getattr(optimizer, at)
 
-        def wait_then_optimize(*a, **k):
+        def wait_then_step(*a, **k):
             started.release()
             assert gate.wait(timeout=30)
-            return optimize(*a, **k)
+            return step(*a, **k)
 
-        optimizer.optimize = wait_then_optimize
+        setattr(optimizer, at, wait_then_step)
         return optimizer
 
     service._make_optimizer = gated
@@ -528,6 +529,8 @@ class TestEventLoop:
         dispatcher = Dispatcher(system)
         assert dispatcher.handle_line(FAST_LINE)["ok"]  # primed: a hit now
         gate, started = _gate_misses(system.service())
+        # First touches (a step no trial ran at) need a worker: their
+        # trials run under the speculation lane.
         with SocketFrontend(dispatcher, port=0, max_workers=2,
                             shed_after=3) as frontend:
             busy, busy_handle = connect(frontend)
@@ -535,8 +538,7 @@ class TestEventLoop:
             try:
                 for i in range(2):
                     busy_handle.write(
-                        f"adult epsilon=0.05 fixed_iterations={50 + i} "
-                        f"id=miss{i}\n")
+                        f"adult epsilon=0.05 step=0.{5 + i} id=miss{i}\n")
                 busy_handle.flush()
                 for _ in range(2):
                     assert started.acquire(timeout=10)
@@ -547,8 +549,7 @@ class TestEventLoop:
                 assert hit["ok"] and hit["cache_hit"] and hit["id"] == "hit"
                 # A third miss fills the admission bound: now the same
                 # hit is shed, not answered.
-                busy_handle.write(
-                    "adult epsilon=0.05 fixed_iterations=52 id=miss2\n")
+                busy_handle.write("adult epsilon=0.05 step=0.7 id=miss2\n")
                 # (lines of one connection are handled in order: once
                 # metrics has answered, miss2 is admitted)
                 gauges = ask(busy_handle, "metrics")["metrics"]["gauges"]
@@ -589,9 +590,38 @@ class TestEventLoop:
             finally:
                 sock.close()
 
-    def test_only_hits_metrics_and_trace_run_on_the_loop_thread(
+    def test_what_needs_no_io_gd_or_wait_runs_on_the_loop_thread(
         self, tmp_path
     ):
+        # Without a plan store: a fixed_iterations pricing, a re-cold
+        # (every trial memoised) and a stale entry's re-cost are
+        # answered by the loop; the first touch that ran the trials was
+        # not.
+        system = ML4all(seed=7)
+        service = system.service()
+        dispatcher = _RecordingDispatcher(system)
+        with SocketFrontend(dispatcher, port=0, max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                assert ask(handle, FAST_LINE)["ok"]  # loads the dataset
+                assert ask(handle, "adult epsilon=0.05 max_iter=50")["ok"]
+                assert all(name.startswith("frontend_")
+                           for name in dispatcher.threads.pop("optimize"))
+                priced = ask(handle, "adult epsilon=0.05 fixed_iterations=42")
+                recold = ask(handle, "adult epsilon=0.04 max_iter=50")
+                assert not priced["cache_hit"] and not recold["cache_hit"]
+                service.calibration.observe("bgd", service.spec,
+                                            cost_ratio=2.0)
+                recost = ask(handle, FAST_LINE)
+                assert recost["recalibrated"]
+                assert dispatcher.threads.pop("optimize") == {LOOP_THREAD}
+                assert service.metrics.value("service.computed") == 4
+                assert service.metrics.value("service.recalibrated") == 1
+            finally:
+                sock.close()
+
+        # With one, every miss stays on the pool (read-through and
+        # write-through are I/O), and so do train, enqueue and jobs.
         system = ML4all(seed=7, cache_path=str(tmp_path / "plans.db"),
                         checkpoint_path=str(tmp_path / "jobs.db"))
         service = system.service(cache_size=1)
@@ -610,6 +640,7 @@ class TestEventLoop:
             try:
                 assert ask(handle, evicted)["ok"]
                 assert ask(handle, FAST_LINE)["ok"]  # evicts the first
+                assert LOOP_THREAD not in dispatcher.threads["optimize"]
                 computed = service.metrics.value("service.computed")
                 dispatcher.threads.clear()
                 store_threads.clear()
@@ -637,6 +668,199 @@ class TestEventLoop:
             finally:
                 sock.close()
                 service.close()
+
+    def test_a_recold_whose_key_a_worker_owns_waits_on_the_pool(self):
+        """The loop never waits: a re-cold of a key a gated worker is
+        computing coalesces on another worker, and a hit on a third
+        connection is answered meanwhile."""
+        system = ML4all(seed=7)
+        service = system.service()
+        dispatcher = _RecordingDispatcher(system)
+        assert dispatcher.handle_line(FAST_LINE)["ok"]  # primed: a hit now
+        dispatcher.threads.clear()
+        gate, started = _gate_misses(service, at="price")
+        line = "adult epsilon=0.03 step=0.5"
+        with SocketFrontend(dispatcher, port=0, max_workers=2) as frontend:
+            first, first_handle = connect(frontend)
+            twin, twin_handle = connect(frontend)
+            other, other_handle = connect(frontend)
+            try:
+                first_handle.write(line + " id=owner\n")
+                first_handle.flush()
+                assert started.acquire(timeout=10)  # trials in, key owned
+                twin_handle.write(line + " id=twin\n")
+                twin_handle.flush()
+                other.settimeout(5)
+                hit = ask(other_handle, FAST_LINE + " id=hit")
+                assert hit["cache_hit"] and hit["id"] == "hit"
+                gate.set()
+                owner = json.loads(first_handle.readline())
+                coalesced = json.loads(twin_handle.readline())
+                assert owner["ok"] and not owner["coalesced"]
+                assert coalesced["coalesced"]
+                assert coalesced["plan"] == owner["plan"]
+                assert service.metrics.value("service.computed") == 2
+                # The hit on the loop; owner and twin on a worker each.
+                assert dispatcher.threads["optimize"] == {
+                    LOOP_THREAD, "frontend_0", "frontend_1"}
+            finally:
+                gate.set()
+                for sock in (first, twin, other):
+                    sock.close()
+
+    def test_a_recold_whose_trial_is_evicted_after_resolve_runs_it_on_a_worker(
+        self, monkeypatch
+    ):
+        import numpy as np
+
+        from repro.core.iterations import SpeculativeEstimator, _Trial
+
+        system = ML4all(seed=7)
+        service = system.service()
+        dispatcher = _RecordingDispatcher(system)
+        assert dispatcher.handle_line("adult epsilon=0.05 max_iter=50")["ok"]
+        trial_threads = []
+        run_trial = SpeculativeEstimator._run_trial
+
+        def recording_run_trial(self, *args, **kwargs):
+            trial_threads.append(threading.current_thread().name)
+            return run_trial(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpeculativeEstimator, "_run_trial",
+                            recording_run_trial)
+        resolve = service.resolve
+
+        def resolve_then_evict(request):
+            resolved = resolve(request)
+            assert resolved.inline  # every trial was memoised...
+            # ...until one the size of the whole memo pushes them out.
+            service.trials.put(("filler",),
+                               _Trial("bgd", np.zeros(1 << 20), 0))
+            return resolved
+
+        service.resolve = resolve_then_evict
+        misses = service.metrics.value("speculation.memo.misses")
+        with SocketFrontend(dispatcher, port=0, max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                reply = ask(handle, "adult epsilon=0.02 max_iter=50")
+            finally:
+                sock.close()
+        assert reply["ok"] and not reply["cache_hit"]
+        assert service.metrics.value("speculation.memo.evictions") >= 2
+        assert service.metrics.value("speculation.memo.misses") > misses
+        assert trial_threads and LOOP_THREAD not in trial_threads
+        assert all(n.startswith("frontend_") for n in trial_threads)
+        # Declined by the loop before it touched the request, then
+        # answered by a worker.
+        assert dispatcher.threads["optimize"] >= {LOOP_THREAD}
+        assert service.metrics.value("frontend.requests") == 2
+        assert reply["plan"] == str(ML4all(seed=7).optimize(
+            "adult", epsilon=0.02, max_iter=50).chosen_plan)
+
+    def test_the_loop_thread_never_takes_the_speculation_lane(
+        self, monkeypatch
+    ):
+        from repro.core import iterations
+
+        class RecordingLock:
+            def __init__(self):
+                self.lock, self.takers = threading.Lock(), []
+
+            def acquire(self, *args, **kwargs):
+                self.takers.append(threading.current_thread().name)
+                return self.lock.acquire(*args, **kwargs)
+
+            def release(self):
+                self.lock.release()
+
+        lane = RecordingLock()
+        monkeypatch.setattr(iterations, "_LANE", lane)
+        system = ML4all(seed=7)
+        dispatcher = _RecordingDispatcher(system)
+        lines = [
+            FAST_LINE,                            # loads adult: a worker
+            "adult epsilon=0.05 max_iter=50",     # first touch: a worker
+            "adult epsilon=0.01 max_iter=60",     # re-cold: the loop
+            "adult epsilon=0.05 fixed_iterations=70",
+            "adult epsilon=0.05 step=0.5",        # first touch again
+            "adult epsilon=0.02 step=0.5",        # re-cold again
+        ]
+        with SocketFrontend(dispatcher, port=0, max_workers=2) as frontend:
+            sock, handle = connect(frontend)
+            try:
+                replies = [ask(handle, line) for line in lines]
+            finally:
+                sock.close()
+        assert all(r["ok"] and not r["cache_hit"] for r in replies)
+        assert LOOP_THREAD in dispatcher.threads["optimize"]
+        assert len(lane.takers) == 2
+        assert all(n.startswith("frontend_") for n in lane.takers)
+
+    def test_shared_memos_hold_under_interleaving(self, monkeypatch):
+        """The loop reads the trial memo, the plan cache and the
+        fingerprint memo while workers write them.  Six clients and up
+        to four workers on two cores, a thread switch offered every
+        microsecond, both memos bounded small enough to evict all
+        along: every fingerprint is computed once, every plan is the
+        sequential one, and both memos keep their books."""
+        import random
+
+        from repro.core import iterations
+        from repro.service import core
+
+        monkeypatch.setattr(core, "_FINGERPRINT_MEMO_SIZE", 16)
+        monkeypatch.setattr(iterations, "_MEMO_MAX_BYTES", 4096)
+        # First touches (three steps per dataset, trials evicted all
+        # along) among re-colds, some of them sent by two clients at
+        # once.
+        lines = [f"{dataset} epsilon={epsilon} max_iter={max_iter} "
+                 f"step={step}"
+                 for dataset in ("adult", "covtype")
+                 for step in (0.5, 1.0, 2.0)
+                 for epsilon in (0.05, 0.02, 0.01, 0.005)
+                 for max_iter in (60, 70, 80, 90, 100)]
+        system = ML4all(seed=7)
+        service = system.service(cache_size=len(lines))
+        replies, sent = [], set()
+        deadline = time.monotonic() + 4.0
+
+        def client(seed, frontend):
+            order = random.Random(seed).sample(lines, 60)
+            sock, handle = connect(frontend)
+            try:
+                for line in order:
+                    if time.monotonic() > deadline:
+                        break
+                    sent.add(line)
+                    replies.append((line, ask(handle, line)))
+            finally:
+                sock.close()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SocketFrontend(Dispatcher(system), port=0,
+                                max_workers=4) as frontend:
+                clients = [threading.Thread(target=client, args=(n, frontend))
+                           for n in range(6)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+
+        assert replies and all(reply["ok"] for _, reply in replies)
+        assert service.metrics.value("service.computed") == len(sent)
+        reference = Dispatcher(ML4all(seed=7))
+        plans = {line: reference.handle_line(line)["plan"] for line in sent}
+        assert all(reply["plan"] == plans[line] for line, reply in replies)
+        trials = service.trials
+        assert service.metrics.value("speculation.memo.evictions") > 0
+        assert trials._nbytes == sum(
+            trials._cost(trial) for trial in trials._trials.values())
+        assert len(service._fingerprints) <= 16
 
     def test_the_loop_thread_never_hashes_a_dataset(self, monkeypatch):
         """A dataset loaded for a request that needs no content digest

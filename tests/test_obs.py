@@ -109,6 +109,29 @@ class TestSpans:
         assert root.trace_id != "../../etc/passwd"
         assert valid_trace_id(root.trace_id)
 
+    def test_ids_are_os_random_bytes_in_hex(self, monkeypatch):
+        """A trace id is 8 random bytes and a span id 4, drawn from the
+        OS source uuid4 drew from, at the width uuid4's hex prefix had;
+        the recorder adopts what it minted."""
+        from repro.obs import context
+
+        draws = iter([bytes(range(1, 9)), bytes([0xde, 0xad, 0xbe, 0xef])])
+        sizes = []
+
+        def urandom(size):
+            sizes.append(size)
+            return next(draws)
+
+        monkeypatch.setattr(context.os, "urandom", urandom)
+        assert context.new_trace_id() == "0102030405060708"
+        assert context.new_span_id() == "deadbeef"
+        assert sizes == [8, 4]
+        draws = iter([b"\x00" * 8, b"\xff" * 4])
+        with TraceRecorder().trace("request") as root:
+            pass
+        assert (root.trace_id, root.span_id) == ("0" * 16, "f" * 8)
+        assert valid_trace_id(root.trace_id)
+
     def test_spans_cross_thread_pools_via_copy_context(self):
         import contextvars
         from concurrent.futures import ThreadPoolExecutor
