@@ -504,6 +504,25 @@ class TestCLICache:
         assert "preempted: 1" in out
         assert "compacted: kept 1, dropped 0" in out
 
+    def test_compact_ttl_drops_only_old_plan_entries(self, tmp_path, capsys):
+        plans = tmp_path / "plans.json"
+        path = tmp_path / "requests.txt"
+        path.write_text("adult epsilon=0.05 fixed_iterations=50\n"
+                        "adult epsilon=0.05 fixed_iterations=60\n")
+        assert main(["batch", str(path), "--workers", "1",
+                     "--cache", str(plans)]) == 0
+        from repro.service import JsonFileBackend
+
+        backend = JsonFileBackend(str(plans))
+        old, young = sorted(backend.load())
+        payload = backend.get(old)
+        payload["written_at"] -= 2 * 86400
+        backend.store(old, payload)
+        capsys.readouterr()
+        assert main(["cache", str(plans), "--compact", "--ttl", "86400"]) == 0
+        assert "compacted: kept 1, dropped 1" in capsys.readouterr().out
+        assert list(JsonFileBackend(str(plans)).load()) == [young]
+
     def test_missing_store_reports_error(self, tmp_path, capsys):
         assert main(["cache", str(tmp_path / "nope.json")]) == 1
         assert "no store" in capsys.readouterr().err
