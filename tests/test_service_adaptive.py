@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.plans import TrainingSpec
-from repro.runtime import PerturbedCostModel
-from repro.service import OptimizerService
+from repro.runtime import CalibrationStore, PerturbedCostModel
+from repro.service import OptimizerService, PlanCache
 
 from support import make_dataset
 
@@ -172,6 +172,48 @@ class TestCalibratedRecost:
         assert make_service(spec).save_calibration() is None
 
 
+class TestCacheEviction:
+    """The plan cache has one bound: ``cache_size`` entries, LRU."""
+
+    def test_no_byte_budget_skips_sizing(self):
+        class Unsizable:
+            def __sizeof__(self):
+                raise AssertionError("put() must not size a cached value")
+
+        cache = PlanCache(maxsize=4)
+        value = {"big": np.zeros(100_000), "odd": Unsizable()}
+        cache.put("a", value)
+        assert cache.get("a") is value  # handed back, never copied
+        assert set(dataclasses.asdict(cache.stats())) == {
+            "hits", "misses", "evictions", "size", "maxsize",
+        }
+
+    def test_ttl_and_size_validate(self):
+        with pytest.raises(ValueError):
+            PlanCache(maxsize=0)
+        # Entries never expire on a clock: a time-to-live is refused,
+        # not silently ignored.
+        with pytest.raises(TypeError):
+            PlanCache(maxsize=8, ttl_s=10.0)
+
+    def test_service_wires_cache_budgets(self, spec, dataset, training):
+        service = make_service(spec, cache_size=2)
+        assert service.cache.maxsize == 2
+        first = service.optimize(dataset, training, fixed_iterations=50)
+        service.optimize(dataset, training, fixed_iterations=60)
+        service.optimize(dataset, training, fixed_iterations=70)
+        stats = service.cache.stats()
+        assert (stats.size, stats.evictions) == (2, 1)
+        assert "2/2 entries" in stats.summary()
+        # The least recently used entry went; the newer ones still hit.
+        assert service.optimize(dataset, training,
+                                fixed_iterations=70).cache_hit
+        again = service.optimize(dataset, training, fixed_iterations=50)
+        assert not again.cache_hit
+        assert str(again.chosen_plan) == str(first.chosen_plan)
+        assert service.metrics.value("service.computed") == 4
+
+
 class TestCacheKeys:
     def test_drifted_dataset_is_a_new_key_not_a_stale_hit(
         self, spec, dataset, training
@@ -187,3 +229,33 @@ class TestCacheKeys:
         assert not service.optimize(grown, training,
                                     fixed_iterations=50).cache_hit
         assert service.metrics.value("service.computed") == 2
+
+
+class TestRemovedKnobs:
+    """Bounds and thresholds no caller but a test ever set are gone; an
+    old caller passing one fails loudly instead of being ignored."""
+
+    @pytest.mark.parametrize("build, argument", [
+        pytest.param(PlanCache, "max_bytes", id="PlanCache-max_bytes"),
+        pytest.param(PlanCache, "clock", id="PlanCache-clock"),
+        pytest.param(lambda **kw: PlanCache().put("k", "v", **kw), "nbytes",
+                     id="PlanCache.put-nbytes"),
+        pytest.param(OptimizerService, "cache_ttl_s",
+                     id="OptimizerService-cache_ttl_s"),
+        pytest.param(OptimizerService, "cache_max_bytes",
+                     id="OptimizerService-cache_max_bytes"),
+        pytest.param(OptimizerService, "store_ttl_s",
+                     id="OptimizerService-store_ttl_s"),
+        pytest.param(CalibrationStore, "max_clusters",
+                     id="CalibrationStore-max_clusters"),
+        pytest.param(CalibrationStore, "min_workload_observations",
+                     id="CalibrationStore-min_workload_observations"),
+        pytest.param(CalibrationStore.open, "max_clusters",
+                     id="CalibrationStore.open-max_clusters"),
+        pytest.param(lambda **kw: CalibrationStore.from_dict({}, **kw),
+                     "min_workload_observations",
+                     id="CalibrationStore.from_dict-min_workload_observations"),
+    ])
+    def test_is_a_type_error_not_ignored(self, build, argument):
+        with pytest.raises(TypeError):
+            build(**{argument: 1})
