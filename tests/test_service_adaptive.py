@@ -1,4 +1,4 @@
-"""Service-level adaptive runtime: train(), calibration, recost."""
+"""Service-level adaptive runtime: train(), calibration, recost, TTL."""
 
 import dataclasses
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.plans import TrainingSpec
 from repro.runtime import CalibrationStore, PerturbedCostModel
-from repro.service import OptimizerService, PlanCache
+from repro.service import OptimizerService, PlanCache, approx_nbytes
 
 from support import make_dataset
 
@@ -173,89 +173,87 @@ class TestCalibratedRecost:
 
 
 class TestCacheEviction:
-    """The plan cache has one bound: ``cache_size`` entries, LRU."""
+    def test_ttl_expires_entries(self):
+        clock = [0.0]
+        cache = PlanCache(maxsize=8, ttl_s=10.0, clock=lambda: clock[0])
+        cache.put("a", "value")
+        assert cache.get("a") == "value"
+        clock[0] = 10.1
+        assert cache.get("a") is None
+        stats = cache.stats()
+        assert stats.expirations == 1
+        assert stats.size == 0
+
+    def test_ttl_bounds_staleness_for_drifting_stats(
+        self, spec, dataset, training
+    ):
+        """A workload whose DatasetStats drift keeps being re-requested
+        under the *old* handle; the TTL forces a recompute instead of
+        serving the stale plan forever."""
+        service = make_service(spec, cache_ttl_s=30.0)
+        clock = [0.0]
+        service.cache._clock = lambda: clock[0]
+
+        service.optimize(dataset, training, fixed_iterations=50)
+        within = service.optimize(dataset, training, fixed_iterations=50)
+        assert within.cache_hit
+        clock[0] = 31.0
+        after = service.optimize(dataset, training, fixed_iterations=50)
+        assert not after.cache_hit
+        assert service.metrics.value("service.computed") == 2
+        # The drifted dataset itself fingerprints differently anyway --
+        # TTL covers callers still holding the old stats object.
+        grown = make_dataset(n_phys=2000, sim_n=4000, d=20, task="logreg",
+                             spec=spec, seed=3)
+        assert service.fingerprint(grown, training, 50) != \
+            service.fingerprint(dataset, training, 50)
+
+    def test_size_aware_eviction(self):
+        cache = PlanCache(maxsize=100, max_bytes=1000)
+        cache.put("a", "x", nbytes=400)
+        cache.put("b", "y", nbytes=400)
+        cache.get("a")  # refresh a; b is now LRU
+        cache.put("c", "z", nbytes=400)
+        assert "a" in cache
+        assert "b" not in cache
+        assert "c" in cache
+        stats = cache.stats()
+        assert stats.evictions == 1
+        assert stats.total_bytes == 800
+
+    def test_oversize_value_is_refused_not_cache_flushing(self):
+        cache = PlanCache(maxsize=100, max_bytes=1000)
+        cache.put("a", "x", nbytes=400)
+        cache.put("b", "y", nbytes=400)
+        cache.put("fat", "z", nbytes=5000)
+        # The warm entries survive; the oversize value is not cached.
+        assert "a" in cache
+        assert "b" in cache
+        assert "fat" not in cache
+        assert cache.stats().total_bytes == 800
 
     def test_no_byte_budget_skips_sizing(self):
-        class Unsizable:
-            def __sizeof__(self):
-                raise AssertionError("put() must not size a cached value")
-
         cache = PlanCache(maxsize=4)
-        value = {"big": np.zeros(100_000), "odd": Unsizable()}
-        cache.put("a", value)
-        assert cache.get("a") is value  # handed back, never copied
-        assert set(dataclasses.asdict(cache.stats())) == {
-            "hits", "misses", "evictions", "size", "maxsize",
-        }
+        cache.put("a", {"big": np.zeros(100_000)})
+        assert cache.stats().total_bytes == 0  # sizing walk skipped
+        assert cache.get("a") is not None
+
+    def test_approx_nbytes_sees_arrays(self):
+        small = approx_nbytes({"x": np.zeros(10)})
+        large = approx_nbytes({"x": np.zeros(10_000)})
+        assert large > small
+        assert large >= 80_000
 
     def test_ttl_and_size_validate(self):
         with pytest.raises(ValueError):
-            PlanCache(maxsize=0)
-        # Entries never expire on a clock: a time-to-live is refused,
-        # not silently ignored.
-        with pytest.raises(TypeError):
-            PlanCache(maxsize=8, ttl_s=10.0)
+            PlanCache(ttl_s=0)
+        with pytest.raises(ValueError):
+            PlanCache(max_bytes=0)
 
-    def test_service_wires_cache_budgets(self, spec, dataset, training):
-        service = make_service(spec, cache_size=2)
-        assert service.cache.maxsize == 2
-        first = service.optimize(dataset, training, fixed_iterations=50)
-        service.optimize(dataset, training, fixed_iterations=60)
-        service.optimize(dataset, training, fixed_iterations=70)
-        stats = service.cache.stats()
-        assert (stats.size, stats.evictions) == (2, 1)
-        assert "2/2 entries" in stats.summary()
-        # The least recently used entry went; the newer ones still hit.
-        assert service.optimize(dataset, training,
-                                fixed_iterations=70).cache_hit
-        again = service.optimize(dataset, training, fixed_iterations=50)
-        assert not again.cache_hit
-        assert str(again.chosen_plan) == str(first.chosen_plan)
-        assert service.metrics.value("service.computed") == 4
-
-
-class TestCacheKeys:
-    def test_drifted_dataset_is_a_new_key_not_a_stale_hit(
-        self, spec, dataset, training
-    ):
-        """Data that grows changes its fingerprint, so the plan cache
-        needs no time-to-live to stop serving the old decision."""
-        service = make_service(spec)
-        service.optimize(dataset, training, fixed_iterations=50)
-        assert service.optimize(dataset, training,
-                                fixed_iterations=50).cache_hit
-        grown = make_dataset(n_phys=2000, sim_n=4000, d=20, task="logreg",
-                             spec=spec, seed=3)
-        assert not service.optimize(grown, training,
-                                    fixed_iterations=50).cache_hit
-        assert service.metrics.value("service.computed") == 2
-
-
-class TestRemovedKnobs:
-    """Bounds and thresholds no caller but a test ever set are gone; an
-    old caller passing one fails loudly instead of being ignored."""
-
-    @pytest.mark.parametrize("build, argument", [
-        pytest.param(PlanCache, "max_bytes", id="PlanCache-max_bytes"),
-        pytest.param(PlanCache, "clock", id="PlanCache-clock"),
-        pytest.param(lambda **kw: PlanCache().put("k", "v", **kw), "nbytes",
-                     id="PlanCache.put-nbytes"),
-        pytest.param(OptimizerService, "cache_ttl_s",
-                     id="OptimizerService-cache_ttl_s"),
-        pytest.param(OptimizerService, "cache_max_bytes",
-                     id="OptimizerService-cache_max_bytes"),
-        pytest.param(OptimizerService, "store_ttl_s",
-                     id="OptimizerService-store_ttl_s"),
-        pytest.param(CalibrationStore, "max_clusters",
-                     id="CalibrationStore-max_clusters"),
-        pytest.param(CalibrationStore, "min_workload_observations",
-                     id="CalibrationStore-min_workload_observations"),
-        pytest.param(CalibrationStore.open, "max_clusters",
-                     id="CalibrationStore.open-max_clusters"),
-        pytest.param(lambda **kw: CalibrationStore.from_dict({}, **kw),
-                     "min_workload_observations",
-                     id="CalibrationStore.from_dict-min_workload_observations"),
-    ])
-    def test_is_a_type_error_not_ignored(self, build, argument):
-        with pytest.raises(TypeError):
-            build(**{argument: 1})
+    def test_service_wires_cache_budgets(self, spec):
+        service = make_service(
+            spec, cache_ttl_s=5.0, cache_max_bytes=1 << 20
+        )
+        assert service.cache.ttl_s == 5.0
+        assert service.cache.max_bytes == 1 << 20
+        assert "ttl" in service.cache.stats().summary()
