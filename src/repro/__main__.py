@@ -92,10 +92,6 @@ from repro.service.checkpoint import JobLeaseError
 # service front-end; re-exported here because the CLI is its historical
 # home (tests and user code import it from repro.__main__).
 from repro.service.frontend import (  # noqa: F401  (re-exports)
-    _ALL_KEYS,
-    _FLOAT_KEYS,
-    _INT_KEYS,
-    _STR_KEYS,
     Dispatcher,
     SocketFrontend,
     iter_request_lines,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.sampling import FullScanSampler, make_sampler
+from repro.cluster.sampling import make_sampler
 from repro.core.context import Context
 from repro.core.cost_model import (
     compute_cpu_per_unit,
@@ -35,6 +35,7 @@ from repro.core.result import TrainResult
 from repro.errors import PlanError
 from repro.gd import registry as gd_registry
 from repro.gd.base import Updater
+from repro.gd.gradients import take_rows
 from repro.gd.state import (
     OptimizerState,
     capture_rng,
@@ -105,6 +106,9 @@ class PlanExecutor:
         )
         self._iteration_offset = offset
         d = dataset.stats.d
+        #: ``X[rows]`` for a custom bundle, flat CSR rows for ours.
+        self._take = take_rows if operators is None \
+            else (lambda X, rows: X[rows])
         if operators is None:
             # The reference bundle, driving the step kernel of the
             # algorithm's registered spec.
@@ -360,7 +364,7 @@ class PlanExecutor:
         """
         engine, spec, plan = self.engine, self.engine.spec, self.plan
         draw = sampler.draw()
-        Xb, yb = X_full[draw.indices], y_full[draw.indices]
+        Xb, yb = self._take(X_full, draw.indices), y_full[draw.indices]
         local_parallelism = spec.slots_per_node if distributed else 1
 
         if plan.transform_mode == "lazy":

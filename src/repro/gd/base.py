@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import PlanError
 from repro.gd.convergence import make_convergence
+from repro.gd.gradients import take_rows
 from repro.gd.state import (
     OptimizerState,
     capture_rng,
@@ -221,9 +222,9 @@ def make_minibatch_selector(n, batch_size):
     A batch covering all ``n`` rows is :func:`full_batch_selector`:
     drawing n of n without replacement is the whole set, so there is no
     permutation to draw (no RNG consumed) and no rows to gather.  A
-    single row is a slice, not an index array: ``X[j:j + 1]`` is a view
-    (dense) or a row slice (CSR) where ``X[[j]]`` is a fancy-index
-    gather.
+    single row is a slice, not an index array: for dense ``X``,
+    ``X[j:j + 1]`` is a view where ``X[[j]]`` is a fancy-index gather
+    (CSR rows go through :func:`~repro.gd.gradients.take_rows`).
     """
     if batch_size < 1:
         raise PlanError("batch size must be >= 1")
@@ -336,7 +337,7 @@ def run_loop(
             Xb, yb = X, y
         else:
             batch = batch_selector(gi, rng)
-            Xb, yb = X[batch], y[batch]
+            Xb, yb = take_rows(X, batch), y[batch]
         grads = [gradient.gradient(p, Xb, yb) for p in updater.points(w, gi)]
         w_new = updater.apply(w, step.step(i), grads, gi)
         delta = criterion.delta(w, w_new)

@@ -19,10 +19,46 @@ optional L2 regularizer can wrap any task gradient.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse as sp
 from scipy.special import expit
 
 from repro.errors import PlanError
+
+
+class CsrRows:
+    """Rows of a CSR matrix as flat ``(data, cols, row_ids)`` arrays.
+
+    Stands in for scipy's ``X[rows]`` where the gradients read a batch
+    (``.shape``, ``@ w``, ``.T @ coef``) without building it.  A product
+    is one ``np.bincount`` over the entries in stored order, the order
+    scipy's ``csr_matvec``/``csc_matvec`` sum in, so it is bit-identical.
+    """
+
+    def __init__(self, data, cols, row_ids, shape):
+        self.data, self.cols, self.row_ids, self.shape = \
+            data, cols, row_ids, shape
+
+    @property
+    def T(self):
+        return CsrRows(self.data, self.row_ids, self.cols, self.shape[::-1])
+
+    def __matmul__(self, w):
+        return np.asarray(np.bincount(  # an empty batch counts ints
+            self.row_ids, self.data * w[self.cols], self.shape[0]), float)
+
+
+def take_rows(X, rows):
+    """``X[rows]``; a :class:`CsrRows` when ``X`` is CSR."""
+    if getattr(X, "format", None) != "csr":
+        return X[rows]
+    if isinstance(rows, slice):
+        rows = np.arange(*rows.indices(X.shape[0]))
+    starts = X.indptr[rows]
+    lengths = X.indptr[rows + 1] - starts
+    row_ids = np.repeat(np.arange(len(rows)), lengths)
+    at = np.arange(len(row_ids)) + np.repeat(
+        starts - np.cumsum(lengths) + lengths, lengths)
+    return CsrRows(X.data[at], X.indices[at], row_ids,
+                   (len(rows), X.shape[1]))
 
 
 def _margins(w, X):

@@ -22,9 +22,7 @@ from repro.lang import ast
 from repro.lang.lexer import (
     DURATION,
     EOF,
-    KEYWORD,
     NUMBER,
-    SYMBOL,
     WORD,
     parse_duration,
     tokenize,

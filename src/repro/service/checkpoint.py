@@ -22,7 +22,7 @@ Two store-level mechanisms make jobs safe to share:
   :class:`JobLeaseError` instead of silently duplicating work.  Leases
   expire (``lease_ttl_s``) so a crashed owner's job becomes resumable
   without manual cleanup; every checkpoint write refreshes the writer's
-  lease.
+  lease, and a job's final one ends it.
 * **Versioned entries.**  Every checkpoint carries
   :data:`CHECKPOINT_FORMAT`; an unreadable or future-format entry is
   reported and treated as absent (the job restarts cold) -- never
@@ -31,20 +31,20 @@ Two store-level mechanisms make jobs safe to share:
 The service layer (:meth:`OptimizerService.train` with ``job_id=``)
 drives this store; nothing here knows about datasets or engines.
 
-**Write cost.**  A durability point costs one encode and one commit.
-The trainer exports the optimizer state once per snapshot, ``to_dict``
-assembles the payload from those already-plain lists and dicts without
-copying them, and the backend walks it exactly once, in
-``json.dumps``; on SQLite the text then goes to one row in one
+**Write cost.**  A durability point costs one encode and one commit,
+and a lease one commit more, its acquire: the final checkpoint ends
+the lease itself.  The trainer exports the optimizer state once per
+snapshot, ``to_dict`` assembles the payload from those already-plain
+lists and dicts without copying them, and the backend walks it once,
+in ``json.dumps``; on SQLite the text goes to one row in one
 ``BEGIN IMMEDIATE`` transaction on the store's persistent WAL
-connection -- one fsync, after which :meth:`CheckpointStore.save`
-returns.  What still grows is the payload: it carries the job's whole
-accumulated trajectory (the execution trace gains a delta per
-iteration), and the JSON backend additionally rewrites its whole file
-per write.  For long runs, pick a cadence proportional to the work you
-can afford to replay (``checkpoint_every`` is iterations *between*
-durability points, not a free knob) and prefer the SQLite backend,
-whose writes are per-entry.
+connection -- one fsync.  What still grows is the payload: it carries
+the job's whole trajectory (the execution trace gains a delta per
+iteration), and the JSON backend rewrites its whole file per write.
+For long runs, pick a cadence proportional to the work you can afford
+to replay (``checkpoint_every`` is iterations *between* durability
+points, not a free knob) and prefer the SQLite backend, whose writes
+are per-entry.
 """
 
 from __future__ import annotations
@@ -345,8 +345,12 @@ class CheckpointStore:
         self.backend.update(job_id, take)
         return box["existing"]
 
-    def save(self, checkpoint, owner=None) -> None:
+    def save(self, checkpoint, owner=None) -> bool:
         """Persist one checkpoint (and refresh ``owner``'s lease).
+
+        A final (``done``/``preempted``) checkpoint ends the lease in
+        the same commit: it is stored with ``lease: null``, the bytes
+        :meth:`release` would leave, and ``save`` returns True.
 
         Raises :class:`JobLeaseError` when another owner has taken the
         job in the meantime (this writer's lease expired): a zombie
@@ -357,6 +361,7 @@ class CheckpointStore:
         """
         now = self._clock()
         checkpoint.written_at = now
+        final = checkpoint.status in ("done", "preempted")
 
         def write(payload):
             current = self._decode(checkpoint.job_id, payload, warn=False)
@@ -368,7 +373,7 @@ class CheckpointStore:
                 )
             checkpoint.lease = (
                 {"owner": owner, "expires_at": now + self.lease_ttl_s}
-                if owner is not None else None
+                if owner is not None and not final else None
             )
             return checkpoint.to_dict()
 
@@ -377,8 +382,10 @@ class CheckpointStore:
             job_id=checkpoint.job_id,
             status=checkpoint.status,
             done_iterations=int(checkpoint.done_iterations or 0),
+            released=final,
         ):
             self.backend.update(checkpoint.job_id, write)
+        return final
 
     def release(self, job_id, owner) -> None:
         """Drop ``owner``'s lease (other owners' leases are untouched)."""

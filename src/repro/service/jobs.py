@@ -259,6 +259,7 @@ class TrainingJobs:
         # the backend (flock / BEGIN IMMEDIATE), raising JobLeaseError
         # when a sibling process actively holds the job.
         checkpoint = self.checkpoints.acquire(job_id, owner)
+        lease_ended = False
         try:
             if checkpoint is not None and checkpoint.fingerprint \
                     and checkpoint.fingerprint != key:
@@ -396,10 +397,12 @@ class TrainingJobs:
             def persist(snapshot):
                 # NOT best-effort: a job that cannot checkpoint has lost
                 # its durability guarantee, so store errors propagate
-                # (they also release the lease in the finally below).
+                # (the finally below releases the lease unless a final
+                # save already ended it).
+                nonlocal lease_ended
                 lease_record["end_iteration"] = int(snapshot.done_iterations)
                 lease_record["status"] = snapshot.status
-                self.checkpoints.save(JobCheckpoint(
+                lease_ended = self.checkpoints.save(JobCheckpoint(
                     job_id=job_id,
                     status=snapshot.status,
                     fingerprint=key,
@@ -427,7 +430,8 @@ class TrainingJobs:
                 on_checkpoint=persist,
             )
         finally:
-            self.checkpoints.release(job_id, owner)
+            if not lease_ended:
+                self.checkpoints.release(job_id, owner)
 
         self.metrics.inc("service.trained")
         if adaptive_result.preempted:

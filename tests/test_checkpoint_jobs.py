@@ -17,9 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
-from repro.cluster import ClusterSpec
-from repro.core.plans import TrainingSpec
+from repro.cluster import ClusterSpec, SimulatedCluster
+from repro.core import executor as executor_module
+from repro.core.executor import execute_plan
+from repro.core.plans import GDPlan, TrainingSpec
+from repro.core.reference_ops import GradientCompute, default_operators
+from repro.gd.gradients import CsrRows, take_rows
 from repro.runtime import JobBudget
 from repro.service import (
     CheckpointError,
@@ -760,6 +765,151 @@ class TestNewProcessResume:
         np.testing.assert_array_equal(
             np.asarray(baseline.trace.all_deltas), np.load(deltas_out)
         )
+
+
+CRASH_AFTER_FINAL_SAVE = """
+import os
+import sys
+
+from repro.cluster import ClusterSpec
+from repro.core.plans import TrainingSpec
+from repro.service import CheckpointStore, OptimizerService
+
+from support import make_dataset
+
+real_save = CheckpointStore.save
+
+
+def save(self, checkpoint, owner=None):
+    ended = real_save(self, checkpoint, owner=owner)
+    if checkpoint.status in ("done", "preempted"):
+        os._exit(17)  # the process dies: nothing after the save runs
+    return ended
+
+
+CheckpointStore.save = save
+spec = ClusterSpec(jitter_sigma=0.0)
+dataset = make_dataset(n_phys=600, d=8, task="logreg", spec=spec, seed=4)
+training = TrainingSpec(task="logreg", step_size=1.0, tolerance=1e-12,
+                        max_iter=60, seed=3)
+service = OptimizerService(spec=spec, seed=5, checkpoint_path=sys.argv[1])
+service.train(dataset, training, fixed_iterations=60, algorithms=("mgd",),
+              job_id="crash", checkpoint_every=10)
+"""
+
+
+class TestCrashAfterFinalSave:
+    @pytest.mark.parametrize("name", ["jobs.json", "jobs.db"])
+    def test_immediate_resubmission_returns_the_stored_outcome(
+        self, spec, dataset, training, tmp_path, name
+    ):
+        """A process that dies right after writing a job's final
+        checkpoint leaves no lease behind: the final save ended it, so
+        re-submitting at once returns the outcome instead of waiting
+        out ``lease_ttl_s`` behind a JobLeaseError."""
+        path = str(tmp_path / name)
+        env = {
+            "PYTHONPATH": f"{REPO_ROOT / 'src'}:{REPO_ROOT / 'tests'}",
+            "PATH": "/usr/bin:/bin",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", CRASH_AFTER_FINAL_SAVE, path],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 17, proc.stderr
+        stored = CheckpointStore(path=path).load("crash")
+        assert stored.status == "done"
+        assert stored.lease is None
+
+        again = run_job(spec, dataset, training, path, "crash")
+        assert again.job.already_done
+        baseline = run_job(
+            spec, dataset, training, str(tmp_path / ("b-" + name)), "u"
+        )
+        assert np.array_equal(baseline.weights, again.weights)
+
+
+# ---------------------------------------------------------------------------
+# sparse jobs: the row gather changes no stored float
+# ---------------------------------------------------------------------------
+def scipy_rows(X, rows):
+    return X[rows]
+
+
+class TestSparseRowGather:
+    @pytest.fixture
+    def sparse_dataset(self, spec):
+        return make_dataset(n_phys=600, d=12, task="logreg", spec=spec,
+                            seed=4, sparse=True, density=0.5)
+
+    @staticmethod
+    def preempt_and_resume(spec, dataset, training, path, algorithm):
+        kwargs = {"fixed_iterations": 60, "algorithms": (algorithm,),
+                  "batch_sizes": {"mgd": 64}, "job_id": "sparse",
+                  "checkpoint_every": 10}
+        first = make_service(spec, checkpoint_path=path).train(
+            dataset, training, budget=JobBudget(max_iterations=23), **kwargs
+        )
+        assert first.job.preempted
+        second = make_service(spec, checkpoint_path=path).train(
+            dataset, training, **kwargs
+        )
+        assert second.job.resumed and second.job.status == "done"
+        return first, second
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "mgd", "svrg"])
+    def test_preempted_and_resumed_jobs_equal_scipy_indexing(
+        self, algorithm, spec, sparse_dataset, training, tmp_path,
+        monkeypatch,
+    ):
+        gathered = []
+
+        def counting(X, rows):
+            out = take_rows(X, rows)
+            gathered.append(type(out))
+            return out
+
+        monkeypatch.setattr(executor_module, "take_rows", counting)
+        ours = self.preempt_and_resume(
+            spec, sparse_dataset, training, str(tmp_path / "a.db"), algorithm
+        )
+        assert gathered and set(gathered) == {CsrRows}
+        monkeypatch.setattr(executor_module, "take_rows", scipy_rows)
+        theirs = self.preempt_and_resume(
+            spec, sparse_dataset, training, str(tmp_path / "b.db"), algorithm
+        )
+        for mine, reference in zip(ours, theirs):
+            assert mine.weights.tobytes() == reference.weights.tobytes()
+            assert mine.trace.all_deltas == reference.trace.all_deltas
+            assert mine.result.state.to_dict() \
+                == reference.result.state.to_dict()
+        stored = [CheckpointStore(path=str(tmp_path / f"{side}.db"))
+                  .load("sparse") for side in "ab"]
+        assert stored[0].weights == stored[1].weights
+        assert stored[0].state == stored[1].state
+
+    def test_custom_compute_still_receives_a_scipy_csr(
+        self, spec, sparse_dataset, training
+    ):
+        seen = []
+
+        class RecordingCompute(GradientCompute):
+            def compute(self, X, y, context):
+                seen.append(X)
+                return super().compute(X, y, context)
+
+        operators = default_operators(
+            d=12, gradient=training.gradient(), batch_size=1,
+            max_iter=training.max_iter, tolerance=training.tolerance,
+        )
+        operators.compute = RecordingCompute(training.gradient())
+        for mode in ("lazy", "eager"):
+            execute_plan(
+                SimulatedCluster(spec, seed=5), sparse_dataset,
+                GDPlan("sgd", mode, "shuffle"), training, operators,
+            )
+        assert seen
+        assert all(isinstance(X, sp.csr_matrix) for X in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@ point, the same bytes as before.
 
 * golden payloads: seeded durable jobs store, write for write, the JSON
   text pinned in ``golden/checkpoint_payloads.json`` (clock- and
-  identity-dependent values masked);
+  identity-dependent values masked), less each lease's final leased
+  row: the pinning commit saved a lease's final checkpoint leased and
+  then released it in a second write, whose row the final save now
+  writes itself;
 * cost: no ``dataclasses.asdict`` anywhere near a checkpoint, one
   ``json.dumps`` per ``save()``, an exact transaction count per job, and
   no write at all for an ``update`` that changes nothing;
@@ -185,15 +188,19 @@ def run_case(name, backend, job_id="job", leases=None, checkpoint_every=25):
     return result
 
 
-def record_case(name, directory) -> dict:
-    """Every row text the case stored, in order, and its final trace."""
+def record_case(name, directory, lease_ends=None) -> dict:
+    """Every row text the case stored, in order, and its final trace;
+    ``lease_ends``, a list, gains the index of each row with no lease
+    (the row that ended a lease)."""
     recorder = RowRecorder(pathlib.Path(directory) / f"{name}.db")
     try:
         result = run_case(name, recorder)
     finally:
         recorder.close()
-    for text in recorder.rows:
+    for index, text in enumerate(recorder.rows):
         assert json.dumps(json.loads(text)) == text, name
+        if lease_ends is not None and json.loads(text)["lease"] is None:
+            lease_ends.append(index)
     rows = [masked_text(text) for text in recorder.rows]
     return {
         "plan": str(result.result.plan),
@@ -213,6 +220,19 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+def without_final_leased_rows(parent_writes, lease_ends) -> list:
+    """The pinned writes as this code makes them.  The commit that
+    pinned them wrote each lease's final checkpoint leased and then a
+    release row with the lease set to null; the final save now writes
+    that release row itself.  ``lease_ends`` are the indices of the
+    rows that end a lease in the new sequence, so deleting the row at
+    each of them, in order, drops exactly the final leased rows."""
+    writes = list(parent_writes)
+    for end in lease_ends:
+        del writes[end]
+    return writes
+
+
 class TestGoldenPayloads:
     def test_cases_cover_what_they_claim(self, golden):
         for name in ("sgd", "mgd"):
@@ -230,11 +250,16 @@ class TestGoldenPayloads:
     def test_stored_text_matches_the_parent_commit(
         self, name, golden, tmp_path
     ):
-        recorded, pinned = record_case(name, tmp_path), golden[name]
+        lease_ends = []
+        recorded = record_case(name, tmp_path, lease_ends)
+        pinned = golden[name]
+        leases = len(CASES[name][2])
+        assert len(lease_ends) == leases
+        assert len(pinned["writes"]) == len(recorded["writes"]) + leases
+        expected = without_final_leased_rows(pinned["writes"], lease_ends)
         assert recorded["plan"] == pinned["plan"]
-        assert len(recorded["writes"]) == len(pinned["writes"])
         for index, (ours, theirs) in enumerate(
-            zip(recorded["writes"], pinned["writes"])
+            zip(recorded["writes"], expected)
         ):
             assert ours == theirs, f"{name}: stored row #{index} differs"
         assert recorded["last_checkpoint"] == pinned["last_checkpoint"]
@@ -318,10 +343,10 @@ class TestWriteCost:
         statements = sqlite_statements(backend)
         result = run_case("bgd", backend)
         assert result.job.status == "done"
-        # acquire, saves at 25 / 50 / done(60), release.
-        assert count(statements, "BEGIN IMMEDIATE") == 5
-        assert count(statements, "COMMIT") == 5
-        assert count(statements, "INSERT INTO plan_store") == 5
+        # acquire, saves at 25 / 50 / done(60); the last ends the lease.
+        assert count(statements, "BEGIN IMMEDIATE") == 4
+        assert count(statements, "COMMIT") == 4
+        assert count(statements, "INSERT INTO plan_store") == 4
         assert count(statements, "ROLLBACK") == 0
         assert count(statements, "DELETE") == 0
 
@@ -453,9 +478,9 @@ class TestAliasing:
         run_case("bgd", backend)
         ends = [entry["history"][-1]["end_iteration"]
                 for entry in seen if entry["history"]]
-        assert ends == [25, 50, 60, 60]
+        assert ends == [25, 50, 60]
         assert [e["history"][-1]["status"] for e in seen if e["history"]] \
-            == ["running", "running", "done", "done"]
+            == ["running", "running", "done"]
 
     def test_memory_backend_rejects_what_json_cannot_carry(self):
         backend = MemoryBackend()

@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 from scipy import sparse as sp
 
 from repro.errors import PlanError
+from repro.gd import base as gd_base
+from repro.gd import registry as gd_registry
 from repro.gd.gradients import (
+    CsrRows,
     HingeGradient,
     L2Regularized,
     LinearRegressionGradient,
     LogisticGradient,
     named_gradient,
+    take_rows,
     task_gradient,
 )
 
@@ -229,3 +233,99 @@ class TestGradientLinearity:
             axis=0,
         )
         np.testing.assert_allclose(g.gradient(w, X, y), per_point, atol=1e-9)
+
+
+@st.composite
+def csr_batches(draw):
+    """A CSR matrix built from raw arrays -- column indices in any
+    order, explicit zeros, empty rows -- plus a batch of 1..n row ids
+    (duplicates allowed), labels and a weight vector."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    d = draw(st.integers(min_value=1, max_value=8))
+    values = st.just(0.0) | st.floats(min_value=-4.0, max_value=4.0)
+    data, indices, indptr = [], [], [0]
+    for _ in range(n):
+        cols = draw(st.permutations(range(d)))
+        cols = cols[:draw(st.integers(min_value=0, max_value=d))]
+        indices += cols
+        data += [draw(values) for _ in cols]
+        indptr.append(len(indices))
+    X = sp.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32),
+         np.array(indptr, dtype=np.int32)), shape=(n, d),
+    )
+    size = draw(st.integers(min_value=1, max_value=n))
+    rows = np.array(draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                  min_size=size, max_size=size)))
+    labels = st.sampled_from([-1.0, 1.0])
+    y = np.array(draw(st.lists(labels, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                               min_size=d, max_size=d)))
+    return X, rows, y, w
+
+
+GRADIENTS = (LogisticGradient(), HingeGradient(), LinearRegressionGradient(),
+             L2Regularized(LogisticGradient(), 0.1),
+             L2Regularized(HingeGradient(), 0.5))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a).ravel(), np.asarray(b).ravel()
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCsrRows:
+    """The row gather gives the bits scipy's ``X[rows]`` gives, for
+    every product the gradients take."""
+
+    @given(batch=csr_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_products_and_gradients_match_scipy_bit_for_bit(self, batch):
+        X, rows, y, w = batch
+        scipy_rows, gathered = X[rows], take_rows(X, rows)
+        assert isinstance(gathered, CsrRows)
+        assert gathered.shape == scipy_rows.shape
+        assert gathered.T.shape == scipy_rows.T.shape
+        assert same_bits(gathered @ w, scipy_rows @ w)
+        coef = np.linspace(-2.0, 3.0, len(rows))
+        assert same_bits(gathered.T @ coef, scipy_rows.T @ coef)
+        for gradient in GRADIENTS:
+            assert same_bits(gradient.gradient(w, gathered, y[rows]),
+                             gradient.gradient(w, scipy_rows, y[rows]))
+
+    @given(batch=csr_batches())
+    @settings(max_examples=50, deadline=None)
+    def test_row_slices_match_scipy_bit_for_bit(self, batch):
+        X, rows, y, w = batch
+        j = int(rows[0])
+        for batch_rows in (slice(j, j + 1), slice(None)):
+            for gradient in GRADIENTS:
+                assert same_bits(
+                    gradient.gradient(w, take_rows(X, batch_rows),
+                                      y[batch_rows]),
+                    gradient.gradient(w, X[batch_rows], y[batch_rows]),
+                )
+
+    def test_dense_rows_are_plain_indexing(self):
+        X, _ = _data(n=10, d=3)
+        rows = np.array([4, 1, 4])
+        np.testing.assert_array_equal(take_rows(X, rows), X[rows])
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "mgd", "svrg"])
+    def test_trial_loop_equals_scipy_indexing(self, algorithm, monkeypatch):
+        X, y = _data(n=80, d=10, seed=5)
+        X[np.abs(X) < 0.9] = 0.0
+        X = sp.csr_matrix(X)
+
+        def run():
+            return gd_registry.run(
+                algorithm, X, y, LogisticGradient(), batch_size=8,
+                max_iter=120, tolerance=0.0, rng=np.random.default_rng(2),
+            )
+
+        ours = run()
+        monkeypatch.setattr(gd_base, "take_rows", lambda X, rows: X[rows])
+        theirs = run()
+        assert ours.weights.tobytes() == theirs.weights.tobytes()
+        assert ours.deltas.tobytes() == theirs.deltas.tobytes()
+        assert ours.state.to_dict() == theirs.state.to_dict()

@@ -365,11 +365,16 @@ class TestDispatcherTracing:
         trace = dispatcher.handle_line(f"trace {response['trace_id']}")
         spans = trace["spans"]
         names = span_names(spans)
-        # one trace_id across admission-to-checkpoint, per ISSUE 7
+        # one trace_id across admission-to-checkpoint
         assert {"request", "speculation", "plan_choice", "plan_segment",
-                "checkpoint_write", "lease_acquire",
-                "lease_release"} <= names
+                "checkpoint_write", "lease_acquire"} <= names
         assert {s["trace_id"] for s in spans} == {response["trace_id"]}
+        # the final checkpoint write ends the lease: no separate release
+        writes = [s for s in spans if s["name"] == "checkpoint_write"]
+        assert writes[-1]["attributes"]["status"] == "done"
+        assert writes[-1]["attributes"]["released"] is True
+        assert not any(s["attributes"]["released"] for s in writes[:-1])
+        assert "lease_release" not in names
         # every AdaptiveTrainer segment is in the tree
         segments = [s for s in spans if s["name"] == "plan_segment"]
         assert all(
