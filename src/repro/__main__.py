@@ -235,6 +235,17 @@ def _service_parser(prog, description):
     return parser
 
 
+def _refuse_nonpositive(args, name) -> bool:
+    """Print an ``error:`` line and return True when the numeric flag
+    ``name`` (an argparse dest) is set to zero or less."""
+    value = getattr(args, name)
+    if value is None or value > 0:
+        return False
+    print(f"error: --{name.replace('_', '-')} must be positive, "
+          f"got {value:g}", file=sys.stderr)
+    return True
+
+
 def _configure_obs(args):
     """Install the structured-logging setup from shared CLI flags."""
     from repro.obs import configure_logging
@@ -274,6 +285,8 @@ def batch_main(argv) -> int:
                         help="serve the request list N times (default 1; "
                              ">1 demonstrates the warm plan cache)")
     args = parser.parse_args(argv)
+    if _refuse_nonpositive(args, "cache_size"):
+        return 2
 
     _configure_obs(args)
     try:
@@ -409,6 +422,8 @@ def serve_main(argv) -> int:
                         help="log a WARNING (and count obs.slow_requests) "
                              "for any request slower than SECONDS")
     args = parser.parse_args(argv)
+    if _refuse_nonpositive(args, "cache_size"):
+        return 2
 
     _configure_obs(args)
     from repro.obs import TraceRecorder, get_logger
@@ -626,6 +641,13 @@ def cache_main(argv) -> int:
                         help="with --compact: also drop checkpoints of "
                              "finished jobs")
     args = parser.parse_args(argv)
+    if not args.compact and (args.ttl is not None or args.drop_done_jobs):
+        print("error: --ttl and --drop-done-jobs need --compact",
+              file=sys.stderr)
+        return 2
+    # A non-positive TTL would age out every plan entry.
+    if _refuse_nonpositive(args, "ttl"):
+        return 2
 
     if not args.path.startswith("tcp://") and not os.path.exists(args.path):
         print(f"error: no store at {args.path!r}", file=sys.stderr)
@@ -772,6 +794,9 @@ def worker_main(argv) -> int:
         log_level=dict(help=None), log_json=dict(help=None),
     )
     args = parser.parse_args(argv)
+    # A lease written already expired is stealable while its job runs.
+    if _refuse_nonpositive(args, "lease_ttl"):
+        return 2
 
     _configure_obs(args)
     from repro.obs import TraceRecorder

@@ -35,7 +35,7 @@ from repro.service.backends import (
     SqliteBackend,
     open_backend,
 )
-from repro.service.cache import CacheStats, PlanCache, approx_nbytes
+from repro.service.cache import CacheStats, PlanCache
 from repro.service.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointError,
@@ -114,7 +114,6 @@ __all__ = [
     "StoreServer",
     "TrainServiceResult",
     "WireRequest",
-    "approx_nbytes",
     "audit_lease_history",
     "compact_store",
     "entry_from_dict",

@@ -116,11 +116,10 @@ class OptimizerService(TrainingJobs):
     calibration update racing a computation leaves the entry stale.
 
     **Eviction.**  The in-memory :class:`~repro.service.cache.PlanCache`
-    composes LRU entry-count (``cache_size``), byte-budget
-    (``cache_max_bytes``) and TTL (``cache_ttl_s``) eviction; eviction
-    only affects the in-memory tier -- entries in a persistent backend
-    (``cache_path`` / ``cache_backend``) outlive it and reload on the
-    next construction.
+    keeps the ``cache_size`` most recently used entries; eviction only
+    affects the in-memory tier -- entries in a persistent backend
+    (``cache_path`` / ``cache_backend``) outlive it and are read through
+    on the next miss (``repro cache --compact --ttl`` ages them out).
 
     **Calibration factors.**  The shared store learns multiplicative
     cost/iteration corrections from adaptive :meth:`train` traces, keyed
@@ -143,15 +142,12 @@ class OptimizerService(TrainingJobs):
         algorithms=CORE_ALGORITHMS,
         batch_sizes=None,
         cache_size=256,
-        cache_ttl_s=None,
-        cache_max_bytes=None,
         calibration=None,
         calibration_path=None,
         adaptive_settings=None,
         cost_model=None,
         cache_path=None,
         cache_backend=None,
-        store_ttl_s=None,
         checkpoint_path=None,
         checkpoint_store=None,
         lease_ttl_s=300.0,
@@ -162,9 +158,7 @@ class OptimizerService(TrainingJobs):
         self.speculation = speculation or SpeculationSettings()
         self.algorithms = tuple(algorithms)
         self.batch_sizes = dict(batch_sizes or {})
-        self.cache = PlanCache(
-            cache_size, max_bytes=cache_max_bytes, ttl_s=cache_ttl_s
-        )
+        self.cache = PlanCache(cache_size)
         #: Operational counters/gauges/histograms for every service
         #: layer (:class:`~repro.service.metrics.MetricsRegistry`); pass
         #: one in to share a registry with a front-end.
@@ -198,11 +192,6 @@ class OptimizerService(TrainingJobs):
             cache_backend if cache_backend is not None
             else open_backend(cache_path) if cache_path else None
         )
-        #: Disk-tier TTL (seconds): persisted plan entries older than
-        #: this age out on warm-load and on read-through -- they are
-        #: deleted from the backend, not just skipped (the in-memory
-        #: PlanCache always expired; the disk tier used to live forever).
-        self.store_ttl_s = store_ttl_s
         #: Durable training-job checkpoints
         #: (:class:`~repro.service.checkpoint.CheckpointStore`); None
         #: disables the job API.  ``checkpoint_path`` is the convenience
@@ -241,7 +230,8 @@ class OptimizerService(TrainingJobs):
         loaded = 0
         for key, payload in self.backend.load().items():
             try:
-                loaded += self._restore(key, payload) is not None
+                self._restore(key, payload)
+                loaded += 1
             except PlanStoreError as exc:
                 warnings.warn(
                     f"skipping persisted plan {key[:12]}...: {exc}",
@@ -251,36 +241,11 @@ class OptimizerService(TrainingJobs):
 
     def _restore(self, key, payload):
         """Decode one persisted entry into the in-memory cache and
-        return it -- or, past ``store_ttl_s``, delete it and return
-        None.  Raises PlanStoreError for an incompatible payload."""
-        report, version, digest, written_at = entry_from_dict(payload)
-        if self._store_expired(written_at):
-            self._expire_persisted(key)
-            return None
+        return it.  Raises PlanStoreError for an incompatible payload."""
+        report, version, digest, _ = entry_from_dict(payload)
         entry = _CachedPlan(report, version, digest)
         self.cache.put(key, entry)
         return entry
-
-    def _store_expired(self, written_at) -> bool:
-        """True when a persisted entry has outlived ``store_ttl_s``
-        (entries without a stamp -- written before it existed -- never
-        age out; they still recost on calibration drift)."""
-        return (
-            self.store_ttl_s is not None
-            and written_at is not None
-            and time.time() - written_at > self.store_ttl_s
-        )
-
-    def _expire_persisted(self, key) -> None:
-        """Age one entry out of the disk tier (best effort)."""
-        self.metrics.inc("service.expired_persisted")
-        try:
-            self.backend.delete(key)
-        except Exception as exc:
-            warnings.warn(
-                f"plan store delete failed ({exc}); "
-                "expired entry left behind", stacklevel=2,
-            )
 
     def _stamp_current(self, entry) -> bool:
         """True when the entry was priced against the correction state
@@ -294,7 +259,7 @@ class OptimizerService(TrainingJobs):
     def _read_through(self, key):
         """Fetch and promote an entry the in-memory cache does not hold.
 
-        An entry the cache evicted (size/TTL bounds) or never loaded
+        An entry the cache evicted (LRU bound) or never loaded
         still exists in the persistent store; serve it rather than
         re-speculating a workload that is sitting on disk."""
         try:
@@ -657,10 +622,7 @@ class OptimizerService(TrainingJobs):
         if self.backend is not None:
             text += (
                 f"; plan store: {self.backend.name}"
-                f" ({self.warm_loaded} warm-loaded"
-                + (f", {value('service.expired_persisted')} aged out"
-                   if value("service.expired_persisted") else "")
-                + ")"
+                f" ({self.warm_loaded} warm-loaded)"
             )
         resumed = value("service.jobs_resumed")
         jobs = value("service.jobs_started") + resumed

@@ -173,8 +173,8 @@ class TrainingJobs:
         The entry is re-persisted *verbatim* -- original calibration
         stamp, original ``written_at`` -- so a resume neither mislabels
         old pricing as freshly calibrated (the stamp staleness rule
-        must keep firing) nor rejuvenates an entry the disk-tier TTL
-        should age out.
+        must keep firing) nor rejuvenates an entry that
+        ``repro cache --compact --ttl`` should age out.
         """
         if plan_entry is None:
             return None
@@ -352,7 +352,7 @@ class TrainingJobs:
                 # Carry the checkpointed entry verbatim: its original
                 # calibration stamp must keep driving the staleness
                 # rule, and its original written_at must keep driving
-                # disk-tier aging.  Only freshly optimized reports get
+                # store compaction.  Only freshly optimized reports get
                 # a fresh stamp.
                 plan_entry = checkpoint.plan_entry
             else:

@@ -139,11 +139,10 @@ def entry_to_dict(report, calibration_version, calibration_digest,
     was priced under the correction factors it currently serves.  The
     version rides along for human inspection of the store file.
 
-    ``written_at`` (unix seconds, default: now) lets the disk tier age
-    entries out: the in-memory :class:`~repro.service.cache.PlanCache`
-    always had a TTL, but persisted entries used to live forever.  It is
-    an additive format-2 field -- entries written before it existed
-    decode with ``written_at=None`` and are treated as un-ageable.
+    ``written_at`` (unix seconds, default: now) is what
+    ``repro cache --compact --ttl`` ages entries out by.  It is an
+    additive format-2 field -- entries written before it existed decode
+    with ``written_at=None`` and are treated as un-ageable.
     """
     return {
         "entry_format": ENTRY_FORMAT,
@@ -228,7 +227,8 @@ def report_from_dict(payload) -> OptimizationReport:
 def entry_from_dict(payload) -> tuple:
     """Decode one entry; returns ``(report, calibration_version,
     calibration_digest, written_at)`` where ``written_at`` is None for
-    entries persisted before the stamp existed (they never age out).
+    entries persisted before the stamp existed (compaction never ages
+    them out).
 
     Raises :class:`PlanStoreError` on a format-version mismatch or any
     structural problem -- the caller skips the entry (cold compute),

@@ -470,13 +470,17 @@ class TestCLICache:
         assert "job checkpoints: 1 (format 1 x1)" in out
         assert "done: 1" in out
 
-    def test_inspect_plan_store(self, tmp_path, capsys):
+    def plan_store(self, tmp_path, capsys):
         plans = tmp_path / "plans.json"
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 fixed_iterations=50\n")
         assert main(["batch", str(path), "--workers", "1",
                      "--cache", str(plans)]) == 0
         capsys.readouterr()
+        return plans
+
+    def test_inspect_plan_store(self, tmp_path, capsys):
+        plans = self.plan_store(tmp_path, capsys)
         assert main(["cache", str(plans)]) == 0
         out = capsys.readouterr().out
         assert "plan entries: 1 (format 2 x1)" in out
@@ -526,6 +530,52 @@ class TestCLICache:
     def test_missing_store_reports_error(self, tmp_path, capsys):
         assert main(["cache", str(tmp_path / "nope.json")]) == 1
         assert "no store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ttl", ["0", "-5"])
+    def test_nonpositive_ttl_is_refused(self, tmp_path, capsys, ttl):
+        from repro.service import JsonFileBackend
+
+        plans = self.plan_store(tmp_path, capsys)
+        before = JsonFileBackend(str(plans)).load()
+        assert main(["cache", str(plans), "--compact", "--ttl", ttl]) == 2
+        assert "error: --ttl must be positive" in capsys.readouterr().err
+        assert JsonFileBackend(str(plans)).load() == before
+
+    @pytest.mark.parametrize("flags", [["--ttl", "1"], ["--drop-done-jobs"]],
+                             ids=["ttl", "drop-done-jobs"])
+    def test_aging_flags_need_compact(self, tmp_path, capsys, flags):
+        store = tmp_path / "jobs.json"
+        self.populate(store, capsys)
+        assert main(["cache", str(store), *flags]) == 2
+        captured = capsys.readouterr()
+        assert "error: --ttl and --drop-done-jobs need --compact" in \
+            captured.err
+        assert captured.out == ""
+
+
+class TestCLIBounds:
+    """A numeric flag that only makes sense positive is a usage error,
+    not a traceback or a silently broken run."""
+
+    @pytest.mark.parametrize("subcommand", [["batch", "-"], ["serve"]],
+                             ids=["batch", "serve"])
+    def test_nonpositive_cache_size_is_a_usage_error(self, capsys,
+                                                     subcommand):
+        assert main([*subcommand, "--cache-size", "0"]) == 2
+        assert "error: --cache-size must be positive" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("ttl", ["0", "-5"])
+    def test_nonpositive_lease_ttl_is_a_usage_error(self, tmp_path, capsys,
+                                                    ttl):
+        # Every lease would be written already expired, so a second
+        # worker could steal a job that is still running.
+        store = tmp_path / "jobs.json"
+        assert main(["worker", "--checkpoint", str(store), "--drain",
+                     "--lease-ttl", ttl]) == 2
+        assert "error: --lease-ttl must be positive" in \
+            capsys.readouterr().err
+        assert not store.exists()
 
 
 @pytest.mark.slow

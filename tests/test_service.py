@@ -68,6 +68,27 @@ class TestPlanCache:
         assert "c" in cache
         assert cache.stats().evictions == 1
 
+    def test_put_over_a_key_replaces_and_refreshes_it(self):
+        cache = PlanCache(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)      # no eviction; b is now least recent
+        cache.put("c", 3)
+        assert cache.get("a") == 10
+        assert "b" not in cache
+        assert cache.stats().evictions == 1
+
+    def test_peek_neither_counts_nor_refreshes(self):
+        cache = PlanCache(maxsize=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1
+        assert cache.peek("missing") is None
+        cache.put("c", 3)       # a stayed least recent
+        assert "a" not in cache
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 0)
+
     def test_stats_counters(self):
         cache = PlanCache(maxsize=4)
         cache.put("a", 1)

@@ -1,4 +1,4 @@
-"""Service-level adaptive runtime: train(), calibration, recost, TTL."""
+"""Service-level adaptive runtime: train(), calibration, recost."""
 
 import dataclasses
 
@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.plans import TrainingSpec
-from repro.runtime import CalibrationStore, PerturbedCostModel
-from repro.service import OptimizerService, PlanCache, approx_nbytes
+from repro.runtime import PerturbedCostModel
+from repro.service import OptimizerService
 
 from support import make_dataset
 
@@ -172,88 +172,18 @@ class TestCalibratedRecost:
         assert make_service(spec).save_calibration() is None
 
 
-class TestCacheEviction:
-    def test_ttl_expires_entries(self):
-        clock = [0.0]
-        cache = PlanCache(maxsize=8, ttl_s=10.0, clock=lambda: clock[0])
-        cache.put("a", "value")
-        assert cache.get("a") == "value"
-        clock[0] = 10.1
-        assert cache.get("a") is None
-        stats = cache.stats()
-        assert stats.expirations == 1
-        assert stats.size == 0
-
-    def test_ttl_bounds_staleness_for_drifting_stats(
+class TestCacheKeys:
+    def test_drifted_dataset_is_a_new_key_not_a_stale_hit(
         self, spec, dataset, training
     ):
-        """A workload whose DatasetStats drift keeps being re-requested
-        under the *old* handle; the TTL forces a recompute instead of
-        serving the stale plan forever."""
-        service = make_service(spec, cache_ttl_s=30.0)
-        clock = [0.0]
-        service.cache._clock = lambda: clock[0]
-
+        """Data that grows changes its fingerprint, so the plan cache
+        needs no time-to-live to stop serving the old decision."""
+        service = make_service(spec)
         service.optimize(dataset, training, fixed_iterations=50)
-        within = service.optimize(dataset, training, fixed_iterations=50)
-        assert within.cache_hit
-        clock[0] = 31.0
-        after = service.optimize(dataset, training, fixed_iterations=50)
-        assert not after.cache_hit
-        assert service.metrics.value("service.computed") == 2
-        # The drifted dataset itself fingerprints differently anyway --
-        # TTL covers callers still holding the old stats object.
+        assert service.optimize(dataset, training,
+                                fixed_iterations=50).cache_hit
         grown = make_dataset(n_phys=2000, sim_n=4000, d=20, task="logreg",
                              spec=spec, seed=3)
-        assert service.fingerprint(grown, training, 50) != \
-            service.fingerprint(dataset, training, 50)
-
-    def test_size_aware_eviction(self):
-        cache = PlanCache(maxsize=100, max_bytes=1000)
-        cache.put("a", "x", nbytes=400)
-        cache.put("b", "y", nbytes=400)
-        cache.get("a")  # refresh a; b is now LRU
-        cache.put("c", "z", nbytes=400)
-        assert "a" in cache
-        assert "b" not in cache
-        assert "c" in cache
-        stats = cache.stats()
-        assert stats.evictions == 1
-        assert stats.total_bytes == 800
-
-    def test_oversize_value_is_refused_not_cache_flushing(self):
-        cache = PlanCache(maxsize=100, max_bytes=1000)
-        cache.put("a", "x", nbytes=400)
-        cache.put("b", "y", nbytes=400)
-        cache.put("fat", "z", nbytes=5000)
-        # The warm entries survive; the oversize value is not cached.
-        assert "a" in cache
-        assert "b" in cache
-        assert "fat" not in cache
-        assert cache.stats().total_bytes == 800
-
-    def test_no_byte_budget_skips_sizing(self):
-        cache = PlanCache(maxsize=4)
-        cache.put("a", {"big": np.zeros(100_000)})
-        assert cache.stats().total_bytes == 0  # sizing walk skipped
-        assert cache.get("a") is not None
-
-    def test_approx_nbytes_sees_arrays(self):
-        small = approx_nbytes({"x": np.zeros(10)})
-        large = approx_nbytes({"x": np.zeros(10_000)})
-        assert large > small
-        assert large >= 80_000
-
-    def test_ttl_and_size_validate(self):
-        with pytest.raises(ValueError):
-            PlanCache(ttl_s=0)
-        with pytest.raises(ValueError):
-            PlanCache(max_bytes=0)
-
-    def test_service_wires_cache_budgets(self, spec):
-        service = make_service(
-            spec, cache_ttl_s=5.0, cache_max_bytes=1 << 20
-        )
-        assert service.cache.ttl_s == 5.0
-        assert service.cache.max_bytes == 1 << 20
-        assert "ttl" in service.cache.stats().summary()
+        assert not service.optimize(grown, training,
+                                    fixed_iterations=50).cache_hit
+        assert service.metrics.value("service.computed") == 2
