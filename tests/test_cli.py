@@ -527,6 +527,31 @@ class TestCLICache:
         assert "compacted: kept 1, dropped 1" in capsys.readouterr().out
         assert list(JsonFileBackend(str(plans)).load()) == [young]
 
+    def test_compact_ttl_keeps_fresh_plan_entries(self, tmp_path, capsys):
+        from repro.service import JsonFileBackend
+
+        plans = self.plan_store(tmp_path, capsys)
+        before = JsonFileBackend(str(plans)).load()
+        assert main(["cache", str(plans), "--compact",
+                     "--ttl", "604800"]) == 0
+        assert "compacted: kept 1, dropped 0" in capsys.readouterr().out
+        assert JsonFileBackend(str(plans)).load() == before
+
+    def test_compact_without_ttl_keeps_old_plan_entries(self, tmp_path,
+                                                        capsys):
+        # Nothing ages a plan entry unless --ttl asks for it.
+        from repro.service import JsonFileBackend
+
+        plans = self.plan_store(tmp_path, capsys)
+        backend = JsonFileBackend(str(plans))
+        (key,) = backend.load()
+        payload = backend.get(key)
+        payload["written_at"] -= 365 * 86400
+        backend.store(key, payload)
+        assert main(["cache", str(plans), "--compact"]) == 0
+        assert "compacted: kept 1, dropped 0" in capsys.readouterr().out
+        assert list(JsonFileBackend(str(plans)).load()) == [key]
+
     def test_missing_store_reports_error(self, tmp_path, capsys):
         assert main(["cache", str(tmp_path / "nope.json")]) == 1
         assert "no store" in capsys.readouterr().err
@@ -576,6 +601,26 @@ class TestCLIBounds:
         assert "error: --lease-ttl must be positive" in \
             capsys.readouterr().err
         assert not store.exists()
+
+    def test_cache_size_of_one_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "requests.txt"
+        path.write_text("adult epsilon=0.05 fixed_iterations=50\n"
+                        "adult epsilon=0.05 fixed_iterations=60\n")
+        assert main(["batch", str(path), "--workers", "1",
+                     "--cache-size", "1"]) == 0
+        assert "error" not in capsys.readouterr().err
+
+    def test_fractional_lease_ttl_is_accepted(self, tmp_path, capsys):
+        store = tmp_path / "jobs.json"
+        assert main(["train", "adult", "epsilon=0.001", "max_iter=400",
+                     "algorithm=mgd", "--job-id", "j1",
+                     "--checkpoint", str(store),
+                     "--max-iterations", "50"]) == 0  # preempted
+        capsys.readouterr()
+        assert main(["worker", "--checkpoint", str(store), "--drain",
+                     "--lease-ttl", "30.5"]) == 0
+        assert "1 job(s) done, 0 stolen, 0 failed" in \
+            capsys.readouterr().out
 
 
 @pytest.mark.slow

@@ -112,6 +112,32 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(maxsize=0)
 
+    def test_summary_reports_entries_requests_and_evictions(self):
+        cache = PlanCache(maxsize=2)
+        for key in "abc":
+            cache.put(key, key)
+        cache.get("c")
+        cache.get("a")          # evicted by c
+        assert cache.stats().summary() == (
+            "plan cache: 2/2 entries, 1 hits / 1 misses "
+            "(50% hit rate), 1 evictions"
+        )
+
+    def test_concurrent_puts_and_gets_keep_the_bound(self):
+        cache = PlanCache(maxsize=8)
+
+        def work(thread):
+            for n in range(200):
+                cache.put((thread, n), n)
+                cache.get((thread, n))
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(work, range(4)))
+        stats = cache.stats()
+        assert stats.size == len(cache) == 8
+        assert stats.evictions == 4 * 200 - 8
+        assert stats.requests == 4 * 200
+
 
 class TestFingerprint:
     def test_stable_across_calls(self, service, dataset, training):
