@@ -10,10 +10,12 @@ plugin would silently miss the branch -- so this lint greps the library
 for literal name comparisons and membership tests and fails on any hit.
 
 An algorithm is a step kernel (``repro.gd.base.Updater``) driven by
-``run_loop``; a module under ``repro/gd/`` with its own ``for ... in
-range(1, max_iter + 1)`` loop is a forked copy of the loop tail
-(convergence-wins ordering, wall budget, snapshot cadence).  Only
-``gd/base.py`` (``run_loop``) may hold one.
+``run_loop``; a library module with its own ``for ... in range(1,
+max_iter + 1)`` loop (or ``range(1, training.max_iter + 1)``) is a
+forked copy of the loop tail (convergence-wins ordering, wall budget,
+snapshot cadence).  Only ``gd/base.py`` (``run_loop``) and
+``core/executor.py`` (the plan executor's accounted loop) may hold
+one.
 
 Allowed:
 
@@ -53,28 +55,31 @@ PATTERNS = (
 )
 
 
-#: The pure-math loop header, and the one gd/ module that may have it.
-GD_ROOT = os.path.join(LIBRARY_ROOT, "gd")
+#: The GD loop header -- ``range(1, max_iter + 1)`` or
+#: ``range(1, <obj>.max_iter + 1)`` -- and the two modules that may have
+#: it: ``run_loop`` and the plan executor's accounted loop.
 LOOP_PATTERN = re.compile(
-    r"for\s+\w+\s+in\s+range\(\s*1\s*,\s*max_iter\s*\+\s*1\s*\)"
+    r"for\s+\w+\s+in\s+range\(\s*1\s*,\s*(\w+\.)*max_iter\s*\+\s*1\s*\)"
 )
-LOOP_MODULES = ("base.py",)
+LOOP_MODULES = (
+    os.path.join("src", "repro", "gd", "base.py"),
+    os.path.join("src", "repro", "core", "executor.py"),
+)
 
 
-def scan_loops(root=GD_ROOT) -> list:
+def scan_loops(root=LIBRARY_ROOT) -> list:
     """Return (relpath, lineno, line) GD loops outside ``LOOP_MODULES``."""
     offenders = []
-    for filename in sorted(os.listdir(root)):
-        if not filename.endswith(".py") or filename in LOOP_MODULES:
-            continue
-        path = os.path.join(root, filename)
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if LOOP_PATTERN.search(line.split("#", 1)[0]):
-                    offenders.append(
-                        (os.path.relpath(path, REPO_ROOT), lineno,
-                         line.rstrip())
-                    )
+    for dirpath, _dirnames, filenames in sorted(os.walk(root)):
+        for filename in sorted(filenames):
+            path = os.path.join(dirpath, filename)
+            rel = os.path.relpath(path, REPO_ROOT)
+            if not filename.endswith(".py") or rel in LOOP_MODULES:
+                continue
+            with open(path, encoding="utf-8") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    if LOOP_PATTERN.search(line.split("#", 1)[0]):
+                        offenders.append((rel, lineno, line.rstrip()))
     return offenders
 
 
@@ -102,8 +107,8 @@ def main() -> int:
     for offenders, message in (
         (scan(), "GD algorithm name-branching found (route through the "
                  "AlgorithmSpec registry instead):"),
-        (scan_loops(), "pure-math GD loop outside gd/base.py (write a "
-                       "step kernel and let run_loop drive it):"),
+        (scan_loops(), "GD loop outside run_loop and the plan executor "
+                       "(write a step kernel and let run_loop drive it):"),
     ):
         if offenders:
             failed = True
@@ -113,7 +118,7 @@ def main() -> int:
     if failed:
         return 1
     print("no algorithm name-branching outside the registry seam; "
-          "run_loop is the only kernel loop")
+          "run_loop and the plan executor are the only GD loops")
     return 0
 
 

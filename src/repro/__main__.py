@@ -6,8 +6,9 @@ Legacy one-shot queries (unchanged):
     python -m repro --file queries.ml4all
     echo "run svm on svm1;" | python -m repro -
 
-Batch mode -- many optimize() requests through the plan-cached
-:class:`~repro.service.OptimizerService`:
+Batch mode -- a file of request lines through serve's dispatcher on
+``--workers`` threads (a mixed file trains and optimizes on one pool,
+answered in file order):
 
     python -m repro batch requests.txt --workers 8
 
@@ -83,6 +84,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import ML4all
 from repro.errors import ReproError
@@ -94,6 +96,7 @@ from repro.service.checkpoint import JobLeaseError
 from repro.service.frontend import (  # noqa: F401  (re-exports)
     Dispatcher,
     SocketFrontend,
+    WireRequest,
     iter_request_lines,
     parse_request_line,
     train_lines,
@@ -214,6 +217,18 @@ def _ml4all_kwargs(args) -> dict:
     return kwargs
 
 
+def _build_system(args):
+    """The subcommand's ML4all, its service built, from the shared
+    flags; None after printing an ``error:`` line."""
+    try:
+        system = ML4all(**_ml4all_kwargs(args))
+        system.service(cache_size=getattr(args, "cache_size", None))
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return system
+
+
 def _service_parser(prog, description):
     parser = argparse.ArgumentParser(prog=prog, description=description)
     _add_flags(parser, "seed", "algorithms")
@@ -235,15 +250,16 @@ def _service_parser(prog, description):
     return parser
 
 
-def _refuse_nonpositive(args, name) -> bool:
-    """Print an ``error:`` line and return True when the numeric flag
-    ``name`` (an argparse dest) is set to zero or less."""
-    value = getattr(args, name)
-    if value is None or value > 0:
-        return False
-    print(f"error: --{name.replace('_', '-')} must be positive, "
-          f"got {value:g}", file=sys.stderr)
-    return True
+def _refuse_nonpositive(args, *names) -> bool:
+    """Print an ``error:`` line and return True when one of the numeric
+    flags ``names`` (argparse dests) is set to zero or less."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value <= 0:
+            print(f"error: --{name.replace('_', '-')} must be positive, "
+                  f"got {value:g}", file=sys.stderr)
+            return True
+    return False
 
 
 def _configure_obs(args):
@@ -251,23 +267,6 @@ def _configure_obs(args):
     from repro.obs import configure_logging
 
     configure_logging(level=args.log_level, json_lines=args.log_json)
-
-
-def _train_and_report(system, requests, args, max_workers=None):
-    """Train-mode request loop shared by batch/serve/train.
-
-    Returns ``(results, lines)`` where ``lines`` holds one *group* of
-    output lines per request (the request's summary plus any mid-flight
-    switch lines), so callers that mix trained and optimize-only
-    requests can interleave output in the original request order.
-    """
-    results = system.train_many(
-        requests,
-        max_workers=args.workers if max_workers is None else max_workers,
-        adaptive=args.adaptive,
-    )
-    return results, [train_lines(request, result)
-                     for request, result in zip(requests, results)]
 
 
 def _save_calibration(system, args):
@@ -285,15 +284,12 @@ def batch_main(argv) -> int:
                         help="serve the request list N times (default 1; "
                              ">1 demonstrates the warm plan cache)")
     args = parser.parse_args(argv)
-    if _refuse_nonpositive(args, "cache_size"):
+    if _refuse_nonpositive(args, "cache_size", "workers", "repeat"):
         return 2
 
     _configure_obs(args)
-    try:
-        system = ML4all(**_ml4all_kwargs(args))
-        system.service(cache_size=args.cache_size)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    system = _build_system(args)
+    if system is None:
         return 2
     try:
         if args.requests == "-":
@@ -307,45 +303,35 @@ def batch_main(argv) -> int:
     if not requests:
         print("error: no requests found", file=sys.stderr)
         return 2
-    requests = requests * max(1, args.repeat)
-    # Per line, like serve: --train/--adaptive train everything, and a
-    # line naming a durable job always trains -- without dragging the
-    # file's optimize-only lines into training with it.
-    trains = [args.train or args.adaptive or "job_id" in r
-              for r in requests]
-    train_requests = [r for r, t in zip(requests, trains) if t]
-    plain_requests = [r for r, t in zip(requests, trains) if not t]
-    # Repeated leases of one job (--repeat, or duplicate job_id lines)
-    # must run in sequence: concurrently they would contend for the
-    # job's lease and the loser would abort the batch.
-    job_ids = [r["job_id"] for r in train_requests if "job_id" in r]
-    train_workers = 1 if len(job_ids) != len(set(job_ids)) else None
+    requests = requests * args.repeat
+    # Each line goes through serve's dispatcher: --train/--adaptive
+    # train everything, a line naming a durable job always trains, and
+    # the rest only optimize -- all on one pool, answered in file
+    # order.  Repeated leases of one job (--repeat, or duplicate job_id
+    # lines) run in sequence: concurrently they would contend for the
+    # job's lease.
+    dispatcher = Dispatcher(system, train=args.train, adaptive=args.adaptive)
+    job_ids = [r["job_id"] for r in requests if "job_id" in r]
+    workers = (1 if len(job_ids) != len(set(job_ids))
+               else min(args.workers or 8, len(requests)))
     start = time.perf_counter()
-    try:
-        train_groups = (
-            _train_and_report(system, train_requests, args,
-                              max_workers=train_workers)[1]
-            if train_requests else []
-        )
-        plain_results = system.optimize_many(
-            plain_requests, max_workers=args.workers
-        )
-        plain_groups = [
-            [f"{request['dataset']}: {result.summary()}"]
-            for request, result in zip(plain_requests, plain_results)
-        ]
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with ThreadPoolExecutor(workers, thread_name_prefix="batch") as pool:
+        responses = list(pool.map(
+            dispatcher.handle,
+            [WireRequest(verb=None, request=r) for r in requests],
+        ))
     elapsed = time.perf_counter() - start
 
-    trained, plain = iter(train_groups), iter(plain_groups)
-    for is_train in trains:
-        for line in next(trained if is_train else plain):
+    for response in responses:
+        for line in response.get("lines", ()):
             print(line)
+        if not response["ok"]:
+            print(f"error: {response['detail']}", file=sys.stderr)
+    if not all(response["ok"] for response in responses):
+        return 1
     rate = len(requests) / elapsed if elapsed > 0 else float("inf")
-    verb = ("train" if all(trains) else
-            "optimize" if not any(trains) else "request")
+    verbs = {response["verb"] for response in responses}
+    verb = verbs.pop() if len(verbs) == 1 else "request"
     print(f"{len(requests)} requests in {elapsed:.3f}s "
           f"({rate:.1f} {verb}/s)")
     print(system.service().stats_summary())
@@ -378,7 +364,8 @@ def _finish_pending_jobs(system, service, args) -> int:
         print(f"# resuming in-flight job {job_id!r} from iteration "
               f"{checkpoint.done_iterations}")
         try:
-            _, groups = _train_and_report(system, [request], args)
+            (result,) = system.train_many([request], max_workers=1,
+                                          adaptive=args.adaptive)
         except JobLeaseError as exc:
             # Typically our own predecessor's unexpired lease after a
             # hard kill: it expires lease_ttl_s after its last
@@ -390,7 +377,7 @@ def _finish_pending_jobs(system, service, args) -> int:
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        for out in groups[0]:
+        for out in train_lines(request, result):
             print(out)
         finished += 1
     return finished
@@ -422,18 +409,17 @@ def serve_main(argv) -> int:
                         help="log a WARNING (and count obs.slow_requests) "
                              "for any request slower than SECONDS")
     args = parser.parse_args(argv)
-    if _refuse_nonpositive(args, "cache_size"):
+    if _refuse_nonpositive(args, "cache_size", "workers", "shed_after",
+                           "max_inflight"):
         return 2
 
     _configure_obs(args)
     from repro.obs import TraceRecorder, get_logger
 
-    try:
-        system = ML4all(**_ml4all_kwargs(args))
-        service = system.service(cache_size=args.cache_size)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    system = _build_system(args)
+    if system is None:
         return 2
+    service = system.service()
     tracer = TraceRecorder(
         trace_dir=args.trace_dir,
         metrics=service.metrics,
@@ -525,17 +511,21 @@ def train_main(argv) -> int:
                              "this lease")
     parser.add_argument("--adaptive", action="store_true",
                         help="train under the adaptive runtime")
-    parser.add_argument("--workers", type=int, default=1,
-                        help=argparse.SUPPRESS)
     _add_flags(parser, "algorithms", seed=dict(help=None),
                calibration=dict(help=None), cache=dict(help=None))
     args = parser.parse_args(argv)
+    # A zero cadence would fail only after the job's lease stub is
+    # written, leaving a job every restarted server reports in flight.
+    if _refuse_nonpositive(args, "checkpoint_every"):
+        return 2
 
     try:
         request = parse_request_line(" ".join(args.request))
-        system = ML4all(**_ml4all_kwargs(args))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    system = _build_system(args)
+    if system is None:
         return 2
     request["job_id"] = args.job_id
     request["checkpoint_every"] = args.checkpoint_every
@@ -545,11 +535,12 @@ def train_main(argv) -> int:
         request["lease_seconds"] = args.max_seconds
 
     try:
-        _, groups = _train_and_report(system, [request], args)
+        (result,) = system.train_many([request], max_workers=1,
+                                      adaptive=args.adaptive)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for line in groups[0]:
+    for line in train_lines(request, result):
         print(line)
     progress = system.service().checkpoints.load(args.job_id)
     if progress is not None and progress.status == "preempted":
@@ -802,12 +793,10 @@ def worker_main(argv) -> int:
     from repro.obs import TraceRecorder
     from repro.service.worker import FleetWorker
 
-    try:
-        system = ML4all(**_ml4all_kwargs(args))
-        service = system.service()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    system = _build_system(args)
+    if system is None:
         return 2
+    service = system.service()
     if args.lease_ttl is not None:
         service.checkpoints.lease_ttl_s = float(args.lease_ttl)
     tracer = TraceRecorder(trace_dir=args.trace_dir,
@@ -855,6 +844,8 @@ def calibrate_main(argv) -> int:
                              "algorithm (repeatable; shows calibration "
                              "correcting a known fault)")
     args = parser.parse_args(argv)
+    if _refuse_nonpositive(args, "runs"):
+        return 2
 
     from repro.gd.registry import ALGORITHMS
 
@@ -889,7 +880,7 @@ def calibrate_main(argv) -> int:
         return 1
     print("before:", before)
 
-    for run in range(max(1, args.runs)):
+    for run in range(args.runs):
         engine = SimulatedCluster(system.spec, seed=args.seed + run)
         optimizer = GDOptimizer(
             engine,
@@ -925,8 +916,12 @@ def calibrate_main(argv) -> int:
 
 def query_main(args) -> int:
     if args.file:
-        with open(args.file) as handle:
-            text = handle.read()
+        try:
+            with open(args.file) as handle:
+                text = handle.read()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     elif args.query == "-":
         text = sys.stdin.read()
     elif args.query:

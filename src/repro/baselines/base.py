@@ -13,28 +13,21 @@ Each baseline implements
   may raise :class:`~repro.errors.SimulatedOutOfMemory`, and
 * :meth:`charge_iteration` -- per-iteration costs,
 
-while :meth:`train` drives the shared math loop and assembles a
+while :meth:`train` lets :func:`~repro.gd.base.run_loop` -- the loop
+speculation also runs -- drive the algorithm's step kernel, charges
+each iteration from its callback, and assembles a
 :class:`BaselineResult`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from repro.core.cost_model import (
-    compute_cpu_per_unit,
-    converge_cpu,
-    layout_for,
-    transform_cpu_per_unit,
-    update_cpu,
-)
-from repro.errors import SimulatedTimeout
+from repro.errors import SimulatedOutOfMemory, SimulatedTimeout
 from repro.gd import registry as gd_registry
-from repro.gd.convergence import make_convergence
-from repro.gd.step_size import make_step_size
+from repro.gd.base import Updater, full_batch_selector, run_loop
 
 
 @dataclasses.dataclass
@@ -100,108 +93,76 @@ class BaselineSystem:
     ) -> BaselineResult:
         """Run any registered GD algorithm on this system.
 
-        The algorithm's batch sizing, sampling mode, and direction
-        updater all come from its :class:`~repro.gd.spec.AlgorithmSpec`,
-        so a newly registered algorithm is covered by every baseline
-        without touching this loop.  ``time_limit_s`` is the
-        simulated-time cut-off used to reproduce the paper's "we had to
-        stop the execution after 3 hours" cells.
+        :func:`~repro.gd.base.run_loop` drives the algorithm's step
+        kernel at the step the plan executor trains it at; the
+        algorithm's spec sizes the batch, which this system samples
+        without replacement.  Every iteration is charged through
+        :meth:`charge_iteration` -- as a full scan when the kernel read
+        the whole dataset (SVRG's anchors, Arc's probes) -- so a newly
+        registered algorithm is covered by every baseline without
+        touching this method.  ``time_limit_s`` is the simulated-time
+        cut-off used to reproduce the paper's "we had to stop the
+        execution after 3 hours" cells.
         """
-        from repro.errors import SimulatedOutOfMemory
-
-        spec = engine.spec
         t0 = engine.clock
-        gradient = training.gradient()
-        step = make_step_size(training.step_size)
-        criterion = make_convergence(training.convergence)
-        rng = np.random.default_rng(training.seed)
+
+        def result(**fields):
+            return BaselineResult(
+                system=self.name, algorithm=algorithm,
+                dataset=dataset.stats.name,
+                sim_seconds=engine.clock - t0, **fields,
+            )
 
         try:
             state = self.prepare(engine, dataset, training)
         except SimulatedOutOfMemory:
-            return BaselineResult(
-                system=self.name,
-                algorithm=algorithm,
-                dataset=dataset.stats.name,
-                iterations=0,
-                converged=False,
-                sim_seconds=engine.clock - t0,
-                weights=None,
-                failed="OOM",
-            )
+            return result(iterations=0, converged=False, weights=None,
+                          failed="OOM")
         conversion_s = engine.clock - t0
 
         n_phys = dataset.n_phys
         n_sim = dataset.stats.n
-        d = dataset.stats.d
-        w = np.zeros(d)
-        converged = False
-        iterations = 0
         spec_info = gd_registry.info(algorithm)
-        if spec_info.default_batch_size is None:
-            sim_batch = n_sim
-        elif spec_info.batch_size_fixed:
-            sim_batch = min(spec_info.default_batch_size, n_sim)
-        else:
-            sim_batch = min(batch_size, n_sim)
+        sim_batch = min(gd_registry.batch_rows(spec_info, n_sim, batch_size),
+                        n_sim)
         phys_batch = max(1, min(sim_batch, n_phys))
-        updater = gd_registry.updater_for(algorithm)
-        if updater is not None:
-            updater.reset(d)
+        kernel = gd_registry.updater_for(algorithm) or Updater()
+        sampled = 0  # the last iteration that drew a sample
+        timed_out = False
 
-        for i in range(1, training.max_iter + 1):
-            if not spec_info.stochastic:
-                Xb, yb = dataset.X, dataset.y
-            else:
-                idx = rng.choice(n_phys, size=phys_batch, replace=False)
-                Xb, yb = dataset.X[idx], dataset.y[idx]
-            grad = gradient.gradient(w, Xb, yb)
-            direction = grad if updater is None else updater.direction(grad, i)
-            w_new = w - step.step(i) * direction
-            delta = criterion.delta(w, w_new)
-            w = w_new
+        def sample(i, rng):
+            nonlocal sampled
+            sampled = i
+            return rng.choice(n_phys, size=phys_batch, replace=False)
 
-            self.charge_iteration(engine, state, i, sim_batch)
-            iterations = i
-            if delta < training.tolerance:
-                converged = True
-                break
-            if time_limit_s is not None and engine.clock - t0 > time_limit_s:
-                if raise_on_timeout:
-                    raise SimulatedTimeout(self.name, engine.clock - t0,
-                                           time_limit_s)
-                return BaselineResult(
-                    system=self.name,
-                    algorithm=algorithm,
-                    dataset=dataset.stats.name,
-                    iterations=iterations,
-                    converged=False,
-                    sim_seconds=engine.clock - t0,
-                    weights=w,
-                    conversion_s=conversion_s,
-                    failed="timeout",
-                )
+        def charge(i, w, delta):
+            nonlocal timed_out
+            self.charge_iteration(engine, state, i,
+                                  sim_batch if sampled == i else n_sim)
+            timed_out = (time_limit_s is not None
+                         and engine.clock - t0 > time_limit_s)
+            return timed_out
 
-        return BaselineResult(
-            system=self.name,
-            algorithm=algorithm,
-            dataset=dataset.stats.name,
-            iterations=iterations,
-            converged=converged,
-            sim_seconds=engine.clock - t0,
-            weights=w,
-            conversion_s=conversion_s,
+        run = run_loop(
+            dataset.X, dataset.y, training.gradient(),
+            sample if spec_info.stochastic else full_batch_selector,
+            step_size=gd_registry.training_step(kernel, training),
+            tolerance=training.tolerance,
+            max_iter=training.max_iter,
+            convergence=training.convergence,
+            updater=kernel,
+            rng=np.random.default_rng(training.seed),
+            iteration_callback=charge,
         )
+        failed = None
+        if timed_out and not run.converged:
+            if raise_on_timeout:
+                raise SimulatedTimeout(self.name, engine.clock - t0,
+                                       time_limit_s)
+            failed = "timeout"
+        return result(iterations=run.iterations, converged=run.converged,
+                      weights=run.weights, conversion_s=conversion_s,
+                      failed=failed)
 
 
-__all__ = [
-    "BaselineResult",
-    "BaselineSystem",
-    "wave_seconds",
-    "layout_for",
-    "transform_cpu_per_unit",
-    "compute_cpu_per_unit",
-    "update_cpu",
-    "converge_cpu",
-    "math",
-]
+__all__ = ["BaselineResult", "BaselineSystem", "wave_seconds"]

@@ -6,7 +6,8 @@ mean gradients become the next weights, and the private state that has
 to survive a stop.  :func:`run_loop` drives a kernel as pure numpy --
 no simulated cluster -- for (a) the speculation-based iterations
 estimator, which runs GD on a small sample under a wall-clock budget
-(Algorithm 1), (b) the baselines, and (c) ground truth in tests; the
+(Algorithm 1), (b) the baselines, which charge their simulated cluster
+from its per-iteration callback, and (c) ground truth in tests; the
 plan executor drives the *same* kernel through the reference Compute /
 Update operators while charging the simulated clock.
 
@@ -269,8 +270,10 @@ def run_loop(
 
     ``time_budget_s`` stops the loop once the *wall-clock* budget is
     consumed (Algorithm 1 uses this during speculation).
-    ``iteration_callback(i, w, delta)`` is invoked after each iteration;
-    returning True stops the loop early -- but convergence always wins:
+    ``iteration_callback(i, w, delta)`` is invoked after each iteration
+    (the baselines charge their simulated cluster and check their
+    simulated time limit there); returning True stops the loop early --
+    but convergence always wins:
     a run that reaches the tolerance on its stopping iteration reports
     ``converged=True`` (the same ordering as
     :class:`~repro.core.executor.PlanExecutor`).

@@ -136,7 +136,7 @@ def speculation_overrides(name) -> dict:
     return info(name).speculation_overrides
 
 
-def _batch_rows(spec, n, batch_size):
+def batch_rows(spec, n, batch_size):
     """Rows one iteration of the algorithm reads out of ``n``."""
     if spec.default_batch_size is None:
         return n
@@ -150,7 +150,7 @@ def selector_for(name, n, batch_size=None):
     spec = info(name)
     if spec.default_batch_size is None:
         return full_batch_selector
-    return make_minibatch_selector(n, _batch_rows(spec, n, batch_size))
+    return make_minibatch_selector(n, batch_rows(spec, n, batch_size))
 
 
 def trial_key(name, n, batch_size=None):
@@ -163,7 +163,7 @@ def trial_key(name, n, batch_size=None):
     """
     spec = info(name)
     return (
-        min(_batch_rows(spec, n, batch_size), n),
+        min(batch_rows(spec, n, batch_size), n),
         spec.make_updater,
         tuple(sorted(spec.speculation_overrides.items())),
     )
@@ -187,24 +187,31 @@ def batch_overrides(batch) -> dict:
     }
 
 
+def training_step(kernel, training):
+    """The step size a run trains ``kernel`` at: the kernel's own
+    constant when it declares one, else ``training.step_size``.
+
+    The plan executor and the baselines both train at it.  Known gap
+    (docs/ARCHITECTURE.md): speculation runs SVRG and Arc at
+    ``training.step_size`` (:func:`run`'s step_size, read as a
+    constant).
+    """
+    if kernel.constant_step is not None:
+        return kernel.constant_step
+    return training.step_size
+
+
 def make_operators(plan, d, training, iteration_offset=0):
     """The executor's operator bundle for one plan: the reference
     operators driving the algorithm's step kernel."""
     from repro.core.reference_ops import default_operators
 
     kernel = updater_for(plan.algorithm) or Updater()
-    step_size = training.step_size
-    if kernel.constant_step is not None:
-        # Known gap (docs/ARCHITECTURE.md): SVRG and Arc train at their
-        # own constant step while speculation runs them at
-        # training.step_size (registry.run's step_size, read as a
-        # constant).
-        step_size = kernel.constant_step
     return default_operators(
         d=d,
         gradient=training.gradient(),
         batch_size=plan.effective_batch_size,
-        step_size=step_size,
+        step_size=training_step(kernel, training),
         tolerance=training.tolerance,
         max_iter=training.max_iter,
         convergence=training.convergence,

@@ -24,6 +24,7 @@ import numpy as np
 from repro.cluster import SimulatedCluster
 from repro.core.executor import execute_plan
 from repro.core.result import TrainResult
+from repro.errors import PlanError
 from repro.gd.state import OptimizerState
 from repro.obs import span
 from repro.runtime import (
@@ -125,18 +126,8 @@ class TrainingJobs:
             report.charge_speculation(engine, include_sample_collection=True)
 
         if adaptive or budget is not None:
-            trainer = AdaptiveTrainer(
-                self._make_optimizer(algorithms, batch_sizes, engine=engine),
-                settings=(
-                    (adaptive_settings or self.adaptive_settings)
-                    if adaptive
-                    # A budget without adaptive= runs the same
-                    # single-plan execution as plain train(): telemetry
-                    # and the lease monitor only, no switching.
-                    else AdaptiveSettings(max_switches=0)
-                ),
-                calibration=self.calibration if adaptive else None,
-            )
+            trainer = self._trainer(algorithms, batch_sizes, engine,
+                                    adaptive, adaptive_settings)
             adaptive_result = trainer.train(
                 dataset, training, fixed_iterations=fixed_iterations,
                 report=report, budget=budget,
@@ -162,6 +153,21 @@ class TrainingJobs:
             result=result,
             trace=trace,
             adaptive=adaptive_result,
+        )
+
+    def _trainer(self, algorithms, batch_sizes, engine, adaptive,
+                 adaptive_settings) -> AdaptiveTrainer:
+        """The runtime one monitored run executes under.  Without
+        ``adaptive`` it runs the same single-plan execution as plain
+        :meth:`train` -- telemetry and the lease monitor only, no
+        mid-flight switching, no calibration."""
+        return AdaptiveTrainer(
+            self._make_optimizer(algorithms, batch_sizes, engine=engine),
+            settings=(
+                (adaptive_settings or self.adaptive_settings) if adaptive
+                else AdaptiveSettings(max_switches=0)
+            ),
+            calibration=self.calibration if adaptive else None,
         )
 
     # ------------------------------------------------------------------
@@ -250,6 +256,10 @@ class TrainingJobs:
                 "construct the service with checkpoint_path= or "
                 "checkpoint_store="
             )
+        if checkpoint_every is not None and checkpoint_every < 1:
+            # Refused before the lease: a stub written for a job that
+            # cannot run would be reported in flight forever.
+            raise PlanError("checkpoint_every must be >= 1")
         start = time.perf_counter()
         key = self.fingerprint(
             dataset, training, fixed_iterations, algorithms, batch_sizes
@@ -361,18 +371,8 @@ class TrainingJobs:
                     self.calibration.state_digest(),
                 )
 
-            trainer = AdaptiveTrainer(
-                self._make_optimizer(algorithms, batch_sizes, engine=engine),
-                settings=(
-                    (adaptive_settings or self.adaptive_settings)
-                    if adaptive
-                    # Non-adaptive jobs run the same single-plan
-                    # execution as plain train(): telemetry only, no
-                    # mid-flight switching.
-                    else AdaptiveSettings(max_switches=0)
-                ),
-                calibration=self.calibration if adaptive else None,
-            )
+            trainer = self._trainer(algorithms, batch_sizes, engine,
+                                    adaptive, adaptive_settings)
 
             # This lease's entry in the job's audit trail: carried
             # forward from the previous checkpoint and extended on every

@@ -1,5 +1,9 @@
 """Unit tests for the baseline systems."""
 
+import hashlib
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,9 @@ from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.core.plans import GDPlan, TrainingSpec
 
 from support import make_dataset
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "baseline_cells.json"
+SYSTEMS = (MLlibBaseline, SystemMLBaseline, BismarckBaseline)
 
 
 @pytest.fixture
@@ -166,3 +173,84 @@ class TestSparkDirect:
         original = engine.spec
         run_spark_direct(engine, dataset, GDPlan("bgd"), training)
         assert engine.spec is original
+
+
+def pinned_cells():
+    """{system/algorithm[/limit]: cell} for the core algorithms on the
+    fixture workload, with and without a simulated-time limit."""
+    spec = ClusterSpec(jitter_sigma=0.0)
+    dataset = make_dataset(n_phys=1000, d=10, sim_n=200_000, task="linreg",
+                           spec=spec, noise=0.01, seed=2)
+    training = TrainingSpec(task="linreg", step_size="constant:0.1",
+                            tolerance=1e-4, max_iter=300, seed=1)
+    cells = {}
+    for system in SYSTEMS:
+        for algorithm in ("bgd", "mgd", "sgd"):
+            for limit in (None, 2.0):
+                result = system().train(
+                    SimulatedCluster(spec, seed=0), dataset, training,
+                    algorithm, time_limit_s=limit,
+                )
+                name = f"{result.system}/{algorithm}"
+                cells[name if limit is None else f"{name}/limit"] = {
+                    "iterations": result.iterations,
+                    "converged": result.converged,
+                    "failed": result.failed,
+                    "sim_seconds": result.sim_seconds,
+                    "weights_sha256": hashlib.sha256(
+                        result.weights.tobytes()
+                    ).hexdigest(),
+                }
+    return cells
+
+
+class TestSharedLoop:
+    """The baselines drive :func:`~repro.gd.base.run_loop`: the same
+    math as ML4all, charged by each system's strategy."""
+
+    def test_core_cells_match_the_pinned_results(self):
+        golden = json.loads(GOLDEN.read_text())
+        assert pinned_cells() == golden
+
+    @pytest.mark.parametrize("system", SYSTEMS, ids=lambda s: s.name)
+    def test_svrg_runs_its_kernel_at_the_executor_step(
+        self, spec, dataset, training, system
+    ):
+        from repro.gd.base import run_loop
+        from repro.gd.svrg import SVRGUpdater
+
+        baseline = system()
+        charged = []
+        charge = baseline.charge_iteration
+
+        def record(engine, state, iteration, sim_batch):
+            charged.append(sim_batch)
+            charge(engine, state, iteration, sim_batch)
+
+        baseline.charge_iteration = record
+        result = baseline.train(SimulatedCluster(spec, seed=0), dataset,
+                                training, "svrg")
+        n = dataset.n_phys
+        expected = run_loop(
+            dataset.X, dataset.y, training.gradient(),
+            lambda i, rng: rng.choice(n, size=1, replace=False),
+            step_size=SVRGUpdater.constant_step,
+            tolerance=training.tolerance, max_iter=training.max_iter,
+            convergence=training.convergence, updater=SVRGUpdater(),
+            rng=np.random.default_rng(training.seed),
+        )
+        assert result.iterations == expected.iterations
+        assert np.array_equal(result.weights, expected.weights)
+        # Anchor passes (every 50th iteration from the first) scan the
+        # whole dataset; the iterations between them read one unit.
+        full = dataset.stats.n
+        assert charged == [full if i % 50 == 1 else 1
+                           for i in range(1, result.iterations + 1)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text("{\n" + ",\n".join(     # one cell per line
+        f"{json.dumps(name)}: {json.dumps(cell, sort_keys=True)}"
+        for name, cell in sorted(pinned_cells().items())
+    ) + "\n}\n")
+    print(f"wrote {GOLDEN}")

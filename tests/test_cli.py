@@ -30,6 +30,12 @@ class TestCLIMain:
         assert main(["--file", str(path)]) == 0
         assert "chosen plan" in capsys.readouterr().out
 
+    def test_missing_query_file_reports_error(self, tmp_path, capsys):
+        assert main(["--file", str(tmp_path / "missing.ml4all")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "missing.ml4all" in captured.err
+
     def test_bad_query_reports_error(self, capsys):
         code = main(["run nothing;"])
         assert code == 1
@@ -319,6 +325,22 @@ class TestCLIBatchJobs:
         assert "iterations" not in lines[2]
         assert "request/s" in out  # mixed-mode rate label
 
+    def test_job_descriptor_carries_the_request_trace_id(
+        self, tmp_path, capsys
+    ):
+        """Batch lines go through serve's dispatcher, so a job a batch
+        starts is stamped with its request's trace id, like serve's."""
+        from repro.service import CheckpointStore
+
+        store = tmp_path / "jobs.json"
+        path = tmp_path / "requests.txt"
+        path.write_text("adult epsilon=0.05 max_iter=200 job_id=t1 "
+                        "lease_iterations=10\n")
+        assert main(["batch", str(path), "--checkpoint", str(store)]) == 0
+        request = CheckpointStore(path=str(store)).load("t1").request
+        assert request["dataset"] == "adult"
+        assert request["trace_id"]
+
     def test_repeat_with_a_job_line_serializes_the_leases(
         self, tmp_path, capsys
     ):
@@ -582,13 +604,52 @@ class TestCLIBounds:
     """A numeric flag that only makes sense positive is a usage error,
     not a traceback or a silently broken run."""
 
-    @pytest.mark.parametrize("subcommand", [["batch", "-"], ["serve"]],
-                             ids=["batch", "serve"])
-    def test_nonpositive_cache_size_is_a_usage_error(self, capsys,
-                                                     subcommand):
-        assert main([*subcommand, "--cache-size", "0"]) == 2
-        assert "error: --cache-size must be positive" in \
+    @pytest.mark.parametrize("subcommand,flag", [
+        (["batch", "-"], "--cache-size"),
+        (["serve"], "--cache-size"),
+        (["batch", "-"], "--repeat"),
+        (["batch", "-"], "--workers"),
+        (["serve"], "--workers"),
+        (["serve"], "--shed-after"),
+        (["serve"], "--max-inflight"),
+        (["calibrate", "adult"], "--runs"),
+    ], ids=["batch", "serve", "batch-repeat", "batch-workers",
+            "serve-workers", "serve-shed-after", "serve-max-inflight",
+            "calibrate-runs"])
+    def test_nonpositive_count_is_a_usage_error(self, capsys, subcommand,
+                                                flag):
+        # --max-inflight 0 once answered every request quota_exceeded,
+        # --workers 0 meant 8 threads in serve and 1 in batch, and the
+        # rest were quietly clamped to 1.
+        assert main([*subcommand, flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_nonpositive_checkpoint_every_is_a_usage_error(
+        self, tmp_path, capsys, every
+    ):
+        # Refused before the job's lease stub is written: a stub for a
+        # job that cannot run would be reported in flight forever.
+        store = tmp_path / "jobs.json"
+        assert main(["train", "adult", "--job-id", "j", "--checkpoint",
+                     str(store), "--checkpoint-every", every]) == 2
+        assert "error: --checkpoint-every must be positive" in \
             capsys.readouterr().err
+        assert not store.exists()
+
+    def test_zero_checkpoint_every_line_leaves_the_store_empty(
+        self, tmp_path, capsys
+    ):
+        from repro.service import CheckpointStore
+
+        store = tmp_path / "jobs.json"
+        path = tmp_path / "requests.txt"
+        path.write_text("adult epsilon=0.05 job_id=j checkpoint_every=0\n")
+        assert main(["batch", str(path), "--checkpoint", str(store)]) == 1
+        assert "checkpoint_every must be >= 1" in capsys.readouterr().err
+        assert CheckpointStore(path=str(store)).backend.load() == {}
 
     @pytest.mark.parametrize("ttl", ["0", "-5"])
     def test_nonpositive_lease_ttl_is_a_usage_error(self, tmp_path, capsys,

@@ -332,3 +332,38 @@ class TestOneKernelPerAlgorithm:
                  "sys.exit(any(m == 'repro.core' or "
                  "m.startswith('repro.core.') for m in sys.modules))")
         assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
+
+class TestLoopLint:
+    """``scripts/check_name_branching.py`` allows a GD loop only in
+    ``run_loop`` and the plan executor, anywhere under ``src/repro``."""
+
+    @staticmethod
+    def lint():
+        import importlib.util
+        import pathlib
+
+        path = (pathlib.Path(__file__).parents[1] / "scripts"
+                / "check_name_branching.py")
+        module_spec = importlib.util.spec_from_file_location(
+            "check_name_branching", path
+        )
+        module = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(module)
+        return module
+
+    def test_the_library_has_two_gd_loops(self):
+        assert self.lint().scan_loops() == []
+
+    @pytest.mark.parametrize("header", [
+        "for i in range(1, max_iter + 1):",
+        "for i in range(1, training.max_iter + 1):",
+        "for step in range(1, self.spec.max_iter + 1):",
+    ])
+    def test_a_loop_in_any_package_is_flagged(self, tmp_path, header):
+        package = tmp_path / "baselines"
+        package.mkdir()
+        (package / "base.py").write_text(f"def train():\n    {header}\n")
+        offenders = self.lint().scan_loops(str(tmp_path))
+        assert [(lineno, line.strip()) for _, lineno, line in offenders] \
+            == [(2, header)]
