@@ -688,11 +688,18 @@ class TestEventLoop:
                 first_handle.write(line + " id=owner\n")
                 first_handle.flush()
                 assert started.acquire(timeout=10)  # trials in, key owned
+                misses = service.metrics.value("service.misses")
                 twin_handle.write(line + " id=twin\n")
                 twin_handle.flush()
                 other.settimeout(5)
                 hit = ask(other_handle, FAST_LINE + " id=hit")
                 assert hit["cache_hit"] and hit["id"] == "hit"
+                # Release the owner only once the twin's miss is counted,
+                # i.e. it found the owner's computation and waits on it.
+                deadline = time.monotonic() + 10
+                while (service.metrics.value("service.misses") == misses
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
                 gate.set()
                 owner = json.loads(first_handle.readline())
                 coalesced = json.loads(twin_handle.readline())
