@@ -505,7 +505,8 @@ class ML4all:
                 sampling=sampler,
                 batch_size=batch,
             )
-            result = execute_plan(self.engine, dataset, plan, training,
+            result = execute_plan(self.engine, dataset, plan,
+                                  training.capped_at(fixed_iterations),
                                   operators)
             report = None
         elif adaptive:

@@ -32,7 +32,7 @@ from repro.core.executor import execute_plan
 from repro.core.iterations import SpeculativeEstimator
 from repro.core.plan_space import enumerate_plans
 from repro.core.result import OptimizationReport, PlanCostEstimate
-from repro.errors import ConstraintError
+from repro.errors import ConstraintError, PlanError
 from repro.gd.registry import CORE_ALGORITHMS
 from repro.obs import span
 from repro.runtime.calibration import workload_signature
@@ -111,6 +111,8 @@ class GDOptimizer:
         speculated = False
 
         if fixed_iterations is not None:
+            if fixed_iterations < 1:
+                raise PlanError("fixed_iterations must be >= 1")
             iteration_estimates = None
             iters_for = {alg: int(fixed_iterations) for alg in self.algorithms}
         else:
@@ -287,6 +289,7 @@ class GDOptimizer:
         report = self.optimize(dataset, training, fixed_iterations)
         report.speculation_sim_s += report.charge_speculation(self.engine)
         result = execute_plan(
-            self.engine, dataset, report.chosen_plan, training, operators
+            self.engine, dataset, report.chosen_plan,
+            training.capped_at(fixed_iterations), operators,
         )
         return report, result

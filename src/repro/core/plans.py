@@ -127,6 +127,15 @@ class TrainingSpec:
             raise PlanError("max_iter must be >= 1")
         if self.time_budget_s is not None and self.time_budget_s <= 0:
             raise PlanError("time budget must be positive")
+        if self.l2 < 0:
+            raise PlanError("l2 must be >= 0")
+
+    def capped_at(self, fixed_iterations):
+        """The spec a run priced at ``fixed_iterations`` executes: that
+        count replaces ``max_iter`` (unchanged when None)."""
+        if fixed_iterations is None:
+            return self
+        return dataclasses.replace(self, max_iter=int(fixed_iterations))
 
     def gradient(self):
         """Materialise the task gradient (Table 3 + optional L2)."""

@@ -143,7 +143,8 @@ class TrainingJobs:
                 start_iteration=0,
             ) as segment_span:
                 result = execute_plan(
-                    engine, dataset, report.chosen_plan, training, operators
+                    engine, dataset, report.chosen_plan,
+                    training.capped_at(fixed_iterations), operators,
                 )
                 segment_span.set("iterations", int(result.iterations))
                 segment_span.set("converged", bool(result.converged))

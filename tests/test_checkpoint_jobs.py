@@ -8,6 +8,7 @@ equivalence, crash simulation via a store that dies mid-write, restart
 in a genuinely new process, idempotent re-submission of finished jobs).
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -19,11 +20,14 @@ import numpy as np
 import pytest
 from scipy import sparse as sp
 
+from repro.api import ML4all
 from repro.cluster import ClusterSpec, SimulatedCluster
 from repro.core import executor as executor_module
 from repro.core.executor import execute_plan
+from repro.core.optimizer import GDOptimizer
 from repro.core.plans import GDPlan, TrainingSpec
 from repro.core.reference_ops import GradientCompute, default_operators
+from repro.errors import ConstraintError
 from repro.gd.gradients import CsrRows, take_rows
 from repro.runtime import JobBudget
 from repro.service import (
@@ -602,6 +606,81 @@ class TestServiceJobs:
         final = CheckpointStore(path=path).load("stamped").plan_entry
         assert final["calibration_digest"] == original_digest
         assert final["written_at"] == original_written
+
+    def test_a_budget_the_calibration_outgrew_still_resumes_and_finishes(
+        self, spec, dataset, training, tmp_path
+    ):
+        """A job's plan was chosen under its time budget; a calibration
+        that has since learned higher costs prices every plan over that
+        budget.  Neither the resume nor the re-submission of the
+        finished job may fail on it: the job already chose its plan."""
+        path = str(tmp_path / "jobs.json")
+        request = dict(fixed_iterations=60, algorithms=("mgd",))
+        cheapest = make_service(spec).optimize(
+            dataset, training, **request).report.chosen.total_s
+        budgeted = dataclasses.replace(training, time_budget_s=1.5 * cheapest)
+        first = make_service(spec, checkpoint_path=path).train(
+            dataset, budgeted, job_id="budgeted",
+            budget=JobBudget(max_iterations=20), **request)
+        assert first.job.status == "preempted"
+
+        for finished in (False, True):  # the resume, then a re-submit
+            service = make_service(spec, checkpoint_path=path)
+            service.calibration.observe("mgd", spec, cost_ratio=3.0)
+            with pytest.raises(ConstraintError, match="budget"):
+                service.optimize(dataset, budgeted, **request)
+            outcome = service.train(
+                dataset, budgeted, job_id="budgeted", **request)
+            assert outcome.job.status == "done"
+            assert outcome.job.already_done is finished
+            assert outcome.job.done_iterations == 60
+
+    def test_resumed_and_finished_leases_count_no_hit_and_no_compute(
+        self, spec, dataset, training, tmp_path
+    ):
+        """The counters the benchmark audits: a lease that resumes a job
+        or returns a finished one restores the checkpointed plan entry,
+        which is neither a cache hit nor a computation."""
+        path = str(tmp_path / "jobs.json")
+        run_job(spec, dataset, training, path, "counted",
+                budget=JobBudget(max_iterations=20))
+        for resumed in (True, False):
+            service = make_service(spec, checkpoint_path=path)
+            outcome = service.train(
+                dataset, training, fixed_iterations=60, algorithms=("mgd",),
+                job_id="counted",
+            )
+            assert outcome.job.status == "done"
+            assert outcome.job.already_done is not resumed
+            value = service.metrics.value
+            assert (value("service.requests"), value("service.hits"),
+                    value("service.computed"),
+                    value("service.recalibrated")) == (1, 0, 0, 0)
+
+    def test_fixed_iterations_cap_every_training_path(
+        self, spec, dataset, training, tmp_path
+    ):
+        """A request priced at a fixed count trains that count, below
+        ``max_iter``, on every path: plain, adaptive and durable alike,
+        to the same weights.  The plain paths used to train ``max_iter``."""
+        service = make_service(spec, checkpoint_path=str(tmp_path / "j.db"))
+        request = dict(fixed_iterations=25, algorithms=("mgd",))
+        plain = service.train(dataset, training, **request)
+        adaptive = service.train(dataset, training, adaptive=True, **request)
+        durable = service.train(dataset, training, job_id="capped", **request)
+        for outcome in (plain, adaptive, durable):
+            assert outcome.result.iterations == 25
+            assert np.array_equal(outcome.result.weights,
+                                  plain.result.weights)
+        assert durable.result.sim_seconds == plain.result.sim_seconds
+        # The optimizer's own train() and a fully pinned plan cap too.
+        _, result = GDOptimizer(SimulatedCluster(spec, seed=5)).train(
+            dataset, training, fixed_iterations=25)
+        assert result.iterations == 25
+        model = ML4all(cluster_spec=spec, seed=5).train(
+            dataset, task="logreg", epsilon=1e-12, max_iter=60,
+            algorithm="mgd", sampler="shuffle", fixed_iterations=25)
+        assert model.result.iterations == 25
 
     def test_resume_pins_the_checkpointed_adaptive_mode(
         self, spec, dataset, training, tmp_path

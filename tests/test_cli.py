@@ -230,6 +230,34 @@ class TestCLIServe:
         assert all(p["ok"] is False and p["detail"] for p in payloads)
         assert "adult:" in captured.out
 
+    def test_serve_refuses_a_nonpositive_count_and_a_negative_l2(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # Priced at -5 iterations, the request used to be answered with a
+        # negative cost and persisted; l2=-5 trained as l2=0.
+        plans = tmp_path / "plans.json"
+        monkeypatch.setattr(
+            sys, "stdin",
+            io.StringIO(
+                "adult fixed_iterations=-5\n"
+                "adult epsilon=0.05 fixed_iterations=50 l2=-5\n"
+                "adult epsilon=0.05 fixed_iterations=50\n"
+            ),
+        )
+        assert main(["serve", "--cache", str(plans)]) == 0
+        payloads = [json.loads(line)
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("{")]
+        assert [p["error"] for p in payloads] == [
+            "request_failed", "request_failed"
+        ]
+        assert "fixed_iterations" in payloads[0]["detail"]
+        assert "l2" in payloads[1]["detail"]
+        from repro.service import JsonFileBackend
+
+        # Only the valid third line reached the plan store.
+        assert len(JsonFileBackend(str(plans)).load()) == 1
+
     def test_serve_accepts_json_lines_and_metrics_verb(self, monkeypatch,
                                                        capsys):
         # The stdin loop shares the socket front-end's dispatcher, so

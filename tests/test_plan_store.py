@@ -573,6 +573,29 @@ class TestWarmRestart:
         assert speculations == []
         assert str(again.chosen_plan) == str(first.chosen_plan)
 
+    def test_store_answers_count_one_hit_and_no_compute(
+        self, spec, dataset, training, tmp_path
+    ):
+        """The counters the benchmark audits: an answer from the plan
+        store -- warm-loaded at startup, or read through because another
+        process wrote it later -- is one hit, not a computation (nor a
+        miss or a re-cost)."""
+        path = str(tmp_path / "plans.db")
+        writer = make_service(spec, cache_path=path)
+        writer.optimize(dataset, training)
+        reader = make_service(spec, cache_path=path)
+        late = TrainingSpec(task="logreg", tolerance=5e-3, seed=1)
+        writer.optimize(dataset, late)     # after the reader's startup
+        writer.close()
+        assert reader.warm_loaded == 1
+        for request in (training, late):
+            assert reader.optimize(dataset, request).cache_hit
+        value = reader.metrics.value
+        assert (value("service.requests"), value("service.hits"),
+                value("service.misses"), value("service.computed"),
+                value("service.recalibrated")) == (2, 2, 0, 0, 0)
+        reader.close()
+
     def test_corrupted_store_file_falls_back_to_cold_start(
         self, spec, dataset, training, tmp_path
     ):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cluster import ClusterSpec, SimulatedCluster
+from repro.core.optimizer import GDOptimizer
 from repro.core.plan_space import (
     STOCHASTIC_VARIANTS,
     enumerate_plans,
@@ -10,6 +12,8 @@ from repro.core.plan_space import (
 )
 from repro.core.plans import GDPlan, TrainingSpec
 from repro.errors import PlanError
+
+from support import make_dataset
 
 
 class TestGDPlan:
@@ -129,3 +133,10 @@ class TestTrainingSpec:
             TrainingSpec(max_iter=0)
         with pytest.raises(PlanError):
             TrainingSpec(time_budget_s=-1)
+        with pytest.raises(PlanError, match="l2"):
+            TrainingSpec(l2=-5)
+        optimizer = GDOptimizer(SimulatedCluster(ClusterSpec(), seed=0))
+        for count in (0, -5):
+            with pytest.raises(PlanError, match="fixed_iterations"):
+                optimizer.optimize(make_dataset(), TrainingSpec(),
+                                   fixed_iterations=count)
