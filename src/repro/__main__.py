@@ -89,6 +89,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.api import ML4all
 from repro.errors import ReproError
 from repro.service.checkpoint import JobLeaseError
+from repro.service.worker import claimable_jobs
 
 # Request-line parsing lives with the rest of the protocol code in the
 # service front-end; re-exported here because the CLI is its historical
@@ -339,33 +340,24 @@ def batch_main(argv) -> int:
     return 0
 
 
-def _finish_pending_jobs(system, service, args) -> int:
+def _finish_pending_jobs(system, service) -> int:
     """Resume the checkpoint store's in-flight jobs at server startup.
 
     A job whose process died mid-lease sits in the store as
     ``running``/``preempted`` with banked progress and -- when it came
     through the CLI -- the request line that started it.  A restarted
-    server re-issues exactly those, stripping the per-lease budget keys
-    so the resumed run finishes instead of re-preempting.  Jobs without
-    a request descriptor (started programmatically) are reported but
-    left for their owners.
+    server re-issues exactly those (:func:`claimable_jobs`).
     """
     if service.checkpoints is None:
         return 0
     finished = 0
-    for job_id, checkpoint in sorted(service.checkpoints.pending().items()):
-        request = checkpoint.request
-        if not isinstance(request, dict) or "dataset" not in request:
-            print(f"# in-flight job {job_id!r} has no request descriptor; "
-                  "leaving it for its owner", file=sys.stderr)
-            continue
-        request = {k: v for k, v in request.items()
-                   if k not in ("lease_iterations", "lease_seconds")}
+    for job_id, checkpoint, request in claimable_jobs(service.checkpoints):
         print(f"# resuming in-flight job {job_id!r} from iteration "
               f"{checkpoint.done_iterations}")
         try:
-            (result,) = system.train_many([request], max_workers=1,
-                                          adaptive=args.adaptive)
+            (result,) = system.train_many(
+                [request], max_workers=1, adaptive=bool(checkpoint.adaptive)
+            )
         except JobLeaseError as exc:
             # Typically our own predecessor's unexpired lease after a
             # hard kill: it expires lease_ttl_s after its last
@@ -429,7 +421,7 @@ def serve_main(argv) -> int:
                             tracer=tracer)
     log = get_logger("serve")
     served = failed = 0
-    served += _finish_pending_jobs(system, service, args)
+    served += _finish_pending_jobs(system, service)
 
     if args.listen is not None:
         frontend = SocketFrontend(
@@ -516,7 +508,8 @@ def train_main(argv) -> int:
     args = parser.parse_args(argv)
     # A zero cadence would fail only after the job's lease stub is
     # written, leaving a job every restarted server reports in flight.
-    if _refuse_nonpositive(args, "checkpoint_every"):
+    if _refuse_nonpositive(args, "checkpoint_every", "max_iterations",
+                           "max_seconds"):
         return 2
 
     try:
@@ -785,8 +778,9 @@ def worker_main(argv) -> int:
         log_level=dict(help=None), log_json=dict(help=None),
     )
     args = parser.parse_args(argv)
-    # A lease written already expired is stealable while its job runs.
-    if _refuse_nonpositive(args, "lease_ttl"):
+    # A lease written already expired is stealable while its job runs;
+    # a zero poll rewrites the heartbeat in a hot loop.
+    if _refuse_nonpositive(args, "lease_ttl", "poll", "max_seconds"):
         return 2
 
     _configure_obs(args)
@@ -866,10 +860,8 @@ def calibrate_main(argv) -> int:
                   f"expected one of {sorted(ALGORITHMS)}", file=sys.stderr)
             return 2
 
-    from repro.cluster import SimulatedCluster
-    from repro.core.iterations import SpeculativeEstimator
-    from repro.core.optimizer import GDOptimizer
-    from repro.runtime import AdaptiveTrainer, PerturbedCostModel
+    from repro.runtime import PerturbedCostModel
+    from repro.service import OptimizerService
 
     system = ML4all(calibration_path=args.store, **_ml4all_kwargs(args))
     try:
@@ -880,25 +872,21 @@ def calibrate_main(argv) -> int:
         return 1
     print("before:", before)
 
+    # One service prices every run and learns into the system's store.
+    service = OptimizerService(
+        spec=system.spec, seed=system.seed, speculation=system.speculation,
+        cost_model=(
+            PerturbedCostModel(system.spec, factors) if factors else None
+        ),
+        calibration=system.calibration,
+    )
     for run in range(args.runs):
-        engine = SimulatedCluster(system.spec, seed=args.seed + run)
-        optimizer = GDOptimizer(
-            engine,
-            estimator=SpeculativeEstimator(
-                system.speculation, seed=args.seed
-            ),
-            cost_model=(
-                PerturbedCostModel(system.spec, factors) if factors else None
-            ),
-            calibration=system.calibration,
-        )
-        trainer = AdaptiveTrainer(optimizer, calibration=system.calibration)
         training = system._training_spec(
             dataset, args.task, args.epsilon, args.max_iter, None, None,
             None, 0.0, args.seed + run,
         )
         try:
-            outcome = trainer.train(dataset, training)
+            outcome = service.train(dataset, training, adaptive=True)
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -2,7 +2,11 @@
 
 :class:`ML4all` wires the pieces of Figure 2 together: the declarative
 language front-end, the cost-based GD optimizer, the plan executor and
-the simulated cluster.  A typical session:
+the simulated cluster.  Optimize and train requests are answered by the
+system's one :class:`~repro.service.OptimizerService` (plan cache, trial
+memo, a fresh simulated cluster per training run); only a fully pinned
+plan and :meth:`ML4all.execute_plan` run on the shared ``engine``.  A
+typical session:
 
     >>> from repro.api import ML4all
     >>> system = ML4all(seed=7)
@@ -28,8 +32,7 @@ import numpy as np
 
 from repro.cluster import ClusterSpec, PartitionedDataset, SimulatedCluster
 from repro.core.executor import execute_plan
-from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
-from repro.core.optimizer import GDOptimizer
+from repro.core.iterations import SpeculationSettings
 from repro.core.plans import GDPlan, TrainingSpec
 from repro.data import datasets as dataset_registry
 from repro.data import libsvm
@@ -49,9 +52,9 @@ class TrainedModel:
     #: TrainResult of the executed plan.
     result: object
     l2: float = 0.0
-    #: ExecutionTrace of the run (adaptive training only).
+    #: ExecutionTrace of the run (adaptive or budgeted training).
     trace: object = None
-    #: AdaptiveResult when trained with ``adaptive=True``.
+    #: AdaptiveResult when trained with ``adaptive=True`` or a budget.
     adaptive: object = None
     #: :class:`~repro.service.JobProgress` when trained as a durable
     #: job (``job_id=``); check ``job.preempted`` to see whether the
@@ -239,31 +242,18 @@ class ML4all:
         """Persist the calibration store (to ``path`` or its own path)."""
         return self.calibration.save(path)
 
-    def _optimizer(self, algorithms=None, batch=None):
-        # The registry decides which algorithms a batch= request applies
-        # to (every tunable mini-batch spec, plugins included).
-        batch_sizes = gd_registry.batch_overrides(batch)
-        return GDOptimizer(
-            self.engine,
-            estimator=SpeculativeEstimator(self.speculation, seed=self.seed),
-            algorithms=algorithms or self.algorithms,
-            batch_sizes=batch_sizes,
-            calibration=self.calibration,
-        )
-
     def optimize(self, dataset, task=None, epsilon=None, max_iter=None,
                  time_budget=None, algorithm=None, batch=None, step=None,
                  convergence=None, l2=0.0, fixed_iterations=None, seed=None):
-        """Run the cost-based optimizer; returns the OptimizationReport."""
-        dataset = self.load_dataset(dataset, task=task)
-        training = self._training_spec(
-            dataset, task, epsilon, max_iter, time_budget, step,
-            convergence, l2, seed,
-        )
-        algorithms = (algorithm,) if algorithm else None
-        return self._optimizer(algorithms, batch).optimize(
-            dataset, training, fixed_iterations=fixed_iterations
-        )
+        """Run the cost-based optimizer; returns the OptimizationReport.
+
+        Answered by :meth:`service`, through its plan cache and trial
+        memo, like every other request."""
+        service = self.service()
+        return service.answer(service.resolve(self._service_request(
+            dataset, task, epsilon, max_iter, time_budget, algorithm, batch,
+            step, convergence, l2, fixed_iterations, seed,
+        ))).report
 
     # ------------------------------------------------------------------
     # concurrent serving
@@ -433,12 +423,20 @@ class ML4all:
               checkpoint_every=None, budget=None):
         """Train a model, optimizing the plan unless it is fully pinned.
 
-        When ``algorithm`` (and optionally ``sampler`` / ``transform``)
-        pin a single plan, the optimizer is bypassed for that choice --
-        this is how the baseline-comparison experiments force a specific
-        GD variant while still letting ML4all pick sampling/transform
-        (Section 8.4: "we used ML4all just to find the best plan given a
-        GD algorithm").
+        ``algorithm`` alone restricts the optimizer to that GD variant
+        while still letting ML4all pick sampling/transform -- this is
+        how the baseline-comparison experiments force a specific
+        algorithm (Section 8.4: "we used ML4all just to find the best
+        plan given a GD algorithm").  ``algorithm`` plus ``sampler``
+        (and optionally ``transform``) pin the whole plan: the optimizer
+        is bypassed and the plan executes on ``self.engine``.
+
+        Every other request is answered by :meth:`service`: the plan
+        comes from its plan cache and executes on a fresh simulated
+        cluster, so a repeated request trains to the same weights and
+        reports the same simulated seconds.  ``budget``
+        (:class:`~repro.runtime.JobBudget`) bounds the run, with or
+        without a ``job_id``.
 
         ``adaptive=True`` trains under the adaptive runtime
         (:mod:`repro.runtime`): execution telemetry, a convergence/cost
@@ -446,14 +444,12 @@ class ML4all:
         plans without losing model state, and an execution trace folded
         into this system's calibration store so later optimizations use
         corrected estimates.  The returned model carries ``trace`` and
-        ``adaptive``.  With ``adaptive=False`` (the default) the
-        behaviour is bit-identical to the one-shot path.
+        ``adaptive``.
 
         ``job_id`` turns the request into a **durable, preemptible
-        job** through the service layer: progress is checkpointed every
-        ``checkpoint_every`` iterations (and at every graceful stop) to
-        this system's ``checkpoint_path`` store, ``budget``
-        (:class:`~repro.runtime.JobBudget`) bounds this lease, and a
+        job**: progress is checkpointed every ``checkpoint_every``
+        iterations (and at every graceful stop) to this system's
+        ``checkpoint_path`` store, ``budget`` bounds this lease, and a
         fresh process with the same store and ``job_id`` resumes the
         run mid-plan, bit-identically.  The returned model carries
         ``job``.
@@ -463,35 +459,13 @@ class ML4all:
             dataset, task, epsilon, max_iter, time_budget, step,
             convergence, l2, seed,
         )
-        trace = None
-        adaptive_result = None
-
-        if job_id is not None:
-            if sampler is not None or operators is not None:
-                raise PlanError(
-                    "durable jobs run through the service layer, which "
-                    "needs the optimizer in the loop and reconstructible "
-                    "operators; drop sampler=/operators= or job_id="
-                )
-            outcome = self.service().train(
-                dataset, training, fixed_iterations=fixed_iterations,
-                algorithms=(algorithm,) if algorithm else None,
-                batch_sizes=gd_registry.batch_overrides(batch) or None,
-                adaptive=adaptive, adaptive_settings=adaptive_settings,
-                job_id=job_id, checkpoint_every=checkpoint_every,
-                budget=budget,
+        if job_id is not None and (sampler is not None
+                                   or operators is not None):
+            raise PlanError(
+                "durable jobs run through the service layer, which "
+                "needs the optimizer in the loop and reconstructible "
+                "operators; drop sampler=/operators= or job_id="
             )
-            return TrainedModel(
-                weights=outcome.result.weights,
-                task=training.task,
-                report=outcome.report,
-                result=outcome.result,
-                l2=l2,
-                trace=outcome.trace,
-                adaptive=outcome.adaptive,
-                job=outcome.job,
-            )
-
         if algorithm is not None and sampler is not None:
             if adaptive:
                 raise PlanError(
@@ -499,46 +473,31 @@ class ML4all:
                     "it cannot run with a fully pinned plan "
                     "(algorithm + sampler)"
                 )
-            plan = GDPlan(
-                algorithm,
-                transform_mode=transform or "eager",
-                sampling=sampler,
-                batch_size=batch,
-            )
+            plan = GDPlan(algorithm, transform_mode=transform or "eager",
+                          sampling=sampler, batch_size=batch)
             result = execute_plan(self.engine, dataset, plan,
                                   training.capped_at(fixed_iterations),
                                   operators)
-            report = None
-        elif adaptive:
-            from repro.runtime import AdaptiveTrainer
+            return TrainedModel(weights=result.weights, task=training.task,
+                                report=None, result=result, l2=l2)
 
-            algorithms = (algorithm,) if algorithm else None
-            trainer = AdaptiveTrainer(
-                self._optimizer(algorithms, batch),
-                settings=adaptive_settings,
-                calibration=self.calibration,
-            )
-            adaptive_result = trainer.train(
-                dataset, training, fixed_iterations=fixed_iterations
-            )
-            report = adaptive_result.report
-            result = adaptive_result.result
-            trace = adaptive_result.trace
-        else:
-            algorithms = (algorithm,) if algorithm else None
-            optimizer = self._optimizer(algorithms, batch)
-            report, result = optimizer.train(
-                dataset, training, fixed_iterations=fixed_iterations,
-                operators=operators,
-            )
+        outcome = self.service().train(
+            dataset, training, fixed_iterations=fixed_iterations,
+            algorithms=(algorithm,) if algorithm else None,
+            batch_sizes=gd_registry.batch_overrides(batch) or None,
+            adaptive=adaptive, adaptive_settings=adaptive_settings,
+            operators=operators, job_id=job_id,
+            checkpoint_every=checkpoint_every, budget=budget,
+        )
         return TrainedModel(
-            weights=result.weights,
+            weights=outcome.result.weights,
             task=training.task,
-            report=report,
-            result=result,
+            report=outcome.report,
+            result=outcome.result,
             l2=l2,
-            trace=trace,
-            adaptive=adaptive_result,
+            trace=outcome.trace,
+            adaptive=outcome.adaptive,
+            job=outcome.job,
         )
 
     def execute_plan(self, dataset, plan, task=None, operators=None, **training_kwargs):

@@ -254,6 +254,26 @@ def audit_lease_history(checkpoint) -> list:
 
 
 # ----------------------------------------------------------------------
+# claiming
+# ----------------------------------------------------------------------
+def claimable_jobs(checkpoints) -> list:
+    """``(job_id, checkpoint, request)`` for every pending job with a
+    request descriptor (a job started programmatically has none and is
+    its owner's business).  ``request`` lacks the per-lease budget keys,
+    so a resumed job finishes instead of re-preempting forever; run it
+    with ``adaptive=checkpoint.adaptive``, the job's own mode."""
+    return [
+        (job_id, checkpoint, {
+            k: v for k, v in checkpoint.request.items()
+            if k not in ("lease_iterations", "lease_seconds")
+        })
+        for job_id, checkpoint in sorted(checkpoints.pending().items())
+        if isinstance(checkpoint.request, dict)
+        and "dataset" in checkpoint.request
+    ]
+
+
+# ----------------------------------------------------------------------
 # the worker loop
 # ----------------------------------------------------------------------
 class FleetWorker:
@@ -291,28 +311,9 @@ class FleetWorker:
         self.steals = 0
 
     # -- claiming ------------------------------------------------------
-    def _claimable(self) -> list:
-        """``(job_id, checkpoint)`` pairs this worker could act on:
-        pending jobs that carry a request descriptor.  Jobs without one
-        (started programmatically) are a peer's business."""
-        return [
-            (job_id, checkpoint)
-            for job_id, checkpoint
-            in sorted(self.service.checkpoints.pending().items())
-            if isinstance(checkpoint.request, dict)
-            and "dataset" in checkpoint.request
-        ]
-
-    def _run_job(self, job_id, checkpoint) -> bool:
+    def _run_job(self, job_id, checkpoint, request) -> bool:
         """Claim and run one job to its next stop; True when it
         finished ``done`` under this worker's lease."""
-        # The per-lease budget keys are stripped so a resumed job runs
-        # to completion instead of re-preempting forever; trace_id
-        # stays -- the service round-trips it back into the descriptor.
-        request = {
-            k: v for k, v in checkpoint.request.items()
-            if k not in ("lease_iterations", "lease_seconds")
-        }
         # A stored lease on a *claimable* job means its owner died
         # without releasing (graceful exits clear it): this claim is a
         # steal in the fleet sense.
@@ -346,15 +347,15 @@ class FleetWorker:
         ``pending`` is the claimable count at the start of the pass,
         which is the drain loop's exit signal.
         """
-        claimable = self._claimable()
+        claimable = claimable_jobs(self.service.checkpoints)
         stats = {"pending": len(claimable), "completed": 0,
                  "leased": 0, "failed": 0}
-        for job_id, checkpoint in claimable:
+        for job_id, checkpoint, request in claimable:
             if self._stop.is_set():
                 break
             self.heartbeat(status="running", job_id=job_id)
             try:
-                finished = self._run_job(job_id, checkpoint)
+                finished = self._run_job(job_id, checkpoint, request)
             except JobLeaseError:
                 # A live peer holds it; not ours this round.
                 stats["leased"] += 1

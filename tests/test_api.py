@@ -85,6 +85,34 @@ class TestTrain:
                              epsilon=1e-12)
         assert model.result.iterations == 50
 
+    def test_repeated_train_reports_the_same_seconds(self, system):
+        # Each run executes on a fresh cluster, and the repeat's report
+        # is the cached one: no trial wall time is added to it.
+        first = system.train("adult", epsilon=0.05, max_iter=300)
+        again = system.train("adult", epsilon=0.05, max_iter=300)
+        np.testing.assert_array_equal(again.weights, first.weights)
+        assert again.result.sim_seconds == first.result.sim_seconds
+        assert again.report.speculation_sim_s == \
+            first.report.speculation_sim_s
+
+    def test_budget_bounds_a_train_without_a_job_id(self, system):
+        from repro.runtime import JobBudget
+
+        model = system.train("adult", fixed_iterations=40,
+                             budget=JobBudget(max_iterations=10))
+        assert model.result.iterations == 10
+
+    def test_optimize_at_another_epsilon_reuses_the_trials(self, system):
+        first = system.optimize("adult", epsilon=0.05)
+        value = system.metrics.value
+        hits = value("speculation.memo.hits")
+        misses = value("speculation.memo.misses")
+        second = system.optimize("adult", epsilon=0.01)
+        assert value("speculation.memo.hits") > hits
+        assert value("speculation.memo.misses") == misses
+        assert second.iteration_estimates.keys() == \
+            first.iteration_estimates.keys()
+
     def test_predict_and_error(self, system):
         ds = system.load_dataset("adult")
         model = system.train(ds, epsilon=0.05, max_iter=500)

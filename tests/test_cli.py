@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -411,7 +412,7 @@ class TestCLIFleetAlgorithms:
         # instead of re-claiming it forever.
         with pytest.warns(UserWarning, match="bound to workload"):
             assert main(["worker", "--checkpoint", store, "--drain",
-                         "--poll", "0"]) == 1
+                         "--poll", "0.01"]) == 1
         assert "0 job(s) done, 0 stolen, 1 failed" in \
             capsys.readouterr().out
         assert main(["worker", "--checkpoint", store, "--drain",
@@ -462,6 +463,30 @@ class TestCLIServeJobs:
         assert "job inflight: done" in out
         # The decision came from the checkpoint, not re-speculation.
         assert "[cache" in out
+
+    def test_restarted_serve_resumes_an_adaptive_job_in_its_own_mode(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.service import CheckpointStore
+
+        store = tmp_path / "jobs.json"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            "adult epsilon=0.001 max_iter=400 algorithm=mgd "
+            "job_id=aj checkpoint_every=25 lease_iterations=50\n"
+        ))
+        assert main(["serve", "--adaptive", "--checkpoint", str(store)]) == 0
+        assert "preempted at iteration 50" in capsys.readouterr().out
+
+        # A server restarted without --adaptive resumes the job as the
+        # adaptive job it is, and says nothing about the mode.
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["serve", "--checkpoint", str(store)]) == 0
+        assert "job aj: done" in capsys.readouterr().out
+        assert [w for w in caught if issubclass(w.category, UserWarning)] \
+            == []
+        assert CheckpointStore(path=str(store)).load("aj").adaptive
 
     def test_bad_lease_budget_line_does_not_kill_the_server(
         self, tmp_path, monkeypatch, capsys
@@ -641,18 +666,28 @@ class TestCLIBounds:
         (["serve"], "--shed-after"),
         (["serve"], "--max-inflight"),
         (["calibrate", "adult"], "--runs"),
+        (["worker", "--checkpoint", "jobs.json"], "--poll"),
+        (["worker", "--checkpoint", "jobs.json"], "--max-seconds"),
+        (["train", "adult", "--job-id", "j", "--checkpoint", "jobs.json"],
+         "--max-iterations"),
+        (["train", "adult", "--job-id", "j", "--checkpoint", "jobs.json"],
+         "--max-seconds"),
     ], ids=["batch", "serve", "batch-repeat", "batch-workers",
             "serve-workers", "serve-shed-after", "serve-max-inflight",
-            "calibrate-runs"])
-    def test_nonpositive_count_is_a_usage_error(self, capsys, subcommand,
-                                                flag):
+            "calibrate-runs", "worker-poll", "worker-max-seconds",
+            "train-max-iterations", "train-max-seconds"])
+    def test_nonpositive_count_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                capsys, subcommand, flag):
         # --max-inflight 0 once answered every request quota_exceeded,
-        # --workers 0 meant 8 threads in serve and 1 in batch, and the
-        # rest were quietly clamped to 1.
+        # --workers 0 meant 8 threads in serve and 1 in batch, the rest
+        # were quietly clamped to 1, and a worker's --poll 0 rewrote its
+        # heartbeat thousands of times a second.
+        monkeypatch.chdir(tmp_path)
         assert main([*subcommand, flag, "0"]) == 2
         captured = capsys.readouterr()
         assert f"error: {flag} must be positive" in captured.err
         assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("every", ["0", "-1"])
     def test_nonpositive_checkpoint_every_is_a_usage_error(
