@@ -62,11 +62,12 @@ class PlanExecutor:
 
     ``initial_state`` additionally resumes the *rest* of the optimizer
     state -- the step-schedule position (global iteration offset), the
-    step kernel's state (direction buffers, SVRG anchor, Arc phase),
-    convergence-criterion memory
+    step kernel's state (direction buffers, SVRG anchor, Arc phase)
     and the sampling RNG stream -- from an
     :class:`~repro.gd.state.OptimizerState` a previous run exported
-    (every :class:`~repro.core.result.TrainResult` carries one).  With
+    (every :class:`~repro.core.result.TrainResult` carries one).
+    Converge needs nothing from it: its memory is the previous iterate,
+    which is ``initial_weights``.  With
     both set, stop-at-k + resume reproduces the uninterrupted run
     bit-identically for same-algorithm segments; a cross-algorithm
     resume applies whatever the transfer policy kept (see
@@ -185,11 +186,11 @@ class PlanExecutor:
                 rng=self._rng,
             )
 
-        converge_imported = self._import_state(context, sampler)
-        if not converge_imported:
-            # Prime Converge with the initial weights so the first delta
-            # compares Update's output against w0.
-            self.ops.converge.converge(context.require("weights"), context)
+        self._restore_state(context, sampler)
+        # Prime Converge with the starting weights (w0, or a resume's
+        # weights -- the previous iterate) so the first delta compares
+        # Update's output against them.
+        self.ops.converge.converge(context.require("weights"), context)
 
         deltas = []
         converged = False
@@ -257,7 +258,7 @@ class PlanExecutor:
                 self.checkpoint_callback(
                     self._iteration_offset + i,
                     context.require("weights").copy(),
-                    self._export_state(context, sampler, i),
+                    self._snapshot_state(context, sampler, i),
                 )
 
         phase_seconds = {
@@ -276,45 +277,34 @@ class PlanExecutor:
             metrics=engine.metrics.snapshot(),
             timed_out=timed_out,
             stopped_by_monitor=stopped_by_monitor,
-            state=self._export_state(context, sampler, iterations),
+            state=self._snapshot_state(context, sampler, iterations),
         )
 
     # ------------------------------------------------------------------
-    def _import_state(self, context, sampler) -> bool:
-        """Seed context/operators/sampler from ``initial_state``.
+    def _restore_state(self, context, sampler) -> None:
+        """Seed context/kernel/sampler from ``initial_state``.
 
-        Runs after Stage and the ``initial_weights`` injection.  All
-        operator hooks are duck-typed so custom bundles degrade to a
-        weights-only resume rather than crashing.  Returns True when the
-        Converge operator's memory was restored (the caller then skips
-        re-priming it).
+        Runs after Stage and the ``initial_weights`` injection.  The
+        sampler hook is duck-typed so custom samplers degrade to a
+        fresh draw order rather than crashing.
         """
         state = self.initial_state
         if state is None:
-            return False
+            return
         context.put("iteration_offset", self._iteration_offset)
         load_kernel(self._kernel, state)
         if sampler is not None and state.sampler is not None \
                 and hasattr(sampler, "load_state"):
             sampler.load_state(state.sampler)
-        if state.convergence is not None and hasattr(self.ops.converge,
-                                                     "import_state"):
-            self.ops.converge.import_state(state.convergence)
-            return True
-        return False
 
-    def _export_state(self, context, sampler, iterations) -> OptimizerState:
-        """Snapshot the run's carry-over state at exit (duck-typed;
-        custom operator bundles export whatever hooks they provide)."""
+    def _snapshot_state(self, context, sampler, iterations) -> OptimizerState:
+        """Snapshot the run's carry-over state at exit (the sampler
+        hook is duck-typed)."""
         sampler_state = None
         if sampler is not None and hasattr(sampler, "state_dict"):
             sampler_state = sampler.state_dict() or None
-        convergence = None
-        if hasattr(self.ops.converge, "export_state"):
-            convergence = self.ops.converge.export_state()
         return OptimizerState(
             iteration_offset=self._iteration_offset + iterations,
-            convergence=convergence,
             rng_state=capture_rng(self._rng),
             sampler=sampler_state,
             **kernel_fields(self._kernel),

@@ -168,16 +168,6 @@ class L1Converge(Converge):
         self._previous = np.array(weights_new, copy=True)
         return delta
 
-    # -- carry-over hooks (duck-typed by PlanExecutor) -------------------
-    def export_state(self):
-        if self._previous is None:
-            return None
-        return {"previous": self._previous.tolist()}
-
-    def import_state(self, payload) -> None:
-        if payload is not None and "previous" in payload:
-            self._previous = np.asarray(payload["previous"], dtype=float)
-
 
 class ToleranceLoop(Loop):
     """Listing 6 plus the iteration cap: continue while delta >= tol."""

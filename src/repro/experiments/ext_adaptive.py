@@ -291,8 +291,11 @@ def run_switch(ctx=None) -> Table:
         )
         resumed_alpha = beta / math.sqrt(switch_iteration + 1)
         post = carried.trace.segments[1]
-        carried_offset = (post.state or {}).get("iteration_offset", 0) \
-            - post.iterations
+        # The final state's offset, less every post-switch segment's
+        # iterations: the offset the first switch carried.
+        carried_offset = carried.result.state.iteration_offset - sum(
+            s.iterations for s in carried.trace.segments[1:]
+        )
         notes.append(
             f"post-switch step size continuous: beta/sqrt("
             f"{switch_iteration + 1}) = {resumed_alpha:.4f} at global "

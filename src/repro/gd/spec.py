@@ -113,7 +113,7 @@ class AlgorithmSpec:
     #: algorithm's private state (anchors, phase markers, ...) lives in
     #: -- the kernel class's own ``state_namespace``; None for
     #: algorithms whose whole state is the generic snapshot (offset,
-    #: updater buffers, RNG, convergence memory).
+    #: updater buffers, RNG, sampler cursors).
     state_namespace: str | None = None
     #: Cross-plan transfer hook ``transfer_state(payload, target_algorithm,
     #: notes) -> payload | None``, consulted by

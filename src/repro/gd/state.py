@@ -38,7 +38,10 @@ applied by the adaptive trainer when a switch changes the plan:
   already consumed.
 
 The weight vector itself is *not* duplicated here: every caller already
-carries it (``TrainResult.weights`` / ``initial_weights``).
+carries it (``TrainResult.weights`` / ``initial_weights``).  Neither is
+the Converge operator's previous-weights memory: its delta is taken
+between successive iterates, so the previous iterate of a resume *is*
+the resumed weights, and the executor primes Converge from them.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ def known_fields(cls, payload) -> dict:
     The forward-compatibility rule shared by every JSON-round-tripped
     dataclass in the carry-over/trace stack: a payload written by a
     newer format must degrade to its readable subset on older-shaped
-    readers, never raise ``TypeError`` at construction.
+    readers, never raise ``TypeError`` at construction -- and a payload
+    written before a field was deleted (e.g. a format-2 state's
+    ``convergence``) loses the deleted key the same way.
     """
     known = {f.name for f in dataclasses.fields(cls)}
     return {k: v for k, v in payload.items() if k in known}
@@ -156,9 +161,6 @@ class OptimizerState:
     #: appear here; the owning spec's ``transfer_state`` hook decides
     #: what survives a plan switch.
     algorithm_state: dict = dataclasses.field(default_factory=dict)
-    #: Convergence-criterion state (the reference Converge operator's
-    #: previous-weights memory): ``{"previous": [...]}`` or None.
-    convergence: dict | None = None
     #: numpy bit-generator state of the driver RNG (sample draws), or
     #: None when the run had no stochastic component.
     rng_state: dict | None = None
@@ -235,7 +237,6 @@ class OptimizerState:
             updater=target_name,
             updater_buffers=buffers,
             algorithm_state=carried_state,
-            convergence=self.convergence,
             rng_state=self.rng_state,
             sampler=None,
             notes=notes,

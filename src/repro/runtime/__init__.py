@@ -20,7 +20,6 @@ from repro.runtime.adaptive import (
     AdaptiveResult,
     AdaptiveTrainer,
     JobBudget,
-    ResumePoint,
     TrainerCheckpoint,
     remaining_iterations,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "OptimizerState",
     "PerturbedCostModel",
     "PlanSegment",
-    "ResumePoint",
     "TRACE_FORMAT",
     "SwitchEvent",
     "TelemetryRecorder",

@@ -79,43 +79,22 @@ class JobBudget:
 
 
 @dataclasses.dataclass
-class ResumePoint:
-    """Where a previous lease of a training job left off.
-
-    Everything :meth:`AdaptiveTrainer.train` needs to continue a run in
-    a fresh process exactly where a checkpoint stopped it: the model
-    weights, the exported :class:`~repro.gd.state.OptimizerState`, the
-    plan being executed (its :class:`PlanCostEstimate`, so monitoring
-    and segment records keep their predictions), the accumulated
-    :class:`~repro.runtime.trace.ExecutionTrace` (segment history --
-    switch accounting and trajectory continuity), and the global
-    iteration count already banked.
-    """
-
-    weights: object
-    state: object
-    chosen: PlanCostEstimate
-    trace: ExecutionTrace
-    done_iterations: int
-    #: Remaining mid-flight switch allowance; None derives it from the
-    #: trace's switch events (a "stay the course" decision that zeroed
-    #: it is persisted explicitly).
-    switches_left: int | None = None
-
-
-@dataclasses.dataclass
 class TrainerCheckpoint:
     """One checkpointable moment of a training run.
 
     Emitted through ``on_checkpoint`` at every cadence boundary, plan
     switch, graceful preemption and completion; the service layer
-    persists it as a :class:`~repro.service.checkpoint.JobCheckpoint`.
-    ``status`` is ``"running"`` (more work to do), ``"preempted"`` (the
-    lease budget stopped the run) or ``"done"`` (converged or out of
-    iteration budget).  ``state`` is the *exported*
-    :class:`~repro.gd.state.OptimizerState` (its ``to_dict()``, or
-    None): the trainer exports once per snapshot, and the same dict
-    sits in the trace's last segment and in the checkpoint.
+    persists it as a :class:`~repro.service.checkpoint.JobCheckpoint`,
+    and hands the same record back as ``resume=`` to continue the run
+    in a later lease.  ``status`` is ``"running"`` (more work to do),
+    ``"preempted"`` (the lease budget stopped the run) or ``"done"``
+    (converged or out of iteration budget).  ``state`` is the
+    *exported* :class:`~repro.gd.state.OptimizerState` (its
+    ``to_dict()``, or None) a resume imports -- the only copy of it:
+    the trainer exports once per snapshot, and the trace's segments do
+    not repeat it.  ``chosen`` is the plan being executed, ``trace``
+    the segment history so far and ``done_iterations`` the global
+    iterations banked.
     """
 
     status: str
@@ -205,8 +184,9 @@ class AdaptiveTrainer:
         default the trainer optimizes first, charging speculation wall
         time into the simulated clock like ``GDOptimizer.train``.
 
-        **Durable-job hooks.**  ``resume`` (a :class:`ResumePoint`)
-        continues a previous lease's run bit-identically instead of
+        **Durable-job hooks.**  ``resume`` (the last
+        :class:`TrainerCheckpoint` a previous lease's ``on_checkpoint``
+        received) continues that run bit-identically instead of
         starting fresh (with ``resume`` set, a missing ``report`` is
         *not* recomputed -- the resumed plan is already decided).
         ``on_checkpoint`` receives a :class:`TrainerCheckpoint` at every
@@ -236,14 +216,10 @@ class AdaptiveTrainer:
             weights = np.asarray(resume.weights, dtype=float)
             carried_state = (
                 OptimizerState.from_dict(resume.state)
-                if isinstance(resume.state, dict) else resume.state
+                if resume.state is not None else None
             )
             done_iterations = int(resume.done_iterations)
-            switches_left = (
-                max(0, self.settings.max_switches - len(trace.switches))
-                if resume.switches_left is None
-                else int(resume.switches_left)
-            )
+            switches_left = int(resume.switches_left)
             entry_notes = [
                 f"resumed from checkpoint at global iteration "
                 f"{done_iterations}"
@@ -314,6 +290,7 @@ class AdaptiveTrainer:
                 state_transfer=entry_notes,
             )
             trace.segments.append(segment)
+            exported = result.state.to_dict()
             done_iterations += result.iterations
             lease_executed += result.iterations
             # Fold the observation in *now*, not at the end of the run:
@@ -337,17 +314,16 @@ class AdaptiveTrainer:
                 # runs out exactly on the job's last iteration has
                 # *finished* the job, and stamping it "preempted" would
                 # make the next lease run past max_iter.
-                self._emit(on_checkpoint, "done", result, segment.state,
+                self._emit(on_checkpoint, "done", result, exported,
                            chosen, trace, done_iterations, switches_left)
                 break
             if monitor.preempted:
                 preempted = True
-                self._emit(on_checkpoint, "preempted", result,
-                           segment.state, chosen, trace, done_iterations,
-                           switches_left)
+                self._emit(on_checkpoint, "preempted", result, exported,
+                           chosen, trace, done_iterations, switches_left)
                 break
             if switches_left < 1:
-                self._emit(on_checkpoint, "done", result, segment.state,
+                self._emit(on_checkpoint, "done", result, exported,
                            chosen, trace, done_iterations, switches_left)
                 break
             weights = result.weights
@@ -379,7 +355,7 @@ class AdaptiveTrainer:
                 )
                 if new_chosen is not None:
                     chosen = new_chosen
-                self._emit(on_checkpoint, "running", result, segment.state,
+                self._emit(on_checkpoint, "running", result, exported,
                            chosen, trace, done_iterations, switches_left)
                 continue
             switches_left -= 1
@@ -451,7 +427,6 @@ class AdaptiveTrainer:
         breakdown = chosen.breakdown or {}
 
         def callback(global_iteration, weights, state):
-            exported = state.to_dict()
             partial = PlanSegment(
                 plan=str(chosen.plan),
                 algorithm=chosen.plan.algorithm,
@@ -472,14 +447,13 @@ class AdaptiveTrainer:
                     monitor.observed_per_iteration_s() or 0.0
                 ),
                 deltas=[float(d) for d in monitor.deltas],
-                state=exported,
                 state_transfer=list(entry_notes),
                 partial=True,
             )
             on_checkpoint(TrainerCheckpoint(
                 status="running",
                 weights=weights,
-                state=exported,
+                state=state.to_dict(),
                 chosen=chosen,
                 trace=trace.with_partial(partial),
                 done_iterations=int(global_iteration),

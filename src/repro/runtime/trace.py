@@ -20,9 +20,11 @@ import json
 from repro.gd.state import field_dict, known_fields
 
 #: Format version of one serialized ExecutionTrace.  Version 2 added
-#: optimizer-state carry-over: segments record the OptimizerState
-#: snapshot at exit (``state``) and the transfer-policy notes applied at
-#: entry (``state_transfer``).  Readers tolerate unknown keys (via
+#: optimizer-state carry-over: segments record the transfer-policy notes
+#: applied at entry (``state_transfer``).  The state itself is not in
+#: the trace -- a checkpoint stores it once, at its top level -- so a
+#: segment's ``state`` key, which earlier format-2 writers added, is
+#: dropped on read.  Readers tolerate unknown keys (via
 #: :func:`~repro.gd.state.known_fields`), so newer traces degrade
 #: gracefully when read by older code (the new fields are simply
 #: ignored) and older traces load with the new fields defaulted.
@@ -78,10 +80,6 @@ class PlanSegment:
     deltas: list = dataclasses.field(default_factory=list)
     #: Simulated seconds per phase, for this segment only.
     phase_seconds: dict = dataclasses.field(default_factory=dict)
-    #: :class:`~repro.gd.state.OptimizerState` snapshot (as a dict) at
-    #: segment exit -- what a resume would import.  None for traces
-    #: recorded before carry-over existed (TRACE_FORMAT < 2).
-    state: dict | None = None
     #: Transfer-policy notes applied when this segment's entry state was
     #: derived from the previous segment (empty for the first segment).
     state_transfer: list = dataclasses.field(default_factory=list)
@@ -257,8 +255,5 @@ def segment_from_result(result, estimate,
         observed_per_iteration_s=float(observed_per_iteration_s or 0.0),
         deltas=[float(d) for d in result.deltas],
         phase_seconds={k: float(v) for k, v in result.phase_seconds.items()},
-        state=(
-            result.state.to_dict() if result.state is not None else None
-        ),
         state_transfer=list(state_transfer or []),
     )

@@ -34,9 +34,11 @@ drives this store; nothing here knows about datasets or engines.
 **Write cost.**  A durability point costs one encode and one commit,
 and a lease one commit more, its acquire: the final checkpoint ends
 the lease itself.  The trainer exports the optimizer state once per
-snapshot, ``to_dict`` assembles the payload from those already-plain
-lists and dicts without copying them, and the backend walks it once,
-in ``json.dumps``; on SQLite the text goes to one row in one
+snapshot and the row stores it once -- not again in the trace's last
+segment, and not Converge's previous iterate, which is ``weights`` --
+``to_dict`` assembles the payload from those already-plain lists and
+dicts without copying them, and the backend walks it once, in
+``json.dumps``; on SQLite the text goes to one row in one
 ``BEGIN IMMEDIATE`` transaction on the store's persistent WAL
 connection -- one fsync.  What still grows is the payload: it carries
 the job's whole trajectory (the execution trace gains a delta per

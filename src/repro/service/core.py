@@ -371,15 +371,11 @@ class OptimizerService(TrainingJobs):
         )
 
     def _make_optimizer(self, algorithms=None, batch_sizes=None,
-                        engine=None, context=None,
-                        trials=None) -> GDOptimizer:
-        """A fresh optimizer for one computation (on a fresh simulated
-        cluster unless the caller supplies its own engine clone).  With
-        a ``context`` (:meth:`trial_context`) its estimator reads and
-        fills the service's trial memo -- or reads only ``trials``, the
-        ones a :meth:`claim` took out of it."""
-        if engine is None:
-            engine = SimulatedCluster(self.spec, seed=self.seed)
+                        context=None, trials=None) -> GDOptimizer:
+        """A fresh optimizer for one computation, on a fresh simulated
+        cluster.  With a ``context`` (:meth:`trial_context`) its
+        estimator reads and fills the service's trial memo -- or reads
+        only ``trials``, the ones a :meth:`claim` took out of it."""
         estimator = SpeculativeEstimator(
             self.speculation,
             seed=self.seed,
@@ -389,7 +385,7 @@ class OptimizerService(TrainingJobs):
             context=context,
         )
         return GDOptimizer(
-            engine,
+            SimulatedCluster(self.spec, seed=self.seed),
             estimator=estimator,
             algorithms=self.algorithms if algorithms is None else algorithms,
             batch_sizes=(

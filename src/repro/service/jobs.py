@@ -31,7 +31,7 @@ from repro.runtime import (
     AdaptiveSettings,
     AdaptiveTrainer,
     ExecutionTrace,
-    ResumePoint,
+    TrainerCheckpoint,
 )
 from repro.service.checkpoint import (
     CheckpointError,
@@ -60,14 +60,17 @@ class TrainingJobs:
     def train(self, dataset, training, fixed_iterations=None,
               algorithms=None, batch_sizes=None, adaptive=False,
               adaptive_settings=None, operators=None,
-              engine=None, job_id=None, checkpoint_every=None,
+              job_id=None, checkpoint_every=None,
               budget=None, job_request=None) -> TrainServiceResult:
         """Optimize (through the plan cache), then execute the plan.
 
         Execution runs on a **per-caller engine clone** -- a fresh
-        :class:`SimulatedCluster` per request (or the caller's own via
-        ``engine``), so one caller's simulated clock, cache residency
-        and metrics never leak into another's.
+        :class:`SimulatedCluster` per request, so one caller's simulated
+        clock, cache residency and metrics never leak into another's.
+        ``operators`` (a custom operator bundle) runs on plain requests
+        only: a monitored run (``adaptive``, ``budget``) refuses it with
+        :class:`~repro.errors.PlanError`, a durable job with
+        :class:`~repro.service.checkpoint.CheckpointError`.
 
         With ``adaptive=True`` the plan runs under the adaptive runtime:
         convergence/cost monitoring, mid-flight re-optimization, and the
@@ -112,12 +115,23 @@ class TrainingJobs:
                 batch_sizes, adaptive, adaptive_settings, job_id,
                 checkpoint_every, budget, job_request,
             )
+        if operators is not None and (adaptive or budget is not None):
+            raise PlanError(
+                "monitored runs (adaptive=, budget=) cannot run custom "
+                "operator bundles: the runtime executes the reference "
+                "operators; drop operators= or adaptive=/budget="
+            )
         optimization = self.optimize(
             dataset, training, fixed_iterations, algorithms, batch_sizes
         )
-        if engine is None:
-            engine = SimulatedCluster(self.spec, seed=self.seed)
         report = optimization.report
+        if adaptive or budget is not None:
+            trainer = self._trainer(algorithms, batch_sizes, adaptive,
+                                    adaptive_settings)
+            engine = trainer.optimizer.engine
+        else:
+            trainer = None
+            engine = SimulatedCluster(self.spec, seed=self.seed)
         if not optimization.cache_hit and not optimization.recalibrated:
             # This request paid for speculation: reflect it in the
             # caller's simulated clock (sample collection + trial wall),
@@ -125,9 +139,7 @@ class TrainingJobs:
             # skip it -- that saving is the point of the plan cache.
             report.charge_speculation(engine, include_sample_collection=True)
 
-        if adaptive or budget is not None:
-            trainer = self._trainer(algorithms, batch_sizes, engine,
-                                    adaptive, adaptive_settings)
+        if trainer is not None:
             adaptive_result = trainer.train(
                 dataset, training, fixed_iterations=fixed_iterations,
                 report=report, budget=budget,
@@ -156,14 +168,15 @@ class TrainingJobs:
             adaptive=adaptive_result,
         )
 
-    def _trainer(self, algorithms, batch_sizes, engine, adaptive,
+    def _trainer(self, algorithms, batch_sizes, adaptive,
                  adaptive_settings) -> AdaptiveTrainer:
-        """The runtime one monitored run executes under.  Without
-        ``adaptive`` it runs the same single-plan execution as plain
-        :meth:`train` -- telemetry and the lease monitor only, no
-        mid-flight switching, no calibration."""
+        """The runtime one monitored run executes under, on a fresh
+        engine (``trainer.optimizer.engine``).  Without ``adaptive`` it
+        runs the same single-plan execution as plain :meth:`train` --
+        telemetry and the lease monitor only, no mid-flight switching,
+        no calibration."""
         return AdaptiveTrainer(
-            self._make_optimizer(algorithms, batch_sizes, engine=engine),
+            self._make_optimizer(algorithms, batch_sizes),
             settings=(
                 (adaptive_settings or self.adaptive_settings) if adaptive
                 else AdaptiveSettings(max_switches=0)
@@ -318,7 +331,8 @@ class TrainingJobs:
                 # the plan store was lost.
                 report = self._report_from_entry(key, checkpoint.plan_entry)
                 restored_entry = report is not None
-                resume = ResumePoint(
+                resume = TrainerCheckpoint(
+                    status=checkpoint.status,
                     weights=checkpoint.weights,
                     state=checkpoint.state,
                     chosen=candidate_from_dict(checkpoint.chosen),
@@ -353,11 +367,12 @@ class TrainingJobs:
                 report = optimization.report
                 self.metrics.inc("service.jobs_started")
 
-            engine = SimulatedCluster(self.spec, seed=self.seed)
+            trainer = self._trainer(algorithms, batch_sizes, adaptive,
+                                    adaptive_settings)
             if resume is None and not optimization.cache_hit \
                     and not optimization.recalibrated:
                 report.charge_speculation(
-                    engine, include_sample_collection=True
+                    trainer.optimizer.engine, include_sample_collection=True
                 )
             if restored_entry:
                 # Carry the checkpointed entry verbatim: its original
@@ -371,9 +386,6 @@ class TrainingJobs:
                     report, self.calibration.version,
                     self.calibration.state_digest(),
                 )
-
-            trainer = self._trainer(algorithms, batch_sizes, engine,
-                                    adaptive, adaptive_settings)
 
             # This lease's entry in the job's audit trail: carried
             # forward from the previous checkpoint and extended on every

@@ -3,10 +3,10 @@ point, the same bytes as before.
 
 * golden payloads: seeded durable jobs store, write for write, the JSON
   text pinned in ``golden/checkpoint_payloads.json`` (clock- and
-  identity-dependent values masked), less each lease's final leased
-  row: the pinning commit saved a lease's final checkpoint leased and
-  then released it in a second write, whose row the final save now
-  writes itself;
+  identity-dependent values masked), and each lease's final save ends
+  its lease;
+* each fact once: no row repeats the optimizer state in a trace
+  segment, or the weights as Converge's previous iterate;
 * cost: no ``dataclasses.asdict`` anywhere near a checkpoint, one
   ``json.dumps`` per ``save()``, an exact transaction count per job, and
   no write at all for an ``update`` that changes nothing;
@@ -14,14 +14,17 @@ point, the same bytes as before.
 * SQLite: WAL + ``synchronous=FULL``, a process killed mid-transaction
   loses only that transaction, cross-process check-and-set, a forked
   child gets its own connection;
-* compatibility: store files written by the commit before this change
+* compatibility: store files written before the write path changed
   (``golden/parent_jobs.db`` / ``.json``, a job preempted at iteration
-  37) resume here, and a file written here reads back through a plain
-  per-operation connection as that commit opened it.
+  37, whose rows still carry the duplicated state) resume here, and a
+  file written here reads back through a plain per-operation
+  connection as that code opened it, holding the same row less the
+  duplicates.
 
-The golden files pin the commit *before* the write path changed.
-``python tests/test_checkpoint_write_path.py`` regenerates them from
-whatever code is on ``PYTHONPATH``, so only do that on purpose.
+``python tests/test_checkpoint_write_path.py`` regenerates the golden
+payloads from whatever code is on ``PYTHONPATH``, so only do that on
+purpose.  It leaves the parent store files alone: they are the
+old-format rows that must keep resuming.
 """
 
 import copy
@@ -220,19 +223,6 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def without_final_leased_rows(parent_writes, lease_ends) -> list:
-    """The pinned writes as this code makes them.  The commit that
-    pinned them wrote each lease's final checkpoint leased and then a
-    release row with the lease set to null; the final save now writes
-    that release row itself.  ``lease_ends`` are the indices of the
-    rows that end a lease in the new sequence, so deleting the row at
-    each of them, in order, drops exactly the final leased rows."""
-    writes = list(parent_writes)
-    for end in lease_ends:
-        del writes[end]
-    return writes
-
-
 class TestGoldenPayloads:
     def test_cases_cover_what_they_claim(self, golden):
         for name in ("sgd", "mgd"):
@@ -253,13 +243,11 @@ class TestGoldenPayloads:
         lease_ends = []
         recorded = record_case(name, tmp_path, lease_ends)
         pinned = golden[name]
-        leases = len(CASES[name][2])
-        assert len(lease_ends) == leases
-        assert len(pinned["writes"]) == len(recorded["writes"]) + leases
-        expected = without_final_leased_rows(pinned["writes"], lease_ends)
+        assert len(lease_ends) == len(CASES[name][2])
+        assert len(recorded["writes"]) == len(pinned["writes"])
         assert recorded["plan"] == pinned["plan"]
         for index, (ours, theirs) in enumerate(
-            zip(recorded["writes"], expected)
+            zip(recorded["writes"], pinned["writes"])
         ):
             assert ours == theirs, f"{name}: stored row #{index} differs"
         assert recorded["last_checkpoint"] == pinned["last_checkpoint"]
@@ -268,6 +256,37 @@ class TestGoldenPayloads:
     def test_no_format_bump(self):
         assert (CHECKPOINT_FORMAT, STATE_FORMAT, TRACE_FORMAT,
                 STORE_FORMAT) == (1, 2, 2, 1)
+
+
+def without_duplicates(payload) -> dict:
+    """A checkpoint row written before the state was stored once, less
+    the two copies it repeated: Converge's previous iterate (the
+    weights) and each trace segment's state."""
+    payload = copy.deepcopy(payload)
+    payload["state"].pop("convergence", None)
+    for segment in payload["trace"]["segments"]:
+        segment.pop("state", None)
+    return payload
+
+
+class TestEachFactOnce:
+    @pytest.mark.parametrize("name", ["sgd", "svrg", "adaptive"])
+    def test_no_row_repeats_the_state_or_the_weights(self, name, tmp_path):
+        recorder = RowRecorder(tmp_path / f"{name}.db")
+        try:
+            run_case(name, recorder, checkpoint_every=10)
+        finally:
+            recorder.close()
+        # Every row past each lease's acquire stub holds progress.
+        rows = [row for row in map(json.loads, recorder.rows)
+                if row["state"] is not None]
+        assert len(rows) >= 5
+        for row in rows:
+            assert "convergence" not in row["state"]
+            assert all("state" not in segment
+                       for segment in row["trace"]["segments"])
+        if name == "adaptive":
+            assert rows[-1]["trace"]["switches"]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +434,7 @@ def live_checkpoint():
         plan="MGD", algorithm="mgd", predicted_iterations=60,
         predicted_per_iteration_s=1.0, predicted_total_s=60.0,
         iterations=10, deltas=[0.5, 0.25], phase_seconds={"compute": 1.0},
-        state=state.to_dict(), state_transfer=["note"],
+        state_transfer=["note"],
     )
     trace = ExecutionTrace(workload="w", cluster_signature="c",
                            tolerance=1e-3, segments=[segment])
@@ -447,7 +466,7 @@ class TestAliasing:
         lease_record["end_iteration"] = 60
         segment.deltas.append(0.125)
         segment.phase_seconds["update"] = 2.0
-        segment.state["notes"].append("mutated")
+        segment.state_transfer.append("mutated")
         trace.segments.append(segment)
         state.updater_buffers["v"].append(0.3)
         state.rng_state["state"]["s"] = 2
@@ -739,9 +758,14 @@ class TestStoreFileCompatibility:
             ).fetchall()
         finally:
             parent.close()
-        # The very text the parent wrote for the same half-done job, so
-        # whatever the parent decodes from its own file it decodes here.
-        assert masked_text(ours) == masked_text(theirs)
+        # The very text the parent wrote for the same half-done job,
+        # less the copies it no longer stores -- fields the parent
+        # defaults (its executor primes Converge from the weights when
+        # a state has no ``convergence``) -- so whatever the parent
+        # decodes from its own file it decodes here.
+        assert masked_text(ours) == json.dumps(
+            mask(without_duplicates(json.loads(theirs)))
+        )
         payload = json.loads(ours)
         assert payload["checkpoint_format"] == 1
         assert payload["state"]["state_format"] == 2
@@ -758,8 +782,7 @@ class TestStoreFileCompatibility:
 
 
 def regenerate() -> None:
-    """Re-pin the golden payloads and the half-done store files to the
-    code on PYTHONPATH."""
+    """Re-pin the golden payloads to the code on PYTHONPATH."""
     import tempfile
 
     with tempfile.TemporaryDirectory() as directory:
@@ -767,19 +790,8 @@ def regenerate() -> None:
             {name: record_case(name, directory) for name in sorted(CASES)},
             indent=1,
         ) + "\n")
-    for kind, path in PARENT_STORES.items():
-        for stale in (path, pathlib.Path(f"{path}.lock")):
-            if stale.exists():
-                stale.unlink()
-        backend = SqliteBackend(str(path)) if kind == "sqlite" \
-            else JsonFileBackend(str(path))
-        half_done(backend)
-        backend.close()
-        lock = pathlib.Path(f"{path}.lock")
-        if lock.exists():
-            lock.unlink()
 
 
 if __name__ == "__main__":
     regenerate()
-    print(f"wrote {GOLDEN} and {sorted(map(str, PARENT_STORES.values()))}")
+    print(f"wrote {GOLDEN}")

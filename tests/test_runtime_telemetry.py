@@ -346,6 +346,15 @@ class TestTraceForwardCompatibility:
         assert segment.plan == "SGD-lazy-shuffle"
         assert segment.iterations == 50
 
+    def test_plan_segment_drops_the_state_older_writers_stored(self):
+        from repro.runtime import PlanSegment
+
+        payload = self.segment_payload()
+        payload["state"] = {"state_format": 2, "iteration_offset": 50}
+        segment = PlanSegment.from_dict(payload)
+        assert segment.iterations == 50
+        assert "state" not in segment.to_dict()
+
     def test_switch_event_tolerates_unknown_keys(self):
         from repro.runtime import SwitchEvent
 
@@ -377,7 +386,8 @@ class TestTraceForwardCompatibility:
         ))
         payload = json.loads(json.dumps(trace.to_dict()))
         assert payload["trace_format"] == TRACE_FORMAT
+        # The state is stored once, by the checkpoint, not per segment.
+        assert "state" not in payload["segments"][0]
         restored = ExecutionTrace.from_dict(payload)
-        assert restored.segments[0].state["iteration_offset"] == \
-            result.iterations
+        assert restored.segments[0].iterations == result.iterations
         assert restored.segments[0].state_transfer == ["offset carried"]

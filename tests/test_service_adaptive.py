@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.plans import TrainingSpec
-from repro.runtime import PerturbedCostModel
+from repro.core.reference_ops import GradientCompute, default_operators
+from repro.errors import PlanError
+from repro.runtime import JobBudget, PerturbedCostModel
 from repro.service import OptimizerService
 
 from support import make_dataset
@@ -62,13 +64,34 @@ class TestServiceTrain:
         assert np.array_equal(first.weights, second.weights)
         assert second.optimization.cache_hit
 
-    def test_callers_own_engine_is_used(self, spec, dataset, training):
-        from repro.cluster import SimulatedCluster
+    @pytest.mark.parametrize("monitored", [
+        {"adaptive": True},
+        {"budget": JobBudget(max_iterations=10)},
+    ], ids=["adaptive", "budget"])
+    def test_monitored_runs_refuse_custom_operators(
+        self, spec, dataset, training, monitored
+    ):
+        # The runtime executes the reference operators, so a bundle
+        # passed with adaptive= or budget= must be refused, not dropped.
+        calls = []
 
-        service = make_service(spec)
-        engine = SimulatedCluster(spec, seed=5)
-        service.train(dataset, training, engine=engine)
-        assert engine.clock > 0
+        class CountingCompute(GradientCompute):
+            def compute(self, X, y, context):
+                calls.append(1)
+                return super().compute(X, y, context)
+
+        operators = default_operators(
+            d=20, gradient=training.gradient(),
+            max_iter=training.max_iter, tolerance=training.tolerance,
+        )
+        operators.compute = CountingCompute(training.gradient())
+        service = make_service(spec, algorithms=("bgd",))
+        with pytest.raises(PlanError, match="custom operator"):
+            service.train(dataset, training, operators=operators,
+                          **monitored)
+        assert calls == []
+        plain = service.train(dataset, training, operators=operators)
+        assert len(calls) == plain.result.iterations > 0
 
     def test_adaptive_train_produces_trace_and_calibration(
         self, spec, dataset, training

@@ -240,8 +240,9 @@ class TestExecutorResumeEquivalence:
         )
         assert result.state.updater == MomentumUpdater().name
         assert "v" in result.state.updater_buffers
-        assert result.state.convergence is not None
         assert result.state.rng_state is not None
+        # Converge's memory is the weights a resume already carries.
+        assert "convergence" not in result.state.to_dict()
 
 
 class TestOptimizerStateSerialization:
@@ -253,13 +254,18 @@ class TestOptimizerStateSerialization:
             algorithm_state={
                 "svrg": {"w_bar": [1.0], "mu": [2.0], "last_anchor": 120},
             },
-            convergence={"previous": [5.0, 6.0]},
             rng_state=np.random.default_rng(3).bit_generator.state,
             sampler={"pid": 1, "sim_cursor": 9, "phys_order": [3, 1],
                      "phys_cursor": 1},
         )
         restored = json_round_trip(state)
         assert restored == state
+
+    def test_convergence_memory_of_older_writers_is_dropped(self):
+        payload = OptimizerState(iteration_offset=7).to_dict()
+        payload["convergence"] = {"previous": [5.0, 6.0]}
+        assert OptimizerState.from_dict(payload) == \
+            OptimizerState(iteration_offset=7)
 
     def test_unknown_keys_are_tolerated(self):
         payload = OptimizerState(iteration_offset=7).to_dict()
