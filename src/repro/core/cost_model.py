@@ -21,13 +21,15 @@ error against the engine is what Figure 7 measures (paper: <= 17%).
 The formulas are written once, per plan (``CostModel._plan_costs``).
 :meth:`CostModel.estimate_batch`, the call the optimizer prices a plan
 space with, computes the text and binary layouts once and runs every
-plan through them; :meth:`CostModel.estimate` prices a single plan.
+plan through them, once per (dataset, plan space) since only T varies
+between requests; :meth:`CostModel.estimate` prices a single plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 
@@ -133,11 +135,19 @@ def converge_cpu(spec, layout) -> float:
 # the plan cost model
 # ---------------------------------------------------------------------------
 
+#: Plan spaces a CostModel keeps the prices of, least recently used out.
+_PRICE_MEMO_SIZE = 64
+
+
 class CostModel:
-    """Assembles formulas 3-9 into per-plan cost estimates."""
+    """Assembles formulas 3-9 into per-plan cost estimates.  One model
+    may serve many requests and threads: it memoises the prices of the
+    plan spaces it priced last (:meth:`estimate_batch`)."""
 
     def __init__(self, spec):
         self.spec = spec
+        self._prices = {}  # in order of use
+        self._prices_lock = threading.Lock()
 
     # -- helpers --------------------------------------------------------
     def _fits_cache(self, nbytes) -> bool:
@@ -340,9 +350,13 @@ class CostModel:
 
         ``iterations`` is a per-plan sequence of iteration counts (the
         T(epsilon) estimates).  The text and binary layouts are computed
-        once per call; each plan then goes through the same per-plan
-        formulas as :meth:`estimate`, so prices and rankings are
-        identical to it.
+        once; each plan then goes through the same per-plan formulas as
+        :meth:`estimate`, so prices and rankings are identical to it.
+
+        Those prices are memoised (thread-safe, LRU) under all the
+        formulas read -- ``stats``, the plans and each plan's *registered*
+        algorithm spec, so re-registering one re-prices it; a call only
+        computes ``one_time + iterations x per_iteration``.
         """
         plans = tuple(plans)
         iters = np.asarray(list(iterations), dtype=float)
@@ -351,15 +365,27 @@ class CostModel:
                 f"estimate_batch needs one iteration count per plan "
                 f"({len(plans)} plans, iterations shape {iters.shape})"
             )
-        text, binary = self._layouts(stats)
-        one_time_s, per_iteration_s, breakdowns = [], [], []
-        for plan in plans:
-            one, per, breakdown = _summed(*self._plan_costs(plan, text, binary))
-            one_time_s.append(one)
-            per_iteration_s.append(per)
-            breakdowns.append(breakdown)
-        one_time_s = np.array(one_time_s, dtype=float)
-        per_iteration_s = np.array(per_iteration_s, dtype=float)
+        specs = tuple(gd_registry.ALGORITHMS.get(p.algorithm) for p in plans)
+        # The entry holds the specs, so their ids are not reused meanwhile.
+        key = (stats, plans, tuple(map(id, specs)))
+        with self._prices_lock:
+            entry = self._prices.pop(key, None)
+            if entry is not None:
+                self._prices[key] = entry
+        if entry is None:
+            text, binary = self._layouts(stats)
+            rows = [_summed(*self._plan_costs(plan, text, binary))
+                    for plan in plans]
+            prices = [np.array([row[i] for row in rows], dtype=float)
+                      for i in (0, 1)]
+            for array in prices:
+                array.flags.writeable = False
+            entry = (specs, *prices, tuple(row[2] for row in rows))
+            with self._prices_lock:
+                self._prices[key] = entry
+                if len(self._prices) > _PRICE_MEMO_SIZE:
+                    del self._prices[next(iter(self._prices))]
+        _, one_time_s, per_iteration_s, breakdowns = entry
         return BatchCostEstimate(plans, iters, one_time_s, per_iteration_s,
                                  one_time_s + iters * per_iteration_s,
                                  breakdowns)
@@ -378,6 +404,8 @@ class BatchCostEstimate:
 
     Arrays are indexed by plan position; ``breakdowns`` holds each plan's
     breakdown dict (``"one_time:<phase>"`` / ``"iter:<phase>"`` keys).
+    ``one_time_s``, ``per_iteration_s`` and ``breakdowns`` may be the
+    model's memo: replace them, never write into them.
     """
 
     plans: tuple
@@ -385,7 +413,7 @@ class BatchCostEstimate:
     one_time_s: np.ndarray
     per_iteration_s: np.ndarray
     total_s: np.ndarray
-    breakdowns: list
+    breakdowns: tuple
 
     def __len__(self) -> int:
         return len(self.plans)

@@ -57,10 +57,10 @@ _LANE = threading.Lock()
 #: instead of burning the whole iteration cap.
 _DIVERGENCE_FACTOR = 1e12
 
-#: What a :class:`TrialMemo` may hold: the bytes of its error arrays
-#: plus a flat charge per entry (a diverged trial has no array), about
-#: 200 worst-case 5000-point traces.  Least recently used go first.
-_MEMO_MAX_BYTES = 8 << 20
+#: What a :class:`TrialMemo` may hold: the bytes of its observation
+#: tables plus a flat charge per entry (a diverged trial has no rows),
+#: about 200 worst-case 5000-point traces.  Least recently used go first.
+_MEMO_MAX_BYTES = 16 << 20
 _MEMO_ENTRY_BYTES = 256
 
 
@@ -117,8 +117,7 @@ class _Trial:
     #: The algorithm whose request ran the trial (a span's
     #: ``shared_with`` when another algorithm reads it).
     ran_by: str
-    #: error_i of every completed iteration, read-only: estimates of
-    #: many requests are cut from the one array.
+    #: error_i of every completed iteration (``observations[:, 1]``).
     errors: np.ndarray
     iterations: int
     #: ``(iteration, error)`` that tripped the divergence guard, or None.
@@ -126,6 +125,16 @@ class _Trial:
     #: {curve family: FittedCurve, or the EstimationError its fit
     #: raised}; a fit reads nothing but ``errors`` and the family.
     curves: dict = dataclasses.field(default_factory=dict)
+    #: ``(iteration, error)`` rows, read-only: the ``speculation_errors``
+    #: of every estimate cut from this trial.  Column-major, so that
+    #: ``errors`` is a contiguous view.
+    observations: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        table = np.array(  # a transposed (2, n): column-major (n, 2)
+            [np.arange(1, len(self.errors) + 1), self.errors], dtype=float).T
+        table.flags.writeable = False
+        self.observations, self.errors = table, table[:, 1]
 
     def repeats(self, cfg) -> bool:
         """Whether any machine would have stopped this trial here:
@@ -174,7 +183,7 @@ class TrialMemo:
 
     @staticmethod
     def _cost(trial) -> int:
-        return trial.errors.nbytes + _MEMO_ENTRY_BYTES
+        return trial.observations.nbytes + _MEMO_ENTRY_BYTES
 
     def get(self, key):
         """The trial stored under ``key`` (now most recently used)."""
@@ -328,9 +337,8 @@ class SpeculativeEstimator:
             time_budget_s=cfg.time_budget_s,
             iteration_callback=collect,
         )
-        errors = np.asarray(errors, dtype=float)
-        errors.flags.writeable = False
-        return _Trial(algorithm, errors, result.iterations, diverged)
+        return _Trial(algorithm, np.asarray(errors, dtype=float),
+                      result.iterations, diverged)
 
     def _fit(self, algorithm, target_tolerance, cfg, trial,
              wall_s) -> IterationsEstimate:
@@ -345,9 +353,7 @@ class SpeculativeEstimator:
         common = dict(
             algorithm=algorithm,
             target_tolerance=target_tolerance,
-            speculation_errors=np.column_stack(
-                [np.arange(1, len(errors) + 1), errors]
-            ),
+            speculation_errors=trial.observations,
             speculation_iterations=trial.iterations,
             speculation_wall_s=wall_s,
         )

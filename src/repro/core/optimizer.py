@@ -35,6 +35,7 @@ from repro.core.result import OptimizationReport, PlanCostEstimate
 from repro.errors import ConstraintError, PlanError
 from repro.gd.registry import CORE_ALGORITHMS
 from repro.obs import span
+from repro.obs.spans import NULL_SPAN
 from repro.runtime.calibration import workload_signature
 
 
@@ -89,6 +90,8 @@ class GDOptimizer:
                 "estimated_iterations", report.chosen.estimated_iterations
             )
             choice_span.set("estimated_total_s", report.chosen.total_s)
+            if choice_span is NULL_SPAN:
+                return report
             # The "explain" record: the full ranked candidate table.
             choice_span.set("candidates", [
                 {
@@ -209,8 +212,7 @@ class GDOptimizer:
         algorithms = tuple(a for a in self.algorithms if a in iterations)
         plans = enumerate_plans(algorithms, self.batch_sizes)
         counts = [iterations[plan.algorithm] for plan in plans]
-        # The whole space in one call: layouts computed once, then the
-        # same per-plan formulas estimate() uses.
+        # The whole space in one call, priced once per dataset.
         batch = self.cost_model.estimate_batch(plans, stats, counts)
         factors = np.array(
             [cost_factors.get(plan.algorithm, 1.0) for plan in plans],

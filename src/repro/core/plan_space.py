@@ -47,19 +47,31 @@ def plans_for_algorithm(algorithm, batch_size=None):
     ]
 
 
+#: (algorithms, batch sizes, ids of their registered specs) -> (the
+#: specs, plans) of the spaces enumerated; emptied when it reaches 64.
+_SPACES = {}
+
+
 def enumerate_plans(algorithms=gd_registry.CORE_ALGORITHMS, batch_sizes=None):
     """The full search space for the given algorithms.
 
     ``batch_sizes`` optionally maps algorithm name -> batch size override
-    (e.g. ``{"mgd": 10_000}``).
+    (e.g. ``{"mgd": 10_000}``).  Plans are built once per registered spec.
     """
     batch_sizes = batch_sizes or {}
-    plans = []
-    for algorithm in algorithms:
-        plans.extend(
-            plans_for_algorithm(algorithm, batch_sizes.get(algorithm))
-        )
-    return plans
+    algorithms = tuple(algorithms)
+    specs = tuple(map(gd_registry.ALGORITHMS.get, algorithms))
+    key = (algorithms, tuple(map(batch_sizes.get, algorithms)),
+           tuple(map(id, specs)))
+    entry = _SPACES.get(key)
+    if entry is None:
+        entry = specs, [plan for algorithm in algorithms
+                        for plan in plans_for_algorithm(
+                            algorithm, batch_sizes.get(algorithm))]
+        if len(_SPACES) >= 64:
+            _SPACES.clear()
+        _SPACES[key] = entry
+    return list(entry[1])
 
 
 def space_size(algorithms=gd_registry.CORE_ALGORITHMS) -> int:

@@ -17,8 +17,8 @@ cheap:
   fitted and costed without running GD;
 * **request coalescing** -- concurrent requests for the same fingerprint
   share one computation instead of racing to duplicate it;
-* the **cost model** (one per-plan implementation, its layouts computed
-  once per pricing) and **one-pass speculation** underneath
+* the **cost model** (one per-plan implementation, a plan space priced
+  once per dataset) and **one-pass speculation** underneath
   (:meth:`CostModel.estimate_batch`,
   :meth:`SpeculativeEstimator.estimate_all`: cold requests take turns
   on one process-wide speculation lane instead of contending for the
@@ -52,6 +52,7 @@ import warnings
 from concurrent.futures import Future
 
 from repro.cluster import ClusterSpec, SimulatedCluster
+from repro.core.cost_model import CostModel
 from repro.core.iterations import (
     SpeculationSettings,
     SpeculativeEstimator,
@@ -80,7 +81,7 @@ from repro.service.serialize import (
 )
 
 
-#: Request -> key pairs :meth:`OptimizerService.fingerprint` remembers.
+#: Request -> digest pairs each of OptimizerService's digest memos keeps.
 _FINGERPRINT_MEMO_SIZE = 1024
 
 
@@ -177,10 +178,10 @@ class OptimizerService(TrainingJobs):
             else CalibrationStore.open(calibration_path)
         )
         self.adaptive_settings = adaptive_settings
-        #: Optional CostModel shared by every optimizer this service
-        #: builds (cost models are stateless).  Used to inject e.g. a
-        #: PerturbedCostModel when evaluating the adaptive runtime.
-        self.cost_model = cost_model
+        #: The CostModel (it memoises plan-space prices) every optimizer
+        #: this service builds prices with; e.g. a PerturbedCostModel
+        #: when evaluating the adaptive runtime.
+        self.cost_model = cost_model or CostModel(self.spec)
         #: Optional :class:`~repro.service.backends.CacheBackend`: every
         #: cached decision is written through to it, and its entries
         #: warm-start the in-memory cache here at construction -- a
@@ -208,9 +209,10 @@ class OptimizerService(TrainingJobs):
         self.worker_id = None
         self._inflight = {}
         self._inflight_lock = threading.Lock()
-        #: What :meth:`fingerprint` digested before -> the key it got
-        #: (oldest dropped first; reads take no lock).
+        #: What :meth:`fingerprint` / :meth:`trial_context` digested
+        #: before -> the digest it got (see :meth:`_remembered`).
         self._fingerprints = {}
+        self._trial_contexts = {}
         self._fingerprints_lock = threading.Lock()
         #: Entries restored from the persistent backend at startup.
         self.warm_loaded = self._load_persisted()
@@ -336,39 +338,39 @@ class OptimizerService(TrainingJobs):
             algorithms,
             tuple(itertools.chain.from_iterable(batch_sizes.items())),
         )
-        key = self._fingerprints.get(memo) if memo is not None else None
-        if key is None:
-            key = workload_fingerprint(
-                dataset.stats,
-                training,
-                self.spec,
-                data_digest=data_digest,
-                representation=dataset.representation,
-                algorithms=algorithms,
-                batch_sizes=batch_sizes,
-                fixed_iterations=fixed_iterations,
-                speculation=self.speculation,
-                seed=self.seed,
-            )
-            if memo is not None:
-                with self._fingerprints_lock:
-                    if len(self._fingerprints) >= _FINGERPRINT_MEMO_SIZE:
-                        del self._fingerprints[next(iter(self._fingerprints))]
-                    self._fingerprints[memo] = key
-        return key
+        return self._remembered(self._fingerprints, memo, lambda: (
+            workload_fingerprint(
+                dataset.stats, training, self.spec, data_digest=data_digest,
+                representation=dataset.representation, algorithms=algorithms,
+                batch_sizes=batch_sizes, fixed_iterations=fixed_iterations,
+                speculation=self.speculation, seed=self.seed)))
 
     def trial_context(self, dataset, training) -> str:
         """Trial-memo scope of one workload under this service's
         configuration: what its speculative trials read, and nothing
         that only re-prices or re-fits them."""
-        return trial_context_digest(
-            dataset.content_digest(),
-            training.gradient(),
-            training.step_size,
-            training.convergence,
-            self.seed,
-            self.speculation,
-        )
+        data = dataset.content_digest()
+        # The gradient is a function of (task, l2): key on those values.
+        memo = memo_key(self.speculation, (
+            data, training.task, training.l2, training.step_size,
+            training.convergence, self.seed))
+        return self._remembered(self._trial_contexts, memo, lambda: (
+            trial_context_digest(data, training.gradient(),
+                                 training.step_size, training.convergence,
+                                 self.seed, self.speculation)))
+
+    def _remembered(self, memo, key, digest) -> str:
+        """``digest()``, kept in ``memo`` under ``key`` unless it is None
+        (bounded, oldest out first; reads take no lock)."""
+        value = memo.get(key) if key is not None else None
+        if value is None:
+            value = digest()
+            if key is not None:
+                with self._fingerprints_lock:
+                    if len(memo) >= _FINGERPRINT_MEMO_SIZE:
+                        del memo[next(iter(memo))]
+                    memo[key] = value
+        return value
 
     def _make_optimizer(self, algorithms=None, batch_sizes=None,
                         context=None, trials=None) -> GDOptimizer:

@@ -25,7 +25,7 @@ import dataclasses
 import hashlib
 
 
-def freeze(value):
+def freeze(value, as_field=False):
     """Deterministic, hashable canonical form of a config value.
 
     Dataclasses become ``(class name, sorted (field, value) pairs)``;
@@ -35,22 +35,23 @@ def freeze(value):
     ``repr``, whose embedded memory address would make equal configs
     fingerprint differently (and, worse, recycled addresses make
     *different* configs collide).
+
+    ``as_field`` freezes a dataclass field as ``dataclasses.asdict``
+    left it (which persisted fingerprints digested): a dataclass in it,
+    even in a list, tuple or dict, is its bare field pairs.
     """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = dataclasses.asdict(value)
-        return (
-            type(value).__name__,
-            tuple(sorted((k, freeze(v)) for k, v in fields.items())),
-        )
+        fields = _frozen_fields(value)
+        return fields if as_field else (type(value).__name__, fields)
     if isinstance(value, dict):
-        return tuple(sorted((str(k), freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = tuple(freeze(v) for v in value)
-        return tuple(sorted(items, key=repr)) if isinstance(
-            value, (set, frozenset)
-        ) else items
+        return tuple(sorted((str(k), freeze(v, as_field))
+                            for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(freeze(v, as_field) for v in value)
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted((freeze(v) for v in value), key=repr))
     if callable(value) and hasattr(value, "__qualname__"):
         # Functions and classes: identity is the qualified name.
         return (getattr(value, "__module__", ""), value.__qualname__)
@@ -63,6 +64,14 @@ def freeze(value):
             tuple(sorted((k, freeze(v)) for k, v in state.items())),
         )
     return repr(value)
+
+
+def _frozen_fields(value, skip=()):
+    """Sorted ``(field, frozen value)`` pairs of a dataclass instance."""
+    return tuple(sorted(
+        (field.name, freeze(getattr(value, field.name), as_field=True))
+        for field in dataclasses.fields(value) if field.name not in skip
+    ))
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
@@ -131,14 +140,12 @@ def trial_context_digest(data_digest, gradient, step_size, convergence,
     loop, under which per-algorithm setting overrides) it keys the
     service's :class:`~repro.core.iterations.TrialMemo`.
     """
-    settings = dataclasses.asdict(speculation)
-    del settings["model"]
     payload = (
         data_digest,
         freeze(gradient),
         freeze(step_size),
         convergence,
         seed,
-        freeze(settings),
+        _frozen_fields(speculation, skip=("model",)),
     )
     return hashlib.sha256(repr(payload).encode()).hexdigest()

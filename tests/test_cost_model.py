@@ -1,11 +1,18 @@
 """Unit and property tests for the Section 7 cost model."""
 
+import dataclasses
+import json
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.cluster.storage import DatasetStats
+import test_cost_table as cost_table
+from repro.core import cost_model
 from repro.core.cost_model import (
     CostModel,
     compute_cpu_per_unit,
@@ -17,6 +24,9 @@ from repro.core.cost_model import (
 )
 from repro.core.plan_space import enumerate_plans
 from repro.core.plans import GDPlan
+from repro.data import datasets
+from repro.gd import registry as gd_registry
+from repro.gd.spec import CostTerms
 from repro.runtime import PerturbedCostModel
 
 #: The registered algorithms: the 41-plan space.
@@ -332,3 +342,138 @@ class TestEstimateBatch:
         first["calibration:cost_factor"] = 2.0
         assert "calibration:cost_factor" not in batch.breakdown(0)
         assert batch.breakdown(0) is not batch.breakdown(0)
+
+
+class TestPriceMemo:
+    """estimate_batch memoises the iteration-independent prices of a
+    plan space; a call only multiplies them out."""
+
+    def test_memoised_prices_are_a_fresh_models_on_the_pinned_table(self):
+        golden = json.loads(cost_table.GOLDEN.read_text())
+        for name in datasets.names():
+            stats = datasets.REGISTRY[name].stats()
+            for cluster, spec in cost_table.CLUSTERS.items():
+                shared = CostModel(spec)
+                for plans in cost_table.SPACES.values():
+                    # Fill the memo at other iteration counts first.
+                    shared.estimate_batch(plans, stats,
+                                          range(1, len(plans) + 1))
+                    memoised = cost_table.priced(shared, stats, plans)
+                    assert len(shared._prices) >= 1
+                    assert memoised == cost_table.priced(
+                        CostModel(spec), stats, plans)
+                    cost_table.assert_rows_match(
+                        memoised, golden[f"{name}/{cluster}"],
+                        (name, cluster))
+
+    def test_the_stored_arrays_are_read_only(self, spec):
+        plans = enumerate_plans(REGISTERED)
+        model = CostModel(spec)
+        batch = model.estimate_batch(plans, stats_for(), [10] * len(plans))
+        for array in (batch.one_time_s, batch.per_iteration_s):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        again = model.estimate_batch(plans, stats_for(), [10] * len(plans))
+        assert again.one_time_s is batch.one_time_s
+        assert (again.total_s == batch.total_s).all()
+
+    def test_a_perturbed_model_leaves_the_unperturbed_prices_alone(
+        self, spec
+    ):
+        plans = enumerate_plans(REGISTERED)
+        stats, iters = stats_for(), [50] * len(plans)
+        perturbed = PerturbedCostModel(spec, {"sgd": 0.25, "bgd": 4.0})
+        first = perturbed.estimate_batch(plans, stats, iters)
+        second = perturbed.estimate_batch(plans, stats, iters)
+        fresh = CostModel(spec).estimate_batch(plans, stats, iters)
+        # Perturbed once per call, never twice through the memo...
+        assert (first.per_iteration_s == second.per_iteration_s).all()
+        assert first.breakdowns == second.breakdowns
+        assert (first.per_iteration_s != fresh.per_iteration_s).any()
+        # ...and what the memo holds is the faithful price.
+        base = CostModel.estimate_batch(perturbed, plans, stats, iters)
+        assert (base.per_iteration_s == fresh.per_iteration_s).all()
+        assert (base.total_s == fresh.total_s).all()
+        assert base.breakdowns == fresh.breakdowns
+
+    def test_re_registering_an_algorithm_re_prices_it(self, spec):
+        original = gd_registry.info("momentum")
+        model = CostModel(spec)
+        stats = stats_for()
+
+        def price():
+            plans = enumerate_plans(("sgd", "momentum"))
+            batch = model.estimate_batch(plans, stats, [10] * len(plans))
+            return plans, batch.per_iteration_s.tolist()
+
+        plans, before = price()
+        dearer = dataclasses.replace(
+            original, cost=CostTerms(per_iteration_multiplier=3.0))
+        try:
+            gd_registry.register(dearer, replace=True)
+            plans, after = price()
+            fresh = CostModel(spec).estimate_batch(
+                plans, stats, [10] * len(plans)).per_iteration_s.tolist()
+            assert after == fresh
+            for plan, old, new in zip(plans, before, after):
+                if plan.algorithm == "momentum":
+                    assert new == pytest.approx(3.0 * old)
+                else:
+                    assert new == old
+        finally:
+            gd_registry.register(original, replace=True)
+        assert price()[1] == before
+
+    def test_the_memo_is_bounded_and_least_recently_used_goes(self, spec):
+        model = CostModel(spec)
+        plans = enumerate_plans()
+        bound = cost_model._PRICE_MEMO_SIZE
+
+        def price(n):
+            model.estimate_batch(plans, stats_for(n=n), [5] * len(plans))
+
+        for n in range(1000, 1000 + bound):
+            price(n)
+        assert len(model._prices) == bound
+        price(1000)  # the oldest, now the most recently used
+        for n in range(5000, 5010):
+            price(n)
+            assert len(model._prices) == bound
+        kept = {key[0].n for key in model._prices}
+        assert 1000 in kept and 1001 not in kept
+
+    def test_threads_sharing_one_model_get_fresh_prices(self, spec,
+                                                        monkeypatch):
+        monkeypatch.setattr(cost_model, "_PRICE_MEMO_SIZE", 4)
+        model = CostModel(spec)
+        plans = enumerate_plans(REGISTERED)
+        sizes = [10_000 * (i + 1) for i in range(12)]
+        expected = {
+            n: CostModel(spec).estimate_batch(
+                plans, stats_for(n=n), [9] * len(plans)).total_s.tolist()
+            for n in sizes
+        }
+        wrong = []
+
+        def worker(offset):
+            for step in range(60):
+                n = sizes[(offset + step) % len(sizes)]
+                total = model.estimate_batch(
+                    plans, stats_for(n=n), [9] * len(plans)).total_s
+                if total.tolist() != expected[n]:
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(model._prices) <= 4

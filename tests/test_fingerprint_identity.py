@@ -11,18 +11,25 @@ store that commit wrote.
 """
 
 import dataclasses
+import hashlib
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ML4all
 from repro.cluster.storage import DatasetStats, PartitionedDataset
+from repro.core.iterations import SpeculationSettings
 from repro.core.plans import TrainingSpec
+from repro.gd import step_size
+from repro.gd.gradients import task_gradient
 from repro.gd.step_size import InverseSqrtStep
 from repro.service import OptimizerService
 from repro.service import core as service_core
+from repro.service.fingerprint import freeze, trial_context_digest
 
 DATASETS = ("adult", "covtype", "yearpred", "higgs")
 VARIANTS = {
@@ -224,6 +231,148 @@ class TestMemoNeverConflates:
         assert service.fingerprint(dataset, TrainingSpec(
             task="logreg", tolerance=1e-3 * 80)) == keys[-1]
         assert len(service._fingerprints) == 8
+
+    def test_trial_contexts_are_memoised_by_what_a_trial_reads(
+        self, service
+    ):
+        dataset = tiny_dataset(0, service.spec)
+
+        def context(**fields):
+            return service.trial_context(
+                dataset, TrainingSpec(task="logreg", **fields))
+
+        digest = trial_context_digest(
+            dataset.content_digest(), task_gradient("logreg"), 1.0, "l1",
+            7, service.speculation)
+        # Tolerance and cap only re-fit and re-price: one entry.
+        assert context() == context(tolerance=0.05, max_iter=9) == digest
+        assert len(service._trial_contexts) == 1
+        assert context(l2=0.1) != digest
+        service.speculation.sample_size += 1
+        moved = context()
+        assert moved != digest
+        assert moved == OptimizerService(
+            seed=7, speculation=dataclasses.replace(service.speculation),
+        ).trial_context(dataset, TrainingSpec(task="logreg"))
+        entries = len(service._trial_contexts)
+        assert context(step_size=InverseSqrtStep(0.5)) == \
+            context(step_size=InverseSqrtStep(0.5))
+        assert len(service._trial_contexts) == entries
+
+
+# ----------------------------------------------------------------------
+# freeze walks dataclass fields; the asdict-based freeze it replaced is
+# kept here as the oracle: every persisted fingerprint was digested by it.
+# ----------------------------------------------------------------------
+def asdict_freeze(value):
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = dataclasses.asdict(value)
+        return (
+            type(value).__name__,
+            tuple(sorted((k, asdict_freeze(v)) for k, v in fields.items())),
+        )
+    if isinstance(value, dict):
+        return tuple(sorted((str(k), asdict_freeze(v))
+                            for k, v in value.items()))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = tuple(asdict_freeze(v) for v in value)
+        return tuple(sorted(items, key=repr)) if isinstance(
+            value, (set, frozenset)
+        ) else items
+    if callable(value) and hasattr(value, "__qualname__"):
+        return (getattr(value, "__module__", ""), value.__qualname__)
+    state = getattr(value, "__dict__", None)
+    if state is not None and type(value).__repr__ is object.__repr__:
+        return (
+            type(value).__name__,
+            tuple(sorted((k, asdict_freeze(v)) for k, v in state.items())),
+        )
+    return repr(value)
+
+
+def asdict_trial_context_digest(data_digest, gradient, step_size,
+                                convergence, seed, speculation) -> str:
+    settings = dataclasses.asdict(speculation)
+    del settings["model"]
+    payload = (data_digest, asdict_freeze(gradient),
+               asdict_freeze(step_size), convergence, seed,
+               asdict_freeze(settings))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+@dataclasses.dataclass
+class Box:
+    first: object
+    second: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Frozen:
+    value: object
+
+
+class Holder:
+    """A plain object: asdict copied it whole, dataclasses inside too."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False) | st.text(max_size=4))
+HASHABLE = SCALARS | st.builds(Frozen, SCALARS)
+SCHEDULES = st.one_of(
+    st.builds(step_size.ConstantStep, st.floats(0.01, 10)),
+    st.builds(step_size.InverseSqrtStep, st.floats(0.01, 10)),
+    st.builds(step_size.OffsetStep,
+              st.builds(step_size.InverseStep, st.floats(0.01, 10)),
+              st.integers(0, 100)),
+)
+VALUES = st.recursive(
+    SCALARS | SCHEDULES | st.frozensets(HASHABLE, max_size=3),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3) | st.integers(), children,
+                        max_size=3),
+        st.sets(HASHABLE, max_size=3),
+        st.builds(Box, children, children),
+        st.builds(Frozen, children),
+        st.builds(Holder, children),
+    ),
+    max_leaves=12,
+)
+
+
+class TestFreezeIsTheAsdictFreeze:
+    @given(VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_value(self, value):
+        assert freeze(value) == asdict_freeze(value)
+        assert freeze(Box(value, [Box(value)])) == \
+            asdict_freeze(Box(value, [Box(value)]))
+
+    @given(st.builds(SpeculationSettings,
+                     sample_size=st.integers(1, 5000),
+                     speculation_tolerance=st.floats(1e-6, 1.0),
+                     time_budget_s=st.floats(0.01, 10.0),
+                     model=st.sampled_from(("power", "inverse"))),
+           VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_trial_context_digest(self, speculation, step):
+        args = ("digest", task_gradient("logreg", l2=0.1), step, "l1", 7,
+                speculation)
+        assert trial_context_digest(*args) == \
+            asdict_trial_context_digest(*args)
+
+    def test_the_services_own_dataclasses(self, system):
+        (r,) = system._normalize_requests([{"dataset": "adult"}], {})
+        service = system.service()
+        for value in (r.dataset.stats, r.training, service.spec,
+                      service.speculation):
+            assert freeze(value) == asdict_freeze(value)
 
 
 if __name__ == "__main__":

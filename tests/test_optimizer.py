@@ -6,8 +6,9 @@ from repro.core.executor import execute_plan
 from repro.core.iterations import SpeculationSettings, SpeculativeEstimator
 from repro.core.optimizer import GDOptimizer
 from repro.core.plan_space import enumerate_plans
-from repro.core.plans import TrainingSpec
+from repro.core.plans import GDPlan, TrainingSpec
 from repro.errors import ConstraintError
+from repro.obs import TraceRecorder
 
 from support import make_dataset
 
@@ -149,3 +150,51 @@ class TestTrain:
         worst = max(times.values())
         best = min(times.values())
         assert result.sim_seconds < worst * 0.6 or worst < best * 1.5
+
+
+class TestExplainTable:
+    """The ranked candidate table is built for a recording span only:
+    the served path (always traced) records exactly what it did."""
+
+    def count_labels(self, monkeypatch):
+        calls = []
+        label = GDPlan.label
+
+        def counted(plan):
+            calls.append(plan)
+            return label.fget(plan)
+
+        monkeypatch.setattr(GDPlan, "label", property(counted))
+        return calls
+
+    def test_a_recording_span_gets_the_ranked_table(self, optimizer,
+                                                    dataset):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
+        recorder = TraceRecorder()
+        with recorder.trace("request") as root:
+            report = optimizer.optimize(dataset, training,
+                                        fixed_iterations=300)
+        [choice] = [s for s in recorder.spans(root.trace_id)
+                    if s["name"] == "plan_choice"]
+        attributes = choice["attributes"]
+        assert attributes["chosen"] == str(report.chosen_plan)
+        assert attributes["estimated_iterations"] == 300
+        assert attributes["estimated_total_s"] == report.chosen.total_s
+        assert attributes["candidates"] == [
+            {"plan": str(c.plan), "total_s": c.total_s,
+             "per_iteration_s": c.per_iteration_s,
+             "iterations": c.estimated_iterations, "feasible": c.feasible}
+            for c in sorted(report.candidates, key=lambda c: c.total_s)
+        ]
+
+    def test_no_trace_builds_no_table(self, optimizer, dataset,
+                                      monkeypatch):
+        training = TrainingSpec(task="logreg", tolerance=1e-2, seed=1)
+        calls = self.count_labels(monkeypatch)
+        optimizer.optimize(dataset, training, fixed_iterations=300)
+        assert len(calls) == 1  # the chosen plan's attribute only
+        del calls[:]
+        with TraceRecorder().trace("request"):
+            report = optimizer.optimize(dataset, training,
+                                        fixed_iterations=300)
+        assert len(calls) == 1 + len(report.candidates)

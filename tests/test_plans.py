@@ -1,5 +1,7 @@
 """Unit tests for GD plans and the Figure 5 plan space."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster
@@ -12,6 +14,7 @@ from repro.core.plan_space import (
 )
 from repro.core.plans import GDPlan, TrainingSpec
 from repro.errors import PlanError
+from repro.gd import registry as gd_registry
 
 from support import make_dataset
 
@@ -108,6 +111,28 @@ class TestPlanSpace:
     def test_batch_size_propagated(self):
         plans = enumerate_plans(("mgd",), batch_sizes={"mgd": 5000})
         assert all(p.effective_batch_size == 5000 for p in plans)
+
+
+    def test_a_space_is_built_once_per_registered_spec(self):
+        first = enumerate_plans(batch_sizes={"mgd": 7})
+        first.append("caller's own")
+        again = enumerate_plans(batch_sizes={"mgd": 7})
+        assert len(again) == 11
+        assert all(a is b for a, b in zip(first, again))
+        other = enumerate_plans(batch_sizes={"mgd": 8})
+        assert [p.batch_size for p in other if p.algorithm == "mgd"] == \
+            [8] * 5
+        original = gd_registry.info("mgd")
+        try:
+            gd_registry.register(dataclasses.replace(
+                original, plan_variants=(("eager", "random"),)),
+                replace=True)
+            narrowed = enumerate_plans(batch_sizes={"mgd": 7})
+            assert [str(p) for p in narrowed if p.algorithm == "mgd"] == \
+                ["MGD-eager-random"]
+        finally:
+            gd_registry.register(original, replace=True)
+        assert enumerate_plans(batch_sizes={"mgd": 7}) == again
 
 
 class TestTrainingSpec:

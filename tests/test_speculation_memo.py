@@ -497,13 +497,15 @@ class TestBound:
                                         algorithms=algorithms)
         assert len(memo) == 3
         held = metrics.gauge_value("speculation.memo.bytes")
+        # A trial is charged its (iteration, error) table, which every
+        # estimate cut from it reports.
         assert held == sum(
-            e.speculation_errors.shape[0] * 8 + iterations._MEMO_ENTRY_BYTES
+            e.speculation_errors.nbytes + iterations._MEMO_ENTRY_BYTES
             for e in before.values()
         )
         # One byte short of room for one more trial.
         adam = make_estimator().estimate(X, y, gradient, "adam", 1e-3)
-        limit = held + adam.speculation_errors.shape[0] * 8 \
+        limit = held + adam.speculation_errors.nbytes \
             + iterations._MEMO_ENTRY_BYTES - 1
         monkeypatch.setattr(iterations, "_MEMO_MAX_BYTES", limit)
         estimator.estimate_all(X, y, gradient, 1e-3, algorithms=("bgd",))
@@ -528,10 +530,13 @@ class TestBound:
             assert not trial.errors.flags.writeable
             with pytest.raises(ValueError):
                 trial.errors[0] = 0.0
-        # An estimate owns its observations: writing to them reaches
-        # neither the memo nor the next request.
-        estimates["bgd"].speculation_errors[:] = -1.0
+        # An estimate reports its trial's observations: a write to them
+        # raises, so it reaches neither the memo nor the next request.
+        with pytest.raises(ValueError):
+            estimates["bgd"].speculation_errors[:] = -1.0
         again = make_estimator(memo).estimate_all(X, y, gradient, 1e-3)
+        assert again["bgd"].speculation_errors is \
+            estimates["bgd"].speculation_errors
         assert (again["bgd"].speculation_errors[:, 1] > 0).all()
 
 
@@ -584,9 +589,9 @@ class TestSharing:
         assert ran == ["bgd"]
         assert bgd.curve.model == "power"
         assert mgd.curve.model == "inverse"
-        np.testing.assert_array_equal(bgd.speculation_errors,
-                                      mgd.speculation_errors)
-        assert bgd.speculation_errors is not mgd.speculation_errors
+        # One trial, so one read-only table of observations.
+        assert mgd.speculation_errors is bgd.speculation_errors
+        assert not mgd.speculation_errors.flags.writeable
 
     def test_first_algorithms_failed_fit_does_not_poison_the_sharer(
         self, monkeypatch, ran
