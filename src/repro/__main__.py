@@ -263,6 +263,35 @@ def _refuse_nonpositive(args, *names) -> bool:
     return False
 
 
+def _refuse_bad_port(port, flag) -> bool:
+    """Like :func:`_refuse_nonpositive`, for a TCP port flag."""
+    if port is not None and not 0 <= port <= 65535:
+        print(f"error: {flag} must be a port in 0-65535, got {port}",
+              file=sys.stderr)
+        return True
+    return False
+
+
+def _serve_until_stopped(server, host, port, note="") -> bool:
+    """Serve until interrupted; False after one ``error:`` line when
+    ``server`` cannot listen on ``host:port``."""
+    try:
+        port = server.start()
+    except OSError as exc:
+        print(f"error: cannot listen on {host}:{port}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        server.stop()
+        return False
+    print(f"listening on {host}:{port}{note}", flush=True)
+    try:
+        server.wait()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.stop()
+    return True
+
+
 def _configure_obs(args):
     """Install the structured-logging setup from shared CLI flags."""
     from repro.obs import configure_logging
@@ -401,8 +430,9 @@ def serve_main(argv) -> int:
                         help="log a WARNING (and count obs.slow_requests) "
                              "for any request slower than SECONDS")
     args = parser.parse_args(argv)
-    if _refuse_nonpositive(args, "cache_size", "workers", "shed_after",
-                           "max_inflight"):
+    if (_refuse_nonpositive(args, "cache_size", "workers", "shed_after",
+                            "max_inflight")
+            or _refuse_bad_port(args.listen, "--listen")):
         return 2
 
     _configure_obs(args)
@@ -429,16 +459,10 @@ def serve_main(argv) -> int:
             max_workers=args.workers or 8,
             shed_after=args.shed_after, max_inflight=args.max_inflight,
         )
-        port = frontend.start()
-        print(f"listening on {args.host}:{port}", flush=True)
-        try:
-            frontend.wait()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            frontend.stop()
-            print(service.stats_summary())
-            _save_calibration(system, args)
+        if not _serve_until_stopped(frontend, args.host, args.listen):
+            return 1
+        print(service.stats_summary())
+        _save_calibration(system, args)
         return 0
 
     for line in sys.stdin:
@@ -695,6 +719,8 @@ def store_main(argv) -> int:
                              "tcp://h0:p0,h1:p1,.../ns")
     _add_flags(parser, log_level=dict(help=None), log_json=dict(help=None))
     args = parser.parse_args(argv)
+    if _refuse_bad_port(args.port, "--port"):
+        return 2
 
     _configure_obs(args)
     shard = None
@@ -716,16 +742,10 @@ def store_main(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    port = server.start()
     shard_note = f" (shard {args.shard})" if shard else ""
-    print(f"listening on {args.host}:{port}{shard_note}", flush=True)
-    try:
-        server.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        print(f"{server.frames_served} frames served")
+    if not _serve_until_stopped(server, args.host, args.port, shard_note):
+        return 1
+    print(f"{server.frames_served} frames served")
     return 0
 
 

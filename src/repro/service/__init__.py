@@ -17,6 +17,8 @@ across *many* processes, in explicit layers:
   socket modes, and the admission-controlled :class:`SocketFrontend`;
 * :mod:`repro.service.metrics` -- the :class:`MetricsRegistry` counters
   /gauges/histograms threaded through all of the above;
+* :mod:`repro.service.lineserver` -- the one TCP line server (event
+  loop, framing, slow-client rule) both socket servers run on;
 * :mod:`repro.service.remote` -- the fleet's network boundary: the
   ``repro store`` line-protocol server (:class:`StoreServer`) and the
   :class:`RemoteBackend`/:class:`ShardedBackend` clients behind

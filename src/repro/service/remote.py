@@ -6,8 +6,10 @@ so the way to share state across machines is to put *that interface* on
 the wire, not to invent a new storage model.  Two halves:
 
 * :class:`StoreServer` -- the ``repro store`` process: a line-protocol
-  TCP server over any local backend (memory / JSON / SQLite).  One JSON
-  object per line in, one out.  Ops mirror the backend contract
+  TCP server over any local backend (memory / JSON / SQLite), on the
+  same :class:`~repro.service.lineserver.LineServer` loop as the request
+  front-end.  One JSON object per line in, one out, every frame answered
+  on the loop thread in arrival order.  Ops mirror the backend contract
   (``get``/``put``/``delete``/``scan``/``replace``) plus the
   two things a *network* RMW needs that a callback cannot provide:
   per-key **versions** and a ``cas`` op (put-if-version, with a client
@@ -55,17 +57,11 @@ import uuid
 import warnings
 
 from repro.service.backends import STORE_FORMAT, CacheBackend, open_backend
+from repro.service.lineserver import MAX_FRAME_BYTES, LineServer
 
 #: Protocol version spoken by StoreServer/RemoteBackend; a client can
 #: check it via ``ping``.  Bump on incompatible frame changes.
 WIRE_FORMAT = 1
-
-#: Cap on one protocol frame (request or response line), shared by the
-#: store server, its clients and the request front-end.  A
-#: frame over the limit gets a structured ``frame_too_large`` error and
-#: the connection is closed -- past the cap the line boundary cannot be
-#: trusted, so resynchronizing would risk misreading the next frame.
-MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 #: Namespace the URL form ``tcp://host:port`` (no path) maps to.
 DEFAULT_NAMESPACE = "default"
@@ -178,8 +174,9 @@ def open_remote_backend(url, **options) -> CacheBackend:
 # ----------------------------------------------------------------------
 # the server
 # ----------------------------------------------------------------------
-class StoreServer:
-    """``repro store``: a line-protocol TCP server over a local backend.
+class StoreServer(LineServer):
+    """``repro store``: a line-protocol TCP server over a local backend,
+    answering every frame on the loop thread in arrival order.
 
     All mutations serialize under one lock, which is what makes the
     ``cas`` op an honest check-and-set: the version check and the write
@@ -199,21 +196,17 @@ class StoreServer:
     def __init__(self, backend=None, path=None, host="127.0.0.1", port=0,
                  shard=None, max_frame_bytes=MAX_FRAME_BYTES, clock=None):
         if backend is None:
-            backend = open_backend(path) if path else None
-        if backend is None:
             from repro.service.backends import MemoryBackend
 
-            backend = MemoryBackend()
+            backend = open_backend(path) if path else MemoryBackend()
+        super().__init__(host, port, max(1024, int(max_frame_bytes)))
         self.backend = backend
-        self.host = host
-        self.port = port
         self.shard = None
         if shard is not None:
             index, count = int(shard[0]), int(shard[1])
             if not 0 <= index < count:
                 raise ValueError(f"shard index {index} not in 0..{count - 1}")
             self.shard = (index, count)
-        self.max_frame_bytes = max(1024, int(max_frame_bytes))
         self._clock = clock or time.time
         self._lock = threading.Lock()
         #: Per internal key: mutation counter (monotone, survives
@@ -226,129 +219,17 @@ class StoreServer:
         #: Per namespace: whole-namespace mutation counter backing the
         #: optimistic ``replace`` (mutate_all) path.
         self._ns_versions = {}
-        self._listener = None
-        self._accept_thread = None
-        self._stop = threading.Event()
-        self._clients = set()
-        self._clients_lock = threading.Lock()
         self.frames_served = 0
 
-    # -- lifecycle -------------------------------------------------------
-    def start(self) -> int:
-        """Bind, listen and serve in background threads; returns the
-        bound port (useful with ``port=0``)."""
-        self._listener = socket.create_server(
-            (self.host, self.port), reuse_port=False
-        )
-        self.port = self._listener.getsockname()[1]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="store-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self.port
-
     def stop(self) -> None:
-        self._stop.set()
-        if self._listener is not None:
-            # Closing a listening socket does not interrupt a blocked
-            # accept() on every platform; a throwaway connection wakes
-            # it so the accept loop observes _stop and exits now
-            # instead of timing out the join below.
-            try:
-                host = self.host if self.host not in ("", "0.0.0.0") \
-                    else "127.0.0.1"
-                with socket.create_connection((host, self.port),
-                                              timeout=1.0):
-                    pass
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._clients_lock:
-            clients = list(self._clients)
-        for client in clients:
-            try:
-                client.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                client.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
+        """Stop serving, then close the backing store."""
+        super().stop()
         self.backend.close()
 
-    def wait(self) -> None:
-        """Block until the server is stopped."""
-        while not self._stop.wait(timeout=0.5):
-            pass
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-
-    # -- connection handling ---------------------------------------------
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._clients_lock:
-                self._clients.add(client)
-            threading.Thread(
-                target=self._serve_connection, args=(client,),
-                name="store-conn", daemon=True,
-            ).start()
-
-    def _serve_connection(self, client) -> None:
-        try:
-            reader = client.makefile("rb")
-            writer = client.makefile("wb")
-            while True:
-                # readline(limit) returns at most limit bytes; a chunk
-                # that fills the limit without a newline is an oversized
-                # frame -- reject it and drop the connection, because
-                # past the cap the next line boundary is unknowable.
-                raw = reader.readline(self.max_frame_bytes + 1)
-                if not raw:
-                    return  # clean EOF
-                if len(raw) > self.max_frame_bytes and not raw.endswith(b"\n"):
-                    self._send(writer, {
-                        "ok": False, "error": "frame_too_large",
-                        "detail": (
-                            f"frame exceeds {self.max_frame_bytes} bytes; "
-                            "closing connection"
-                        ),
-                    })
-                    return
-                line = raw.decode("utf-8", errors="replace").strip()
-                if not line:
-                    continue
-                self._send(writer, self._handle_frame(line))
-        except (OSError, ValueError):
-            pass  # connection torn down mid-frame
-        finally:
-            with self._clients_lock:
-                self._clients.discard(client)
-            try:
-                client.close()
-            except OSError:
-                pass
-
-    def _send(self, writer, response) -> None:
-        try:
-            writer.write(json.dumps(response, default=str).encode("utf-8"))
-            writer.write(b"\n")
-            writer.flush()
-        except (OSError, ValueError):
-            pass  # client went away; nothing to tell it
+    def _handle_line(self, conn, line) -> None:
+        # The protocol has no correlation id: every frame is answered
+        # here, on the loop thread, in arrival order.
+        self._send(conn, self._handle_frame(line))
 
     # -- frame dispatch --------------------------------------------------
     def _handle_frame(self, line) -> dict:
@@ -605,34 +486,29 @@ class RemoteBackend(CacheBackend):
         self.max_frame_bytes = int(max_frame_bytes)
         self._sleep = sleep or time.sleep
         self._lock = threading.Lock()
-        self._sock = None
-        self._reader = None
-        self._writer = None
+        self._sock = self._reader = None
 
     # -- transport -------------------------------------------------------
     def _connect(self) -> None:
         if self._sock is not None:
             return
-        sock = socket.create_connection(
+        self._sock = socket.create_connection(
             (self.host, self.port), timeout=self.timeout_s
         )
-        self._sock = sock
-        self._reader = sock.makefile("rb")
-        self._writer = sock.makefile("wb")
+        self._reader = self._sock.makefile("rb")
 
     def _disconnect(self) -> None:
-        for handle in (self._reader, self._writer, self._sock):
+        for handle in (self._reader, self._sock):
             if handle is not None:
                 try:
                     handle.close()
                 except OSError:
                     pass
-        self._sock = self._reader = self._writer = None
+        self._sock = self._reader = None
 
     def _roundtrip(self, payload) -> dict:
         self._connect()
-        self._writer.write(payload)
-        self._writer.flush()
+        self._sock.sendall(payload)
         raw = self._reader.readline(self.max_frame_bytes + 1)
         if not raw:
             raise ConnectionResetError("store closed the connection")
@@ -755,11 +631,6 @@ class RemoteBackend(CacheBackend):
     def ping(self) -> dict:
         """The store's identity frame (reachability check)."""
         return self._call({"op": "ping"})
-
-    def jobs(self) -> dict:
-        """The store's job-progress/heartbeat report for this
-        namespace (the ``jobs`` wire verb's data source)."""
-        return self._call({"op": "jobs"})
 
     def __len__(self) -> int:
         return len(self.load())

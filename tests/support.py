@@ -9,8 +9,11 @@ import ...`` in this directory).  Named ``support`` -- not ``_helpers``
 module name either.
 """
 
+import json
 import random
+import socket
 import threading
+import time
 
 import numpy as np
 
@@ -202,3 +205,41 @@ class SpyLane:
 
     def release(self):
         self._lock.release()
+
+
+def assert_split_invariant(serve, lines, final, data):
+    """The replies a fresh ``serve()`` server gives the stream of
+    ``lines`` plus an unterminated ``final`` line are the same whether
+    it arrives in one piece or cut where hypothesis ``data`` draws --
+    one JSON object per non-empty line, none for blank ones."""
+    from hypothesis import strategies as st
+
+    stream = b"".join(line + b"\n" for line in lines) + final
+    cuts = data.draw(st.sets(st.integers(1, len(stream) - 1), max_size=8))
+    replies = []
+    for split in ((), cuts):
+        with serve() as server:
+            replies.append(exchange(server.port, stream, split))
+    whole, chopped = replies
+    assert whole == chopped
+    assert len(whole) == sum(1 for line in [*lines, final] if line.strip())
+    assert all("ok" in json.loads(reply) for reply in whole)
+
+
+def exchange(port, stream, cuts=()):
+    """Send ``stream`` to the line server on ``port``, chopped at the
+    byte offsets ``cuts``, and return its reply lines: first those owed
+    to the newline-terminated lines, read while the connection is still
+    open, then -- after a half-close -- the rest, up to the server's
+    end of stream."""
+    owed = sum(1 for line in stream.split(b"\n")[:-1] if line.strip())
+    bounds = [0, *sorted(cuts), len(stream)]
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for start, end in zip(bounds, bounds[1:]):
+            sock.sendall(stream[start:end])
+            time.sleep(0.001)  # let each piece arrive on its own
+        reader = sock.makefile("rb")
+        replies = [reader.readline() for _ in range(owed)]
+        sock.shutdown(socket.SHUT_WR)
+        return replies + reader.readlines()

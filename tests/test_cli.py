@@ -2,7 +2,9 @@
 
 import io
 import json
+import os
 import re
+import socket
 import subprocess
 import sys
 import warnings
@@ -745,6 +747,48 @@ class TestCLIBounds:
                      "--lease-ttl", "30.5"]) == 0
         assert "1 job(s) done, 0 stolen, 0 failed" in \
             capsys.readouterr().out
+
+
+class TestCLIListen:
+    """A port the server cannot listen on is one ``error:`` line, not a
+    traceback: a busy one exits 1, one that is no TCP port exits 2."""
+
+    @staticmethod
+    def run(*argv):
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    @pytest.mark.parametrize("command", [["store", "--port"],
+                                         ["serve", "--listen"]],
+                             ids=["store", "serve"])
+    def test_busy_port_is_an_error(self, tmp_path, command):
+        with socket.create_server(("127.0.0.1", 0)) as holder:
+            port = holder.getsockname()[1]
+            extra = (["--path", str(tmp_path / "store.db")]
+                     if command[0] == "store" else [])
+            proc = self.run(*command, str(port), *extra)
+        assert proc.returncode == 1
+        assert f"error: cannot listen on 127.0.0.1:{port}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "listening on" not in proc.stdout
+        # The store closed its backend: no WAL is left behind.
+        assert not (tmp_path / "store.db-wal").exists()
+
+    @pytest.mark.parametrize("command", [["store", "--port"],
+                                         ["serve", "--listen"]],
+                             ids=["store", "serve"])
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_outside_the_tcp_range_is_a_usage_error(self, command,
+                                                          port):
+        proc = self.run(*command, port)
+        assert proc.returncode == 2
+        assert (f"error: {command[1]} must be a port in 0-65535, got {port}"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.slow

@@ -16,16 +16,21 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import ML4all
 from repro.errors import ReproError
 from repro.service import MetricsRegistry, frontend as frontend_module
+from repro.service import lineserver as lineserver_module
 from repro.service.frontend import (
     Dispatcher,
     SocketFrontend,
     parse_request_line,
     parse_wire_line,
 )
+
+from support import assert_split_invariant
 
 FAST_LINE = "adult epsilon=0.05 fixed_iterations=40"
 
@@ -419,11 +424,31 @@ class TestAdmissionControl:
 # framing (malformed input at the wire boundary degrades, never hangs)
 # ---------------------------------------------------------------------------
 
+#: Lines the loop answers itself (so their replies come in order):
+#: ``metrics``, and bad requests of every kind -- malformed and
+#: non-object JSON, unknown verbs, bytes that decode to U+FFFD -- plus
+#: blanks, which get no reply.
+SPLIT_LINES = [
+    b"metrics",
+    b'{"verb": "metrics", "id": 7}',
+    b"{broken json",
+    b"[1, 2, 3]",
+    b'"just a string"',
+    b'{"verb": "explode", "dataset": "adult"}',
+    b"adult epsilon=abc",
+    b"trace",
+    b"\xff\xfe adult epsilon=0.1",
+    b'{"verb": "metrics", "id": "\xff"}',
+    b"",
+    b"   ",
+]
+
+
 class TestFraming:
     @pytest.fixture(scope="class")
     def frontend(self):
         patch = pytest.MonkeyPatch()
-        patch.setattr(frontend_module, "MAX_FRAME_BYTES", 1024)
+        patch.setattr(lineserver_module, "MAX_FRAME_BYTES", 1024)
         stub = _BlockingDispatcher()
         stub.release.set()
         with SocketFrontend(stub, port=0, max_workers=2) as frontend:
@@ -477,6 +502,19 @@ class TestFraming:
             assert ask(other_handle, "adult id=second")["ok"] is True
         finally:
             other.close()
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.lists(st.sampled_from(SPLIT_LINES), max_size=12),
+       st.sampled_from([line for line in SPLIT_LINES if line.strip()]),
+       st.data())
+def test_replies_do_not_depend_on_how_the_stream_is_split(lines, final, data):
+    def serve():
+        stub = _BlockingDispatcher()
+        stub.release.set()
+        return SocketFrontend(stub, port=0, max_workers=1)
+
+    assert_split_invariant(serve, lines, final, data)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +989,7 @@ class TestEventLoop:
         """A client that pipelines requests and never reads used to
         wedge the server for everyone: every pool worker ended up
         blocked in flush() under that connection's write lock."""
-        monkeypatch.setattr(frontend_module, "MAX_FRAME_BYTES", 65536)
+        monkeypatch.setattr(lineserver_module, "MAX_FRAME_BYTES", 65536)
         stub = _BlockingDispatcher()
         stub.release.set()
         with SocketFrontend(stub, port=0, max_workers=4,

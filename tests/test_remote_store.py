@@ -19,6 +19,8 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     CheckpointStore,
@@ -35,7 +37,7 @@ from repro.service import (
 )
 from repro.service.remote import WIRE_FORMAT, shard_point
 
-from support import FaultyBackend
+from support import FaultyBackend, assert_split_invariant
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -258,10 +260,8 @@ class TestRemoteBackendContract:
         backend.store("k", {"v": 1})
         # The server tears down every live connection (deploy restart,
         # idle reaper): the pooled client socket is now dead...
-        with server._clients_lock:
-            casualties = list(server._clients)
-        for casualty in casualties:
-            casualty.shutdown(socket.SHUT_RDWR)
+        for casualty in list(server._clients):
+            casualty.sock.shutdown(socket.SHUT_RDWR)
         # ...and the next call must retry on a fresh connection.
         assert backend.get("k") == {"v": 1}
 
@@ -269,6 +269,28 @@ class TestRemoteBackendContract:
 # ---------------------------------------------------------------------------
 # failure frames, straight protocol
 # ---------------------------------------------------------------------------
+#: Lines of every kind a store stream may carry: valid frames, malformed
+#: and non-object JSON, unknown ops, bytes that decode to U+FFFD, blanks.
+SPLIT_LINES = [
+    b'{"op": "ping"}',
+    b'{"op": "put", "key": "k", "ns": "t", "value": {"n": 1}}',
+    b'{"op": "get", "key": "k", "ns": "t"}',
+    b'{"op": "cas", "key": "k", "ns": "t", "value": 2, "expect": 1}',
+    b'{"op": "delete", "key": "k", "ns": "t"}',
+    b'{"op": "scan", "ns": "t"}',
+    b'{"op": "get", "key": "k", "ns": "t", "pad": "\xff\xfe"}',
+    b"this is not json",
+    b'{"op": "get", "key"',
+    b"[1, 2, 3]",
+    b"42",
+    b'{"op": "explode"}',
+    b'{"op": 7}',
+    b"\xff\xfe{}",
+    b"",
+    b"   ",
+]
+
+
 class TestWireProtocol:
     def test_malformed_frames_get_structured_errors(self, server):
         client = RawClient(server.port)
@@ -348,6 +370,53 @@ class TestWireProtocol:
             assert server.frames_served >= 1
         finally:
             polite.close()
+
+    def test_client_that_never_reads_is_dropped(self, server):
+        """A client that pipelines reads and never takes the replies is
+        disconnected once a frame cap of them piles up, and nobody else
+        waits on it."""
+        value = "x" * 65536
+        seeder = RawClient(server.port)
+        try:
+            assert seeder.call(op="put", key="big", ns="t", value=value)["ok"]
+        finally:
+            seeder.close()
+        flood = socket.socket()
+        flood.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        flood.connect(("127.0.0.1", server.port))
+        flood.settimeout(2)
+        get = json.dumps({"op": "get", "key": "big", "ns": "t"}).encode()
+        gets = 400  # ~26 MB of replies nobody reads
+        try:
+            flood.sendall((get + b"\n") * gets)
+            bystander = RawClient(server.port)
+            bystander.sock.settimeout(2)
+            try:
+                assert bystander.call(op="ping")["ok"]
+            finally:
+                bystander.close()
+            # Reading now finds what had left the server before it hung
+            # up, then the end of the stream -- never all the replies.
+            received = 0
+            try:
+                while chunk := flood.recv(1 << 20):
+                    received += len(chunk)
+            except ConnectionResetError:
+                pass
+            assert received < gets * len(value)
+        finally:
+            flood.close()
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.lists(st.sampled_from(SPLIT_LINES), max_size=12),
+           st.sampled_from([line for line in SPLIT_LINES if line.strip()]),
+           st.data())
+    def test_replies_do_not_depend_on_how_the_stream_is_split(
+        self, lines, final, data
+    ):
+        assert_split_invariant(
+            lambda: StoreServer(backend=MemoryBackend()), lines, final, data
+        )
 
     def test_cas_conflict_and_txn_replay(self, server):
         client = RawClient(server.port)
