@@ -666,7 +666,8 @@ def cache_main(argv) -> int:
     print(f"{report['path']} ({report['backend']} backend): "
           f"{report['entries']} entries")
     for kind, label in (("plans", "plan entries"),
-                        ("jobs", "job checkpoints")):
+                        ("jobs", "job checkpoints"),
+                        ("job_plans", "job plan rows")):
         bucket = report[kind]
         if not bucket["count"]:
             continue

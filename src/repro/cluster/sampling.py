@@ -48,12 +48,10 @@ class SampleDraw:
 def make_sampler(name, engine, dataset, batch_size, rng=None):
     """Instantiate a sampler by registry name."""
     rng = rng if rng is not None else engine.rng
-    if name == "bernoulli":
-        return BernoulliSampler(engine, dataset, batch_size, rng)
-    if name == "random":
-        return RandomPartitionSampler(engine, dataset, batch_size, rng)
-    if name == "shuffle":
-        return ShuffledPartitionSampler(engine, dataset, batch_size, rng)
+    for cls in (BernoulliSampler, RandomPartitionSampler,
+                ShuffledPartitionSampler):
+        if cls.name == name:
+            return cls(engine, dataset, batch_size, rng)
     raise PlanError(
         f"unknown sampler {name!r}; expected one of {SAMPLER_NAMES}"
     )
@@ -172,6 +170,10 @@ class ShuffledPartitionSampler(_SamplerBase):
     than the batch requires, a new random partition is shuffled (paper:
     "Whenever there are not enough data units left in the partition to
     sample, it randomly selects a second partition and shuffles it").
+
+    The permutation is not part of :meth:`state_dict`: the generator
+    state it was drawn from (``order_rng``, ~150 bytes against 8 per
+    physical row) re-derives it.
     """
 
     name = "shuffle"
@@ -180,33 +182,29 @@ class ShuffledPartitionSampler(_SamplerBase):
         super().__init__(engine, dataset, batch_size, rng)
         self._pid = None
         self._sim_cursor = 0
+        self._order_rng = None
         self._phys_order = None
         self._phys_cursor = 0
 
     def _load_new_partition(self):
         ds = self.dataset
         self._pid = int(self.rng.integers(0, ds.n_partitions))
-        part = ds.partitions[self._pid]
         self.engine.shuffle_partition(ds, self._pid, phase="sample")
         self._sim_cursor = 0
-        self._phys_order = part.phys_lo + self.rng.permutation(part.phys_rows)
+        self._order_rng = self.rng.bit_generator.state
+        self._phys_order = self._permutation(self.rng)
         self._phys_cursor = 0
+
+    def _permutation(self, rng):
+        part = self.dataset.partitions[self._pid]
+        return part.phys_lo + rng.permutation(part.phys_rows)
 
     def _next_physical(self, size):
         """Next ``size`` physical rows from the permuted order (wrapping)."""
-        out = np.empty(size, dtype=np.int64)
-        filled = 0
-        while filled < size:
-            available = len(self._phys_order) - self._phys_cursor
-            take = min(available, size - filled)
-            out[filled:filled + take] = self._phys_order[
-                self._phys_cursor:self._phys_cursor + take
-            ]
-            self._phys_cursor += take
-            filled += take
-            if self._phys_cursor >= len(self._phys_order):
-                self._phys_cursor = 0
-        return out
+        rows = len(self._phys_order)
+        positions = (self._phys_cursor + np.arange(size)) % rows
+        self._phys_cursor = (self._phys_cursor + size) % rows
+        return self._phys_order[positions]
 
     def draw(self) -> SampleDraw:
         ds = self.dataset
@@ -231,19 +229,28 @@ class ShuffledPartitionSampler(_SamplerBase):
     def state_dict(self):
         if self._pid is None:
             return {}
-        return {
-            "pid": int(self._pid),
-            "sim_cursor": int(self._sim_cursor),
-            "phys_order": [int(v) for v in self._phys_order],
-            "phys_cursor": int(self._phys_cursor),
-        }
+        payload = {"pid": int(self._pid),
+                   "sim_cursor": int(self._sim_cursor)}
+        if self._order_rng is not None:
+            payload["order_rng"] = self._order_rng
+        else:  # restored from an older payload: no state stands for it
+            payload["phys_order"] = [int(v) for v in self._phys_order]
+        payload["phys_cursor"] = int(self._phys_cursor)
+        return payload
 
     def load_state(self, payload):
         if not payload or "pid" not in payload:
             return
         self._pid = int(payload["pid"])
         self._sim_cursor = int(payload["sim_cursor"])
-        self._phys_order = np.asarray(payload["phys_order"], dtype=np.int64)
+        self._order_rng = payload.get("order_rng")
+        if self._order_rng is None:
+            self._phys_order = np.asarray(payload["phys_order"],
+                                          dtype=np.int64)
+        else:
+            rng = np.random.Generator(type(self.rng.bit_generator)(0))
+            rng.bit_generator.state = self._order_rng
+            self._phys_order = self._permutation(rng)
         self._phys_cursor = int(payload["phys_cursor"])
 
 

@@ -32,39 +32,41 @@ The service layer (:meth:`OptimizerService.train` with ``job_id=``)
 drives this store; nothing here knows about datasets or engines.
 
 **Write cost.**  A durability point costs one encode and one commit,
-and a lease one commit more, its acquire: the final checkpoint ends
-the lease itself.  The trainer exports the optimizer state once per
-snapshot and the row stores it once -- not again in the trace's last
-segment, and not Converge's previous iterate, which is ``weights`` --
-``to_dict`` assembles the payload from those already-plain lists and
-dicts without copying them, and the backend walks it once, in
-``json.dumps``; on SQLite the text goes to one row in one
-``BEGIN IMMEDIATE`` transaction on the store's persistent WAL
-connection -- one fsync.  What still grows is the payload: it carries
-the job's whole trajectory (the execution trace gains a delta per
-iteration), and the JSON backend rewrites its whole file per write.
-For long runs, pick a cadence proportional to the work you can afford
-to replay (``checkpoint_every`` is iterations *between* durability
-points, not a free knob) and prefer the SQLite backend, whose writes
-are per-entry.
+and a lease one commit more, its acquire (the final checkpoint ends the
+lease itself).  The row holds only what changes between saves: the
+pricing decision is the job's *plan row* (``plan!<job_id>``), written
+once by the lease that priced it, before its first save; the shuffle
+sampler stores the generator state its permutation was drawn from; the
+optimizer state is stored once, not again in a trace segment or as
+Converge's previous iterate (``weights``).  ``to_dict`` shares those
+plain lists and dicts, the backend walks them once, in ``json.dumps``,
+and on SQLite the text goes to one row in one ``BEGIN IMMEDIATE``
+transaction on a persistent WAL connection -- one fsync.  The payload
+still grows with the trajectory (a trace delta per iteration) and the
+JSON backend rewrites its whole file per write: pick
+``checkpoint_every`` (iterations *between* durability points) by the
+work you can afford to replay, and prefer SQLite for long runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-import uuid
 import warnings
 
-from repro.gd.state import field_dict
+from repro.gd.state import field_dict, known_fields
 from repro.obs import span
 from repro.service.backends import open_backend
 from repro.service.serialize import PlanStoreError
 
-#: Format version of one persisted job checkpoint.  Bump when the
-#: payload shape changes incompatibly; old entries are then reported and
-#: skipped at load time (the job restarts cold, never resumes wrongly).
-CHECKPOINT_FORMAT = 1
+#: Format version of one persisted job checkpoint; unknown formats are
+#: reported and skipped at load time (the job restarts cold).  Format 2
+#: moved the plan entry to the plan row; format-1 rows still decode.
+CHECKPOINT_FORMAT = 2
+
+#: Key prefix of a job's plan row; like the fleet's ``worker!``
+#: heartbeats, its ``{"kind": "plan"}`` marker is what readers key on.
+PLAN_PREFIX = "plan!"
 
 #: Default lease time-to-live: a crashed owner's job becomes resumable
 #: after this many wall seconds without a checkpoint write.  Kept short
@@ -83,24 +85,18 @@ class JobLeaseError(CheckpointError):
     """The job is actively leased by another owner (double-run guard)."""
 
 
-def new_owner_token() -> str:
-    """A unique lease-owner identity for one train() call."""
-    return uuid.uuid4().hex
-
-
 @dataclasses.dataclass
 class JobCheckpoint:
     """One persisted snapshot of a training job.
 
     ``weights``/``state``/``chosen``/``trace`` are stored in their
     plain-JSON forms (lists and dicts) so any backend can hold them as
-    text; ``plan_entry`` is the full plan-store entry
-    (:func:`~repro.service.serialize.entry_to_dict`) of the pricing
-    decision, so a resuming process re-enters warm -- it never
-    re-speculates a job that is sitting on disk.  ``request`` is an
-    optional caller-supplied descriptor (the CLI stores the parsed
-    request line) that lets a restarted server *re-issue* the job
-    without being handed the original request again.
+    text.  The pricing decision lives in the job's plan row
+    (:meth:`CheckpointStore.load_plan`), so a resuming process re-enters
+    warm -- it never re-speculates a job that is sitting on disk.
+    ``request`` is an optional caller-supplied descriptor (the CLI
+    stores the parsed request line) that lets a restarted server
+    *re-issue* the job without being handed the original request again.
     """
 
     job_id: str
@@ -129,7 +125,8 @@ class JobCheckpoint:
     #: it (the persisted switch allowance would keep monitoring alive),
     #: so the service resumes with the checkpointed mode and warns.
     adaptive: bool = False
-    #: Plan-store entry of the pricing decision (report + stamps).
+    #: Plan-store entry of the pricing decision, inline in a format-1
+    #: row until a lease moves it to the plan row; else not stored.
     plan_entry: dict | None = None
     #: Caller-supplied request descriptor (e.g. a parsed CLI request
     #: line) enabling restart-time re-issue; opaque to the store.
@@ -166,6 +163,8 @@ class JobCheckpoint:
         it shares (see :func:`~repro.gd.state.field_dict`) -- backends
         encode it to text before ``save()`` returns."""
         payload = field_dict(self)
+        if self.plan_entry is None:
+            del payload["plan_entry"]
         payload["checkpoint_format"] = CHECKPOINT_FORMAT
         return payload
 
@@ -174,19 +173,15 @@ class JobCheckpoint:
         """Decode one checkpoint; raises :class:`CheckpointError` on a
         format mismatch or structural damage (callers degrade to a cold
         start, they never trust a partial decode)."""
+        fmt = payload.get("checkpoint_format") \
+            if isinstance(payload, dict) else None
+        if fmt not in (1, CHECKPOINT_FORMAT):
+            raise CheckpointError(
+                f"job checkpoint format {fmt!r} is not a supported one "
+                f"(1, {CHECKPOINT_FORMAT}); checkpoint ignored"
+            )
         try:
-            fmt = payload["checkpoint_format"]
-            if fmt != CHECKPOINT_FORMAT:
-                raise CheckpointError(
-                    f"job checkpoint format {fmt!r} != supported "
-                    f"{CHECKPOINT_FORMAT}; checkpoint ignored"
-                )
-            known = {f.name for f in dataclasses.fields(cls)}
-            return cls(**{
-                k: v for k, v in payload.items() if k in known
-            })
-        except CheckpointError:
-            raise
+            return cls(**known_fields(cls, payload))
         except Exception as exc:
             raise CheckpointError(
                 f"malformed job checkpoint: {exc}"
@@ -221,10 +216,6 @@ class CheckpointStore:
         self.lease_ttl_s = float(lease_ttl_s)
         self._clock = clock or time.time
 
-    @property
-    def path(self):
-        return self.backend.path
-
     # -- decode helpers --------------------------------------------------
     def _decode(self, job_id, payload, warn=True):
         if payload is None:
@@ -247,13 +238,14 @@ class CheckpointStore:
     def jobs(self) -> dict:
         """``{job_id: JobCheckpoint}`` for every decodable entry.
 
-        Worker heartbeat records (``{"kind": "worker", ...}`` entries a
-        fleet worker parks next to the checkpoints it drains) share the
-        store but are not jobs; they are skipped without a warning.
+        Rows with a ``kind`` marker -- worker heartbeats a fleet worker
+        parks next to the checkpoints it drains, jobs' plan rows --
+        share the store but are not jobs; they are skipped without a
+        warning.
         """
         out = {}
         for job_id, payload in self.backend.load().items():
-            if isinstance(payload, dict) and payload.get("kind") == "worker":
+            if isinstance(payload, dict) and "kind" in payload:
                 continue
             checkpoint = self._decode(job_id, payload)
             if checkpoint is not None:
@@ -271,6 +263,20 @@ class CheckpointStore:
                 or (checkpoint.status in ("running", "preempted")
                     and checkpoint.resumable))
         }
+
+    def load_plan(self, job_id) -> dict | None:
+        """The plan-store entry in ``job_id``'s plan row, or None."""
+        payload = self.backend.get(PLAN_PREFIX + job_id)
+        if isinstance(payload, dict) and payload.get("kind") == "plan":
+            return payload.get("plan_entry")
+        return None
+
+    def save_plan(self, job_id, plan_entry) -> None:
+        """Write ``job_id``'s plan row.  One plain write, once per lease
+        that priced the job: only the lease holder writes it, and before
+        the first save that relies on it."""
+        self.backend.store(PLAN_PREFIX + job_id,
+                           {"kind": "plan", "plan_entry": plan_entry})
 
     # -- submission ------------------------------------------------------
     def submit(self, job_id, request) -> JobCheckpoint:
@@ -320,12 +326,6 @@ class CheckpointStore:
         now = self._clock()
         box = {}
 
-        with span("lease_acquire", job_id=job_id, owner=owner) as lease_span:
-            existing = self._acquire(job_id, owner, now, box)
-            lease_span.set("resumed", existing is not None)
-            return existing
-
-    def _acquire(self, job_id, owner, now, box):
         def take(payload):
             existing = self._decode(job_id, payload)
             if existing is not None and existing.leased_by_other(owner, now):
@@ -344,7 +344,9 @@ class CheckpointStore:
             }
             return record.to_dict()
 
-        self.backend.update(job_id, take)
+        with span("lease_acquire", job_id=job_id, owner=owner) as lease_span:
+            self.backend.update(job_id, take)
+            lease_span.set("resumed", box["existing"] is not None)
         return box["existing"]
 
     def save(self, checkpoint, owner=None) -> bool:
@@ -392,12 +394,9 @@ class CheckpointStore:
     def release(self, job_id, owner) -> None:
         """Drop ``owner``'s lease (other owners' leases are untouched)."""
         def drop(payload):
-            if payload is None:
-                return None
             lease = payload.get("lease") if isinstance(payload, dict) else None
             if lease is not None and lease.get("owner") == owner:
-                payload = dict(payload)
-                payload["lease"] = None
+                return dict(payload, lease=None)
             return payload
 
         with span("lease_release", job_id=job_id, owner=owner):
@@ -406,9 +405,7 @@ class CheckpointStore:
     # -- maintenance -----------------------------------------------------
     def delete(self, job_id) -> None:
         self.backend.delete(job_id)
+        self.backend.delete(PLAN_PREFIX + job_id)
 
     def close(self) -> None:
         self.backend.close()
-
-    def __len__(self) -> int:
-        return len(self.backend)

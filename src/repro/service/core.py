@@ -276,22 +276,25 @@ class OptimizerService(TrainingJobs):
             )
             return None
 
-    def _cache_restored(self, key, report, version, digest) -> None:
-        """Re-seed the in-memory cache with an entry restored from a
-        job checkpoint (the job layer's half of :meth:`_read_through`)."""
-        self.cache.put(key, _CachedPlan(report, version, digest))
+    def _cache_restored(self, key, entry, report, version, digest) -> None:
+        """Re-seed the cache and the plan store with ``entry``, restored
+        from a job checkpoint and stored verbatim (the job layer's half
+        of :meth:`_read_through`)."""
+        cached = _CachedPlan(report, version, digest)
+        self.cache.put(key, cached)
+        self._persist(key, cached, entry)
 
-    def _persist(self, key, cached) -> None:
-        """Write one cache entry through to the backend (best effort:
-        a failing store must degrade persistence, not requests)."""
+    def _persist(self, key, cached, entry=None) -> None:
+        """Write one cache entry -- ``entry``, or the one ``cached``
+        encodes to -- through to the backend (best effort: a failing
+        store must degrade persistence, not requests)."""
         if self.backend is None:
             return
         try:
-            self.backend.store(
-                key,
-                entry_to_dict(cached.report, cached.calibration_version,
-                              cached.calibration_digest),
-            )
+            self.backend.store(key, entry or entry_to_dict(
+                cached.report, cached.calibration_version,
+                cached.calibration_digest,
+            ))
         except Exception as exc:
             warnings.warn(
                 f"plan store write failed ({exc}); "

@@ -39,6 +39,10 @@ def freeze(value, as_field=False):
     ``as_field`` freezes a dataclass field as ``dataclasses.asdict``
     left it (which persisted fingerprints digested): a dataclass in it,
     even in a list, tuple or dict, is its bare field pairs.
+
+    A mapping's keys freeze as ``str(key)``; keys that print alike
+    (``'0'`` and ``0``) also carry their type name, so two such entries
+    neither merge nor get their values compared by the sort.
     """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -46,8 +50,14 @@ def freeze(value, as_field=False):
         fields = _frozen_fields(value)
         return fields if as_field else (type(value).__name__, fields)
     if isinstance(value, dict):
-        return tuple(sorted((str(k), freeze(v, as_field))
-                            for k, v in value.items()))
+        names = [str(k) for k in value]
+        clash = len(set(names)) < len(names)
+        return tuple(sorted(
+            (name, type(k).__name__, freeze(v, as_field))
+            if clash and names.count(name) > 1
+            else (name, freeze(v, as_field))
+            for name, (k, v) in zip(names, value.items())
+        ))
     if isinstance(value, (list, tuple)):
         return tuple(freeze(v, as_field) for v in value)
     if isinstance(value, (set, frozenset)):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextvars
 import time
+import uuid
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,11 +34,7 @@ from repro.runtime import (
     ExecutionTrace,
     TrainerCheckpoint,
 )
-from repro.service.checkpoint import (
-    CheckpointError,
-    JobCheckpoint,
-    new_owner_token,
-)
+from repro.service.checkpoint import CheckpointError, JobCheckpoint
 from repro.service.requests import (
     JobProgress,
     ServiceResult,
@@ -188,7 +185,7 @@ class TrainingJobs:
     def _report_from_entry(self, key, plan_entry):
         """Restore a job's pricing report from its checkpointed
         plan-store entry (and re-seed the plan cache/store with it), or
-        None when the entry is unusable.
+        None when the entry is missing or unusable.
 
         The entry is re-persisted *verbatim* -- original calibration
         stamp, original ``written_at`` -- so a resume neither mislabels
@@ -196,9 +193,9 @@ class TrainingJobs:
         must keep firing) nor rejuvenates an entry that
         ``repro cache --compact --ttl`` should age out.
         """
-        if plan_entry is None:
-            return None
         try:
+            if plan_entry is None:
+                raise PlanStoreError("the job has no plan row")
             report, version, digest, _ = entry_from_dict(plan_entry)
         except PlanStoreError as exc:
             warnings.warn(
@@ -206,19 +203,11 @@ class TrainingJobs:
                 stacklevel=3,
             )
             return None
-        self._cache_restored(key, report, version, digest)
-        if self.backend is not None:
-            try:
-                self.backend.store(key, plan_entry)
-            except Exception as exc:
-                warnings.warn(
-                    f"plan store write failed ({exc}); "
-                    "entry is served from memory only", stacklevel=2,
-                )
+        self._cache_restored(key, plan_entry, report, version, digest)
         return report
 
-    def _finished_job_result(self, job_id, key, checkpoint, report,
-                             start) -> TrainServiceResult:
+    def _finished_job_result(self, job_id, checkpoint,
+                             optimization) -> TrainServiceResult:
         """The stored outcome of a job that already ran to completion
         (idempotent re-submission: nothing executes, nothing
         re-speculates)."""
@@ -240,13 +229,7 @@ class TrainingJobs:
             ),
         )
         return TrainServiceResult(
-            optimization=ServiceResult(
-                report=report,
-                fingerprint=key,
-                cache_hit=True,
-                coalesced=False,
-                wall_s=time.perf_counter() - start,
-            ),
+            optimization=optimization,
             result=result,
             trace=trace,
             job=JobProgress(
@@ -278,7 +261,7 @@ class TrainingJobs:
         key = self.fingerprint(
             dataset, training, fixed_iterations, algorithms, batch_sizes
         )
-        owner = new_owner_token()
+        owner = uuid.uuid4().hex  # this lease's identity
         # The lease is the double-run guard: acquired atomically through
         # the backend (flock / BEGIN IMMEDIATE), raising JobLeaseError
         # when a sibling process actively holds the job.
@@ -293,26 +276,42 @@ class TrainingJobs:
                     f"fingerprints as {key[:12]}...; refusing to resume a "
                     "different workload under the same job id"
                 )
-            if checkpoint is not None and checkpoint.status == "done" \
-                    and checkpoint.resumable:
-                report = self._report_from_entry(key, checkpoint.plan_entry)
-                if report is not None:
-                    self.metrics.inc("service.requests")
-                else:
-                    # Undecodable plan entry: re-optimize (warm via the
-                    # plan store when possible) so every downstream
-                    # consumer still gets a real report.
-                    report = self.optimize(
-                        dataset, training, fixed_iterations, algorithms,
-                        batch_sizes,
-                    ).report
-                return self._finished_job_result(
-                    job_id, key, checkpoint, report, start
+            resumable = checkpoint is not None and checkpoint.resumable
+            report = None
+            if resumable:
+                # The checkpoint carries the pricing decision (inline in
+                # a format-1 row, in the plan row since), so nothing
+                # re-speculates -- not even when the plan store was lost.
+                report = self._report_from_entry(
+                    key,
+                    checkpoint.plan_entry or self.checkpoints.load_plan(job_id),
                 )
+            restored_entry = report is not None
+            if restored_entry:
+                optimization = ServiceResult(
+                    report=report,
+                    fingerprint=key,
+                    cache_hit=True,
+                    coalesced=False,
+                    wall_s=time.perf_counter() - start,
+                )
+                self.metrics.inc("service.requests")
+            else:
+                # A fresh job, or an unusable plan entry: optimize (warm
+                # via the plan store when possible) so every downstream
+                # consumer gets a real report.  A resumed job still
+                # trains from its checkpointed plan and state.
+                optimization = self.optimize(
+                    dataset, training, fixed_iterations, algorithms,
+                    batch_sizes,
+                )
+                report = optimization.report
+            if resumable and checkpoint.status == "done":
+                return self._finished_job_result(
+                    job_id, checkpoint, optimization)
 
             resume = None
-            restored_entry = False
-            if checkpoint is not None and checkpoint.resumable:
+            if resumable:
                 if bool(checkpoint.adaptive) != bool(adaptive):
                     # The mode is part of the job, not of the lease: a
                     # non-adaptive resume of an adaptive job would keep
@@ -326,11 +325,6 @@ class TrainingJobs:
                         stacklevel=3,
                     )
                     adaptive = bool(checkpoint.adaptive)
-                # Resume mid-plan: the checkpoint carries the pricing
-                # decision, so nothing re-speculates -- not even when
-                # the plan store was lost.
-                report = self._report_from_entry(key, checkpoint.plan_entry)
-                restored_entry = report is not None
                 resume = TrainerCheckpoint(
                     status=checkpoint.status,
                     weights=checkpoint.weights,
@@ -340,31 +334,8 @@ class TrainingJobs:
                     done_iterations=checkpoint.done_iterations,
                     switches_left=checkpoint.switches_left,
                 )
-                if report is not None:
-                    optimization = ServiceResult(
-                        report=report,
-                        fingerprint=key,
-                        cache_hit=True,
-                        coalesced=False,
-                        wall_s=time.perf_counter() - start,
-                    )
-                    self.metrics.inc("service.requests")
-                else:
-                    # The checkpointed pricing decision is unusable:
-                    # re-optimize for the report (the training itself
-                    # still resumes from the checkpointed plan/state).
-                    optimization = self.optimize(
-                        dataset, training, fixed_iterations, algorithms,
-                        batch_sizes,
-                    )
-                    report = optimization.report
                 self.metrics.inc("service.jobs_resumed")
             else:
-                optimization = self.optimize(
-                    dataset, training, fixed_iterations, algorithms,
-                    batch_sizes,
-                )
-                report = optimization.report
                 self.metrics.inc("service.jobs_started")
 
             trainer = self._trainer(algorithms, batch_sizes, adaptive,
@@ -374,18 +345,19 @@ class TrainingJobs:
                 report.charge_speculation(
                     trainer.optimizer.engine, include_sample_collection=True
                 )
-            if restored_entry:
-                # Carry the checkpointed entry verbatim: its original
-                # calibration stamp must keep driving the staleness
-                # rule, and its original written_at must keep driving
-                # store compaction.  Only freshly optimized reports get
-                # a fresh stamp.
-                plan_entry = checkpoint.plan_entry
-            else:
-                plan_entry = entry_to_dict(
+            # A restored entry stays verbatim: its original calibration
+            # stamp must keep driving the staleness rule, and its
+            # original written_at must keep driving store compaction.
+            # Only freshly optimized reports get a fresh stamp -- and a
+            # plan row, written before the first save that omits it (as
+            # is a format-1 row's inline entry).
+            if not restored_entry:
+                self.checkpoints.save_plan(job_id, entry_to_dict(
                     report, self.calibration.version,
                     self.calibration.state_digest(),
-                )
+                ))
+            elif checkpoint.plan_entry is not None:
+                self.checkpoints.save_plan(job_id, checkpoint.plan_entry)
 
             # This lease's entry in the job's audit trail: carried
             # forward from the previous checkpoint and extended on every
@@ -393,15 +365,12 @@ class TrainingJobs:
             # owner executed which iteration range.  The chaos suite's
             # exactly-once check is that these ranges chain without gap
             # or overlap.
+            start_iteration = int(resume.done_iterations) if resume else 0
             lease_record = {
                 "owner": owner,
                 "worker": self.worker_id,
-                "start_iteration": int(
-                    resume.done_iterations if resume is not None else 0
-                ),
-                "end_iteration": int(
-                    resume.done_iterations if resume is not None else 0
-                ),
+                "start_iteration": start_iteration,
+                "end_iteration": start_iteration,
                 "status": "running",
             }
             earlier_leases = list(checkpoint.history) \
@@ -428,7 +397,6 @@ class TrainingJobs:
                     done_iterations=snapshot.done_iterations,
                     switches_left=snapshot.switches_left,
                     adaptive=adaptive,
-                    plan_entry=plan_entry,
                     request=job_request,
                     # The one thing in this payload that changes after
                     # the save: each checkpoint gets its own copy of

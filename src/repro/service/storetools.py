@@ -18,9 +18,10 @@ def inspect_store(path, clock=None) -> dict:
     """Structured summary of one store file (``repro cache`` backs this).
 
     Classifies every entry as a plan-cache entry (``entry_format``), a
-    job checkpoint (``checkpoint_format``) or unknown, and reports
-    per-kind counts, format-version histograms, age statistics (from the
-    ``written_at`` stamps) and job statuses.  Read-only.
+    job checkpoint (``checkpoint_format``), a job's plan row (``kind``
+    ``plan``, counted by its entry's format and age) or unknown, and
+    reports per-kind counts, format-version histograms, age statistics
+    (from the ``written_at`` stamps) and job statuses.  Read-only.
     """
     now = (clock or time.time)()
     backend = open_backend(path)
@@ -32,14 +33,18 @@ def inspect_store(path, clock=None) -> dict:
             "entries": len(entries),
             "plans": {"count": 0, "formats": {}, "ages_s": []},
             "jobs": {"count": 0, "formats": {}, "ages_s": [], "statuses": {}},
+            "job_plans": {"count": 0, "formats": {}, "ages_s": []},
             "unknown": 0,
         }
         for payload in entries.values():
+            kind = "plans"
+            if isinstance(payload, dict) and payload.get("kind") == "plan":
+                kind, payload = "job_plans", payload.get("plan_entry")
             if not isinstance(payload, dict):
                 report["unknown"] += 1
                 continue
             if "entry_format" in payload:
-                bucket = report["plans"]
+                bucket = report[kind]
                 fmt = payload.get("entry_format")
             elif "checkpoint_format" in payload:
                 bucket = report["jobs"]
@@ -68,21 +73,25 @@ def compact_store(path, ttl_s=None, drop_done_jobs=False, clock=None) -> dict:
     (undecodable leftovers of old versions would never be served, only
     re-skipped on every load), plan entries older than ``ttl_s`` (when
     given), and -- with ``drop_done_jobs`` -- checkpoints of jobs that
-    already finished.  Runs as one atomic whole-store RMW
+    already finished.  A job's plan row goes with its checkpoint and
+    never ages on its own.  Runs as one atomic whole-store RMW
     (:meth:`CacheBackend.mutate_all`), so compacting a *live* store
     cannot discard checkpoints or leases a concurrent writer lands
     mid-compaction.  Returns ``{"kept": n, "dropped": n}``.
     """
-    from repro.service.checkpoint import JobCheckpoint
+    from repro.service.checkpoint import PLAN_PREFIX, JobCheckpoint
     from repro.service.serialize import PlanStoreError, entry_from_dict
 
     now = (clock or time.time)()
     counts = {}
 
     def keep_worthy(entries) -> dict:
-        kept = {}
+        kept, plan_rows = {}, {}
         for key, payload in entries.items():
             if not isinstance(payload, dict):
+                continue
+            if payload.get("kind") == "plan":
+                plan_rows[key] = payload
                 continue
             if "checkpoint_format" in payload:
                 try:
@@ -102,6 +111,15 @@ def compact_store(path, ttl_s=None, drop_done_jobs=False, clock=None) -> dict:
                     and now - written_at > ttl_s
                 ):
                     continue
+            kept[key] = payload
+        for key, payload in plan_rows.items():
+            job = kept.get(key.replace(PLAN_PREFIX, "", 1), {})
+            if "checkpoint_format" not in job:
+                continue  # its job is gone
+            try:
+                entry_from_dict(payload.get("plan_entry"))
+            except PlanStoreError:
+                continue
             kept[key] = payload
         counts["kept"] = len(kept)
         counts["dropped"] = len(entries) - len(kept)

@@ -58,11 +58,6 @@ HEARTBEAT_PREFIX = "worker!"
 DEFAULT_POLL_S = 0.5
 
 
-def new_worker_id() -> str:
-    """A unique fleet-worker identity (stable for one process)."""
-    return f"worker-{uuid.uuid4().hex[:8]}"
-
-
 # ----------------------------------------------------------------------
 # heartbeats
 # ----------------------------------------------------------------------
@@ -186,9 +181,8 @@ def job_progress_records(entries, now=None) -> tuple:
     jobs = []
     for key in sorted(entries):
         payload = entries[key]
-        if not isinstance(payload, dict):
-            continue
-        if payload.get("kind") == "worker":
+        # Rows with a kind are heartbeats and jobs' plan rows.
+        if not isinstance(payload, dict) or "kind" in payload:
             continue
         try:
             checkpoint = JobCheckpoint.from_dict(payload)
@@ -299,7 +293,7 @@ class FleetWorker:
             )
         self.system = system
         self.service = service
-        self.worker_id = worker_id or new_worker_id()
+        self.worker_id = worker_id or f"worker-{uuid.uuid4().hex[:8]}"
         # Stamped into every lease-history record this worker writes.
         service.worker_id = self.worker_id
         self.poll_s = float(poll_s)

@@ -566,9 +566,9 @@ class TestServiceJobs:
         run_job(spec, dataset, training, path, "hurt",
                 budget=JobBudget(max_iterations=20))
         store = CheckpointStore(path=path)
-        checkpoint = store.load("hurt")
-        checkpoint.plan_entry["entry_format"] = 999
-        store.save(checkpoint)
+        entry = store.load_plan("hurt")
+        entry["entry_format"] = 999
+        store.save_plan("hurt", entry)
 
         with pytest.warns(UserWarning, match="re-optimizing"):
             resumed = run_job(spec, dataset, training, path, "hurt")
@@ -590,11 +590,13 @@ class TestServiceJobs:
         run_job(spec, dataset, training, path, "stamped",
                 budget=JobBudget(max_iterations=20))
         store = CheckpointStore(path=path)
-        original = store.load("stamped").plan_entry
+        original = store.load_plan("stamped")
         original_digest = original["calibration_digest"]
         original_written = original["written_at"]
 
-        resumed_service = make_service(spec, checkpoint_path=path)
+        plans = str(tmp_path / "plans.json")
+        resumed_service = make_service(spec, checkpoint_path=path,
+                                       cache_path=plans)
         # The live calibration state drifts before the resume.
         resumed_service.calibration.observe("mgd", spec, cost_ratio=2.0)
         assert resumed_service.calibration.state_digest() != original_digest
@@ -603,9 +605,13 @@ class TestServiceJobs:
             job_id="stamped",
         )
         assert outcome.job.status == "done"
-        final = CheckpointStore(path=path).load("stamped").plan_entry
+        final = CheckpointStore(path=path).load_plan("stamped")
         assert final["calibration_digest"] == original_digest
         assert final["written_at"] == original_written
+        # ... and so does the entry the resume re-seeds the plan store
+        # with.
+        (reseeded,) = JsonFileBackend(plans).load().values()
+        assert reseeded == original
 
     def test_a_budget_the_calibration_outgrew_still_resumes_and_finishes(
         self, spec, dataset, training, tmp_path
@@ -991,6 +997,131 @@ class TestSparseRowGather:
             )
         assert seen
         assert all(isinstance(X, sp.csr_matrix) for X in seen)
+
+
+# ---------------------------------------------------------------------------
+# the plan row: the pricing decision, written once per job
+# ---------------------------------------------------------------------------
+class TestPlanRow:
+    def lease(self, spec, dataset, training, backend, job_id, algorithm="mgd",
+              **kwargs):
+        service = make_service(
+            spec, checkpoint_store=CheckpointStore(backend=backend))
+        return service.train(
+            dataset, training, fixed_iterations=60, algorithms=(algorithm,),
+            batch_sizes={"mgd": 64}, job_id=job_id, **kwargs,
+        )
+
+    @pytest.mark.parametrize("kind", ["memory", "json", "sqlite"])
+    def test_store_readers_never_take_a_plan_row_for_a_job(
+        self, spec, dataset, training, tmp_path, kind
+    ):
+        from repro.service import job_progress_records
+
+        backend = backend_for(tmp_path, kind)
+        self.lease(spec, dataset, training, backend, "done")
+        self.lease(spec, dataset, training, backend, "live",
+                   budget=JobBudget(max_iterations=20))
+        store = CheckpointStore(backend=backend)
+        assert sorted(backend.load()) == \
+            ["done", "live", "plan!done", "plan!live"]
+        assert sorted(store.jobs()) == ["done", "live"]
+        assert sorted(store.pending()) == ["live"]
+        jobs, workers = job_progress_records(backend.load())
+        assert [job["job_id"] for job in jobs] == ["done", "live"]
+        assert workers == []
+        assert store.load_plan("done")["entry_format"]
+
+        store.delete("done")
+        assert sorted(backend.load()) == ["live", "plan!live"]
+        assert store.load_plan("done") is None
+        backend.close()
+
+    @pytest.mark.parametrize("kind", ["json", "sqlite"])
+    def test_compaction_keeps_a_plan_row_exactly_as_long_as_its_job(
+        self, spec, dataset, training, tmp_path, kind
+    ):
+        from repro.service import inspect_store
+
+        backend = backend_for(tmp_path, kind)
+        self.lease(spec, dataset, training, backend, "done")
+        self.lease(spec, dataset, training, backend, "live",
+                   budget=JobBudget(max_iterations=20))
+        store = CheckpointStore(backend=backend)
+        for job_id in ("done", "live"):  # both far past any TTL
+            entry = store.load_plan(job_id)
+            entry["written_at"] -= 10 * 86400
+            store.save_plan(job_id, entry)
+        backend.store("plan!gone", backend.get("plan!live"))  # no job
+        backend.close()
+        path = backend.path
+
+        report = inspect_store(path)
+        assert report["jobs"]["count"] == 2
+        assert report["jobs"]["formats"] == {"2": 2}
+        assert report["job_plans"]["count"] == 3
+        assert report["plans"]["count"] == report["unknown"] == 0
+        assert min(report["job_plans"]["ages_s"]) > 9 * 86400
+
+        assert compact_store(path, ttl_s=3600) == {"kept": 4, "dropped": 1}
+        assert compact_store(path, ttl_s=3600, drop_done_jobs=True) == \
+            {"kept": 2, "dropped": 2}
+        reopened = backend_for(tmp_path, kind)
+        assert sorted(reopened.load()) == ["live", "plan!live"]
+        resumed = self.lease(spec, dataset, training, reopened, "live")
+        assert resumed.job.resumed and resumed.job.status == "done"
+        assert resumed.optimization.cache_hit  # from the kept plan row
+        reopened.close()
+
+    @pytest.mark.parametrize("damage", ["gone", "not a plan row",
+                                        "undecodable entry"])
+    def test_a_lost_plan_row_costs_a_reoptimize_never_the_training(
+        self, spec, dataset, training, tmp_path, damage
+    ):
+        baseline = self.lease(spec, dataset, training, MemoryBackend(), "u")
+        backend = backend_for(tmp_path, "json")
+        self.lease(spec, dataset, training, backend, "hurt",
+                   budget=JobBudget(max_iterations=20))
+        if damage == "gone":
+            backend.delete("plan!hurt")
+        elif damage == "not a plan row":
+            backend.store("plan!hurt", ["junk"])
+        else:
+            backend.store("plan!hurt", {"kind": "plan",
+                                        "plan_entry": {"entry_format": 1}})
+
+        with pytest.warns(UserWarning, match="re-optimizing"):
+            resumed = self.lease(spec, dataset, training, backend, "hurt")
+        assert resumed.job.resumed and resumed.job.status == "done"
+        assert np.array_equal(baseline.weights, resumed.weights)
+        assert baseline.trace.all_deltas == resumed.trace.all_deltas
+        # The lease that re-priced the job wrote it a plan row again.
+        assert CheckpointStore(backend=backend).load_plan("hurt") \
+            ["entry_format"] != 1
+        backend.close()
+
+    @pytest.mark.parametrize("kind", ["json", "sqlite"])
+    @pytest.mark.parametrize("algorithm", ["sgd", "mgd"])
+    def test_shuffle_jobs_preempted_mid_partition_resume_bit_identically(
+        self, spec, dataset, training, tmp_path, kind, algorithm
+    ):
+        baseline = self.lease(spec, dataset, training, MemoryBackend(), "u",
+                              algorithm)
+        assert "shuffle" in str(baseline.result.plan)
+        backend = backend_for(tmp_path, kind)
+        first = self.lease(spec, dataset, training, backend, "cut",
+                           algorithm, budget=JobBudget(max_iterations=37))
+        assert first.job.preempted
+        sampler = backend.get("cut")["state"]["sampler"]
+        assert sampler["order_rng"] and "phys_order" not in sampler
+        assert 0 < sampler["sim_cursor"] < dataset.partitions[0].sim_rows
+
+        resumed = self.lease(spec, dataset, training, backend, "cut",
+                             algorithm)
+        assert resumed.job.resumed and resumed.job.status == "done"
+        assert np.array_equal(baseline.weights, resumed.weights)
+        assert baseline.trace.all_deltas == resumed.trace.all_deltas
+        backend.close()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ point, the same bytes as before.
 * golden payloads: seeded durable jobs store, write for write, the JSON
   text pinned in ``golden/checkpoint_payloads.json`` (clock- and
   identity-dependent values masked), and each lease's final save ends
-  its lease;
+  its lease; put back together with the job's plan row and with the
+  shuffle order re-derived, each row is the format-1 row pinned there
+  (``format1_writes``) before the entry moved out;
 * each fact once: no row repeats the optimizer state in a trace
   segment, or the weights as Converge's previous iterate;
 * cost: no ``dataclasses.asdict`` anywhere near a checkpoint, one
@@ -16,15 +18,16 @@ point, the same bytes as before.
   child gets its own connection;
 * compatibility: store files written before the write path changed
   (``golden/parent_jobs.db`` / ``.json``, a job preempted at iteration
-  37, whose rows still carry the duplicated state) resume here, and a
-  file written here reads back through a plain per-operation
+  37, whose format-1 rows still carry the duplicated state, the plan
+  entry and the shuffle order) resume here and move the entry to a plan
+  row, and a file written here reads back through a plain per-operation
   connection as that code opened it, holding the same row less the
-  duplicates.
+  duplicates, with the entry in the plan row.
 
 ``python tests/test_checkpoint_write_path.py`` regenerates the golden
 payloads from whatever code is on ``PYTHONPATH``, so only do that on
-purpose.  It leaves the parent store files alone: they are the
-old-format rows that must keep resuming.
+purpose; it keeps ``format1_writes``.  It leaves the parent store files
+alone: they are the old-format rows that must keep resuming.
 """
 
 import copy
@@ -44,7 +47,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec
+from repro.cluster import ClusterSpec, SimulatedCluster
+from repro.cluster.sampling import ShuffledPartitionSampler
 from repro.core.plans import TrainingSpec
 from repro.gd.state import STATE_FORMAT, OptimizerState
 from repro.runtime import AdaptiveSettings, JobBudget, PerturbedCostModel
@@ -58,7 +62,7 @@ from repro.service import (
     SqliteBackend,
 )
 from repro.service.backends import STORE_FORMAT
-from repro.service.checkpoint import CHECKPOINT_FORMAT
+from repro.service.checkpoint import CHECKPOINT_FORMAT, PLAN_PREFIX
 
 from support import make_dataset
 
@@ -101,14 +105,15 @@ def digest(text) -> dict:
 
 class RowRecorder(SqliteBackend):
     """A SqliteBackend that keeps the raw row text after every
-    ``update`` -- what the store file holds, not what the caller passed."""
+    ``update`` -- what the store file holds, not what the caller passed
+    -- and, apart, after every plain ``store`` (the plan rows)."""
 
     def __init__(self, path):
         super().__init__(path)
         self.rows = []
+        self.stored = []
 
-    def update(self, key, fn):
-        entry = super().update(key, fn)
+    def _row(self, key):
         conn = sqlite3.connect(self.path)
         try:
             row = conn.execute(
@@ -117,8 +122,16 @@ class RowRecorder(SqliteBackend):
             ).fetchone()
         finally:
             conn.close()
-        self.rows.append(None if row is None else row[0])
+        return None if row is None else row[0]
+
+    def update(self, key, fn):
+        entry = super().update(key, fn)
+        self.rows.append(self._row(key))
         return entry
+
+    def store(self, key, entry):
+        super().store(key, entry)
+        self.stored.append(self._row(key))
 
 
 def make_backend(kind, tmp_path):
@@ -192,9 +205,9 @@ def run_case(name, backend, job_id="job", leases=None, checkpoint_every=25):
 
 
 def record_case(name, directory, lease_ends=None) -> dict:
-    """Every row text the case stored, in order, and its final trace;
-    ``lease_ends``, a list, gains the index of each row with no lease
-    (the row that ended a lease)."""
+    """Every row text the case stored, in order, its plan row and its
+    final trace; ``lease_ends``, a list, gains the index of each row
+    with no lease (the row that ended a lease)."""
     recorder = RowRecorder(pathlib.Path(directory) / f"{name}.db")
     try:
         result = run_case(name, recorder)
@@ -205,8 +218,10 @@ def record_case(name, directory, lease_ends=None) -> dict:
         if lease_ends is not None and json.loads(text)["lease"] is None:
             lease_ends.append(index)
     rows = [masked_text(text) for text in recorder.rows]
+    (plan_row,) = recorder.stored  # one lease priced the job
     return {
         "plan": str(result.result.plan),
+        "plan_row": masked_text(plan_row),
         "writes": [digest(row) for row in rows],
         # In full, so a mismatch shows as a text diff (it embeds the
         # final trace, which is therefore pinned by digest only).
@@ -228,7 +243,13 @@ class TestGoldenPayloads:
         for name in ("sgd", "mgd"):
             assert "shuffle" in golden[name]["plan"]
             last = json.loads(golden[name]["last_checkpoint"])
-            assert last["state"]["sampler"]["phys_order"]
+            assert last["state"]["sampler"]["order_rng"]
+            assert "phys_order" not in last["state"]["sampler"]
+        for name in CASES:
+            assert "plan_entry" not in golden[name]["last_checkpoint"]
+            plan_row = json.loads(golden[name]["plan_row"])
+            assert plan_row["kind"] == "plan"
+            assert plan_row["plan_entry"]["entry_format"]
         svrg = json.loads(golden["svrg"]["last_checkpoint"])
         assert svrg["state"]["algorithm_state"]["svrg"]["w_bar"]
         adaptive = json.loads(golden["adaptive"]["last_checkpoint"])["trace"]
@@ -246,6 +267,7 @@ class TestGoldenPayloads:
         assert len(lease_ends) == len(CASES[name][2])
         assert len(recorded["writes"]) == len(pinned["writes"])
         assert recorded["plan"] == pinned["plan"]
+        assert recorded["plan_row"] == pinned["plan_row"]
         for index, (ours, theirs) in enumerate(
             zip(recorded["writes"], pinned["writes"])
         ):
@@ -253,9 +275,59 @@ class TestGoldenPayloads:
         assert recorded["last_checkpoint"] == pinned["last_checkpoint"]
         assert recorded["trace"] == pinned["trace"]
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_each_row_is_the_format_1_row_less_what_it_repeats(
+        self, name, golden, tmp_path
+    ):
+        """Each row the case stores, with the plan row's entry put back
+        inline and the shuffle order re-derived from its generator
+        state, is the row the format-1 code stored for that write."""
+        recorder = RowRecorder(tmp_path / f"{name}.db")
+        try:
+            run_case(name, recorder)
+        finally:
+            recorder.close()
+        (plan_row,) = map(json.loads, recorder.stored)
+        old = golden[name]["format1_writes"]
+        assert len(recorder.rows) == len(old)
+        for index, text in enumerate(recorder.rows):
+            row = json.loads(text)
+            assert "plan_entry" not in row
+            assert "phys_order" not in json.dumps(row)
+            assert digest(json.dumps(mask(as_format_1(
+                row, plan_row["plan_entry"])))) == old[index], \
+                f"{name}: row #{index}"
+
     def test_no_format_bump(self):
+        # Checkpoint format 2 on purpose: the plan entry moved to the
+        # plan row, the shuffle order to its generator state.  Format-1
+        # rows still resume.
         assert (CHECKPOINT_FORMAT, STATE_FORMAT, TRACE_FORMAT,
-                STORE_FORMAT) == (1, 2, 2, 1)
+                STORE_FORMAT) == (2, 2, 2, 1)
+
+
+def as_format_1(row, plan_entry) -> dict:
+    """A format-2 row as the format-1 code stored it: ``plan_entry``
+    inline where that field sat (null in a lease stub with no progress)
+    and the shuffle sampler's order as the permutation itself."""
+    old = {}
+    for key, value in row.items():
+        if key == "request":
+            old["plan_entry"] = plan_entry if row["weights"] else None
+        old[key] = value
+    old["checkpoint_format"] = 1
+    sampler = (row["state"] or {}).get("sampler") or {}
+    if "order_rng" in sampler:
+        shuffle = ShuffledPartitionSampler(
+            SimulatedCluster(spec()), dataset(), 1, np.random.default_rng())
+        shuffle.load_state(sampler)
+        cursors = {}
+        for key, value in sampler.items():
+            if key == "order_rng":
+                key, value = "phys_order", shuffle._phys_order.tolist()
+            cursors[key] = value
+        old["state"] = dict(row["state"], sampler=cursors)
+    return old
 
 
 def without_duplicates(payload) -> dict:
@@ -363,9 +435,10 @@ class TestWriteCost:
         result = run_case("bgd", backend)
         assert result.job.status == "done"
         # acquire, saves at 25 / 50 / done(60); the last ends the lease.
+        # The plan row is one plain write besides, before the first save.
         assert count(statements, "BEGIN IMMEDIATE") == 4
         assert count(statements, "COMMIT") == 4
-        assert count(statements, "INSERT INTO plan_store") == 4
+        assert count(statements, "INSERT INTO plan_store") == 5
         assert count(statements, "ROLLBACK") == 0
         assert count(statements, "DELETE") == 0
 
@@ -712,6 +785,13 @@ class TestStoreFileCompatibility:
         before = CheckpointStore(backend=backend).load("victim")
         assert before.status == "preempted"
         assert before.done_iterations == KILL_AT
+        assert before.plan_entry["entry_format"]
+        writes = []
+        for name in ("store", "update"):
+            def spy(key, value, real=getattr(backend, name), name=name):
+                writes.append((name, key))
+                return real(key, value)
+            setattr(backend, name, spy)
 
         factory, kwargs, _ = CASES["mgd"]
         resumed = factory(
@@ -725,6 +805,17 @@ class TestStoreFileCompatibility:
         history = CheckpointStore(backend=backend).load("victim").history
         assert [(h["start_iteration"], h["end_iteration"]) for h in history] \
             == [(0, KILL_AT), (KILL_AT, N_TOTAL)]
+        # The inline entry moved to the plan row before the first save
+        # that left it out: acquire, plan row, saves.
+        assert writes[:3] == [("update", "victim"),
+                              ("store", PLAN_PREFIX + "victim"),
+                              ("update", "victim")]
+        assert [name for name, _ in writes].count("store") == 1
+        assert CheckpointStore(backend=backend).load_plan("victim") \
+            == before.plan_entry
+        row = backend.get("victim")
+        assert row["checkpoint_format"] == CHECKPOINT_FORMAT
+        assert "plan_entry" not in row
         backend.close()
 
     def test_store_written_here_reads_as_the_parent_opened_it(
@@ -751,6 +842,10 @@ class TestStoreFileCompatibility:
         (ours,), = per_operation(
             "SELECT payload FROM plan_store WHERE fingerprint = ?", "victim"
         )
+        (plan_row,), = per_operation(
+            "SELECT payload FROM plan_store WHERE fingerprint = ?",
+            PLAN_PREFIX + "victim",
+        )
         parent = sqlite3.connect(str(PARENT_STORES["sqlite"]))
         try:
             (theirs,), = parent.execute(
@@ -761,13 +856,19 @@ class TestStoreFileCompatibility:
         # The very text the parent wrote for the same half-done job,
         # less the copies it no longer stores -- fields the parent
         # defaults (its executor primes Converge from the weights when
-        # a state has no ``convergence``) -- so whatever the parent
-        # decodes from its own file it decodes here.
-        assert masked_text(ours) == json.dumps(
-            mask(without_duplicates(json.loads(theirs)))
-        )
+        # a state has no ``convergence``) -- and with its plan entry in
+        # the plan row and its shuffle order as the generator state it
+        # was drawn from, so whatever the parent decodes from its own
+        # file it decodes here.
+        theirs = without_duplicates(json.loads(theirs))
+        plan_entry = json.loads(plan_row)["plan_entry"]
+        assert mask(plan_entry) == mask(theirs["plan_entry"])
+        assert json.dumps(mask(as_format_1(json.loads(ours), plan_entry))) \
+            == json.dumps(mask(theirs))
         payload = json.loads(ours)
-        assert payload["checkpoint_format"] == 1
+        assert payload["checkpoint_format"] == 2
+        assert "plan_entry" not in payload
+        assert "order_rng" in payload["state"]["sampler"]
         assert payload["state"]["state_format"] == 2
         assert payload["trace"]["trace_format"] == 2
         # ... and the parent's per-operation writes land next to ours.
@@ -782,12 +883,16 @@ class TestStoreFileCompatibility:
 
 
 def regenerate() -> None:
-    """Re-pin the golden payloads to the code on PYTHONPATH."""
+    """Re-pin the golden payloads to the code on PYTHONPATH; the
+    format-1 digests stay as they were pinned."""
     import tempfile
 
+    pinned = json.loads(GOLDEN.read_text())
     with tempfile.TemporaryDirectory() as directory:
         GOLDEN.write_text(json.dumps(
-            {name: record_case(name, directory) for name in sorted(CASES)},
+            {name: {**record_case(name, directory),
+                    "format1_writes": pinned[name]["format1_writes"]}
+             for name in sorted(CASES)},
             indent=1,
         ) + "\n")
 

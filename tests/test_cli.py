@@ -543,9 +543,11 @@ class TestCLICache:
         self.populate(store, capsys)
         assert main(["cache", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "(json backend): 1 entries" in out
-        assert "job checkpoints: 1 (format 1 x1)" in out
+        assert "(json backend): 2 entries" in out
+        assert "job checkpoints: 1 (format 2 x1)" in out
         assert "done: 1" in out
+        assert "job plan rows: 1 (format 2 x1)" in out
+        assert "unknown" not in out
 
     def plan_store(self, tmp_path, capsys):
         plans = tmp_path / "plans.json"
@@ -573,7 +575,8 @@ class TestCLICache:
                      "--drop-done-jobs"]) == 0
         out = capsys.readouterr().out
         assert "unknown entries: 1" in out
-        assert "compacted: kept 0, dropped 2" in out
+        # the job, its plan row and the junk
+        assert "compacted: kept 0, dropped 3" in out
         assert JsonFileBackend(str(store)).load() == {}
 
     def test_compact_keeps_live_jobs(self, tmp_path, capsys):
@@ -583,7 +586,7 @@ class TestCLICache:
                      "--drop-done-jobs"]) == 0
         out = capsys.readouterr().out
         assert "preempted: 1" in out
-        assert "compacted: kept 1, dropped 0" in out
+        assert "compacted: kept 2, dropped 0" in out  # job + plan row
 
     def test_compact_ttl_drops_only_old_plan_entries(self, tmp_path, capsys):
         plans = tmp_path / "plans.json"

@@ -335,8 +335,11 @@ VALUES = st.recursive(
     lambda children: st.one_of(
         st.lists(children, max_size=3),
         st.lists(children, max_size=3).map(tuple),
+        # The oracle merges (or fails to sort) keys that print alike,
+        # so it is only consulted on dicts whose keys do not.
         st.dictionaries(st.text(max_size=3) | st.integers(), children,
-                        max_size=3),
+                        max_size=3).filter(
+            lambda d: len({str(k) for k in d}) == len(d)),
         st.sets(HASHABLE, max_size=3),
         st.builds(Box, children, children),
         st.builds(Frozen, children),
@@ -366,6 +369,15 @@ class TestFreezeIsTheAsdictFreeze:
                 speculation)
         assert trial_context_digest(*args) == \
             asdict_trial_context_digest(*args)
+
+    def test_keys_that_print_alike_keep_their_values_apart(self):
+        assert freeze({'0': [], 0: None}) == \
+            (('0', 'int', None), ('0', 'str', ()))
+        assert freeze({'0': 1, 0: 2}) != freeze({'0': 2, 0: 1})
+        assert freeze({'0': 1, 0: 2, 'a': 3}) == \
+            (('0', 'int', 2), ('0', 'str', 1), ('a', 3))
+        # Only the clashing keys change shape.
+        assert freeze({'0': 1, 1: 2}) == asdict_freeze({'0': 1, 1: 2})
 
     def test_the_services_own_dataclasses(self, system):
         (r,) = system._normalize_requests([{"dataset": "adult"}], {})

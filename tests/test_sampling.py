@@ -1,9 +1,13 @@
 """Unit tests for the three sampling strategies (Section 6)."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import SimulatedCluster, make_sampler
+from repro.cluster import ClusterSpec, SimulatedCluster, make_sampler
 from repro.cluster.sampling import SAMPLER_NAMES
 from repro.errors import PlanError
 
@@ -168,6 +172,55 @@ class TestShuffledPartition:
             costs[name] = engine.clock - before
         assert costs["bernoulli"] > costs["random"]
         assert costs["bernoulli"] > costs["shuffle"]
+
+
+class TestShuffleState:
+    """A shuffle sampler's state stores the generator state its
+    permutation was drawn from; a restore re-derives the permutation."""
+
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 400),
+           draws=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_a_restore_rederives_the_permutation(self, seed, batch, draws):
+        spec = ClusterSpec(jitter_sigma=0.0)
+        ds = make_dataset(n_phys=1000, d=10, sim_n=100_000, spec=spec,
+                          block_bytes=64 * 1024)
+        engine = SimulatedCluster(spec, seed=0)
+        sampler = make_sampler("shuffle", engine, ds, batch,
+                               rng=np.random.default_rng(seed))
+        for _ in range(draws):
+            sampler.draw()
+        state = json.loads(json.dumps(sampler.state_dict()))
+        assert "phys_order" not in state
+        restored = make_sampler("shuffle", engine, ds, batch,
+                                rng=np.random.default_rng(seed + 1))
+        restored.load_state(state)
+        if draws == 0:
+            assert state == {} and restored._phys_order is None
+            return
+        assert restored._phys_order.dtype == sampler._phys_order.dtype
+        assert np.array_equal(restored._phys_order, sampler._phys_order)
+        assert restored.state_dict() == state
+        # The restore leaves the shared stream alone.
+        assert restored.rng.bit_generator.state == \
+            np.random.default_rng(seed + 1).bit_generator.state
+
+    def test_an_older_payload_with_the_order_itself_still_loads(
+        self, engine, multi_ds
+    ):
+        sampler = make_sampler("shuffle", engine, multi_ds, 10)
+        sampler.draw()
+        older = dict(sampler.state_dict())
+        del older["order_rng"]
+        older["phys_order"] = sampler._phys_order.tolist()
+        restored = make_sampler("shuffle", engine, multi_ds, 10)
+        restored.load_state(older)
+        assert np.array_equal(restored._phys_order, sampler._phys_order)
+        # With no generator state to stand for it, the order is stored
+        # whole again -- until the next partition is shuffled.
+        assert restored.state_dict() == older
+        assert [restored.draw().indices.tolist() for _ in range(3)] == \
+            [sampler.draw().indices.tolist() for _ in range(3)]
 
 
 class TestPhysicalScaling:
