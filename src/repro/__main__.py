@@ -272,7 +272,7 @@ def _refuse_bad_port(port, flag) -> bool:
     return False
 
 
-def _serve_until_stopped(server, host, port, note="") -> bool:
+def _serve_until_stopped(server, host, port) -> bool:
     """Serve until interrupted; False after one ``error:`` line when
     ``server`` cannot listen on ``host:port``."""
     try:
@@ -282,7 +282,7 @@ def _serve_until_stopped(server, host, port, note="") -> bool:
               f"{exc.strerror or exc}", file=sys.stderr)
         server.stop()
         return False
-    print(f"listening on {host}:{port}{note}", flush=True)
+    print(f"listening on {host}:{port}", flush=True)
     try:
         server.wait()
     except KeyboardInterrupt:
@@ -662,7 +662,11 @@ def cache_main(argv) -> int:
         return 1
     from repro.service import compact_store, inspect_store
 
-    report = inspect_store(args.path)
+    try:
+        report = inspect_store(args.path)
+    except ReproError as exc:  # a malformed tcp:// URL
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{report['path']} ({report['backend']} backend): "
           f"{report['entries']} entries")
     for kind, label in (("plans", "plan entries"),
@@ -713,38 +717,20 @@ def store_main(argv) -> int:
                         help="interface to bind (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=0,
                         help="port to bind (default 0: pick a free one)")
-    parser.add_argument("--shard", default=None, metavar="I/N",
-                        help="serve shard I of an N-way fingerprint-range "
-                             "split (0-based); keys owned by a sibling "
-                             "shard are refused, clients route via "
-                             "tcp://h0:p0,h1:p1,.../ns")
     _add_flags(parser, log_level=dict(help=None), log_json=dict(help=None))
     args = parser.parse_args(argv)
     if _refuse_bad_port(args.port, "--port"):
         return 2
 
     _configure_obs(args)
-    shard = None
-    if args.shard:
-        index, sep, count = args.shard.partition("/")
-        try:
-            if not sep:
-                raise ValueError(args.shard)
-            shard = (int(index), int(count))
-        except ValueError:
-            print(f"error: --shard expects I/N (e.g. 0/3), got "
-                  f"{args.shard!r}", file=sys.stderr)
-            return 2
     from repro.service.remote import StoreServer
 
     try:
-        server = StoreServer(path=args.path, host=args.host,
-                             port=args.port, shard=shard)
+        server = StoreServer(path=args.path, host=args.host, port=args.port)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    shard_note = f" (shard {args.shard})" if shard else ""
-    if not _serve_until_stopped(server, args.host, args.port, shard_note):
+    if not _serve_until_stopped(server, args.host, args.port):
         return 1
     print(f"{server.frames_served} frames served")
     return 0

@@ -21,8 +21,8 @@ across *many* processes, in explicit layers:
   loop, framing, slow-client rule) both socket servers run on;
 * :mod:`repro.service.remote` -- the fleet's network boundary: the
   ``repro store`` line-protocol server (:class:`StoreServer`) and the
-  :class:`RemoteBackend`/:class:`ShardedBackend` clients behind
-  ``tcp://host:port/namespace`` store paths;
+  :class:`RemoteBackend` client behind ``tcp://host:port/namespace``
+  store paths;
 * :mod:`repro.service.worker` -- the ``repro worker`` drain/steal loop
   (:class:`FleetWorker`), per-job progress/ETA derivation, and the
   lease-history exactly-once audit;
@@ -59,11 +59,9 @@ from repro.service.metrics import MetricsRegistry
 from repro.service.remote import (
     RemoteBackend,
     RemoteStoreError,
-    ShardedBackend,
     StoreServer,
     open_remote_backend,
     parse_store_url,
-    shard_index,
 )
 from repro.service.requests import (
     JobProgress,
@@ -110,7 +108,6 @@ __all__ = [
     "RemoteStoreError",
     "ServiceRequest",
     "ServiceResult",
-    "ShardedBackend",
     "SocketFrontend",
     "SqliteBackend",
     "StoreServer",
@@ -134,7 +131,6 @@ __all__ = [
     "read_heartbeats",
     "report_from_dict",
     "report_to_dict",
-    "shard_index",
     "workload_fingerprint",
     "write_heartbeat",
 ]

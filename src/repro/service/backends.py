@@ -59,8 +59,7 @@ _BUSY_TIMEOUT_S = 30.0
 
 def open_backend(path):
     """Backend for ``path``: ``tcp://host:port/namespace`` for a remote
-    ``repro store`` (``host:port,host:port,.../ns`` for a shard set),
-    SQLite for ``.db``/``.sqlite*``, anything else JSON."""
+    ``repro store``, SQLite for ``.db``/``.sqlite*``, anything else JSON."""
     text = str(path)
     if text.startswith("tcp://"):
         # Imported lazily: the remote module builds on this one.

@@ -14,9 +14,7 @@ the wire, not to invent a new storage model.  Two halves:
   two things a *network* RMW needs that a callback cannot provide:
   per-key **versions** and a ``cas`` op (put-if-version, with a client
   transaction id so a retried CAS whose first attempt actually landed is
-  recognized as applied instead of double-applied).  A ``jobs`` op
-  reports per-job progress/ETA and worker heartbeats straight from the
-  stored checkpoints.
+  recognized as applied instead of double-applied).
 * :class:`RemoteBackend` -- the client: implements the full
   :class:`CacheBackend` contract over that protocol, with
   retry/timeout/exponential backoff on transport faults.
@@ -26,14 +24,12 @@ the wire, not to invent a new storage model.  Two halves:
   write, and ``fn``'s own refusals (:class:`JobLeaseError`) propagate
   untouched.
 
-Keys are partitioned into **namespaces** (one server can hold a plan
+Keys are partitioned into **namespaces**: one server can hold a plan
 store, a checkpoint store and a calibration blob without key
-collisions), and a namespace can be **range-sharded** across N store
-processes by fingerprint prefix (:func:`shard_index`);
-:class:`ShardedBackend` routes per-key ops to the owning shard.
+collisions.
 
 :func:`open_remote_backend` parses the ``tcp://host:port/namespace``
-scheme (``host:port,host:port,.../ns`` for a shard set) that
+scheme (one URL, one store) that
 :func:`~repro.service.backends.open_backend` dispatches here, so
 ``--cache``, ``--checkpoint`` and calibration paths point at shared
 state with zero call-site changes.
@@ -47,7 +43,6 @@ durability guarantee.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import socket
@@ -56,6 +51,7 @@ import time
 import uuid
 import warnings
 
+from repro.errors import ReproError
 from repro.service.backends import STORE_FORMAT, CacheBackend, open_backend
 from repro.service.lineserver import MAX_FRAME_BYTES, LineServer
 
@@ -78,7 +74,7 @@ MAX_BACKOFF_S = 1.0
 #: writer storm sustained past this count).
 MAX_CAS_ATTEMPTS = 64
 
-_NAMESPACE_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
+_NAMESPACE_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
 
 #: Separator between namespace and key inside the server's flat inner
 #: backend.  Namespaces cannot contain ``:`` (see the regex), so
@@ -97,78 +93,57 @@ class RemoteStoreError(RuntimeError):
     """A remote store call failed past the client's retry budget."""
 
 
-# ----------------------------------------------------------------------
-# fingerprint-range sharding
-# ----------------------------------------------------------------------
-def shard_point(key) -> int:
-    """Map a store key onto the 32-bit fingerprint range.
-
-    Workload fingerprints are hex digests, so their leading 8 hex chars
-    *are* a uniform point in ``[0, 2^32)`` -- range-partitioning on it
-    splits the fingerprint space into contiguous slabs.  Non-hex keys
-    (job ids, heartbeat records) are hashed onto the same range so every
-    key has exactly one owner shard.
-    """
-    head = str(key)[:8].lower()
-    if len(head) == 8 and all(c in "0123456789abcdef" for c in head):
-        return int(head, 16)
-    digest = hashlib.sha1(str(key).encode("utf-8")).hexdigest()
-    return int(digest[:8], 16)
-
-
-def shard_index(key, count) -> int:
-    """The shard (``0..count-1``) owning ``key`` under a ``count``-way
-    range split of the fingerprint space."""
-    count = max(1, int(count))
-    return min(count - 1, (shard_point(key) * count) >> 32)
+class StoreUrlError(ReproError, ValueError):
+    """A ``tcp://`` store URL is malformed: a usage error, not a fault."""
 
 
 # ----------------------------------------------------------------------
 # URL scheme
 # ----------------------------------------------------------------------
 def parse_store_url(url):
-    """``tcp://host:port[,host:port...][/namespace]`` ->
-    ``([(host, port), ...], namespace)``."""
+    """``tcp://host:port[/namespace]`` -> ``([(host, port)], namespace)``.
+
+    A URL names exactly one store: a comma-separated endpoint list, a
+    port outside 1-65535 or a bad namespace raises
+    :class:`StoreUrlError`.
+    """
     text = str(url)
     if not text.startswith("tcp://"):
-        raise ValueError(f"not a tcp:// store URL: {url!r}")
-    rest = text[len("tcp://"):]
-    hosts_part, _, namespace = rest.partition("/")
+        raise StoreUrlError(f"not a tcp:// store URL: {url!r}")
+    endpoint, _, namespace = text[len("tcp://"):].partition("/")
     namespace = namespace or DEFAULT_NAMESPACE
     if not _NAMESPACE_RE.match(namespace):
-        raise ValueError(
+        raise StoreUrlError(
             f"invalid store namespace {namespace!r}: expected 1-64 chars "
             "of [A-Za-z0-9._-] starting with a letter or digit"
         )
-    endpoints = []
-    for part in hosts_part.split(","):
-        host, sep, port = part.strip().rpartition(":")
-        if not sep or not host:
-            raise ValueError(
-                f"store endpoint {part!r} must look like host:port"
-            )
-        try:
-            endpoints.append((host, int(port)))
-        except ValueError:
-            raise ValueError(
-                f"store endpoint {part!r} has a non-numeric port"
-            ) from None
-    if not endpoints:
-        raise ValueError(f"store URL {url!r} names no endpoints")
-    return endpoints, namespace
+    if "," in endpoint:
+        raise StoreUrlError(
+            f"store URL {url!r} lists several endpoints; a tcp:// URL "
+            "names exactly one store"
+        )
+    host, sep, port = endpoint.rpartition(":")
+    if not sep or not host:
+        raise StoreUrlError(
+            f"store endpoint {endpoint!r} must look like host:port"
+        )
+    try:
+        port = int(port)
+    except ValueError:
+        raise StoreUrlError(
+            f"store endpoint {endpoint!r} has a non-numeric port"
+        ) from None
+    if not 1 <= port <= 65535:
+        raise StoreUrlError(
+            f"store endpoint {endpoint!r} has port {port} outside 1-65535"
+        )
+    return [(host, port)], namespace
 
 
-def open_remote_backend(url, **options) -> CacheBackend:
-    """A :class:`RemoteBackend` (or, for a multi-endpoint URL, a
-    :class:`ShardedBackend`) for one ``tcp://`` store URL."""
-    endpoints, namespace = parse_store_url(url)
-    if len(endpoints) == 1:
-        host, port = endpoints[0]
-        return RemoteBackend(host, port, namespace=namespace, **options)
-    return ShardedBackend([
-        RemoteBackend(host, port, namespace=namespace, **options)
-        for host, port in endpoints
-    ])
+def open_remote_backend(url) -> CacheBackend:
+    """A :class:`RemoteBackend` for one ``tcp://`` store URL."""
+    [(host, port)], namespace = parse_store_url(url)
+    return RemoteBackend(host, port, namespace=namespace)
 
 
 # ----------------------------------------------------------------------
@@ -187,27 +162,16 @@ class StoreServer(LineServer):
     per key.  Deleted keys keep their version counter -- a reused key
     resumes counting instead of restarting at 1, so stale CAS attempts
     from before the delete still lose.
-
-    ``shard=(index, count)`` makes the server *refuse* keys outside its
-    fingerprint range (``wrong_shard``) instead of silently holding
-    strays a sibling shard would never find.
     """
 
     def __init__(self, backend=None, path=None, host="127.0.0.1", port=0,
-                 shard=None, max_frame_bytes=MAX_FRAME_BYTES, clock=None):
+                 max_frame_bytes=MAX_FRAME_BYTES):
         if backend is None:
             from repro.service.backends import MemoryBackend
 
             backend = open_backend(path) if path else MemoryBackend()
         super().__init__(host, port, max(1024, int(max_frame_bytes)))
         self.backend = backend
-        self.shard = None
-        if shard is not None:
-            index, count = int(shard[0]), int(shard[1])
-            if not 0 <= index < count:
-                raise ValueError(f"shard index {index} not in 0..{count - 1}")
-            self.shard = (index, count)
-        self._clock = clock or time.time
         self._lock = threading.Lock()
         #: Per internal key: mutation counter (monotone, survives
         #: deletes for the server's lifetime).
@@ -266,27 +230,17 @@ class StoreServer(LineServer):
         return namespace
 
     @staticmethod
-    def _key(frame) -> str:
-        key = frame["key"]
+    def _key(key) -> str:
         if not isinstance(key, str) or not key:
             raise ValueError(f"key must be a non-empty string, got {key!r}")
         return key
 
-    def _wrong_shard(self, key):
-        if self.shard is None:
-            return None
-        index, count = self.shard
-        owner = shard_index(key, count)
-        if owner == index:
-            return None
-        return {
-            "ok": False, "error": "wrong_shard",
-            "detail": (
-                f"key {key!r} belongs to shard {owner}/{count}, "
-                f"this store is shard {index}/{count}"
-            ),
-            "shard": owner,
-        }
+    @staticmethod
+    def _expected_version(value, field) -> int:
+        # bool is an int subclass; 1.5, 1e999 and NaN are not versions.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+        return value
 
     def _ikey(self, namespace, key) -> str:
         return f"{namespace}{_NS_SEP}{key}"
@@ -326,24 +280,17 @@ class StoreServer(LineServer):
             "ok": True, "server": "repro-store",
             "wire_format": WIRE_FORMAT, "store_format": STORE_FORMAT,
             "backend": self.backend.name,
-            **({"shard": list(self.shard)} if self.shard else {}),
         }
 
     def _op_get(self, frame) -> dict:
-        namespace, key = self._namespace(frame), self._key(frame)
-        rejected = self._wrong_shard(key)
-        if rejected is not None:
-            return rejected
+        namespace, key = self._namespace(frame), self._key(frame["key"])
         with self._lock:
             value = self.backend.get(self._ikey(namespace, key))
             version = self._version(self._ikey(namespace, key))
         return {"ok": True, "value": value, "version": version}
 
     def _op_put(self, frame) -> dict:
-        namespace, key = self._namespace(frame), self._key(frame)
-        rejected = self._wrong_shard(key)
-        if rejected is not None:
-            return rejected
+        namespace, key = self._namespace(frame), self._key(frame["key"])
         with self._lock:
             ikey = self._ikey(namespace, key)
             self._version(ikey)  # snapshot pre-write history
@@ -351,10 +298,7 @@ class StoreServer(LineServer):
             return {"ok": True, "version": self._bump(namespace, ikey)}
 
     def _op_delete(self, frame) -> dict:
-        namespace, key = self._namespace(frame), self._key(frame)
-        rejected = self._wrong_shard(key)
-        if rejected is not None:
-            return rejected
+        namespace, key = self._namespace(frame), self._key(frame["key"])
         with self._lock:
             ikey = self._ikey(namespace, key)
             self._version(ikey)  # snapshot pre-delete history
@@ -373,11 +317,8 @@ class StoreServer(LineServer):
         a lost response idempotent: if this exact transaction already
         applied, the reply says so instead of double-applying.
         """
-        namespace, key = self._namespace(frame), self._key(frame)
-        rejected = self._wrong_shard(key)
-        if rejected is not None:
-            return rejected
-        expect = int(frame.get("expect", 0))
+        namespace, key = self._namespace(frame), self._key(frame["key"])
+        expect = self._expected_version(frame.get("expect", 0), "expect")
         txn = frame.get("txn")
         with self._lock:
             ikey = self._ikey(namespace, key)
@@ -416,12 +357,16 @@ class StoreServer(LineServer):
         entries = frame.get("entries")
         if not isinstance(entries, dict):
             raise ValueError("replace needs an 'entries' object")
+        for key in entries:
+            self._key(key)
         expect_ns = frame.get("expect_ns")
+        if expect_ns is not None:
+            self._expected_version(expect_ns, "expect_ns")
         with self._lock:
             current = self._ns_versions.get(namespace, 0)
-            if expect_ns is not None and int(expect_ns) != current:
+            if expect_ns is not None and expect_ns != current:
                 return {"ok": False, "error": "cas_conflict",
-                        "ns_version": current, "expect": int(expect_ns)}
+                        "ns_version": current, "expect": expect_ns}
             for key in self._ns_entries(namespace):
                 if key not in entries:
                     ikey = self._ikey(namespace, key)
@@ -429,25 +374,12 @@ class StoreServer(LineServer):
                     self.backend.delete(ikey)
                     self._bump(namespace, ikey)
             for key, value in entries.items():
-                ikey = self._ikey(namespace, str(key))
+                ikey = self._ikey(namespace, key)
                 self._version(ikey)  # snapshot pre-write history
                 self.backend.store(ikey, value)
                 self._bump(namespace, ikey)
             return {"ok": True,
                     "ns_version": self._ns_versions.get(namespace, 0)}
-
-    def _op_jobs(self, frame) -> dict:
-        """Per-job progress/ETA and worker heartbeats for a namespace,
-        decoded straight from the stored checkpoints -- the store is
-        where the fleet's shared truth lives, so it can answer without
-        any worker being up."""
-        from repro.service.worker import job_progress_records
-
-        namespace = self._namespace(frame)
-        with self._lock:
-            entries = self._ns_entries(namespace)
-        jobs, workers = job_progress_records(entries, now=self._clock())
-        return {"ok": True, "jobs": jobs, "workers": workers}
 
 
 # ----------------------------------------------------------------------
@@ -634,72 +566,3 @@ class RemoteBackend(CacheBackend):
 
     def __len__(self) -> int:
         return len(self.load())
-
-
-class ShardedBackend(CacheBackend):
-    """Route one namespace across N stores by fingerprint range.
-
-    Per-key ops (get/put/delete/update) go to the owning shard, so CAS
-    atomicity is exactly the single-shard guarantee.  Whole-store reads
-    merge every shard's scan; ``mutate_all`` partitions the entries back
-    out.  The whole-store paths are atomic per shard, not
-    across shards -- compaction over a live sharded store can interleave
-    with writers on *other* shards, which is safe because entries never
-    move between shards (the range map is a pure function of the key).
-    """
-
-    name = "sharded"
-
-    def __init__(self, shards):
-        if not shards:
-            raise ValueError("ShardedBackend needs at least one shard")
-        self.shards = list(shards)
-        self.path = ",".join(
-            getattr(shard, "path", None) or "?" for shard in self.shards
-        )
-
-    def _shard(self, key) -> CacheBackend:
-        return self.shards[shard_index(key, len(self.shards))]
-
-    def load(self) -> dict:
-        entries = {}
-        for shard in self.shards:
-            entries.update(shard.load())
-        return entries
-
-    def get(self, key):
-        return self._shard(key).get(key)
-
-    def store(self, key, entry) -> None:
-        self._shard(key).store(key, entry)
-
-    def update(self, key, fn):
-        return self._shard(key).update(key, fn)
-
-    def mutate_all(self, fn) -> dict:
-        # One optimistic RMW per shard: fn sees and returns the full
-        # merged map, but each shard only swaps its own range, so a
-        # lost race on shard k retries shard k alone.
-        count = len(self.shards)
-        merged = {}
-        for index, shard in enumerate(self.shards):
-            def shard_slice(entries, index=index):
-                whole = dict(self.load())
-                whole.update(entries)
-                kept = fn(whole)
-                return {
-                    key: value for key, value in kept.items()
-                    if shard_index(key, count) == index
-                }
-            merged.update(shard.mutate_all(shard_slice))
-        return merged
-
-    def delete(self, key) -> None:
-        self._shard(key).delete(key)
-
-    def close(self) -> None:
-        for shard in self.shards:
-            shard.close()
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)

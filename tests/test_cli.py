@@ -751,6 +751,27 @@ class TestCLIBounds:
         assert "1 job(s) done, 0 stolen, 0 failed" in \
             capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--cache", "tcp://127.0.0.1:1/bad:ns"],
+        ["batch", "-", "--cache", "tcp://127.0.0.1:70000/ns"],
+        ["train", "adult", "--job-id", "j",
+         "--checkpoint", "tcp://127.0.0.1:0/ns"],
+        ["cache", "tcp://127.0.0.1:1/bad:ns"],
+        ["worker", "--checkpoint", "tcp://127.0.0.1:7700,127.0.0.1:7701/ns",
+         "--drain"],
+    ], ids=["serve", "batch", "train", "cache", "worker"])
+    def test_malformed_store_url_is_a_usage_error(self, monkeypatch, capsys,
+                                                  argv):
+        # Each one used to print a ValueError traceback and exit 1; a
+        # port past 65535 used to wrap around onto another port.
+        stdin = io.StringIO("adult epsilon=0.05 fixed_iterations=50\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.err
+        assert stdin.tell() == 0
+
 
 class TestCLIListen:
     """A port the server cannot listen on is one ``error:`` line, not a

@@ -77,10 +77,10 @@ class TestBackends:
         # The contract is what the service calls: no swap or wipe beside
         # mutate_all, and no non-atomic default for it in the base class.
         from repro.service.backends import CacheBackend
-        from repro.service.remote import RemoteBackend, ShardedBackend
+        from repro.service.remote import RemoteBackend
 
         for cls in (CacheBackend, MemoryBackend, JsonFileBackend,
-                    SqliteBackend, RemoteBackend, ShardedBackend):
+                    SqliteBackend, RemoteBackend):
             assert not hasattr(cls, "replace"), cls
             assert not hasattr(cls, "clear"), cls
         with pytest.raises(NotImplementedError):

@@ -1,7 +1,7 @@
 """The fleet's network boundary: ``repro store`` wire protocol and the
 remote ``CacheBackend``.
 
-Covers the URL scheme and fingerprint-range shard map, the full
+Covers the URL scheme, the full
 CacheBackend contract spoken over TCP (including namespace isolation and
 server-restart persistence), the protocol's failure frames (malformed
 input, oversized frames, CAS conflicts, idempotent txn replay,
@@ -19,7 +19,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
@@ -28,14 +28,12 @@ from repro.service import (
     MemoryBackend,
     RemoteBackend,
     RemoteStoreError,
-    ShardedBackend,
     StoreServer,
     open_backend,
     open_remote_backend,
     parse_store_url,
-    shard_index,
 )
-from repro.service.remote import WIRE_FORMAT, shard_point
+from repro.service.remote import WIRE_FORMAT
 
 from support import FaultyBackend, assert_split_invariant
 
@@ -92,7 +90,7 @@ class RawClient:
 
 
 # ---------------------------------------------------------------------------
-# URL scheme and shard map
+# URL scheme
 # ---------------------------------------------------------------------------
 class TestStoreUrls:
     def test_single_endpoint_with_namespace(self):
@@ -103,17 +101,11 @@ class TestStoreUrls:
         assert parse_store_url("tcp://h:1")[1] == "default"
         assert parse_store_url("tcp://h:1/")[1] == "default"
 
-    def test_multi_endpoint_shard_set(self):
-        endpoints, namespace = parse_store_url(
-            "tcp://a:1,b:2 , c:3/jobs"
-        )
-        assert endpoints == [("a", 1), ("b", 2), ("c", 3)]
-        assert namespace == "jobs"
-
     @pytest.mark.parametrize("url", [
         "file:///x", "tcp://", "tcp:///ns", "tcp://hostonly/ns",
         "tcp://h:notaport/ns", "tcp://h:1/bad:ns", "tcp://h:1/-leading",
-        "tcp://h:1/" + "n" * 65,
+        "tcp://h:1/" + "n" * 65, "tcp://h:70000/ns", "tcp://h:-1/ns",
+        "tcp://h:0/ns", "tcp://a:1,b:2/ns", "tcp://h:1/ns\n",
     ])
     def test_malformed_urls_are_rejected(self, url):
         with pytest.raises(ValueError):
@@ -123,36 +115,13 @@ class TestStoreUrls:
         single = open_remote_backend("tcp://127.0.0.1:9/ns")
         assert isinstance(single, RemoteBackend)
         assert single.namespace == "ns"
-        fleet = open_remote_backend("tcp://127.0.0.1:9,127.0.0.1:10/ns")
-        assert isinstance(fleet, ShardedBackend)
-        assert len(fleet.shards) == 2
+        with pytest.raises(ValueError, match="exactly one store"):
+            open_remote_backend("tcp://127.0.0.1:9,127.0.0.1:10/ns")
 
     def test_open_backend_dispatches_tcp_urls(self):
         assert isinstance(
             open_backend("tcp://127.0.0.1:9/ns"), RemoteBackend
         )
-
-    def test_shard_map_covers_the_range(self):
-        # Hex fingerprints partition by leading 32 bits...
-        assert shard_point("00000000abc") == 0
-        assert shard_point("ffffffff123") == 0xFFFFFFFF
-        assert shard_index("00000000abc", 4) == 0
-        assert shard_index("ffffffff123", 4) == 3
-        # ...non-hex keys (job ids) still land on exactly one shard.
-        for key in ("job-7", "worker!w-a", "anything"):
-            owners = {shard_index(key, 4) for _ in range(3)}
-            assert len(owners) == 1
-            assert 0 <= owners.pop() < 4
-
-    def test_shard_map_spreads_fingerprints(self):
-        import hashlib
-
-        keys = [hashlib.sha256(str(n).encode()).hexdigest()
-                for n in range(200)]
-        counts = [0, 0, 0, 0]
-        for key in keys:
-            counts[shard_index(key, 4)] += 1
-        assert all(count > 20 for count in counts)  # no starved shard
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +189,7 @@ class TestRemoteBackendContract:
         pong = backend.ping()
         assert pong["wire_format"] == WIRE_FORMAT
         assert pong["server"] == "repro-store"
+        assert "shard" not in pong
 
     def test_data_survives_a_server_restart(self, tmp_path):
         path = str(tmp_path / "store.json")
@@ -290,6 +260,49 @@ SPLIT_LINES = [
     b"   ",
 ]
 
+#: Values that break careless coercions: non-finite and fractional
+#: floats, bools posing as ints, null, empty and long strings.
+HOSTILE = st.sampled_from([
+    float("inf"), float("-inf"), float("nan"), 1.5, -1, True, False, None,
+    "", "x" * 4096,
+])
+
+#: Any JSON value a frame field may carry, nested ones included.
+JSON_VALUES = st.recursive(
+    HOSTILE | st.integers() | st.floats() | st.text(max_size=16),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+#: One well-formed frame per op the store answers, plus unknown ops.
+FRAME_TEMPLATES = [
+    {"op": "ping"},
+    {"op": "get", "ns": "t", "key": "k"},
+    {"op": "put", "ns": "t", "key": "k", "value": 1},
+    {"op": "delete", "ns": "t", "key": "k"},
+    {"op": "cas", "ns": "t", "key": "k", "value": 2, "expect": 0,
+     "txn": "x"},
+    {"op": "scan", "ns": "t"},
+    {"op": "replace", "ns": "t", "entries": {"k": 3}, "expect_ns": 0},
+    {"op": "jobs", "ns": "t"},
+    {"op": "explode"},
+]
+
+
+@st.composite
+def store_frames(draw):
+    """A template frame with up to two fields dropped or replaced by
+    arbitrary JSON values."""
+    frame = dict(draw(st.sampled_from(FRAME_TEMPLATES)))
+    for field in draw(st.lists(st.sampled_from(sorted(frame)), max_size=2,
+                               unique=True)):
+        if draw(st.booleans()):
+            del frame[field]
+        else:
+            frame[field] = draw(JSON_VALUES)
+    return frame
+
 
 class TestWireProtocol:
     def test_malformed_frames_get_structured_errors(self, server):
@@ -300,6 +313,8 @@ class TestWireProtocol:
             client.send_raw(b"[1, 2, 3]\n")
             assert client.recv()["error"] == "bad_frame"
             assert client.call(op="explode")["error"] == "bad_request"
+            # Job progress is the front-end's `jobs` verb, not a store op.
+            assert client.call(op="jobs")["error"] == "bad_request"
             assert client.call(op=7)["error"] == "bad_request"
             assert client.call(op="get")["error"] == "bad_request"  # no key
             assert client.call(op="get", key="")["error"] == "bad_request"
@@ -459,24 +474,42 @@ class TestWireProtocol:
         finally:
             client.close()
 
-    def test_wrong_shard_keys_are_refused_not_stored(self):
-        with StoreServer(backend=MemoryBackend(), shard=(0, 2)) as left:
-            client = RawClient(left.port)
-            try:
-                foreign = "ffffffff-key"  # top of the range: shard 1's
-                response = client.call(op="put", key=foreign, ns="t",
-                                       value=1)
-                assert response["error"] == "wrong_shard"
-                assert response["shard"] == 1
-                local = client.call(op="put", key="00000000-key", ns="t",
-                                    value=1)
-                assert local["ok"]
-            finally:
-                client.close()
 
-    def test_shard_bounds_are_validated(self):
-        with pytest.raises(ValueError, match="shard index"):
-            StoreServer(backend=MemoryBackend(), shard=(2, 2))
+    def test_non_integer_versions_and_empty_keys_are_bad_requests(
+        self, server
+    ):
+        client = RawClient(server.port)
+        try:
+            for literal in (b"1e999", b"Infinity", b"NaN", b"1.5"):
+                for frame in (
+                    b'{"op": "cas", "key": "k", "ns": "t", "value": 1, '
+                    b'"expect": ' + literal + b"}",
+                    b'{"op": "replace", "ns": "t", "entries": {}, '
+                    b'"expect_ns": ' + literal + b"}",
+                ):
+                    client.send_raw(frame + b"\n")
+                    assert client.recv()["error"] == "bad_request", frame
+            # No per-key op could reach an entry stored under "".
+            assert client.call(op="replace", ns="t",
+                               entries={"": 1, "k": 2})["error"] \
+                == "bad_request"
+            assert client.call(op="scan", ns="t")["entries"] == {}
+        finally:
+            client.close()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(store_frames() | JSON_VALUES, min_size=1, max_size=8))
+    @example([{"op": "cas", "key": "k", "value": 1,
+               "expect": float("inf")}])
+    @example([{"op": "replace", "entries": {}, "expect_ns": float("inf")}])
+    def test_fuzzed_frames_never_read_as_store_faults(self, frames):
+        store = StoreServer(backend=MemoryBackend())
+        for frame in frames:
+            reply = store._handle_frame(json.dumps(frame))
+            assert reply["ok"] is True or reply["error"] in {
+                "bad_frame", "bad_request", "cas_conflict",
+            }, (frame, reply)
+        assert store._handle_frame('{"op": "ping"}')["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -607,43 +640,6 @@ class TestConcurrentStorm:
             assert audit.get("counter") == {"n": 80}
         finally:
             audit.close()
-
-
-# ---------------------------------------------------------------------------
-# sharded namespaces end to end
-# ---------------------------------------------------------------------------
-class TestShardedBackend:
-    def test_keys_land_on_their_owning_shard_only(self):
-        with StoreServer(backend=MemoryBackend(), shard=(0, 2)) as left, \
-                StoreServer(backend=MemoryBackend(), shard=(1, 2)) as right:
-            fleet = open_remote_backend(
-                f"tcp://127.0.0.1:{left.port},127.0.0.1:{right.port}/ns"
-            )
-            try:
-                keys = [f"job-{n}" for n in range(24)]
-                for key in keys:
-                    fleet.store(key, {"key": key})
-                assert set(fleet.load()) == set(keys)
-                assert len(fleet) == 24
-                # Each store holds exactly its own range, nothing else.
-                held = [
-                    {ikey.split("::", 1)[1]
-                     for ikey in shard.backend.load()}
-                    for shard in (left, right)
-                ]
-                for index, own in enumerate(held):
-                    assert own == {key for key in keys
-                                   if shard_index(key, 2) == index}
-                    assert own  # the split actually used both shards
-                # Point ops route; CAS stays single-shard-atomic.
-                fleet.update("job-0", lambda cur: {**cur, "touched": True})
-                assert fleet.get("job-0")["touched"]
-                fleet.delete("job-1")
-                assert fleet.get("job-1") is None
-                fleet.mutate_all(lambda entries: {"job-2": {"kept": True}})
-                assert fleet.load() == {"job-2": {"kept": True}}
-            finally:
-                fleet.close()
 
 
 # ---------------------------------------------------------------------------
