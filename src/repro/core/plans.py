@@ -18,6 +18,7 @@ step size, tolerance, iteration cap) shared by every plan in a search.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from repro.cluster.sampling import SAMPLER_NAMES
 from repro.errors import PlanError
@@ -92,9 +93,12 @@ class GDPlan:
             return self.batch_size
         return self.info.default_batch_size
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
-        """Human-readable plan name, e.g. ``"SGD-lazy-shuffle"``."""
+        """Human-readable plan name, e.g. ``"SGD-lazy-shuffle"`` (built
+        once per plan object: the optimizer reads it a dozen times a
+        request, and :func:`~repro.core.plan_space.enumerate_plans`
+        hands out the same plans every time)."""
         parts = [self.algorithm.upper()]
         if self.is_stochastic:
             parts.append(self.transform_mode)

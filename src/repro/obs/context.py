@@ -17,17 +17,18 @@ thread.
 from __future__ import annotations
 
 import contextvars
-import dataclasses
 import os
+from typing import NamedTuple
 
 _CURRENT: contextvars.ContextVar = contextvars.ContextVar(
     "repro_trace_context", default=None
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class TraceContext:
-    """The ambient tracing state for the current logical request."""
+class TraceContext(NamedTuple):
+    """The ambient tracing state for the current logical request (a
+    named tuple: every span builds one, and a frozen dataclass costs
+    several times as much to construct)."""
 
     #: Correlates every span of one request (16 hex chars, or whatever
     #: the client supplied on the wire).

@@ -25,11 +25,10 @@ import os
 import re
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
-from repro.obs.context import TraceContext, activate, new_trace_id, restore
+from repro.obs.context import TraceContext, new_trace_id
 from repro.obs.logs import get_logger
-from repro.obs.spans import span as _span
+from repro.obs.spans import _Scope
 
 #: Traces kept in memory; the oldest falls off when a new one starts.
 MAX_TRACES = 256
@@ -37,7 +36,7 @@ MAX_TRACES = 256
 #: Spans kept per in-memory trace (a runaway loop must not eat the heap).
 MAX_SPANS_PER_TRACE = 512
 
-_TRACE_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._:-]{0,63}$")
+_TRACE_ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._:-]{0,63}\Z")
 
 
 def valid_trace_id(trace_id) -> bool:
@@ -71,28 +70,22 @@ class TraceRecorder:
             os.makedirs(trace_dir, exist_ok=True)
 
     # ------------------------------------------------------------------
-    @contextmanager
     def trace(self, name, trace_id=None, **attributes):
-        """Open a *root* span, minting (or adopting) the trace id.
+        """Open a *root* span around a ``with`` block, minting (or
+        adopting) the trace id.
 
-        The yielded span's ``trace_id`` is the id to hand back to the
+        The entered span's ``trace_id`` is the id to hand back to the
         client; everything instrumented inside the block becomes part
         of the same tree.
         """
         resolved = trace_id if valid_trace_id(trace_id) else new_trace_id()
-        token = activate(TraceContext(
-            trace_id=resolved, span_id=None, recorder=self,
-        ))
-        try:
-            with _span(name, **attributes) as root:
-                yield root
-        finally:
-            restore(token)
+        return _Scope(name, attributes, TraceContext(resolved, None, self))
 
     # ------------------------------------------------------------------
     def record(self, span) -> None:
-        """Accept one finished span (called from ``span()`` exit)."""
-        payload = span.to_dict()
+        """Accept one finished span (called from ``span()`` exit).  The
+        ring keeps the :class:`~repro.obs.spans.Span` itself; a dict is
+        built only where one leaves the recorder."""
         with self._lock:
             bucket = self._traces.get(span.trace_id)
             if bucket is None:
@@ -102,24 +95,24 @@ class TraceRecorder:
             else:
                 self._traces.move_to_end(span.trace_id)
             if len(bucket) < self.max_spans_per_trace:
-                bucket.append(payload)
+                bucket.append(span)
         if self.metrics is not None:
             self.metrics.histogram(f"span.{span.name}", span.duration_s)
         if self.trace_dir:
-            self._append(_filename(span.trace_id), payload)
+            self._append(_filename(span.trace_id), span.to_dict())
         if self._logger.isEnabledFor(10):  # DEBUG
             self._logger.debug(
                 "span %s %.3fms", span.name, span.duration_s * 1e3,
-                extra={"span": payload},
+                extra={"span": span.to_dict()},
             )
         if (
             span.parent_id is None
             and self.slow_threshold_s is not None
             and span.duration_s >= self.slow_threshold_s
         ):
-            self._record_slow(span, payload)
+            self._record_slow(span)
 
-    def _record_slow(self, span, payload) -> None:
+    def _record_slow(self, span) -> None:
         self._slow_logger.warning(
             "slow request: trace %s (%s) took %.3fs (threshold %.3fs)",
             span.trace_id, span.name, span.duration_s,
@@ -129,7 +122,7 @@ class TraceRecorder:
         if self.metrics is not None:
             self.metrics.inc("obs.slow_requests")
         if self.trace_dir:
-            self._append("slow_requests.jsonl", payload)
+            self._append("slow_requests.jsonl", span.to_dict())
 
     def _append(self, filename, payload) -> None:
         path = os.path.join(self.trace_dir, filename)
@@ -146,7 +139,7 @@ class TraceRecorder:
         with self._lock:
             bucket = self._traces.get(trace_id)
             if bucket is not None:
-                return list(bucket)
+                return [span.to_dict() for span in bucket]
         if self.trace_dir and valid_trace_id(trace_id):
             path = os.path.join(self.trace_dir, _filename(trace_id))
             if os.path.exists(path):

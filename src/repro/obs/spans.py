@@ -6,8 +6,9 @@ The one function instrumented code calls is :func:`span`::
         ...
         sp.set("chosen", str(plan))
 
-Outside an active trace it yields a shared no-op span and records
-nothing -- the cost is one contextvar read.  Inside a trace it opens a
+Outside an active trace it enters as a shared no-op span and records
+nothing -- the cost is one small object and one contextvar read.
+Inside a trace it opens a
 child of the current span, re-points the ambient context at itself for
 the duration of the block (so nested ``span()`` calls become children),
 stamps an ``error`` status if the block raises, and hands the finished
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from contextlib import contextmanager
 
 from repro.obs.context import (
     TraceContext,
@@ -34,7 +34,7 @@ from repro.obs.context import (
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Span:
     """One finished (or in-flight) unit of traced work."""
 
@@ -78,7 +78,47 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-@contextmanager
+class _Scope:
+    """What ``with span(...)`` enters: two plain method calls, where a
+    generator-based context manager costs several times as much.
+    ``root`` is the context of a trace to open, the span its root
+    (:meth:`~repro.obs.recorder.TraceRecorder.trace`)."""
+
+    __slots__ = ("name", "attributes", "root", "span", "recorder", "token",
+                 "begun")
+
+    def __init__(self, name, attributes, root=None):
+        self.name = name
+        self.attributes = attributes
+        self.root = root
+
+    def __enter__(self):
+        context = current_context() if self.root is None else self.root
+        if context is None or context.recorder is None:
+            self.span = None
+            return NULL_SPAN
+        current = self.span = Span(
+            self.name, context.trace_id, new_span_id(), context.span_id,
+            time.time(), attributes=self.attributes,
+        )
+        self.recorder = context.recorder
+        self.token = activate(TraceContext(
+            context.trace_id, current.span_id, context.recorder))
+        self.begun = time.perf_counter()
+        return current
+
+    def __exit__(self, kind, error, traceback):
+        current = self.span
+        if current is not None:
+            current.duration_s = time.perf_counter() - self.begun
+            if kind is not None:
+                current.status = "error"
+                current.attributes.setdefault(
+                    "error", f"{kind.__name__}: {error}")
+            restore(self.token)
+            self.recorder.record(current)
+
+
 def span(name, **attributes):
     """Open a child span of the current trace around a ``with`` block.
 
@@ -86,36 +126,7 @@ def span(name, **attributes):
     Exceptions propagate, after stamping ``status="error"`` and an
     ``error`` attribute on the span.
     """
-    context = current_context()
-    if context is None or context.recorder is None:
-        yield NULL_SPAN
-        return
-    current = Span(
-        name=name,
-        trace_id=context.trace_id,
-        span_id=new_span_id(),
-        parent_id=context.span_id,
-        start_s=time.time(),
-        attributes=dict(attributes),
-    )
-    token = activate(TraceContext(
-        trace_id=context.trace_id,
-        span_id=current.span_id,
-        recorder=context.recorder,
-    ))
-    begun = time.perf_counter()
-    try:
-        yield current
-    except BaseException as exc:
-        current.status = "error"
-        current.attributes.setdefault(
-            "error", f"{type(exc).__name__}: {exc}"
-        )
-        raise
-    finally:
-        current.duration_s = time.perf_counter() - begun
-        restore(token)
-        context.recorder.record(current)
+    return _Scope(name, attributes)
 
 
 def emit_span(name, duration_s, **attributes) -> Span | None:
@@ -134,7 +145,7 @@ def emit_span(name, duration_s, **attributes) -> Span | None:
         parent_id=context.span_id,
         start_s=now - duration_s,
         duration_s=duration_s,
-        attributes=dict(attributes),
+        attributes=attributes,
     )
     context.recorder.record(finished)
     return finished

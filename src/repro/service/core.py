@@ -70,6 +70,7 @@ from repro.service.fingerprint import (
     memo_key,
     trial_context_digest,
     workload_fingerprint,
+    workload_parts,
 )
 from repro.service.jobs import TrainingJobs
 from repro.service.metrics import MetricsRegistry
@@ -210,8 +211,11 @@ class OptimizerService(TrainingJobs):
         self._inflight = {}
         self._inflight_lock = threading.Lock()
         #: What :meth:`fingerprint` / :meth:`trial_context` digested
-        #: before -> the digest it got (see :meth:`_remembered`).
+        #: before -> the digest it got, and the service-constant part of
+        #: a fingerprint -> its :func:`workload_parts` text (see
+        #: :meth:`_remembered`).
         self._fingerprints = {}
+        self._workload_parts = {}
         self._trial_contexts = {}
         self._fingerprints_lock = threading.Lock()
         #: Entries restored from the persistent backend at startup.
@@ -333,20 +337,27 @@ class OptimizerService(TrainingJobs):
         # Freezing four dataclasses costs ~60x the cache lookup the key
         # is for, and a server sees the same few hundred requests over
         # and over: remember the key per *value* of everything it
-        # digests (``speculation`` is mutable, hence its fields).
-        memo = memo_key(
-            dataset.stats, training, self.spec, self.speculation,
+        # digests (``speculation`` is mutable, hence its fields) -- and,
+        # for a new request, the text of all but its training spec.
+        constant = memo_key(
+            dataset.stats, self.spec, self.speculation,
             (data_digest, dataset.representation, fixed_iterations,
              self.seed),
             algorithms,
             tuple(itertools.chain.from_iterable(batch_sizes.items())),
         )
+        request = memo_key(training)
+        memo = (None if constant is None or request is None
+                else request + constant)
         return self._remembered(self._fingerprints, memo, lambda: (
             workload_fingerprint(
-                dataset.stats, training, self.spec, data_digest=data_digest,
-                representation=dataset.representation, algorithms=algorithms,
-                batch_sizes=batch_sizes, fixed_iterations=fixed_iterations,
-                speculation=self.speculation, seed=self.seed)))
+                dataset.stats, training, self.spec, self._remembered(
+                    self._workload_parts, constant, lambda: workload_parts(
+                        dataset.stats, self.spec, data_digest=data_digest,
+                        representation=dataset.representation,
+                        algorithms=algorithms, batch_sizes=batch_sizes,
+                        fixed_iterations=fixed_iterations,
+                        speculation=self.speculation, seed=self.seed)))))
 
     def trial_context(self, dataset, training) -> str:
         """Trial-memo scope of one workload under this service's
@@ -362,7 +373,7 @@ class OptimizerService(TrainingJobs):
                                  training.step_size, training.convergence,
                                  self.seed, self.speculation)))
 
-    def _remembered(self, memo, key, digest) -> str:
+    def _remembered(self, memo, key, digest):
         """``digest()``, kept in ``memo`` under ``key`` unless it is None
         (bounded, oldest out first; reads take no lock)."""
         value = memo.get(key) if key is not None else None

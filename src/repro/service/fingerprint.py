@@ -116,21 +116,32 @@ def memo_key(*parts):
     return tuple(key)
 
 
-def workload_fingerprint(stats, training, spec, **extra) -> str:
+def workload_parts(stats, spec, **extra) -> tuple:
+    """The canonical text of a workload's payload around its training
+    spec, as ``(head, tail)``: what a service's requests share.
+
+    ``repr`` of the 4-tuple payload is ``"(" + a + ", " + b + ", " + c
+    + ", " + d + ")"``, so ``head + repr(freeze(training)) + tail`` is
+    the same text, byte for byte -- and a caller that keeps the parts
+    per value renders only the training spec per request.
+    """
+    extra = tuple(sorted((k, freeze(v)) for k, v in extra.items()))
+    return (f"({freeze(stats)!r}, ",
+            f", {freeze(spec)!r}, {extra!r})")
+
+
+def workload_fingerprint(stats, training, spec, parts=None, **extra) -> str:
     """Digest of one optimization workload.
 
     ``stats``/``training``/``spec`` are the cache identity mandated by
     the cost model; ``extra`` lets callers mix in anything else that
     changes the optimizer's answer (algorithm set, batch-size overrides,
-    fixed iteration counts, speculation settings, seeds).
+    fixed iteration counts, speculation settings, seeds).  ``parts`` is
+    :func:`workload_parts` of the same values, when the caller kept it.
     """
-    payload = (
-        freeze(stats),
-        freeze(training),
-        freeze(spec),
-        tuple(sorted((k, freeze(v)) for k, v in extra.items())),
-    )
-    return hashlib.sha256(repr(payload).encode()).hexdigest()
+    head, tail = parts or workload_parts(stats, spec, **extra)
+    text = head + repr(freeze(training)) + tail
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def trial_context_digest(data_digest, gradient, step_size, convergence,

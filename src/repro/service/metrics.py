@@ -26,6 +26,8 @@ text exposition format for scrape-style consumers.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import re
 import threading
 
@@ -83,7 +85,9 @@ class MetricsRegistry:
     # -- histograms ------------------------------------------------------
     def histogram(self, name, value, buckets=DEFAULT_BUCKETS) -> None:
         """Record one observation into cumulative-bucket histogram
-        ``name`` (buckets fixed at first observation)."""
+        ``name`` (buckets fixed at first observation).  It counts the
+        observation in the first bucket that holds it (none for NaN);
+        :meth:`histogram_stats` accumulates the counts."""
         value = float(value)
         with self._lock:
             hist = self._histograms.get(name)
@@ -91,13 +95,14 @@ class MetricsRegistry:
                 bounds = tuple(sorted(float(b) for b in buckets))
                 hist = self._histograms[name] = {
                     "buckets": bounds,
-                    "counts": [0] * len(bounds),
+                    "counts": [0] * (len(bounds) + 1),
                     "sum": 0.0,
                     "count": 0,
                 }
-            for index, bound in enumerate(hist["buckets"]):
-                if value <= bound:
-                    hist["counts"][index] += 1
+            bounds = hist["buckets"]
+            index = (bisect.bisect_left(bounds, value) if value == value
+                     else len(bounds))
+            hist["counts"][index] += 1
             hist["sum"] += value
             hist["count"] += 1
 
@@ -113,7 +118,8 @@ class MetricsRegistry:
                 "sum_s": hist["sum"],
                 "buckets": {
                     f"{bound:g}": count
-                    for bound, count in zip(hist["buckets"], hist["counts"])
+                    for bound, count in zip(
+                        hist["buckets"], itertools.accumulate(hist["counts"]))
                 },
             }
 

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ML4all
+from repro.cluster import ClusterSpec
 from repro.cluster.storage import DatasetStats, PartitionedDataset
 from repro.core.iterations import SpeculationSettings
 from repro.core.plans import TrainingSpec
@@ -29,7 +30,12 @@ from repro.gd.gradients import task_gradient
 from repro.gd.step_size import InverseSqrtStep
 from repro.service import OptimizerService
 from repro.service import core as service_core
-from repro.service.fingerprint import freeze, trial_context_digest
+from repro.service.fingerprint import (
+    freeze,
+    memo_key,
+    trial_context_digest,
+    workload_fingerprint,
+)
 
 DATASETS = ("adult", "covtype", "yearpred", "higgs")
 VARIANTS = {
@@ -264,6 +270,97 @@ class TestMemoNeverConflates:
 # freeze walks dataclass fields; the asdict-based freeze it replaced is
 # kept here as the oracle: every persisted fingerprint was digested by it.
 # ----------------------------------------------------------------------
+def reference_fingerprint(stats, training, spec, **extra):
+    """The workload digest as every commit before the constant-parts
+    memo computed it: one ``repr`` of the whole frozen payload."""
+    payload = (
+        freeze(stats),
+        freeze(training),
+        freeze(spec),
+        tuple(sorted((k, freeze(v)) for k, v in extra.items())),
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+SIGNED_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1.0, 2.5e-7, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+POSITIVE = st.floats(min_value=1e-12, max_value=1e6)
+STEPS = st.one_of(
+    POSITIVE,
+    st.integers(1, 4),
+    st.just(True),
+    # a schedule object: memo_key cannot key it, so the full path runs
+    st.builds(InverseSqrtStep, POSITIVE),
+)
+TRAININGS = st.builds(
+    TrainingSpec,
+    task=st.sampled_from(["logreg", "svm", "linreg"]),
+    step_size=STEPS,
+    tolerance=POSITIVE,
+    max_iter=st.integers(1, 10_000),
+    l2=st.sampled_from([0.0, -0.0, 0.01, 1.5]),
+    time_budget_s=st.one_of(st.none(), POSITIVE),
+    seed=st.integers(0, 3),
+)
+
+
+class TestFingerprintPathIsTheReference:
+    """The service renders only the training spec per request and keeps
+    the text of the rest per value; the digest must stay the one-``repr``
+    digest above, cold and with the constant parts memoised."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(
+            ClusterSpec, n_nodes=st.integers(1, 8),
+            page_io_disk_s=SIGNED_FLOATS, network_byte_s=SIGNED_FLOATS,
+            jitter_sigma=st.sampled_from([0.0, -0.0, 0.05])),
+        speculation=st.builds(
+            SpeculationSettings, sample_size=st.integers(10, 2000),
+            speculation_tolerance=SIGNED_FLOATS),
+        first=TRAININGS,
+        second=TRAININGS,
+        fixed=st.one_of(st.none(), st.integers(1, 500)),
+        algorithms=st.sampled_from([None, ("sgd",), ("bgd", "mgd")]),
+    )
+    def test_new_requests_digest_as_the_reference(
+        self, spec, speculation, first, second, fixed, algorithms
+    ):
+        service = OptimizerService(spec=spec, speculation=speculation,
+                                   seed=7)
+        dataset = tiny_dataset(0, spec)
+        extra = dict(
+            data_digest=None if fixed is not None
+            else dataset.content_digest(),
+            representation=dataset.representation,
+            algorithms=algorithms or service.algorithms,
+            batch_sizes=service.batch_sizes, fixed_iterations=fixed,
+            speculation=speculation, seed=7,
+        )
+
+        def key(training):
+            return service.fingerprint(dataset, training, fixed, algorithms)
+
+        first_key = key(first)
+        assert first_key == reference_fingerprint(
+            dataset.stats, first, spec, **extra)
+        # The constant parts now come from the memo.
+        same_slot = (memo_key(second) is not None
+                     and memo_key(second) == memo_key(first))
+        assert key(second) == (
+            first_key if same_slot  # e.g. l2 0.0 then -0.0: one workload
+            else reference_fingerprint(dataset.stats, second, spec, **extra))
+
+    def test_workload_fingerprint_without_parts_is_the_reference(self):
+        stats = DatasetStats(name="tiny", task="logreg", n=40, d=3)
+        training = TrainingSpec(task="logreg", step_size=InverseSqrtStep(2))
+        spec = ClusterSpec(jitter_sigma=-0.0)
+        assert workload_fingerprint(stats, training, spec, seed=1, a=None) \
+            == reference_fingerprint(stats, training, spec, seed=1, a=None)
+
+
 def asdict_freeze(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value

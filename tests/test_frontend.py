@@ -504,7 +504,7 @@ class TestFraming:
             other.close()
 
 
-@settings(derandomize=True, max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.lists(st.sampled_from(SPLIT_LINES), max_size=12),
        st.sampled_from([line for line in SPLIT_LINES if line.strip()]),
        st.data())

@@ -9,13 +9,18 @@ trace``, the slow-request log, the logging formatters, and the
 MetricsRegistry's concurrency and rendering guarantees.
 """
 
+import contextlib
 import io
 import json
 import logging
+import os
 import socket
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.__main__ as cli
 from repro.api import ML4all
@@ -37,7 +42,7 @@ from repro.service.frontend import (
     SocketFrontend,
     parse_wire_line,
 )
-from repro.service.metrics import MetricsRegistry
+from repro.service.metrics import DEFAULT_BUCKETS, MetricsRegistry
 
 FAST_LINE = "adult epsilon=0.05 fixed_iterations=40"
 
@@ -213,6 +218,72 @@ class TestRecorder:
         assert metrics.histogram_stats("span.fingerprint")["count"] == 1
 
 
+SPAN_KEYS = ["name", "trace_id", "span_id", "parent_id", "start_s",
+             "duration_s", "status", "attributes"]
+ATTRIBUTES = st.dictionaries(
+    st.text("abcxyz", min_size=1, max_size=3),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=3,
+)
+
+
+class TestSpanRecords:
+    """The ring keeps Span objects; what leaves the recorder must be the
+    dicts it always was."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain=st.lists(st.tuples(ATTRIBUTES, ATTRIBUTES), min_size=1,
+                          max_size=5),
+           boom=st.booleans())
+    def test_spans_keep_the_record_shape_and_every_attribute(
+        self, chain, boom
+    ):
+        opened = []
+
+        def descend(level):
+            at_open, in_block = chain[level]
+            with span(f"s{level}", **at_open) as current:
+                opened.append(current)
+                for key, value in in_block.items():
+                    current.set(key, value)
+                if level + 1 < len(chain):
+                    descend(level + 1)
+                elif boom:
+                    raise ValueError("boom")
+
+        with tempfile.TemporaryDirectory() as trace_dir:
+            recorder = TraceRecorder(trace_dir=trace_dir)
+            with contextlib.suppress(ValueError):
+                with recorder.trace("request", tenant="t") as root:
+                    descend(0)
+            records = recorder.spans(root.trace_id)
+            on_disk = load_trace(os.path.join(
+                trace_dir, f"{root.trace_id}.jsonl"))
+        error = {"error": "ValueError: boom"} if boom else {}
+
+        def record(current, parent, attributes):
+            return {
+                "name": current.name, "trace_id": root.trace_id,
+                "span_id": current.span_id,
+                "parent_id": parent and parent.span_id,
+                "start_s": current.start_s,
+                "duration_s": current.duration_s,
+                "status": "error" if boom else "ok",
+                "attributes": {**attributes, **error},
+            }
+
+        parents = [root, *opened]
+        expected = [
+            record(opened[level], parents[level],
+                   {**chain[level][0], **chain[level][1]})
+            for level in reversed(range(len(chain)))
+        ] + [record(root, None, {"tenant": "t"})]
+        assert records == expected
+        assert [list(r) for r in records] == [SPAN_KEYS] * len(expected)
+        assert on_disk == json.loads(json.dumps(records))
+
+
 class TestTreeAssembly:
     def test_assemble_and_render(self):
         recorder = TraceRecorder()
@@ -320,6 +391,31 @@ class TestWireProtocol:
     def test_invalid_trace_id_is_a_bad_request(self):
         with pytest.raises(ReproError, match="invalid trace_id"):
             parse_wire_line('{"verb": "trace", "trace_id": "../escape"}')
+
+    def test_a_trailing_newline_is_no_trace_id(self, tmp_path):
+        """``$`` matched before a final newline: the id was adopted and
+        its trace file was named ``abc\\n.jsonl``."""
+        assert not valid_trace_id("abc\n")
+        assert valid_trace_id("abc")
+        trace_dir = tmp_path / "traces"
+        system = ML4all(seed=7)
+        dispatcher = Dispatcher(
+            system, tracer=TraceRecorder(trace_dir=str(trace_dir),
+                                         metrics=system.metrics),
+        )
+        response = dispatcher.handle_line(json.dumps(
+            {"dataset": "adult", "fixed_iterations": 40,
+             "trace_id": "abc\n"}))
+        assert not response["ok"]
+        assert response["error"] == "bad_request"
+        assert "invalid trace_id" in response["detail"]
+        assert list(trace_dir.iterdir()) == []
+        # The recorder mints its own id rather than trust this one.
+        with dispatcher.tracer.trace("request", trace_id="abc\n") as root:
+            pass
+        assert root.trace_id != "abc\n"
+        assert [p.name for p in trace_dir.iterdir()] == \
+            [f"{root.trace_id}.jsonl"]
 
     def test_request_lines_can_carry_a_trace_id(self):
         wire = parse_wire_line(f"{FAST_LINE} trace_id=my-trace.1")
@@ -462,6 +558,15 @@ class TestTraceCli:
         assert tree["name"] == "request"
         assert tree["children"]
 
+    def test_repro_trace_refuses_a_trace_id_with_a_newline(
+        self, tmp_path, capsys
+    ):
+        assert cli.main(["trace", "abc\n", "--trace-dir",
+                         str(tmp_path)]) == 2
+        assert "neither a trace file nor a valid trace id" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_repro_trace_missing_trace_fails(self, tmp_path, capsys):
         assert cli.main(
             ["trace", "deadbeef00000000", "--trace-dir", str(tmp_path)]
@@ -501,8 +606,73 @@ class TestTraceCli:
         assert record["kind"] == "bad_request"
 
 
+class LoopHistograms(MetricsRegistry):
+    """The registry's histograms as they were first written: every
+    observation walks all the buckets, adding itself to each one that
+    holds it (the reference the bisecting registry is pinned to)."""
+
+    def histogram(self, name, value, buckets=DEFAULT_BUCKETS) -> None:
+        value = float(value)
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                bounds = tuple(sorted(float(b) for b in buckets))
+                hist = self._histograms[name] = {
+                    "buckets": bounds,
+                    "counts": [0] * len(bounds),
+                    "sum": 0.0,
+                    "count": 0,
+                }
+            for index, bound in enumerate(hist["buckets"]):
+                if value <= bound:
+                    hist["counts"][index] += 1
+            hist["sum"] += value
+            hist["count"] += 1
+
+    def histogram_stats(self, name) -> dict | None:
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                return None
+            return {
+                "count": hist["count"],
+                "sum_s": hist["sum"],
+                "buckets": {
+                    f"{bound:g}": count
+                    for bound, count in zip(hist["buckets"], hist["counts"])
+                },
+            }
+
+
+OBSERVATIONS = st.lists(st.one_of(
+    st.floats(),  # NaN, +-inf, negatives, subnormals
+    st.sampled_from(DEFAULT_BUCKETS),  # exact bounds
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     0.0, -1.0, 1e-300, 10.000000000000002]),
+), max_size=40)
+
+
 # ----------------------------------------------------------------------
 class TestMetricsRegistry:
+    @settings(max_examples=200, deadline=None)
+    @given(values=OBSERVATIONS, other=OBSERVATIONS)
+    def test_histograms_match_the_bucket_loop(self, values, other):
+        """``bisect`` alone would file NaN into the first bucket; the
+        loop counts it in none."""
+        registries = MetricsRegistry(), LoopHistograms()
+        for metrics in registries:
+            for value in values:
+                metrics.histogram("span.request", value)
+            for value in other:
+                metrics.histogram("custom", value, buckets=(5, 0.5, -1))
+        fast, loop = registries
+        for name in ("span.request", "custom", "never"):
+            assert repr(fast.histogram_stats(name)) == \
+                repr(loop.histogram_stats(name))
+        assert repr(fast.snapshot()) == repr(loop.snapshot())
+        assert fast.render_prometheus() == loop.render_prometheus()
+        assert fast.summary_lines() == loop.summary_lines()
+
     def test_histogram_stats_buckets_are_cumulative(self):
         metrics = MetricsRegistry()
         for value in (0.0005, 0.003, 0.003, 2.0):
@@ -562,6 +732,7 @@ class TestMetricsRegistry:
         snapshots; no exceptions, counters monotone."""
         metrics = MetricsRegistry()
         stop = threading.Event()
+        snapped = threading.Event()
         errors = []
         per_thread = 3000
         threads = 6
@@ -569,6 +740,10 @@ class TestMetricsRegistry:
         def writer(index):
             try:
                 for i in range(per_thread):
+                    if i == per_thread // 2:
+                        # Writers can outrun the main thread's first
+                        # read: hold them mid-stream until one is in.
+                        snapped.wait(30)
                     metrics.inc("hammer.counter")
                     metrics.histogram("hammer.hist", i * 1e-6)
                     metrics.gauge("hammer.gauge", i)
@@ -590,6 +765,7 @@ class TestMetricsRegistry:
             assert current >= last, "counter went backwards"
             last = current
             snapshots += 1
+            snapped.set()
         for worker in workers:
             worker.join()
         assert not errors

@@ -162,7 +162,7 @@ class TestExplainTable:
 
         def counted(plan):
             calls.append(plan)
-            return label.fget(plan)
+            return label.func(plan)
 
         monkeypatch.setattr(GDPlan, "label", property(counted))
         return calls

@@ -422,7 +422,7 @@ class TestWireProtocol:
         finally:
             flood.close()
 
-    @settings(derandomize=True, max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(st.lists(st.sampled_from(SPLIT_LINES), max_size=12),
            st.sampled_from([line for line in SPLIT_LINES if line.strip()]),
            st.data())
@@ -497,7 +497,7 @@ class TestWireProtocol:
         finally:
             client.close()
 
-    @settings(derandomize=True, max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(store_frames() | JSON_VALUES, min_size=1, max_size=8))
     @example([{"op": "cas", "key": "k", "value": 1,
                "expect": float("inf")}])
