@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Documentation checker: snippets must run, intra-repo links must resolve.
+"""Documentation checker: snippets must run, intra-repo links must
+resolve, generated tables must match their data.
 
-Two checks over the repo's markdown documentation:
+Three checks over the repo's markdown documentation:
 
 1. every fenced ``python`` code block is executed in a subprocess (with
    ``PYTHONPATH=src``) and must exit cleanly -- docs that drift from the
    API fail CI instead of lying to readers;
 2. every relative markdown link ``[text](target)`` must point at an
-   existing file or directory (anchors and external URLs are skipped).
+   existing file or directory (anchors and external URLs are skipped);
+3. every perf-tables block must equal what ``scripts/perf_tables.py``
+   renders from the result set its marker names.
 
 Usage::
 
@@ -19,13 +22,17 @@ Exit status is the number of failed checks (0 = everything holds).
 
 from __future__ import annotations
 
-import glob
 import os
 import re
 import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(REPO_ROOT, "scripts")
+if SCRIPTS not in sys.path:
+    sys.path.append(SCRIPTS)
+
+import perf_tables  # noqa: E402
 
 #: ```python ... ``` fenced blocks (the tag must be exactly "python";
 #: bash/text/untagged blocks are documentation, not test cases).
@@ -90,16 +97,32 @@ def check_links(path, text) -> list:
     return failures
 
 
+def check_perf_tables(path, text) -> list:
+    failures = []
+    try:
+        for set_path, body in perf_tables.blocks(text):
+            if body == perf_tables.render_set(set_path):
+                print(f"ok: {path} perf tables of {set_path}")
+            else:
+                failures.append(
+                    f"{path}: the perf tables of {set_path} differ from "
+                    "the set; run python scripts/perf_tables.py"
+                )
+    except perf_tables.PerfTablesError as exc:
+        failures.append(f"{path}: {exc}")
+    return failures
+
+
 def main(argv=None) -> int:
     files = list(sys.argv[1:] if argv is None else argv)
     if not files:
-        files = [os.path.join(REPO_ROOT, "README.md")]
-        files += sorted(glob.glob(os.path.join(REPO_ROOT, "docs", "*.md")))
+        files = perf_tables.documents()
     failures = []
     for path in files:
         with open(path) as handle:
             text = handle.read()
         failures += check_links(path, text)
+        failures += check_perf_tables(path, text)
         failures += check_snippets(path, text)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

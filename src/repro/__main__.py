@@ -1,6 +1,6 @@
 """Command-line entry point: queries, batch/serve modes, calibration.
 
-Legacy one-shot queries (unchanged):
+One-shot declarative queries:
 
     python -m repro "run classification on adult having epsilon 0.01;"
     python -m repro --file queries.ml4all
@@ -91,10 +91,11 @@ from repro.errors import ReproError
 from repro.service.checkpoint import JobLeaseError
 from repro.service.worker import claimable_jobs
 
-# Request-line parsing lives with the rest of the protocol code in the
-# service front-end; re-exported here because the CLI is its historical
-# home (tests and user code import it from repro.__main__).
-from repro.service.frontend import (  # noqa: F401  (re-exports)
+# The front-end's protocol code the CLI modes run on: request-line
+# parsing, the Dispatcher, the socket server and train-reply lines.
+# Tests import ``main``, ``parse_request_line`` and
+# ``iter_request_lines`` from this module.
+from repro.service.frontend import (
     Dispatcher,
     SocketFrontend,
     WireRequest,

@@ -91,25 +91,41 @@ class CostBasedTuner:
         self.cost_model = CostModel(engine.spec)
 
     # ------------------------------------------------------------------
-    def _evaluate(self, dataset, training, plan, step_size, batch_size,
-                  sample):
-        """Speculate one candidate; returns (iterations, total) or raises."""
-        estimate = self.estimator.estimate(
-            dataset.X,
-            dataset.y,
-            training.gradient(),
-            plan.algorithm,
-            target_tolerance=training.tolerance,
-            step_size=step_size,
-            batch_size=batch_size,
-            convergence=training.convergence,
-            sample=sample,
-        )
-        iterations = min(estimate.estimated_iterations, training.max_iter)
-        _, _, total, _ = self.cost_model.estimate(
-            plan, dataset.stats, iterations
-        )
-        return iterations, total
+    def _sweep(self, parameter, dataset, training, candidates, failure):
+        """Speculate and cost every ``(setting, plan, step_size,
+        batch_size)`` of ``candidates`` on one sample; the cheapest
+        feasible candidate wins, and none raises ``failure``."""
+        start = time.perf_counter()
+        sample = self.estimator.take_sample(dataset.X, dataset.y)
+        out = []
+        for setting, plan, step_size, batch_size in candidates:
+            try:
+                estimate = self.estimator.estimate(
+                    dataset.X,
+                    dataset.y,
+                    training.gradient(),
+                    plan.algorithm,
+                    target_tolerance=training.tolerance,
+                    step_size=step_size,
+                    batch_size=batch_size,
+                    convergence=training.convergence,
+                    sample=sample,
+                )
+                iterations = min(estimate.estimated_iterations,
+                                 training.max_iter)
+                _, _, total, _ = self.cost_model.estimate(
+                    plan, dataset.stats, iterations
+                )
+                out.append(TuningCandidate(setting, plan, iterations, total))
+            except EstimationError as exc:
+                out.append(TuningCandidate(setting, plan, None, None,
+                                           rejected=str(exc)))
+        feasible = [c for c in out if c.feasible]
+        if not feasible:
+            raise EstimationError(failure)
+        best = min(feasible, key=lambda c: c.estimated_total_s)
+        return TuningReport(parameter, best, out,
+                            time.perf_counter() - start)
 
     def tune_step_size(
         self,
@@ -122,7 +138,6 @@ class CostBasedTuner:
         """Pick the step schedule minimizing estimated training time."""
         if not candidates:
             raise PlanError("need at least one step-size candidate")
-        start = time.perf_counter()
         if plan is None:
             from repro.gd.registry import info as algo_info
 
@@ -130,29 +145,17 @@ class CostBasedTuner:
                 plan = GDPlan(algorithm, "lazy", "shuffle")
             else:
                 plan = GDPlan(algorithm)
-        sample = self.estimator.take_sample(dataset.X, dataset.y)
 
-        out = []
-        for spec in candidates:
-            make_step_size(spec)  # validate eagerly
-            try:
-                iterations, total = self._evaluate(
-                    dataset, training, plan, spec,
-                    plan.effective_batch_size, sample,
-                )
-                out.append(TuningCandidate(spec, plan, iterations, total))
-            except EstimationError as exc:
-                out.append(TuningCandidate(spec, plan, None, None,
-                                           rejected=str(exc)))
-        feasible = [c for c in out if c.feasible]
-        if not feasible:
-            raise EstimationError(
-                "no step-size candidate produced a usable error sequence; "
-                "all speculations failed to fit"
-            )
-        best = min(feasible, key=lambda c: c.estimated_total_s)
-        return TuningReport("step_size", best, out,
-                            time.perf_counter() - start)
+        def settings():
+            for spec in candidates:
+                make_step_size(spec)  # validate eagerly
+                yield spec, plan, spec, plan.effective_batch_size
+
+        return self._sweep(
+            "step_size", dataset, training, settings(),
+            "no step-size candidate produced a usable error sequence; "
+            "all speculations failed to fit",
+        )
 
     def tune_batch_size(
         self,
@@ -171,26 +174,10 @@ class CostBasedTuner:
         """
         if not candidates:
             raise PlanError("need at least one batch-size candidate")
-        start = time.perf_counter()
-        sample = self.estimator.take_sample(dataset.X, dataset.y)
-
-        out = []
-        for batch in candidates:
-            plan = GDPlan("mgd", transform_mode, sampling, batch_size=batch)
-            try:
-                iterations, total = self._evaluate(
-                    dataset, training, plan, training.step_size, batch,
-                    sample,
-                )
-                out.append(TuningCandidate(batch, plan, iterations, total))
-            except EstimationError as exc:
-                out.append(TuningCandidate(batch, plan, None, None,
-                                           rejected=str(exc)))
-        feasible = [c for c in out if c.feasible]
-        if not feasible:
-            raise EstimationError(
-                "no batch-size candidate produced a usable error sequence"
-            )
-        best = min(feasible, key=lambda c: c.estimated_total_s)
-        return TuningReport("batch_size", best, out,
-                            time.perf_counter() - start)
+        return self._sweep(
+            "batch_size", dataset, training,
+            ((batch, GDPlan("mgd", transform_mode, sampling,
+                            batch_size=batch), training.step_size, batch)
+             for batch in candidates),
+            "no batch-size candidate produced a usable error sequence",
+        )

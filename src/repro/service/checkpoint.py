@@ -1,14 +1,15 @@
 """Durable training jobs: the :class:`CheckpointStore`.
 
-PR 4 made :class:`~repro.gd.state.OptimizerState` a bit-identical,
-JSON-round-trippable snapshot -- but it only lived inside one process: a
-killed ``repro serve`` still lost all training progress.  This module
-persists it.  A *training job* is a named (``job_id``) train() request
-whose progress -- model weights, optimizer state, execution trace, the
-plan decision that is being executed -- is checkpointed through the same
-pluggable :class:`~repro.service.backends.CacheBackend` machinery as the
-plan store (JSON file / SQLite, versioned format, corrupt entries
-degrade to a cold start).  A fresh process pointed at the same store
+The store persists :class:`~repro.gd.state.OptimizerState`, the
+bit-identical, JSON-round-trippable snapshot of a run, beyond the
+process that took it, so a killed ``repro serve`` loses at most the
+work since the last checkpoint.  A *training job* is a named
+(``job_id``) train() request whose progress -- model weights, optimizer
+state, execution trace, the plan decision that is being executed -- is
+checkpointed through the same pluggable
+:class:`~repro.service.backends.CacheBackend` machinery as the plan
+store (JSON file / SQLite, versioned format, corrupt entries degrade to
+a cold start).  A fresh process pointed at the same store
 resumes a killed or preempted job *mid-plan*, bit-identically: the
 resumed trajectory equals the uninterrupted one, weights and deltas.
 

@@ -283,7 +283,11 @@ class OptimizerService(TrainingJobs):
     def _cache_restored(self, key, entry, report, version, digest) -> None:
         """Re-seed the cache and the plan store with ``entry``, restored
         from a job checkpoint and stored verbatim (the job layer's half
-        of :meth:`_read_through`)."""
+        of :meth:`_read_through`).  A key the cache holds is left alone:
+        everything cached was read from the store or written through to
+        it."""
+        if key in self.cache:
+            return
         cached = _CachedPlan(report, version, digest)
         self.cache.put(key, cached)
         self._persist(key, cached, entry)

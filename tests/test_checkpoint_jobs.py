@@ -613,6 +613,32 @@ class TestServiceJobs:
         (reseeded,) = JsonFileBackend(plans).load().values()
         assert reseeded == original
 
+    def test_a_resend_to_the_same_service_stores_the_plan_entry_once(
+        self, spec, dataset, training, tmp_path
+    ):
+        """The plan store already holds what the service's cache holds:
+        the lease that priced the job wrote it through, so resuming the
+        job in the same process writes nothing to it again."""
+        service = make_service(spec, cache_path=str(tmp_path / "plans.db"),
+                               checkpoint_path=str(tmp_path / "jobs.db"))
+        stored = []
+        original = service.backend.store
+
+        def counting(key, entry):
+            stored.append(key)
+            return original(key, entry)
+
+        service.backend.store = counting
+        request = dict(fixed_iterations=60, algorithms=("mgd",),
+                       job_id="resent")
+        first = service.train(dataset, training,
+                              budget=JobBudget(max_iterations=20), **request)
+        assert first.job.status == "preempted"
+        second = service.train(dataset, training, **request)
+        assert second.job.status == "done"
+        assert second.optimization.cache_hit
+        assert stored.count(first.optimization.fingerprint) == 1
+
     def test_a_budget_the_calibration_outgrew_still_resumes_and_finishes(
         self, spec, dataset, training, tmp_path
     ):

@@ -1,4 +1,5 @@
-"""The documentation suite holds: links resolve, snippets run.
+"""The documentation suite holds: links resolve, snippets run, the
+generated performance tables match their result set.
 
 Runs the same checker CI uses (``scripts/check_docs.py``), so drift
 between the documented API and the real one fails tier-1 locally, not
@@ -6,6 +7,7 @@ just in the docs CI job.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -61,6 +63,50 @@ class TestLinks:
         failures = module.check_links(str(page), page.read_text())
         assert len(failures) == 1
         assert "no/such/file.py" in failures[0]
+
+
+class TestPerfTables:
+    """ARCHITECTURE's performance tables are a render of one committed
+    result set: a number edited by hand, or a marker naming a set that
+    is not there, fails the check."""
+
+    def architecture(self):
+        with open(ARCHITECTURE) as handle:
+            return handle.read()
+
+    def test_the_committed_tables_equal_a_fresh_render(self):
+        module = checker_module()
+        text = self.architecture()
+        assert module.perf_tables.blocks(text)
+        assert module.check_perf_tables(ARCHITECTURE, text) == []
+
+    def test_a_hand_edited_digit_fails(self):
+        module = checker_module()
+        text = self.architecture()
+        (set_path, body), *_ = module.perf_tables.blocks(text)
+        cell = re.search(r"^\| `\w+` \| \d+ \| (\d)", body, re.M)
+        digit = str((int(cell.group(1)) + 1) % 10)
+        edited = body[:cell.start(1)] + digit + body[cell.end(1):]
+        failures = module.check_perf_tables(
+            ARCHITECTURE, text.replace(body, edited)
+        )
+        assert len(failures) == 1
+        assert set_path in failures[0]
+
+    def test_a_marker_naming_a_missing_set_fails(self):
+        module = checker_module()
+        page = ("<!-- perf-tables docs/perf/no-such-set.json -->\n"
+                "<!-- /perf-tables -->\n")
+        failures = module.check_perf_tables("page.md", page)
+        assert len(failures) == 1
+        assert "no-such-set.json" in failures[0]
+
+    def test_a_marker_without_its_end_fails(self):
+        module = checker_module()
+        text = self.architecture().replace("<!-- /perf-tables -->", "")
+        failures = module.check_perf_tables(ARCHITECTURE, text)
+        assert len(failures) == 1
+        assert "closing marker" in failures[0]
 
 
 @pytest.mark.slow
