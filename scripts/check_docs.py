@@ -8,7 +8,9 @@ Three checks over the repo's markdown documentation:
    ``PYTHONPATH=src``) and must exit cleanly -- docs that drift from the
    API fail CI instead of lying to readers;
 2. every relative markdown link ``[text](target)`` must point at an
-   existing file or directory (anchors and external URLs are skipped);
+   existing file or directory, and its ``#anchor``, if any, at a heading
+   of the markdown file it names (or of the page itself), spelled as
+   GitHub spells heading anchors (external URLs are skipped);
 3. every perf-tables block must equal what ``scripts/perf_tables.py``
    renders from the result set its marker names.
 
@@ -39,6 +41,10 @@ import perf_tables  # noqa: E402
 FENCE_RE = re.compile(r"^```python\s*$(.*?)^```\s*$", re.M | re.S)
 #: [text](target) markdown links, excluding images' inner brackets.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: Fenced code blocks of any language: a ``#`` line in one is code.
+ANY_FENCE_RE = re.compile(r"^(```|~~~).*?^\1[ \t]*$", re.M | re.S)
+#: ATX headings (``#`` to ``######``, then the title).
+HEADING_RE = re.compile(r"^#{1,6}[ \t]+(.+?)(?:[ \t]+#+)?[ \t]*$", re.M)
 
 _EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -49,13 +55,24 @@ def python_snippets(text):
 
 
 def relative_links(text):
-    """All link targets that should resolve inside the repository."""
-    targets = []
-    for target in LINK_RE.findall(text):
-        if target.startswith(_EXTERNAL) or target.startswith("#"):
-            continue
-        targets.append(target.split("#", 1)[0])
-    return [t for t in targets if t]
+    """All link targets that should resolve inside the repository, as
+    ``(path, anchor)``: path "" is the page itself, anchor "" none."""
+    return [target.partition("#")[::2] for target in LINK_RE.findall(text)
+            if not target.startswith(_EXTERNAL)]
+
+
+def heading_anchors(text) -> set:
+    """The anchors GitHub gives the headings of one markdown text: the
+    title's text lower-cased, everything but letters, digits, ``_``,
+    ``-`` and spaces dropped, spaces made ``-``; a repeated one gets
+    ``-1``, ``-2``, ...  Lines inside fenced code are not headings."""
+    anchors, seen = set(), {}
+    for title in HEADING_RE.findall(ANY_FENCE_RE.sub("", text)):
+        title = re.sub(r"\[([^\]]*)\]\([^)]*\)", r"\1", title)  # link text
+        slug = re.sub(r"[^\w\- ]", "", title.lower()).replace(" ", "-")
+        anchors.add(f"{slug}-{seen[slug]}" if slug in seen else slug)
+        seen[slug] = seen.get(slug, 0) + 1
+    return anchors
 
 
 def check_snippets(path, text) -> list:
@@ -88,12 +105,25 @@ def check_snippets(path, text) -> list:
 def check_links(path, text) -> list:
     failures = []
     base = os.path.dirname(os.path.abspath(path))
-    for target in relative_links(text):
-        resolved = os.path.normpath(os.path.join(base, target))
+    anchors = {}  # markdown file -> its heading anchors
+    for target, anchor in relative_links(text):
+        link = f"{target}#{anchor}" if anchor else target
+        resolved = (os.path.normpath(os.path.join(base, target)) if target
+                    else os.path.abspath(path))
         if not os.path.exists(resolved):
-            failures.append(f"{path}: broken link -> {target}")
-        else:
-            print(f"ok: {path} link {target}")
+            failures.append(f"{path}: broken link -> {link}")
+            continue
+        if anchor and resolved.endswith(".md"):
+            if resolved not in anchors:
+                page = text
+                if target:
+                    with open(resolved) as handle:
+                        page = handle.read()
+                anchors[resolved] = heading_anchors(page)
+            if anchor not in anchors[resolved]:
+                failures.append(f"{path}: broken anchor -> {link}")
+                continue
+        print(f"ok: {path} link {link}")
     return failures
 
 

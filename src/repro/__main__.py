@@ -237,7 +237,8 @@ def _service_parser(prog, description):
     parser.add_argument("--workers", type=int, default=None,
                         help="max concurrent optimize() computations "
                              "(serve --listen: threads for what is not "
-                             "a cache hit, default 8)")
+                             "a cache hit or a train, default 8; trains "
+                             "run one at a time)")
     parser.add_argument("--cache-size", type=int, default=256,
                         help="plan cache capacity (default 256)")
     parser.add_argument("--train", action="store_true",

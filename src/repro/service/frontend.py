@@ -290,7 +290,8 @@ class Dispatcher:
             return _failure("bad_request", str(exc))
         return self.handle(wire)
 
-    def _trains(self, wire) -> bool:
+    def trains(self, wire) -> bool:
+        """Whether ``wire`` runs a train rather than an optimize."""
         return wire.verb == "train" or (
             wire.verb is None
             and (self.train_mode or "job_id" in wire.request)
@@ -303,7 +304,7 @@ class Dispatcher:
         it picks a thread; pass the result to :meth:`handle`.  None for
         any other verb, for a dataset not loaded yet and for a request
         that does not resolve (:meth:`handle` reports what is wrong)."""
-        if wire.verb not in (None, "optimize") or self._trains(wire):
+        if wire.verb not in (None, "optimize") or self.trains(wire):
             return None
         try:
             return self.system.resolve(wire.request)
@@ -340,7 +341,7 @@ class Dispatcher:
             return self._jobs_body(wire)
         request = dict(wire.request)
         verb = ("enqueue" if wire.verb == "enqueue"
-                else "train" if self._trains(wire) else "optimize")
+                else "train" if self.trains(wire) else "optimize")
         with self.tracer.trace(
             "request",
             trace_id=wire.trace_id,
@@ -547,11 +548,13 @@ class SocketFrontend(LineServer):
     persistent plan store, a miss nobody else computes that is a
     ``fixed_iterations`` pricing, a re-cost or a re-cold (every trial
     memoised; :meth:`Dispatcher.resolve` decides).  Everything else (a
-    first touch, a store's miss, a coalesced wait, ``train``,
-    ``enqueue``, ``jobs``) runs on ``max_workers`` pool threads, which
-    send their reply themselves, so a hit never queues behind a first
-    touch.  A slow client's queued requests are dropped unexecuted; one
-    that sends ``quit`` still gets every reply it is owed.
+    first touch, a store's miss, a coalesced wait, ``enqueue``, ``jobs``)
+    runs on ``max_workers`` pool threads, and trains one at a time on a
+    thread of their own (Python under one GIL: a second train would only
+    take turns with the first); each sends its reply itself, so a hit
+    never queues behind a first touch, nor ``jobs`` behind a train.  A
+    slow client's queued requests are dropped unexecuted; one that sends
+    ``quit`` still gets every reply it is owed.
 
     Admission happens *at receipt*, before any optimizer work:
 
@@ -580,17 +583,22 @@ class SocketFrontend(LineServer):
         #: A dispatcher that cannot resolve (a test stub) gets nothing
         #: but metrics/trace answered inline.
         self._resolve = getattr(dispatcher, "resolve", lambda wire: None)
+        self._trains = getattr(dispatcher, "trains", lambda wire: False)
         self._admitted = 0
         self._per_tenant = {}
         self._admission_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(
             max_workers=max(1, int(max_workers)), thread_name_prefix="frontend"
         )
+        self._train_lane = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="frontend-train"
+        )
 
     def stop(self) -> None:
         """Stop serving; queued requests find their connection closed."""
         super().stop()
         self._pool.shutdown(wait=True)
+        self._train_lane.shutdown(wait=True)
 
     def _encode(self, response) -> bytes:
         # bench/tracing.py times this module's json.dumps as "encode".
@@ -656,8 +664,9 @@ class SocketFrontend(LineServer):
         even past EOF, until it has been served."""
         with conn.lock:
             conn.pending += 1
-        self._pool.submit(self._serve, conn, wire, admitted_at, resolved,
-                          pooled=True)
+        lane = self._train_lane if self._trains(wire) else self._pool
+        lane.submit(self._serve, conn, wire, admitted_at, resolved,
+                    pooled=True)
 
     def _serve(self, conn, wire, admitted_at=None, resolved=None,
                pooled=False) -> None:

@@ -58,11 +58,28 @@ class TestLinks:
     def test_checker_flags_broken_links(self, tmp_path):
         module = checker_module()
         page = tmp_path / "page.md"
-        page.write_text("[gone](no/such/file.py) [ok](page.md) "
+        page.write_text("# x\n[gone](no/such/file.py) [ok](page.md) "
                         "[ext](https://example.com) [anchor](#x)")
         failures = module.check_links(str(page), page.read_text())
         assert len(failures) == 1
         assert "no/such/file.py" in failures[0]
+
+    def test_checker_flags_anchors_no_heading_carries(self, tmp_path):
+        module = checker_module()
+        (tmp_path / "other.md").write_text(
+            "# Other page\n## `repro serve` & friends\n")
+        page = tmp_path / "page.md"
+        page.write_text(
+            "# Page\n## Twice\n## Twice\n"
+            "```python\n# fenced comment\n```\n"
+            "[self](#page) [second](#twice-1) "
+            "[there](other.md#repro-serve--friends) [file](other.md)\n"
+            "[gone](#no-such-heading) [third](#twice-2) "
+            "[code](#fenced-comment) [elsewhere](other.md#page)\n")
+        failures = module.check_links(str(page), page.read_text())
+        assert [f.rsplit(" -> ", 1)[1] for f in failures] == [
+            "#no-such-heading", "#twice-2", "#fenced-comment",
+            "other.md#page"]
 
 
 class TestPerfTables:

@@ -9,11 +9,13 @@ shedding, per-tenant quotas, deadlines that preempt (not just reject)
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,19 @@ def ask(handle, line):
     handle.write(line + "\n")
     handle.flush()
     return json.loads(handle.readline())
+
+
+def wait_until(predicate, timeout=10.0) -> bool:
+    """Poll ``predicate`` until it holds (True) or ``timeout`` seconds
+    pass (False), for state that no event announces.  The pause between
+    polls is this module's one sleep: it bounds how often the state is
+    read, and no outcome depends on its length."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +361,13 @@ class TestAdmissionControl:
             finally:
                 sock.close()
 
-    def test_deadline_expires_while_queued(self):
+    def test_deadline_expires_while_queued(self, monkeypatch):
+        # The front-end reads its deadlines off this clock; the test
+        # moves it on instead of sleeping past one.
+        skipped = [0.0]
+        clock = types.SimpleNamespace(**vars(time))
+        clock.monotonic = lambda: time.monotonic() + skipped[0]
+        monkeypatch.setattr(frontend_module, "time", clock)
         stub = _BlockingDispatcher()
         with SocketFrontend(stub, port=0, max_workers=1,
                             shed_after=8) as frontend:
@@ -357,8 +378,11 @@ class TestAdmissionControl:
                 assert stub.started.acquire(timeout=10)
                 # this one waits behind the holder past its deadline
                 handle.write("adult id=late deadline_s=0.05\n")
-                handle.flush()
-                time.sleep(0.3)
+                # (lines of one connection are handled in order: once
+                # metrics has answered, late is queued)
+                gauges = ask(handle, "metrics")["metrics"]["gauges"]
+                assert gauges["frontend.queue_depth"] == 2
+                skipped[0] = 0.3
                 stub.release.set()
                 replies = [json.loads(handle.readline()) for _ in range(2)]
                 by_id = {r["id"]: r for r in replies}
@@ -418,6 +442,139 @@ class TestAdmissionControl:
                 assert good["ok"] is True
             finally:
                 sock.close()
+
+
+# ---------------------------------------------------------------------------
+# the train lane: trains one at a time, beside the pool
+# ---------------------------------------------------------------------------
+
+class _TrainLaneDispatcher(_BlockingDispatcher):
+    """Trains block until released; anything else answers at once."""
+
+    def trains(self, wire):
+        return wire.verb == "train"
+
+    def handle(self, wire, remaining_s=None, queue_wait_s=None):
+        if self.trains(wire) or wire.verb == "metrics":
+            return super().handle(wire, remaining_s, queue_wait_s)
+        return {"ok": True, "verb": wire.verb or "optimize", "id": wire.id}
+
+
+class TestTrainLane:
+    """A train is Python under one GIL, so a ``SocketFrontend`` runs
+    trains one at a time on a thread of their own, and the pool keeps
+    answering everything else beside it; nothing a pooled request or a
+    train waits for is ever queued behind it."""
+
+    def test_trains_queue_on_one_thread_while_the_pool_answers(self):
+        stub = _TrainLaneDispatcher()
+        before = set(threading.enumerate())
+        with SocketFrontend(stub, port=0) as frontend:
+            trainer, trains = connect(frontend)
+            watcher, watch = connect(frontend)
+            try:
+                trains.write("adult verb=train id=t1\n"
+                             "adult verb=train id=t2\n")
+                trains.flush()
+                assert stub.started.acquire(timeout=10)
+                # (lines of one connection are handled in order: once
+                # metrics has answered, t2 is queued)
+                gauges = ask(trains, "metrics")["metrics"]["gauges"]
+                assert gauges["frontend.queue_depth"] == 2
+                # While t1 holds the lane, jobs and an optimize that is
+                # no hit are answered on the pool...
+                assert ask(watch, "jobs")["verb"] == "jobs"
+                assert ask(watch, "adult id=plain")["id"] == "plain"
+                # ...and t2 has not started.
+                assert not stub.started.acquire(blocking=False)
+                lane = [t for t in set(threading.enumerate()) - before
+                        if t.name.startswith("frontend-train")]
+                assert len(lane) == 1
+                stub.release.set()
+                replies = [json.loads(trains.readline()) for _ in range(2)]
+                assert [r["id"] for r in replies] == ["t1", "t2"]
+            finally:
+                stub.release.set()
+                trainer.close()
+                watcher.close()
+
+    def test_first_touches_twins_recolds_and_trains_are_all_answered(self):
+        """Four connections at once send a first touch, its twin, a
+        re-cold of the same dataset and a train of the first touch's
+        plan, three rounds over.  Whichever thread owns a key -- the
+        loop, a pool worker or the train lane, never a request still
+        queued -- every reply comes, and each key is computed once."""
+        system = ML4all(seed=7)
+        service = system.service()
+        dispatcher = Dispatcher(system)
+        assert dispatcher.handle_line(FAST_LINE)["ok"]  # adult is loaded
+        rounds = [[f"adult epsilon=0.05 step={step}",
+                   f"adult epsilon=0.05 step={step}",
+                   f"adult epsilon=0.02 step={step}",
+                   f"adult epsilon=0.05 step={step} verb=train"]
+                  for step in (0.5, 0.7, 0.9)]
+        replies, errors = [], []
+
+        def client(n, frontend):
+            try:
+                sock, handle = connect(frontend)
+                try:
+                    for lines in rounds:
+                        replies.append(ask(handle, lines[n]))
+                finally:
+                    sock.close()
+            except Exception as exc:  # noqa: BLE001 - collected below
+                errors.append(exc)
+
+        with SocketFrontend(dispatcher, port=0) as frontend:
+            clients = [threading.Thread(target=client, args=(n, frontend))
+                       for n in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+        assert errors == []
+        assert len(replies) == 12 and all(r["ok"] for r in replies)
+        assert sum(r["verb"] == "train" for r in replies) == 3
+        keys = {line for lines in rounds for line in lines[:3]}
+        assert service.metrics.value("service.computed") == 1 + len(keys)
+
+    def test_serve_runs_a_durable_train_and_jobs(
+        self, tmp_path
+    ):
+        env = {**os.environ, "PYTHONPATH": os.path.join(
+            os.path.dirname(os.path.dirname(__file__)), "src")}
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--listen", "0",
+             "--checkpoint", str(tmp_path / "jobs.db"),
+             "--log-level", "warning"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+            assert banner.startswith("listening on "), server.stderr.read()
+            port = int(banner.strip().rsplit(":", 1)[1])
+            sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+            handle = sock.makefile("rw", encoding="utf-8", newline="\n")
+            try:
+                trained = ask(handle, FAST_LINE + " verb=train job_id=j1")
+                assert trained["ok"] and trained["job"]["status"] == "done"
+                jobs = ask(handle, "jobs")
+                assert jobs["ok"]
+                assert [(job["job_id"], job["status"])
+                        for job in jobs["jobs"]] == [("j1", "done")]
+            finally:
+                sock.close()
+        finally:
+            server.send_signal(signal.SIGINT)
+            try:
+                server.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +776,14 @@ class TestEventLoop:
                 assert all(r["ok"] for r in replies)
                 assert ({r["id"] for r in replies}
                         == {f"burst{i}" for i in range(100)})
-                for part in (b"adu", b"lt id=sp", b"lit\n"):
+                (conn,) = frontend._clients
+                received = b""
+                for part in (b"adu", b"lt id=sp"):
                     sock.sendall(part)
-                    time.sleep(0.05)
+                    received += part
+                    # read on its own before the next part is sent
+                    assert wait_until(lambda: bytes(conn.inbuf) == received)
+                sock.sendall(b"lit\n")
                 assert json.loads(handle.readline())["id"] == "split"
                 # ...and exactly one reply came of it.
                 assert ask(handle, "adult id=next")["id"] == "next"
@@ -659,7 +821,8 @@ class TestEventLoop:
                 sock.close()
 
         # With one, every miss stays on the pool (read-through and
-        # write-through are I/O), and so do train, enqueue and jobs.
+        # write-through are I/O), and so do enqueue and jobs; a train
+        # runs on the train lane.
         system = ML4all(seed=7, cache_path=str(tmp_path / "plans.db"),
                         checkpoint_path=str(tmp_path / "jobs.db"))
         service = system.service(cache_size=1)
@@ -702,7 +865,8 @@ class TestEventLoop:
                 assert set(dispatcher.threads) == {
                     "optimize", "train", "enqueue", "jobs"}
                 for verb, names in dispatcher.threads.items():
-                    assert all(n.startswith("frontend_") for n in names), verb
+                    lane = "frontend-train_" if verb == "train" else "frontend_"
+                    assert all(n.startswith(lane) for n in names), verb
             finally:
                 sock.close()
                 service.close()
@@ -726,7 +890,17 @@ class TestEventLoop:
                 first_handle.write(line + " id=owner\n")
                 first_handle.flush()
                 assert started.acquire(timeout=10)  # trials in, key owned
-                misses = service.metrics.value("service.misses")
+                # The owner's miss is counted; the next one is the twin's.
+                twin_missed = threading.Event()
+                inc = service.metrics.inc
+
+                def noting_inc(name, value=1):
+                    total = inc(name, value)
+                    if name == "service.misses":
+                        twin_missed.set()
+                    return total
+
+                service.metrics.inc = noting_inc
                 twin_handle.write(line + " id=twin\n")
                 twin_handle.flush()
                 other.settimeout(5)
@@ -734,10 +908,7 @@ class TestEventLoop:
                 assert hit["cache_hit"] and hit["id"] == "hit"
                 # Release the owner only once the twin's miss is counted,
                 # i.e. it found the owner's computation and waits on it.
-                deadline = time.monotonic() + 10
-                while (service.metrics.value("service.misses") == misses
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
+                assert twin_missed.wait(timeout=10)
                 gate.set()
                 owner = json.loads(first_handle.readline())
                 coalesced = json.loads(twin_handle.readline())
@@ -1007,14 +1178,17 @@ class TestEventLoop:
             sock, handle = connect(frontend)
             try:
                 sock.settimeout(1)
-                deadline = time.monotonic() + 10
-                reply = ask(handle, "adult id=bystander")
-                while not reply["ok"] and time.monotonic() < deadline:
-                    # still digesting the backlog: shed, but answering
-                    assert reply["error"] == "overloaded"
-                    time.sleep(0.05)
-                    reply = ask(handle, "adult id=bystander")
-                assert reply["ok"] and reply["id"] == "bystander"
+                replies = []
+
+                def served():
+                    replies.append(ask(handle, "adult id=bystander"))
+                    return replies[-1]["ok"]
+
+                assert wait_until(served)
+                # still digesting the backlog meanwhile: shed, but
+                # answering
+                assert all(r["error"] == "overloaded" for r in replies[:-1])
+                assert replies[-1]["id"] == "bystander"
                 counters = ask(handle, "metrics")["metrics"]["counters"]
                 assert counters["frontend.slow_client_closed"] == 1
             finally:
@@ -1070,7 +1244,9 @@ class TestEventLoop:
                     sock.shutdown(socket.SHUT_WR)
                 for _ in range(2):
                     assert stub.started.acquire(timeout=10)
-                time.sleep(0.1)  # the loop has seen the goodbye by now
+                # the loop has seen the goodbye before anything is owed
+                assert wait_until(lambda: any(
+                    conn.hangup for conn in list(frontend._clients)))
                 stub.release.set()
                 replies = [json.loads(line) for line in handle]  # to EOF
                 assert sorted(r["id"] for r in replies) == [
@@ -1091,15 +1267,11 @@ class TestEventLoop:
             sock.sendall((FAST_LINE + " verb=enqueue job_id=j1\n"
                           + FAST_LINE + " verb=enqueue job_id=j2").encode())
             sock.close()
-            deadline = time.monotonic() + 10
-            while (len(service.checkpoints.backend.load()) < 2
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
+            assert wait_until(
+                lambda: len(service.checkpoints.backend.load()) == 2)
             assert sorted(service.checkpoints.backend.load()) == ["j1", "j2"]
             # ...and the loop closed its end once both were done.
-            while frontend._clients and time.monotonic() < deadline:
-                time.sleep(0.02)
-            assert not frontend._clients
+            assert wait_until(lambda: not frontend._clients)
         service.close()
 
 
