@@ -8,7 +8,12 @@ plans.db`` builds, in a temporary directory, answers each job through a
 until it reports ``done`` -- as the benchmark's client does.  Each
 callable in ``LAYERS`` charges the thread CPU time spent inside it minus
 what the wrapped callables it calls spent (exclusive time), so the rows
-add up to at most the replay's process CPU; ``other`` is the rest.
+add up to at most the replay's process CPU; ``other`` is the rest.  The
+executor's per-iteration callables (the engine's ``charge``, the
+sampler's ``draw``, the three operators, the monitor) are rows of their
+own, so ``core.executor`` is the loop's own bookkeeping.  Wrapping them
+costs CPU too: the stream is first replayed without wrappers, and its
+CPU per job is recorded beside the instrumented one.
 
 Beside the layer table it records every backend ``json.dumps`` by row
 kind (calls, mean bytes, mean CPU), the CPU of one ``json.dumps`` of a
@@ -46,6 +51,21 @@ LAYERS = (
     ("service.jobs", "repro.service.jobs:TrainingJobs.train"),
     ("core.optimizer", "repro.core.optimizer:GDOptimizer.optimize"),
     ("core.executor", "repro.core.executor:PlanExecutor.run"),
+    ("executor.__init__", "repro.core.executor:PlanExecutor.__init__"),
+    ("engine.charge", "repro.cluster.engine:SimulatedCluster.charge"),
+    ("sampler.draw", "repro.cluster.sampling:BernoulliSampler.draw"),
+    ("sampler.draw", "repro.cluster.sampling:RandomPartitionSampler.draw"),
+    ("sampler.draw",
+     "repro.cluster.sampling:ShuffledPartitionSampler.draw"),
+    ("operator.compute",
+     "repro.core.reference_ops:GradientCompute.compute"),
+    ("operator.update", "repro.core.reference_ops:WeightUpdate.update"),
+    ("operator.converge", "repro.core.reference_ops:L1Converge.converge"),
+    ("runtime.monitor",
+     "repro.runtime.telemetry:TelemetryRecorder.on_iteration"),
+    ("runtime.monitor",
+     "repro.runtime.telemetry:ConvergenceMonitor.on_iteration"),
+    ("metrics.snapshot", "repro.cluster.metrics:MetricsRecorder.snapshot"),
     ("service.checkpoint", "repro.service.checkpoint:CheckpointStore.save"),
     ("service.checkpoint",
      "repro.service.checkpoint:CheckpointStore.acquire"),
@@ -223,6 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     charges = Charges()
+    with tempfile.TemporaryDirectory() as workdir:
+        _, bare_cpu_s, _ = replay(args.seed, args.jobs, workdir, charges)
     _install(charges)
     with tempfile.TemporaryDirectory() as workdir:
         requests, cpu_s, wall_s = replay(args.seed, args.jobs, workdir,
@@ -251,6 +273,8 @@ def main(argv=None) -> int:
         "seed": args.seed, "jobs": args.jobs, "requests": requests,
         "process_cpu_s": round(cpu_s, 3), "wall_s": round(wall_s, 3),
         "cpu_ms_per_job": round(cpu_s / args.jobs * 1e3, 3),
+        "uninstrumented_cpu_ms_per_job": round(
+            bare_cpu_s / args.jobs * 1e3, 3),
         "layers": layers,
         "encodes": encodes,
         "json_dumps_124_floats_us": round(floats_us, 1),

@@ -7,8 +7,8 @@ One-shot declarative queries:
     echo "run svm on svm1;" | python -m repro -
 
 Batch mode -- a file of request lines through serve's dispatcher on
-``--workers`` threads (a mixed file trains and optimizes on one pool,
-answered in file order):
+``--workers`` threads (trains run one at a time beside them; answers
+print in file order):
 
     python -m repro batch requests.txt --workers 8
 
@@ -236,9 +236,9 @@ def _service_parser(prog, description):
     _add_flags(parser, "seed", "algorithms")
     parser.add_argument("--workers", type=int, default=None,
                         help="max concurrent optimize() computations "
-                             "(serve --listen: threads for what is not "
-                             "a cache hit or a train, default 8; trains "
-                             "run one at a time)")
+                             "(default 8; trains run one at a time "
+                             "beside them; serve --listen answers "
+                             "cache hits on its loop)")
     parser.add_argument("--cache-size", type=int, default=256,
                         help="plan cache capacity (default 256)")
     parser.add_argument("--train", action="store_true",
@@ -338,20 +338,20 @@ def batch_main(argv) -> int:
     requests = requests * args.repeat
     # Each line goes through serve's dispatcher: --train/--adaptive
     # train everything, a line naming a durable job always trains, and
-    # the rest only optimize -- all on one pool, answered in file
-    # order.  Repeated leases of one job (--repeat, or duplicate job_id
-    # lines) run in sequence: concurrently they would contend for the
-    # job's lease.
+    # the rest only optimize.  As in serve, trains run one at a time on
+    # a train lane in file order (two trains on two threads pay for
+    # handing the GIL back and forth, and two leases of one job would
+    # contend for it); the rest share the pool.  Answers print in file
+    # order.
     dispatcher = Dispatcher(system, train=args.train, adaptive=args.adaptive)
-    job_ids = [r["job_id"] for r in requests if "job_id" in r]
-    workers = (1 if len(job_ids) != len(set(job_ids))
-               else min(args.workers or 8, len(requests)))
+    wires = [WireRequest(verb=None, request=r) for r in requests]
     start = time.perf_counter()
-    with ThreadPoolExecutor(workers, thread_name_prefix="batch") as pool:
-        responses = list(pool.map(
-            dispatcher.handle,
-            [WireRequest(verb=None, request=r) for r in requests],
-        ))
+    with ThreadPoolExecutor(min(args.workers or 8, len(requests)),
+                            thread_name_prefix="batch") as pool, \
+            ThreadPoolExecutor(1, thread_name_prefix="batch-train") as lane:
+        futures = [(lane if dispatcher.trains(wire) else pool).submit(
+            dispatcher.handle, wire) for wire in wires]
+        responses = [future.result() for future in futures]
     elapsed = time.perf_counter() - start
 
     for response in responses:

@@ -39,6 +39,13 @@ class SimulatedCluster:
         self.metrics = MetricsRecorder()
         self.clock = 0.0
         self._rng = np.random.default_rng(seed)
+        #: The jitter stream: standard normals drawn ahead, their
+        #: factors ``exp(sigma * z)`` for ``_factor_sigma``, and how many
+        #: of them charges have used.
+        self._normals = np.empty(0)
+        self._factors = []
+        self._factor_sigma = None
+        self._used = 0
 
     # ------------------------------------------------------------------
     # clock & bookkeeping
@@ -51,27 +58,44 @@ class SimulatedCluster:
 
     @property
     def rng(self) -> np.random.Generator:
-        """Shared RNG; samplers derive their randomness from it."""
+        """The generator of the jitter stream.
+
+        Jitter draws it ahead in blocks, so another reader sees values
+        past those the charges so far have used, and moves the jitter
+        of every later charge.  Samplers get a generator of their own
+        (the plan executor passes ``make_sampler(rng=)``).
+        """
         return self._rng
 
-    def _jitter(self) -> float:
-        sigma = self.spec.jitter_sigma
-        if sigma <= 0:
-            return 1.0
-        return float(np.exp(self._rng.normal(0.0, sigma)))
+    def _jitter(self, size) -> list:
+        """The next ``size`` factors ``exp(normal(0, sigma))``, for a
+        positive ``jitter_sigma``.
 
-    def _jitter_vec(self, size) -> np.ndarray:
-        sigma = self.spec.jitter_sigma
-        if sigma <= 0:
-            return np.ones(size)
-        return np.exp(self._rng.normal(0.0, sigma, size=size))
+        One stream, bit-identical to one ``rng.normal(0, sigma)`` per
+        factor: the generator yields the same normals in blocks as one
+        at a time, and ``normal(0, sigma)`` is ``sigma`` times a
+        standard normal.  Blocks start small (a computed optimize
+        charges a fresh engine three times) and double up to 4096.
+        """
+        sigma, used = self.spec.jitter_sigma, self._used
+        if used + size > len(self._factors) or sigma != self._factor_sigma:
+            rest = self._normals[used:]
+            if len(rest) < size:
+                block = min(4096, max(4, 2 * len(self._normals)))
+                drawn = self._rng.standard_normal(
+                    max(block, size - len(rest)))
+                rest = np.concatenate([rest, drawn]) if len(rest) else drawn
+            self._normals, self._factor_sigma, used = rest, sigma, 0
+            self._factors = np.exp(sigma * rest).tolist()
+        self._used = used + size
+        return self._factors[used:used + size]
 
     def charge(self, seconds, phase, jitter=True) -> float:
         """Advance the clock by ``seconds`` (optionally jittered)."""
         if seconds < 0:
             raise ValueError("cannot charge negative time")
-        if jitter:
-            seconds *= self._jitter()
+        if jitter and self.spec.jitter_sigma > 0:
+            seconds *= self._jitter(1)[0]
         self.clock += seconds
         self.metrics.record_time(phase, seconds)
         return seconds
@@ -138,7 +162,9 @@ class SimulatedCluster:
             [self._partition_io_seconds(p.sim_bytes, cached_fraction) for p in parts]
         )
         cpu = np.array([p.sim_rows * cpu_per_row_s for p in parts], dtype=float)
-        times = (io + cpu) * self._jitter_vec(len(parts))
+        times = io + cpu
+        if spec.jitter_sigma > 0:
+            times *= self._jitter(len(parts))
 
         cap = spec.cap
         n_waves = math.ceil(len(parts) / cap)

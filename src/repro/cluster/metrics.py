@@ -73,7 +73,7 @@ class MetricsRecorder:
     def snapshot(self) -> dict:
         """Return a plain-dict copy (suitable for JSON / assertions)."""
         return {
-            name: dataclasses.asdict(phase)
+            name: dict(vars(phase))
             for name, phase in sorted(self._phases.items())
         }
 

@@ -200,11 +200,13 @@ class ShuffledPartitionSampler(_SamplerBase):
         return part.phys_lo + rng.permutation(part.phys_rows)
 
     def _next_physical(self, size):
-        """Next ``size`` physical rows from the permuted order (wrapping)."""
-        rows = len(self._phys_order)
-        positions = (self._phys_cursor + np.arange(size)) % rows
-        self._phys_cursor = (self._phys_cursor + size) % rows
-        return self._phys_order[positions]
+        """Next ``size`` physical rows from the permuted order (wrapping;
+        a view of the order, not to be written, when it does not wrap)."""
+        rows, start = len(self._phys_order), self._phys_cursor
+        self._phys_cursor = (start + size) % rows
+        if start + size <= rows:
+            return self._phys_order[start:start + size]
+        return self._phys_order[(start + np.arange(size)) % rows]
 
     def draw(self) -> SampleDraw:
         ds = self.dataset

@@ -173,6 +173,9 @@ class PartitionedDataset:
         self.stats = stats
         self.spec = spec
         self.representation = representation
+        #: Bytes of the dataset in its representation (the cache reads
+        #: it on every sample).
+        self.total_bytes = stats.bytes_for(representation)
         self.partitions = self._build_partitions()
         self._binary_form = None
         self._content_digest = None
@@ -186,10 +189,6 @@ class PartitionedDataset:
     def sim_replication(self) -> float:
         """How many simulated rows each physical row stands for."""
         return self.stats.n / self.n_phys
-
-    @property
-    def total_bytes(self) -> int:
-        return self.stats.bytes_for(self.representation)
 
     @property
     def n_partitions(self) -> int:

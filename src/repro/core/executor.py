@@ -178,9 +178,16 @@ class PlanExecutor:
         loop_layout = layout_for(spec, ds.stats, loop_ds.representation)
         weight_bytes = ds.stats.weight_vector_bytes
         distributed = loop_ds.n_partitions > 1
+        # Per-unit and per-iteration CPU charges: fixed for the run.
+        transform_cpu = transform_cpu_per_unit(spec, loop_layout)
+        compute_cpu = compute_cpu_per_unit(spec, loop_layout)
+        update_s = update_cpu(spec, loop_layout)
+        converge_s = converge_cpu(spec, loop_layout) + spec.local_overhead_s
+        loop_s = spec.loop_s + spec.iteration_overhead_s
+        stochastic = plan.is_stochastic
 
         sampler = None
-        if plan.is_stochastic:
+        if stochastic:
             sampler = make_sampler(
                 plan.sampling, engine, loop_ds, plan.effective_batch_size,
                 rng=self._rng,
@@ -202,27 +209,24 @@ class PlanExecutor:
             context.put("iter", i)
             # Full passes of a stochastic plan (SVRG anchors, Arc GD's
             # gradient probes) run, and are charged, as BGD iterations.
-            if plan.is_stochastic and not kernel.full_pass(
+            if stochastic and not kernel.full_pass(
                     self._iteration_offset + i):
                 aggregated = self._stochastic_iteration(
-                    context, sampler, loop_ds, loop_layout, X_full, y_full,
-                    weight_bytes, distributed,
+                    context, sampler, loop_ds, transform_cpu, compute_cpu,
+                    X_full, y_full, weight_bytes, distributed,
                 )
             else:
                 aggregated = self._full_batch_iteration(
-                    context, loop_ds, loop_layout, X_full, y_full,
+                    context, loop_ds, compute_cpu, X_full, y_full,
                     weight_bytes, distributed,
                 )
 
             w_new = self.ops.update.update(aggregated, context)
-            engine.charge(update_cpu(spec, loop_layout), "update")
+            engine.charge(update_s, "update")
 
             delta = self.ops.converge.converge(w_new, context)
-            engine.charge(
-                converge_cpu(spec, loop_layout) + spec.local_overhead_s,
-                "converge",
-            )
-            engine.charge(spec.loop_s + spec.iteration_overhead_s, "loop")
+            engine.charge(converge_s, "converge")
+            engine.charge(loop_s, "loop")
             deltas.append(delta)
             iterations = i
 
@@ -312,16 +316,12 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------
     def _full_batch_iteration(
-        self, context, loop_ds, loop_layout, X_full, y_full,
+        self, context, loop_ds, compute_cpu, X_full, y_full,
         weight_bytes, distributed,
     ):
         """One BGD-style pass: distributed partial gradients, aggregate."""
-        engine, spec = self.engine, self.engine.spec
-        engine.scan(
-            loop_ds,
-            phase="compute",
-            cpu_per_row_s=compute_cpu_per_unit(spec, loop_layout),
-        )
+        engine = self.engine
+        engine.scan(loop_ds, phase="compute", cpu_per_row_s=compute_cpu)
         aggregated = None
         for part in loop_ds.partitions:
             Xp = X_full[part.phys_lo:part.phys_hi]
@@ -339,8 +339,8 @@ class PlanExecutor:
         return aggregated
 
     def _stochastic_iteration(
-        self, context, sampler, loop_ds, loop_layout, X_full, y_full,
-        weight_bytes, distributed,
+        self, context, sampler, loop_ds, transform_cpu, compute_cpu,
+        X_full, y_full, weight_bytes, distributed,
     ):
         """One Sample -> (lazy Transform) -> Compute pass.
 
@@ -359,8 +359,7 @@ class PlanExecutor:
 
         if plan.transform_mode == "lazy":
             engine.charge(
-                draw.sim_size * transform_cpu_per_unit(spec, loop_layout)
-                / local_parallelism,
+                draw.sim_size * transform_cpu / local_parallelism,
                 "transform",
             )
             Xb, yb = self.ops.transform.transform(Xb, yb, context)
@@ -369,11 +368,7 @@ class PlanExecutor:
             # Sampled units stay spread over the cluster: distributed
             # gradient with partial aggregation (the sampling scan
             # already launched the job).
-            engine.charge(
-                draw.sim_size * compute_cpu_per_unit(spec, loop_layout)
-                / spec.cap,
-                "compute",
-            )
+            engine.charge(draw.sim_size * compute_cpu / spec.cap, "compute")
             engine.aggregate(
                 loop_ds.n_partitions, weight_bytes, phase="update"
             )
@@ -385,10 +380,7 @@ class PlanExecutor:
                 engine.job("sample")
                 engine.collect(weight_bytes, "update")
             engine.charge(
-                draw.sim_size * compute_cpu_per_unit(spec, loop_layout)
-                / local_parallelism,
-                "compute",
-            )
+                draw.sim_size * compute_cpu / local_parallelism, "compute")
             if distributed:
                 engine.collect(weight_bytes, "update")
         return self.ops.compute.compute(Xb, yb, context)

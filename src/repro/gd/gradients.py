@@ -52,6 +52,10 @@ def take_rows(X, rows):
         return X[rows]
     if isinstance(rows, slice):
         rows = np.arange(*rows.indices(X.shape[0]))
+    if len(rows) == 1:  # an SGD sample: its entries are one slice
+        lo, hi = X.indptr[rows[0]], X.indptr[rows[0] + 1]
+        return CsrRows(X.data[lo:hi], X.indices[lo:hi],
+                       np.zeros(hi - lo, dtype=np.intp), (1, X.shape[1]))
     starts = X.indptr[rows]
     lengths = X.indptr[rows + 1] - starts
     row_ids = np.repeat(np.arange(len(rows)), lengths)

@@ -238,7 +238,11 @@ def exchange(port, stream, cuts=()):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         for start, end in zip(bounds, bounds[1:]):
             sock.sendall(stream[start:end])
-            time.sleep(0.001)  # let each piece arrive on its own
+            # Wall-clock on purpose: nothing tells a client when the
+            # server has read a piece, and a pause is what makes it
+            # likely to read each one on its own.  The replies must be
+            # the same however the pieces coalesce.
+            time.sleep(0.001)
         reader = sock.makefile("rb")
         replies = [reader.readline() for _ in range(owed)]
         sock.shutdown(socket.SHUT_WR)

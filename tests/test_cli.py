@@ -7,6 +7,7 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 import warnings
 
 import pytest
@@ -385,6 +386,38 @@ class TestCLIBatchJobs:
         out = capsys.readouterr().out
         assert "job r1: done at iteration" in out
         assert "already done" in out
+
+    def test_a_default_batch_trains_on_one_thread(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Durable trains run one at a time on one thread, as serve's
+        train lane does, while the lines that only optimize use the
+        pool; answers still print in file order."""
+        from repro.service.frontend import Dispatcher
+
+        threads = []
+        handle = Dispatcher.handle
+
+        def recording(self, wire, *args, **kwargs):
+            threads.append((wire.request.get("job_id"),
+                            threading.current_thread().name))
+            return handle(self, wire, *args, **kwargs)
+
+        monkeypatch.setattr(Dispatcher, "handle", recording)
+        path = tmp_path / "requests.txt"
+        path.write_text("adult epsilon=0.05 max_iter=60 job_id=a\n"
+                        "adult epsilon=0.05 fixed_iterations=50\n"
+                        "adult epsilon=0.05 max_iter=60 job_id=b\n")
+        assert main(["batch", str(path),
+                     "--checkpoint", str(tmp_path / "jobs.json")]) == 0
+        trains = {name for job, name in threads if job}
+        assert trains == {"batch-train_0"}
+        assert [name for job, name in threads if not job] == ["batch_0"]
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("adult:")]
+        assert "job a: done" in lines[0]
+        assert "iterations" not in lines[1]
+        assert "job b: done" in lines[2]
 
 
 class TestCLIFleetAlgorithms:

@@ -1,5 +1,8 @@
 """Unit tests for the simulated cluster engine."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, SimulatedCluster
@@ -177,3 +180,101 @@ class TestOtherPrimitives:
         text = engine.metrics.summary()
         assert "compute" in text
         assert "TOTAL" in text
+
+
+class TestJitterStream:
+    """Every jittered charge multiplies by the next value of one
+    stream: ``np.exp(rng.normal(0, sigma))`` drawn from the engine's
+    generator, in charge order, one value per scalar charge and one per
+    partition of a scan, whatever ``jitter_sigma`` is at the time (a
+    zero sigma draws nothing)."""
+
+    SEED = 11
+
+    def _ops(self, spec):
+        """A seeded mix of scalar charges, local and distributed scans
+        and sigma changes."""
+        local = make_dataset(n_phys=200, d=10, spec=spec)
+        # Five equal partitions in one wave: the scan charges a job
+        # overhead, then one partition's time times the largest of its
+        # five factors.
+        wide = make_dataset(n_phys=400, d=10, sim_n=60_000, spec=spec,
+                            block_bytes=1024 * 1024)
+        assert wide.n_partitions == 5 <= spec.cap
+        assert len({(p.sim_rows, p.sim_bytes)
+                    for p in wide.partitions}) == 1
+        picks = np.random.default_rng(5).integers(0, 10, size=1500)
+        sigmas = iter([0.2, 0.0, 0.05, 0.3] * 10)
+        ops = []
+        for index, pick in enumerate(picks):
+            if index % 250 == 249:
+                ops.append(("sigma", next(sigmas)))
+            elif pick == 0:
+                ops.append(("scan", wide))
+            elif pick == 1:
+                ops.append(("scan", local))
+            else:
+                ops.append(("charge", 0.25 * (1 + pick)))
+        return ops
+
+    @staticmethod
+    def _apply(engine, op):
+        kind, arg = op
+        if kind == "sigma":
+            engine.spec = engine.spec.with_overrides(jitter_sigma=arg)
+        elif kind == "charge":
+            engine.charge(arg, "x")
+        else:
+            engine.scan(arg, "compute", cache=False)
+
+    @staticmethod
+    def _recording(engine):
+        """Record every duration ``engine`` charges to its clock."""
+        charged = []
+        charge = engine.charge
+
+        def recorder(seconds, phase, jitter=True):
+            charged.append(charge(seconds, phase, jitter))
+            return charged[-1]
+        engine.charge = recorder
+        return charged
+
+    def test_charges_and_scans_read_one_stream_across_sigma_changes(self):
+        spec = ClusterSpec(jitter_sigma=0.1)
+        engine = SimulatedCluster(spec, seed=self.SEED)
+        twin = SimulatedCluster(spec.with_overrides(jitter_sigma=0.0))
+        charged, unjittered = self._recording(engine), self._recording(twin)
+        rng = np.random.default_rng(self.SEED)
+
+        def factor():
+            sigma = engine.spec.jitter_sigma
+            return float(np.exp(rng.normal(0.0, sigma))) if sigma > 0 \
+                else 1.0
+
+        for op in self._ops(spec):
+            self._apply(engine, op)
+            if op[0] == "sigma":
+                continue
+            self._apply(twin, op)
+            if op[0] == "charge":
+                expected = [op[1] * factor()]
+            else:
+                overhead, base = unjittered[-2:]
+                first = overhead * factor()
+                expected = [first, base * max(
+                    factor() for _ in range(op[1].n_partitions))]
+            assert charged[-len(expected):] == expected, op
+        assert len(charged) == len(unjittered)
+
+    def test_a_copy_taken_mid_stream_continues_identically(self):
+        engine = SimulatedCluster(ClusterSpec(jitter_sigma=0.1),
+                                  seed=self.SEED)
+        ops = self._ops(engine.spec)
+        for op in ops[:37]:
+            self._apply(engine, op)
+        clone = copy.deepcopy(engine)
+        for op in ops[37:]:
+            self._apply(engine, op)
+            self._apply(clone, op)
+            assert clone.clock == engine.clock, op
+        assert clone.metrics.snapshot() == engine.metrics.snapshot()

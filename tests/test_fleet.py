@@ -264,9 +264,12 @@ class TestFleetWorker:
         outcome = system.train_many([partial], max_workers=1)[0]
         assert outcome.job.preempted
         assert outcome.job.done_iterations == 15
-        store.lease_ttl_s = 0.05
-        store.acquire("fleet-00", "zombie-owner")  # dies holding this
-        time.sleep(0.1)                            # ...and it expires
+        # It dies holding a lease that has already expired: taken on a
+        # clock two minutes behind, a one-minute lease ran out a minute
+        # ago.
+        zombie = CheckpointStore(backend=store.backend, lease_ttl_s=60,
+                                 clock=lambda: time.time() - 120)
+        assert zombie.acquire("fleet-00", "zombie-owner") is not None
 
         stealer = FleetWorker(system, worker_id="w-thief", poll_s=0.05)
         totals = stealer.run(drain=True)
@@ -449,6 +452,11 @@ class TestChaosFleet:
                     )
                     if not kill_thresholds:
                         store.release(gate, gatekeeper)
+                # Wall-clock on purpose: the workers are other
+                # processes, and the store is the only place their
+                # progress shows, so the controller polls it.  The
+                # pause bounds how often it reads; no assertion depends
+                # on its length.
                 time.sleep(0.02)
 
             # Drain-mode workers exit on their own once the store is

@@ -671,21 +671,34 @@ class TestRecalibrationCoalescing:
         service.optimize(dataset, training)
         service.calibration.observe("bgd", spec, cost_ratio=2.0)
 
-        # Slow every optimizer down so all threads overlap the recost.
+        # The re-cost starts only once all six requests have missed:
+        # the five that did not claim the key hold the owner's future
+        # by then, so all of them wait on this one re-cost.
+        all_missed = threading.Event()
+        misses = service.metrics.value("service.misses") + 6
+        real_inc = service.metrics.inc
+
+        def counting_inc(name, value=1):
+            total = real_inc(name, value)
+            if name == "service.misses" and total == misses:
+                all_missed.set()
+            return total
+
+        service.metrics.inc = counting_inc
         real_make = service._make_optimizer
 
-        def slow_make(*args, **kwargs):
+        def gated_make(*args, **kwargs):
             optimizer = real_make(*args, **kwargs)
             real_optimize = optimizer.optimize
 
-            def slow_optimize(*a, **kw):
-                time.sleep(0.15)
+            def gated_optimize(*a, **kw):
+                assert all_missed.wait(timeout=10)
                 return real_optimize(*a, **kw)
 
-            optimizer.optimize = slow_optimize
+            optimizer.optimize = gated_optimize
             return optimizer
 
-        service._make_optimizer = slow_make
+        service._make_optimizer = gated_make
 
         barrier = threading.Barrier(6)
         results = []
