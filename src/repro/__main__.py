@@ -6,11 +6,10 @@ One-shot declarative queries:
     python -m repro --file queries.ml4all
     echo "run svm on svm1;" | python -m repro -
 
-Batch mode -- a file of request lines through serve's dispatcher on
-``--workers`` threads (trains run one at a time beside them; answers
-print in file order):
+Batch mode -- a file of request lines through serve's dispatcher, one
+at a time in file order on the calling thread:
 
-    python -m repro batch requests.txt --workers 8
+    python -m repro batch requests.txt --repeat 2
 
 Serve mode -- a line-oriented request loop on stdin (one response per
 request; repeated workloads hit the warm plan cache):
@@ -84,7 +83,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.api import ML4all
 from repro.errors import ReproError
@@ -234,11 +232,6 @@ def _build_system(args):
 def _service_parser(prog, description):
     parser = argparse.ArgumentParser(prog=prog, description=description)
     _add_flags(parser, "seed", "algorithms")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="max concurrent optimize() computations "
-                             "(default 8; trains run one at a time "
-                             "beside them; serve --listen answers "
-                             "cache hits on its loop)")
     parser.add_argument("--cache-size", type=int, default=256,
                         help="plan cache capacity (default 256)")
     parser.add_argument("--train", action="store_true",
@@ -316,7 +309,7 @@ def batch_main(argv) -> int:
                         help="serve the request list N times (default 1; "
                              ">1 demonstrates the warm plan cache)")
     args = parser.parse_args(argv)
-    if _refuse_nonpositive(args, "cache_size", "workers", "repeat"):
+    if _refuse_nonpositive(args, "cache_size", "repeat"):
         return 2
 
     _configure_obs(args)
@@ -336,22 +329,14 @@ def batch_main(argv) -> int:
         print("error: no requests found", file=sys.stderr)
         return 2
     requests = requests * args.repeat
-    # Each line goes through serve's dispatcher: --train/--adaptive
-    # train everything, a line naming a durable job always trains, and
-    # the rest only optimize.  As in serve, trains run one at a time on
-    # a train lane in file order (two trains on two threads pay for
-    # handing the GIL back and forth, and two leases of one job would
-    # contend for it); the rest share the pool.  Answers print in file
-    # order.
+    # Each line goes through serve's dispatcher, in file order on this
+    # thread: --train/--adaptive train everything, a line naming a
+    # durable job always trains, and the rest only optimize.  A repeated
+    # optimize line is therefore a cache hit, never a coalesced wait.
     dispatcher = Dispatcher(system, train=args.train, adaptive=args.adaptive)
-    wires = [WireRequest(verb=None, request=r) for r in requests]
     start = time.perf_counter()
-    with ThreadPoolExecutor(min(args.workers or 8, len(requests)),
-                            thread_name_prefix="batch") as pool, \
-            ThreadPoolExecutor(1, thread_name_prefix="batch-train") as lane:
-        futures = [(lane if dispatcher.trains(wire) else pool).submit(
-            dispatcher.handle, wire) for wire in wires]
-        responses = [future.result() for future in futures]
+    responses = [dispatcher.handle(WireRequest(verb=None, request=r))
+                 for r in requests]
     elapsed = time.perf_counter() - start
 
     for response in responses:
@@ -387,7 +372,7 @@ def _finish_pending_jobs(system, service) -> int:
               f"{checkpoint.done_iterations}")
         try:
             (result,) = system.train_many(
-                [request], max_workers=1, adaptive=bool(checkpoint.adaptive)
+                [request], adaptive=bool(checkpoint.adaptive)
             )
         except JobLeaseError as exc:
             # Typically our own predecessor's unexpired lease after a
@@ -418,6 +403,11 @@ def serve_main(argv) -> int:
                              "stdin (0 picks a free port)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="interface for --listen (default 127.0.0.1)")
+    parser.add_argument("--workers", type=int, default=8,
+                        help="--listen pool size: threads for first "
+                             "touches, misses and coalesced waits "
+                             "(default 8; trains run one at a time beside "
+                             "them, cache hits on the loop)")
     parser.add_argument("--shed-after", type=int, default=64,
                         help="admission bound: reject new requests with a "
                              "structured 'overloaded' response while this "
@@ -458,7 +448,7 @@ def serve_main(argv) -> int:
     if args.listen is not None:
         frontend = SocketFrontend(
             dispatcher, host=args.host, port=args.listen,
-            max_workers=args.workers or 8,
+            max_workers=args.workers,
             shed_after=args.shed_after, max_inflight=args.max_inflight,
         )
         if not _serve_until_stopped(frontend, args.host, args.listen):
@@ -554,8 +544,7 @@ def train_main(argv) -> int:
         request["lease_seconds"] = args.max_seconds
 
     try:
-        (result,) = system.train_many([request], max_workers=1,
-                                      adaptive=args.adaptive)
+        (result,) = system.train_many([request], adaptive=args.adaptive)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

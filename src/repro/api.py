@@ -154,6 +154,7 @@ class ML4all:
         #: streams resolve each registry reference (and hash its content)
         #: once per system, not once per request line.
         self._dataset_memo = {}
+        self._dataset_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # datasets
@@ -302,7 +303,7 @@ class ML4all:
         creates the service if it does not exist yet."""
         return self.service().metrics
 
-    def optimize_many(self, requests, max_workers=None, **shared):
+    def optimize_many(self, requests, **shared):
         """Serve a batch of optimize() requests through the plan cache.
 
         Each request is either a dataset reference (registry name, path,
@@ -313,8 +314,7 @@ class ML4all:
         one :class:`~repro.service.ServiceResult` per request, in order.
         """
         return self.service().optimize_many(
-            self._normalize_requests(requests, shared),
-            max_workers=max_workers,
+            self._normalize_requests(requests, shared)
         )
 
     def resolve(self, request):
@@ -352,17 +352,21 @@ class ML4all:
             if isinstance(ref, str):
                 key = (ref, kwargs.get("task"))
                 if key not in self._dataset_memo:
-                    dataset = self.load_dataset(ref, task=kwargs.get("task"))
-                    # Hashed by the thread that loaded it, so resolve()
-                    # never has to (34 ms for higgs).
-                    dataset.content_digest()
-                    self._dataset_memo[key] = dataset
+                    # One loader per name, however many threads miss it
+                    # at once; memo hits (and resolve()) take no lock.
+                    with self._dataset_lock:
+                        if key not in self._dataset_memo:
+                            dataset = self.load_dataset(ref, task=key[1])
+                            # Hashed by the thread that loaded it, so
+                            # resolve() never has to (34 ms for higgs).
+                            dataset.content_digest()
+                            self._dataset_memo[key] = dataset
                 kwargs["dataset"] = self._dataset_memo[key]
             normalized.append(self._service_request(**kwargs))
         return normalized
 
-    def train_many(self, requests, max_workers=None, adaptive=False,
-                   adaptive_settings=None, **shared):
+    def train_many(self, requests, adaptive=False, adaptive_settings=None,
+                   **shared):
         """Serve a batch of train() requests through the service layer.
 
         Request forms match :meth:`optimize_many`.  Each request
@@ -373,7 +377,6 @@ class ML4all:
         """
         return self.service().train_many(
             self._normalize_requests(requests, shared),
-            max_workers=max_workers,
             adaptive=adaptive,
             adaptive_settings=adaptive_settings,
         )

@@ -7,11 +7,8 @@ points (:func:`repro.obs.spans.span`) read it; when it is unset they do
 nothing, which is what keeps tracing free for direct library callers.
 
 Because the context rides a contextvar, it follows the call stack
-naturally and crosses thread-pool boundaries only when copied
-explicitly (``contextvars.copy_context().run(...)``) -- the
-``optimize_many`` / ``train_many`` pools do exactly that, so each
-request's spans land in its trace even though it runs on a worker
-thread.
+naturally and never crosses threads: a traced request runs on one
+thread from the root span the dispatcher opens down to its last child.
 """
 
 from __future__ import annotations

@@ -74,7 +74,12 @@ from repro.service.fingerprint import (
 )
 from repro.service.jobs import TrainingJobs
 from repro.service.metrics import MetricsRegistry
-from repro.service.requests import Resolved, ServiceRequest, ServiceResult
+from repro.service.requests import (
+    Resolved,
+    ServiceRequest,
+    ServiceResult,
+    normalize_request,
+)
 from repro.service.serialize import (
     PlanStoreError,
     entry_from_dict,
@@ -606,17 +611,15 @@ class OptimizerService(TrainingJobs):
         return self.calibration.save(path)
 
     # ------------------------------------------------------------------
-    def optimize_many(self, requests, max_workers=None) -> list:
-        """Serve a batch of requests concurrently; order is preserved.
+    def optimize_many(self, requests) -> list:
+        """Serve a batch of requests in order on the calling thread.
 
         ``requests`` is an iterable of :class:`ServiceRequest`,
         ``(dataset, training)`` pairs, or
         ``(dataset, training, fixed_iterations)`` triples.
         """
-        return self._serve_many(
-            requests, max_workers,
-            lambda request: self.answer(self.resolve(request)), "optimize",
-        )
+        return [self.answer(self.resolve(request))
+                for request in [normalize_request(r) for r in requests]]
 
     # ------------------------------------------------------------------
     def cache_stats(self):

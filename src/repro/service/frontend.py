@@ -388,16 +388,14 @@ class Dispatcher:
         try:
             if trains:
                 (result,) = self.system.train_many(
-                    [request], max_workers=1, adaptive=self.adaptive,
+                    [request], adaptive=self.adaptive,
                 )
                 body = self._train_body(request, result)
             else:
                 if resolved is not None:
                     result = self.system.service().answer(resolved)
                 else:
-                    (result,) = self.system.optimize_many(
-                        [request], max_workers=1,
-                    )
+                    (result,) = self.system.optimize_many([request])
                 body = self._optimize_body(request, result)
         except ReproError as exc:
             self.metrics.inc("frontend.request_failed")

@@ -14,11 +14,9 @@ independently.
 
 from __future__ import annotations
 
-import contextvars
 import time
 import uuid
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -436,16 +434,16 @@ class TrainingJobs:
         )
 
     # ------------------------------------------------------------------
-    def train_many(self, requests, max_workers=None, adaptive=False,
+    def train_many(self, requests, adaptive=False,
                    adaptive_settings=None) -> list:
-        """Serve a batch of train() requests concurrently; order preserved.
+        """Serve a batch of train() requests in order on the calling
+        thread.
 
         Same request forms as :meth:`optimize_many`; every request
-        executes on its own engine clone, so concurrent training runs
-        stay isolated.
+        executes on its own engine clone.
         """
-        def one(request):
-            return self.train(
+        return [
+            self.train(
                 request.dataset, request.training, request.fixed_iterations,
                 request.algorithms, request.batch_sizes,
                 adaptive=adaptive, adaptive_settings=adaptive_settings,
@@ -454,26 +452,5 @@ class TrainingJobs:
                 budget=request.budget,
                 job_request=request.job_request,
             )
-
-        return self._serve_many(requests, max_workers, one, "train")
-
-    @staticmethod
-    def _serve_many(requests, max_workers, one, thread_name) -> list:
-        """``one(request)`` for every request (normalised), in order:
-        on up to ``max_workers`` threads (default ``min(8, n)``)."""
-        normalized = [normalize_request(r) for r in requests]
-        max_workers = min(
-            8 if max_workers is None else max(1, max_workers),
-            len(normalized),
-        )
-        if max_workers <= 1:
-            return [one(r) for r in normalized]
-        with ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=thread_name
-        ) as pool:
-            # copy_context() keeps an ambient trace on the pool threads.
-            futures = [
-                pool.submit(contextvars.copy_context().run, one, r)
-                for r in normalized
-            ]
-            return [f.result() for f in futures]
+            for request in [normalize_request(r) for r in requests]
+        ]

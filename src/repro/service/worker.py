@@ -325,8 +325,7 @@ class FleetWorker:
             )
         with context:
             results = self.system.train_many(
-                [request], max_workers=1,
-                adaptive=bool(checkpoint.adaptive),
+                [request], adaptive=bool(checkpoint.adaptive),
             )
         if stolen:
             self.steals += 1

@@ -1,5 +1,7 @@
 """Integration tests for the ML4all facade and the language interpreter."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,67 @@ class TestDatasets:
         ds = system.load_dataset(path, task="linreg")
         assert ds.n_phys == 20
         assert ds.stats.d == 2
+
+    def test_two_first_touches_of_one_name_load_it_once(
+        self, system, monkeypatch
+    ):
+        """Two threads miss the dataset memo for one name at once (as
+        two first touches on serve --listen's pool do): one loads, the
+        other waits for the memo and reuses it."""
+        loads = []
+        second_arrived = threading.Event()
+        load = system.load_dataset
+        request = {"dataset": "adult", "fixed_iterations": 50}
+        results = []
+        second = threading.Thread(
+            target=lambda: results.extend(system.optimize_many([request])))
+
+        def loading(ref, task=None):
+            if not isinstance(ref, str):  # an already-loaded dataset
+                return load(ref, task=task)
+            loads.append(ref)
+            if len(loads) == 1:
+                # Hold the first load until the second thread has either
+                # queued on the memo lock or entered this loader too.
+                second.start()
+                assert second_arrived.wait(timeout=30)
+            else:
+                second_arrived.set()
+            return load(ref, task=task)
+
+        class WatchedLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                if threading.current_thread() is second:
+                    second_arrived.set()
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        monkeypatch.setattr(system, "_dataset_lock", WatchedLock(),
+                            raising=False)
+        monkeypatch.setattr(system, "load_dataset", loading)
+        results.extend(system.optimize_many([request]))
+        second.join(timeout=30)
+        assert not second.is_alive()
+        assert loads == ["adult"]
+        first, twin = results
+        assert first.fingerprint == twin.fingerprint
+
+        class NoLock:
+            def __enter__(self):
+                raise AssertionError("a memo hit took the load lock")
+
+        # Memo hits -- and resolve(), which an event loop calls -- never
+        # take the lock.
+        monkeypatch.setattr(system, "_dataset_lock", NoLock())
+        assert system.resolve(request).hit
+        (hit,) = system.optimize_many([request])
+        assert hit.cache_hit
+        assert loads == ["adult"]
 
     def test_unknown_source(self, system):
         with pytest.raises(DataFormatError):

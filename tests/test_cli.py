@@ -102,10 +102,12 @@ class TestCLIBatch:
     def test_batch_repeat_warms_cache(self, tmp_path, capsys):
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 fixed_iterations=50\n")
-        assert main(["batch", str(path), "--repeat", "3",
-                     "--workers", "1"]) == 0
+        assert main(["batch", str(path), "--repeat", "3"]) == 0
         out = capsys.readouterr().out
         assert "[cache" in out
+        # In file order on one thread: the repeats are hits, never
+        # coalesced waits on the first copy.
+        assert "(1 computed, 0 coalesced" in out
 
     def test_batch_empty_file(self, tmp_path, capsys):
         path = tmp_path / "requests.txt"
@@ -124,7 +126,7 @@ class TestCLIAdaptive:
     def test_batch_train_mode_executes_plans(self, tmp_path, capsys):
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 max_iter=200\n")
-        assert main(["batch", str(path), "--train", "--workers", "1"]) == 0
+        assert main(["batch", str(path), "--train"]) == 0
         out = capsys.readouterr().out
         assert "iterations" in out
         assert "train/s" in out
@@ -133,7 +135,7 @@ class TestCLIAdaptive:
         path = tmp_path / "requests.txt"
         store = tmp_path / "calibration.json"
         path.write_text("adult epsilon=0.05 max_iter=200\n")
-        assert main(["batch", str(path), "--adaptive", "--workers", "1",
+        assert main(["batch", str(path), "--adaptive",
                      "--calibration", str(store)]) == 0
         assert store.exists()
         out = capsys.readouterr().out
@@ -346,7 +348,7 @@ class TestCLIBatchJobs:
             "job_id=b1 lease_iterations=40\n"
             "adult epsilon=0.05 fixed_iterations=80\n"
         )
-        assert main(["batch", str(path), "--workers", "1",
+        assert main(["batch", str(path),
                      "--checkpoint", str(tmp_path / "jobs.json")]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l.startswith("adult:")]
@@ -377,12 +379,13 @@ class TestCLIBatchJobs:
         self, tmp_path, capsys
     ):
         """--repeat duplicates a job_id line; run concurrently the
-        copies would contend for one lease and abort the batch, so
-        batch serializes them (the second copy sees 'already done')."""
+        copies would contend for one lease and abort the batch, but
+        batch runs them in order (the second copy sees 'already
+        done')."""
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 max_iter=200 job_id=r1\n")
-        assert main(["batch", str(path), "--repeat", "2", "--workers",
-                     "4", "--checkpoint", str(tmp_path / "jobs.json")]) == 0
+        assert main(["batch", str(path), "--repeat", "2",
+                     "--checkpoint", str(tmp_path / "jobs.json")]) == 0
         out = capsys.readouterr().out
         assert "job r1: done at iteration" in out
         assert "already done" in out
@@ -390,17 +393,17 @@ class TestCLIBatchJobs:
     def test_a_default_batch_trains_on_one_thread(
         self, tmp_path, capsys, monkeypatch
     ):
-        """Durable trains run one at a time on one thread, as serve's
-        train lane does, while the lines that only optimize use the
-        pool; answers still print in file order."""
+        """Every line -- trains and optimizes alike -- is answered on
+        the calling thread, one at a time in file order."""
         from repro.service.frontend import Dispatcher
 
-        threads = []
+        calls = []
         handle = Dispatcher.handle
 
         def recording(self, wire, *args, **kwargs):
-            threads.append((wire.request.get("job_id"),
-                            threading.current_thread().name))
+            calls.append((wire.request.get("job_id"),
+                          wire.request.get("fixed_iterations"),
+                          threading.current_thread()))
             return handle(self, wire, *args, **kwargs)
 
         monkeypatch.setattr(Dispatcher, "handle", recording)
@@ -410,9 +413,9 @@ class TestCLIBatchJobs:
                         "adult epsilon=0.05 max_iter=60 job_id=b\n")
         assert main(["batch", str(path),
                      "--checkpoint", str(tmp_path / "jobs.json")]) == 0
-        trains = {name for job, name in threads if job}
-        assert trains == {"batch-train_0"}
-        assert [name for job, name in threads if not job] == ["batch_0"]
+        main_thread = threading.main_thread()
+        assert calls == [("a", None, main_thread), (None, 50, main_thread),
+                         ("b", None, main_thread)]
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("adult:")]
         assert "job a: done" in lines[0]
@@ -432,8 +435,8 @@ class TestCLIFleetAlgorithms:
         path.write_text("adult epsilon=0.0001 max_iter=250 job_id=j1 "
                         "lease_iterations=100\n")
         store = str(tmp_path / "jobs.json")
-        assert main(["batch", str(path), "--workers", "1", "--algorithms",
-                     self.ALGORITHMS, "--checkpoint", store]) == 0
+        assert main(["batch", str(path), "--algorithms", self.ALGORITHMS,
+                     "--checkpoint", store]) == 0
         assert "job j1: preempted at iteration 100" in \
             capsys.readouterr().out
         return store
@@ -586,8 +589,7 @@ class TestCLICache:
         plans = tmp_path / "plans.json"
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 fixed_iterations=50\n")
-        assert main(["batch", str(path), "--workers", "1",
-                     "--cache", str(plans)]) == 0
+        assert main(["batch", str(path), "--cache", str(plans)]) == 0
         capsys.readouterr()
         return plans
 
@@ -626,8 +628,7 @@ class TestCLICache:
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 fixed_iterations=50\n"
                         "adult epsilon=0.05 fixed_iterations=60\n")
-        assert main(["batch", str(path), "--workers", "1",
-                     "--cache", str(plans)]) == 0
+        assert main(["batch", str(path), "--cache", str(plans)]) == 0
         from repro.service import JsonFileBackend
 
         backend = JsonFileBackend(str(plans))
@@ -699,7 +700,6 @@ class TestCLIBounds:
         (["batch", "-"], "--cache-size"),
         (["serve"], "--cache-size"),
         (["batch", "-"], "--repeat"),
-        (["batch", "-"], "--workers"),
         (["serve"], "--workers"),
         (["serve"], "--shed-after"),
         (["serve"], "--max-inflight"),
@@ -710,16 +710,16 @@ class TestCLIBounds:
          "--max-iterations"),
         (["train", "adult", "--job-id", "j", "--checkpoint", "jobs.json"],
          "--max-seconds"),
-    ], ids=["batch", "serve", "batch-repeat", "batch-workers",
-            "serve-workers", "serve-shed-after", "serve-max-inflight",
+    ], ids=["batch", "serve", "batch-repeat", "serve-workers",
+            "serve-shed-after", "serve-max-inflight",
             "calibrate-runs", "worker-poll", "worker-max-seconds",
             "train-max-iterations", "train-max-seconds"])
     def test_nonpositive_count_is_a_usage_error(self, tmp_path, monkeypatch,
                                                 capsys, subcommand, flag):
         # --max-inflight 0 once answered every request quota_exceeded,
-        # --workers 0 meant 8 threads in serve and 1 in batch, the rest
-        # were quietly clamped to 1, and a worker's --poll 0 rewrote its
-        # heartbeat thousands of times a second.
+        # --workers 0 meant 8 threads in serve, the rest were quietly
+        # clamped to 1, and a worker's --poll 0 rewrote its heartbeat
+        # thousands of times a second.
         monkeypatch.chdir(tmp_path)
         assert main([*subcommand, flag, "0"]) == 2
         captured = capsys.readouterr()
@@ -768,8 +768,7 @@ class TestCLIBounds:
         path = tmp_path / "requests.txt"
         path.write_text("adult epsilon=0.05 fixed_iterations=50\n"
                         "adult epsilon=0.05 fixed_iterations=60\n")
-        assert main(["batch", str(path), "--workers", "1",
-                     "--cache-size", "1"]) == 0
+        assert main(["batch", str(path), "--cache-size", "1"]) == 0
         assert "error" not in capsys.readouterr().err
 
     def test_fractional_lease_ttl_is_accepted(self, tmp_path, capsys):

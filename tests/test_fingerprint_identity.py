@@ -137,7 +137,7 @@ class TestGoldenTable:
         results = system.optimize_many([
             {"dataset": "adult", "epsilon": 0.05, "fixed_iterations": 40},
             {"dataset": "adult", "epsilon": 0.05, "max_iter": 200},
-        ], max_workers=1)
+        ])
         service = system.service()
         assert service.warm_loaded == 2
         assert [r.cache_hit for r in results] == [True, True]

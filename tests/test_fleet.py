@@ -261,7 +261,7 @@ class TestFleetWorker:
         partial = dict(descriptor(dataset_file, "fleet-00", iterations=30),
                        lease_iterations=15)
         system.service().worker_id = "w-dead"
-        outcome = system.train_many([partial], max_workers=1)[0]
+        outcome = system.train_many([partial])[0]
         assert outcome.job.preempted
         assert outcome.job.done_iterations == 15
         # It dies holding a lease that has already expired: taken on a
@@ -299,7 +299,7 @@ class TestFleetWorker:
         partial = dict(descriptor(dataset_file, "fleet-00", iterations=30),
                        lease_iterations=10)
         system.service().worker_id = "w-a"
-        system.train_many([partial], max_workers=1)
+        system.train_many([partial])
         midway = job_progress(store.load("fleet-00"), now=time.time())
         assert midway["status"] == "preempted"
         assert midway["done_iterations"] == 10

@@ -365,7 +365,7 @@ class TestOptimizeMany:
             ServiceRequest(dataset, training, fixed_iterations=n)
             for n in (50, 100, 150)
         ]
-        results = service.optimize_many(requests, max_workers=3)
+        results = service.optimize_many(requests)
         iters = [
             r.report.candidates[0].estimated_iterations for r in results
         ]
@@ -375,7 +375,7 @@ class TestOptimizeMany:
         self, service, dataset, training
     ):
         requests = [(dataset, training)] * 12
-        results = service.optimize_many(requests, max_workers=6)
+        results = service.optimize_many(requests)
         assert len(results) == 12
         assert service.metrics.value("service.computed") == 1
         reference = results[0].report
@@ -388,7 +388,6 @@ class TestOptimizeMany:
                 (dataset, training, 75),
                 ServiceRequest(dataset, training),
             ],
-            max_workers=1,
         )
         assert len(results) == 3
         assert results[2].cache_hit  # same workload as the first
@@ -401,14 +400,14 @@ class TestOptimizeMany:
             service.optimize_many([42])
 
     def test_stats_summary_renders(self, service, dataset, training):
-        service.optimize_many([(dataset, training)] * 3, max_workers=2)
+        service.optimize_many([(dataset, training)] * 3)
         text = service.stats_summary()
         assert "plan cache" in text
         assert "requests" in text
 
     def test_stats_summary_reads_the_metrics(self, service, dataset,
                                              training):
-        service.optimize_many([(dataset, training)] * 3, max_workers=1)
+        service.optimize_many([(dataset, training)] * 3)
         value = service.metrics.value
         assert value("service.requests") == 3
         assert value("service.computed") == 1
