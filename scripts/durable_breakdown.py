@@ -2,8 +2,9 @@
 """Where a durable training job's CPU goes, layer by layer.
 
 Replays the benchmark's ``train_durable`` job stream (``bench/workloads.py``)
-in-process: the system ``repro serve --checkpoint jobs.db --cache
-plans.db`` builds, in a temporary directory, answers each job through a
+in-process through ``scripts/replay.py``: the system ``repro serve
+--checkpoint jobs.db --cache plans.db`` builds, in a temporary
+directory, answers each job through a
 :class:`~repro.service.frontend.Dispatcher`, and a leased job is re-sent
 until it reports ``done`` -- as the benchmark's client does.  Each
 callable in ``LAYERS`` charges the thread CPU time spent inside it minus
@@ -180,28 +181,19 @@ def replay(seed, jobs, workdir, charges):
     alternating) and return (requests, process CPU s, wall s); set-up
     is not charged."""
     import workloads
-    from repro.api import ML4all
-    from repro.service.frontend import Dispatcher
+    from replay import build_dispatcher, send
 
-    system = ML4all(seed=7, cache_path=os.path.join(workdir, "plans.db"),
-                    checkpoint_path=os.path.join(workdir, "jobs.db"))
-    system.service(cache_size=256)
-    dispatcher = Dispatcher(system)
+    dispatcher = build_dispatcher(
+        workloads.WORKLOADS["train_durable"].server_flags, workdir)
     for op in workloads.setup_ops("train_durable", seed):
-        dispatcher.handle_line(op.line)
+        send(dispatcher, op.line)
     streams = [workloads.stream("train_durable", seed, c) for c in (0, 1)]
     charges.reset()
     requests = 0
     cpu, wall = time.process_time(), time.perf_counter()
     for index in range(jobs):
         op = next(streams[index % 2])
-        while True:
-            reply = dispatcher.handle_line(op.line)
-            requests += 1
-            if not reply.get("ok"):
-                raise SystemExit(f"{op.line!r} failed: {reply}")
-            if not op.leased or reply["job"]["status"] == "done":
-                break
+        requests += len(send(dispatcher, op.line, op.leased))
     return (requests, time.process_time() - cpu,
             time.perf_counter() - wall)
 
