@@ -12,10 +12,6 @@ the lines.
 from __future__ import annotations
 
 
-class ReplayError(Exception):
-    """A replayed line was answered with a failure."""
-
-
 def build_dispatcher(flags, workdir):
     """A Dispatcher over the ``ML4all`` that ``repro serve`` builds from
     ``flags`` (``--algorithms``, ``--cache``, ``--checkpoint``,
@@ -38,12 +34,12 @@ def build_dispatcher(flags, workdir):
 def send(dispatcher, line, leased=False) -> list:
     """Answer ``line``, re-sent while it is a ``leased`` job that has not
     reported ``done``; returns every reply, in order.  A failed reply
-    raises :class:`ReplayError`."""
+    raises :class:`RuntimeError`."""
     replies = []
     while True:
         reply = dispatcher.handle_line(line)
         replies.append(reply)
         if not reply.get("ok"):
-            raise ReplayError(f"{line!r} failed: {reply}")
+            raise RuntimeError(f"{line!r} failed: {reply}")
         if not leased or reply["job"]["status"] == "done":
             return replies

@@ -142,7 +142,6 @@ def transcribe(flags, setup, ops) -> dict:
 def workload_ops(name, seed) -> tuple:
     """(server flags, set-up lines, ``(line, leased)`` ops) of one bench
     workload: its streams' ops, connection 0 and 1 in turn."""
-    sys.path.insert(0, os.path.join(ROOT, "bench"))
     import workloads
 
     streams = [workloads.stream(name, seed, c) for c in (0, 1)]
@@ -157,6 +156,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--output", default=GOLDEN)
     args = parser.parse_args(argv)
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
     golden = {
         "seed": args.seed,
         "workloads": {name: transcribe(*workload_ops(name, args.seed))

@@ -6,18 +6,16 @@ One-shot declarative queries:
     python -m repro --file queries.ml4all
     echo "run svm on svm1;" | python -m repro -
 
-Batch mode -- a file of request lines through serve's dispatcher, one
-at a time in file order on the calling thread:
+Batch and serve modes -- request lines answered by one loop, in order
+on the calling thread, through the socket server's dispatcher: batch
+reads a file (``--repeat`` times) and reports a rate, serve reads stdin
+until EOF or ``quit`` (repeated workloads hit the warm plan cache):
 
     python -m repro batch requests.txt --repeat 2
-
-Serve mode -- a line-oriented request loop on stdin (one response per
-request; repeated workloads hit the warm plan cache):
-
     printf 'adult epsilon=0.01\\nadult epsilon=0.01\\n' | python -m repro serve
 
-Both batch and serve accept ``--train``, ``--adaptive``,
-``--calibration PATH`` and ``--cache PATH`` (see their ``--help``).
+Both accept ``--train``, ``--adaptive``, ``--calibration PATH`` and
+``--cache PATH`` (see their ``--help``).
 
 Calibrate mode -- run one workload repeatedly under the adaptive
 runtime and persist what the traces taught the calibration store:
@@ -69,11 +67,12 @@ Request lines are ``<dataset> [key=value ...]`` with the keys of
 ``time_budget``, ``algorithm``, ``batch``, ``step``, ``convergence``,
 ``l2``, ``fixed_iterations``, ``seed``) plus the durable-job keys
 (``job_id``, ``checkpoint_every``, ``lease_iterations``,
-``lease_seconds`` -- a line naming a ``job_id`` always trains).  Blank
-lines and ``#`` comments are skipped.  With ``--checkpoint``, a
-restarted ``repro serve`` finishes the store's in-flight jobs on
-startup instead of waiting to be asked (and instead of re-speculating
-them).
+``lease_seconds`` -- a line naming a ``job_id`` always trains), or JSON
+objects and the ``metrics``/``trace``/``jobs`` verbs of the socket
+protocol.  Blank lines and ``#`` comments are skipped.  With
+``--checkpoint``, a restarted ``repro serve`` finishes the store's
+in-flight jobs on startup instead of waiting to be asked (and instead
+of re-speculating them).
 """
 
 from __future__ import annotations
@@ -91,13 +90,10 @@ from repro.service.worker import claimable_jobs
 
 # The front-end's protocol code the CLI modes run on: request-line
 # parsing, the Dispatcher, the socket server and train-reply lines.
-# Tests import ``main``, ``parse_request_line`` and
-# ``iter_request_lines`` from this module.
+# Tests import ``main`` and ``parse_request_line`` from this module.
 from repro.service.frontend import (
     Dispatcher,
     SocketFrontend,
-    WireRequest,
-    iter_request_lines,
     parse_request_line,
     train_lines,
 )
@@ -250,7 +246,7 @@ def _refuse_nonpositive(args, *names) -> bool:
     """Print an ``error:`` line and return True when one of the numeric
     flags ``names`` (argparse dests) is set to zero or less."""
     for name in names:
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and value <= 0:
             print(f"error: --{name.replace('_', '-')} must be positive, "
                   f"got {value:g}", file=sys.stderr)
@@ -267,17 +263,17 @@ def _refuse_bad_port(port, flag) -> bool:
     return False
 
 
-def _serve_until_stopped(server, host, port) -> bool:
+def _serve_until_stopped(server) -> bool:
     """Serve until interrupted; False after one ``error:`` line when
-    ``server`` cannot listen on ``host:port``."""
+    ``server`` cannot listen on its host and port."""
     try:
         port = server.start()
     except OSError as exc:
-        print(f"error: cannot listen on {host}:{port}: "
+        print(f"error: cannot listen on {server.host}:{server.port}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         server.stop()
         return False
-    print(f"listening on {host}:{port}", flush=True)
+    print(f"listening on {server.host}:{port}", flush=True)
     try:
         server.wait()
     except KeyboardInterrupt:
@@ -299,6 +295,46 @@ def _save_calibration(system, args):
         system.save_calibration(args.calibration)
 
 
+def _answer_lines(dispatcher, lines) -> tuple:
+    """Answer request ``lines`` in order on this thread through
+    :meth:`Dispatcher.handle_line`, as the socket server would, until
+    they run out or one says ``quit``/``exit``; blank and ``#`` lines
+    are skipped.  A reply's ``lines`` go to stdout; a failure prints its
+    structured JSON reply there instead (the socket protocol's shape)
+    plus one log record on stderr.  Returns ``(served, failed, verbs)``,
+    ``verbs`` those of the served replies."""
+    from repro.obs import get_logger
+
+    log = get_logger("serve")
+    served = failed = 0
+    verbs = set()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line in ("quit", "exit"):
+            break
+        response = dispatcher.handle_line(line)
+        if response["ok"]:
+            served += 1
+            verbs.add(response["verb"])
+            for out in response.get("lines", ()):
+                print(out)
+        else:
+            failed += 1
+            print(json.dumps(response))
+            log.warning(
+                "request error: %s", response["detail"],
+                extra={
+                    "kind": response["error"],
+                    **({"trace_id": response["trace_id"]}
+                       if response.get("trace_id") else {}),
+                },
+            )
+        sys.stdout.flush()
+    return served, failed, verbs
+
+
 def batch_main(argv) -> int:
     parser = _service_parser(
         "python -m repro batch",
@@ -318,42 +354,28 @@ def batch_main(argv) -> int:
         return 2
     try:
         if args.requests == "-":
-            requests = list(iter_request_lines(sys.stdin))
+            lines = sys.stdin.readlines()
         else:
             with open(args.requests) as handle:
-                requests = list(iter_request_lines(handle))
-    except (ReproError, OSError) as exc:
+                lines = handle.readlines()
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not requests:
-        print("error: no requests found", file=sys.stderr)
-        return 2
-    requests = requests * args.repeat
-    # Each line goes through serve's dispatcher, in file order on this
-    # thread: --train/--adaptive train everything, a line naming a
-    # durable job always trains, and the rest only optimize.  A repeated
-    # optimize line is therefore a cache hit, never a coalesced wait.
     dispatcher = Dispatcher(system, train=args.train, adaptive=args.adaptive)
     start = time.perf_counter()
-    responses = [dispatcher.handle(WireRequest(verb=None, request=r))
-                 for r in requests]
+    served, failed, verbs = _answer_lines(dispatcher, lines * args.repeat)
     elapsed = time.perf_counter() - start
-
-    for response in responses:
-        for line in response.get("lines", ()):
-            print(line)
-        if not response["ok"]:
-            print(f"error: {response['detail']}", file=sys.stderr)
-    if not all(response["ok"] for response in responses):
-        return 1
-    rate = len(requests) / elapsed if elapsed > 0 else float("inf")
-    verbs = {response["verb"] for response in responses}
+    answered = served + failed
+    if not answered:
+        print("error: no requests found", file=sys.stderr)
+        return 2
+    rate = answered / elapsed if elapsed > 0 else float("inf")
     verb = verbs.pop() if len(verbs) == 1 else "request"
-    print(f"{len(requests)} requests in {elapsed:.3f}s "
+    print(f"{answered} requests in {elapsed:.3f}s "
           f"({rate:.1f} {verb}/s)")
     print(system.service().stats_summary())
     _save_calibration(system, args)
-    return 0
+    return 1 if failed else 0
 
 
 def _finish_pending_jobs(system, service) -> int:
@@ -371,8 +393,8 @@ def _finish_pending_jobs(system, service) -> int:
         print(f"# resuming in-flight job {job_id!r} from iteration "
               f"{checkpoint.done_iterations}")
         try:
-            (result,) = system.train_many(
-                [request], adaptive=bool(checkpoint.adaptive)
+            result = system.train_request(
+                request, adaptive=bool(checkpoint.adaptive)
             )
         except JobLeaseError as exc:
             # Typically our own predecessor's unexpired lease after a
@@ -391,6 +413,12 @@ def _finish_pending_jobs(system, service) -> int:
     return finished
 
 
+#: ``repro serve`` flags that only configure the ``--listen`` socket
+#: server: argparse dest -> :class:`SocketFrontend` keyword.
+_LISTEN_FLAGS = {"host": "host", "workers": "max_workers",
+                 "shed_after": "shed_after", "max_inflight": "max_inflight"}
+
+
 def serve_main(argv) -> int:
     parser = _service_parser(
         "python -m repro serve",
@@ -401,18 +429,21 @@ def serve_main(argv) -> int:
     parser.add_argument("--listen", metavar="PORT", type=int, default=None,
                         help="serve a TCP line protocol on PORT instead of "
                              "stdin (0 picks a free port)")
-    parser.add_argument("--host", default="127.0.0.1",
+    # _LISTEN_FLAGS: unset unless given, so stdin mode can refuse them
+    # and SocketFrontend's defaults apply.
+    parser.add_argument("--host", default=argparse.SUPPRESS,
                         help="interface for --listen (default 127.0.0.1)")
-    parser.add_argument("--workers", type=int, default=8,
+    parser.add_argument("--workers", type=int, default=argparse.SUPPRESS,
                         help="--listen pool size: threads for first "
                              "touches, misses and coalesced waits "
                              "(default 8; trains run one at a time beside "
                              "them, cache hits on the loop)")
-    parser.add_argument("--shed-after", type=int, default=64,
+    parser.add_argument("--shed-after", type=int, default=argparse.SUPPRESS,
                         help="admission bound: reject new requests with a "
                              "structured 'overloaded' response while this "
                              "many are queued or running (default 64)")
-    parser.add_argument("--max-inflight", type=int, default=None,
+    parser.add_argument("--max-inflight", type=int,
+                        default=argparse.SUPPRESS,
                         help="per-tenant inflight quota; over-quota "
                              "requests get a structured 'quota_exceeded' "
                              "response (default: no quota)")
@@ -426,9 +457,17 @@ def serve_main(argv) -> int:
                             "max_inflight")
             or _refuse_bad_port(args.listen, "--listen")):
         return 2
+    listen = {keyword: getattr(args, flag)
+              for flag, keyword in _LISTEN_FLAGS.items()
+              if hasattr(args, flag)}
+    for flag in _LISTEN_FLAGS:
+        if args.listen is None and hasattr(args, flag):
+            print(f"error: --{flag.replace('_', '-')} needs --listen",
+                  file=sys.stderr)
+            return 2
 
     _configure_obs(args)
-    from repro.obs import TraceRecorder, get_logger
+    from repro.obs import TraceRecorder
 
     system = _build_system(args)
     if system is None:
@@ -441,49 +480,18 @@ def serve_main(argv) -> int:
     )
     dispatcher = Dispatcher(system, train=args.train, adaptive=args.adaptive,
                             tracer=tracer)
-    log = get_logger("serve")
-    served = failed = 0
-    served += _finish_pending_jobs(system, service)
+    finished = _finish_pending_jobs(system, service)
 
     if args.listen is not None:
-        frontend = SocketFrontend(
-            dispatcher, host=args.host, port=args.listen,
-            max_workers=args.workers,
-            shed_after=args.shed_after, max_inflight=args.max_inflight,
-        )
-        if not _serve_until_stopped(frontend, args.host, args.listen):
+        frontend = SocketFrontend(dispatcher, port=args.listen, **listen)
+        if not _serve_until_stopped(frontend):
             return 1
         print(service.stats_summary())
         _save_calibration(system, args)
         return 0
 
-    for line in sys.stdin:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line in ("quit", "exit"):
-            break
-        response = dispatcher.handle_line(line)
-        if response.get("ok"):
-            served += 1
-            for out in response.get("lines", []):
-                print(out)
-        else:
-            # Structured error on stdout (machine-readable, same shape
-            # as the socket protocol) plus a structured log record on
-            # stderr; the loop always continues.
-            failed += 1
-            print(json.dumps(response))
-            detail = response.get("detail", response.get("error"))
-            log.warning(
-                "request error: %s", detail,
-                extra={
-                    "kind": response.get("error"),
-                    **({"trace_id": response["trace_id"]}
-                       if response.get("trace_id") else {}),
-                },
-            )
-        sys.stdout.flush()
+    served, failed, _ = _answer_lines(dispatcher, sys.stdin)
+    served += finished
     print(service.stats_summary())
     _save_calibration(system, args)
     return 0 if failed == 0 or served > 0 else 1
@@ -544,7 +552,7 @@ def train_main(argv) -> int:
         request["lease_seconds"] = args.max_seconds
 
     try:
-        (result,) = system.train_many([request], adaptive=args.adaptive)
+        result = system.train_request(request, adaptive=args.adaptive)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -721,7 +729,7 @@ def store_main(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _serve_until_stopped(server, args.host, args.port):
+    if not _serve_until_stopped(server):
         return 1
     print(f"{server.frames_served} frames served")
     return 0

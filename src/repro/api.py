@@ -39,6 +39,7 @@ from repro.data import libsvm
 from repro.errors import DataFormatError, PlanError
 from repro.gd import registry as gd_registry
 from repro.gd.registry import CORE_ALGORITHMS
+from repro.gd.state import field_dict
 
 
 @dataclasses.dataclass
@@ -303,19 +304,28 @@ class ML4all:
         creates the service if it does not exist yet."""
         return self.service().metrics
 
-    def optimize_many(self, requests, **shared):
-        """Serve a batch of optimize() requests through the plan cache.
+    def optimize_request(self, request):
+        """Answer one optimize request through :meth:`service`.
 
-        Each request is either a dataset reference (registry name, path,
-        PartitionedDataset, ``(X, y)`` pair) or a dict of
-        :meth:`optimize` keyword arguments (``dataset`` plus ``task``,
-        ``epsilon``, ``max_iter``, ``algorithm``, ``batch``, ...).
-        ``shared`` supplies defaults merged into every request.  Returns
-        one :class:`~repro.service.ServiceResult` per request, in order.
+        ``request`` is a dict of :meth:`optimize` keyword arguments
+        (``dataset`` plus ``task``, ``epsilon``, ``max_iter``,
+        ``algorithm``, ``batch``, ...).  Returns its
+        :class:`~repro.service.ServiceResult`.
         """
-        return self.service().optimize_many(
-            self._normalize_requests(requests, shared)
-        )
+        service = self.service()
+        return service.answer(service.resolve(self._request(request)))
+
+    def train_request(self, request, adaptive=False):
+        """Train one request dict (as :meth:`optimize_request`'s, plus
+        the durable-job keys ``job_id``, ``checkpoint_every``,
+        ``lease_iterations`` and ``lease_seconds``) through
+        :meth:`service`, on its own simulated-cluster clone; with
+        ``adaptive=True`` the run is monitored, may switch plans
+        mid-flight, and feeds the shared calibration store.  Returns its
+        :class:`~repro.service.TrainServiceResult`.
+        """
+        return self.service().train(**field_dict(self._request(request)),
+                                    adaptive=adaptive)
 
     def resolve(self, request):
         """One optimize request dict fingerprinted and looked up in the
@@ -325,61 +335,36 @@ class ML4all:
         stay cheap enough for an event loop, and loading is not."""
         if (request["dataset"], request.get("task")) not in self._dataset_memo:
             return None
-        (normalized,) = self._normalize_requests([request], {})
-        return self.service().resolve(normalized)
+        return self.service().resolve(self._request(request))
 
-    def _normalize_requests(self, requests, shared) -> list:
-        """Request dicts / dataset refs -> ServiceRequest instances.
+    def _request(self, request):
+        """One request dict -> a ServiceRequest.
 
         Resolves each named dataset reference once per system --
-        repeated registry names (within one batch or across serve
-        request lines) must not regenerate the arrays or recompute the
-        content digest per request.
+        repeated registry names across requests must not regenerate
+        the arrays or recompute the content digest per request.
         """
-        normalized = []
-        for request in requests:
-            kwargs = dict(shared)
-            if isinstance(request, dict):
-                kwargs.update(request)
-            else:
-                kwargs["dataset"] = request
-            ref = kwargs.get("dataset")
-            if kwargs.get("job_id") is not None and isinstance(ref, str):
-                # Durable jobs checkpoint the *raw* request (dataset by
-                # name), which is what lets a restarted server re-issue
-                # an in-flight job it was never handed again.
-                kwargs["_raw_request"] = dict(kwargs)
-            if isinstance(ref, str):
-                key = (ref, kwargs.get("task"))
-                if key not in self._dataset_memo:
-                    # One loader per name, however many threads miss it
-                    # at once; memo hits (and resolve()) take no lock.
-                    with self._dataset_lock:
-                        if key not in self._dataset_memo:
-                            dataset = self.load_dataset(ref, task=key[1])
-                            # Hashed by the thread that loaded it, so
-                            # resolve() never has to (34 ms for higgs).
-                            dataset.content_digest()
-                            self._dataset_memo[key] = dataset
-                kwargs["dataset"] = self._dataset_memo[key]
-            normalized.append(self._service_request(**kwargs))
-        return normalized
-
-    def train_many(self, requests, adaptive=False, adaptive_settings=None,
-                   **shared):
-        """Serve a batch of train() requests through the service layer.
-
-        Request forms match :meth:`optimize_many`.  Each request
-        executes on its own simulated-cluster clone; with
-        ``adaptive=True`` every run is monitored, may switch plans
-        mid-flight, and feeds the shared calibration store.  Returns one
-        :class:`~repro.service.TrainServiceResult` per request.
-        """
-        return self.service().train_many(
-            self._normalize_requests(requests, shared),
-            adaptive=adaptive,
-            adaptive_settings=adaptive_settings,
-        )
+        kwargs = dict(request)
+        ref = kwargs.get("dataset")
+        if kwargs.get("job_id") is not None and isinstance(ref, str):
+            # Durable jobs checkpoint the *raw* request (dataset by
+            # name), which is what lets a restarted server re-issue
+            # an in-flight job it was never handed again.
+            kwargs["_raw_request"] = dict(kwargs)
+        if isinstance(ref, str):
+            key = (ref, kwargs.get("task"))
+            if key not in self._dataset_memo:
+                # One loader per name, however many threads miss it
+                # at once; memo hits (and resolve()) take no lock.
+                with self._dataset_lock:
+                    if key not in self._dataset_memo:
+                        dataset = self.load_dataset(ref, task=key[1])
+                        # Hashed by the thread that loaded it, so
+                        # resolve() never has to (34 ms for higgs).
+                        dataset.content_digest()
+                        self._dataset_memo[key] = dataset
+            kwargs["dataset"] = self._dataset_memo[key]
+        return self._service_request(**kwargs)
 
     def _service_request(self, dataset, task=None, epsilon=None,
                          max_iter=None, time_budget=None, algorithm=None,

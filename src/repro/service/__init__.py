@@ -13,8 +13,8 @@ across *many* processes, in explicit layers:
   durable checkpointed jobs, budgets and leases;
 * :mod:`repro.service.requests` -- the request/result dataclasses;
 * :mod:`repro.service.frontend` -- the protocol tier: request-line
-  parsing, the :class:`Dispatcher` shared by ``repro serve`` stdin and
-  socket modes, and the admission-controlled :class:`SocketFrontend`;
+  parsing, the :class:`Dispatcher` shared by the CLI's line loop and
+  the socket server, and the admission-controlled :class:`SocketFrontend`;
 * :mod:`repro.service.metrics` -- the :class:`MetricsRegistry` counters
   /gauges/histograms threaded through all of the above;
 * :mod:`repro.service.lineserver` -- the one TCP line server (event
@@ -51,7 +51,6 @@ from repro.service.frontend import (
     Dispatcher,
     SocketFrontend,
     WireRequest,
-    iter_request_lines,
     parse_request_line,
     parse_wire_line,
 )
@@ -68,7 +67,6 @@ from repro.service.requests import (
     ServiceRequest,
     ServiceResult,
     TrainServiceResult,
-    normalize_request,
 )
 from repro.service.serialize import (
     PlanStoreError,
@@ -119,10 +117,8 @@ __all__ = [
     "entry_to_dict",
     "freeze",
     "inspect_store",
-    "iter_request_lines",
     "job_progress",
     "job_progress_records",
-    "normalize_request",
     "open_backend",
     "open_remote_backend",
     "parse_request_line",

@@ -78,7 +78,6 @@ from repro.service.requests import (
     Resolved,
     ServiceRequest,
     ServiceResult,
-    normalize_request,
 )
 from repro.service.serialize import (
     PlanStoreError,
@@ -609,17 +608,6 @@ class OptimizerService(TrainingJobs):
         if path is None and self.calibration.path is None:
             return None
         return self.calibration.save(path)
-
-    # ------------------------------------------------------------------
-    def optimize_many(self, requests) -> list:
-        """Serve a batch of requests in order on the calling thread.
-
-        ``requests`` is an iterable of :class:`ServiceRequest`,
-        ``(dataset, training)`` pairs, or
-        ``(dataset, training, fixed_iterations)`` triples.
-        """
-        return [self.answer(self.resolve(request))
-                for request in [normalize_request(r) for r in requests]]
 
     # ------------------------------------------------------------------
     def cache_stats(self):

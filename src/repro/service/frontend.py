@@ -15,8 +15,9 @@ server -- decide *whether to accept it at all*.  Three pieces:
 * **Dispatch** (:class:`Dispatcher`) -- turns one parsed request into
   one structured response dict, catching request errors into
   ``{"ok": false, "error": ...}`` instead of letting them kill a serve
-  loop.  The stdin loop (``repro serve``) and the socket server share
-  this path, so a malformed line behaves identically on both.
+  loop.  The CLI's line loop (``repro batch`` and stdin ``repro
+  serve``) and the socket server share this path, so a line is
+  answered identically on all three.
 * **Admission control** (:class:`SocketFrontend`) -- the TCP server on
   :mod:`repro.service.lineserver`'s loop, which answers what needs no
   I/O, no GD and no wait itself and hands the rest to a worker pool;
@@ -115,14 +116,6 @@ def train_lines(request, result) -> list:
     return [f"{request['dataset']}: {result.summary()}"] + [
         f"  switched {s.from_plan} -> {s.to_plan} at iteration "
         f"{s.iteration}: {s.reason}" for s in switches]
-
-
-def iter_request_lines(handle):
-    """Yield parsed request dicts from a line stream, skipping comments."""
-    for line in handle:
-        line = line.split("#", 1)[0].strip()
-        if line:
-            yield parse_request_line(line)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,13 +244,14 @@ def parse_wire_line(line) -> WireRequest:
 class Dispatcher:
     """Turn parsed requests into structured responses over one ML4all.
 
-    This is the protocol-independent half of the front-end: the stdin
-    serve loop and :class:`SocketFrontend` both feed lines through it,
-    so a malformed request produces the identical structured error on
-    both -- and neither loop dies.
+    This is the protocol-independent half of the front-end: the CLI's
+    line loop (``repro batch``, stdin ``repro serve``) and
+    :class:`SocketFrontend` both feed lines through it, so a request
+    gets the identical reply, structured errors included, on each --
+    and no loop dies.
 
     Response dicts always carry ``ok``; successful ones add ``verb``,
-    ``summary`` and the human-readable ``lines`` the stdin loop prints,
+    ``summary`` and the human-readable ``lines`` the CLI loop prints,
     failed ones ``error`` (a stable kind: ``bad_request``,
     ``request_failed``, ``internal``, or the front-end's admission kinds)
     plus a ``detail`` message.
@@ -387,15 +381,14 @@ class Dispatcher:
             )
         try:
             if trains:
-                (result,) = self.system.train_many(
-                    [request], adaptive=self.adaptive,
-                )
+                result = self.system.train_request(
+                    request, adaptive=self.adaptive)
                 body = self._train_body(request, result)
             else:
                 if resolved is not None:
                     result = self.system.service().answer(resolved)
                 else:
-                    (result,) = self.system.optimize_many([request])
+                    result = self.system.optimize_request(request)
                 body = self._optimize_body(request, result)
         except ReproError as exc:
             self.metrics.inc("frontend.request_failed")

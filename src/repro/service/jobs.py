@@ -3,9 +3,8 @@
 :class:`TrainingJobs` is the mixin that gives
 :class:`~repro.service.core.OptimizerService` its execution surface:
 ``train()`` (optimize through the plan cache, then execute on a
-per-caller engine clone), ``train_many()`` batching, and the durable
-checkpointed-job machinery (``job_id=`` leases, budget preemption,
-crash/resume).  It owns no state of its own -- everything it touches
+per-caller engine clone) and the durable checkpointed-job machinery
+(``job_id=`` leases, budget preemption, crash/resume).  It owns no state of its own -- everything it touches
 (cache, backends, calibration, checkpoint store, metrics) is constructed
 by the core's ``__init__``; the split is purely structural so the plan
 cache/lookup layer and the execution layer can be read and changed
@@ -37,7 +36,6 @@ from repro.service.requests import (
     JobProgress,
     ServiceResult,
     TrainServiceResult,
-    normalize_request,
 )
 from repro.service.serialize import (
     PlanStoreError,
@@ -432,25 +430,3 @@ class TrainingJobs:
                 done_iterations=adaptive_result.trace.total_iterations,
             ),
         )
-
-    # ------------------------------------------------------------------
-    def train_many(self, requests, adaptive=False,
-                   adaptive_settings=None) -> list:
-        """Serve a batch of train() requests in order on the calling
-        thread.
-
-        Same request forms as :meth:`optimize_many`; every request
-        executes on its own engine clone.
-        """
-        return [
-            self.train(
-                request.dataset, request.training, request.fixed_iterations,
-                request.algorithms, request.batch_sizes,
-                adaptive=adaptive, adaptive_settings=adaptive_settings,
-                job_id=request.job_id,
-                checkpoint_every=request.checkpoint_every,
-                budget=request.budget,
-                job_request=request.job_request,
-            )
-            for request in [normalize_request(r) for r in requests]
-        ]

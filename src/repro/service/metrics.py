@@ -173,7 +173,7 @@ class MetricsRegistry:
 
     def summary_lines(self) -> list:
         """The snapshot rendered as ``name value`` text lines (what the
-        stdin serve loop prints for a ``metrics`` request)."""
+        CLI's line loop prints for a ``metrics`` request)."""
         snapshot = self.snapshot()
         lines = []
         for name, value in snapshot["counters"].items():

@@ -40,28 +40,6 @@ class ServiceRequest:
     job_request: object = None
 
 
-def normalize_request(request) -> ServiceRequest:
-    """Coerce the accepted request forms into a :class:`ServiceRequest`.
-
-    ``request`` may already be a :class:`ServiceRequest`, a
-    ``(dataset, training)`` pair, or a
-    ``(dataset, training, fixed_iterations)`` triple.
-    """
-    if isinstance(request, ServiceRequest):
-        return request
-    if isinstance(request, tuple):
-        if len(request) == 2:
-            return ServiceRequest(request[0], request[1])
-        if len(request) == 3:
-            return ServiceRequest(*request)
-    raise TypeError(
-        "optimize_many() takes ServiceRequest instances, "
-        "(dataset, training) pairs or "
-        "(dataset, training, fixed_iterations) triples; "
-        f"got {request!r}"
-    )
-
-
 @dataclasses.dataclass(slots=True)
 class Resolved:
     """A request fingerprinted and looked up in the in-memory plan

@@ -276,7 +276,7 @@ class FleetWorker:
     ``system`` is an :class:`~repro.api.ML4all` whose service was
     constructed with a checkpoint store (``checkpoint_path=``, usually
     ``tcp://...``).  The worker claims pending jobs by re-issuing their
-    checkpointed request descriptors through ``system.train_many`` --
+    checkpointed request descriptors through ``system.train_request`` --
     lease arbitration, resume, budgets and checkpoint cadence are all
     the service's existing machinery; the worker adds only the loop,
     the heartbeat, and the cross-machine trace adoption (a job's spans
@@ -324,12 +324,10 @@ class FleetWorker:
                 stolen=stolen,
             )
         with context:
-            results = self.system.train_many(
-                [request], adaptive=bool(checkpoint.adaptive),
-            )
+            job = self.system.train_request(
+                request, adaptive=bool(checkpoint.adaptive)).job
         if stolen:
             self.steals += 1
-        job = results[0].job
         return job is not None and job.status == "done"
 
     # -- the loop ------------------------------------------------------

@@ -71,7 +71,7 @@ class TestDatasets:
         request = {"dataset": "adult", "fixed_iterations": 50}
         results = []
         second = threading.Thread(
-            target=lambda: results.extend(system.optimize_many([request])))
+            target=lambda: results.append(system.optimize_request(request)))
 
         def loading(ref, task=None):
             if not isinstance(ref, str):  # an already-loaded dataset
@@ -101,7 +101,7 @@ class TestDatasets:
         monkeypatch.setattr(system, "_dataset_lock", WatchedLock(),
                             raising=False)
         monkeypatch.setattr(system, "load_dataset", loading)
-        results.extend(system.optimize_many([request]))
+        results.append(system.optimize_request(request))
         second.join(timeout=30)
         assert not second.is_alive()
         assert loads == ["adult"]
@@ -116,7 +116,7 @@ class TestDatasets:
         # take the lock.
         monkeypatch.setattr(system, "_dataset_lock", NoLock())
         assert system.resolve(request).hit
-        (hit,) = system.optimize_many([request])
+        hit = system.optimize_request(request)
         assert hit.cache_hit
         assert loads == ["adult"]
 

@@ -298,8 +298,75 @@ class TestCLIServe:
                          re.MULTILINE), out
 
 
+class TestCLIOneLoop:
+    """``repro batch FILE`` and ``repro serve`` on stdin answer lines
+    through one loop: the same file gets the same replies from both."""
+
+    HASH_LINE = ('{"dataset": "adult", "epsilon": 0.05, '
+                 '"fixed_iterations": 60, "id": "run#1"}')
+
+    @staticmethod
+    def run(mode, text, tmp_path, monkeypatch, *flags):
+        if mode == "serve":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            return main(["serve", *flags])
+        path = tmp_path / "requests.txt"
+        path.write_text(text)
+        return main(["batch", str(path), *flags])
+
+    @pytest.mark.parametrize("mode", ["serve", "batch"])
+    def test_a_json_line_with_a_hash_is_answered(self, mode, tmp_path,
+                                                 monkeypatch, capsys):
+        # The stdin loop used to cut every line at its first '#', and
+        # batch refused the whole file; the socket answered it.
+        from repro.service.frontend import Dispatcher
+
+        replies = []
+        handle_line = Dispatcher.handle_line
+
+        def recording(self, line):
+            replies.append(handle_line(self, line))
+            return replies[-1]
+
+        monkeypatch.setattr(Dispatcher, "handle_line", recording)
+        assert self.run(mode, self.HASH_LINE + "\n", tmp_path,
+                        monkeypatch) == 0
+        assert [(r["ok"], r.get("id")) for r in replies] == [(True, "run#1")]
+        assert capsys.readouterr().out.startswith("adult: ")
+
+    def test_batch_and_stdin_serve_answer_a_file_alike(self, tmp_path,
+                                                       monkeypatch, capsys):
+        text = "\n".join([
+            "# an optimize line and its repeat",
+            "adult epsilon=0.05 fixed_iterations=50",
+            "adult epsilon=0.05 fixed_iterations=50",
+            self.HASH_LINE,
+            "adult epsilon=0.001 max_iter=400 algorithm=mgd job_id=m1 "
+            "lease_iterations=40",
+            "adult epsilon=0.05 bogus=1",
+        ]) + "\n"
+        outputs = {}
+        for mode, code in (("batch", 1), ("serve", 0)):
+            assert self.run(mode, text, tmp_path, monkeypatch, "--checkpoint",
+                            str(tmp_path / f"{mode}.json")) == code
+            captured = capsys.readouterr()
+            assert captured.err.count("request error:") == 1
+            outputs[mode] = [
+                re.sub(r"[\d.]+ ms\]", "ms]", line)
+                for line in captured.out.splitlines()
+                if " requests in " not in line  # batch's own footer
+            ]
+        assert outputs["batch"] == outputs["serve"]
+        lines = outputs["serve"]
+        assert [line.split(":")[0] for line in lines[:4]] == ["adult"] * 4
+        assert "[cache, ms]" in lines[1]
+        assert "job m1: preempted at iteration 40" in lines[3]
+        assert json.loads(lines[4])["error"] == "bad_request"
+        assert len(lines) == 6  # ...then the stats summary
+
+
 class TestCLITrainJobs:
-    ARGS = ["adult", "epsilon=0.001", "max_iter=400", "algorithm=mgd"]
+    ARGS =["adult", "epsilon=0.001", "max_iter=400", "algorithm=mgd"]
 
     def run_lease(self, store, extra, capsys):
         code = main(["train", *self.ARGS, "--job-id", "nightly",
@@ -726,6 +793,32 @@ class TestCLIBounds:
         assert f"error: {flag} must be positive" in captured.err
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "3"), ("--shed-after", "5"), ("--max-inflight", "2"),
+        ("--host", "127.0.0.1"),
+    ], ids=["workers", "shed-after", "max-inflight", "host"])
+    def test_listen_only_flag_without_listen_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # Stdin mode used to accept and then ignore them.
+        monkeypatch.chdir(tmp_path)
+        stdin = io.StringIO("adult epsilon=0.05 fixed_iterations=50\n")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["serve", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {flag} needs --listen"]
+        assert captured.out == ""
+        assert stdin.tell() == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_help_states_the_listen_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for default in ("(default 127.0.0.1)", "(default 8;", "(default 64)",
+                        "(default: no quota)"):
+            assert default in text
 
     @pytest.mark.parametrize("every", ["0", "-1"])
     def test_nonpositive_checkpoint_every_is_a_usage_error(

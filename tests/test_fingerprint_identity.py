@@ -100,7 +100,7 @@ GOLDEN = {
 
 
 def fingerprint(system, request):
-    (r,) = system._normalize_requests([request], {})
+    r = system._request(request)
     return system.service().fingerprint(
         r.dataset, r.training, r.fixed_iterations, r.algorithms,
         r.batch_sizes,
@@ -134,10 +134,10 @@ class TestGoldenTable:
         shutil.copy(Path(__file__).parent / "golden" / "parent_plans.json",
                     store)
         system = ML4all(seed=7, cache_path=str(store))
-        results = system.optimize_many([
+        results = [system.optimize_request(request) for request in (
             {"dataset": "adult", "epsilon": 0.05, "fixed_iterations": 40},
             {"dataset": "adult", "epsilon": 0.05, "max_iter": 200},
-        ])
+        )]
         service = system.service()
         assert service.warm_loaded == 2
         assert [r.cache_hit for r in results] == [True, True]
@@ -477,7 +477,7 @@ class TestFreezeIsTheAsdictFreeze:
         assert freeze({'0': 1, 1: 2}) == asdict_freeze({'0': 1, 1: 2})
 
     def test_the_services_own_dataclasses(self, system):
-        (r,) = system._normalize_requests([{"dataset": "adult"}], {})
+        r = system._request({"dataset": "adult"})
         service = system.service()
         for value in (r.dataset.stats, r.training, service.spec,
                       service.speculation):

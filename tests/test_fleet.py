@@ -236,11 +236,11 @@ class TestFleetWorker:
         ids = submit_jobs(store, dataset_file, 2, iterations=25)
         claimed = []
 
-        def refusing(requests, **kwargs):
-            claimed.append(requests[0]["job_id"])
+        def refusing(request, **kwargs):
+            claimed.append(request["job_id"])
             raise CheckpointError("bound to another workload")
 
-        monkeypatch.setattr(system, "train_many", refusing)
+        monkeypatch.setattr(system, "train_request", refusing)
         ticks = itertools.count()
         worker = FleetWorker(system, worker_id="w-a", poll_s=0,
                              clock=lambda: float(next(ticks)))
@@ -261,7 +261,7 @@ class TestFleetWorker:
         partial = dict(descriptor(dataset_file, "fleet-00", iterations=30),
                        lease_iterations=15)
         system.service().worker_id = "w-dead"
-        outcome = system.train_many([partial])[0]
+        outcome = system.train_request(partial)
         assert outcome.job.preempted
         assert outcome.job.done_iterations == 15
         # It dies holding a lease that has already expired: taken on a
@@ -299,7 +299,7 @@ class TestFleetWorker:
         partial = dict(descriptor(dataset_file, "fleet-00", iterations=30),
                        lease_iterations=10)
         system.service().worker_id = "w-a"
-        system.train_many([partial])
+        system.train_request(partial)
         midway = job_progress(store.load("fleet-00"), now=time.time())
         assert midway["status"] == "preempted"
         assert midway["done_iterations"] == 10

@@ -73,7 +73,6 @@ class TestImportCompat:
         assert issubclass(OptimizerService, jobs.TrainingJobs)
 
     def test_request_line_parsing_still_importable_from_cli(self):
-        from repro.__main__ import iter_request_lines  # noqa: F401
         from repro.__main__ import parse_request_line as from_cli
 
         assert from_cli is parse_request_line

@@ -359,13 +359,18 @@ class TestResolveThenAnswer:
         assert sum(r.cache_hit or r.coalesced for r in results) == 28
 
 
+def answer_three(service, dataset, training):
+    for _ in range(3):
+        service.answer(service.resolve(ServiceRequest(dataset, training)))
+
+
 class TestOptimizeMany:
     def test_order_preserved(self, service, dataset, training):
         requests = [
             ServiceRequest(dataset, training, fixed_iterations=n)
             for n in (50, 100, 150)
         ]
-        results = service.optimize_many(requests)
+        results = [service.answer(service.resolve(r)) for r in requests]
         iters = [
             r.report.candidates[0].estimated_iterations for r in results
         ]
@@ -374,40 +379,22 @@ class TestOptimizeMany:
     def test_identical_requests_compute_once(
         self, service, dataset, training
     ):
-        requests = [(dataset, training)] * 12
-        results = service.optimize_many(requests)
-        assert len(results) == 12
+        request = ServiceRequest(dataset, training)
+        results = [service.answer(service.resolve(request))
+                   for _ in range(12)]
         assert service.metrics.value("service.computed") == 1
         reference = results[0].report
         assert all(r.report is reference for r in results)
 
-    def test_tuple_and_request_forms(self, service, dataset, training):
-        results = service.optimize_many(
-            [
-                (dataset, training),
-                (dataset, training, 75),
-                ServiceRequest(dataset, training),
-            ],
-        )
-        assert len(results) == 3
-        assert results[2].cache_hit  # same workload as the first
-
-    def test_empty_batch(self, service):
-        assert service.optimize_many([]) == []
-
-    def test_bad_request_type_raises(self, service):
-        with pytest.raises(TypeError):
-            service.optimize_many([42])
-
     def test_stats_summary_renders(self, service, dataset, training):
-        service.optimize_many([(dataset, training)] * 3)
+        answer_three(service, dataset, training)
         text = service.stats_summary()
         assert "plan cache" in text
         assert "requests" in text
 
     def test_stats_summary_reads_the_metrics(self, service, dataset,
                                              training):
-        service.optimize_many([(dataset, training)] * 3)
+        answer_three(service, dataset, training)
         value = service.metrics.value
         assert value("service.requests") == 3
         assert value("service.computed") == 1
@@ -423,17 +410,16 @@ class TestML4allServiceAPI:
         from repro.api import ML4all
 
         system = ML4all(cluster_spec=spec, seed=7)
-        results = system.optimize_many(
-            ["adult", {"dataset": "adult", "epsilon": 0.05}],
-            max_iter=200,
-            fixed_iterations=80,
-        )
-        assert len(results) == 2
+        shared = {"max_iter": 200, "fixed_iterations": 80}
+        results = [
+            system.optimize_request({"dataset": "adult", **shared}),
+            system.optimize_request({"dataset": "adult", "epsilon": 0.05,
+                                     **shared}),
+        ]
         assert all(r.report.chosen_plan is not None for r in results)
         # The facade reuses one service, so the warm cache persists.
-        again = system.optimize_many(["adult"], max_iter=200,
-                                     fixed_iterations=80)
-        assert again[0].cache_hit
+        again = system.optimize_request({"dataset": "adult", **shared})
+        assert again.cache_hit
 
     def test_facade_service_is_shared(self, spec):
         from repro.api import ML4all
@@ -445,10 +431,9 @@ class TestML4allServiceAPI:
         from repro.api import ML4all
 
         system = ML4all(cluster_spec=spec, seed=7)
-        (result,) = system.optimize_many(
-            [{"dataset": "adult", "algorithm": "bgd"}],
-            max_iter=100,
-            fixed_iterations=60,
+        result = system.optimize_request(
+            {"dataset": "adult", "algorithm": "bgd", "max_iter": 100,
+             "fixed_iterations": 60},
         )
         assert str(result.chosen_plan) == "BGD"
 
@@ -464,11 +449,10 @@ class TestML4allServiceAPI:
             return original(self, source, **kwargs)
 
         monkeypatch.setattr(ML4all, "load_dataset", counting_load)
-        results = system.optimize_many(
-            ["adult"] * 5, max_iter=100, fixed_iterations=40
-        )
-        assert len(results) == 5
-        # One registry resolution for the batch, not one per request.
+        for _ in range(5):
+            system.optimize_request(
+                {"dataset": "adult", "max_iter": 100, "fixed_iterations": 40})
+        # One registry resolution for the five, not one per request.
         assert calls.count("adult") == 1
 
     def test_service_config_ignored_after_creation_warns(self, spec):

